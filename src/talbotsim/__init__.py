@@ -40,14 +40,12 @@ from .model import (
     SPEED_OF_LIGHT,
     CombSpec,
     NoiseProfile,
-    PhysicalConstants,
     SampledSignal,
     SimGrid,
     build_grid,
     comb_lines,
     convert_dispersion,
     estimate_memory,
-    estimate_memory_bytes,
 )
 from .superposition import choose_engine, superpose, superpose_spectral, superpose_time
 from .synthesis import SynthesisRequest, default_noise_profile, synth_carrier, synth_phase_track
@@ -55,7 +53,6 @@ from .synthesis import SynthesisRequest, default_noise_profile, synth_carrier, s
 __all__ = [
     "__version__",
     "SPEED_OF_LIGHT",
-    "PhysicalConstants",
     "CombSpec",
     "SimGrid",
     "SampledSignal",
@@ -64,7 +61,6 @@ __all__ = [
     "comb_lines",
     "convert_dispersion",
     "estimate_memory",
-    "estimate_memory_bytes",
     "DispersionSpec",
     "DelayPlan",
     "eval_dispersion",

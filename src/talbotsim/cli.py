@@ -20,41 +20,14 @@ refusal, 1 runtime failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .analysis import (
-    jitter,
-    phase_noise_spectrum,
-    write_jitter_csv,
-    write_spectrum_csv,
-)
-from .dispersion import (
-    DispersionSpec,
-    delay_plan,
-    eval_dispersion,
-    read_dispersion_table,
-)
 from .errors import BudgetError, ConfigError
-from .experiments import (
-    ExperimentConfig,
-    Manifest,
-    config_hash,
-    offsets_experiment,
-    sweep_comb_width,
-    sweep_oversampling,
-    write_offsets_csv,
-    write_sweep_csv,
-)
-from .model import CombSpec, NoiseProfile, comb_lines, estimate_memory_bytes
-from .superposition import superpose
-from .svgplot import render_plots
-from .synthesis import SynthesisRequest, synth_carrier
+from .experiments import STUDIES, ExperimentConfig, run_study
+from .model import CombSpec, NoiseProfile, estimate_memory
 
 __all__ = ["CliConfig", "parse_config", "main"]
 
@@ -99,19 +72,21 @@ class CliConfig:
 
     def experiment_config(self) -> ExperimentConfig:
         v = self.values
-        noise = None
-        if v["noise.term"]:
-            f_low = v["noise.f_low"] or 1.0 / v["grid.t_sig"]
-            terms = tuple((t["alpha"], t["b"]) for t in v["noise.term"])
-            noise = NoiseProfile(terms=terms, f_low=f_low)
-        comb = CombSpec(f_r=v["comb.f_r"], lambda0=v["comb.lambda0"], width=v["comb.width"])
         try:
+            noise = None
+            if v["noise.term"]:
+                f_low = v["noise.f_low"] or 1.0 / v["grid.t_sig"]
+                terms = tuple((t["alpha"], t["b"]) for t in v["noise.term"])
+                noise = NoiseProfile(terms=terms, f_low=f_low)
             return ExperimentConfig(
-                comb=comb,
+                comb=CombSpec(f_r=v["comb.f_r"], lambda0=v["comb.lambda0"], width=v["comb.width"]),
                 oversampling=int(v["grid.oversampling"]),
                 t_sig=v["grid.t_sig"],
                 kinds=tuple(v["dispersion.kinds"]),
+                m=int(v["dispersion.m"]),
+                table=Path(v["dispersion.table"]) if v["dispersion.table"] else None,
                 noise=noise,
+                noise_enabled=v["noise.enabled"],
                 offsets=tuple(float(o) for o in v["analysis.offsets"]),
                 ratios=tuple(int(r) for r in v["sweep.ratios"]),
                 widths=tuple(float(w) for w in v["sweep.widths"]),
@@ -255,155 +230,10 @@ def _human_bytes(n: float) -> str:
     return f"{n:.0f} B"
 
 
-def _write_manifest(cfg: ExperimentConfig, out_dir: Path, files: list[Path], extra: dict) -> Path:
-    manifest = Manifest(
-        config={**cfg.to_dict(), **extra},
-        config_sha256=config_hash(cfg),
-        master_seed=cfg.master_seed,
-        versions={"talbotsim": __version__},
-    )
-    for f in sorted(files, key=lambda p: p.name):
-        manifest.files.append({"name": f.name, "sha256": hashlib.sha256(f.read_bytes()).hexdigest()})
-    path = out_dir / "manifest.json"
-    path.write_text(manifest.to_json())
-    return path
-
-
-def _spec_from_config(cli: CliConfig, kind: str, comb: CombSpec) -> DispersionSpec:
-    if kind == "tabulated":
-        table_path = cli["dispersion.table"]
-        if not table_path:
-            raise ConfigError("tabulated dispersion requires dispersion.table = <file>")
-        lam, d = read_dispersion_table(table_path)
-        return DispersionSpec.tabulated(comb.f_r, comb.lambda0, lam, d)
-    if kind == "ideal":
-        return DispersionSpec.ideal(comb.f_r, comb.lambda0, m=int(cli["dispersion.m"]))
-    return DispersionSpec(kind, comb.f_r, comb.lambda0)
-
-
-def _cmd_simulate(cli: CliConfig, args) -> int:
-    cfg = cli.experiment_config()
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    grid = cfg.grid
-    comb = cfg.comb
-    kind = args.kind
-    if kind == "none":
-        plan = None
-        extra = 0
-    else:
-        spec = _spec_from_config(cli, kind, comb)
-        plan = delay_plan(spec, comb, grid, max_offset_budget=cfg.max_offset_budget)
-        extra = plan.max_offset
-    predicted = (grid.n_samples + extra) * 8 * 4
-    if predicted > cfg.memory_budget_bytes:
-        raise BudgetError(
-            f"run needs about {_human_bytes(predicted)}, over the budget of "
-            f"{_human_bytes(cfg.memory_budget_bytes)}",
-            estimate_bytes=predicted,
-        )
-    noise = None if args.pure_tone or not cli["noise.enabled"] else cfg.resolved_noise()
-    signal = synth_carrier(
-        SynthesisRequest(grid=grid, noise=noise, extra_samples=extra, seed=cfg.master_seed)
-    )
-    y = superpose(signal, plan) if plan is not None else signal
-    n_points = max(int(args.points), 2)
-    f_lo, f_hi = 3 * grid.df, grid.sample_rate / 2 - comb.f_r
-    offsets = np.geomspace(f_lo, f_hi * 0.999, n_points)
-    spectrum = phase_noise_spectrum(y, grid.f_r, offsets)
-    files = []
-    spectrum_path = out / "spectrum.csv"
-    write_spectrum_csv(spectrum, spectrum_path)
-    files.append(spectrum_path)
-    if args.jitter_band:
-        lo, hi = (float(x) for x in args.jitter_band.split(":"))
-        jitter_path = out / "jitter.csv"
-        write_jitter_csv(jitter(spectrum, lo, hi), jitter_path)
-        files.append(jitter_path)
-    if cli["run.format"] == "csv+svg":
-        files.extend(render_plots([spectrum_path], out))
-    files.append(_write_manifest(cfg, out, files, {"subcommand": "simulate", "kind": kind}))
-    print(f"wrote {len(files)} files to {out}")
-    return 0
-
-
-def _cmd_sweep_oversampling(cli: CliConfig, args) -> int:
-    cfg = cli.experiment_config()
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = sweep_oversampling(cfg)
-    path = out / "sweep_oversampling.csv"
-    write_sweep_csv(rows, path)
-    files = [path]
-    if cli["run.format"] == "csv+svg":
-        files.extend(render_plots([path], out))
-    files.append(_write_manifest(cfg, out, files, {"subcommand": "sweep-oversampling"}))
-    print(f"wrote {len(files)} files to {out}")
-    return 0
-
-
-def _cmd_sweep_comb_width(cli: CliConfig, args) -> int:
-    cfg = cli.experiment_config()
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = sweep_comb_width(cfg)
-    path = out / "sweep_comb_width.csv"
-    write_sweep_csv(rows, path)
-    files = [path]
-    if cli["run.format"] == "csv+svg":
-        files.extend(render_plots([path], out))
-    files.append(_write_manifest(cfg, out, files, {"subcommand": "sweep-comb-width"}))
-    print(f"wrote {len(files)} files to {out}")
-    return 0
-
-
-def _cmd_offsets_diff(cli: CliConfig, args) -> int:
-    cfg = cli.experiment_config()
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    files = []
-    for table in offsets_experiment(cfg):
-        path = out / f"offsets_diff_{table.width:.10g}.csv"
-        write_offsets_csv(table, path)
-        files.append(path)
-    if cli["run.format"] == "csv+svg":
-        files.extend(render_plots(list(files), out))
-    files.append(_write_manifest(cfg, out, files, {"subcommand": "offsets-diff"}))
-    print(f"wrote {len(files)} files to {out}")
-    return 0
-
-
-def _cmd_dispersion_eval(cli: CliConfig, args) -> int:
-    cfg = cli.experiment_config()
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    comb = cfg.comb
-    spec = _spec_from_config(cli, args.kind, comb)
-    d0_ps_nm = eval_dispersion(spec, comb.lambda0) * 1e3
-    print(f"D({comb.lambda0 * 1e9:.6g} nm) = {d0_ps_nm:.4g} ps/nm")
-    lines = comb_lines(comb)
-    plan = delay_plan(spec, comb, cfg.grid, max_offset_budget=cfg.max_offset_budget)
-    d_ps_nm = np.asarray(eval_dispersion(spec, lines.lam)) * 1e3
-    rows = ["line_index,lambda_nm,d_ps_per_nm,offset_samples"]
-    for k, lam, d, off in zip(lines.index, lines.lam * 1e9, d_ps_nm, plan.offsets):
-        rows.append(f"{k},{lam:.10g},{d:.10g},{off}")
-    path = out / "dispersion_eval.csv"
-    path.write_text("\n".join(rows) + "\n")
-    _write_manifest(cfg, out, [path], {"subcommand": "dispersion-eval", "kind": args.kind})
-    return 0
-
-
-def _cmd_estimate_memory(cli: CliConfig, args) -> int:
+def _estimate_memory(cli: CliConfig, args) -> int:
     cfg = cli.experiment_config()
     representation = {"full": "full_band", "reduced": "reduced"}[args.representation]
-    n_bytes = estimate_memory_bytes(
-        representation,
-        width=cfg.comb.width,
-        f_r=cfg.comb.f_r,
-        oversampling=cfg.oversampling if representation == "reduced" else 2,
-        t_sig=cfg.t_sig,
-        bytes_per_sample=int(args.bytes_per_sample),
-    )
+    n_bytes = estimate_memory(representation, cfg.comb, cfg.grid, args.bytes_per_sample)
     print(f"{representation}: {n_bytes} bytes ({_human_bytes(n_bytes)})")
     if n_bytes > cfg.memory_budget_bytes:
         raise BudgetError(
@@ -411,6 +241,27 @@ def _cmd_estimate_memory(cli: CliConfig, args) -> int:
             f"{_human_bytes(cfg.memory_budget_bytes)}",
             estimate_bytes=n_bytes,
         )
+    return 0
+
+
+def _jitter_band(text: str) -> tuple[float, float]:
+    try:
+        f_min, f_max = (float(x) for x in text.split(":"))
+    except ValueError:
+        raise ConfigError(f"--jitter-band takes f_min:f_max in Hz, got {text!r}") from None
+    return f_min, f_max
+
+
+def _run_study(cli: CliConfig, args) -> int:
+    cfg = cli.experiment_config()
+    study = STUDIES[args.command]
+    study_args = {name: getattr(args, name) for name in study.args}
+    if study_args.get("jitter_band") is not None:
+        study_args["jitter_band"] = _jitter_band(study_args["jitter_band"])
+    result, files = run_study(study.name, cfg, study_args, cli["run.format"] == "csv+svg")
+    if study.report is not None:
+        print(study.report(result))
+    print(f"wrote {len(files)} files to {cfg.out_dir}")
     return 0
 
 
@@ -431,6 +282,7 @@ _FLAG_KEYS = {
     "format": "run.format",
     "memory_budget": "run.memory_budget_bytes",
     "table": "dispersion.table",
+    "m": "dispersion.m",
 }
 
 
@@ -464,36 +316,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=120, help="spectrum points")
     p.add_argument("--jitter-band", dest="jitter_band", help="f_min:f_max, Hz")
     p.add_argument("--table", help="tabulated dispersion file")
-    p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep-oversampling", help="L vs oversampling ratio")
     _add_common(p)
     p.add_argument("--ratios", help="comma list of oversampling ratios")
-    p.set_defaults(func=_cmd_sweep_oversampling)
 
     p = sub.add_parser("sweep-comb-width", help="L vs comb width per dispersion kind")
     _add_common(p)
     p.add_argument("--widths", help="comma list of comb widths, Hz")
     p.add_argument("--kinds", help="comma list of dispersion kinds")
-    p.set_defaults(func=_cmd_sweep_comb_width)
 
     p = sub.add_parser("offsets-diff", help="per-line plan differences vs ideal")
     _add_common(p)
     p.add_argument("--widths", help="comma list of comb widths, Hz")
-    p.set_defaults(func=_cmd_offsets_diff)
 
     p = sub.add_parser("dispersion-eval", help="tabulate a dispersion spec and its plan")
     _add_common(p)
     p.add_argument("--kind", default="ideal", choices=["ideal", "linear", "constant", "tabulated"])
     p.add_argument("--m", type=int, default=None, help="upconversion factor")
     p.add_argument("--table", help="tabulated dispersion file")
-    p.set_defaults(func=_cmd_dispersion_eval)
 
     p = sub.add_parser("estimate-memory", help="predict signal storage needs")
     _add_common(p)
     p.add_argument("--representation", default="reduced", choices=["full", "reduced"])
     p.add_argument("--bytes-per-sample", type=float, default=8, dest="bytes_per_sample")
-    p.set_defaults(func=_cmd_estimate_memory)
     return parser
 
 
@@ -506,8 +352,8 @@ def _overrides_from_args(args) -> dict:
         if key in _LIST_KEYS and isinstance(value, str):
             value = [_parse_scalar(tok) for tok in value.split(",") if tok.strip()]
         overrides[key] = value
-    if getattr(args, "m", None) is not None:
-        overrides["dispersion.m"] = args.m
+    if getattr(args, "pure_tone", False):
+        overrides["noise.enabled"] = False
     if getattr(args, "width", None) is not None and "sweep.widths" not in overrides:
         # A single --width also narrows the sweep width list for offsets-diff.
         if getattr(args, "command", "") == "offsets-diff" and getattr(args, "widths", None) is None:
@@ -520,7 +366,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cli = parse_config(args.config, _overrides_from_args(args))
-        return args.func(cli, args)
+        if args.command == "estimate-memory":
+            return _estimate_memory(cli, args)
+        return _run_study(cli, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,12 @@
-"""Orchestrated parameter sweeps.
+"""Studies, their registry, and the manifest every run writes.
 
-Three studies, all reproducible bit-for-bit from a config and a master
-seed: phase-noise accuracy vs oversampling ratio, phase noise vs comb
-width per dispersion characteristic, and per-line delay-plan
-differences between characteristics.
+Five studies, all reproducible bit-for-bit from a config and a master
+seed: a single ``simulate`` run, phase-noise accuracy vs oversampling
+ratio, phase noise vs comb width per dispersion characteristic,
+per-line delay-plan differences between characteristics, and a
+tabulation of one characteristic.  ``STUDIES`` registers each one with
+its runner and writer; the command line and :func:`run_all` dispatch
+from it.
 
 Per-point seeds derive from (master seed, experiment id, point index,
 seed index), so results do not depend on execution order or worker
@@ -17,17 +20,28 @@ import hashlib
 import json
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
-from .analysis import phase_noise_spectrum
-from .dispersion import DelayPlan, DispersionSpec, delay_plan, offset_difference
+from .analysis import jitter, phase_noise_spectrum, write_jitter_csv, write_spectrum_csv
+from .dispersion import (
+    KINDS,
+    DelayPlan,
+    DispersionSpec,
+    delay_plan,
+    eval_dispersion,
+    offset_difference,
+    read_dispersion_table,
+)
 from .errors import BudgetError, ConfigError
 from .model import CombSpec, SampledSignal, SimGrid, build_grid, comb_lines, NoiseProfile
 from .superposition import superpose
+from .svgplot import render_plots
 from .synthesis import SynthesisRequest, default_noise_profile, synth_carrier
 
 __all__ = [
@@ -35,11 +49,17 @@ __all__ = [
     "SweepRow",
     "OffsetsTable",
     "Manifest",
+    "Study",
+    "STUDIES",
     "derive_seed",
+    "simulate",
     "sweep_oversampling",
     "sweep_comb_width",
     "offsets_experiment",
+    "dispersion_eval",
+    "run_study",
     "run_all",
+    "write_manifest",
     "write_sweep_csv",
     "write_offsets_csv",
 ]
@@ -52,15 +72,33 @@ DEFAULT_RATIOS = (4, 8, 16, 32, 64)
 DEFAULT_WIDTHS = (1e8, 2e8, 5e8, 1e9, 2e9, 5e9, 1e10, 2e10)
 
 
+def _read_table(path: Path) -> tuple[np.ndarray, np.ndarray, str]:
+    """Wavelengths, dispersion and sha256 of a table file; any fault is a ConfigError."""
+    try:
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        lam, d = read_dispersion_table(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"dispersion table {path}: {exc}") from None
+    return lam, d, digest
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved parameters of a sweep run."""
+    """Fully resolved parameters of a run.
+
+    ``m`` is the upconversion factor of the ideal characteristic and
+    ``table`` the file of the tabulated one; ``noise_enabled = False``
+    synthesizes a pure tone.
+    """
 
     comb: CombSpec = DEFAULT_COMB
     oversampling: int = 16
     t_sig: float = 2e-3
     kinds: tuple[str, ...] = ("ideal", "linear", "constant")
+    m: int = 1
+    table: Path | None = None
     noise: NoiseProfile | None = None
+    noise_enabled: bool = True
     offsets: tuple[float, ...] = (1e4, 1e6)
     ratios: tuple[int, ...] = DEFAULT_RATIOS
     widths: tuple[float, ...] = DEFAULT_WIDTHS
@@ -70,6 +108,7 @@ class ExperimentConfig:
     memory_budget_bytes: int = 1 << 30
     max_offset_budget: int = 1 << 26
     workers: int = 1
+    _table: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         periods = self.t_sig * self.comb.f_r
@@ -85,34 +124,60 @@ class ExperimentConfig:
             raise ConfigError("oversampling ratios must be >= 2")
         if any(o <= 0 for o in self.offsets):
             raise ConfigError("offsets of interest must be positive")
+        if not self.kinds or any(k not in KINDS for k in self.kinds):
+            raise ConfigError(f"dispersion kinds {list(self.kinds)} must be drawn from {list(KINDS)}")
+        if self.m < 1 or self.m != int(self.m):
+            raise ConfigError(f"upconversion factor m must be a positive integer, got {self.m}")
         object.__setattr__(self, "out_dir", Path(self.out_dir))
+        if self.table is not None:
+            object.__setattr__(self, "table", Path(self.table))
+            object.__setattr__(self, "_table", _read_table(self.table))
+        elif "tabulated" in self.kinds:
+            raise ConfigError("tabulated dispersion requires dispersion.table = <file>")
 
     @property
     def grid(self) -> SimGrid:
         return build_grid(self.comb.f_r, self.oversampling, self.t_sig)
 
-    def resolved_noise(self) -> NoiseProfile:
+    def resolved_noise(self) -> NoiseProfile | None:
+        """The carrier's phase-noise profile; None synthesizes a pure tone."""
+        if not self.noise_enabled:
+            return None
         if self.noise is not None:
             return self.noise
         return default_noise_profile(f_low=1.0 / self.t_sig)
 
+    def dispersion_spec(self, kind: str) -> DispersionSpec:
+        """The characteristic of ``kind`` for this config's comb."""
+        f_r, lambda0 = self.comb.f_r, self.comb.lambda0
+        if kind != "tabulated":
+            return DispersionSpec(kind, f_r, lambda0, m=self.m)
+        if self._table is None:
+            raise ConfigError("tabulated dispersion requires dispersion.table = <file>")
+        return DispersionSpec.tabulated(f_r, lambda0, self._table[0], self._table[1])
+
     def to_dict(self) -> dict:
+        """Every input that can change output bytes.
+
+        ``out_dir`` and ``workers`` are left out: results do not depend on
+        them.  The table enters by the sha256 of its contents, not its path.
+        """
         noise = self.resolved_noise()
         return {
             "comb": {"f_r": self.comb.f_r, "lambda0": self.comb.lambda0, "width": self.comb.width},
             "oversampling": self.oversampling,
             "t_sig": self.t_sig,
             "kinds": list(self.kinds),
-            "noise": {"terms": [list(t) for t in noise.terms], "f_low": noise.f_low},
+            "m": self.m,
+            "table_sha256": self._table[2] if self._table is not None else None,
+            "noise": None if noise is None else {"terms": [list(t) for t in noise.terms], "f_low": noise.f_low},
             "offsets": list(self.offsets),
             "ratios": list(self.ratios),
             "widths": list(self.widths),
             "n_seeds": self.n_seeds,
             "master_seed": self.master_seed,
-            "out_dir": str(self.out_dir),
             "memory_budget_bytes": self.memory_budget_bytes,
             "max_offset_budget": self.max_offset_budget,
-            "workers": self.workers,
         }
 
 
@@ -154,14 +219,58 @@ def _predict_bytes(grid: SimGrid, extra_samples: int) -> int:
     return (grid.n_samples + extra_samples) * 8 * 4
 
 
-def _check_budget(cfg: ExperimentConfig, grid: SimGrid, extra_samples: int, what: str):
-    predicted = _predict_bytes(grid, extra_samples)
+def _check_budget(cfg: ExperimentConfig, grid: SimGrid, extra_samples: int, what: str, jobs: int = 1):
+    """Refuse when ``min(workers, jobs)`` concurrent jobs of this size overrun the budget."""
+    concurrent = min(cfg.workers, jobs)
+    predicted = _predict_bytes(grid, extra_samples) * concurrent
     if predicted > cfg.memory_budget_bytes:
         raise BudgetError(
-            f"{what} needs about {predicted / 2**30:.2f} GiB, over the budget of "
-            f"{cfg.memory_budget_bytes / 2**30:.2f} GiB",
+            f"{what} needs about {predicted / 2**30:.2f} GiB for {concurrent} concurrent "
+            f"job(s), over the budget of {cfg.memory_budget_bytes / 2**30:.2f} GiB",
             estimate_bytes=predicted,
         )
+
+
+def _plans(cfg: ExperimentConfig, kinds, width: float) -> dict[str, DelayPlan]:
+    """Delay plans of ``kinds`` for the config's comb at ``width``."""
+    comb = replace(cfg.comb, width=width)
+    grid = cfg.grid
+    plans = {}
+    for kind in kinds:
+        try:
+            plans[kind] = delay_plan(
+                cfg.dispersion_spec(kind), comb, grid, max_offset_budget=cfg.max_offset_budget
+            )
+        except ValueError as exc:
+            if kind != "tabulated":
+                raise
+            raise ConfigError(f"dispersion table {cfg.table}: {exc}") from None
+    return plans
+
+
+def _detect(grid: SimGrid, noise, seed: int, offsets, plans: dict) -> dict:
+    """L(f) after each plan, all applied to one synthesized carrier.
+
+    A ``None`` plan measures the carrier itself.  Shorter plans are
+    right-aligned inside the padding of the longest, so every plan sees
+    the same noise.
+    """
+    extra = max((p.max_offset for p in plans.values() if p is not None), default=0)
+    signal = synth_carrier(SynthesisRequest(grid=grid, noise=noise, extra_samples=extra, seed=seed))
+    out = {}
+    for key, plan in plans.items():
+        lead = extra - (plan.max_offset if plan is not None else 0)
+        y = signal
+        if lead:
+            y = SampledSignal(
+                samples=signal.samples[lead:],
+                sample_rate=signal.sample_rate,
+                t0_index=signal.t0_index + lead,
+            )
+        if plan is not None:
+            y = superpose(y, plan)
+        out[key] = phase_noise_spectrum(y, grid.f_r, offsets)
+    return out
 
 
 def _rows_from_samples(
@@ -185,14 +294,34 @@ def _rows_from_samples(
     return rows
 
 
-def _run_jobs(cfg: ExperimentConfig, jobs: dict, fn) -> dict:
-    """Evaluate fn over the job dict, keyed results, optionally threaded."""
+def _measure(cfg: ExperimentConfig, jobs: dict) -> dict:
+    """L at the offsets of interest for each (grid, noise, seed, plans) job, optionally threaded."""
+
+    def job(args):
+        grid, noise, seed, plans = args
+        return {k: list(s.l_dbc) for k, s in _detect(grid, noise, seed, cfg.offsets, plans).items()}
+
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = dict(zip(jobs.keys(), pool.map(fn, jobs.values())))
-    else:
-        results = {key: fn(args) for key, args in jobs.items()}
-    return results
+            return dict(zip(jobs.keys(), pool.map(job, jobs.values())))
+    return {key: job(args) for key, args in jobs.items()}
+
+
+def simulate(cfg: ExperimentConfig, kind: str = "ideal", points: int = 120, jitter_band=None):
+    """One run: L(f) after ``kind``'s plan at ``points`` log-spaced offsets.
+
+    ``kind = "none"`` measures the bare carrier.  Returns the spectrum and,
+    when ``jitter_band = (f_min, f_max)`` is given, its band-integrated jitter.
+    """
+    if points < 2:
+        raise ConfigError(f"points must be at least 2, got {points}")
+    grid = cfg.grid
+    plan = None if kind == "none" else _plans(cfg, (kind,), cfg.comb.width)[kind]
+    _check_budget(cfg, grid, plan.max_offset if plan is not None else 0, "run")
+    f_hi = grid.sample_rate / 2 - cfg.comb.f_r
+    offsets = np.geomspace(3 * grid.df, f_hi * 0.999, points)
+    spectrum = _detect(grid, cfg.resolved_noise(), cfg.master_seed, offsets, {kind: plan})[kind]
+    return spectrum, None if jitter_band is None else jitter(spectrum, *jitter_band)
 
 
 def sweep_oversampling(cfg: ExperimentConfig, ratios=None) -> list[SweepRow]:
@@ -205,41 +334,26 @@ def sweep_oversampling(cfg: ExperimentConfig, ratios=None) -> list[SweepRow]:
     ratios = tuple(int(r) for r in (cfg.ratios if ratios is None else ratios))
     if list(ratios) != sorted(ratios):
         raise ConfigError("oversampling ratios must be ascending")
-    grids = []
-    for n in ratios:
-        grid = build_grid(cfg.comb.f_r, n, cfg.t_sig)
-        _check_budget(cfg, grid, 0, f"oversampling point N={n}")
-        grids.append(grid)
+    grids = [build_grid(cfg.comb.f_r, n, cfg.t_sig) for n in ratios]
+    n_jobs = len(grids) * (cfg.n_seeds + 1)
+    for n, grid in zip(ratios, grids):
+        _check_budget(cfg, grid, 0, f"oversampling point N={n}", n_jobs)
     noise = cfg.resolved_noise()
-
-    def job(args):
-        grid, request_noise, seed = args
-        signal = synth_carrier(SynthesisRequest(grid=grid, noise=request_noise, seed=seed))
-        spectrum = phase_noise_spectrum(signal, grid.f_r, cfg.offsets)
-        return list(spectrum.l_dbc)
 
     jobs = {}
     for i, grid in enumerate(grids):
-        jobs[("pure_tone", i, 0)] = (grid, None, 0)
+        jobs[("pure_tone", i, 0)] = (grid, None, 0, {"pure_tone": None})
         for s in range(cfg.n_seeds):
-            jobs[("impaired", i, s)] = (grid, noise, derive_seed(cfg.master_seed, "oversampling", i, s))
-    results = _run_jobs(cfg, jobs, job)
+            seed = derive_seed(cfg.master_seed, "oversampling", i, s)
+            jobs[("impaired", i, s)] = (grid, noise, seed, {"impaired": None})
+    results = _measure(cfg, jobs)
 
     rows = []
     for i, n in enumerate(ratios):
-        rows += _rows_from_samples(n, "pure_tone", cfg.offsets, [results[("pure_tone", i, 0)]])
-        impaired = [results[("impaired", i, s)] for s in range(cfg.n_seeds)]
-        rows += _rows_from_samples(n, "impaired", cfg.offsets, impaired)
+        for kind, n_runs in (("pure_tone", 1), ("impaired", cfg.n_seeds)):
+            samples = [results[(kind, i, s)][kind] for s in range(n_runs)]
+            rows += _rows_from_samples(n, kind, cfg.offsets, samples)
     return rows
-
-
-def _plans_for_width(cfg: ExperimentConfig, width: float, grid: SimGrid) -> dict[str, DelayPlan]:
-    comb = replace(cfg.comb, width=width)
-    plans = {}
-    for kind in cfg.kinds:
-        spec = DispersionSpec(kind, cfg.comb.f_r, cfg.comb.lambda0)
-        plans[kind] = delay_plan(spec, comb, grid, max_offset_budget=cfg.max_offset_budget)
-    return plans
 
 
 def sweep_comb_width(cfg: ExperimentConfig, widths=None) -> list[SweepRow]:
@@ -252,38 +366,20 @@ def sweep_comb_width(cfg: ExperimentConfig, widths=None) -> list[SweepRow]:
     if list(widths) != sorted(widths):
         raise ConfigError("comb widths must be ascending")
     grid = cfg.grid
+    n_jobs = len(widths) * cfg.n_seeds
     plans_by_width = []
     for w in widths:
-        plans = _plans_for_width(cfg, w, grid)
+        plans = _plans(cfg, cfg.kinds, w)
         extra = max(p.max_offset for p in plans.values())
-        _check_budget(cfg, grid, extra, f"comb-width point {w:.4g} Hz")
+        _check_budget(cfg, grid, extra, f"comb-width point {w:.4g} Hz", n_jobs)
         plans_by_width.append(plans)
     noise = cfg.resolved_noise()
-
-    def job(args):
-        plans, seed = args
-        extra = max(p.max_offset for p in plans.values())
-        signal = synth_carrier(
-            SynthesisRequest(grid=grid, noise=noise, extra_samples=extra, seed=seed)
-        )
-        out = {}
-        for kind, plan in plans.items():
-            # Right-align shorter plans inside the shared padding.
-            lead = extra - plan.max_offset
-            window = SampledSignal(
-                samples=signal.samples[lead:],
-                sample_rate=signal.sample_rate,
-                t0_index=signal.t0_index + lead,
-            )
-            y = superpose(window, plan)
-            out[kind] = list(phase_noise_spectrum(y, grid.f_r, cfg.offsets).l_dbc)
-        return out
 
     jobs = {}
     for i, plans in enumerate(plans_by_width):
         for s in range(cfg.n_seeds):
-            jobs[(i, s)] = (plans, derive_seed(cfg.master_seed, "comb_width", i, s))
-    results = _run_jobs(cfg, jobs, job)
+            jobs[(i, s)] = (grid, noise, derive_seed(cfg.master_seed, "comb_width", i, s), plans)
+    results = _measure(cfg, jobs)
 
     rows = []
     for i, w in enumerate(widths):
@@ -296,20 +392,10 @@ def sweep_comb_width(cfg: ExperimentConfig, widths=None) -> list[SweepRow]:
 def offsets_experiment(cfg: ExperimentConfig, widths=None) -> list[OffsetsTable]:
     """Per-line delay-plan differences (ideal minus linear / constant)."""
     widths = tuple(float(w) for w in (cfg.widths if widths is None else widths))
-    grid = cfg.grid
     tables = []
     for w in widths:
-        comb = replace(cfg.comb, width=w)
-        lines = comb_lines(comb)
-        plans = {
-            kind: delay_plan(
-                DispersionSpec(kind, cfg.comb.f_r, cfg.comb.lambda0),
-                comb,
-                grid,
-                max_offset_budget=cfg.max_offset_budget,
-            )
-            for kind in ("ideal", "linear", "constant")
-        }
+        lines = comb_lines(replace(cfg.comb, width=w))
+        plans = _plans(cfg, ("ideal", "linear", "constant"), w)
         tables.append(
             OffsetsTable(
                 width=w,
@@ -320,6 +406,23 @@ def offsets_experiment(cfg: ExperimentConfig, widths=None) -> list[OffsetsTable]
             )
         )
     return tables
+
+
+def dispersion_eval(cfg: ExperimentConfig, kind: str = "ideal") -> tuple[str, list[str]]:
+    """Tabulate ``kind``'s dispersion and delay-plan offset per comb line.
+
+    Returns a summary line (D at the center wavelength) and the CSV lines.
+    """
+    comb = cfg.comb
+    plan = _plans(cfg, (kind,), comb.width)[kind]
+    spec = cfg.dispersion_spec(kind)
+    lines = comb_lines(comb)
+    d_ps_nm = np.asarray(eval_dispersion(spec, lines.lam)) * 1e3
+    rows = ["line_index,lambda_nm,d_ps_per_nm,offset_samples"]
+    for k, lam, d, off in zip(lines.index, lines.lam * 1e9, d_ps_nm, plan.offsets):
+        rows.append(f"{k},{lam:.10g},{d:.10g},{off}")
+    d0_ps_nm = eval_dispersion(spec, comb.lambda0) * 1e3
+    return f"D({comb.lambda0 * 1e9:.6g} nm) = {d0_ps_nm:.4g} ps/nm", rows
 
 
 def write_sweep_csv(rows: list[SweepRow], path: str | Path) -> None:
@@ -341,6 +444,72 @@ def write_offsets_csv(table: OffsetsTable, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _with_plots(paths: list[Path], out: Path, render_svg: bool) -> list[Path]:
+    return paths + (render_plots(paths, out) if render_svg else [])
+
+
+def _write_simulate(result, out: Path, render_svg: bool) -> list[Path]:
+    spectrum, jitter_result = result
+    path = out / "spectrum.csv"
+    write_spectrum_csv(spectrum, path)
+    files = _with_plots([path], out, render_svg)
+    if jitter_result is not None:
+        files.append(out / "jitter.csv")
+        write_jitter_csv(jitter_result, files[-1])
+    return files
+
+
+def _write_sweep(name: str, rows: list[SweepRow], out: Path, render_svg: bool) -> list[Path]:
+    path = out / name
+    write_sweep_csv(rows, path)
+    return _with_plots([path], out, render_svg)
+
+
+def _write_offsets(tables: list[OffsetsTable], out: Path, render_svg: bool) -> list[Path]:
+    paths = []
+    for table in tables:
+        paths.append(out / f"offsets_diff_{table.width:.10g}.csv")
+        write_offsets_csv(table, paths[-1])
+    return _with_plots(paths, out, render_svg)
+
+
+def _write_dispersion_eval(result, out: Path, render_svg: bool) -> list[Path]:
+    path = out / "dispersion_eval.csv"
+    path.write_text("\n".join(result[1]) + "\n")
+    return [path]
+
+
+@dataclass(frozen=True)
+class Study:
+    """A registered study.
+
+    ``run(cfg, **args)`` computes its rows or tables; ``write(result,
+    out_dir, render_svg)`` writes them and returns the paths written.
+    ``args`` names the study's own arguments, which the manifest records
+    next to the config; ``report`` turns a result into a line for the user.
+    """
+
+    name: str
+    run: Callable
+    write: Callable
+    args: tuple[str, ...] = ()
+    report: Callable | None = None
+
+
+STUDIES: dict[str, Study] = {
+    s.name: s
+    for s in (
+        Study("simulate", simulate, _write_simulate, args=("kind", "points", "jitter_band")),
+        Study("sweep-oversampling", sweep_oversampling, partial(_write_sweep, "sweep_oversampling.csv")),
+        Study("sweep-comb-width", sweep_comb_width, partial(_write_sweep, "sweep_comb_width.csv")),
+        Study("offsets-diff", offsets_experiment, _write_offsets),
+        Study(
+            "dispersion-eval", dispersion_eval, _write_dispersion_eval, args=("kind",), report=lambda r: r[0]
+        ),
+    )
+}
+
+
 @dataclass
 class Manifest:
     """What a run produced: resolved config, hashes, refusals, failures."""
@@ -354,50 +523,66 @@ class Manifest:
     errors: list = field(default_factory=list)
 
     def to_json(self) -> str:
-        payload = {
-            "config": self.config,
-            "config_sha256": self.config_sha256,
-            "master_seed": self.master_seed,
-            "versions": self.versions,
-            "files": self.files,
-            "refusals": self.refusals,
-            "errors": self.errors,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def write_manifest(
+    cfg: ExperimentConfig, files: list[Path], study: str, args: dict, refusals=(), errors=()
+) -> Manifest:
+    """Write ``manifest.json`` into ``cfg.out_dir`` and return it.
+
+    ``config`` is :meth:`ExperimentConfig.to_dict` plus the study's name
+    and arguments; ``config_sha256`` is the sha256 of that dict as
+    canonical JSON, so it changes exactly with the inputs that change
+    output bytes.
+    """
+    config = {**cfg.to_dict(), "study": {"name": study, **args}}
+    manifest = Manifest(
+        config=config,
+        config_sha256=hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest(),
+        master_seed=cfg.master_seed,
+        versions={"talbotsim": __version__},
+        files=[
+            {"name": p.name, "sha256": hashlib.sha256(p.read_bytes()).hexdigest()}
+            for p in sorted(files, key=lambda p: p.name)
+        ],
+        refusals=list(refusals),
+        errors=list(errors),
+    )
+    (cfg.out_dir / "manifest.json").write_text(manifest.to_json())
+    return manifest
 
 
-def config_hash(cfg: ExperimentConfig) -> str:
-    return hashlib.sha256(
-        json.dumps(cfg.to_dict(), sort_keys=True).encode()
-    ).hexdigest()
+def run_study(name: str, cfg: ExperimentConfig, args: dict | None = None, render_svg: bool = False):
+    """Run the registered study ``name`` and write its files and manifest.
+
+    Returns the study's result and every path written, the manifest last.
+    """
+    study = STUDIES[name]
+    args = dict(args or {})
+    result = study.run(cfg, **args)
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    files = study.write(result, cfg.out_dir, render_svg)
+    write_manifest(cfg, files, name, args)
+    return result, files + [cfg.out_dir / "manifest.json"]
 
 
 def run_all(cfg: ExperimentConfig, render_svg: bool = False) -> Manifest:
-    """Run all three experiments and write CSVs, plots, and a manifest.
+    """Run the three sweep studies and write CSVs, plots, and one manifest.
 
-    Budget refusals and per-experiment failures are recorded in the
-    manifest instead of aborting the whole run.  Re-running with an
-    identical config reproduces identical output bytes.
+    Budget refusals and per-study failures are recorded in the manifest
+    instead of aborting the whole run.  Re-running with an identical
+    config reproduces identical output bytes.
     """
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = Manifest(
-        config=cfg.to_dict(),
-        config_sha256=config_hash(cfg),
-        master_seed=cfg.master_seed,
-        versions={"talbotsim": __version__},
-    )
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-
-    def attempt(name: str, runner):
+    refusals, errors = [], []
+    for name in ("sweep-oversampling", "sweep-comb-width", "offsets-diff"):
+        study = STUDIES[name]
         try:
-            written.extend(runner())
+            written += study.write(study.run(cfg), cfg.out_dir, render_svg)
         except BudgetError as exc:
-            manifest.refusals.append(
+            refusals.append(
                 {
                     "experiment": name,
                     "message": str(exc),
@@ -406,42 +591,5 @@ def run_all(cfg: ExperimentConfig, render_svg: bool = False) -> Manifest:
                 }
             )
         except Exception as exc:  # noqa: BLE001 - reported per experiment
-            manifest.errors.append({"experiment": name, "error": f"{type(exc).__name__}: {exc}"})
-
-    def run_oversampling():
-        rows = sweep_oversampling(cfg)
-        path = out / "sweep_oversampling.csv"
-        write_sweep_csv(rows, path)
-        return [path]
-
-    def run_comb_width():
-        rows = sweep_comb_width(cfg)
-        path = out / "sweep_comb_width.csv"
-        write_sweep_csv(rows, path)
-        return [path]
-
-    def run_offsets():
-        paths = []
-        for table in offsets_experiment(cfg):
-            path = out / f"offsets_diff_{table.width:.10g}.csv"
-            write_offsets_csv(table, path)
-            paths.append(path)
-        return paths
-
-    attempt("oversampling", run_oversampling)
-    attempt("comb_width", run_comb_width)
-    attempt("offsets", run_offsets)
-
-    if render_svg:
-        from .svgplot import render_plots
-
-        try:
-            written.extend(render_plots([p for p in written if p.suffix == ".csv"], out))
-        except Exception as exc:  # noqa: BLE001
-            manifest.errors.append({"experiment": "plots", "error": f"{type(exc).__name__}: {exc}"})
-
-    for path in written:
-        manifest.files.append({"name": path.name, "sha256": _sha256(path)})
-    manifest.files.sort(key=lambda item: item["name"])
-    (out / "manifest.json").write_text(manifest.to_json())
-    return manifest
+            errors.append({"experiment": name, "error": f"{type(exc).__name__}: {exc}"})
+    return write_manifest(cfg, written, "all", {}, refusals, errors)

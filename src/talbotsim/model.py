@@ -14,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "SPEED_OF_LIGHT",
-    "PhysicalConstants",
     "CombSpec",
     "SimGrid",
     "SampledSignal",
@@ -24,18 +23,10 @@ __all__ = [
     "comb_lines",
     "convert_dispersion",
     "estimate_memory",
-    "estimate_memory_bytes",
 ]
 
 #: Speed of light in vacuum, m/s (exact by SI definition; never configurable).
 SPEED_OF_LIGHT: float = 2.99792458e8
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Fixed physical constants used by the simulator."""
-
-    c: float = SPEED_OF_LIGHT
 
 
 @dataclass(frozen=True)
@@ -237,47 +228,24 @@ def convert_dispersion(value: float, from_unit: str, to_unit: str) -> float:
     return value * 1e3
 
 
-def estimate_memory_bytes(
-    representation: str,
-    *,
-    width: float,
-    f_r: float,
-    oversampling: int,
-    t_sig: float,
-    bytes_per_sample: int = 8,
-) -> int:
-    """Storage estimate for a time-domain signal covering the analysis window.
-
-    ``full_band`` assumes real Nyquist sampling of the whole comb span
-    (2 samples per hertz of bandwidth per second); ``reduced`` assumes
-    the single-carrier representation sampled at ``oversampling``
-    samples per carrier period (``oversampling = 2`` is the Nyquist
-    minimum).
-    """
-    if representation == "full_band":
-        n = 2.0 * width * t_sig
-    elif representation == "reduced":
-        n = oversampling * f_r * t_sig
-    else:
-        raise ValueError(f"unknown representation {representation!r}")
-    return int(round(n * bytes_per_sample))
-
-
 def estimate_memory(
     representation: str,
     comb: CombSpec,
     grid: SimGrid,
-    bytes_per_sample: int = 8,
+    bytes_per_sample: float = 8,
 ) -> int:
-    """Bytes needed to hold the signal of ``grid`` for ``comb``.
+    """Storage estimate for a time-domain signal covering ``grid``'s window.
 
-    See :func:`estimate_memory_bytes` for the two representations.
+    ``full_band`` assumes real Nyquist sampling of the whole comb span
+    (2 samples per hertz of bandwidth per second); ``reduced`` assumes
+    the single-carrier representation sampled at ``grid.oversampling``
+    samples per carrier period (``oversampling = 2`` is the Nyquist
+    minimum).
     """
-    return estimate_memory_bytes(
-        representation,
-        width=comb.width,
-        f_r=comb.f_r,
-        oversampling=grid.oversampling,
-        t_sig=grid.t_sig,
-        bytes_per_sample=bytes_per_sample,
-    )
+    if representation == "full_band":
+        n = 2.0 * comb.width * grid.t_sig
+    elif representation == "reduced":
+        n = grid.oversampling * comb.f_r * grid.t_sig
+    else:
+        raise ValueError(f"unknown representation {representation!r}")
+    return int(round(n * bytes_per_sample))

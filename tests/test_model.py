@@ -14,7 +14,6 @@ from talbotsim.model import (
     comb_lines,
     convert_dispersion,
     estimate_memory,
-    estimate_memory_bytes,
 )
 
 C = SPEED_OF_LIGHT
@@ -148,16 +147,6 @@ class TestEstimateMemory:
         assert n_bytes == 1.6e7
         assert n_bytes / 2**20 == pytest.approx(15.3, abs=0.1)
 
-    def test_zero_window(self):
-        assert (
-            estimate_memory_bytes("full_band", width=3e12, f_r=1e8, oversampling=2, t_sig=0.0)
-            == 0
-        )
-        assert (
-            estimate_memory_bytes("reduced", width=3e12, f_r=1e8, oversampling=2, t_sig=0.0)
-            == 0
-        )
-
     def test_ratio_is_width_over_f_r(self):
         rng = np.random.default_rng(11)
         for _ in range(30):
@@ -171,14 +160,15 @@ class TestEstimateMemory:
             assert full / reduced == pytest.approx(width / f_r, rel=1e-9)
 
     def test_oversampling_scales_reduced(self):
-        base = estimate_memory_bytes("reduced", width=0, f_r=1e8, oversampling=2, t_sig=1e-2)
+        comb = CombSpec(f_r=1e8, lambda0=1550e-9, width=0.0)
+        base = estimate_memory("reduced", comb, build_grid(1e8, 2, 1e-2))
         for n in (4, 8, 64):
-            scaled = estimate_memory_bytes("reduced", width=0, f_r=1e8, oversampling=n, t_sig=1e-2)
+            scaled = estimate_memory("reduced", comb, build_grid(1e8, n, 1e-2))
             assert scaled == base * n // 2
 
     def test_unknown_representation(self):
         with pytest.raises(ValueError, match="representation"):
-            estimate_memory_bytes("both", width=1.0, f_r=1.0, oversampling=2, t_sig=1.0)
+            estimate_memory("both", CombSpec(f_r=1.0, lambda0=1550e-9, width=1.0), build_grid(1.0, 2, 1.0))
 
 
 class TestSampledSignal:

@@ -1,0 +1,211 @@
+"""The study registry through the command line: manifests, bad input,
+config keys every study honours, and the concurrent-job budget."""
+
+import contextlib
+import io
+import json
+import shutil
+
+import numpy as np
+import pytest
+
+from talbotsim.cli import main
+from talbotsim.dispersion import DispersionSpec, delay_plan
+from talbotsim.experiments import _predict_bytes
+from talbotsim.model import SPEED_OF_LIGHT, CombSpec, build_grid
+
+SMALL = ["--t-sig", "2e-4"]
+
+
+def write_table(path, scale=1.0, half_span_nm=0.5):
+    """Ideal 10 MHz characteristic around 1550 nm, times ``scale``."""
+    lam_nm = np.linspace(1550.0 - half_span_nm, 1550.0 + half_span_nm, 401)
+    d_ps_nm = scale * SPEED_OF_LIGHT / ((lam_nm * 1e-9) ** 2 * 1e7**2) * 1e3
+    rows = [f"{lam:.6f}  {d:.9g}" for lam, d in zip(lam_nm, d_ps_nm)]
+    path.write_text("# lambda_nm  D_ps_per_nm\n" + "\n".join(rows) + "\n")
+    return path
+
+
+def run(tmp_path, name, argv, config=""):
+    """Run one subcommand into a fresh ``name`` directory; return its manifest and output bytes."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out = tmp_path / name
+    shutil.rmtree(out, ignore_errors=True)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv + SMALL + ["--config", str(cfg), "--out", str(out)])
+    assert code == 0, (name, argv, config)
+    manifest = json.loads((out / "manifest.json").read_text())
+    return manifest, {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+SIM = ["simulate", "--width", "2e10", "--points", "20"]
+TABLE = "dispersion.table = {table}\n"
+
+# (subcommand argv, config) pairs that differ in one output-affecting input.
+DIFFERING = {
+    "simulate-kind": ((SIM + ["--kind", "ideal"], ""), (SIM + ["--kind", "constant"], "")),
+    "simulate-pure-tone": ((SIM, ""), (SIM + ["--pure-tone"], "")),
+    "simulate-points": ((SIM, ""), (SIM[:-1] + ["30"], "")),
+    "simulate-jitter-band": (
+        (SIM + ["--jitter-band", "2e4:2e5"], ""),
+        (SIM + ["--jitter-band", "2e4:2e6"], ""),
+    ),
+    "simulate-m": ((SIM, "dispersion.m = 1\n"), (SIM, "dispersion.m = 2\n")),
+    "simulate-noise": ((SIM, "noise.enabled = true\n"), (SIM, "noise.enabled = false\n")),
+    "simulate-table": ((SIM + ["--kind", "tabulated"], TABLE), (SIM + ["--kind", "tabulated"], TABLE)),
+    "sweep-oversampling-noise": (
+        (["sweep-oversampling", "--ratios", "4,8", "--seeds", "1"], ""),
+        (["sweep-oversampling", "--ratios", "4,8", "--seeds", "1"], "noise.enabled = false\n"),
+    ),
+    "sweep-comb-width-m": (
+        (["sweep-comb-width", "--widths", "1e9", "--seeds", "1"], ""),
+        (["sweep-comb-width", "--widths", "1e9", "--seeds", "1"], "dispersion.m = 2\n"),
+    ),
+    "sweep-comb-width-table": (
+        (["sweep-comb-width", "--widths", "1e9", "--seeds", "1", "--kinds", "tabulated"], TABLE),
+        (["sweep-comb-width", "--widths", "1e9", "--seeds", "1", "--kinds", "tabulated"], TABLE),
+    ),
+    "offsets-diff-m": (
+        (["offsets-diff", "--widths", "1e10"], ""),
+        (["offsets-diff", "--widths", "1e10"], "dispersion.m = 2\n"),
+    ),
+    "dispersion-eval-kind": (
+        (["dispersion-eval", "--width", "1e10", "--kind", "ideal"], ""),
+        (["dispersion-eval", "--width", "1e10", "--kind", "linear"], ""),
+    ),
+    "dispersion-eval-m": (
+        (["dispersion-eval", "--width", "1e10"], ""),
+        (["dispersion-eval", "--width", "1e10", "--m", "2"], ""),
+    ),
+    "dispersion-eval-table": (
+        (["dispersion-eval", "--width", "1e10", "--kind", "tabulated"], TABLE),
+        (["dispersion-eval", "--width", "1e10", "--kind", "tabulated"], TABLE),
+    ),
+}
+
+
+class TestManifestHash:
+    @pytest.mark.parametrize("case", sorted(DIFFERING))
+    def test_output_affecting_input_changes_hash(self, tmp_path, case):
+        # Both runs write to the same directory; table cases keep the path
+        # and change only the file's contents.
+        table = tmp_path / "element.txt"
+        outputs = []
+        for i, (argv, config) in enumerate(DIFFERING[case]):
+            write_table(table, scale=1.0 if i == 0 else 0.5)
+            outputs.append(run(tmp_path, "out", argv, config.format(table=table)))
+        (ma, fa), (mb, fb) = outputs
+        assert ma["config_sha256"] != mb["config_sha256"]
+        fa.pop("manifest.json"), fb.pop("manifest.json")
+        assert fa != fb, "the pair should differ in output bytes"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            SIM + ["--jitter-band", "2e4:2e6", "--format", "csv+svg"],
+            ["sweep-oversampling", "--ratios", "4,8", "--seeds", "2", "--format", "csv+svg"],
+            ["sweep-comb-width", "--widths", "1e8,1e9", "--seeds", "2", "--format", "csv+svg"],
+            ["offsets-diff", "--widths", "1e10"],
+            ["dispersion-eval", "--width", "1e10"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_out_dir_and_workers_change_nothing(self, tmp_path, argv):
+        _, one = run(tmp_path, "one", argv, "run.workers = 1\n")
+        _, two = run(tmp_path, "two", argv, "run.workers = 2\n")
+        assert one == two
+        manifest = json.loads(one["manifest.json"])
+        assert "out_dir" not in manifest["config"] and "workers" not in manifest["config"]
+        assert manifest["config"]["study"]["name"] == argv[0]
+
+
+BAD_INPUT = {
+    "band-one-value": (["simulate", "--jitter-band", "1e4"], "f_min:f_max"),
+    "band-not-numbers": (["simulate", "--jitter-band", "a:b"], "f_min:f_max"),
+    "points-zero": (["simulate", "--points", "0"], "points"),
+    "points-one": (["simulate", "--points", "1"], "points"),
+    "m-zero": (["dispersion-eval", "--m", "0"], "upconversion factor"),
+    "kinds-unknown": (["sweep-comb-width", "--kinds", "bogus"], "bogus"),
+    "kinds-tabulated-no-table": (["sweep-comb-width", "--kinds", "tabulated"], "dispersion.table"),
+    "table-missing": (["simulate", "--kind", "tabulated", "--table", "{missing}"], "missing.txt"),
+    "table-malformed": (["simulate", "--kind", "tabulated", "--table", "{malformed}"], "two columns"),
+    "table-short-simulate": (
+        ["simulate", "--kind", "tabulated", "--width", "1e10", "--table", "{narrow}"],
+        "outside tabulated range",
+    ),
+    "table-short-sweep": (
+        ["sweep-comb-width", "--kinds", "tabulated", "--widths", "1e10", "--config", "{narrow_cfg}"],
+        "outside tabulated range",
+    ),
+    "table-short-dispersion-eval": (
+        ["dispersion-eval", "--kind", "tabulated", "--width", "1e10", "--table", "{narrow}"],
+        "outside tabulated range",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUT))
+def test_bad_input_is_config_error(tmp_path, capsys, case):
+    argv, message = BAD_INPUT[case]
+    files = {
+        "missing": tmp_path / "missing.txt",
+        "malformed": tmp_path / "malformed.txt",
+        "narrow": write_table(tmp_path / "narrow.txt", half_span_nm=0.01),
+    }
+    files["malformed"].write_text("1549.0 1.2e7 3\n1551.0 1.2e7 3\n")
+    files["narrow_cfg"] = tmp_path / "narrow.cfg"
+    files["narrow_cfg"].write_text(f"dispersion.table = {files['narrow']}\n")
+    argv = [a.format(**files) for a in argv]
+    code = main(argv + SMALL + ["--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "config error" in err and message in err
+
+
+class TestSweepsHonourConfig:
+    def rows(self, tmp_path, name, argv, config):
+        _, files = run(tmp_path, name, argv, config)
+        csv = next(v for k, v in files.items() if k.startswith("sweep_")).decode().splitlines()
+        return [line.split(",") for line in csv[1:]]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep-oversampling", "--ratios", "4,8", "--seeds", "2"],
+            ["sweep-comb-width", "--widths", "1e8,1e9", "--seeds", "2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_noise_disabled_measures_pure_tone(self, tmp_path, argv):
+        rows = self.rows(tmp_path, "quiet", argv, "noise.enabled = false\n")
+        assert max(float(r[3]) for r in rows) < -200.0
+
+    def test_upconversion_factor_reaches_ideal_plan(self, tmp_path):
+        argv = ["sweep-comb-width", "--widths", "1e9", "--seeds", "2"]
+        m1 = self.rows(tmp_path, "m1", argv, "")
+        m2 = self.rows(tmp_path, "m2", argv, "dispersion.m = 2\n")
+        ideal = [i for i, r in enumerate(m1) if r[1] == "ideal"]
+        assert all(m1[i] != m2[i] for i in ideal)
+        assert [r for r in m1 if r[1] != "ideal"] == [r for r in m2 if r[1] != "ideal"]
+
+    def test_tabulated_kind_reads_table(self, tmp_path):
+        table = write_table(tmp_path / "element.txt")
+        argv = ["sweep-comb-width", "--widths", "1e9", "--seeds", "2", "--kinds", "ideal,tabulated"]
+        rows = self.rows(tmp_path, "tab", argv, f"dispersion.table = {table}\n")
+        assert {r[1] for r in rows} == {"ideal", "tabulated"}
+
+
+class TestConcurrentBudget:
+    def test_budget_counts_workers(self, tmp_path, capsys):
+        argv = ["sweep-comb-width", "--widths", "1e9", "--seeds", "2", "--kinds", "ideal"]
+        grid = build_grid(1e7, 16, 2e-4)
+        comb = CombSpec(f_r=1e7, lambda0=1550e-9, width=1e9)
+        plan = delay_plan(DispersionSpec.ideal(1e7, 1550e-9), comb, grid)
+        budget = int(1.5 * _predict_bytes(grid, plan.max_offset))
+        for workers, expected in ((1, 0), (2, 3)):
+            cfg_file = tmp_path / f"w{workers}.cfg"
+            cfg_file.write_text(f"run.workers = {workers}\nrun.memory_budget_bytes = {budget}\n")
+            out = tmp_path / f"w{workers}"
+            code = main(argv + SMALL + ["--config", str(cfg_file), "--out", str(out)])
+            assert code == expected, capsys.readouterr().err
