@@ -14,6 +14,7 @@ from .analysis import (
     demod_phase_psd,
     jitter,
     periodogram,
+    phase_noise_from_psd,
     phase_noise_spectrum,
 )
 from .dispersion import (
@@ -47,7 +48,7 @@ from .model import (
     convert_dispersion,
     estimate_memory,
 )
-from .superposition import choose_engine, superpose, superpose_spectral, superpose_time
+from .superposition import power_transfer, superpose
 from .synthesis import SynthesisRequest, default_noise_profile, synth_carrier, synth_phase_track
 
 __all__ = [
@@ -74,14 +75,13 @@ __all__ = [
     "synth_phase_track",
     "synth_carrier",
     "default_noise_profile",
+    "power_transfer",
     "superpose",
-    "superpose_time",
-    "superpose_spectral",
-    "choose_engine",
     "PhaseNoiseSpectrum",
     "JitterResult",
     "periodogram",
     "phase_noise_spectrum",
+    "phase_noise_from_psd",
     "jitter",
     "classical_penalty",
     "demod_phase_psd",

@@ -3,9 +3,13 @@
 The single-sideband phase noise L(f) is read off a rectangular-window
 periodogram: both sidebands around the carrier are averaged and each
 sideband value is the median of the 3 bins nearest the requested
-offset, which tames single-bin estimator variance.  No taper is needed
-because the experiments keep the carrier bin-exact (the time window is
-an integer number of carrier periods).
+offset, which tames single-bin estimator variance.  No taper is needed,
+for the carrier or for the noise around it.  The experiments' window is
+an integer number of carrier periods, which keeps the carrier
+bin-exact, and the synthesized phase track is periodic in the window, so
+every noise component sits on a bin as well: the rectangular window
+leaks nothing, and a plan's comb-filter nulls are not filled in by the
+1/f^2 noise of neighbouring bins.
 
 A demodulation-based estimator of the phase PSD is provided as an
 independent cross-check of the sideband estimator.
@@ -27,6 +31,7 @@ __all__ = [
     "JitterResult",
     "periodogram",
     "phase_noise_spectrum",
+    "phase_noise_from_psd",
     "jitter",
     "classical_penalty",
     "demod_phase_psd",
@@ -132,11 +137,17 @@ def phase_noise_spectrum(y: SampledSignal, f_r: float, offsets) -> PhaseNoiseSpe
     carrier +- offset, relative to the carrier power, in dBc/Hz.
     """
     freqs, psd = periodogram(y)
+    return phase_noise_from_psd(freqs, psd, y.sample_rate, f_r, offsets)
+
+
+def phase_noise_from_psd(freqs, psd, sample_rate: float, f_r: float, offsets) -> PhaseNoiseSpectrum:
+    """L(f) read off a one-sided PSD on the bins ``freqs``, as
+    :func:`phase_noise_spectrum` reads it off a signal's periodogram."""
     df = freqs[1] - freqs[0]
     carrier_bin = _find_carrier(freqs, psd, f_r)
     carrier_freq = freqs[carrier_bin]
     carrier_power = psd[carrier_bin] * df
-    nyquist = y.sample_rate / 2.0
+    nyquist = sample_rate / 2.0
     offsets = np.sort(np.asarray(offsets, dtype=np.float64))
     l_dbc = np.empty_like(offsets)
     for i, off in enumerate(offsets):

@@ -53,7 +53,6 @@ DEFAULTS: dict[str, object] = {
     "run.out_dir": "out",
     "run.format": "csv",
     "run.memory_budget_bytes": 1 << 30,
-    "run.max_offset_budget": 1 << 26,
     "run.workers": 1,
 }
 
@@ -94,7 +93,6 @@ class CliConfig:
                 master_seed=int(v["seeds.master"]),
                 out_dir=Path(v["run.out_dir"]),
                 memory_budget_bytes=int(v["run.memory_budget_bytes"]),
-                max_offset_budget=int(v["run.max_offset_budget"]),
                 workers=int(v["run.workers"]),
             )
         except ValueError as exc:

@@ -27,7 +27,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BudgetError
 from .model import SPEED_OF_LIGHT, CombSpec, SimGrid, comb_lines, convert_dispersion
 
 __all__ = [
@@ -185,18 +184,12 @@ def normalize_offsets(raw: np.ndarray) -> np.ndarray:
     return raw - raw.min()
 
 
-def delay_plan(
-    spec: DispersionSpec,
-    comb: CombSpec,
-    grid: SimGrid,
-    max_offset_budget: int | None = None,
-) -> DelayPlan:
+def delay_plan(spec: DispersionSpec, comb: CombSpec, grid: SimGrid) -> DelayPlan:
     """Integer-sample delay plan of ``spec`` for every line of ``comb``.
 
     Group delays are referenced to the first line of the grid, rounded
     half-to-even to whole samples, and normalized so the earliest line
-    has offset 0.  ``max_offset_budget`` guards against plans whose
-    padding would exceed available memory.
+    has offset 0.
     """
     if not np.isclose(spec.f_r, comb.f_r, rtol=1e-12) or not np.isclose(
         grid.f_r, comb.f_r, rtol=1e-12
@@ -208,14 +201,7 @@ def delay_plan(
     tau = group_delay(spec, lines.lam[0], lines.lam)
     raw = np.rint(np.asarray(tau) * grid.sample_rate).astype(np.int64)
     offsets = normalize_offsets(raw)
-    max_offset = int(offsets.max())
-    if max_offset_budget is not None and max_offset > max_offset_budget:
-        raise BudgetError(
-            f"delay plan needs {max_offset} samples of padding, over the budget "
-            f"of {max_offset_budget}",
-            estimate_bytes=max_offset * 8,
-        )
-    return DelayPlan(offsets=offsets, max_offset=max_offset, grid=grid)
+    return DelayPlan(offsets=offsets, max_offset=int(offsets.max()), grid=grid)
 
 
 def one_sample_dispersion(oversampling: int, f_r: float, lambda0: float) -> float:

@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .analysis import jitter, phase_noise_spectrum, write_jitter_csv, write_spectrum_csv
+from .analysis import jitter, periodogram, phase_noise_from_psd, write_jitter_csv, write_spectrum_csv
 from .dispersion import (
     KINDS,
     DelayPlan,
@@ -39,8 +39,8 @@ from .dispersion import (
     read_dispersion_table,
 )
 from .errors import BudgetError, ConfigError
-from .model import CombSpec, SampledSignal, SimGrid, build_grid, comb_lines, NoiseProfile
-from .superposition import superpose
+from .model import CombSpec, SimGrid, build_grid, comb_lines, NoiseProfile
+from .superposition import power_transfer
 from .svgplot import render_plots
 from .synthesis import SynthesisRequest, default_noise_profile, synth_carrier
 
@@ -106,7 +106,6 @@ class ExperimentConfig:
     master_seed: int = 12345
     out_dir: Path = Path("out")
     memory_budget_bytes: int = 1 << 30
-    max_offset_budget: int = 1 << 26
     workers: int = 1
     _table: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -177,7 +176,6 @@ class ExperimentConfig:
             "n_seeds": self.n_seeds,
             "master_seed": self.master_seed,
             "memory_budget_bytes": self.memory_budget_bytes,
-            "max_offset_budget": self.max_offset_budget,
         }
 
 
@@ -213,16 +211,40 @@ def derive_seed(master_seed: int, experiment: str, point_index: int, seed_index:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _predict_bytes(grid: SimGrid, extra_samples: int) -> int:
-    # Double-precision working set of synthesis + superposition + FFT,
-    # about four length-(M+extra) float64 arrays at peak.
-    return (grid.n_samples + extra_samples) * 8 * 4
+#: Budget model, in bytes, from the tracemalloc peaks of each stage.  A
+#: detect job peaks while it synthesizes a noisy carrier: the float64
+#: sample index and phase (16 B per window sample) are live while the
+#: phase track is drawn and transformed (28 B: frequencies, target, scale
+#: and complex coefficients on the n/2 + 1 bins, and the float64 track).
+#: Its periodogram (32 B with the float32 carrier) and sideband read
+#: (20 B) stay below that.  4 B per sample more covers the job's fixed
+#: allocations (about 0.1 MB) on grids down to 32000 samples.  A cached
+#: |H|^2 is float64 on the n/2 + 1 bins; computing it (16 B per sample)
+#: happens between jobs.  A plan holds 8 B per line, and building one
+#: passes through 48 B per line (wavelengths, group delays, offsets).
+_JOB_BYTES_PER_SAMPLE = 48
+_GAIN_BYTES_PER_SAMPLE = 4
+_PLAN_BYTES_PER_LINE = 56
 
 
-def _check_budget(cfg: ExperimentConfig, grid: SimGrid, extra_samples: int, what: str, jobs: int = 1):
-    """Refuse when ``min(workers, jobs)`` concurrent jobs of this size overrun the budget."""
+def _predict_bytes(grid: SimGrid, lines: int = 0, plans: int = 0, jobs: int = 1) -> int:
+    """Peak bytes of ``jobs`` concurrent detect jobs on ``grid``.
+
+    ``plans`` |H|^2 arrays are shared by the jobs and ``lines`` counts
+    the comb lines of every delay plan the study holds.  numpy's
+    pocketfft allocates its scratch outside the Python allocator, so
+    tracemalloc does not see it and this figure leaves it out; the
+    resident set runs higher by that scratch.
+    """
+    n = grid.n_samples
+    return n * (_JOB_BYTES_PER_SAMPLE * jobs + _GAIN_BYTES_PER_SAMPLE * plans) + _PLAN_BYTES_PER_LINE * lines
+
+
+def _check_budget(cfg: ExperimentConfig, grid: SimGrid, what: str, jobs: int = 1, lines: int = 0, plans: int = 0):
+    """Refuse when ``min(workers, jobs)`` concurrent jobs, with ``plans``
+    shared |H|^2 arrays and plans of ``lines`` lines, overrun the budget."""
     concurrent = min(cfg.workers, jobs)
-    predicted = _predict_bytes(grid, extra_samples) * concurrent
+    predicted = _predict_bytes(grid, lines, plans, concurrent)
     if predicted > cfg.memory_budget_bytes:
         raise BudgetError(
             f"{what} needs about {predicted / 2**30:.2f} GiB for {concurrent} concurrent "
@@ -238,9 +260,7 @@ def _plans(cfg: ExperimentConfig, kinds, width: float) -> dict[str, DelayPlan]:
     plans = {}
     for kind in kinds:
         try:
-            plans[kind] = delay_plan(
-                cfg.dispersion_spec(kind), comb, grid, max_offset_budget=cfg.max_offset_budget
-            )
+            plans[kind] = delay_plan(cfg.dispersion_spec(kind), comb, grid)
         except ValueError as exc:
             if kind != "tabulated":
                 raise
@@ -248,29 +268,22 @@ def _plans(cfg: ExperimentConfig, kinds, width: float) -> dict[str, DelayPlan]:
     return plans
 
 
-def _detect(grid: SimGrid, noise, seed: int, offsets, plans: dict) -> dict:
-    """L(f) after each plan, all applied to one synthesized carrier.
+def _detect(grid: SimGrid, noise, seed: int, offsets, gains: dict) -> dict:
+    """L(f) of one synthesized carrier seen through each plan.
 
-    A ``None`` plan measures the carrier itself.  Shorter plans are
-    right-aligned inside the padding of the longest, so every plan sees
-    the same noise.
+    ``gains`` maps each key to a plan's :func:`power_transfer`, or to
+    None to measure the carrier itself.  The detected periodogram is the
+    carrier's times |H|^2, so every plan sees the same noise and costs
+    no transform of its own.
     """
-    extra = max((p.max_offset for p in plans.values() if p is not None), default=0)
-    signal = synth_carrier(SynthesisRequest(grid=grid, noise=noise, extra_samples=extra, seed=seed))
-    out = {}
-    for key, plan in plans.items():
-        lead = extra - (plan.max_offset if plan is not None else 0)
-        y = signal
-        if lead:
-            y = SampledSignal(
-                samples=signal.samples[lead:],
-                sample_rate=signal.sample_rate,
-                t0_index=signal.t0_index + lead,
-            )
-        if plan is not None:
-            y = superpose(y, plan)
-        out[key] = phase_noise_spectrum(y, grid.f_r, offsets)
-    return out
+    carrier = synth_carrier(SynthesisRequest(grid=grid, noise=noise, seed=seed))
+    freqs, psd = periodogram(carrier)
+    return {
+        key: phase_noise_from_psd(
+            freqs, psd if gain is None else psd * gain, grid.sample_rate, grid.f_r, offsets
+        )
+        for key, gain in gains.items()
+    }
 
 
 def _rows_from_samples(
@@ -295,11 +308,11 @@ def _rows_from_samples(
 
 
 def _measure(cfg: ExperimentConfig, jobs: dict) -> dict:
-    """L at the offsets of interest for each (grid, noise, seed, plans) job, optionally threaded."""
+    """L at the offsets of interest for each (grid, noise, seed, gains) job, optionally threaded."""
 
     def job(args):
-        grid, noise, seed, plans = args
-        return {k: list(s.l_dbc) for k, s in _detect(grid, noise, seed, cfg.offsets, plans).items()}
+        grid, noise, seed, gains = args
+        return {k: list(s.l_dbc) for k, s in _detect(grid, noise, seed, cfg.offsets, gains).items()}
 
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
@@ -317,10 +330,15 @@ def simulate(cfg: ExperimentConfig, kind: str = "ideal", points: int = 120, jitt
         raise ConfigError(f"points must be at least 2, got {points}")
     grid = cfg.grid
     plan = None if kind == "none" else _plans(cfg, (kind,), cfg.comb.width)[kind]
-    _check_budget(cfg, grid, plan.max_offset if plan is not None else 0, "run")
+    if plan is None:
+        _check_budget(cfg, grid, "run")
+        gain = None
+    else:
+        _check_budget(cfg, grid, "run", lines=len(plan), plans=1)
+        gain = power_transfer(plan)
     f_hi = grid.sample_rate / 2 - cfg.comb.f_r
     offsets = np.geomspace(3 * grid.df, f_hi * 0.999, points)
-    spectrum = _detect(grid, cfg.resolved_noise(), cfg.master_seed, offsets, {kind: plan})[kind]
+    spectrum = _detect(grid, cfg.resolved_noise(), cfg.master_seed, offsets, {kind: gain})[kind]
     return spectrum, None if jitter_band is None else jitter(spectrum, *jitter_band)
 
 
@@ -337,7 +355,7 @@ def sweep_oversampling(cfg: ExperimentConfig, ratios=None) -> list[SweepRow]:
     grids = [build_grid(cfg.comb.f_r, n, cfg.t_sig) for n in ratios]
     n_jobs = len(grids) * (cfg.n_seeds + 1)
     for n, grid in zip(ratios, grids):
-        _check_budget(cfg, grid, 0, f"oversampling point N={n}", n_jobs)
+        _check_budget(cfg, grid, f"oversampling point N={n}", jobs=n_jobs)
     noise = cfg.resolved_noise()
 
     jobs = {}
@@ -359,27 +377,28 @@ def sweep_oversampling(cfg: ExperimentConfig, ratios=None) -> list[SweepRow]:
 def sweep_comb_width(cfg: ExperimentConfig, widths=None) -> list[SweepRow]:
     """Measure L vs comb width for every configured dispersion kind.
 
-    One carrier is synthesized per (width, seed) and superposed with
-    each kind's delay plan, so kinds are compared on identical noise.
+    One carrier is synthesized per (width, seed) and seen through each
+    kind's delay plan, so kinds are compared on identical noise.  The
+    widths run one after another: a width's |H|^2 per plan is computed
+    once, shared by its seeds, and dropped before the next width.
     """
     widths = tuple(float(w) for w in (cfg.widths if widths is None else widths))
     if list(widths) != sorted(widths):
         raise ConfigError("comb widths must be ascending")
     grid = cfg.grid
-    n_jobs = len(widths) * cfg.n_seeds
-    plans_by_width = []
-    for w in widths:
-        plans = _plans(cfg, cfg.kinds, w)
-        extra = max(p.max_offset for p in plans.values())
-        _check_budget(cfg, grid, extra, f"comb-width point {w:.4g} Hz", n_jobs)
-        plans_by_width.append(plans)
+    plans_by_width = [_plans(cfg, cfg.kinds, w) for w in widths]
+    lines = sum(len(p) for plans in plans_by_width for p in plans.values())
+    _check_budget(cfg, grid, "comb-width sweep", jobs=cfg.n_seeds, lines=lines, plans=len(cfg.kinds))
     noise = cfg.resolved_noise()
 
-    jobs = {}
+    results = {}
     for i, plans in enumerate(plans_by_width):
+        gains = {kind: power_transfer(plan) for kind, plan in plans.items()}
+        seeds = {}
         for s in range(cfg.n_seeds):
-            jobs[(i, s)] = (grid, noise, derive_seed(cfg.master_seed, "comb_width", i, s), plans)
-    results = _measure(cfg, jobs)
+            seeds[(i, s)] = (grid, noise, derive_seed(cfg.master_seed, "comb_width", i, s), gains)
+        results.update(_measure(cfg, seeds))
+        del gains, seeds
 
     rows = []
     for i, w in enumerate(widths):
@@ -487,6 +506,7 @@ class Study:
     out_dir, render_svg)`` writes them and returns the paths written.
     ``args`` names the study's own arguments, which the manifest records
     next to the config; ``report`` turns a result into a line for the user.
+    ``plots`` is False for a study that draws no SVG.
     """
 
     name: str
@@ -494,6 +514,7 @@ class Study:
     write: Callable
     args: tuple[str, ...] = ()
     report: Callable | None = None
+    plots: bool = True
 
 
 STUDIES: dict[str, Study] = {
@@ -504,7 +525,12 @@ STUDIES: dict[str, Study] = {
         Study("sweep-comb-width", sweep_comb_width, partial(_write_sweep, "sweep_comb_width.csv")),
         Study("offsets-diff", offsets_experiment, _write_offsets),
         Study(
-            "dispersion-eval", dispersion_eval, _write_dispersion_eval, args=("kind",), report=lambda r: r[0]
+            "dispersion-eval",
+            dispersion_eval,
+            _write_dispersion_eval,
+            args=("kind",),
+            report=lambda r: r[0],
+            plots=False,
         ),
     )
 }
@@ -559,6 +585,8 @@ def run_study(name: str, cfg: ExperimentConfig, args: dict | None = None, render
     Returns the study's result and every path written, the manifest last.
     """
     study = STUDIES[name]
+    if render_svg and not study.plots:
+        raise ConfigError(f"{name} draws no SVG; --format csv+svg is not supported, use --format csv")
     args = dict(args or {})
     result = study.run(cfg, **args)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,117 +1,59 @@
-"""Delay-and-sum photodetection model.
+"""Delay-and-sum photodetection model on a periodic window.
 
 The detected signal is the sum of one integer-delayed copy of the
 carrier per comb line, scaled by 1/K so a perfectly aligned pure tone
-keeps unit amplitude.  Two interchangeable engines produce
-contract-identical output: direct time-domain accumulation, and a fast
-path that applies the plan as a sparse comb filter in the frequency
-domain.  Copies are right-aligned: the analysis window is the last
-n_samples of the shortest-delayed copy, so every output sample is a
-full K-fold sum.
+keeps unit amplitude.  The analysis window holds a whole number of
+carrier periods and the synthesized phase track is periodic in the
+window, so the carrier is periodic in it: delaying it by d samples is a
+circular shift by ``d mod n_samples``.  The whole plan is then one
+transfer function on the window's rFFT bins,
+
+    H[j] = (1/K) * sum_k exp(-2 pi i j d_k / n),
+
+the rFFT of the 1/K impulse train placed at the offsets mod n.  On
+every analysis bin the detected spectrum is X*H exactly: no padding, no
+transform longer than the window, and the detected periodogram is the
+carrier's times |H|^2.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .dispersion import DelayPlan
 from .model import SampledSignal
 
-__all__ = ["superpose_time", "superpose_spectral", "choose_engine", "superpose"]
-
-# The time engine costs K*M adds; the spectral engine about three
-# transforms, i.e. C*M*log2(M) flops with C absorbing constant factors.
-# Timed on windows of 2^14..2^20 samples: the break-even K sits between
-# 17 and 30 times log2(M).
-_CROSSOVER = 24.0
+__all__ = ["power_transfer", "superpose"]
 
 
-def _check_input(x: SampledSignal, plan: DelayPlan) -> int:
-    n_out = plan.grid.n_samples
-    needed = n_out + plan.max_offset
-    if len(x) < needed:
-        raise ValueError(
-            f"input has {len(x)} samples; plan needs at least {needed} "
-            f"({n_out} window + {plan.max_offset} padding)"
-        )
-    return n_out
+def _transfer(plan: DelayPlan) -> np.ndarray:
+    n = plan.grid.n_samples
+    kernel = np.bincount(plan.offsets % n, minlength=n) / len(plan)
+    return np.fft.rfft(kernel)
 
 
-def _fast_fft_length(target: int) -> int:
-    """Smallest 5-smooth integer >= target (fast transform size)."""
-    best = 1 << max(target - 1, 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p15 = p5
-        while p15 < best:
-            length = p15 * (1 << max((target + p15 - 1) // p15 - 1, 1).bit_length())
-            if target <= length < best:
-                best = length
-            p15 *= 3
-        p5 *= 5
-    return best
+def power_transfer(plan: DelayPlan) -> np.ndarray:
+    """|H|^2 of ``plan`` on the rFFT bins of its grid's window.
 
-
-def superpose_time(x: SampledSignal, plan: DelayPlan) -> SampledSignal:
-    """Sum delayed copies by direct accumulation (double precision)."""
-    n_out = _check_input(x, plan)
-    data = np.asarray(x.samples, dtype=np.float64)
-    acc = np.zeros(n_out, dtype=np.float64)
-    # Lines sharing an offset collapse into one weighted add; unique()
-    # also fixes the summation order independent of line order.
-    offsets, counts = np.unique(plan.offsets, return_counts=True)
-    for off, count in zip(offsets, counts):
-        start = plan.max_offset - int(off)
-        view = data[start : start + n_out]
-        if count == 1:
-            acc += view
-        else:
-            acc += count * view
-    acc /= len(plan)
-    return SampledSignal(
-        samples=acc, sample_rate=x.sample_rate, t0_index=x.t0_index + plan.max_offset
-    )
-
-
-def superpose_spectral(x: SampledSignal, plan: DelayPlan) -> SampledSignal:
-    """Sum delayed copies via one multiplication in the frequency domain.
-
-    The plan is a sparse impulse train; circular convolution with it is
-    exact for the first n_samples of the output as long as the
-    transform length covers window plus padding, so the length is
-    rounded up to a fast (5-smooth) size.
+    Multiplying a carrier's periodogram by it gives the periodogram of
+    the carrier after the plan; lines that share an offset mod n add up
+    in amplitude.
     """
-    n_out = _check_input(x, plan)
-    length = _fast_fft_length(n_out + plan.max_offset)
-    data = np.zeros(length, dtype=np.float64)
-    data[: n_out + plan.max_offset] = x.samples[: n_out + plan.max_offset]
-    kernel = np.zeros(length, dtype=np.float64)
-    # A copy advanced by s = max_offset - offset is a circular shift by
-    # -s, i.e. an impulse at (length - s) mod length.
-    shifts = (length - (plan.max_offset - plan.offsets)) % length
-    np.add.at(kernel, shifts, 1.0)
-    spec = np.fft.rfft(data) * np.fft.rfft(kernel)
-    acc = np.fft.irfft(spec, n=length)[:n_out] / len(plan)
-    return SampledSignal(
-        samples=acc, sample_rate=x.sample_rate, t0_index=x.t0_index + plan.max_offset
-    )
+    h = _transfer(plan)
+    return h.real**2 + h.imag**2
 
 
-def choose_engine(n_samples: int, n_lines: int) -> str:
-    """Pick the cheaper engine for a window of ``n_samples`` and K lines."""
-    if n_lines * n_samples > _CROSSOVER * n_samples * math.log2(max(n_samples, 2)):
-        return "spectral"
-    return "time"
+def superpose(x: SampledSignal, plan: DelayPlan) -> SampledSignal:
+    """Time-domain view of the delay-and-sum: ``irfft(rfft(x) * H)``.
 
-
-def superpose(x: SampledSignal, plan: DelayPlan, engine: str | None = None) -> SampledSignal:
-    """Delay-and-sum with an explicit or automatically chosen engine."""
-    if engine is None:
-        engine = choose_engine(plan.grid.n_samples, len(plan))
-    if engine == "time":
-        return superpose_time(x, plan)
-    if engine == "spectral":
-        return superpose_spectral(x, plan)
-    raise ValueError(f"unknown engine {engine!r}; expected 'time' or 'spectral'")
+    ``x`` must cover exactly the plan's window of n_samples.  Each copy
+    is delayed circularly, by its offset mod n, so the result is the
+    true delay-and-sum only for an ``x`` that is periodic in the window;
+    for the synthesized carrier that means a window of a whole number of
+    carrier periods.
+    """
+    n = plan.grid.n_samples
+    if len(x) != n:
+        raise ValueError(f"input has {len(x)} samples; the plan's window is {n}")
+    spec = np.fft.rfft(np.asarray(x.samples, dtype=np.float64)) * _transfer(plan)
+    return SampledSignal(samples=np.fft.irfft(spec, n=n), sample_rate=x.sample_rate, t0_index=x.t0_index)

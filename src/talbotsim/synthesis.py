@@ -3,8 +3,11 @@
 The carrier is a unit sine at the repetition rate, phase modulated by a
 spectrally shaped Gaussian phase track.  Shaping happens in the
 frequency domain (exact PSD targeting at O(n log n)); the same request
-always produces bit-identical output.  Samples are stored in single
-precision to halve memory; all intermediate math is double precision.
+always produces bit-identical output.  The carrier covers exactly the
+analysis window: over a whole number of carrier periods it is periodic
+in the window, because the inverse-transformed phase track is periodic
+in its own length.  Samples are stored in single precision to halve
+memory; all intermediate math is double precision.
 """
 
 from __future__ import annotations
@@ -20,21 +23,11 @@ __all__ = ["SynthesisRequest", "synth_phase_track", "synth_carrier", "default_no
 
 @dataclass(frozen=True)
 class SynthesisRequest:
-    """What to synthesize: grid, noise profile, padding, and seed.
-
-    ``extra_samples`` extends the signal beyond the analysis window so
-    that every delayed copy of the intended delay plan is fully defined
-    without wraparound; it must be at least the plan's max offset.
-    """
+    """What to synthesize: grid, noise profile (None for a pure tone), and seed."""
 
     grid: SimGrid
     noise: NoiseProfile | None = None
-    extra_samples: int = 0
     seed: int = 0
-
-    def __post_init__(self):
-        if self.extra_samples < 0:
-            raise ValueError("extra_samples must be non-negative")
 
 
 def synth_phase_track(
@@ -68,11 +61,11 @@ def synth_phase_track(
 def synth_carrier(request: SynthesisRequest) -> SampledSignal:
     """Synthesize the (optionally phase-noise-impaired) carrier.
 
-    Returns ``sin(2*pi*f_r*n/Fs + phi[n])`` over the analysis window
-    plus ``extra_samples`` of leading coverage for delayed copies.
+    Returns ``sin(2*pi*f_r*n/Fs + phi[n])`` for the ``grid.n_samples``
+    samples of the analysis window.
     """
     grid = request.grid
-    length = grid.n_samples + request.extra_samples
+    length = grid.n_samples
     n = np.arange(length, dtype=np.float64)
     phase = 2.0 * np.pi * grid.f_r / grid.sample_rate * n
     if request.noise is not None:

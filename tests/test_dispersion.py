@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from talbotsim.errors import BudgetError
 from talbotsim.model import SPEED_OF_LIGHT, CombSpec, build_grid, comb_lines, convert_dispersion
 from talbotsim.dispersion import (
     DispersionSpec,
@@ -174,11 +173,6 @@ class TestDelayPlan:
         comb = CombSpec(f_r=F_R, lambda0=LAM0, width=2e8)
         with pytest.raises(ValueError, match="repetition"):
             delay_plan(DispersionSpec.ideal(2e8, LAM0), comb, make_grid())
-
-    def test_budget_guard(self):
-        comb = CombSpec(f_r=F_R, lambda0=LAM0, width=1e11)
-        with pytest.raises(BudgetError, match="budget"):
-            delay_plan(DispersionSpec.ideal(F_R, LAM0), comb, make_grid(), max_offset_budget=100)
 
     def test_normalization_shift_invariance(self):
         rng = np.random.default_rng(9)

@@ -1,0 +1,110 @@
+"""Sweep L(f) against the small-angle delay-line oracle.
+
+Copy k of the carrier is delayed by d_k samples, so the detected phase
+noise is the carrier's scaled by the delay-line transfer (Rubiola,
+*Phase Noise and Frequency Stability in Oscillators*, 2008):
+
+    L(f) = S_phi/2 * (|H(fc+f)|^2 + |H(fc-f)|^2) / (2 |H(fc)|^2),
+    H(nu) = sum_k exp(-2 pi i nu d_k / Fs).
+
+The oracle evaluates H as that sum, bin by bin, with no transform, on
+the 3 bins the sideband estimator reads on each side, and takes the
+median over them as the estimator does.  On each bin S_phi also carries
+the phase noise of the real carrier's negative-frequency image.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+
+from talbotsim.dispersion import delay_plan
+from talbotsim.experiments import ExperimentConfig, sweep_comb_width
+from talbotsim.model import NoiseProfile
+
+WIDTHS = (1e9, 1e10, 3e10, 1e11, 4e11)
+KINDS = ("ideal", "linear", "constant")
+OFFSETS = (1e4, 1e5, 1e6)
+N_SEEDS = 8
+TERMS = ((0.0, 1e-11), (-2.0, 1e-1))
+#: False-alarm probability per point, on each side of the oracle.
+FALSE_ALARM = 1e-6
+
+
+def tolerance_db(p=FALSE_ALARM, n_seeds=N_SEEDS):
+    """Lower and upper p-quantiles (dB) of the swept L over its expectation.
+
+    A sideband value is the median of 3 bins, each an independent
+    chi-square(2) draw around its expectation, so per unit expectation it
+    has the density 6 (1 - e^-x) e^-2x (mean 5/6).  A sweep row is the
+    power mean of ``n_seeds`` such medians; its density is the
+    ``n_seeds``-fold convolution, taken numerically here.  For 8 seeds
+    and p = 1e-6 the band is [-7.4, +3.6] dB.  The two sidebands share
+    their main noise bins, so their average is counted as one draw.
+    """
+    dx = 1e-3
+    x = np.arange(0.0, 60.0, dx)
+    mid = x + dx / 2
+    one = 6.0 * (1.0 - np.exp(-mid)) * np.exp(-2.0 * mid) * dx
+    size = n_seeds * len(x)
+    density = np.fft.irfft(np.fft.rfft(one, size) ** n_seeds, size)[: len(x)]
+    cdf = np.cumsum(density) / np.sum(density)
+    lo = x[np.searchsorted(cdf, p)] / n_seeds
+    hi = x[np.searchsorted(cdf, 1.0 - p)] / n_seeds
+    return 10 * math.log10(lo), 10 * math.log10(hi)
+
+
+def s_phi(f):
+    return sum(b * np.asarray(f, dtype=np.float64) ** alpha for alpha, b in TERMS)
+
+
+def picked_bins(target, df, carrier_bin):
+    """The estimator's rule: the 3 bins nearest ``target``, carrier excluded."""
+    center = int(round(target / df))
+    cand = [j for j in range(center - 2, center + 3) if j != carrier_bin]
+    cand.sort(key=lambda j: (abs(j * df - target), j))
+    return np.array(sorted(cand[:3]))
+
+
+def oracle_db(offsets, grid, f_r, offset):
+    """Predicted L (dBc/Hz) at ``offset`` for a plan of integer ``offsets``."""
+    lags, counts = np.unique(offsets, return_counts=True)
+    df = grid.df
+    carrier_bin = int(round(f_r / df))
+    fc = carrier_bin * df
+
+    def gain(nu):
+        return np.abs(np.exp(-2j * np.pi * np.outer(nu, lags) / grid.sample_rate) @ counts) ** 2
+
+    g0 = gain(np.array([fc]))[0]
+    sides = []
+    for target in (fc + offset, fc - offset):
+        nu = picked_bins(target, df, carrier_bin) * df
+        # The carrier is real: its negative-frequency image, phase
+        # modulated at offset nu + fc, lands on bin nu too.  That doubles
+        # the white term at 1 MHz.  (nu + fc stays below Fs/2 here.)
+        density = (s_phi(np.abs(nu - fc)) + s_phi(nu + fc)) / 2.0
+        sides.append(np.median(density * gain(nu) / g0))
+    return 10 * math.log10(0.5 * (sides[0] + sides[1]))
+
+
+def test_sweep_reads_the_delay_line_oracle():
+    cfg = ExperimentConfig(
+        kinds=KINDS,
+        noise=NoiseProfile(terms=TERMS, f_low=1 / 2e-3),
+        offsets=OFFSETS,
+        widths=WIDTHS,
+        n_seeds=N_SEEDS,
+        master_seed=12345,
+    )
+    grid = cfg.grid
+    lo, hi = tolerance_db()
+    misses = []
+    for row in sweep_comb_width(cfg):
+        comb = replace(cfg.comb, width=row.x_value)
+        plan = delay_plan(cfg.dispersion_spec(row.kind), comb, grid)
+        measured = 10 * math.log10(np.mean(10 ** (np.asarray(row.per_seed) / 10)))
+        predicted = oracle_db(plan.offsets, grid, cfg.comb.f_r, row.offset_hz)
+        if not lo <= measured - predicted <= hi:
+            misses.append((row.x_value, row.kind, row.offset_hz, round(measured, 2), round(predicted, 2)))
+    assert not misses, misses

@@ -5,13 +5,16 @@ import contextlib
 import io
 import json
 import shutil
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from talbotsim.cli import main
+from talbotsim.cli import DEFAULTS, CliConfig, main
 from talbotsim.dispersion import DispersionSpec, delay_plan
-from talbotsim.experiments import _predict_bytes
+from talbotsim.errors import BudgetError
+from talbotsim.experiments import STUDIES, ExperimentConfig, _predict_bytes
 from talbotsim.model import SPEED_OF_LIGHT, CombSpec, build_grid
 
 SMALL = ["--t-sig", "2e-4"]
@@ -142,6 +145,7 @@ BAD_INPUT = {
         ["dispersion-eval", "--kind", "tabulated", "--width", "1e10", "--table", "{narrow}"],
         "outside tabulated range",
     ),
+    "dispersion-eval-svg": (["dispersion-eval", "--format", "csv+svg"], "--format csv+svg"),
 }
 
 
@@ -209,3 +213,32 @@ class TestConcurrentBudget:
             out = tmp_path / f"w{workers}"
             code = main(argv + SMALL + ["--config", str(cfg_file), "--out", str(out)])
             assert code == expected, capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, settings, args",
+        [
+            ("simulate", {}, {"kind": "ideal"}),
+            ("sweep-comb-width", {"n_seeds": 2}, {}),
+            ("sweep-comb-width", {"n_seeds": 2, "workers": 2}, {}),
+            ("sweep-oversampling", {"n_seeds": 2}, {}),
+        ],
+        ids=["simulate", "sweep-comb-width", "sweep-comb-width-2-workers", "sweep-oversampling"],
+    )
+    def test_prediction_covers_traced_peak(self, name, settings, args):
+        # Desk scale: the default grid of 320000 samples, default widths and ratios.
+        cfg = ExperimentConfig(**settings)
+        run = STUDIES[name].run
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            run(cfg, **args)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        # The guard refuses a budget one byte below the peak: it predicts at least the peak.
+        with pytest.raises(BudgetError):
+            run(replace(cfg, memory_budget_bytes=peak - 1), **args)
+
+
+def test_cli_defaults_match_experiment_config():
+    assert CliConfig(dict(DEFAULTS)).experiment_config() == ExperimentConfig()

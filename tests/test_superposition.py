@@ -1,4 +1,4 @@
-"""Delay-and-sum engines and their equivalence."""
+"""Delay-and-sum on the periodic window: superpose and power_transfer."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from talbotsim.analysis import periodogram
 from talbotsim.dispersion import DelayPlan, DispersionSpec, delay_plan
 from talbotsim.model import CombSpec, NoiseProfile, SampledSignal, build_grid
-from talbotsim.superposition import choose_engine, superpose, superpose_spectral, superpose_time
+from talbotsim.superposition import power_transfer, superpose
 from talbotsim.synthesis import SynthesisRequest, synth_carrier
 
 
@@ -21,55 +21,57 @@ def make_signal(samples, fs=4e6):
     return SampledSignal(samples=np.asarray(samples, dtype=np.float64), sample_rate=fs)
 
 
+def roll_sum(x, plan):
+    """Reference delay-and-sum: one circular shift per line, summed directly."""
+    data = np.asarray(x.samples, dtype=np.float64)
+    return sum(np.roll(data, int(d)) for d in plan.offsets) / len(plan)
+
+
 class TestTimeEngine:
+    """``superpose`` in the time domain: the detected samples themselves."""
+
     def test_impulse_response(self):
         n = 16
-        x = np.zeros(n + 3)
-        x[3] = 1.0
+        x = np.zeros(n)
+        x[0] = 1.0
         plan = make_plan([0, 3], n)
-        y = superpose_time(make_signal(x), plan)
+        y = superpose(make_signal(x), plan)
         expected = np.zeros(n)
         expected[0] = 0.5
         expected[3] = 0.5
-        np.testing.assert_allclose(y.samples, expected)
+        np.testing.assert_allclose(y.samples, expected, atol=1e-15)
 
     def test_single_line_identity(self):
         n = 64
         rng = np.random.default_rng(0)
         x = rng.standard_normal(n)
         plan = make_plan([0], n)
-        y = superpose_time(make_signal(x), plan)
-        np.testing.assert_array_equal(y.samples, x)
+        y = superpose(make_signal(x), plan)
+        np.testing.assert_allclose(y.samples, x, atol=1e-12)
 
     def test_pure_tone_ideal_plan_is_transparent(self):
-        # Whole-period delays leave a pure tone unchanged sample for sample.
+        # Whole-period delays of a whole-period window leave a pure tone
+        # unchanged sample for sample.
         f_r, n_os, t_sig = 1e7, 16, 2e-4
         grid = build_grid(f_r, n_os, t_sig)
         comb = CombSpec(f_r=f_r, lambda0=1550e-9, width=16 * f_r)
         plan = delay_plan(DispersionSpec.ideal(f_r, 1550e-9), comb, grid)
-        signal = synth_carrier(
-            SynthesisRequest(grid=grid, extra_samples=plan.max_offset)
-        )
-        y = superpose_time(signal, plan)
-        window = np.asarray(
-            signal.samples[plan.max_offset : plan.max_offset + grid.n_samples],
-            dtype=np.float64,
-        )
+        signal = synth_carrier(SynthesisRequest(grid=grid))
+        y = superpose(signal, plan)
+        window = np.asarray(signal.samples, dtype=np.float64)
         np.testing.assert_allclose(y.samples, window, atol=1e-9 * np.abs(window).max())
 
     def test_rejects_short_input(self):
         plan = make_plan([0, 8], 16)
-        with pytest.raises(ValueError, match="padding"):
-            superpose_time(make_signal(np.zeros(20)), plan)
-
-    def test_t0_index_advances(self):
-        plan = make_plan([0, 3], 16)
-        y = superpose_time(make_signal(np.zeros(19)), plan)
-        assert y.t0_index == 3
+        with pytest.raises(ValueError, match="window"):
+            superpose(make_signal(np.zeros(12)), plan)
 
 
 class TestSpectralEngine:
+    """The plan as one transfer H on the window's rFFT bins."""
+
     def test_matches_time_engine_randomized(self):
+        # Offsets run up to 3 windows, so they wrap modulo n.
         rng = np.random.default_rng(2024)
         for _ in range(100):
             n = int(rng.integers(16, 4097))
@@ -77,56 +79,48 @@ class TestSpectralEngine:
             max_off = int(rng.integers(0, 3 * n))
             offsets = np.concatenate(([0], rng.integers(0, max_off + 1, size=k - 1)))
             plan = make_plan(offsets, n)
-            x = make_signal(rng.standard_normal(n + plan.max_offset))
-            yt = superpose_time(x, plan)
-            ys = superpose_spectral(x, plan)
+            x = make_signal(rng.standard_normal(n))
             tol = 1e-9 * k * np.abs(x.samples).max()
-            assert np.abs(ys.samples - yt.samples).max() <= tol
+            assert np.abs(superpose(x, plan).samples - roll_sum(x, plan)).max() <= tol
 
     def test_identity_mask(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal(128)
         plan = make_plan([0], 128)
-        y = superpose_spectral(make_signal(x), plan)
+        y = superpose(make_signal(x), plan)
         np.testing.assert_allclose(y.samples, x, atol=1e-12)
+        np.testing.assert_array_equal(power_transfer(plan), np.ones(65))
 
     def test_half_period_cancellation(self):
         # Two copies half a carrier period apart interfere destructively.
         f_r, n_os, t_sig = 1e6, 8, 64e-6
         grid = build_grid(f_r, n_os, t_sig)
         plan = DelayPlan(offsets=np.array([0, n_os // 2]), max_offset=n_os // 2, grid=grid)
-        signal = synth_carrier(SynthesisRequest(grid=grid, extra_samples=plan.max_offset))
-        y = superpose_spectral(signal, plan)
+        signal = synth_carrier(SynthesisRequest(grid=grid))
+        y = superpose(signal, plan)
         assert np.abs(y.samples).max() < 1e-6
 
+    def test_power_transfer_matches_direct_sum(self):
+        # |(1/K) sum_k exp(-2 pi i j d_k / n)|^2, evaluated bin by bin.
+        rng = np.random.default_rng(11)
+        n = 1000
+        offsets = np.concatenate(([0], rng.integers(0, 5 * n, size=40)))
+        plan = make_plan(offsets, n)
+        bins = np.arange(n // 2 + 1)
+        direct = np.abs(np.exp(-2j * np.pi * np.outer(bins, offsets) / n).mean(axis=1)) ** 2
+        np.testing.assert_allclose(power_transfer(plan), direct, rtol=0, atol=1e-12)
 
-class TestEngineChoice:
-    def test_small_k_uses_time(self):
-        assert choose_engine(1024, 3) == "time"
-
-    def test_full_scale_uses_spectral(self):
-        assert choose_engine(64_000_000, 30_001) == "spectral"
-
-    def test_boundary_equivalence(self):
-        rng = np.random.default_rng(7)
-        n = 1024
-        for k in (20, 21, 22, 23):
-            offsets = np.concatenate(([0], rng.integers(0, 200, size=k - 1)))
-            plan = make_plan(offsets, n)
-            x = make_signal(rng.standard_normal(n + plan.max_offset))
-            yt = superpose_time(x, plan)
-            ys = superpose_spectral(x, plan)
-            assert np.abs(ys.samples - yt.samples).max() <= 1e-9 * k
-            auto = superpose(x, plan)
-            assert np.array_equal(
-                auto.samples,
-                (yt if choose_engine(n, k) == "time" else ys).samples,
-            )
-
-    def test_unknown_engine_rejected(self):
-        plan = make_plan([0], 16)
-        with pytest.raises(ValueError, match="engine"):
-            superpose(make_signal(np.zeros(16)), plan, engine="both")
+    def test_periodogram_is_carrier_times_power_transfer(self):
+        f_r, n_os, t_sig = 1e7, 16, 2e-4
+        grid = build_grid(f_r, n_os, t_sig)
+        comb = CombSpec(f_r=f_r, lambda0=1550e-9, width=2e10)
+        plan = delay_plan(DispersionSpec.constant(f_r, 1550e-9), comb, grid)
+        noise = NoiseProfile(terms=((0.0, 1e-11), (-2.0, 1e-1)), f_low=grid.df)
+        x = synth_carrier(SynthesisRequest(grid=grid, noise=noise, seed=4))
+        _, psd_x = periodogram(x)
+        _, psd_y = periodogram(superpose(x, plan))
+        scale = psd_x.max()
+        np.testing.assert_allclose(psd_y / scale, psd_x * power_transfer(plan) / scale, rtol=0, atol=1e-12)
 
 
 class TestLinearity:
@@ -134,31 +128,27 @@ class TestLinearity:
         rng = np.random.default_rng(3)
         n = 256
         plan = make_plan([0, 5, 17], n)
-        x1 = rng.standard_normal(n + plan.max_offset)
-        x2 = rng.standard_normal(n + plan.max_offset)
+        x1 = rng.standard_normal(n)
+        x2 = rng.standard_normal(n)
         a, b = 2.5, -1.25
-        lhs = superpose_time(make_signal(a * x1 + b * x2), plan).samples
-        rhs = (
-            a * superpose_time(make_signal(x1), plan).samples
-            + b * superpose_time(make_signal(x2), plan).samples
-        )
+        lhs = superpose(make_signal(a * x1 + b * x2), plan).samples
+        rhs = a * superpose(make_signal(x1), plan).samples + b * superpose(make_signal(x2), plan).samples
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_global_shift_leaves_periodogram_unchanged(self):
-        # Adding a constant to every raw delay (with correspondingly
-        # longer input) only shifts the output window in time.  On a
-        # bin-exact multitone the periodogram magnitude is unchanged.
+        # Adding a constant to every raw delay only shifts the periodic
+        # output in time, so the periodogram is unchanged.
         n = 512
         shift = 37
         plan = make_plan([0, 9, 30], n)
-        t = np.arange(n + plan.max_offset + shift)
-        x_long = (
+        t = np.arange(n)
+        x = (
             np.sin(2 * np.pi * 8 * t / n)
             + 0.5 * np.sin(2 * np.pi * 32 * t / n + 0.3)
             + 0.25 * np.sin(2 * np.pi * 100 * t / n + 1.1)
         )
-        y = superpose_time(make_signal(x_long[shift:]), plan)
-        y_shifted = superpose_time(make_signal(x_long), plan)
+        y = superpose(make_signal(x), plan)
+        y_shifted = superpose(make_signal(np.roll(x, shift)), plan)
         _, psd = periodogram(y)
         _, psd_shifted = periodogram(y_shifted)
         scale = psd.max()
@@ -191,13 +181,8 @@ class TestAveragingLaws:
         f_lo, f_hi = band(max_delay, grid)
         gains = []
         for seed in range(10):
-            signal = synth_carrier(
-                SynthesisRequest(grid=grid, noise=noise, extra_samples=plan.max_offset, seed=seed)
-            )
-            tail = SampledSignal(
-                samples=signal.samples[plan.max_offset :], sample_rate=signal.sample_rate
-            )
-            base = _band_mean_l(tail, None, self.F_R, f_lo, f_hi)
+            signal = synth_carrier(SynthesisRequest(grid=grid, noise=noise, seed=seed))
+            base = _band_mean_l(signal, None, self.F_R, f_lo, f_hi)
             filtered = _band_mean_l(signal, plan, self.F_R, f_lo, f_hi)
             gains.append(10 * np.log10(base / filtered))
         return float(np.mean(gains))

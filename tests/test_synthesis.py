@@ -87,11 +87,6 @@ class TestCarrier:
         carrier_bin = int(round(grid.f_r / grid.df))
         assert power[carrier_bin] / power.sum() > 0.999
 
-    def test_extra_samples_extend_signal(self):
-        grid = build_grid(1e7, 16, 2e-4)
-        signal = synth_carrier(SynthesisRequest(grid=grid, extra_samples=100))
-        assert len(signal) == grid.n_samples + 100
-
     def test_deterministic(self):
         grid = build_grid(1e7, 16, 2e-4)
         noise = default_noise_profile(f_low=grid.df)
@@ -177,10 +172,3 @@ class TestDefaultProfile:
         profile = default_noise_profile(f_low=100.0)
         l_db = 10 * np.log10(profile.psd(1e4) / 2)
         assert l_db == pytest.approx(-93.0, abs=0.5)
-
-
-class TestRequestValidation:
-    def test_rejects_negative_padding(self):
-        grid = build_grid(1e7, 16, 2e-4)
-        with pytest.raises(ValueError, match="extra_samples"):
-            SynthesisRequest(grid=grid, extra_samples=-1)
