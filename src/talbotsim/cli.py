@@ -12,7 +12,11 @@ Config files are flat ``key = value`` text with dotted sections::
     noise.term = {alpha = 0, b = 1e-11}
     noise.term = {alpha = -2, b = 1e-1}
 
-Flags override file values, which override the documented defaults.
+Flags override file values.  A key that neither sets keeps the default
+of its :class:`~talbotsim.experiments.ExperimentConfig` field; ``_KEYS``
+names each key once, with that field and the type of its value.  Each
+flag sets the config key that ``--help`` shows as its metavar
+(``--f-r COMB.F_R``).
 Exit codes: 0 success, 2 configuration error, 3 resource-budget
 refusal, 1 runtime failure.
 """
@@ -21,82 +25,68 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
 from .errors import BudgetError, ConfigError
 from .experiments import STUDIES, ExperimentConfig, run_study
-from .model import CombSpec, NoiseProfile, estimate_memory
+from .model import NoiseProfile, estimate_memory
 
-__all__ = ["CliConfig", "parse_config", "main"]
+__all__ = ["parse_config", "experiment_config", "main"]
 
 
-#: Documented defaults (desk scale).  Every configurable key appears here.
-DEFAULTS: dict[str, object] = {
-    "comb.f_r": 1e7,
-    "comb.lambda0": 1550e-9,
-    "comb.width": 1e9,
-    "grid.oversampling": 16,
-    "grid.t_sig": 2e-3,
-    "dispersion.kinds": ["ideal", "linear", "constant"],
-    "dispersion.m": 1,
-    "dispersion.table": "",
-    "noise.enabled": True,
-    "noise.term": [],
-    "noise.f_low": 0.0,  # 0 means "use the grid resolution df"
-    "analysis.offsets": [1e4, 1e6],
-    "sweep.ratios": [4, 8, 16, 32, 64],
-    "sweep.widths": [1e8, 2e8, 5e8, 1e9, 2e9, 5e9, 1e10, 2e10],
-    "seeds.count": 10,
-    "seeds.master": 12345,
-    "run.out_dir": "out",
-    "run.format": "csv",
-    "run.memory_budget_bytes": 1 << 30,
-    "run.workers": 1,
+#: Every config key: the ExperimentConfig field it sets (``comb.*`` set
+#: the comb's) and the type of its value, ``[type]`` for a comma list.
+#: ``noise.term`` lines add up, one ``{alpha, b}`` term each.
+_KEYS: dict[str, tuple[str | None, object]] = {
+    "comb.f_r": ("f_r", float),
+    "comb.lambda0": ("lambda0", float),
+    "comb.width": ("width", float),
+    "grid.oversampling": ("oversampling", int),
+    "grid.t_sig": ("t_sig", float),
+    "dispersion.kinds": ("kinds", [str]),
+    "dispersion.m": ("m", int),
+    "dispersion.table": ("table", str),  # empty: no table
+    "noise.enabled": ("noise_enabled", bool),
+    "noise.term": ("noise", [dict]),
+    "noise.f_low": ("noise", float),  # 0 means "use the grid resolution df"
+    "analysis.offsets": ("offsets", [float]),
+    "sweep.ratios": ("ratios", [int]),
+    "sweep.widths": ("widths", [float]),
+    "seeds.count": ("n_seeds", int),
+    "seeds.master": ("master_seed", int),
+    "run.out_dir": ("out_dir", str),
+    "run.format": (None, str),  # csv or csv+svg; read by the CLI alone
+    "run.memory_budget_bytes": ("memory_budget_bytes", int),
+    "run.workers": ("workers", int),
 }
 
-_LIST_KEYS = {"dispersion.kinds", "analysis.offsets", "sweep.ratios", "sweep.widths"}
-_ACCUMULATE_KEYS = {"noise.term"}
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 
 
-@dataclass
-class CliConfig:
-    """Resolved configuration of one CLI invocation."""
+def experiment_config(values: dict) -> ExperimentConfig:
+    """The ExperimentConfig that ``values`` (config key to value) set.
 
-    values: dict = field(default_factory=dict)
-
-    def __getitem__(self, key: str):
-        return self.values[key]
-
-    def experiment_config(self) -> ExperimentConfig:
-        v = self.values
-        try:
-            noise = None
-            if v["noise.term"]:
-                f_low = v["noise.f_low"] or 1.0 / v["grid.t_sig"]
-                terms = tuple((t["alpha"], t["b"]) for t in v["noise.term"])
-                noise = NoiseProfile(terms=terms, f_low=f_low)
-            return ExperimentConfig(
-                comb=CombSpec(f_r=v["comb.f_r"], lambda0=v["comb.lambda0"], width=v["comb.width"]),
-                oversampling=int(v["grid.oversampling"]),
-                t_sig=v["grid.t_sig"],
-                kinds=tuple(v["dispersion.kinds"]),
-                m=int(v["dispersion.m"]),
-                table=Path(v["dispersion.table"]) if v["dispersion.table"] else None,
-                noise=noise,
-                noise_enabled=v["noise.enabled"],
-                offsets=tuple(float(o) for o in v["analysis.offsets"]),
-                ratios=tuple(int(r) for r in v["sweep.ratios"]),
-                widths=tuple(float(w) for w in v["sweep.widths"]),
-                n_seeds=int(v["seeds.count"]),
-                master_seed=int(v["seeds.master"]),
-                out_dir=Path(v["run.out_dir"]),
-                memory_budget_bytes=int(v["run.memory_budget_bytes"]),
-                workers=int(v["run.workers"]),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+    A key that is not in ``values`` keeps ExperimentConfig's default.
+    """
+    comb, fields = {}, {}
+    for key, value in values.items():
+        name = _KEYS[key][0]
+        if key.startswith("comb."):
+            comb[name] = value
+        elif name not in (None, "noise"):
+            fields[name] = tuple(value) if isinstance(value, list) else value
+    fields["table"] = fields.get("table") or None
+    terms = values.get("noise.term")
+    t_sig = fields.get("t_sig", ExperimentConfig.t_sig)
+    try:
+        if terms and t_sig > 0:  # ExperimentConfig refuses any other t_sig
+            f_low = values.get("noise.f_low") or 1.0 / t_sig
+            fields["noise"] = NoiseProfile(terms=tuple((t["alpha"], t["b"]) for t in terms), f_low=f_low)
+        return ExperimentConfig(comb=replace(ExperimentConfig.comb, **comb), **fields)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _parse_scalar(token: str):
@@ -117,6 +107,10 @@ def _parse_scalar(token: str):
     return token
 
 
+def _parse_list(text: str) -> list:
+    return [_parse_scalar(part) for part in text.split(",") if part.strip()]
+
+
 def _parse_value(token: str, where: str):
     token = token.strip()
     if token.startswith("{"):
@@ -132,48 +126,43 @@ def _parse_value(token: str, where: str):
                 table[name.strip()] = _parse_scalar(raw)
         return table
     if "," in token:
-        return [_parse_scalar(part) for part in token.split(",") if part.strip()]
+        return _parse_list(token)
     return _parse_scalar(token)
 
 
-def _coerce(key: str, value, where: str):
-    if key in _ACCUMULATE_KEYS:
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _coerce_one(key: str, kind, value, where: str):
+    """``value`` as one value of ``kind``; ConfigError if it is not one."""
+    if kind is dict:
         if not isinstance(value, dict) or set(value) != {"alpha", "b"}:
             raise ConfigError(
                 f"{where}: {key} takes an inline table {{alpha = <num>, b = <num>}}, got {value!r}"
             )
-        if not all(isinstance(value[f], (int, float)) and not isinstance(value[f], bool) for f in ("alpha", "b")):
+        if not all(_is_number(value[f]) for f in ("alpha", "b")):
             raise ConfigError(f"{where}: {key} fields must be numbers")
         return value
-    default = DEFAULTS[key]
-    if key in _LIST_KEYS:
+    if kind is bool:
+        ok = isinstance(value, bool)
+    elif kind is int:
+        ok = _is_number(value) and (isinstance(value, int) or value.is_integer())
+    elif kind is float:
+        ok = _is_number(value)
+    else:
+        ok = isinstance(value, str)
+    if not ok:
+        raise ConfigError(f"{where}: {key} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return kind(value)
+
+
+def _coerce(key: str, value, where: str):
+    kind = _KEYS[key][1]
+    if isinstance(kind, list):
         items = value if isinstance(value, list) else [value]
-        elem = default[0] if default else None
-        if isinstance(elem, str):
-            if not all(isinstance(i, str) for i in items):
-                raise ConfigError(f"{where}: {key} must be a list of names, got {value!r}")
-            return [str(i) for i in items]
-        try:
-            return [float(i) for i in items]
-        except (TypeError, ValueError):
-            raise ConfigError(f"{where}: {key} must be a list of numbers, got {value!r}") from None
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise ConfigError(f"{where}: {key} must be true or false, got {value!r}")
-        return value
-    if isinstance(default, int) and not isinstance(default, bool):
-        if isinstance(value, int) and not isinstance(value, bool):
-            return value
-        if isinstance(value, float) and value == int(value):
-            return int(value)
-        raise ConfigError(f"{where}: {key} must be an integer, got {value!r}")
-    if isinstance(default, float):
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
-        raise ConfigError(f"{where}: {key} must be a number, got {value!r}")
-    if not isinstance(value, str):
-        raise ConfigError(f"{where}: {key} must be a string, got {value!r}")
-    return value
+        return [_coerce_one(key, kind[0], item, where) for item in items]
+    return _coerce_one(key, kind, value, where)
 
 
 def _read_config_file(path: Path) -> dict:
@@ -192,12 +181,11 @@ def _read_config_file(path: Path) -> dict:
         where = f"{path}:{lineno}"
         if "{" in rhs and "}" not in rhs:
             raise ConfigError(f"{where}: unterminated inline table")
-        if key not in DEFAULTS:
+        if key not in _KEYS:
             raise ConfigError(f"{where}: unknown key {key!r}")
-        value = _parse_value(rhs, where)
-        value = _coerce(key, value, where)
-        if key in _ACCUMULATE_KEYS:
-            out.setdefault(key, []).append(value)
+        value = _coerce(key, _parse_value(rhs, where), where)
+        if key == "noise.term":
+            out.setdefault(key, []).extend(value)
         elif key in out:
             raise ConfigError(f"{where}: duplicate key {key!r}")
         else:
@@ -205,19 +193,18 @@ def _read_config_file(path: Path) -> dict:
     return out
 
 
-def parse_config(path: str | Path | None = None, overrides: dict | None = None) -> CliConfig:
-    """Resolve defaults < config file < explicit overrides into a CliConfig."""
-    values = {k: (list(v) if isinstance(v, list) else v) for k, v in DEFAULTS.items()}
-    if path is not None:
-        values.update(_read_config_file(Path(path)))
+def parse_config(path: str | Path | None = None, overrides: dict | None = None) -> dict:
+    """The config keys set by the file at ``path``, then by ``overrides``.
+
+    Keys that neither sets are absent; :func:`experiment_config` gives
+    them ExperimentConfig's defaults.
+    """
+    values = {} if path is None else _read_config_file(Path(path))
     for key, value in (overrides or {}).items():
-        if key not in DEFAULTS:
+        if key not in _KEYS:
             raise ConfigError(f"override: unknown key {key!r}")
-        if key in _ACCUMULATE_KEYS:
-            values[key] = [_coerce(key, v, "override") for v in value]
-        else:
-            values[key] = _coerce(key, value, "override")
-    return CliConfig(values=values)
+        values[key] = _coerce(key, value, "override")
+    return values
 
 
 def _human_bytes(n: float) -> str:
@@ -228,8 +215,7 @@ def _human_bytes(n: float) -> str:
     return f"{n:.0f} B"
 
 
-def _estimate_memory(cli: CliConfig, args) -> int:
-    cfg = cli.experiment_config()
+def _estimate_memory(cfg: ExperimentConfig, args) -> int:
     representation = {"full": "full_band", "reduced": "reduced"}[args.representation]
     n_bytes = estimate_memory(representation, cfg.comb, cfg.grid, args.bytes_per_sample)
     print(f"{representation}: {n_bytes} bytes ({_human_bytes(n_bytes)})")
@@ -250,53 +236,36 @@ def _jitter_band(text: str) -> tuple[float, float]:
     return f_min, f_max
 
 
-def _run_study(cli: CliConfig, args) -> int:
-    cfg = cli.experiment_config()
+def _run_study(cfg: ExperimentConfig, render_svg: bool, args) -> int:
     study = STUDIES[args.command]
     study_args = {name: getattr(args, name) for name in study.args}
     if study_args.get("jitter_band") is not None:
         study_args["jitter_band"] = _jitter_band(study_args["jitter_band"])
-    result, files = run_study(study.name, cfg, study_args, cli["run.format"] == "csv+svg")
+    result, files = run_study(study.name, cfg, study_args, render_svg)
     if study.report is not None:
         print(study.report(result))
     print(f"wrote {len(files)} files to {cfg.out_dir}")
     return 0
 
 
-#: Maps command-line flags onto config keys.
-_FLAG_KEYS = {
-    "f_r": "comb.f_r",
-    "lambda0": "comb.lambda0",
-    "width": "comb.width",
-    "oversampling": "grid.oversampling",
-    "t_sig": "grid.t_sig",
-    "kinds": "dispersion.kinds",
-    "offsets": "analysis.offsets",
-    "ratios": "sweep.ratios",
-    "widths": "sweep.widths",
-    "seeds": "seeds.count",
-    "seed": "seeds.master",
-    "out": "run.out_dir",
-    "format": "run.format",
-    "memory_budget": "run.memory_budget_bytes",
-    "table": "dispersion.table",
-    "m": "dispersion.m",
-}
-
-
 def _add_common(parser: argparse.ArgumentParser):
+    # Each flag's dest is the config key it sets; --help shows it as the metavar.
     parser.add_argument("--config", help="config file (key = value lines)")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--format", choices=["csv", "csv+svg"], help="artifact format")
-    parser.add_argument("--memory-budget", type=int, dest="memory_budget", help="bytes")
-    parser.add_argument("--f-r", type=float, dest="f_r", help="repetition rate, Hz")
-    parser.add_argument("--lambda0", type=float, help="center wavelength, m")
-    parser.add_argument("--width", type=float, help="comb width, Hz")
-    parser.add_argument("--oversampling", type=int, help="samples per carrier period")
-    parser.add_argument("--t-sig", type=float, dest="t_sig", help="time window, s")
-    parser.add_argument("--offsets", help="comma list of offsets, Hz")
-    parser.add_argument("--seeds", type=int, help="seeds per sweep point")
+    parser.add_argument("--out", dest="run.out_dir", help="output directory")
+    parser.add_argument("--seed", type=int, dest="seeds.master", help="master seed")
+    parser.add_argument(
+        "--format", choices=["csv", "csv+svg"], dest="run.format", help="artifact format (run.format)"
+    )
+    parser.add_argument("--memory-budget", type=int, dest="run.memory_budget_bytes", help="bytes")
+    parser.add_argument("--f-r", type=float, dest="comb.f_r", help="repetition rate, Hz")
+    parser.add_argument("--lambda0", type=float, dest="comb.lambda0", help="center wavelength, m")
+    parser.add_argument("--width", type=float, dest="comb.width", help="comb width, Hz")
+    parser.add_argument(
+        "--oversampling", type=int, dest="grid.oversampling", help="samples per carrier period"
+    )
+    parser.add_argument("--t-sig", type=float, dest="grid.t_sig", help="time window, s")
+    parser.add_argument("--offsets", type=_parse_list, dest="analysis.offsets", help="comma list, Hz")
+    parser.add_argument("--seeds", type=int, dest="seeds.count", help="seeds per sweep point")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -306,33 +275,37 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"talbotsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    widths = {"type": _parse_list, "dest": "sweep.widths", "help": "comma list of comb widths, Hz"}
+    table = {"dest": "dispersion.table", "help": "tabulated dispersion file"}
 
     p = sub.add_parser("simulate", help="single run: synth, plan, superpose, spectrum CSV")
     _add_common(p)
     p.add_argument("--kind", default="ideal", choices=["ideal", "linear", "constant", "tabulated", "none"])
-    p.add_argument("--pure-tone", action="store_true", dest="pure_tone")
+    p.add_argument(
+        "--pure-tone", action="store_const", const=False, dest="noise.enabled", help="noise.enabled = false"
+    )
     p.add_argument("--points", type=int, default=120, help="spectrum points")
     p.add_argument("--jitter-band", dest="jitter_band", help="f_min:f_max, Hz")
-    p.add_argument("--table", help="tabulated dispersion file")
+    p.add_argument("--table", **table)
 
     p = sub.add_parser("sweep-oversampling", help="L vs oversampling ratio")
     _add_common(p)
-    p.add_argument("--ratios", help="comma list of oversampling ratios")
+    p.add_argument("--ratios", type=_parse_list, dest="sweep.ratios", help="comma list of ratios")
 
     p = sub.add_parser("sweep-comb-width", help="L vs comb width per dispersion kind")
     _add_common(p)
-    p.add_argument("--widths", help="comma list of comb widths, Hz")
-    p.add_argument("--kinds", help="comma list of dispersion kinds")
+    p.add_argument("--widths", **widths)
+    p.add_argument("--kinds", type=_parse_list, dest="dispersion.kinds", help="comma list of kinds")
 
     p = sub.add_parser("offsets-diff", help="per-line plan differences vs ideal")
     _add_common(p)
-    p.add_argument("--widths", help="comma list of comb widths, Hz")
+    p.add_argument("--widths", **widths)
 
     p = sub.add_parser("dispersion-eval", help="tabulate a dispersion spec and its plan")
     _add_common(p)
     p.add_argument("--kind", default="ideal", choices=["ideal", "linear", "constant", "tabulated"])
-    p.add_argument("--m", type=int, default=None, help="upconversion factor")
-    p.add_argument("--table", help="tabulated dispersion file")
+    p.add_argument("--m", type=int, dest="dispersion.m", help="upconversion factor")
+    p.add_argument("--table", **table)
 
     p = sub.add_parser("estimate-memory", help="predict signal storage needs")
     _add_common(p)
@@ -342,20 +315,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides_from_args(args) -> dict:
-    overrides: dict[str, object] = {}
-    for attr, key in _FLAG_KEYS.items():
-        value = getattr(args, attr, None)
-        if value is None:
-            continue
-        if key in _LIST_KEYS and isinstance(value, str):
-            value = [_parse_scalar(tok) for tok in value.split(",") if tok.strip()]
-        overrides[key] = value
-    if getattr(args, "pure_tone", False):
-        overrides["noise.enabled"] = False
-    if getattr(args, "width", None) is not None and "sweep.widths" not in overrides:
+    overrides = {key: value for key, value in vars(args).items() if key in _KEYS and value is not None}
+    if args.command == "offsets-diff" and "comb.width" in overrides and "sweep.widths" not in overrides:
         # A single --width also narrows the sweep width list for offsets-diff.
-        if getattr(args, "command", "") == "offsets-diff" and getattr(args, "widths", None) is None:
-            overrides["sweep.widths"] = [args.width]
+        overrides["sweep.widths"] = [overrides["comb.width"]]
     return overrides
 
 
@@ -363,10 +326,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cli = parse_config(args.config, _overrides_from_args(args))
+        values = parse_config(args.config, _overrides_from_args(args))
+        cfg = experiment_config(values)
         if args.command == "estimate-memory":
-            return _estimate_memory(cli, args)
-        return _run_study(cli, args)
+            return _estimate_memory(cfg, args)
+        fmt = values.get("run.format", "csv")
+        if fmt not in ("csv", "csv+svg"):
+            raise ConfigError(f"run.format must be csv or csv+svg, got {fmt!r}")
+        return _run_study(cfg, fmt == "csv+svg", args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

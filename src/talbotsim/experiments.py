@@ -110,6 +110,10 @@ class ExperimentConfig:
     _table: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        try:
+            self.grid  # build_grid checks f_r, oversampling and t_sig
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         periods = self.t_sig * self.comb.f_r
         if abs(periods - round(periods)) > 1e-6 * max(periods, 1.0):
             raise ConfigError(
@@ -119,6 +123,10 @@ class ExperimentConfig:
             )
         if self.n_seeds < 1:
             raise ConfigError("n_seeds must be >= 1")
+        if self.workers < 1:
+            raise ConfigError(f"run.workers must be at least 1, got {self.workers}")
+        if self.memory_budget_bytes < 1:
+            raise ConfigError(f"run.memory_budget_bytes must be at least 1, got {self.memory_budget_bytes}")
         if any(r < 2 for r in self.ratios):
             raise ConfigError("oversampling ratios must be >= 2")
         if any(o <= 0 for o in self.offsets):
@@ -212,17 +220,20 @@ def derive_seed(master_seed: int, experiment: str, point_index: int, seed_index:
 
 
 #: Budget model, in bytes, from the tracemalloc peaks of each stage.  A
-#: detect job peaks while it synthesizes a noisy carrier: the float64
-#: sample index and phase (16 B per window sample) are live while the
-#: phase track is drawn and transformed (28 B: frequencies, target, scale
-#: and complex coefficients on the n/2 + 1 bins, and the float64 track).
-#: Its periodogram (32 B with the float32 carrier) and sideband read
-#: (20 B) stay below that.  4 B per sample more covers the job's fixed
-#: allocations (about 0.1 MB) on grids down to 32000 samples.  A cached
-#: |H|^2 is float64 on the n/2 + 1 bins; computing it (16 B per sample)
-#: happens between jobs.  A plan holds 8 B per line, and building one
-#: passes through 48 B per line (wavelengths, group delays, offsets).
-_JOB_BYTES_PER_SAMPLE = 48
+#: detect job peaks while it draws a noisy carrier's phase track: the
+#: float64 phase (8 B per window sample, computed in place) is live next
+#: to the frequencies, target, scale and the two normal draws on the
+#: n/2 + 1 bins (20 B) and their complex product (8 B), 36 B in all;
+#: the model adds 2 B of headroom.  Its periodogram (32 B with the
+#: float32 carrier) and sideband read stay below that.  Each job also
+#: holds up to 0.26 MB that does not grow with the grid (measured on
+#: grids of 16000 to 1.28M samples), which the fixed 0.5 MiB covers.  A
+#: cached |H|^2 is float64 on the n/2 + 1 bins; computing it (16 B per
+#: sample) happens between jobs.  A plan holds 8 B per line, and
+#: building one passes through 48 B per line (wavelengths, group delays,
+#: offsets).
+_JOB_BYTES_PER_SAMPLE = 38
+_JOB_FIXED_BYTES = 1 << 19
 _GAIN_BYTES_PER_SAMPLE = 4
 _PLAN_BYTES_PER_LINE = 56
 
@@ -237,7 +248,8 @@ def _predict_bytes(grid: SimGrid, lines: int = 0, plans: int = 0, jobs: int = 1)
     resident set runs higher by that scratch.
     """
     n = grid.n_samples
-    return n * (_JOB_BYTES_PER_SAMPLE * jobs + _GAIN_BYTES_PER_SAMPLE * plans) + _PLAN_BYTES_PER_LINE * lines
+    job = _JOB_BYTES_PER_SAMPLE * n + _JOB_FIXED_BYTES
+    return job * jobs + _GAIN_BYTES_PER_SAMPLE * n * plans + _PLAN_BYTES_PER_LINE * lines
 
 
 def _check_budget(cfg: ExperimentConfig, grid: SimGrid, what: str, jobs: int = 1, lines: int = 0, plans: int = 0):

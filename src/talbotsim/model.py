@@ -135,14 +135,10 @@ class SampledSignal:
 
     Samples may be stored in single precision to halve memory; all
     arithmetic performed on them downstream is double precision.
-    ``t0_index`` records how many samples the first stored sample lies
-    after the nominal time origin (used to track alignment through the
-    delay-and-sum stage).
     """
 
     samples: np.ndarray
     sample_rate: float
-    t0_index: int = 0
 
     def __post_init__(self):
         arr = np.asarray(self.samples)

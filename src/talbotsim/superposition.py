@@ -56,4 +56,4 @@ def superpose(x: SampledSignal, plan: DelayPlan) -> SampledSignal:
     if len(x) != n:
         raise ValueError(f"input has {len(x)} samples; the plan's window is {n}")
     spec = np.fft.rfft(np.asarray(x.samples, dtype=np.float64)) * _transfer(plan)
-    return SampledSignal(samples=np.fft.irfft(spec, n=n), sample_rate=x.sample_rate, t0_index=x.t0_index)
+    return SampledSignal(samples=np.fft.irfft(spec, n=n), sample_rate=x.sample_rate)

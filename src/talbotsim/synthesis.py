@@ -66,14 +66,13 @@ def synth_carrier(request: SynthesisRequest) -> SampledSignal:
     """
     grid = request.grid
     length = grid.n_samples
-    n = np.arange(length, dtype=np.float64)
-    phase = 2.0 * np.pi * grid.f_r / grid.sample_rate * n
+    # In place: only the phase (8 B per sample) is live while the track is drawn.
+    phase = np.arange(length, dtype=np.float64)
+    phase *= 2.0 * np.pi * grid.f_r / grid.sample_rate
     if request.noise is not None:
-        phase = phase + synth_phase_track(
-            request.noise, length, grid.sample_rate, request.seed
-        )
-    samples = np.sin(phase).astype(np.float32)
-    return SampledSignal(samples=samples, sample_rate=grid.sample_rate, t0_index=0)
+        phase += synth_phase_track(request.noise, length, grid.sample_rate, request.seed)
+    np.sin(phase, out=phase)
+    return SampledSignal(samples=phase.astype(np.float32), sample_rate=grid.sample_rate)
 
 
 def default_noise_profile(f_low: float = 1.0) -> NoiseProfile:

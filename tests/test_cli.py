@@ -5,16 +5,17 @@ import json
 import numpy as np
 import pytest
 
-from talbotsim.cli import DEFAULTS, main, parse_config
+from talbotsim.cli import experiment_config, main, parse_config
 from talbotsim.errors import ConfigError
+from talbotsim.experiments import ExperimentConfig
 from talbotsim.svgplot import render_plots
 
 
 class TestParseConfig:
     def test_defaults(self):
-        cli = parse_config()
-        for key, value in DEFAULTS.items():
-            assert cli[key] == value
+        # No key set: every value is ExperimentConfig's own default.
+        assert parse_config() == {}
+        assert experiment_config(parse_config()) == ExperimentConfig()
 
     def test_file_overrides_defaults(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -63,9 +64,9 @@ class TestParseConfig:
             parse_config(path)
 
     def test_window_snapping_rule_named(self):
-        cli = parse_config(None, {"grid.t_sig": 1.23e-7, "comb.f_r": 1e7})
+        values = parse_config(None, {"grid.t_sig": 1.23e-7, "comb.f_r": 1e7})
         with pytest.raises(ConfigError, match="integer number of carrier periods"):
-            cli.experiment_config()
+            experiment_config(values)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="does not exist"):
@@ -370,8 +371,7 @@ class TestNoiseConfig:
             "noise.f_low = 1e3\n"
             "grid.t_sig = 2e-4\n"
         )
-        cli = parse_config(cfg_file)
-        profile = cli.experiment_config().resolved_noise()
+        profile = experiment_config(parse_config(cfg_file)).resolved_noise()
         assert profile.psd(1e4) == pytest.approx(1e-9)
         assert profile.f_low == 1e3
 

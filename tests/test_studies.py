@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from talbotsim.cli import DEFAULTS, CliConfig, main
+from talbotsim.cli import main
 from talbotsim.dispersion import DispersionSpec, delay_plan
 from talbotsim.errors import BudgetError
 from talbotsim.experiments import STUDIES, ExperimentConfig, _predict_bytes
@@ -146,7 +146,17 @@ BAD_INPUT = {
         "outside tabulated range",
     ),
     "dispersion-eval-svg": (["dispersion-eval", "--format", "csv+svg"], "--format csv+svg"),
+    "ratios-fractional": (["sweep-oversampling", "--ratios", "4,8.7"], "sweep.ratios must be an integer"),
+    "ratios-fractional-file": (["sweep-oversampling", "--config", "{ratios}"], "sweep.ratios must be an integer"),
+    "t-sig-zero": (["simulate", "--t-sig", "0"], "t_sig must be positive"),
+    "oversampling-one": (["simulate", "--oversampling", "1"], "oversampling ratio must be >= 2"),
+    "workers-zero": (["sweep-comb-width", "--config", "{workers}"], "run.workers must be at least 1"),
+    "budget-negative": (["simulate", "--memory-budget", "-1"], "run.memory_budget_bytes must be at least 1"),
+    "format-unknown": (["simulate", "--config", "{format}"], "run.format must be csv or csv+svg"),
 }
+
+# One-line config files the cases above name: key = value lines with no flag.
+CONFIGS = {"ratios": "sweep.ratios = 4.5, 8", "workers": "run.workers = 0", "format": "run.format = svg"}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUT))
@@ -160,8 +170,12 @@ def test_bad_input_is_config_error(tmp_path, capsys, case):
     files["malformed"].write_text("1549.0 1.2e7 3\n1551.0 1.2e7 3\n")
     files["narrow_cfg"] = tmp_path / "narrow.cfg"
     files["narrow_cfg"].write_text(f"dispersion.table = {files['narrow']}\n")
+    for name, line in CONFIGS.items():
+        files[name] = tmp_path / f"{name}.cfg"
+        files[name].write_text(line + "\n")
     argv = [a.format(**files) for a in argv]
-    code = main(argv + SMALL + ["--out", str(tmp_path / "out")])
+    # The case's own flags come last, so a case may override SMALL's window.
+    code = main(argv[:1] + SMALL + argv[1:] + ["--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 2, err
     assert "config error" in err and message in err
@@ -239,6 +253,3 @@ class TestConcurrentBudget:
         with pytest.raises(BudgetError):
             run(replace(cfg, memory_budget_bytes=peak - 1), **args)
 
-
-def test_cli_defaults_match_experiment_config():
-    assert CliConfig(dict(DEFAULTS)).experiment_config() == ExperimentConfig()
