@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from talbotsim.cli import main
+from talbotsim.cli import _build_parser, _overrides_from_args, experiment_config, main, parse_config
 from talbotsim.dispersion import DispersionSpec, delay_plan
 from talbotsim.errors import BudgetError
 from talbotsim.experiments import STUDIES, ExperimentConfig, _predict_bytes
@@ -253,3 +253,12 @@ class TestConcurrentBudget:
         with pytest.raises(BudgetError):
             run(replace(cfg, memory_budget_bytes=peak - 1), **args)
 
+
+def test_cli_defaults_match_experiment_config():
+    # A subcommand with no flags and no config file sets no key, so it runs
+    # with ExperimentConfig's own defaults.
+    for command in sorted(STUDIES) + ["estimate-memory"]:
+        args = _build_parser().parse_args([command])
+        overrides = _overrides_from_args(args)
+        assert overrides == {}, command
+        assert experiment_config(parse_config(args.config, overrides)) == ExperimentConfig(), command
