@@ -11,6 +11,14 @@ every noise component sits on a bin as well: the rectangular window
 leaks nothing, and a plan's comb-filter nulls are not filled in by the
 1/f^2 noise of neighbouring bins.
 
+The periodogram is taken in place in a
+:class:`~talbotsim.synthesis.Workspace`: the float64 copy of the samples
+goes to its ``wave`` buffer, their spectrum to ``spec`` and the
+periodogram to ``half``; the bin frequencies are the workspace's shared
+``freqs``.  With a workspace, the arrays returned are valid until its
+next job; without one, :func:`periodogram` builds a fresh workspace and
+the arrays belong to the caller.
+
 A demodulation-based estimator of the phase PSD is provided as an
 independent cross-check of the sideband estimator.
 """
@@ -25,6 +33,7 @@ import numpy as np
 
 from .errors import CarrierNotFoundError
 from .model import SampledSignal
+from .synthesis import Workspace
 
 __all__ = [
     "PhaseNoiseSpectrum",
@@ -80,27 +89,36 @@ class JitterResult:
     rms_time_jitter: float
 
 
-def _periodogram(samples: np.ndarray, sample_rate: float) -> tuple[np.ndarray, np.ndarray]:
-    data = np.asarray(samples, dtype=np.float64)
-    n = len(data)
+def _periodogram(
+    samples: np.ndarray, sample_rate: float, workspace: Workspace | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    n = len(samples)
     if n < 2:
         raise ValueError("periodogram needs at least 2 samples")
-    spec = np.fft.rfft(data)
-    psd = (spec.real**2 + spec.imag**2) * (2.0 / (sample_rate * n))
+    ws = workspace
+    if ws is None:
+        ws = Workspace(n, sample_rate)
+    else:
+        ws.check_window(n, sample_rate)
+    np.copyto(ws.wave, samples)
+    spec = np.fft.rfft(ws.wave, out=ws.spec)
+    psd = np.square(spec.real, out=ws.half)
+    psd += np.square(spec.imag, out=spec.imag)
+    psd *= 2.0 / (sample_rate * n)
     psd[0] *= 0.5
     if n % 2 == 0:
         psd[-1] *= 0.5
-    freqs = np.fft.rfftfreq(n, 1.0 / sample_rate)
-    return freqs, psd
+    return ws.freqs, psd
 
 
-def periodogram(y: SampledSignal) -> tuple[np.ndarray, np.ndarray]:
+def periodogram(y: SampledSignal, workspace: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
     """One-sided power spectral density (per Hz) of ``y``.
 
     Rectangular window; Parseval-consistent: sum(psd)*df equals the
-    mean square of the samples.
+    mean square of the samples.  With a ``workspace`` the frequencies
+    and densities are its buffers (see the module docstring).
     """
-    return _periodogram(y.samples, y.sample_rate)
+    return _periodogram(y.samples, y.sample_rate, workspace)
 
 
 def _find_carrier(freqs: np.ndarray, psd: np.ndarray, f_r: float) -> int:

@@ -32,6 +32,7 @@ from . import __version__
 from .errors import BudgetError, ConfigError
 from .experiments import STUDIES, ExperimentConfig, run_study
 from .model import NoiseProfile, estimate_memory
+from .synthesis import default_noise_profile
 
 __all__ = ["parse_config", "experiment_config", "main"]
 
@@ -79,11 +80,13 @@ def experiment_config(values: dict) -> ExperimentConfig:
             fields[name] = tuple(value) if isinstance(value, list) else value
     fields["table"] = fields.get("table") or None
     terms = values.get("noise.term")
+    f_low = values.get("noise.f_low")
     t_sig = fields.get("t_sig", ExperimentConfig.t_sig)
     try:
-        if terms and t_sig > 0:  # ExperimentConfig refuses any other t_sig
-            f_low = values.get("noise.f_low") or 1.0 / t_sig
-            fields["noise"] = NoiseProfile(terms=tuple((t["alpha"], t["b"]) for t in terms), f_low=f_low)
+        if (terms or f_low) and t_sig > 0:  # ExperimentConfig refuses any other t_sig
+            # An f_low with no terms applies to the default profile's terms.
+            terms = tuple((t["alpha"], t["b"]) for t in terms or ()) or default_noise_profile().terms
+            fields["noise"] = NoiseProfile(terms=terms, f_low=f_low or 1.0 / t_sig)
         return ExperimentConfig(comb=replace(ExperimentConfig.comb, **comb), **fields)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import queue
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -42,7 +43,7 @@ from .errors import BudgetError, ConfigError
 from .model import CombSpec, SimGrid, build_grid, comb_lines, NoiseProfile
 from .superposition import power_transfer
 from .svgplot import render_plots
-from .synthesis import SynthesisRequest, default_noise_profile, synth_carrier
+from .synthesis import SynthesisRequest, Workspace, default_noise_profile, synth_carrier
 
 __all__ = [
     "ExperimentConfig",
@@ -220,20 +221,21 @@ def derive_seed(master_seed: int, experiment: str, point_index: int, seed_index:
 
 
 #: Budget model, in bytes, from the tracemalloc peaks of each stage.  A
-#: detect job peaks while it draws a noisy carrier's phase track: the
-#: float64 phase (8 B per window sample, computed in place) is live next
-#: to the frequencies, target, scale and the two normal draws on the
-#: n/2 + 1 bins (20 B) and their complex product (8 B), 36 B in all;
-#: the model adds 2 B of headroom.  Its periodogram (32 B with the
-#: float32 carrier) and sideband read stay below that.  Each job also
-#: holds up to 0.26 MB that does not grow with the grid (measured on
-#: grids of 16000 to 1.28M samples), which the fixed 0.5 MiB covers.  A
-#: cached |H|^2 is float64 on the n/2 + 1 bins; computing it (16 B per
-#: sample) happens between jobs.  A plan holds 8 B per line, and
-#: building one passes through 48 B per line (wavelengths, group delays,
-#: offsets).
-_JOB_BYTES_PER_SAMPLE = 38
+#: detect job fills its workspace in place: the complex spectrum (8 B per
+#: window sample), the float64 window (8 B), the float64 periodogram
+#: (4 B) and the float32 carrier (4 B), 24 B in all, plus the 1 B finite
+#: mask of the carrier's check; the model adds 1 B of headroom.  The
+#: workspaces on a grid share its bin frequencies and one spectral scale
+#: per noise profile (4 B each), computed before any workspace's buffers.
+#: Each job also holds up to 0.11 MB that does not grow with the grid
+#: (measured on grids of 3200 to 1.28M samples), which the fixed 0.5 MiB
+#: covers.  A cached |H|^2 is float64 on the n/2 + 1 bins; computing it
+#: (16 B per sample) happens while no workspace is held.  A plan holds
+#: 8 B per line, and building one passes through 48 B per line
+#: (wavelengths, group delays, offsets).
+_JOB_BYTES_PER_SAMPLE = 26
 _JOB_FIXED_BYTES = 1 << 19
+_GRID_BYTES_PER_SAMPLE = 8
 _GAIN_BYTES_PER_SAMPLE = 4
 _PLAN_BYTES_PER_LINE = 56
 
@@ -241,15 +243,16 @@ _PLAN_BYTES_PER_LINE = 56
 def _predict_bytes(grid: SimGrid, lines: int = 0, plans: int = 0, jobs: int = 1) -> int:
     """Peak bytes of ``jobs`` concurrent detect jobs on ``grid``.
 
-    ``plans`` |H|^2 arrays are shared by the jobs and ``lines`` counts
-    the comb lines of every delay plan the study holds.  numpy's
-    pocketfft allocates its scratch outside the Python allocator, so
-    tracemalloc does not see it and this figure leaves it out; the
-    resident set runs higher by that scratch.
+    The jobs share the grid's constants and ``plans`` |H|^2 arrays, and
+    ``lines`` counts the comb lines of every delay plan the study holds.
+    numpy's pocketfft allocates its scratch outside the Python
+    allocator, so tracemalloc does not see it and this figure leaves it
+    out; the resident set runs higher by that scratch.
     """
     n = grid.n_samples
     job = _JOB_BYTES_PER_SAMPLE * n + _JOB_FIXED_BYTES
-    return job * jobs + _GAIN_BYTES_PER_SAMPLE * n * plans + _PLAN_BYTES_PER_LINE * lines
+    shared = (_GRID_BYTES_PER_SAMPLE + _GAIN_BYTES_PER_SAMPLE * plans) * n
+    return job * jobs + shared + _PLAN_BYTES_PER_LINE * lines
 
 
 def _check_budget(cfg: ExperimentConfig, grid: SimGrid, what: str, jobs: int = 1, lines: int = 0, plans: int = 0):
@@ -280,19 +283,26 @@ def _plans(cfg: ExperimentConfig, kinds, width: float) -> dict[str, DelayPlan]:
     return plans
 
 
-def _detect(grid: SimGrid, noise, seed: int, offsets, gains: dict) -> dict:
+def _detect(grid: SimGrid, noise, seed: int, offsets, gains: dict, workspace: Workspace) -> dict:
     """L(f) of one synthesized carrier seen through each plan.
 
     ``gains`` maps each key to a plan's :func:`power_transfer`, or to
     None to measure the carrier itself.  The detected periodogram is the
     carrier's times |H|^2, so every plan sees the same noise and costs
-    no transform of its own.
+    no transform of its own.  The job fills ``workspace`` in place.
     """
-    carrier = synth_carrier(SynthesisRequest(grid=grid, noise=noise, seed=seed))
-    freqs, psd = periodogram(carrier)
+    carrier = synth_carrier(SynthesisRequest(grid=grid, noise=noise, seed=seed), workspace)
+    freqs, psd = periodogram(carrier, workspace)
+    # The float64 copy of the carrier is spent once its periodogram is
+    # taken; each plan's detected periodogram goes there in turn.
+    detected = workspace.wave[: len(psd)]
     return {
         key: phase_noise_from_psd(
-            freqs, psd if gain is None else psd * gain, grid.sample_rate, grid.f_r, offsets
+            freqs,
+            psd if gain is None else np.multiply(psd, gain, out=detected),
+            grid.sample_rate,
+            grid.f_r,
+            offsets,
         )
         for key, gain in gains.items()
     }
@@ -319,15 +329,35 @@ def _rows_from_samples(
     return rows
 
 
-def _measure(cfg: ExperimentConfig, jobs: dict) -> dict:
-    """L at the offsets of interest for each (grid, noise, seed, gains) job, optionally threaded."""
+def _workspaces(grid: SimGrid, noises, count: int) -> list[Workspace]:
+    """``count`` workspaces on ``grid`` that share its bin frequencies and
+    the spectral scale of each profile in ``noises``, computed once here."""
+    first = Workspace(grid.n_samples, grid.sample_rate, set(noises) - {None})
+    return [first] + [Workspace(grid.n_samples, grid.sample_rate, like=first) for _ in range(count - 1)]
+
+
+def _measure(cfg: ExperimentConfig, grid: SimGrid, jobs: dict) -> dict:
+    """L at the offsets of interest for each (noise, seed, gains) job on ``grid``, optionally threaded.
+
+    Each of the ``min(workers, jobs)`` concurrent jobs takes a workspace
+    of its own from a pool made for this call, and returns it when done.
+    """
+    concurrent = min(cfg.workers, len(jobs))
+    free = queue.SimpleQueue()
+    for ws in _workspaces(grid, (noise for noise, _, _ in jobs.values()), concurrent):
+        free.put(ws)
 
     def job(args):
-        grid, noise, seed, gains = args
-        return {k: list(s.l_dbc) for k, s in _detect(grid, noise, seed, cfg.offsets, gains).items()}
+        noise, seed, gains = args
+        ws = free.get()
+        try:
+            spectra = _detect(grid, noise, seed, cfg.offsets, gains, ws)
+        finally:
+            free.put(ws)
+        return {k: list(s.l_dbc) for k, s in spectra.items()}
 
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+    if concurrent > 1:
+        with ThreadPoolExecutor(max_workers=concurrent) as pool:
             return dict(zip(jobs.keys(), pool.map(job, jobs.values())))
     return {key: job(args) for key, args in jobs.items()}
 
@@ -350,7 +380,9 @@ def simulate(cfg: ExperimentConfig, kind: str = "ideal", points: int = 120, jitt
         gain = power_transfer(plan)
     f_hi = grid.sample_rate / 2 - cfg.comb.f_r
     offsets = np.geomspace(3 * grid.df, f_hi * 0.999, points)
-    spectrum = _detect(grid, cfg.resolved_noise(), cfg.master_seed, offsets, {kind: gain})[kind]
+    noise = cfg.resolved_noise()
+    (ws,) = _workspaces(grid, (noise,), 1)
+    spectrum = _detect(grid, noise, cfg.master_seed, offsets, {kind: gain}, ws)[kind]
     return spectrum, None if jitter_band is None else jitter(spectrum, *jitter_band)
 
 
@@ -365,18 +397,18 @@ def sweep_oversampling(cfg: ExperimentConfig, ratios=None) -> list[SweepRow]:
     if list(ratios) != sorted(ratios):
         raise ConfigError("oversampling ratios must be ascending")
     grids = [build_grid(cfg.comb.f_r, n, cfg.t_sig) for n in ratios]
-    n_jobs = len(grids) * (cfg.n_seeds + 1)
     for n, grid in zip(ratios, grids):
-        _check_budget(cfg, grid, f"oversampling point N={n}", jobs=n_jobs)
+        _check_budget(cfg, grid, f"oversampling point N={n}", jobs=cfg.n_seeds + 1)
     noise = cfg.resolved_noise()
 
-    jobs = {}
+    # One grid at a time, so only one grid's workspaces are ever held.
+    results = {}
     for i, grid in enumerate(grids):
-        jobs[("pure_tone", i, 0)] = (grid, None, 0, {"pure_tone": None})
+        jobs = {("pure_tone", i, 0): (None, 0, {"pure_tone": None})}
         for s in range(cfg.n_seeds):
             seed = derive_seed(cfg.master_seed, "oversampling", i, s)
-            jobs[("impaired", i, s)] = (grid, noise, seed, {"impaired": None})
-    results = _measure(cfg, jobs)
+            jobs[("impaired", i, s)] = (noise, seed, {"impaired": None})
+        results.update(_measure(cfg, grid, jobs))
 
     rows = []
     for i, n in enumerate(ratios):
@@ -408,8 +440,8 @@ def sweep_comb_width(cfg: ExperimentConfig, widths=None) -> list[SweepRow]:
         gains = {kind: power_transfer(plan) for kind, plan in plans.items()}
         seeds = {}
         for s in range(cfg.n_seeds):
-            seeds[(i, s)] = (grid, noise, derive_seed(cfg.master_seed, "comb_width", i, s), gains)
-        results.update(_measure(cfg, seeds))
+            seeds[(i, s)] = (noise, derive_seed(cfg.master_seed, "comb_width", i, s), gains)
+        results.update(_measure(cfg, grid, seeds))
         del gains, seeds
 
     rows = []

@@ -8,6 +8,15 @@ analysis window: over a whole number of carrier periods it is periodic
 in the window, because the inverse-transformed phase track is periodic
 in its own length.  Samples are stored in single precision to halve
 memory; all intermediate math is double precision.
+
+A :class:`Workspace` holds the buffers that synthesizing a carrier and
+taking its periodogram fill in place, so jobs that run one after
+another on one window allocate nothing that grows with it.  A caller
+that passes one owns it for as long as it keeps it (the studies keep
+one per concurrent job for one study call, or for one grid of the
+oversampling sweep) and gets back arrays that the workspace's next job
+overwrites.  Called without one, :func:`synth_carrier` builds a fresh
+workspace, so what it returns belongs to the caller.
 """
 
 from __future__ import annotations
@@ -18,7 +27,17 @@ import numpy as np
 
 from .model import NoiseProfile, SampledSignal, SimGrid
 
-__all__ = ["SynthesisRequest", "synth_phase_track", "synth_carrier", "default_noise_profile"]
+__all__ = [
+    "SynthesisRequest",
+    "Workspace",
+    "synth_phase_track",
+    "synth_carrier",
+    "default_noise_profile",
+]
+
+#: Samples of the carrier's phase ramp built at a time, so the ramp is
+#: never a window-sized array.
+_RAMP_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -28,6 +47,97 @@ class SynthesisRequest:
     grid: SimGrid
     noise: NoiseProfile | None = None
     seed: int = 0
+
+
+class Workspace:
+    """Buffers for one carrier at a time on a window of ``length`` samples.
+
+    With m = length // 2 + 1 rFFT bins, each workspace holds
+
+    - ``spec``, complex128 on m bins: the normal draws, then the carrier's spectrum;
+    - ``wave``, float64 on the window: the phase, then the float64 copy of the carrier;
+    - ``half``, float64 on m bins: draw scratch, then the periodogram;
+    - ``samples``, float32 on the window: the carrier.
+
+    Every job writes a buffer in full before it reads it.  The bin
+    frequencies ``freqs`` and the spectral scale of each noise profile
+    (:meth:`scale`) depend only on the window and the profile; they are
+    read-only, and a workspace made ``like`` another shares them.  The
+    scales of ``noises`` are computed before the buffers are allocated,
+    so their temporaries never sit on top of the buffers.  One workspace
+    serves one job at a time.
+    """
+
+    def __init__(self, length: int, sample_rate: float, noises=(), like: Workspace | None = None):
+        if length < 2:
+            raise ValueError(f"a workspace needs at least 2 samples, got {length}")
+        if like is not None:
+            like.check_window(length, sample_rate)
+        self.length = length
+        self.sample_rate = sample_rate
+        if like is None:
+            self.freqs = np.fft.rfftfreq(length, 1.0 / sample_rate)
+            self.freqs.flags.writeable = False
+            self._scales: dict = {}
+        else:
+            self.freqs, self._scales = like.freqs, like._scales
+        for noise in noises:
+            self.scale(noise)
+        bins = len(self.freqs)
+        self.spec = np.empty(bins, dtype=np.complex128)
+        self.wave = np.empty(length, dtype=np.float64)
+        self.half = np.empty(bins, dtype=np.float64)
+        self.samples = np.empty(length, dtype=np.float32)
+
+    def check_window(self, length: int, sample_rate: float) -> None:
+        """Raise ValueError unless this workspace is for ``length`` samples at ``sample_rate``."""
+        if (self.length, self.sample_rate) != (length, sample_rate):
+            raise ValueError(
+                f"workspace is for {self.length} samples at {self.sample_rate} Hz, "
+                f"not {length} at {sample_rate} Hz"
+            )
+
+    def scale(self, noise: NoiseProfile) -> np.ndarray:
+        """Standard deviation of each part of a shaped coefficient: sqrt(S * Fs * n / 2) / sqrt(2).
+
+        Computed on the first call for ``noise`` and kept with the shared
+        constants.  Threads that ask for a new profile at once may each
+        compute it; the arrays are equal, so pass ``noises`` up front to
+        compute each once.
+        """
+        scale = self._scales.get(noise)
+        if scale is None:
+            target = noise.psd(self.freqs)
+            if np.any(target < 0):
+                raise ValueError("noise profile is negative inside the synthesis band")
+            # One-sided PSD S at bin j corresponds to E|X_j|^2 = S * Fs * n / 2
+            # for interior bins of an unnormalized length-n rFFT.
+            # In place, with the same operations in the same order as
+            # sqrt(target * Fs * n / 2.0) / sqrt(2.0).
+            scale = target
+            scale *= self.sample_rate
+            scale *= self.length
+            scale /= 2.0
+            np.sqrt(scale, out=scale)
+            scale /= np.sqrt(2.0)
+            scale.flags.writeable = False
+            self._scales[noise] = scale
+        return scale
+
+
+def _phase_track(ws: Workspace, noise: NoiseProfile, seed: int) -> np.ndarray:
+    """Draw the phase track of ``noise`` and ``seed`` into ``ws.wave`` and return it."""
+    scale = ws.scale(noise)
+    rng = np.random.default_rng(seed)
+    coeff = ws.spec
+    coeff.real = rng.standard_normal(out=ws.half)
+    coeff.imag = rng.standard_normal(out=ws.half)
+    coeff *= scale
+    coeff[0] = 0.0
+    if ws.length % 2 == 0:
+        # The Nyquist bin of a real signal is real and counted once.
+        coeff[-1] = np.sqrt(2.0) * coeff[-1].real
+    return np.fft.irfft(coeff, n=ws.length, out=ws.wave)
 
 
 def synth_phase_track(
@@ -41,38 +151,40 @@ def synth_phase_track(
     """
     if length < 2:
         raise ValueError("phase track needs at least 2 samples")
-    f = np.fft.rfftfreq(length, 1.0 / sample_rate)
-    target = noise.psd(f)
-    if np.any(target < 0):
-        raise ValueError("noise profile is negative inside the synthesis band")
-    # One-sided PSD S at bin j corresponds to E|X_j|^2 = S * Fs * n / 2
-    # for interior bins of an unnormalized length-n rFFT.
-    scale = np.sqrt(target * sample_rate * length / 2.0)
-    rng = np.random.default_rng(seed)
-    coeff = rng.standard_normal(len(f)) + 1j * rng.standard_normal(len(f))
-    coeff *= scale / np.sqrt(2.0)
-    coeff[0] = 0.0
-    if length % 2 == 0:
-        # The Nyquist bin of a real signal is real and counted once.
-        coeff[-1] = np.sqrt(2.0) * coeff[-1].real
-    return np.fft.irfft(coeff, n=length)
+    return _phase_track(Workspace(length, sample_rate, (noise,)), noise, seed)
 
 
-def synth_carrier(request: SynthesisRequest) -> SampledSignal:
+def synth_carrier(request: SynthesisRequest, workspace: Workspace | None = None) -> SampledSignal:
     """Synthesize the (optionally phase-noise-impaired) carrier.
 
     Returns ``sin(2*pi*f_r*n/Fs + phi[n])`` for the ``grid.n_samples``
-    samples of the analysis window.
+    samples of the analysis window.  With a ``workspace`` the samples
+    are its ``samples`` buffer, valid until its next job.
     """
     grid = request.grid
     length = grid.n_samples
-    # In place: only the phase (8 B per sample) is live while the track is drawn.
-    phase = np.arange(length, dtype=np.float64)
-    phase *= 2.0 * np.pi * grid.f_r / grid.sample_rate
-    if request.noise is not None:
-        phase += synth_phase_track(request.noise, length, grid.sample_rate, request.seed)
+    ws = workspace
+    if ws is None:
+        ws = Workspace(length, grid.sample_rate, () if request.noise is None else (request.noise,))
+    else:
+        ws.check_window(length, grid.sample_rate)
+    if request.noise is None:
+        phase = ws.wave
+    else:
+        phase = _phase_track(ws, request.noise, request.seed)
+    step = 2.0 * np.pi * grid.f_r / grid.sample_rate
+    for start in range(0, length, _RAMP_CHUNK):
+        stop = min(start + _RAMP_CHUNK, length)
+        ramp = np.arange(start, stop, dtype=np.float64)
+        ramp *= step
+        if request.noise is None:
+            phase[start:stop] = ramp
+        else:
+            phase[start:stop] += ramp
     np.sin(phase, out=phase)
-    return SampledSignal(samples=phase.astype(np.float32), sample_rate=grid.sample_rate)
+    np.copyto(ws.samples, phase, casting="same_kind")
+    # A view, so the workspace's own buffer stays writable for its next job.
+    return SampledSignal(samples=ws.samples[:], sample_rate=grid.sample_rate)
 
 
 def default_noise_profile(f_low: float = 1.0) -> NoiseProfile:

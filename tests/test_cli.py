@@ -9,6 +9,7 @@ from talbotsim.cli import experiment_config, main, parse_config
 from talbotsim.errors import ConfigError
 from talbotsim.experiments import ExperimentConfig
 from talbotsim.svgplot import render_plots
+from talbotsim.synthesis import default_noise_profile
 
 
 class TestParseConfig:
@@ -374,6 +375,13 @@ class TestNoiseConfig:
         profile = experiment_config(parse_config(cfg_file)).resolved_noise()
         assert profile.psd(1e4) == pytest.approx(1e-9)
         assert profile.f_low == 1e3
+
+    def test_f_low_without_terms_applies_to_default_profile(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("noise.f_low = 1e3\ngrid.t_sig = 2e-4\n")
+        profile = experiment_config(parse_config(cfg_file)).resolved_noise()
+        assert profile.f_low == 1e3
+        assert profile.terms == default_noise_profile().terms
 
     def test_noise_disabled_gives_pure_tone(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"

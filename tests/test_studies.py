@@ -220,7 +220,7 @@ class TestConcurrentBudget:
         grid = build_grid(1e7, 16, 2e-4)
         comb = CombSpec(f_r=1e7, lambda0=1550e-9, width=1e9)
         plan = delay_plan(DispersionSpec.ideal(1e7, 1550e-9), comb, grid)
-        budget = int(1.5 * _predict_bytes(grid, plan.max_offset))
+        budget = int(1.5 * _predict_bytes(grid, len(plan), plans=1))
         for workers, expected in ((1, 0), (2, 3)):
             cfg_file = tmp_path / f"w{workers}.cfg"
             cfg_file.write_text(f"run.workers = {workers}\nrun.memory_budget_bytes = {budget}\n")

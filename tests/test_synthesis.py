@@ -1,12 +1,16 @@
 """Carrier and phase-track synthesis."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from talbotsim.analysis import phase_noise_spectrum
+from talbotsim.analysis import periodogram, phase_noise_spectrum
 from talbotsim.model import NoiseProfile, build_grid
 from talbotsim.synthesis import (
     SynthesisRequest,
+    Workspace,
     default_noise_profile,
     synth_carrier,
     synth_phase_track,
@@ -172,3 +176,118 @@ class TestDefaultProfile:
         profile = default_noise_profile(f_low=100.0)
         l_db = 10 * np.log10(profile.psd(1e4) / 2)
         assert l_db == pytest.approx(-93.0, abs=0.5)
+
+
+def formula_carrier(grid, noise, seed):
+    """The carrier written out with fresh arrays: ramp plus shaped track, sine, float32."""
+    n = grid.n_samples
+    phase = np.arange(n, dtype=np.float64) * (2.0 * np.pi * grid.f_r / grid.sample_rate)
+    if noise is not None:
+        f = np.fft.rfftfreq(n, 1.0 / grid.sample_rate)
+        scale = np.sqrt(noise.psd(f) * grid.sample_rate * n / 2.0)
+        rng = np.random.default_rng(seed)
+        coeff = rng.standard_normal(len(f)) + 1j * rng.standard_normal(len(f))
+        coeff *= scale / np.sqrt(2.0)
+        coeff[0] = 0.0
+        if n % 2 == 0:
+            coeff[-1] = np.sqrt(2.0) * coeff[-1].real
+        phase = phase + np.fft.irfft(coeff, n=n)
+    return np.sin(phase).astype(np.float32)
+
+
+def formula_periodogram(samples, sample_rate):
+    data = samples.astype(np.float64)
+    n = len(data)
+    spec = np.fft.rfft(data)
+    psd = (spec.real**2 + spec.imag**2) * (2.0 / (sample_rate * n))
+    psd[0] *= 0.5
+    if n % 2 == 0:
+        psd[-1] *= 0.5
+    return np.fft.rfftfreq(n, 1.0 / sample_rate), psd
+
+
+EVEN = build_grid(1e7, 16, 2e-4)  # 32000 samples
+ODD = build_grid(1e7, 5, 2.001e-4)  # 10005 samples
+
+
+class TestWorkspace:
+    """A reused workspace gives the same bits as fresh calls and as the formula."""
+
+    def check(self, grid, noise, seed, ws):
+        request = SynthesisRequest(grid=grid, noise=noise, seed=seed)
+        carrier = synth_carrier(request, ws)
+        fresh = synth_carrier(request)
+        expected = formula_carrier(grid, noise, seed)
+        assert np.array_equal(carrier.samples, fresh.samples)
+        assert np.array_equal(carrier.samples, expected)
+        freqs, psd = periodogram(carrier, ws)
+        fresh_freqs, fresh_psd = periodogram(fresh)
+        ref_freqs, ref_psd = formula_periodogram(expected, grid.sample_rate)
+        assert np.array_equal(freqs, fresh_freqs) and np.array_equal(freqs, ref_freqs)
+        assert np.array_equal(psd, fresh_psd) and np.array_equal(psd, ref_psd)
+        return carrier.samples.copy(), psd.copy()
+
+    @pytest.mark.parametrize("grid", [EVEN, ODD], ids=["even", "odd"])
+    @pytest.mark.parametrize("noisy", [True, False], ids=["noise", "pure-tone"])
+    def test_seeds_through_one_workspace(self, grid, noisy):
+        noise = default_noise_profile(f_low=grid.df) if noisy else None
+        ws = Workspace(grid.n_samples, grid.sample_rate, [noise] if noisy else [])
+        for seed in (0, 1, 7, 1):
+            self.check(grid, noise, seed, ws)
+
+    def test_noise_and_pure_tone_share_a_workspace(self):
+        noise = default_noise_profile(f_low=EVEN.df)
+        ws = Workspace(EVEN.n_samples, EVEN.sample_rate, [noise])
+        for profile in (noise, None, noise, None):
+            self.check(EVEN, profile, 3, ws)
+
+    def test_grid_switch(self):
+        noise = default_noise_profile(f_low=EVEN.df)
+        for grid in (EVEN, ODD, EVEN):
+            ws = Workspace(grid.n_samples, grid.sample_rate, [noise])
+            self.check(grid, noise, 5, ws)
+        with pytest.raises(ValueError, match="workspace is for"):
+            synth_carrier(SynthesisRequest(grid=ODD, noise=noise, seed=5), ws)
+        with pytest.raises(ValueError, match="workspace is for"):
+            periodogram(synth_carrier(SynthesisRequest(grid=ODD)), ws)
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_worker_threads(self, workers):
+        # Each thread reuses its own workspace; all share the grid's constants.
+        # More threads than cores and a short switch interval interleave them.
+        noise = default_noise_profile(f_low=EVEN.df)
+        first = Workspace(EVEN.n_samples, EVEN.sample_rate, [noise])
+        spaces = [first] + [Workspace(EVEN.n_samples, EVEN.sample_rate, like=first) for _ in range(workers - 1)]
+        assert all(ws.freqs is first.freqs and ws.scale(noise) is first.scale(noise) for ws in spaces)
+        results, errors = {}, []
+
+        def work(i):
+            try:
+                for seed in range(i, 2 * workers, workers):
+                    carrier = synth_carrier(SynthesisRequest(grid=EVEN, noise=noise, seed=seed), spaces[i])
+                    results[seed] = (carrier.samples.copy(), periodogram(carrier, spaces[i])[1].copy())
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not errors
+        assert sorted(results) == list(range(2 * workers))
+        for seed, (samples, psd) in results.items():
+            fresh = synth_carrier(SynthesisRequest(grid=EVEN, noise=noise, seed=seed))
+            assert np.array_equal(samples, fresh.samples)
+            assert np.array_equal(psd, periodogram(fresh)[1])
+
+    def test_phase_track_matches_formula(self):
+        noise = default_noise_profile(f_low=ODD.df)
+        track = synth_phase_track(noise, ODD.n_samples, ODD.sample_rate, seed=9)
+        ramp = np.arange(ODD.n_samples, dtype=np.float64) * (2.0 * np.pi * ODD.f_r / ODD.sample_rate)
+        assert np.array_equal(np.sin(ramp + track).astype(np.float32), formula_carrier(ODD, noise, 9))
