@@ -11,6 +11,11 @@ every noise component sits on a bin as well: the rectangular window
 leaks nothing, and a plan's comb-filter nulls are not filled in by the
 1/f^2 noise of neighbouring bins.
 
+The measured L is not S_phi(f)/2 alone: the phase noise is shaped up to
+Fs/2, past 2 f_r, so the real carrier's negative-frequency image adds
+S_phi(2 f_r ± f)/2 to each sideband (+1.9 dB at 1 MHz and +0.8 dB at
+100 kHz on the bare carrier of the default config).
+
 The periodogram is taken in place in a
 :class:`~talbotsim.synthesis.Workspace`: the float64 copy of the samples
 goes to its ``wave`` buffer, their spectrum to ``spec`` and the
@@ -99,7 +104,7 @@ def _periodogram(
     if ws is None:
         ws = Workspace(n, sample_rate)
     else:
-        ws.check_window(n, sample_rate)
+        ws.check(n, sample_rate)
     np.copyto(ws.wave, samples)
     spec = np.fft.rfft(ws.wave, out=ws.spec)
     psd = np.square(spec.real, out=ws.half)

@@ -124,16 +124,26 @@ class ExperimentConfig:
             )
         if self.n_seeds < 1:
             raise ConfigError("n_seeds must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigError(f"seeds.master must be non-negative, got {self.master_seed}")
         if self.workers < 1:
             raise ConfigError(f"run.workers must be at least 1, got {self.workers}")
         if self.memory_budget_bytes < 1:
             raise ConfigError(f"run.memory_budget_bytes must be at least 1, got {self.memory_budget_bytes}")
         if any(r < 2 for r in self.ratios):
             raise ConfigError("oversampling ratios must be >= 2")
+        if list(self.ratios) != sorted(self.ratios):
+            raise ConfigError("oversampling ratios must be ascending")
+        if list(self.widths) != sorted(self.widths):
+            raise ConfigError("comb widths must be ascending")
         if any(o <= 0 for o in self.offsets):
             raise ConfigError("offsets of interest must be positive")
+        if any(b <= a for a, b in zip(self.offsets, self.offsets[1:])):
+            raise ConfigError(f"analysis.offsets {list(self.offsets)} must be strictly ascending")
         if not self.kinds or any(k not in KINDS for k in self.kinds):
             raise ConfigError(f"dispersion kinds {list(self.kinds)} must be drawn from {list(KINDS)}")
+        if len(set(self.kinds)) != len(self.kinds):
+            raise ConfigError(f"dispersion.kinds {list(self.kinds)} names a kind twice")
         if self.m < 1 or self.m != int(self.m):
             raise ConfigError(f"upconversion factor m must be a positive integer, got {self.m}")
         object.__setattr__(self, "out_dir", Path(self.out_dir))
@@ -225,8 +235,9 @@ def derive_seed(master_seed: int, experiment: str, point_index: int, seed_index:
 #: window sample), the float64 window (8 B), the float64 periodogram
 #: (4 B) and the float32 carrier (4 B), 24 B in all, plus the 1 B finite
 #: mask of the carrier's check; the model adds 1 B of headroom.  The
-#: workspaces on a grid share its bin frequencies and one spectral scale
-#: per noise profile (4 B each), computed before any workspace's buffers.
+#: workspaces on a grid share its bin frequencies and the spectral scale
+#: of their one noise profile (4 B each), computed before any
+#: workspace's buffers.
 #: Each job also holds up to 0.11 MB that does not grow with the grid
 #: (measured on grids of 3200 to 1.28M samples), which the fixed 0.5 MiB
 #: covers.  A cached |H|^2 is float64 on the n/2 + 1 bins; computing it
@@ -308,58 +319,59 @@ def _detect(grid: SimGrid, noise, seed: int, offsets, gains: dict, workspace: Wo
     }
 
 
-def _rows_from_samples(
-    x_value: float, kind: str, offsets, samples_by_seed: list[list[float]]
-) -> list[SweepRow]:
-    rows = []
-    arr = np.asarray(samples_by_seed, dtype=np.float64)  # (seeds, offsets)
-    for j, off in enumerate(offsets):
-        per_seed = tuple(float(v) for v in arr[:, j])
-        rows.append(
-            SweepRow(
-                x_value=float(x_value),
-                kind=kind,
-                offset_hz=float(off),
-                mean_l_dbc=float(np.mean(arr[:, j])),
-                std_l_db=float(np.std(arr[:, j])),
-                n_seeds=arr.shape[0],
-                per_seed=per_seed,
-            )
-        )
-    return rows
+def _check_offsets(cfg: ExperimentConfig, grid: SimGrid, what: str):
+    """Refuse offsets of interest outside [df, Fs/2 - f_r], the range that
+    :func:`phase_noise_from_psd` measures on ``grid``'s bins."""
+    df = 1.0 / (grid.n_samples * (1.0 / grid.sample_rate))  # bin k is at k * df, as np.fft.rfftfreq puts it
+    hi = grid.sample_rate / 2.0 - round(grid.f_r / grid.df) * df
+    outside = [o for o in cfg.offsets if o < df * (1.0 - 1e-9) or o > hi]
+    if outside:
+        raise ConfigError(f"analysis.offsets {outside} Hz lie outside [{df}, {hi}] Hz, the range of {what}")
 
 
-def _workspaces(grid: SimGrid, noises, count: int) -> list[Workspace]:
-    """``count`` workspaces on ``grid`` that share its bin frequencies and
-    the spectral scale of each profile in ``noises``, computed once here."""
-    first = Workspace(grid.n_samples, grid.sample_rate, set(noises) - {None})
-    return [first] + [Workspace(grid.n_samples, grid.sample_rate, like=first) for _ in range(count - 1)]
-
-
-def _measure(cfg: ExperimentConfig, grid: SimGrid, jobs: dict) -> dict:
-    """L at the offsets of interest for each (noise, seed, gains) job on ``grid``, optionally threaded.
+def _measure(cfg: ExperimentConfig, grid: SimGrid, jobs: list, offsets) -> list[dict]:
+    """The spectra at ``offsets`` of each (noise, seed, gains) job on ``grid``, in job order.
 
     Each of the ``min(workers, jobs)`` concurrent jobs takes a workspace
-    of its own from a pool made for this call, and returns it when done.
+    of its own, for the config's one noise profile, from a pool made for
+    this call, and returns it when done.
     """
     concurrent = min(cfg.workers, len(jobs))
+    first = Workspace(grid.n_samples, grid.sample_rate, cfg.resolved_noise())
     free = queue.SimpleQueue()
-    for ws in _workspaces(grid, (noise for noise, _, _ in jobs.values()), concurrent):
-        free.put(ws)
+    free.put(first)
+    for _ in range(concurrent - 1):
+        free.put(Workspace(grid.n_samples, grid.sample_rate, like=first))
 
     def job(args):
         noise, seed, gains = args
         ws = free.get()
         try:
-            spectra = _detect(grid, noise, seed, cfg.offsets, gains, ws)
+            return _detect(grid, noise, seed, offsets, gains, ws)
         finally:
             free.put(ws)
-        return {k: list(s.l_dbc) for k, s in spectra.items()}
 
     if concurrent > 1:
         with ThreadPoolExecutor(max_workers=concurrent) as pool:
-            return dict(zip(jobs.keys(), pool.map(job, jobs.values())))
-    return {key: job(args) for key, args in jobs.items()}
+            return list(pool.map(job, jobs))
+    return [job(args) for args in jobs]
+
+
+def _point_rows(cfg: ExperimentConfig, grid: SimGrid, x_value: float, jobs: list) -> list[SweepRow]:
+    """Rows of one sweep point at ``x_value``: for each gain key, in the
+    order the jobs name them, the mean and spread of L at each offset of
+    interest over the jobs that measure that key."""
+    samples = {}
+    for spectra in _measure(cfg, grid, jobs, cfg.offsets):
+        for key, spectrum in spectra.items():
+            samples.setdefault(key, []).append(spectrum.l_dbc)
+    rows = []
+    for key, per_job in samples.items():
+        for off, column in zip(cfg.offsets, np.asarray(per_job).T):  # per_job is (jobs, offsets)
+            mean, std = float(np.mean(column)), float(np.std(column))
+            per_seed = tuple(float(v) for v in column)
+            rows.append(SweepRow(float(x_value), key, float(off), mean, std, len(column), per_seed))
+    return rows
 
 
 def simulate(cfg: ExperimentConfig, kind: str = "ideal", points: int = 120, jitter_band=None):
@@ -371,54 +383,45 @@ def simulate(cfg: ExperimentConfig, kind: str = "ideal", points: int = 120, jitt
     if points < 2:
         raise ConfigError(f"points must be at least 2, got {points}")
     grid = cfg.grid
-    plan = None if kind == "none" else _plans(cfg, (kind,), cfg.comb.width)[kind]
-    if plan is None:
-        _check_budget(cfg, grid, "run")
-        gain = None
-    else:
-        _check_budget(cfg, grid, "run", lines=len(plan), plans=1)
-        gain = power_transfer(plan)
-    f_hi = grid.sample_rate / 2 - cfg.comb.f_r
-    offsets = np.geomspace(3 * grid.df, f_hi * 0.999, points)
-    noise = cfg.resolved_noise()
-    (ws,) = _workspaces(grid, (noise,), 1)
-    spectrum = _detect(grid, noise, cfg.master_seed, offsets, {kind: gain}, ws)[kind]
+    f_top = (grid.sample_rate / 2 - cfg.comb.f_r) * 0.999
+    if 3 * grid.df >= f_top:
+        raise ConfigError(
+            f"grid.oversampling = {cfg.oversampling} with grid.t_sig = {cfg.t_sig} s leaves no offset "
+            f"between 3 df = {3 * grid.df} Hz and 0.999 (Fs/2 - f_r) = {f_top} Hz to measure"
+        )
+    plans = {} if kind == "none" else _plans(cfg, (kind,), cfg.comb.width)
+    _check_budget(cfg, grid, "run", lines=sum(len(p) for p in plans.values()), plans=len(plans))
+    gain = power_transfer(plans[kind]) if plans else None
+    offsets = np.geomspace(3 * grid.df, f_top, points)
+    (spectra,) = _measure(cfg, grid, [(cfg.resolved_noise(), cfg.master_seed, {kind: gain})], offsets)
+    spectrum = spectra[kind]
     return spectrum, None if jitter_band is None else jitter(spectrum, *jitter_band)
 
 
-def sweep_oversampling(cfg: ExperimentConfig, ratios=None) -> list[SweepRow]:
+def sweep_oversampling(cfg: ExperimentConfig) -> list[SweepRow]:
     """Measure L of a pure tone and of the impaired carrier vs oversampling.
 
     No dispersion is applied (single line); the pure tone exposes the
     numerical floor of the simulation, the impaired carrier shows when
     the measured noise saturates.
     """
-    ratios = tuple(int(r) for r in (cfg.ratios if ratios is None else ratios))
-    if list(ratios) != sorted(ratios):
-        raise ConfigError("oversampling ratios must be ascending")
-    grids = [build_grid(cfg.comb.f_r, n, cfg.t_sig) for n in ratios]
-    for n, grid in zip(ratios, grids):
+    grids = [build_grid(cfg.comb.f_r, n, cfg.t_sig) for n in cfg.ratios]
+    for n, grid in zip(cfg.ratios, grids):
+        _check_offsets(cfg, grid, f"oversampling point N={n}")
         _check_budget(cfg, grid, f"oversampling point N={n}", jobs=cfg.n_seeds + 1)
     noise = cfg.resolved_noise()
 
     # One grid at a time, so only one grid's workspaces are ever held.
-    results = {}
-    for i, grid in enumerate(grids):
-        jobs = {("pure_tone", i, 0): (None, 0, {"pure_tone": None})}
-        for s in range(cfg.n_seeds):
-            seed = derive_seed(cfg.master_seed, "oversampling", i, s)
-            jobs[("impaired", i, s)] = (noise, seed, {"impaired": None})
-        results.update(_measure(cfg, grid, jobs))
-
     rows = []
-    for i, n in enumerate(ratios):
-        for kind, n_runs in (("pure_tone", 1), ("impaired", cfg.n_seeds)):
-            samples = [results[(kind, i, s)][kind] for s in range(n_runs)]
-            rows += _rows_from_samples(n, kind, cfg.offsets, samples)
+    for i, (n, grid) in enumerate(zip(cfg.ratios, grids)):
+        jobs = [(None, 0, {"pure_tone": None})]
+        for s in range(cfg.n_seeds):
+            jobs.append((noise, derive_seed(cfg.master_seed, "oversampling", i, s), {"impaired": None}))
+        rows += _point_rows(cfg, grid, n, jobs)
     return rows
 
 
-def sweep_comb_width(cfg: ExperimentConfig, widths=None) -> list[SweepRow]:
+def sweep_comb_width(cfg: ExperimentConfig) -> list[SweepRow]:
     """Measure L vs comb width for every configured dispersion kind.
 
     One carrier is synthesized per (width, seed) and seen through each
@@ -426,42 +429,31 @@ def sweep_comb_width(cfg: ExperimentConfig, widths=None) -> list[SweepRow]:
     widths run one after another: a width's |H|^2 per plan is computed
     once, shared by its seeds, and dropped before the next width.
     """
-    widths = tuple(float(w) for w in (cfg.widths if widths is None else widths))
-    if list(widths) != sorted(widths):
-        raise ConfigError("comb widths must be ascending")
     grid = cfg.grid
-    plans_by_width = [_plans(cfg, cfg.kinds, w) for w in widths]
+    _check_offsets(cfg, grid, "the comb-width sweep")
+    plans_by_width = [_plans(cfg, cfg.kinds, w) for w in cfg.widths]
     lines = sum(len(p) for plans in plans_by_width for p in plans.values())
     _check_budget(cfg, grid, "comb-width sweep", jobs=cfg.n_seeds, lines=lines, plans=len(cfg.kinds))
     noise = cfg.resolved_noise()
 
-    results = {}
-    for i, plans in enumerate(plans_by_width):
-        gains = {kind: power_transfer(plan) for kind, plan in plans.items()}
-        seeds = {}
-        for s in range(cfg.n_seeds):
-            seeds[(i, s)] = (noise, derive_seed(cfg.master_seed, "comb_width", i, s), gains)
-        results.update(_measure(cfg, grid, seeds))
-        del gains, seeds
-
     rows = []
-    for i, w in enumerate(widths):
-        for kind in cfg.kinds:
-            samples = [results[(i, s)][kind] for s in range(cfg.n_seeds)]
-            rows += _rows_from_samples(w, kind, cfg.offsets, samples)
+    for i, (w, plans) in enumerate(zip(cfg.widths, plans_by_width)):
+        gains = {kind: power_transfer(plan) for kind, plan in plans.items()}
+        jobs = [(noise, derive_seed(cfg.master_seed, "comb_width", i, s), gains) for s in range(cfg.n_seeds)]
+        rows += _point_rows(cfg, grid, w, jobs)
+        del gains, jobs
     return rows
 
 
-def offsets_experiment(cfg: ExperimentConfig, widths=None) -> list[OffsetsTable]:
+def offsets_experiment(cfg: ExperimentConfig) -> list[OffsetsTable]:
     """Per-line delay-plan differences (ideal minus linear / constant)."""
-    widths = tuple(float(w) for w in (cfg.widths if widths is None else widths))
     tables = []
-    for w in widths:
+    for w in cfg.widths:
         lines = comb_lines(replace(cfg.comb, width=w))
         plans = _plans(cfg, ("ideal", "linear", "constant"), w)
         tables.append(
             OffsetsTable(
-                width=w,
+                width=float(w),
                 line_index=lines.index,
                 lambda_nm=lines.lam * 1e9,
                 diff_linear=offset_difference(plans["ideal"], plans["linear"]),

@@ -11,12 +11,14 @@ memory; all intermediate math is double precision.
 
 A :class:`Workspace` holds the buffers that synthesizing a carrier and
 taking its periodogram fill in place, so jobs that run one after
-another on one window allocate nothing that grows with it.  A caller
-that passes one owns it for as long as it keeps it (the studies keep
-one per concurrent job for one study call, or for one grid of the
-oversampling sweep) and gets back arrays that the workspace's next job
-overwrites.  Called without one, :func:`synth_carrier` builds a fresh
-workspace, so what it returns belongs to the caller.
+another on one window allocate nothing that grows with it.  A
+workspace holds one noise profile, shaped once when it is made, and
+serves that profile and the pure tone.  A caller that passes one owns
+it for as long as it keeps it (the studies keep one per concurrent job
+for one study call, or for one grid of the oversampling sweep) and gets
+back arrays that the workspace's next job overwrites.  Called without
+one, :func:`synth_carrier` builds a fresh workspace, so what it returns
+belongs to the caller.
 """
 
 from __future__ import annotations
@@ -60,79 +62,73 @@ class Workspace:
     - ``samples``, float32 on the window: the carrier.
 
     Every job writes a buffer in full before it reads it.  The bin
-    frequencies ``freqs`` and the spectral scale of each noise profile
-    (:meth:`scale`) depend only on the window and the profile; they are
-    read-only, and a workspace made ``like`` another shares them.  The
-    scales of ``noises`` are computed before the buffers are allocated,
-    so their temporaries never sit on top of the buffers.  One workspace
-    serves one job at a time.
+    frequencies ``freqs`` and the spectral ``scale`` of the workspace's
+    one ``noise`` profile (None for a pure tone only) depend only on the
+    window and the profile; they are read-only, and a workspace made
+    ``like`` another shares them and its profile.  The scale is computed
+    before the buffers are allocated, so its temporaries never sit on
+    top of the buffers.  One workspace serves one job at a time.
     """
 
-    def __init__(self, length: int, sample_rate: float, noises=(), like: Workspace | None = None):
+    def __init__(
+        self, length: int, sample_rate: float, noise: NoiseProfile | None = None, like: Workspace | None = None
+    ):
         if length < 2:
             raise ValueError(f"a workspace needs at least 2 samples, got {length}")
-        if like is not None:
-            like.check_window(length, sample_rate)
         self.length = length
         self.sample_rate = sample_rate
         if like is None:
+            self.noise = noise
             self.freqs = np.fft.rfftfreq(length, 1.0 / sample_rate)
             self.freqs.flags.writeable = False
-            self._scales: dict = {}
+            self.scale = None if noise is None else _scale(noise, self.freqs, sample_rate, length)
         else:
-            self.freqs, self._scales = like.freqs, like._scales
-        for noise in noises:
-            self.scale(noise)
+            like.check(length, sample_rate, noise)
+            self.noise, self.freqs, self.scale = like.noise, like.freqs, like.scale
         bins = len(self.freqs)
         self.spec = np.empty(bins, dtype=np.complex128)
         self.wave = np.empty(length, dtype=np.float64)
         self.half = np.empty(bins, dtype=np.float64)
         self.samples = np.empty(length, dtype=np.float32)
 
-    def check_window(self, length: int, sample_rate: float) -> None:
-        """Raise ValueError unless this workspace is for ``length`` samples at ``sample_rate``."""
+    def check(self, length: int, sample_rate: float, noise: NoiseProfile | None = None) -> None:
+        """Raise ValueError unless this workspace is for ``length`` samples at
+        ``sample_rate`` and ``noise`` is None or its own profile."""
         if (self.length, self.sample_rate) != (length, sample_rate):
             raise ValueError(
                 f"workspace is for {self.length} samples at {self.sample_rate} Hz, "
                 f"not {length} at {sample_rate} Hz"
             )
-
-    def scale(self, noise: NoiseProfile) -> np.ndarray:
-        """Standard deviation of each part of a shaped coefficient: sqrt(S * Fs * n / 2) / sqrt(2).
-
-        Computed on the first call for ``noise`` and kept with the shared
-        constants.  Threads that ask for a new profile at once may each
-        compute it; the arrays are equal, so pass ``noises`` up front to
-        compute each once.
-        """
-        scale = self._scales.get(noise)
-        if scale is None:
-            target = noise.psd(self.freqs)
-            if np.any(target < 0):
-                raise ValueError("noise profile is negative inside the synthesis band")
-            # One-sided PSD S at bin j corresponds to E|X_j|^2 = S * Fs * n / 2
-            # for interior bins of an unnormalized length-n rFFT.
-            # In place, with the same operations in the same order as
-            # sqrt(target * Fs * n / 2.0) / sqrt(2.0).
-            scale = target
-            scale *= self.sample_rate
-            scale *= self.length
-            scale /= 2.0
-            np.sqrt(scale, out=scale)
-            scale /= np.sqrt(2.0)
-            scale.flags.writeable = False
-            self._scales[noise] = scale
-        return scale
+        if noise not in (None, self.noise):
+            raise ValueError(f"workspace is for noise profile {self.noise}, not {noise}")
 
 
-def _phase_track(ws: Workspace, noise: NoiseProfile, seed: int) -> np.ndarray:
-    """Draw the phase track of ``noise`` and ``seed`` into ``ws.wave`` and return it."""
-    scale = ws.scale(noise)
+def _scale(noise: NoiseProfile, freqs: np.ndarray, sample_rate: float, length: int) -> np.ndarray:
+    """Standard deviation of each part of a shaped coefficient: sqrt(S * Fs * n / 2) / sqrt(2)."""
+    target = noise.psd(freqs)
+    if np.any(target < 0):
+        raise ValueError("noise profile is negative inside the synthesis band")
+    # One-sided PSD S at bin j corresponds to E|X_j|^2 = S * Fs * n / 2
+    # for interior bins of an unnormalized length-n rFFT.
+    # In place, with the same operations in the same order as
+    # sqrt(target * Fs * n / 2.0) / sqrt(2.0).
+    scale = target
+    scale *= sample_rate
+    scale *= length
+    scale /= 2.0
+    np.sqrt(scale, out=scale)
+    scale /= np.sqrt(2.0)
+    scale.flags.writeable = False
+    return scale
+
+
+def _phase_track(ws: Workspace, seed: int) -> np.ndarray:
+    """Draw the phase track of ``ws``'s profile and ``seed`` into ``ws.wave`` and return it."""
     rng = np.random.default_rng(seed)
     coeff = ws.spec
     coeff.real = rng.standard_normal(out=ws.half)
     coeff.imag = rng.standard_normal(out=ws.half)
-    coeff *= scale
+    coeff *= ws.scale
     coeff[0] = 0.0
     if ws.length % 2 == 0:
         # The Nyquist bin of a real signal is real and counted once.
@@ -151,7 +147,7 @@ def synth_phase_track(
     """
     if length < 2:
         raise ValueError("phase track needs at least 2 samples")
-    return _phase_track(Workspace(length, sample_rate, (noise,)), noise, seed)
+    return _phase_track(Workspace(length, sample_rate, noise), seed)
 
 
 def synth_carrier(request: SynthesisRequest, workspace: Workspace | None = None) -> SampledSignal:
@@ -165,13 +161,13 @@ def synth_carrier(request: SynthesisRequest, workspace: Workspace | None = None)
     length = grid.n_samples
     ws = workspace
     if ws is None:
-        ws = Workspace(length, grid.sample_rate, () if request.noise is None else (request.noise,))
+        ws = Workspace(length, grid.sample_rate, request.noise)
     else:
-        ws.check_window(length, grid.sample_rate)
+        ws.check(length, grid.sample_rate, request.noise)
     if request.noise is None:
         phase = ws.wave
     else:
-        phase = _phase_track(ws, request.noise, request.seed)
+        phase = _phase_track(ws, request.seed)
     step = 2.0 * np.pi * grid.f_r / grid.sample_rate
     for start in range(0, length, _RAMP_CHUNK):
         stop = min(start + _RAMP_CHUNK, length)

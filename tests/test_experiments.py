@@ -113,7 +113,7 @@ class TestSweepOversampling:
 
     def test_rejects_unsorted_ratios(self):
         with pytest.raises(ConfigError, match="ascending"):
-            sweep_oversampling(small_config(), ratios=(8, 4))
+            small_config(ratios=(8, 4))
 
 
 class TestSweepCombWidth:

@@ -2,6 +2,7 @@
 config keys every study honours, and the concurrent-job budget."""
 
 import contextlib
+import hashlib
 import io
 import json
 import shutil
@@ -14,8 +15,8 @@ import pytest
 from talbotsim.cli import _build_parser, _overrides_from_args, experiment_config, main, parse_config
 from talbotsim.dispersion import DispersionSpec, delay_plan
 from talbotsim.errors import BudgetError
-from talbotsim.experiments import STUDIES, ExperimentConfig, _predict_bytes
-from talbotsim.model import SPEED_OF_LIGHT, CombSpec, build_grid
+from talbotsim.experiments import STUDIES, ExperimentConfig, _predict_bytes, run_study
+from talbotsim.model import SPEED_OF_LIGHT, CombSpec, NoiseProfile, build_grid
 
 SMALL = ["--t-sig", "2e-4"]
 
@@ -153,6 +154,27 @@ BAD_INPUT = {
     "workers-zero": (["sweep-comb-width", "--config", "{workers}"], "run.workers must be at least 1"),
     "budget-negative": (["simulate", "--memory-budget", "-1"], "run.memory_budget_bytes must be at least 1"),
     "format-unknown": (["simulate", "--config", "{format}"], "run.format must be csv or csv+svg"),
+    # Rows pair L with the offsets in the order given, so they must ascend.
+    "offsets-descending": (
+        ["sweep-comb-width", "--widths", "1e8", "--kinds", "ideal", "--offsets", "1e6,1e4"],
+        "analysis.offsets",
+    ),
+    "offsets-duplicate": (["sweep-oversampling", "--ratios", "4", "--offsets", "1e4,1e4"], "analysis.offsets"),
+    "kinds-duplicate": (["sweep-comb-width", "--widths", "1e8", "--kinds", "ideal,ideal"], "dispersion.kinds"),
+    # Offsets outside [df, Fs/2 - f_r] of a sweep's grid, refused before any synthesis.
+    "offset-above-band": (["sweep-comb-width", "--widths", "1e8", "--offsets", "1e9"], "analysis.offsets"),
+    "offset-below-df": (["sweep-comb-width", "--widths", "1e8", "--offsets", "1e3"], "analysis.offsets"),
+    "offset-above-band-of-one-ratio": (
+        ["sweep-oversampling", "--ratios", "4,8", "--offsets", "1e4,1.5e7"],
+        "analysis.offsets",
+    ),
+    # Fs/2 - f_r, less an ulp at this window: 1e7 Hz lies just past the carrier bin's range.
+    "offset-at-band-edge": (
+        ["sweep-oversampling", "--ratios", "4", "--t-sig", "2.001e-4", "--offsets", "1e4,1e7"],
+        "analysis.offsets",
+    ),
+    "simulate-oversampling-two": (["simulate", "--oversampling", "2"], "grid.oversampling"),
+    "seed-negative": (["simulate", "--seed", "-1"], "seeds.master"),
 }
 
 # One-line config files the cases above name: key = value lines with no flag.
@@ -179,6 +201,61 @@ def test_bad_input_is_config_error(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert code == 2, err
     assert "config error" in err and message in err
+
+
+# Runs that must reproduce from their manifest alone: argv and config file.
+REPRODUCE = {
+    "simulate-ideal": (SIM + ["--jitter-band", "2e4:2e6", "--format", "csv+svg"], ""),
+    "simulate-tabulated": (SIM + ["--kind", "tabulated", "--table", "{table}"], ""),
+    "simulate-pure-tone": (SIM + ["--pure-tone"], ""),
+    "sweep-oversampling": (["sweep-oversampling", "--ratios", "4,8", "--seeds", "2"], ""),
+    # sweep-comb-width has no --table flag; the table comes from the config file.
+    "sweep-comb-width": (["sweep-comb-width", "--widths", "1e8,1e9", "--seeds", "2", "--kinds", "ideal,tabulated"], TABLE),
+    "offsets-diff": (["offsets-diff", "--widths", "1e10"], ""),
+    "dispersion-eval": (["dispersion-eval", "--width", "1e10", "--m", "2"], ""),
+}
+
+
+def config_from_manifest(config: dict, tables: dict, out_dir) -> ExperimentConfig:
+    """The ExperimentConfig a manifest's ``config`` records; ``tables`` maps a sha256 to its table file."""
+    noise, sha = config["noise"], config["table_sha256"]
+    return ExperimentConfig(
+        comb=CombSpec(**config["comb"]),
+        oversampling=config["oversampling"],
+        t_sig=config["t_sig"],
+        kinds=tuple(config["kinds"]),
+        m=config["m"],
+        table=None if sha is None else tables[sha],
+        noise=None if noise is None else NoiseProfile(terms=noise["terms"], f_low=noise["f_low"]),
+        noise_enabled=noise is not None,
+        offsets=tuple(config["offsets"]),
+        ratios=tuple(config["ratios"]),
+        widths=tuple(config["widths"]),
+        n_seeds=config["n_seeds"],
+        master_seed=config["master_seed"],
+        memory_budget_bytes=config["memory_budget_bytes"],
+        out_dir=out_dir,
+    )
+
+
+@pytest.mark.parametrize("case", sorted(REPRODUCE))
+def test_manifest_alone_reproduces_run(tmp_path, case):
+    argv, config = REPRODUCE[case]
+    table = write_table(tmp_path / "element.txt")
+    other = write_table(tmp_path / "other.txt", scale=0.5)
+    tables = {hashlib.sha256(p.read_bytes()).hexdigest(): p for p in (table, other)}
+    manifest, files = run(tmp_path, "first", [a.format(table=table) for a in argv], config.format(table=table))
+    recorded = dict(manifest["config"])
+    args = dict(recorded.pop("study"))
+    name = args.pop("name")
+    if args.get("jitter_band") is not None:
+        args["jitter_band"] = tuple(args["jitter_band"])
+    again = tmp_path / "again"
+    render_svg = any(f["name"].endswith(".svg") for f in manifest["files"])
+    run_study(name, config_from_manifest(recorded, tables, again), args, render_svg)
+    assert (again / "manifest.json").read_bytes() == files["manifest.json"]
+    for entry in manifest["files"]:
+        assert hashlib.sha256((again / entry["name"]).read_bytes()).hexdigest() == entry["sha256"], entry["name"]
 
 
 class TestSweepsHonourConfig:

@@ -231,34 +231,48 @@ class TestWorkspace:
     @pytest.mark.parametrize("noisy", [True, False], ids=["noise", "pure-tone"])
     def test_seeds_through_one_workspace(self, grid, noisy):
         noise = default_noise_profile(f_low=grid.df) if noisy else None
-        ws = Workspace(grid.n_samples, grid.sample_rate, [noise] if noisy else [])
+        ws = Workspace(grid.n_samples, grid.sample_rate, noise)
         for seed in (0, 1, 7, 1):
             self.check(grid, noise, seed, ws)
 
     def test_noise_and_pure_tone_share_a_workspace(self):
         noise = default_noise_profile(f_low=EVEN.df)
-        ws = Workspace(EVEN.n_samples, EVEN.sample_rate, [noise])
+        ws = Workspace(EVEN.n_samples, EVEN.sample_rate, noise)
         for profile in (noise, None, noise, None):
             self.check(EVEN, profile, 3, ws)
 
     def test_grid_switch(self):
         noise = default_noise_profile(f_low=EVEN.df)
         for grid in (EVEN, ODD, EVEN):
-            ws = Workspace(grid.n_samples, grid.sample_rate, [noise])
+            ws = Workspace(grid.n_samples, grid.sample_rate, noise)
             self.check(grid, noise, 5, ws)
         with pytest.raises(ValueError, match="workspace is for"):
             synth_carrier(SynthesisRequest(grid=ODD, noise=noise, seed=5), ws)
         with pytest.raises(ValueError, match="workspace is for"):
             periodogram(synth_carrier(SynthesisRequest(grid=ODD)), ws)
 
+    def test_refuses_another_profile(self):
+        noise = default_noise_profile(f_low=EVEN.df)
+        other = default_noise_profile(f_low=2 * EVEN.df)
+        ws = Workspace(EVEN.n_samples, EVEN.sample_rate, noise)
+        with pytest.raises(ValueError, match="noise profile"):
+            synth_carrier(SynthesisRequest(grid=EVEN, noise=other, seed=1), ws)
+        with pytest.raises(ValueError, match="noise profile"):
+            synth_carrier(SynthesisRequest(grid=EVEN, noise=noise, seed=1), Workspace(EVEN.n_samples, EVEN.sample_rate))
+        with pytest.raises(ValueError, match="noise profile"):
+            Workspace(EVEN.n_samples, EVEN.sample_rate, other, like=ws)
+        # An equal profile and the pure tone are served.
+        self.check(EVEN, default_noise_profile(f_low=EVEN.df), 1, ws)
+        self.check(EVEN, None, 1, ws)
+
     @pytest.mark.parametrize("workers", [2, 4])
     def test_worker_threads(self, workers):
         # Each thread reuses its own workspace; all share the grid's constants.
         # More threads than cores and a short switch interval interleave them.
         noise = default_noise_profile(f_low=EVEN.df)
-        first = Workspace(EVEN.n_samples, EVEN.sample_rate, [noise])
+        first = Workspace(EVEN.n_samples, EVEN.sample_rate, noise)
         spaces = [first] + [Workspace(EVEN.n_samples, EVEN.sample_rate, like=first) for _ in range(workers - 1)]
-        assert all(ws.freqs is first.freqs and ws.scale(noise) is first.scale(noise) for ws in spaces)
+        assert all(ws.freqs is first.freqs and ws.scale is first.scale for ws in spaces)
         results, errors = {}, []
 
         def work(i):
