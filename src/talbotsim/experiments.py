@@ -8,10 +8,15 @@ tabulation of one characteristic.  ``STUDIES`` registers each one with
 its runner and writer; the command line and :func:`run_all` dispatch
 from it.
 
-Per-point seeds derive from (master seed, experiment id, point index,
-seed index), so results do not depend on execution order or worker
-count.  Within one sweep point the same synthesized carrier is shared
-by all dispersion kinds (paired comparison).
+Seeds derive from (master seed, experiment id, point index, seed
+index), so results do not depend on execution order or worker count.
+The oversampling sweep draws new seeds at every ratio.  The comb-width
+sweep synthesizes its ``n_seeds`` carriers once per call, on the seeds
+of its first width (point index 0), and sees each of them through every
+width's and every kind's delay plan: kinds and widths are compared on
+identical noise (paired comparison), so its rows are correlated across
+widths as well as across kinds.  Seeds within one point stay
+independent of each other.
 """
 
 from __future__ import annotations
@@ -132,10 +137,11 @@ class ExperimentConfig:
             raise ConfigError(f"run.memory_budget_bytes must be at least 1, got {self.memory_budget_bytes}")
         if any(r < 2 for r in self.ratios):
             raise ConfigError("oversampling ratios must be >= 2")
-        if list(self.ratios) != sorted(self.ratios):
-            raise ConfigError("oversampling ratios must be ascending")
-        if list(self.widths) != sorted(self.widths):
-            raise ConfigError("comb widths must be ascending")
+        # A repeated value would be measured again and written as a second row group.
+        if any(b <= a for a, b in zip(self.ratios, self.ratios[1:])):
+            raise ConfigError(f"sweep.ratios {list(self.ratios)} must be strictly ascending")
+        if any(b <= a for a, b in zip(self.widths, self.widths[1:])):
+            raise ConfigError(f"sweep.widths {list(self.widths)} must be strictly ascending")
         if any(o <= 0 for o in self.offsets):
             raise ConfigError("offsets of interest must be positive")
         if any(b <= a for a, b in zip(self.offsets, self.offsets[1:])):
@@ -240,37 +246,46 @@ def derive_seed(master_seed: int, experiment: str, point_index: int, seed_index:
 #: workspace's buffers.
 #: Each job also holds up to 0.11 MB that does not grow with the grid
 #: (measured on grids of 3200 to 1.28M samples), which the fixed 0.5 MiB
-#: covers.  A cached |H|^2 is float64 on the n/2 + 1 bins; computing it
-#: (16 B per sample) happens while no workspace is held.  A plan holds
-#: 8 B per line, and building one passes through 48 B per line
+#: covers.  A cached |H|^2 is float64 on the n/2 + 1 bins, and so is a
+#: periodogram the comb-width sweep keeps past its job (4 B per sample
+#: each).  Computing an |H|^2 (16 B per sample) and reading the kept
+#: periodograms through it (4 B of scratch) happen after the jobs have
+#: dropped their workspaces.  The default desk sweep with 10 seeds
+#: traces 72 B per sample while its last job runs (22.1 MiB, against
+#: 27.4 MiB predicted) and 69 B per sample in its width loop.  A plan
+#: holds 8 B per line, and building one passes through 48 B per line
 #: (wavelengths, group delays, offsets).
 _JOB_BYTES_PER_SAMPLE = 26
 _JOB_FIXED_BYTES = 1 << 19
 _GRID_BYTES_PER_SAMPLE = 8
-_GAIN_BYTES_PER_SAMPLE = 4
+_HALF_BYTES_PER_SAMPLE = 4
 _PLAN_BYTES_PER_LINE = 56
 
 
-def _predict_bytes(grid: SimGrid, lines: int = 0, plans: int = 0, jobs: int = 1) -> int:
+def _predict_bytes(grid: SimGrid, lines: int = 0, plans: int = 0, jobs: int = 1, kept: int = 0) -> int:
     """Peak bytes of ``jobs`` concurrent detect jobs on ``grid``.
 
-    The jobs share the grid's constants and ``plans`` |H|^2 arrays, and
-    ``lines`` counts the comb lines of every delay plan the study holds.
-    numpy's pocketfft allocates its scratch outside the Python
-    allocator, so tracemalloc does not see it and this figure leaves it
-    out; the resident set runs higher by that scratch.
+    The jobs share the grid's constants, ``plans`` |H|^2 arrays and
+    ``kept`` periodograms, and ``lines`` counts the comb lines of every
+    delay plan the study holds.  numpy's pocketfft allocates its scratch
+    outside the Python allocator, so tracemalloc does not see it and
+    this figure leaves it out; the resident set runs higher by that
+    scratch.
     """
     n = grid.n_samples
     job = _JOB_BYTES_PER_SAMPLE * n + _JOB_FIXED_BYTES
-    shared = (_GRID_BYTES_PER_SAMPLE + _GAIN_BYTES_PER_SAMPLE * plans) * n
+    shared = (_GRID_BYTES_PER_SAMPLE + _HALF_BYTES_PER_SAMPLE * (plans + kept)) * n
     return job * jobs + shared + _PLAN_BYTES_PER_LINE * lines
 
 
-def _check_budget(cfg: ExperimentConfig, grid: SimGrid, what: str, jobs: int = 1, lines: int = 0, plans: int = 0):
+def _check_budget(
+    cfg: ExperimentConfig, grid: SimGrid, what: str, jobs: int = 1, lines: int = 0, plans: int = 0, kept: int = 0
+):
     """Refuse when ``min(workers, jobs)`` concurrent jobs, with ``plans``
-    shared |H|^2 arrays and plans of ``lines`` lines, overrun the budget."""
+    shared |H|^2 arrays, ``kept`` periodograms and plans of ``lines``
+    lines, overrun the budget."""
     concurrent = min(cfg.workers, jobs)
-    predicted = _predict_bytes(grid, lines, plans, concurrent)
+    predicted = _predict_bytes(grid, lines, plans, concurrent, kept)
     if predicted > cfg.memory_budget_bytes:
         raise BudgetError(
             f"{what} needs about {predicted / 2**30:.2f} GiB for {concurrent} concurrent "
@@ -294,23 +309,18 @@ def _plans(cfg: ExperimentConfig, kinds, width: float) -> dict[str, DelayPlan]:
     return plans
 
 
-def _detect(grid: SimGrid, noise, seed: int, offsets, gains: dict, workspace: Workspace) -> dict:
-    """L(f) of one synthesized carrier seen through each plan.
+def _spectra(grid: SimGrid, offsets, gains: dict, freqs, psd, scratch) -> dict:
+    """L(f) of the carrier whose periodogram is ``psd`` seen through each plan.
 
     ``gains`` maps each key to a plan's :func:`power_transfer`, or to
     None to measure the carrier itself.  The detected periodogram is the
     carrier's times |H|^2, so every plan sees the same noise and costs
-    no transform of its own.  The job fills ``workspace`` in place.
+    no transform of its own; each one goes to ``scratch`` in turn.
     """
-    carrier = synth_carrier(SynthesisRequest(grid=grid, noise=noise, seed=seed), workspace)
-    freqs, psd = periodogram(carrier, workspace)
-    # The float64 copy of the carrier is spent once its periodogram is
-    # taken; each plan's detected periodogram goes there in turn.
-    detected = workspace.wave[: len(psd)]
     return {
         key: phase_noise_from_psd(
             freqs,
-            psd if gain is None else np.multiply(psd, gain, out=detected),
+            psd if gain is None else np.multiply(psd, gain, out=scratch),
             grid.sample_rate,
             grid.f_r,
             offsets,
@@ -329,12 +339,16 @@ def _check_offsets(cfg: ExperimentConfig, grid: SimGrid, what: str):
         raise ConfigError(f"analysis.offsets {outside} Hz lie outside [{df}, {hi}] Hz, the range of {what}")
 
 
-def _measure(cfg: ExperimentConfig, grid: SimGrid, jobs: list, offsets) -> list[dict]:
-    """The spectra at ``offsets`` of each (noise, seed, gains) job on ``grid``, in job order.
+def _measure(cfg: ExperimentConfig, grid: SimGrid, jobs: list) -> list:
+    """What each (noise, seed, read) job on ``grid`` keeps, in job order.
 
-    Each of the ``min(workers, jobs)`` concurrent jobs takes a workspace
-    of its own, for the config's one noise profile, from a pool made for
-    this call, and returns it when done.
+    A job synthesizes the carrier of ``noise`` and ``seed``, takes its
+    periodogram and returns ``read(freqs, psd, scratch)``.  ``freqs``,
+    ``psd`` and the float64 ``scratch`` on the same bins are its
+    workspace's buffers, valid only until that call returns.  Each of
+    the ``min(workers, jobs)`` concurrent jobs takes a workspace of its
+    own, for the config's one noise profile, from a pool made for this
+    call; the workspaces are dropped when it returns.
     """
     concurrent = min(cfg.workers, len(jobs))
     first = Workspace(grid.n_samples, grid.sample_rate, cfg.resolved_noise())
@@ -344,10 +358,13 @@ def _measure(cfg: ExperimentConfig, grid: SimGrid, jobs: list, offsets) -> list[
         free.put(Workspace(grid.n_samples, grid.sample_rate, like=first))
 
     def job(args):
-        noise, seed, gains = args
+        noise, seed, read = args
         ws = free.get()
         try:
-            return _detect(grid, noise, seed, offsets, gains, ws)
+            carrier = synth_carrier(SynthesisRequest(grid=grid, noise=noise, seed=seed), ws)
+            freqs, psd = periodogram(carrier, ws)
+            # The float64 copy of the carrier is spent once its periodogram is taken.
+            return read(freqs, psd, ws.wave[: len(psd)])
         finally:
             free.put(ws)
 
@@ -357,12 +374,12 @@ def _measure(cfg: ExperimentConfig, grid: SimGrid, jobs: list, offsets) -> list[
     return [job(args) for args in jobs]
 
 
-def _point_rows(cfg: ExperimentConfig, grid: SimGrid, x_value: float, jobs: list) -> list[SweepRow]:
-    """Rows of one sweep point at ``x_value``: for each gain key, in the
-    order the jobs name them, the mean and spread of L at each offset of
-    interest over the jobs that measure that key."""
+def _point_rows(cfg: ExperimentConfig, x_value: float, per_job: list[dict]) -> list[SweepRow]:
+    """Rows of one sweep point at ``x_value`` from each job's spectra: for
+    each key, in the order the jobs name them, the mean and spread of L
+    at each offset of interest over the jobs that measure that key."""
     samples = {}
-    for spectra in _measure(cfg, grid, jobs, cfg.offsets):
+    for spectra in per_job:
         for key, spectrum in spectra.items():
             samples.setdefault(key, []).append(spectrum.l_dbc)
     rows = []
@@ -389,11 +406,19 @@ def simulate(cfg: ExperimentConfig, kind: str = "ideal", points: int = 120, jitt
             f"grid.oversampling = {cfg.oversampling} with grid.t_sig = {cfg.t_sig} s leaves no offset "
             f"between 3 df = {3 * grid.df} Hz and 0.999 (Fs/2 - f_r) = {f_top} Hz to measure"
         )
+    offsets = np.geomspace(3 * grid.df, f_top, points)
+    if jitter_band is not None:
+        f_min, f_max = jitter_band
+        if not offsets[0] <= f_min < f_max <= offsets[-1]:
+            raise ConfigError(
+                f"jitter band [{f_min}, {f_max}] Hz must satisfy {offsets[0]} <= f_min < f_max <= "
+                f"{offsets[-1]}, within the measured offsets"
+            )
     plans = {} if kind == "none" else _plans(cfg, (kind,), cfg.comb.width)
     _check_budget(cfg, grid, "run", lines=sum(len(p) for p in plans.values()), plans=len(plans))
     gain = power_transfer(plans[kind]) if plans else None
-    offsets = np.geomspace(3 * grid.df, f_top, points)
-    (spectra,) = _measure(cfg, grid, [(cfg.resolved_noise(), cfg.master_seed, {kind: gain})], offsets)
+    read = partial(_spectra, grid, offsets, {kind: gain})
+    (spectra,) = _measure(cfg, grid, [(cfg.resolved_noise(), cfg.master_seed, read)])
     spectrum = spectra[kind]
     return spectrum, None if jitter_band is None else jitter(spectrum, *jitter_band)
 
@@ -414,34 +439,54 @@ def sweep_oversampling(cfg: ExperimentConfig) -> list[SweepRow]:
     # One grid at a time, so only one grid's workspaces are ever held.
     rows = []
     for i, (n, grid) in enumerate(zip(cfg.ratios, grids)):
-        jobs = [(None, 0, {"pure_tone": None})]
+        jobs = [(None, 0, partial(_spectra, grid, cfg.offsets, {"pure_tone": None}))]
+        impaired = partial(_spectra, grid, cfg.offsets, {"impaired": None})
         for s in range(cfg.n_seeds):
-            jobs.append((noise, derive_seed(cfg.master_seed, "oversampling", i, s), {"impaired": None}))
-        rows += _point_rows(cfg, grid, n, jobs)
+            jobs.append((noise, derive_seed(cfg.master_seed, "oversampling", i, s), impaired))
+        rows += _point_rows(cfg, n, _measure(cfg, grid, jobs))
     return rows
+
+
+def _keep(freqs, psd, scratch):
+    """A periodogram that outlives its job: the shared bins and a copy of the densities."""
+    return freqs, psd.copy()
 
 
 def sweep_comb_width(cfg: ExperimentConfig) -> list[SweepRow]:
     """Measure L vs comb width for every configured dispersion kind.
 
-    One carrier is synthesized per (width, seed) and seen through each
-    kind's delay plan, so kinds are compared on identical noise.  The
-    widths run one after another: a width's |H|^2 per plan is computed
-    once, shared by its seeds, and dropped before the next width.
+    The ``n_seeds`` carriers are synthesized once, on the seeds of the
+    first width (point index 0), and only their periodograms are kept.
+    Each width's plans then read every kept periodogram through their
+    |H|^2, so kinds and widths are compared on identical noise and rows
+    are correlated across widths as well as kinds.  Plans whose offsets
+    mod n are the same multiset have bit-equal |H|^2, so a width computes
+    and reads one |H|^2 per distinct plan, and drops them before the
+    next width.
     """
     grid = cfg.grid
+    n = grid.n_samples
     _check_offsets(cfg, grid, "the comb-width sweep")
     plans_by_width = [_plans(cfg, cfg.kinds, w) for w in cfg.widths]
     lines = sum(len(p) for plans in plans_by_width for p in plans.values())
-    _check_budget(cfg, grid, "comb-width sweep", jobs=cfg.n_seeds, lines=lines, plans=len(cfg.kinds))
+    _check_budget(
+        cfg, grid, "comb-width sweep", jobs=cfg.n_seeds, lines=lines, plans=len(cfg.kinds), kept=cfg.n_seeds
+    )
     noise = cfg.resolved_noise()
+    seeds = [derive_seed(cfg.master_seed, "comb_width", 0, s) for s in range(cfg.n_seeds)]
+    kept = _measure(cfg, grid, [(noise, seed, _keep) for seed in seeds])
+    freqs = kept[0][0]
+    scratch = np.empty_like(freqs)
 
     rows = []
-    for i, (w, plans) in enumerate(zip(cfg.widths, plans_by_width)):
-        gains = {kind: power_transfer(plan) for kind, plan in plans.items()}
-        jobs = [(noise, derive_seed(cfg.master_seed, "comb_width", i, s), gains) for s in range(cfg.n_seeds)]
-        rows += _point_rows(cfg, grid, w, jobs)
-        del gains, jobs
+    for w, plans in zip(cfg.widths, plans_by_width):
+        key_of = {kind: np.sort(plan.offsets % n).tobytes() for kind, plan in plans.items()}
+        gains = {}
+        for kind, key in key_of.items():
+            if key not in gains:
+                gains[key] = power_transfer(plans[kind])
+        per_seed = [_spectra(grid, cfg.offsets, gains, freqs, psd, scratch) for _, psd in kept]
+        rows += _point_rows(cfg, w, [{kind: spectra[key] for kind, key in key_of.items()} for spectra in per_seed])
     return rows
 
 

@@ -339,8 +339,10 @@ class TestTabulatedDispersion:
 
 class TestExitCodes:
     def test_runtime_failure_is_one(self, tmp_path, capsys):
-        # A degenerate jitter band fails inside the run: runtime error,
-        # not a config or budget problem.
+        # An output directory that cannot be made fails after the run:
+        # runtime error, not a config or budget problem.
+        blocker = tmp_path / "file"
+        blocker.write_text("")
         code = main(
             [
                 "simulate",
@@ -348,12 +350,10 @@ class TestExitCodes:
                 "none",
                 "--t-sig",
                 "2e-4",
-                "--jitter-band",
-                "5e6:5e6",
                 "--points",
                 "10",
                 "--out",
-                str(tmp_path),
+                str(blocker / "out"),
             ]
         )
         assert code == 1

@@ -6,6 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import talbotsim.experiments as experiments
+from talbotsim.analysis import periodogram, phase_noise_from_psd
 from talbotsim.errors import BudgetError, ConfigError
 from talbotsim.experiments import (
     ExperimentConfig,
@@ -17,6 +19,8 @@ from talbotsim.experiments import (
     write_sweep_csv,
 )
 from talbotsim.model import CombSpec
+from talbotsim.superposition import power_transfer
+from talbotsim.synthesis import SynthesisRequest, synth_carrier
 
 
 def small_config(**kwargs):
@@ -117,30 +121,90 @@ class TestSweepOversampling:
 
 
 class TestSweepCombWidth:
+    WIDTHS = (1e8, 5e8, 5e10)  # all kinds share one plan at 1e8; constant differs at 5e10
+
+    def reference(self, cfg, point: int) -> dict:
+        """Per-seed L at each (width, kind), from carriers drawn on the seeds of sweep point ``point``."""
+        grid = cfg.grid
+        psds = [
+            periodogram(synth_carrier(SynthesisRequest(grid, cfg.resolved_noise(), seed)))
+            for seed in (derive_seed(cfg.master_seed, "comb_width", point, s) for s in range(cfg.n_seeds))
+        ]
+        per_seed = {}
+        for w in cfg.widths:
+            for kind, plan in experiments._plans(cfg, cfg.kinds, w).items():
+                gain = power_transfer(plan)
+                spectra = [phase_noise_from_psd(f, p * gain, grid.sample_rate, grid.f_r, cfg.offsets) for f, p in psds]
+                for i, off in enumerate(cfg.offsets):
+                    per_seed[(w, kind, off)] = tuple(float(s.l_dbc[i]) for s in spectra)
+        return per_seed
+
     def test_rows_cover_kinds_and_widths(self):
         cfg = small_config()
         rows = sweep_comb_width(cfg)
         assert len(rows) == len(cfg.widths) * len(cfg.kinds) * len(cfg.offsets)
         assert {r.kind for r in rows} == set(cfg.kinds)
 
-    def test_identical_plans_give_identical_rows(self):
-        # At narrow widths the three characteristics round to the same
-        # plan, and the paired synthesis makes the rows exactly equal.
-        cfg = small_config(widths=(1e8,))
-        rows = sweep_comb_width(cfg)
-        by_kind = {
-            kind: sorted(
-                (r for r in rows if r.kind == kind), key=lambda r: (r.x_value, r.offset_hz)
-            )
-            for kind in cfg.kinds
-        }
-        for a, b in zip(by_kind["ideal"], by_kind["linear"]):
-            assert a.mean_l_dbc == b.mean_l_dbc
-
     def test_worker_count_does_not_change_rows(self):
         rows_serial = sweep_comb_width(small_config(workers=1))
         rows_pool = sweep_comb_width(small_config(workers=3))
         assert rows_serial == rows_pool
+
+    def test_every_width_reads_the_same_carriers(self):
+        # Carrier s is drawn on seed (master, "comb_width", 0, s) and seen
+        # through every width's plans.
+        cfg = small_config(widths=self.WIDTHS)
+        expected = self.reference(cfg, point=0)
+        rows = sweep_comb_width(cfg)
+        assert len(rows) == len(expected)
+        for r in rows:
+            assert r.per_seed == expected[(r.x_value, r.kind, r.offset_hz)], (r.x_value, r.kind, r.offset_hz)
+
+    def test_identical_plans_give_identical_rows(self):
+        # Kinds whose offsets mod n are one multiset share one |H|^2, so
+        # their per-seed L is bit-equal; kinds that differ do not.
+        cfg = small_config(widths=self.WIDTHS)
+        rows = {(r.x_value, r.kind, r.offset_hz): r.per_seed for r in sweep_comb_width(cfg)}
+        n = cfg.grid.n_samples
+        shared = differing = 0
+        for w in cfg.widths:
+            keys = {k: np.sort(p.offsets % n).tobytes() for k, p in experiments._plans(cfg, cfg.kinds, w).items()}
+            for a in cfg.kinds:
+                for b in cfg.kinds:
+                    same = [rows[(w, a, off)] == rows[(w, b, off)] for off in cfg.offsets]
+                    if keys[a] == keys[b]:
+                        assert all(same), (w, a, b)
+                        shared += a != b
+                    else:
+                        assert not any(same), (w, a, b)
+                        differing += 1
+        assert shared and differing
+
+    def test_first_width_keeps_per_width_seeds(self):
+        # Drawing new seeds at each width index would give the same first
+        # width and different later ones: widths are now paired.
+        cfg = small_config(widths=self.WIDTHS[:2])
+        rows = {(r.x_value, r.kind, r.offset_hz): r.per_seed for r in sweep_comb_width(cfg)}
+        first, second = self.reference(replace(cfg, widths=cfg.widths[:1]), 0), self.reference(cfg, 1)
+        assert {k: v for k, v in rows.items() if k[0] == cfg.widths[0]} == first
+        assert all(rows[k] != v for k, v in second.items() if k[0] == cfg.widths[1])
+
+    def test_power_transfer_once_per_distinct_plan(self, monkeypatch):
+        cfg = small_config(widths=self.WIDTHS)
+        n = cfg.grid.n_samples
+        distinct = sum(
+            len({np.sort(p.offsets % n).tobytes() for p in experiments._plans(cfg, cfg.kinds, w).values()})
+            for w in cfg.widths
+        )
+        calls = []
+
+        def counted(plan):
+            calls.append(plan)
+            return power_transfer(plan)
+
+        monkeypatch.setattr(experiments, "power_transfer", counted)
+        sweep_comb_width(cfg)
+        assert len(calls) == distinct < len(cfg.widths) * len(cfg.kinds)
 
 
 class TestOffsetsExperiment:

@@ -174,6 +174,14 @@ BAD_INPUT = {
         "analysis.offsets",
     ),
     "simulate-oversampling-two": (["simulate", "--oversampling", "2"], "grid.oversampling"),
+    # A repeated sweep value would be measured twice and written as two row groups.
+    "widths-duplicate": (["sweep-comb-width", "--widths", "1e8,1e8", "--kinds", "ideal"], "sweep.widths"),
+    "ratios-duplicate": (["sweep-oversampling", "--ratios", "4,4"], "sweep.ratios"),
+    # The band must lie within the measured offsets [3 df, 0.999 (Fs/2 - f_r)], here [15 kHz, 69.93 MHz].
+    "band-below-offsets": (["simulate", "--jitter-band", "1e2:1e3"], "jitter band"),
+    "band-above-offsets": (["simulate", "--jitter-band", "1e6:1e8"], "jitter band"),
+    "band-empty": (["simulate", "--kind", "none", "--jitter-band", "5e6:5e6"], "jitter band"),
+    "band-reversed": (["simulate", "--jitter-band", "1e6:1e5"], "jitter band"),
     "seed-negative": (["simulate", "--seed", "-1"], "seeds.master"),
 }
 
@@ -311,9 +319,17 @@ class TestConcurrentBudget:
             ("simulate", {}, {"kind": "ideal"}),
             ("sweep-comb-width", {"n_seeds": 2}, {}),
             ("sweep-comb-width", {"n_seeds": 2, "workers": 2}, {}),
+            # The sweep keeps one periodogram per seed; two seeds would hide them.
+            ("sweep-comb-width", {"n_seeds": 10}, {}),
             ("sweep-oversampling", {"n_seeds": 2}, {}),
         ],
-        ids=["simulate", "sweep-comb-width", "sweep-comb-width-2-workers", "sweep-oversampling"],
+        ids=[
+            "simulate",
+            "sweep-comb-width",
+            "sweep-comb-width-2-workers",
+            "sweep-comb-width-10-seeds",
+            "sweep-oversampling",
+        ],
     )
     def test_prediction_covers_traced_peak(self, name, settings, args):
         # Desk scale: the default grid of 320000 samples, default widths and ratios.
