@@ -145,12 +145,19 @@ def _find_carrier(freqs: np.ndarray, psd: np.ndarray, f_r: float) -> int:
 
 
 def _sideband_value(psd: np.ndarray, df: float, target: float, carrier_bin: int) -> float:
-    """Median of the 3 valid bins nearest ``target``, excluding the carrier."""
+    """Median of the 3 valid bins nearest ``target``, excluding the carrier.
+
+    At the ends of the spectrum fewer may be in reach: at Nyquist on an
+    odd window, or at DC when the carrier sits within 2 bins of it.  The
+    median of 2 is their mean.
+    """
     center = int(round(target / df))
     candidates = [j for j in range(center - 2, center + 3) if 0 <= j < len(psd) and j != carrier_bin]
     candidates.sort(key=lambda j: (abs(j * df - target), j))
-    picked = sorted(candidates[:3])
-    return float(np.median(psd[picked]))
+    values = sorted(float(psd[j]) for j in candidates[:3])
+    if len(values) == 2:
+        return (values[0] + values[1]) / 2.0
+    return values[len(values) // 2]
 
 
 def phase_noise_spectrum(y: SampledSignal, f_r: float, offsets) -> PhaseNoiseSpectrum:

@@ -21,11 +21,13 @@ independent of each other.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import queue
 import zlib
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -246,15 +248,16 @@ def derive_seed(master_seed: int, experiment: str, point_index: int, seed_index:
 #: workspace's buffers.
 #: Each job also holds up to 0.11 MB that does not grow with the grid
 #: (measured on grids of 3200 to 1.28M samples), which the fixed 0.5 MiB
-#: covers.  A cached |H|^2 is float64 on the n/2 + 1 bins, and so is a
-#: periodogram the comb-width sweep keeps past its job (4 B per sample
-#: each).  Computing an |H|^2 (16 B per sample) and reading the kept
-#: periodograms through it (4 B of scratch) happen after the jobs have
-#: dropped their workspaces.  The default desk sweep with 10 seeds
-#: traces 72 B per sample while its last job runs (22.1 MiB, against
-#: 27.4 MiB predicted) and 69 B per sample in its width loop.  A plan
-#: holds 8 B per line, and building one passes through 48 B per line
-#: (wavelengths, group delays, offsets).
+#: covers.  The |H|^2 that ``simulate`` computes before its job is
+#: float64 on the n/2 + 1 bins, and so is a periodogram the comb-width
+#: sweep keeps past its job (4 B per sample each).  The sweep's plan
+#: jobs run on the same workspaces as its seed jobs: each computes its
+#: |H|^2 in place (kernel, H and |H|^2 in the workspace's buffers) and
+#: reads the kept periodograms through it into the spent kernel, so a
+#: plan job costs no more than a detect job.  The default desk sweep
+#: with 10 seeds traces 76 B per sample at its peak (23.2 MiB, against
+#: 23.7 MiB predicted).  A plan holds 8 B per line, and building one
+#: passes through 48 B per line (wavelengths, group delays, offsets).
 _JOB_BYTES_PER_SAMPLE = 26
 _JOB_FIXED_BYTES = 1 << 19
 _GRID_BYTES_PER_SAMPLE = 8
@@ -339,39 +342,96 @@ def _check_offsets(cfg: ExperimentConfig, grid: SimGrid, what: str):
         raise ConfigError(f"analysis.offsets {outside} Hz lie outside [{df}, {hi}] Hz, the range of {what}")
 
 
-def _measure(cfg: ExperimentConfig, grid: SimGrid, jobs: list) -> list:
-    """What each (noise, seed, read) job on ``grid`` keeps, in job order.
+#: glibc's mallopt parameters and the values the study runner pins.  An
+#: n-sized block, pocketfft's scratch above all, is otherwise mapped on
+#: each transform and unmapped after it, or trimmed off the heap top,
+#: and every call faults its pages in again; the munmap churn also
+#: serializes concurrent jobs.  32 MiB is glibc's ceiling for the mmap
+#: threshold; a freed heap top up to the trim threshold stays resident.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
+_TRIM_THRESHOLD_BYTES = 64 << 20
+_allocator_pinned = False
 
-    A job synthesizes the carrier of ``noise`` and ``seed``, takes its
-    periodogram and returns ``read(freqs, psd, scratch)``.  ``freqs``,
-    ``psd`` and the float64 ``scratch`` on the same bins are its
-    workspace's buffers, valid only until that call returns.  Each of
-    the ``min(workers, jobs)`` concurrent jobs takes a workspace of its
-    own, for the config's one noise profile, from a pool made for this
-    call; the workspaces are dropped when it returns.
+
+def _libc():
+    """The C library this process runs on."""
+    return ctypes.CDLL(None)
+
+
+def _pin_allocator() -> None:
+    """Once per process, keep freed blocks of up to 32 MiB on the heap.
+
+    Sets glibc's mmap threshold to 32 MiB and its trim threshold to
+    64 MiB, so the transforms' scratch and the workspaces are reused
+    instead of mapped afresh.  Does nothing where the C library has no
+    ``mallopt`` or refuses the setting.  Two first calls that race both
+    set the same values, which is harmless.
     """
-    concurrent = min(cfg.workers, len(jobs))
+    global _allocator_pinned
+    if _allocator_pinned:
+        return
+    _allocator_pinned = True
+    try:
+        mallopt = _libc().mallopt
+    except (AttributeError, OSError, TypeError):  # no such symbol, or no C library to load
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES):
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
+@contextmanager
+def _pool(cfg: ExperimentConfig, grid: SimGrid, jobs: int):
+    """A runner on ``grid`` for a study of ``jobs`` jobs: ``run(fn, items)``
+    returns ``[fn(workspace, item) for item in items]``, in item order.
+
+    Each of the ``min(workers, jobs)`` concurrent jobs takes a workspace
+    of its own, for the config's one noise profile; ``run`` may be
+    called more than once, and every call shares the same workspaces
+    and threads.  They are dropped when the block exits.
+    """
+    _pin_allocator()
+    concurrent = min(cfg.workers, jobs)
     first = Workspace(grid.n_samples, grid.sample_rate, cfg.resolved_noise())
     free = queue.SimpleQueue()
     free.put(first)
     for _ in range(concurrent - 1):
         free.put(Workspace(grid.n_samples, grid.sample_rate, like=first))
 
-    def job(args):
-        noise, seed, read = args
+    def job(fn, item):
         ws = free.get()
         try:
-            carrier = synth_carrier(SynthesisRequest(grid=grid, noise=noise, seed=seed), ws)
-            freqs, psd = periodogram(carrier, ws)
-            # The float64 copy of the carrier is spent once its periodogram is taken.
-            return read(freqs, psd, ws.wave[: len(psd)])
+            return fn(ws, item)
         finally:
             free.put(ws)
 
-    if concurrent > 1:
-        with ThreadPoolExecutor(max_workers=concurrent) as pool:
-            return list(pool.map(job, jobs))
-    return [job(args) for args in jobs]
+    if concurrent == 1:
+        yield lambda fn, items: [job(fn, item) for item in items]
+        return
+    with ThreadPoolExecutor(max_workers=concurrent) as executor:
+        yield lambda fn, items: list(executor.map(partial(job, fn), items))
+
+
+def _detect(grid: SimGrid, ws: Workspace, job):
+    """Synthesize the carrier of a (noise, seed, read) job in ``ws``, take
+    its periodogram and return ``read(freqs, psd, scratch)``.
+
+    ``freqs``, ``psd`` and the float64 ``scratch`` on the same bins are
+    the workspace's buffers, valid only until that call returns.
+    """
+    noise, seed, read = job
+    carrier = synth_carrier(SynthesisRequest(grid=grid, noise=noise, seed=seed), ws)
+    freqs, psd = periodogram(carrier, ws)
+    # The float64 copy of the carrier is spent once its periodogram is taken.
+    return read(freqs, psd, ws.wave[: len(psd)])
+
+
+def _measure(cfg: ExperimentConfig, grid: SimGrid, jobs: list) -> list:
+    """What each (noise, seed, read) job on ``grid`` keeps, in job order
+    (see :func:`_detect`), run on a pool made for this call."""
+    with _pool(cfg, grid, len(jobs)) as run:
+        return run(partial(_detect, grid), jobs)
 
 
 def _point_rows(cfg: ExperimentConfig, x_value: float, per_job: list[dict]) -> list[SweepRow]:
@@ -447,9 +507,23 @@ def sweep_oversampling(cfg: ExperimentConfig) -> list[SweepRow]:
     return rows
 
 
-def _keep(freqs, psd, scratch):
-    """A periodogram that outlives its job: the shared bins and a copy of the densities."""
-    return freqs, psd.copy()
+def _keep(out: np.ndarray, freqs, psd, scratch):
+    """Copy a periodogram that outlives its job into ``out``."""
+    np.copyto(out, psd)
+
+
+def _read_plan(grid: SimGrid, offsets, kept: list, ws: Workspace, plan: DelayPlan) -> list:
+    """L(f) of every kept periodogram seen through ``plan``, one per seed.
+
+    |H|^2 fills ``ws`` in place, and each detected periodogram goes to
+    the spent kernel in ``ws.wave``.
+    """
+    gain = power_transfer(plan, ws)
+    scratch = ws.wave[: len(gain)]
+    return [
+        phase_noise_from_psd(ws.freqs, np.multiply(psd, gain, out=scratch), grid.sample_rate, grid.f_r, offsets)
+        for psd in kept
+    ]
 
 
 def sweep_comb_width(cfg: ExperimentConfig) -> list[SweepRow]:
@@ -460,33 +534,38 @@ def sweep_comb_width(cfg: ExperimentConfig) -> list[SweepRow]:
     Each width's plans then read every kept periodogram through their
     |H|^2, so kinds and widths are compared on identical noise and rows
     are correlated across widths as well as kinds.  Plans whose offsets
-    mod n are the same multiset have bit-equal |H|^2, so a width computes
-    and reads one |H|^2 per distinct plan, and drops them before the
-    next width.
+    mod n are the same multiset have bit-equal |H|^2, so the sweep
+    computes and reads one |H|^2 per distinct plan.  The seeds and then
+    the distinct plans run as jobs on one pool of workspaces.
     """
     grid = cfg.grid
     n = grid.n_samples
     _check_offsets(cfg, grid, "the comb-width sweep")
     plans_by_width = [_plans(cfg, cfg.kinds, w) for w in cfg.widths]
+    # A plan's key is the digest of its offsets mod n as a sorted multiset.
+    keys_by_width = [
+        {kind: hashlib.sha256(np.sort(p.offsets % n)).digest() for kind, p in plans.items()} for plans in plans_by_width
+    ]
+    distinct = {}
+    for plans, key_of in zip(plans_by_width, keys_by_width):
+        for kind, key in key_of.items():
+            distinct.setdefault(key, plans[kind])
     lines = sum(len(p) for plans in plans_by_width for p in plans.values())
-    _check_budget(
-        cfg, grid, "comb-width sweep", jobs=cfg.n_seeds, lines=lines, plans=len(cfg.kinds), kept=cfg.n_seeds
-    )
+    jobs = max(cfg.n_seeds, len(distinct))
+    _check_budget(cfg, grid, "comb-width sweep", jobs=jobs, lines=lines, kept=cfg.n_seeds)
     noise = cfg.resolved_noise()
     seeds = [derive_seed(cfg.master_seed, "comb_width", 0, s) for s in range(cfg.n_seeds)]
-    kept = _measure(cfg, grid, [(noise, seed, _keep) for seed in seeds])
-    freqs = kept[0][0]
-    scratch = np.empty_like(freqs)
+    # Allocated here, not in the pool's threads, so that the kept
+    # periodograms do not interleave with the transforms' scratch.
+    kept = [np.empty(n // 2 + 1) for _ in seeds]
+    with _pool(cfg, grid, jobs) as run:
+        run(partial(_detect, grid), [(noise, seed, partial(_keep, out)) for seed, out in zip(seeds, kept)])
+        per_plan = dict(zip(distinct, run(partial(_read_plan, grid, cfg.offsets, kept), distinct.values())))
 
     rows = []
-    for w, plans in zip(cfg.widths, plans_by_width):
-        key_of = {kind: np.sort(plan.offsets % n).tobytes() for kind, plan in plans.items()}
-        gains = {}
-        for kind, key in key_of.items():
-            if key not in gains:
-                gains[key] = power_transfer(plans[kind])
-        per_seed = [_spectra(grid, cfg.offsets, gains, freqs, psd, scratch) for _, psd in kept]
-        rows += _point_rows(cfg, w, [{kind: spectra[key] for kind, key in key_of.items()} for spectra in per_seed])
+    for w, key_of in zip(cfg.widths, keys_by_width):
+        per_seed = [{kind: per_plan[key][s] for kind, key in key_of.items()} for s in range(cfg.n_seeds)]
+        rows += _point_rows(cfg, w, per_seed)
     return rows
 
 

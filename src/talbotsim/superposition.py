@@ -22,25 +22,42 @@ import numpy as np
 
 from .dispersion import DelayPlan
 from .model import SampledSignal
+from .synthesis import Workspace
 
 __all__ = ["power_transfer", "superpose"]
 
 
-def _transfer(plan: DelayPlan) -> np.ndarray:
-    n = plan.grid.n_samples
-    kernel = np.bincount(plan.offsets % n, minlength=n) / len(plan)
-    return np.fft.rfft(kernel)
+def _kernel(plan: DelayPlan, out: np.ndarray) -> np.ndarray:
+    """The 1/K impulse train at the plan's offsets mod n, written into ``out``."""
+    out.fill(0.0)
+    # Whole-number counts, exact in float64: the same values as np.bincount's.
+    np.add.at(out, plan.offsets % plan.grid.n_samples, 1.0)
+    out /= len(plan)
+    return out
 
 
-def power_transfer(plan: DelayPlan) -> np.ndarray:
+def power_transfer(plan: DelayPlan, workspace: Workspace | None = None) -> np.ndarray:
     """|H|^2 of ``plan`` on the rFFT bins of its grid's window.
 
     Multiplying a carrier's periodogram by it gives the periodogram of
     the carrier after the plan; lines that share an offset mod n add up
-    in amplitude.
+    in amplitude.  With a ``workspace`` for the plan's window the kernel
+    goes to its ``wave``, H to its ``spec`` and |H|^2 to its ``half``,
+    which is returned and is valid until the workspace's next job;
+    ``wave`` is then free for the caller.  Without one, the result is
+    the caller's.  Either way the bits are the same.
     """
-    h = _transfer(plan)
-    return h.real**2 + h.imag**2
+    grid = plan.grid
+    n = grid.n_samples
+    if workspace is None:
+        wave, spec, half = np.empty(n), np.empty(n // 2 + 1, dtype=np.complex128), np.empty(n // 2 + 1)
+    else:
+        workspace.check(n, grid.sample_rate)
+        wave, spec, half = workspace.wave, workspace.spec, workspace.half
+    h = np.fft.rfft(_kernel(plan, wave), out=spec)
+    np.square(h.real, out=half)
+    half += np.square(h.imag, out=h.imag)
+    return half
 
 
 def superpose(x: SampledSignal, plan: DelayPlan) -> SampledSignal:
@@ -55,5 +72,6 @@ def superpose(x: SampledSignal, plan: DelayPlan) -> SampledSignal:
     n = plan.grid.n_samples
     if len(x) != n:
         raise ValueError(f"input has {len(x)} samples; the plan's window is {n}")
-    spec = np.fft.rfft(np.asarray(x.samples, dtype=np.float64)) * _transfer(plan)
+    transfer = np.fft.rfft(_kernel(plan, np.empty(n)))
+    spec = np.fft.rfft(np.asarray(x.samples, dtype=np.float64)) * transfer
     return SampledSignal(samples=np.fft.irfft(spec, n=n), sample_rate=x.sample_rate)

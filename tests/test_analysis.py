@@ -6,6 +6,7 @@ from scipy.signal import periodogram as scipy_periodogram
 
 from talbotsim.analysis import (
     JitterResult,
+    _sideband_value,
     PhaseNoiseSpectrum,
     classical_penalty,
     demod_phase_psd,
@@ -131,6 +132,23 @@ class TestPhaseNoiseSpectrum:
         )
         with pytest.raises(CarrierNotFoundError):
             phase_noise_spectrum(y, 1e5, [1e4])
+
+    def test_sideband_value_is_median_of_picked_bins(self):
+        # Every target on even and odd windows, carrier at and away from
+        # DC, so the ends leave 2 bins in reach as well as 3.
+        rng = np.random.default_rng(5)
+        sizes = set()
+        for n in (8, 9, 64, 65):
+            bins = n // 2 + 1
+            for carrier in (0, 1, 2, bins // 2, bins - 1):
+                psd = rng.random(bins)
+                for target in np.linspace(0.0, bins - 0.5, 8 * bins):
+                    center = int(round(target))
+                    near = [j for j in range(center - 2, center + 3) if 0 <= j < bins and j != carrier]
+                    picked = sorted(sorted(near, key=lambda j: (abs(j - target), j))[:3])
+                    sizes.add(len(picked))
+                    assert _sideband_value(psd, 1.0, target, carrier) == float(np.median(psd[picked]))
+        assert sizes == {2, 3}
 
     def test_offset_out_of_range_rejected(self):
         grid = build_grid(1e6, 8, 1e-3)

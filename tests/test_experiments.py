@@ -1,7 +1,9 @@
 """Sweep orchestration: determinism, budgets, trends, artifacts."""
 
 import json
+import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -146,9 +148,18 @@ class TestSweepCombWidth:
         assert {r.kind for r in rows} == set(cfg.kinds)
 
     def test_worker_count_does_not_change_rows(self):
-        rows_serial = sweep_comb_width(small_config(workers=1))
-        rows_pool = sweep_comb_width(small_config(workers=3))
-        assert rows_serial == rows_pool
+        # The 3 seeds and then the 4 distinct plans run on the pool, so 2
+        # and 3 workers each share out both phases unevenly.  A short
+        # switch interval interleaves the threads' Python code finely, so
+        # two jobs handed one workspace would show in the rows.
+        rows_serial = sweep_comb_width(small_config(widths=self.WIDTHS, workers=1))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (2, 3):
+                assert sweep_comb_width(small_config(widths=self.WIDTHS, workers=workers)) == rows_serial, workers
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_every_width_reads_the_same_carriers(self):
         # Carrier s is drawn on seed (master, "comb_width", 0, s) and seen
@@ -198,13 +209,47 @@ class TestSweepCombWidth:
         )
         calls = []
 
-        def counted(plan):
+        def counted(plan, workspace=None):
             calls.append(plan)
-            return power_transfer(plan)
+            return power_transfer(plan, workspace)
 
         monkeypatch.setattr(experiments, "power_transfer", counted)
         sweep_comb_width(cfg)
         assert len(calls) == distinct < len(cfg.widths) * len(cfg.kinds)
+
+
+class TestPinAllocator:
+    def fake_libc(self, monkeypatch, result=1):
+        """Stand in a C library whose mallopt records its calls and returns ``result``."""
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return result
+
+        monkeypatch.setattr(experiments, "_allocator_pinned", False)
+        monkeypatch.setattr(experiments, "_libc", lambda: SimpleNamespace(mallopt=mallopt))
+        return calls
+
+    def test_sets_thresholds_once_per_process(self, monkeypatch):
+        calls = self.fake_libc(monkeypatch)
+        experiments._pin_allocator()
+        experiments._pin_allocator()
+        sweep_comb_width(small_config(widths=(1e8,), n_seeds=1))
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]  # M_MMAP_THRESHOLD, then M_TRIM_THRESHOLD
+
+    def test_refused_setting_stops_there(self, monkeypatch):
+        calls = self.fake_libc(monkeypatch, result=0)
+        experiments._pin_allocator()
+        assert calls == [(-3, 32 << 20)]
+
+    def test_no_mallopt_is_a_no_op(self, monkeypatch):
+        rows = sweep_comb_width(small_config(widths=(1e8,), n_seeds=1))
+        monkeypatch.setattr(experiments, "_allocator_pinned", False)
+        monkeypatch.setattr(experiments, "_libc", lambda: SimpleNamespace())
+        experiments._pin_allocator()
+        assert experiments._allocator_pinned
+        assert sweep_comb_width(small_config(widths=(1e8,), n_seeds=1)) == rows
 
 
 class TestOffsetsExperiment:

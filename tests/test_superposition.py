@@ -7,7 +7,7 @@ from talbotsim.analysis import periodogram
 from talbotsim.dispersion import DelayPlan, DispersionSpec, delay_plan
 from talbotsim.model import CombSpec, NoiseProfile, SampledSignal, build_grid
 from talbotsim.superposition import power_transfer, superpose
-from talbotsim.synthesis import SynthesisRequest, synth_carrier
+from talbotsim.synthesis import SynthesisRequest, Workspace, synth_carrier
 
 
 def make_plan(offsets, n_samples, oversampling=4, f_r=1e6):
@@ -109,6 +109,23 @@ class TestSpectralEngine:
         bins = np.arange(n // 2 + 1)
         direct = np.abs(np.exp(-2j * np.pi * np.outer(bins, offsets) / n).mean(axis=1)) ** 2
         np.testing.assert_allclose(power_transfer(plan), direct, rtol=0, atol=1e-12)
+
+    def test_power_transfer_in_workspace_is_bit_equal(self):
+        # Even and odd windows; offsets that repeat mod n and run past n.
+        # One workspace serves both plans of a window in turn, so a bin
+        # the first kernel set must not leak into the second.
+        for n in (1000, 1001):
+            plans = [make_plan([0, 3, n + 3, 7, 2 * n, 5 * n - 1, 7], n), make_plan([0, 1, 2 * n + 2], n)]
+            ws = Workspace(n, plans[0].grid.sample_rate)
+            for plan in plans:
+                h = np.fft.rfft(np.bincount(plan.offsets % n, minlength=n) / len(plan))
+                expected = h.real**2 + h.imag**2
+                assert np.array_equal(power_transfer(plan), expected)
+                got = power_transfer(plan, ws)
+                assert got is ws.half
+                assert np.array_equal(got, expected)
+        with pytest.raises(ValueError, match="workspace"):
+            power_transfer(plans[0], Workspace(1000, plans[0].grid.sample_rate))
 
     def test_periodogram_is_carrier_times_power_transfer(self):
         f_r, n_os, t_sig = 1e7, 16, 2e-4
