@@ -14,6 +14,13 @@ the rFFT of the 1/K impulse train placed at the offsets mod n.  On
 every analysis bin the detected spectrum is X*H exactly: no padding, no
 transform longer than the window, and the detected periodogram is the
 carrier's times |H|^2.
+
+H is periodic in the bin index.  When every offset mod n is a multiple
+of g = gcd(n, offsets mod n) samples, H[j + n/g] = H[j], so one period
+of n/g bins holds all of it.  The Talbot delays are whole numbers of
+carrier periods T/m, so an ideal plan's H repeats every m * f_r.
+:func:`power_transfer` transforms that one period and tiles it; a plan
+with g = 1 gets the window's own transform.
 """
 
 from __future__ import annotations
@@ -27,12 +34,12 @@ from .synthesis import Workspace
 __all__ = ["power_transfer", "superpose"]
 
 
-def _kernel(plan: DelayPlan, out: np.ndarray) -> np.ndarray:
-    """The 1/K impulse train at the plan's offsets mod n, written into ``out``."""
+def _kernel(lags: np.ndarray, count: int, out: np.ndarray) -> np.ndarray:
+    """The 1/``count`` impulse train at sample indices ``lags``, written into ``out``."""
     out.fill(0.0)
     # Whole-number counts, exact in float64: the same values as np.bincount's.
-    np.add.at(out, plan.offsets % plan.grid.n_samples, 1.0)
-    out /= len(plan)
+    np.add.at(out, lags, 1.0)
+    out /= count
     return out
 
 
@@ -41,22 +48,44 @@ def power_transfer(plan: DelayPlan, workspace: Workspace | None = None) -> np.nd
 
     Multiplying a carrier's periodogram by it gives the periodogram of
     the carrier after the plan; lines that share an offset mod n add up
-    in amplitude.  With a ``workspace`` for the plan's window the kernel
-    goes to its ``wave``, H to its ``spec`` and |H|^2 to its ``half``,
-    which is returned and is valid until the workspace's next job;
-    ``wave`` is then free for the caller.  Without one, the result is
-    the caller's.  Either way the bits are the same.
+    in amplitude.  Every offset mod n is a multiple of g = gcd(n,
+    offsets mod n), so H repeats every L = n/g bins: the kernel is laid
+    out on one period of L samples, at the offsets mod n divided by g,
+    and its L-point rFFT gives bins 0..L/2.  |H|^2 is even, which fills
+    the rest of the period, and the period is tiled over the window's
+    n/2 + 1 bins.  With g = 1 that is the n-point transform of the
+    kernel at the offsets mod n.
+
+    With a ``workspace`` for the plan's window the kernel goes to the
+    first L samples of its ``wave``, H to its ``spec`` and |H|^2 to its
+    ``half``, which is returned and is valid until the workspace's next
+    job; ``wave`` is then free for the caller.  Without one, the result
+    is the caller's.  Either way the bits are the same.
     """
     grid = plan.grid
     n = grid.n_samples
+    lags = plan.offsets % n
+    g = int(np.gcd.reduce(lags, initial=n))
+    period = n // g
+    bins = period // 2 + 1
     if workspace is None:
-        wave, spec, half = np.empty(n), np.empty(n // 2 + 1, dtype=np.complex128), np.empty(n // 2 + 1)
+        wave, spec, half = np.empty(period), np.empty(bins, dtype=np.complex128), np.empty(n // 2 + 1)
     else:
         workspace.check(n, grid.sample_rate)
-        wave, spec, half = workspace.wave, workspace.spec, workspace.half
-    h = np.fft.rfft(_kernel(plan, wave), out=spec)
-    np.square(h.real, out=half)
-    half += np.square(h.imag, out=h.imag)
+        wave, spec, half = workspace.wave[:period], workspace.spec[:bins], workspace.half
+    h = np.fft.rfft(_kernel(lags // g, len(plan), wave), out=spec)
+    np.square(h.real, out=half[:bins])
+    half[:bins] += np.square(h.imag, out=h.imag)
+    # Bins L/2+1 .. L-1 mirror bins (L-1)/2 .. 1.  For g = 1 the
+    # window ends first and there is nothing to mirror.
+    mirror = half[bins:period]
+    mirror[:] = half[mirror.size : 0 : -1]
+    # Tile the period: the first ``done`` bins are whole periods.
+    done = period
+    while done < half.size:
+        tile = half[done : 2 * done]
+        tile[:] = half[: tile.size]
+        done += tile.size
     return half
 
 
@@ -72,6 +101,6 @@ def superpose(x: SampledSignal, plan: DelayPlan) -> SampledSignal:
     n = plan.grid.n_samples
     if len(x) != n:
         raise ValueError(f"input has {len(x)} samples; the plan's window is {n}")
-    transfer = np.fft.rfft(_kernel(plan, np.empty(n)))
+    transfer = np.fft.rfft(_kernel(plan.offsets % n, len(plan), np.empty(n)))
     spec = np.fft.rfft(np.asarray(x.samples, dtype=np.float64)) * transfer
     return SampledSignal(samples=np.fft.irfft(spec, n=n), sample_rate=x.sample_rate)

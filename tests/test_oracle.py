@@ -17,6 +17,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from talbotsim.dispersion import delay_plan
 from talbotsim.experiments import ExperimentConfig, sweep_comb_width
@@ -88,9 +89,14 @@ def oracle_db(offsets, grid, f_r, offset):
     return 10 * math.log10(0.5 * (sides[0] + sides[1]))
 
 
-def test_sweep_reads_the_delay_line_oracle():
+@pytest.mark.parametrize("m", [1, 2])
+def test_sweep_reads_the_delay_line_oracle(m):
+    # At upconversion factor m the ideal delays are whole multiples of
+    # T/m: m = 2 gives plans whose offsets share a factor of 8 samples,
+    # beside the constant plans' 1 and m = 1's 16.
     cfg = ExperimentConfig(
         kinds=KINDS,
+        m=m,
         noise=NoiseProfile(terms=TERMS, f_low=1 / 2e-3),
         offsets=OFFSETS,
         widths=WIDTHS,

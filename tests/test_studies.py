@@ -317,6 +317,8 @@ class TestConcurrentBudget:
         "name, settings, args",
         [
             ("simulate", {}, {"kind": "ideal"}),
+            # A smaller grid, where the fixed costs of a first call weigh more.
+            ("simulate", {"t_sig": 1e-3}, {"kind": "ideal"}),
             ("sweep-comb-width", {"n_seeds": 2}, {}),
             ("sweep-comb-width", {"n_seeds": 2, "workers": 2}, {}),
             # The sweep keeps one periodogram per seed; two seeds would hide them.
@@ -325,6 +327,7 @@ class TestConcurrentBudget:
         ],
         ids=[
             "simulate",
+            "simulate-t-sig-1e-3",
             "sweep-comb-width",
             "sweep-comb-width-2-workers",
             "sweep-comb-width-10-seeds",

@@ -27,6 +27,13 @@ def roll_sum(x, plan):
     return sum(np.roll(data, int(d)) for d in plan.offsets) / len(plan)
 
 
+def unfolded_power_transfer(plan):
+    """Reference |H|^2: the n-point rFFT of the kernel at the offsets mod n."""
+    n = plan.grid.n_samples
+    h = np.fft.rfft(np.bincount(plan.offsets % n, minlength=n) / len(plan))
+    return h.real**2 + h.imag**2
+
+
 class TestTimeEngine:
     """``superpose`` in the time domain: the detected samples themselves."""
 
@@ -126,6 +133,50 @@ class TestSpectralEngine:
                 assert np.array_equal(got, expected)
         with pytest.raises(ValueError, match="workspace"):
             power_transfer(plans[0], Workspace(1000, plans[0].grid.sample_rate))
+
+    @pytest.mark.parametrize(
+        "n, g, offsets",
+        [
+            (1000, 2, [0, 2, 14, 1006, 2008]),
+            # Offsets past n, and 16 and 1616 repeat mod n.
+            (1600, 16, [0, 16, 48, 1616, 1120, 16, 4800 + 96]),
+            (1000, 8, [0, 8, 40, 1016, 2992]),  # period 125, odd
+            (1001, 7, [0, 7, 70, 1015, 7]),  # odd n, period 143
+            (1001, 13, [0, 13, 2002 + 26]),  # odd n, period 77
+        ],
+        ids=["g2", "g16", "g8-odd-period", "odd-n-g7", "odd-n-g13"],
+    )
+    def test_power_transfer_folds_to_one_period(self, n, g, offsets):
+        # Every offset mod n is a multiple of g, so |H|^2 repeats every
+        # n/g bins; the folded transform matches the window's own.
+        plan = make_plan(offsets, n)
+        assert np.gcd.reduce(plan.offsets % n, initial=n) == g
+        got = power_transfer(plan)
+        np.testing.assert_allclose(got, unfolded_power_transfer(plan), rtol=0, atol=1e-12)
+        ws = Workspace(n, plan.grid.sample_rate)
+        ws.half.fill(np.nan)
+        assert np.array_equal(power_transfer(plan, ws), got)
+
+    @pytest.mark.parametrize("n", [1000, 1001])
+    def test_power_transfer_of_period_one_is_flat(self, n):
+        # One line, or every offset 0 mod n: one copy of the carrier, H = 1.
+        for offsets in ([0], [0, n, 3 * n]):
+            plan = make_plan(offsets, n)
+            assert np.array_equal(power_transfer(plan), np.ones(n // 2 + 1))
+            assert np.array_equal(power_transfer(plan, Workspace(n, plan.grid.sample_rate)), np.ones(n // 2 + 1))
+
+    def test_power_transfer_workspace_leaves_no_stale_tiles(self):
+        # One workspace serves a folded, an unfolded, then another folded
+        # plan; each result must match that plan alone on every bin.
+        n = 1600
+        plans = [make_plan([0, 16, 1632, 480], n), make_plan([0, 3, 1601, 16], n), make_plan([0, 32, 64, 3280], n)]
+        assert [np.gcd.reduce(p.offsets % n, initial=n) for p in plans] == [16, 1, 16]
+        ws = Workspace(n, plans[0].grid.sample_rate)
+        ws.half.fill(np.nan)
+        for plan in plans:
+            got = power_transfer(plan, ws)
+            assert np.array_equal(got, power_transfer(plan))
+            np.testing.assert_allclose(got, unfolded_power_transfer(plan), rtol=0, atol=1e-12)
 
     def test_periodogram_is_carrier_times_power_transfer(self):
         f_r, n_os, t_sig = 1e7, 16, 2e-4
