@@ -99,7 +99,6 @@ class DelayPlan:
     """Per-comb-line integer sample delays, normalized to min = 0."""
 
     offsets: np.ndarray
-    max_offset: int
     grid: SimGrid
 
     def __post_init__(self):
@@ -108,13 +107,16 @@ class DelayPlan:
             raise ValueError("a delay plan needs at least one line")
         if off.min() != 0:
             raise ValueError("offsets must be normalized to min = 0")
-        if self.max_offset != int(off.max()):
-            raise ValueError("max_offset must equal max(offsets)")
         off.flags.writeable = False
         object.__setattr__(self, "offsets", off)
 
     def __len__(self) -> int:
         return len(self.offsets)
+
+    @property
+    def max_offset(self) -> int:
+        """The largest delay, in samples."""
+        return int(self.offsets.max())
 
 
 def _check_in_table(spec: DispersionSpec, lam: np.ndarray):
@@ -201,7 +203,7 @@ def delay_plan(spec: DispersionSpec, comb: CombSpec, grid: SimGrid) -> DelayPlan
     tau = group_delay(spec, lines.lam[0], lines.lam)
     raw = np.rint(np.asarray(tau) * grid.sample_rate).astype(np.int64)
     offsets = normalize_offsets(raw)
-    return DelayPlan(offsets=offsets, max_offset=int(offsets.max()), grid=grid)
+    return DelayPlan(offsets=offsets, grid=grid)
 
 
 def one_sample_dispersion(oversampling: int, f_r: float, lambda0: float) -> float:

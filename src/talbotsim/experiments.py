@@ -24,6 +24,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import json
+import math
 import queue
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -137,14 +138,21 @@ class ExperimentConfig:
             raise ConfigError(f"run.workers must be at least 1, got {self.workers}")
         if self.memory_budget_bytes < 1:
             raise ConfigError(f"run.memory_budget_bytes must be at least 1, got {self.memory_budget_bytes}")
+        # An empty list would run no point and write a CSV with no rows.
+        lists = {"sweep.ratios": self.ratios, "sweep.widths": self.widths, "analysis.offsets": self.offsets}
+        for key, values in lists.items():
+            if not values:
+                raise ConfigError(f"{key} is empty; it needs at least one value")
         if any(r < 2 for r in self.ratios):
             raise ConfigError("oversampling ratios must be >= 2")
         # A repeated value would be measured again and written as a second row group.
         if any(b <= a for a, b in zip(self.ratios, self.ratios[1:])):
             raise ConfigError(f"sweep.ratios {list(self.ratios)} must be strictly ascending")
+        if not all(0 <= w < math.inf for w in self.widths):  # also refuses NaN
+            raise ConfigError(f"sweep.widths {list(self.widths)} must be finite and non-negative")
         if any(b <= a for a, b in zip(self.widths, self.widths[1:])):
             raise ConfigError(f"sweep.widths {list(self.widths)} must be strictly ascending")
-        if any(o <= 0 for o in self.offsets):
+        if not all(o > 0 for o in self.offsets):  # also refuses NaN
             raise ConfigError("offsets of interest must be positive")
         if any(b <= a for a, b in zip(self.offsets, self.offsets[1:])):
             raise ConfigError(f"analysis.offsets {list(self.offsets)} must be strictly ascending")
@@ -248,47 +256,43 @@ def derive_seed(master_seed: int, experiment: str, point_index: int, seed_index:
 #: workspace's buffers.
 #: Each job also holds up to 0.11 MB that does not grow with the grid
 #: (measured on grids of 3200 to 1.28M samples), which the fixed 0.5 MiB
-#: covers.  The |H|^2 that ``simulate`` computes before its job is
-#: float64 on the n/2 + 1 bins, and so is a periodogram the comb-width
-#: sweep keeps past its job (4 B per sample each).  The sweep's plan
-#: jobs run on the same workspaces as its seed jobs: each computes its
-#: |H|^2 in place (kernel, H and |H|^2 in the workspace's buffers) and
-#: reads the kept periodograms through it into the spent kernel, so a
-#: plan job costs no more than a detect job.  The default desk sweep
-#: with 10 seeds traces 76 B per sample at its peak (23.2 MiB, against
-#: 23.7 MiB predicted).  A plan holds 8 B per line, and building one
-#: passes through 48 B per line (wavelengths, group delays, offsets).
+#: covers.  ``simulate`` and the comb-width sweep keep each carrier's
+#: periodogram past its job, float64 on the n/2 + 1 bins (4 B per
+#: sample each).  Their plan jobs run on the same workspaces as their
+#: carrier jobs: each computes its |H|^2 in place (kernel, H and |H|^2
+#: in the workspace's buffers) and reads the kept periodograms through
+#: it into the spent kernel, so a plan job costs no more than a detect
+#: job.  The default desk sweep with 10 seeds traces 76 B per sample at
+#: its peak (23.2 MiB, against 23.7 MiB predicted).  A plan holds 8 B
+#: per line, and building one passes through 48 B per line
+#: (wavelengths, group delays, offsets).
 _JOB_BYTES_PER_SAMPLE = 26
 _JOB_FIXED_BYTES = 1 << 19
 _GRID_BYTES_PER_SAMPLE = 8
-_HALF_BYTES_PER_SAMPLE = 4
+_KEPT_BYTES_PER_SAMPLE = 4
 _PLAN_BYTES_PER_LINE = 56
 
 
-def _predict_bytes(grid: SimGrid, lines: int = 0, plans: int = 0, jobs: int = 1, kept: int = 0) -> int:
+def _predict_bytes(grid: SimGrid, lines: int = 0, jobs: int = 1, kept: int = 0) -> int:
     """Peak bytes of ``jobs`` concurrent detect jobs on ``grid``.
 
-    The jobs share the grid's constants, ``plans`` |H|^2 arrays and
-    ``kept`` periodograms, and ``lines`` counts the comb lines of every
-    delay plan the study holds.  numpy's pocketfft allocates its scratch
-    outside the Python allocator, so tracemalloc does not see it and
-    this figure leaves it out; the resident set runs higher by that
-    scratch.
+    The jobs share the grid's constants and ``kept`` periodograms, and
+    ``lines`` counts the comb lines of every delay plan the study holds.
+    numpy's pocketfft allocates its scratch outside the Python
+    allocator, so tracemalloc does not see it and this figure leaves it
+    out; the resident set runs higher by that scratch.
     """
     n = grid.n_samples
     job = _JOB_BYTES_PER_SAMPLE * n + _JOB_FIXED_BYTES
-    shared = (_GRID_BYTES_PER_SAMPLE + _HALF_BYTES_PER_SAMPLE * (plans + kept)) * n
+    shared = (_GRID_BYTES_PER_SAMPLE + _KEPT_BYTES_PER_SAMPLE * kept) * n
     return job * jobs + shared + _PLAN_BYTES_PER_LINE * lines
 
 
-def _check_budget(
-    cfg: ExperimentConfig, grid: SimGrid, what: str, jobs: int = 1, lines: int = 0, plans: int = 0, kept: int = 0
-):
-    """Refuse when ``min(workers, jobs)`` concurrent jobs, with ``plans``
-    shared |H|^2 arrays, ``kept`` periodograms and plans of ``lines``
-    lines, overrun the budget."""
+def _check_budget(cfg: ExperimentConfig, grid: SimGrid, what: str, jobs: int = 1, lines: int = 0, kept: int = 0):
+    """Refuse when ``min(workers, jobs)`` concurrent jobs, with ``kept``
+    periodograms and plans of ``lines`` lines, overrun the budget."""
     concurrent = min(cfg.workers, jobs)
-    predicted = _predict_bytes(grid, lines, plans, concurrent, kept)
+    predicted = _predict_bytes(grid, lines, concurrent, kept)
     if predicted > cfg.memory_budget_bytes:
         raise BudgetError(
             f"{what} needs about {predicted / 2**30:.2f} GiB for {concurrent} concurrent "
@@ -310,26 +314,6 @@ def _plans(cfg: ExperimentConfig, kinds, width: float) -> dict[str, DelayPlan]:
                 raise
             raise ConfigError(f"dispersion table {cfg.table}: {exc}") from None
     return plans
-
-
-def _spectra(grid: SimGrid, offsets, gains: dict, freqs, psd, scratch) -> dict:
-    """L(f) of the carrier whose periodogram is ``psd`` seen through each plan.
-
-    ``gains`` maps each key to a plan's :func:`power_transfer`, or to
-    None to measure the carrier itself.  The detected periodogram is the
-    carrier's times |H|^2, so every plan sees the same noise and costs
-    no transform of its own; each one goes to ``scratch`` in turn.
-    """
-    return {
-        key: phase_noise_from_psd(
-            freqs,
-            psd if gain is None else np.multiply(psd, gain, out=scratch),
-            grid.sample_rate,
-            grid.f_r,
-            offsets,
-        )
-        for key, gain in gains.items()
-    }
 
 
 def _check_offsets(cfg: ExperimentConfig, grid: SimGrid, what: str):
@@ -415,47 +399,95 @@ def _pool(cfg: ExperimentConfig, grid: SimGrid, jobs: int):
 
 def _detect(grid: SimGrid, ws: Workspace, job):
     """Synthesize the carrier of a (noise, seed, read) job in ``ws``, take
-    its periodogram and return ``read(freqs, psd, scratch)``.
+    its periodogram and return ``read(freqs, psd)``.
 
-    ``freqs``, ``psd`` and the float64 ``scratch`` on the same bins are
-    the workspace's buffers, valid only until that call returns.
+    ``freqs`` and ``psd`` are the workspace's buffers, valid only until
+    that call returns.
     """
     noise, seed, read = job
     carrier = synth_carrier(SynthesisRequest(grid=grid, noise=noise, seed=seed), ws)
-    freqs, psd = periodogram(carrier, ws)
-    # The float64 copy of the carrier is spent once its periodogram is taken.
-    return read(freqs, psd, ws.wave[: len(psd)])
+    return read(*periodogram(carrier, ws))
 
 
 def _measure(cfg: ExperimentConfig, grid: SimGrid, jobs: list) -> list:
     """What each (noise, seed, read) job on ``grid`` keeps, in job order
-    (see :func:`_detect`), run on a pool made for this call."""
+    (see :func:`_detect`), run on a pool made for this call.
+
+    The oversampling sweep reads each carrier inside its job, one call
+    per grid.  A pool opened in its ratio loop would keep the previous
+    grid's workspaces alive, through ``run``, while the next grid's are
+    made; :func:`_through_plans` would keep every seed's periodogram.
+    """
     with _pool(cfg, grid, len(jobs)) as run:
         return run(partial(_detect, grid), jobs)
 
 
-def _point_rows(cfg: ExperimentConfig, x_value: float, per_job: list[dict]) -> list[SweepRow]:
-    """Rows of one sweep point at ``x_value`` from each job's spectra: for
-    each key, in the order the jobs name them, the mean and spread of L
-    at each offset of interest over the jobs that measure that key."""
-    samples = {}
-    for spectra in per_job:
-        for key, spectrum in spectra.items():
-            samples.setdefault(key, []).append(spectrum.l_dbc)
+def _keep(out: np.ndarray, freqs, psd):
+    """Copy a periodogram that outlives its job into ``out``."""
+    np.copyto(out, psd)
+
+
+def _read_plan(grid: SimGrid, offsets, kept: list, ws: Workspace, plan: DelayPlan) -> list:
+    """L(f) of every kept periodogram seen through ``plan``, one per carrier.
+
+    |H|^2 fills ``ws`` in place, and each detected periodogram goes to
+    the spent kernel in ``ws.wave``.
+    """
+    gain = power_transfer(plan, ws)
+    scratch = ws.wave[: len(gain)]
+    return [
+        phase_noise_from_psd(ws.freqs, np.multiply(psd, gain, out=scratch), grid.sample_rate, grid.f_r, offsets)
+        for psd in kept
+    ]
+
+
+def _through_plans(cfg: ExperimentConfig, grid: SimGrid, what: str, offsets, carriers, plans) -> list[list]:
+    """L(f) at ``offsets`` of each (noise, seed) carrier on ``grid`` seen
+    through each plan: one list per plan, of one spectrum per carrier.
+
+    Each carrier is synthesized once and only its periodogram is kept;
+    the detected periodogram is the carrier's times the plan's |H|^2, so
+    every plan sees the same noise.  Plans whose offsets mod n are the
+    same multiset have bit-equal |H|^2, so each distinct plan computes
+    and reads one.  The carriers and then the distinct plans run as jobs
+    on one pool of workspaces; ``what`` names the run in a budget refusal.
+    """
+    n = grid.n_samples
+    # A plan's key is the digest of its offsets mod n as a sorted multiset.
+    keys = [hashlib.sha256(np.sort(p.offsets % n)).digest() for p in plans]
+    distinct = {}
+    for key, plan in zip(keys, plans):
+        distinct.setdefault(key, plan)
+    jobs = max(len(carriers), len(distinct))
+    _check_budget(cfg, grid, what, jobs=jobs, lines=sum(len(p) for p in plans), kept=len(carriers))
+    # Allocated here, not in the pool's threads, so that the kept
+    # periodograms do not interleave with the transforms' scratch.
+    kept = [np.empty(n // 2 + 1) for _ in carriers]
+    with _pool(cfg, grid, jobs) as run:
+        run(partial(_detect, grid), [(noise, seed, partial(_keep, out)) for (noise, seed), out in zip(carriers, kept)])
+        per_plan = dict(zip(distinct, run(partial(_read_plan, grid, offsets, kept), distinct.values())))
+    return [per_plan[key] for key in keys]
+
+
+def _point_rows(cfg: ExperimentConfig, x_value: float, spectra: dict[str, list]) -> list[SweepRow]:
+    """Rows of one sweep point at ``x_value``: for each key of ``spectra``,
+    in order, the mean and spread of L at each offset of interest over
+    that key's spectra."""
     rows = []
-    for key, per_job in samples.items():
-        for off, column in zip(cfg.offsets, np.asarray(per_job).T):  # per_job is (jobs, offsets)
+    for key, per_seed in spectra.items():
+        for off, column in zip(cfg.offsets, np.asarray([s.l_dbc for s in per_seed]).T):  # (seeds, offsets)
             mean, std = float(np.mean(column)), float(np.std(column))
-            per_seed = tuple(float(v) for v in column)
-            rows.append(SweepRow(float(x_value), key, float(off), mean, std, len(column), per_seed))
+            rows.append(SweepRow(float(x_value), key, float(off), mean, std, len(column), tuple(map(float, column))))
     return rows
 
 
 def simulate(cfg: ExperimentConfig, kind: str = "ideal", points: int = 120, jitter_band=None):
     """One run: L(f) after ``kind``'s plan at ``points`` log-spaced offsets.
 
-    ``kind = "none"`` measures the bare carrier.  Returns the spectrum and,
-    when ``jitter_band = (f_min, f_max)`` is given, its band-integrated jitter.
+    ``kind = "none"`` measures the bare carrier, through the one-line plan
+    at zero delay, whose |H|^2 is 1 on every bin.  Returns the spectrum
+    and, when ``jitter_band = (f_min, f_max)`` is given, its
+    band-integrated jitter.
     """
     if points < 2:
         raise ConfigError(f"points must be at least 2, got {points}")
@@ -474,12 +506,8 @@ def simulate(cfg: ExperimentConfig, kind: str = "ideal", points: int = 120, jitt
                 f"jitter band [{f_min}, {f_max}] Hz must satisfy {offsets[0]} <= f_min < f_max <= "
                 f"{offsets[-1]}, within the measured offsets"
             )
-    plans = {} if kind == "none" else _plans(cfg, (kind,), cfg.comb.width)
-    _check_budget(cfg, grid, "run", lines=sum(len(p) for p in plans.values()), plans=len(plans))
-    gain = power_transfer(plans[kind]) if plans else None
-    read = partial(_spectra, grid, offsets, {kind: gain})
-    (spectra,) = _measure(cfg, grid, [(cfg.resolved_noise(), cfg.master_seed, read)])
-    spectrum = spectra[kind]
+    plan = DelayPlan(np.zeros(1, np.int64), grid) if kind == "none" else _plans(cfg, (kind,), cfg.comb.width)[kind]
+    ((spectrum,),) = _through_plans(cfg, grid, "run", offsets, [(cfg.resolved_noise(), cfg.master_seed)], [plan])
     return spectrum, None if jitter_band is None else jitter(spectrum, *jitter_band)
 
 
@@ -499,73 +527,32 @@ def sweep_oversampling(cfg: ExperimentConfig) -> list[SweepRow]:
     # One grid at a time, so only one grid's workspaces are ever held.
     rows = []
     for i, (n, grid) in enumerate(zip(cfg.ratios, grids)):
-        jobs = [(None, 0, partial(_spectra, grid, cfg.offsets, {"pure_tone": None}))]
-        impaired = partial(_spectra, grid, cfg.offsets, {"impaired": None})
-        for s in range(cfg.n_seeds):
-            jobs.append((noise, derive_seed(cfg.master_seed, "oversampling", i, s), impaired))
-        rows += _point_rows(cfg, n, _measure(cfg, grid, jobs))
+        read = partial(phase_noise_from_psd, sample_rate=grid.sample_rate, f_r=grid.f_r, offsets=cfg.offsets)
+        seeds = [derive_seed(cfg.master_seed, "oversampling", i, s) for s in range(cfg.n_seeds)]
+        pure, *impaired = _measure(cfg, grid, [(None, 0, read)] + [(noise, seed, read) for seed in seeds])
+        rows += _point_rows(cfg, n, {"pure_tone": [pure], "impaired": impaired})
     return rows
-
-
-def _keep(out: np.ndarray, freqs, psd, scratch):
-    """Copy a periodogram that outlives its job into ``out``."""
-    np.copyto(out, psd)
-
-
-def _read_plan(grid: SimGrid, offsets, kept: list, ws: Workspace, plan: DelayPlan) -> list:
-    """L(f) of every kept periodogram seen through ``plan``, one per seed.
-
-    |H|^2 fills ``ws`` in place, and each detected periodogram goes to
-    the spent kernel in ``ws.wave``.
-    """
-    gain = power_transfer(plan, ws)
-    scratch = ws.wave[: len(gain)]
-    return [
-        phase_noise_from_psd(ws.freqs, np.multiply(psd, gain, out=scratch), grid.sample_rate, grid.f_r, offsets)
-        for psd in kept
-    ]
 
 
 def sweep_comb_width(cfg: ExperimentConfig) -> list[SweepRow]:
     """Measure L vs comb width for every configured dispersion kind.
 
     The ``n_seeds`` carriers are synthesized once, on the seeds of the
-    first width (point index 0), and only their periodograms are kept.
-    Each width's plans then read every kept periodogram through their
-    |H|^2, so kinds and widths are compared on identical noise and rows
-    are correlated across widths as well as kinds.  Plans whose offsets
-    mod n are the same multiset have bit-equal |H|^2, so the sweep
-    computes and reads one |H|^2 per distinct plan.  The seeds and then
-    the distinct plans run as jobs on one pool of workspaces.
+    first width (point index 0), and every width's plans read them (see
+    :func:`_through_plans`), so kinds and widths are compared on
+    identical noise and rows are correlated across widths as well as
+    kinds.
     """
     grid = cfg.grid
-    n = grid.n_samples
     _check_offsets(cfg, grid, "the comb-width sweep")
     plans_by_width = [_plans(cfg, cfg.kinds, w) for w in cfg.widths]
-    # A plan's key is the digest of its offsets mod n as a sorted multiset.
-    keys_by_width = [
-        {kind: hashlib.sha256(np.sort(p.offsets % n)).digest() for kind, p in plans.items()} for plans in plans_by_width
-    ]
-    distinct = {}
-    for plans, key_of in zip(plans_by_width, keys_by_width):
-        for kind, key in key_of.items():
-            distinct.setdefault(key, plans[kind])
-    lines = sum(len(p) for plans in plans_by_width for p in plans.values())
-    jobs = max(cfg.n_seeds, len(distinct))
-    _check_budget(cfg, grid, "comb-width sweep", jobs=jobs, lines=lines, kept=cfg.n_seeds)
     noise = cfg.resolved_noise()
-    seeds = [derive_seed(cfg.master_seed, "comb_width", 0, s) for s in range(cfg.n_seeds)]
-    # Allocated here, not in the pool's threads, so that the kept
-    # periodograms do not interleave with the transforms' scratch.
-    kept = [np.empty(n // 2 + 1) for _ in seeds]
-    with _pool(cfg, grid, jobs) as run:
-        run(partial(_detect, grid), [(noise, seed, partial(_keep, out)) for seed, out in zip(seeds, kept)])
-        per_plan = dict(zip(distinct, run(partial(_read_plan, grid, cfg.offsets, kept), distinct.values())))
-
+    carriers = [(noise, derive_seed(cfg.master_seed, "comb_width", 0, s)) for s in range(cfg.n_seeds)]
+    plans = [p for by_kind in plans_by_width for p in by_kind.values()]
+    spectra = iter(_through_plans(cfg, grid, "comb-width sweep", cfg.offsets, carriers, plans))
     rows = []
-    for w, key_of in zip(cfg.widths, keys_by_width):
-        per_seed = [{kind: per_plan[key][s] for kind, key in key_of.items()} for s in range(cfg.n_seeds)]
-        rows += _point_rows(cfg, w, per_seed)
+    for w, by_kind in zip(cfg.widths, plans_by_width):
+        rows += _point_rows(cfg, w, {kind: next(spectra) for kind in by_kind})
     return rows
 
 

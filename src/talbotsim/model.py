@@ -54,8 +54,8 @@ class CombSpec:
             raise ValueError(f"repetition rate must be positive, got {self.f_r}")
         if not self.lambda0 > 0:
             raise ValueError(f"center wavelength must be positive, got {self.lambda0}")
-        if self.width < 0:
-            raise ValueError(f"comb width must be non-negative, got {self.width}")
+        if not 0 <= self.width < math.inf:  # also refuses NaN
+            raise ValueError(f"comb width must be finite and non-negative, got {self.width}")
 
     @property
     def line_count(self) -> int:

@@ -152,7 +152,7 @@ def test_07_engine_equivalence():
             offsets = np.concatenate(([0], rng.integers(0, max_off + 1, size=k - 1)))
             offsets -= offsets.min()
             grid = build_grid(1e6, 4, n / 4e6)
-            plan = DelayPlan(offsets=offsets, max_offset=int(offsets.max()), grid=grid)
+            plan = DelayPlan(offsets=offsets, grid=grid)
             x = SampledSignal(samples=rng.standard_normal(n), sample_rate=4e6)
             reference = sum(np.roll(x.samples, int(d)) for d in offsets) / k
             err = np.abs(superpose(x, plan).samples - reference).max()
@@ -165,7 +165,7 @@ def test_07_engine_equivalence():
 def _averaging_gain(k_copies, band_fn, n_seeds=10):
     grid = build_grid(DESK_F_R, DESK_N, DESK_T_SIG)
     offsets = np.arange(k_copies, dtype=np.int64) * DESK_N
-    plan = DelayPlan(offsets=offsets, max_offset=int(offsets.max()), grid=grid)
+    plan = DelayPlan(offsets=offsets, grid=grid)
     noise = NoiseProfile(terms=((0.0, 1e-11),), f_low=grid.df)
     max_delay = plan.max_offset / grid.sample_rate
     f_lo, f_hi = band_fn(max_delay, grid)

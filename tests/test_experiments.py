@@ -16,6 +16,7 @@ from talbotsim.experiments import (
     derive_seed,
     offsets_experiment,
     run_all,
+    simulate,
     sweep_comb_width,
     sweep_oversampling,
     write_sweep_csv,
@@ -72,6 +73,28 @@ class TestSeedDerivation:
             derive_seed(2, "oversampling", 0, 0),
         }
         assert len(seeds) == 5
+
+
+def assert_same_spectrum(got, expected):
+    assert (got.carrier_freq, got.carrier_power, got.df) == (expected.carrier_freq, expected.carrier_power, expected.df)
+    assert np.array_equal(got.offsets, expected.offsets)
+    assert np.array_equal(got.l_dbc, expected.l_dbc)
+
+
+class TestSimulate:
+    def test_reads_the_carrier_through_its_plan(self):
+        # At 5e10 Hz the constant plan has g = 1: its |H|^2 is the full
+        # n-point transform.  "none" reads the bare periodogram.
+        cfg = small_config(comb=CombSpec(f_r=1e7, lambda0=1550e-9, width=5e10))
+        grid = cfg.grid
+        freqs, psd = periodogram(synth_carrier(SynthesisRequest(grid, cfg.resolved_noise(), cfg.master_seed)))
+        bare, _ = simulate(cfg, "none", points=20)
+        assert_same_spectrum(bare, phase_noise_from_psd(freqs, psd, grid.sample_rate, grid.f_r, bare.offsets))
+        plan = experiments._plans(cfg, ("constant",), cfg.comb.width)["constant"]
+        assert np.gcd.reduce(plan.offsets % grid.n_samples, initial=grid.n_samples) == 1
+        detected, _ = simulate(cfg, "constant", points=20)
+        expected = phase_noise_from_psd(freqs, psd * power_transfer(plan), grid.sample_rate, grid.f_r, detected.offsets)
+        assert_same_spectrum(detected, expected)
 
 
 class TestSweepOversampling:

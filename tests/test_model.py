@@ -97,8 +97,9 @@ class TestCombLines:
             CombSpec(f_r=0.0, lambda0=1550e-9)
         with pytest.raises(ValueError):
             CombSpec(f_r=1e8, lambda0=-1.0)
-        with pytest.raises(ValueError):
-            CombSpec(f_r=1e8, lambda0=1550e-9, width=-1.0)
+        for width in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="comb width"):
+                CombSpec(f_r=1e8, lambda0=1550e-9, width=width)
 
 
 class TestConvertDispersion:

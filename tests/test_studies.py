@@ -183,10 +183,27 @@ BAD_INPUT = {
     "band-empty": (["simulate", "--kind", "none", "--jitter-band", "5e6:5e6"], "jitter band"),
     "band-reversed": (["simulate", "--jitter-band", "1e6:1e5"], "jitter band"),
     "seed-negative": (["simulate", "--seed", "-1"], "seeds.master"),
+    # A negative width is refused before any plan is built, by every study that reads the list.
+    "widths-negative-sweep": (["sweep-comb-width", "--config", "{widths}"], "sweep.widths"),
+    "widths-negative-offsets-diff": (["offsets-diff", "--config", "{widths}"], "sweep.widths"),
+    # An empty list would run nothing and write a CSV with no rows.
+    "width-nan": (["simulate", "--width", "nan"], "comb width"),
+    "widths-nan": (["sweep-comb-width", "--widths", "nan"], "sweep.widths"),
+    "widths-inf": (["offsets-diff", "--widths", "inf"], "sweep.widths"),
+    "offsets-nan": (["sweep-oversampling", "--ratios", "4", "--offsets", "nan"], "offsets of interest"),
+    "widths-empty": (["sweep-comb-width", "--widths", ","], "sweep.widths"),
+    "widths-empty-svg": (["sweep-comb-width", "--widths", ",", "--format", "csv+svg"], "sweep.widths"),
+    "ratios-empty": (["sweep-oversampling", "--ratios", ","], "sweep.ratios"),
+    "offsets-empty": (["sweep-oversampling", "--offsets", ","], "analysis.offsets"),
 }
 
 # One-line config files the cases above name: key = value lines with no flag.
-CONFIGS = {"ratios": "sweep.ratios = 4.5, 8", "workers": "run.workers = 0", "format": "run.format = svg"}
+CONFIGS = {
+    "ratios": "sweep.ratios = 4.5, 8",
+    "workers": "run.workers = 0",
+    "format": "run.format = svg",
+    "widths": "sweep.widths = -1e9, 1e9",
+}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUT))
@@ -305,7 +322,7 @@ class TestConcurrentBudget:
         grid = build_grid(1e7, 16, 2e-4)
         comb = CombSpec(f_r=1e7, lambda0=1550e-9, width=1e9)
         plan = delay_plan(DispersionSpec.ideal(1e7, 1550e-9), comb, grid)
-        budget = int(1.5 * _predict_bytes(grid, len(plan), plans=1))
+        budget = int(1.5 * _predict_bytes(grid, len(plan), kept=1))
         for workers, expected in ((1, 0), (2, 3)):
             cfg_file = tmp_path / f"w{workers}.cfg"
             cfg_file.write_text(f"run.workers = {workers}\nrun.memory_budget_bytes = {budget}\n")

@@ -14,7 +14,7 @@ def make_plan(offsets, n_samples, oversampling=4, f_r=1e6):
     offsets = np.asarray(offsets, dtype=np.int64)
     grid = build_grid(f_r, oversampling, n_samples / (oversampling * f_r))
     assert grid.n_samples == n_samples
-    return DelayPlan(offsets=offsets, max_offset=int(offsets.max()), grid=grid)
+    return DelayPlan(offsets=offsets, grid=grid)
 
 
 def make_signal(samples, fs=4e6):
@@ -102,7 +102,7 @@ class TestSpectralEngine:
         # Two copies half a carrier period apart interfere destructively.
         f_r, n_os, t_sig = 1e6, 8, 64e-6
         grid = build_grid(f_r, n_os, t_sig)
-        plan = DelayPlan(offsets=np.array([0, n_os // 2]), max_offset=n_os // 2, grid=grid)
+        plan = DelayPlan(offsets=np.array([0, n_os // 2]), grid=grid)
         signal = synth_carrier(SynthesisRequest(grid=grid))
         y = superpose(signal, plan)
         assert np.abs(y.samples).max() < 1e-6
@@ -243,7 +243,7 @@ class TestAveragingLaws:
         """Band improvement (dB) of a K-copy one-period-spaced plan vs no plan."""
         grid = build_grid(self.F_R, self.N_OS, 2e-3)
         offsets = np.arange(k_lines, dtype=np.int64) * self.N_OS
-        plan = DelayPlan(offsets=offsets, max_offset=int(offsets.max()), grid=grid)
+        plan = DelayPlan(offsets=offsets, grid=grid)
         noise = NoiseProfile(terms=((0.0, 1e-11),), f_low=grid.df)
         max_delay = plan.max_offset / grid.sample_rate
         f_lo, f_hi = band(max_delay, grid)
