@@ -17,12 +17,16 @@ S_phi(2 f_r ± f)/2 to each sideband (+1.9 dB at 1 MHz and +0.8 dB at
 100 kHz on the bare carrier of the default config).
 
 The periodogram is taken in place in a
-:class:`~talbotsim.synthesis.Workspace`: the float64 copy of the samples
-goes to its ``wave`` buffer, their spectrum to ``spec`` and the
-periodogram to ``half``; the bin frequencies are the workspace's shared
-``freqs``.  With a workspace, the arrays returned are valid until its
-next job; without one, :func:`periodogram` builds a fresh workspace and
-the arrays belong to the caller.
+:class:`~talbotsim.synthesis.Workspace`: the samples are copied to its
+``wave`` buffer in float64 (nothing to copy when they are the carrier
+that :func:`~talbotsim.synthesis.synth_carrier` left there), their
+spectrum goes to ``spec``, and the periodogram to the first n/2 + 1
+samples of ``wave``, over the samples: a carrier synthesized in the
+workspace is spent once its periodogram is taken.  The bin frequencies
+are the workspace's ``freqs``, computed when read.  With a workspace,
+the arrays returned are valid until its next job; without one,
+:func:`periodogram` builds a fresh workspace and returns arrays that
+belong to the caller.
 
 A demodulation-based estimator of the phase PSD is provided as an
 independent cross-check of the sideband estimator.
@@ -105,23 +109,25 @@ def _periodogram(
         ws = Workspace(n, sample_rate)
     else:
         ws.check(n, sample_rate)
+    # A no-op when the samples are the workspace's own carrier.
     np.copyto(ws.wave, samples)
     spec = np.fft.rfft(ws.wave, out=ws.spec)
-    psd = np.square(spec.real, out=ws.half)
+    psd = np.square(spec.real, out=ws.wave[: len(spec)])
     psd += np.square(spec.imag, out=spec.imag)
     psd *= 2.0 / (sample_rate * n)
     psd[0] *= 0.5
     if n % 2 == 0:
         psd[-1] *= 0.5
-    return ws.freqs, psd
+    return (ws.freqs if workspace is not None else np.asarray(ws.freqs)), psd
 
 
 def periodogram(y: SampledSignal, workspace: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
     """One-sided power spectral density (per Hz) of ``y``.
 
     Rectangular window; Parseval-consistent: sum(psd)*df equals the
-    mean square of the samples.  With a ``workspace`` the frequencies
-    and densities are its buffers (see the module docstring).
+    mean square of the samples.  With a ``workspace`` the densities are
+    in its ``wave`` buffer and the frequencies are its ``freqs``, computed
+    when read (see the module docstring); without one both are arrays.
     """
     return _periodogram(y.samples, y.sample_rate, workspace)
 

@@ -248,27 +248,30 @@ def derive_seed(master_seed: int, experiment: str, point_index: int, seed_index:
 
 #: Budget model, in bytes, from the tracemalloc peaks of each stage.  A
 #: detect job fills its workspace in place: the complex spectrum (8 B per
-#: window sample), the float64 window (8 B), the float64 periodogram
-#: (4 B) and the float32 carrier (4 B), 24 B in all, plus the 1 B finite
-#: mask of the carrier's check; the model adds 1 B of headroom.  The
-#: workspaces on a grid share its bin frequencies and the spectral scale
-#: of their one noise profile (4 B each), computed before any
-#: workspace's buffers.
-#: Each job also holds up to 0.11 MB that does not grow with the grid
-#: (measured on grids of 3200 to 1.28M samples), which the fixed 0.5 MiB
-#: covers.  ``simulate`` and the comb-width sweep keep each carrier's
-#: periodogram past its job, float64 on the n/2 + 1 bins (4 B per
-#: sample each).  Their plan jobs run on the same workspaces as their
-#: carrier jobs: each computes its |H|^2 in place (kernel, H and |H|^2
-#: in the workspace's buffers) and reads the kept periodograms through
-#: it into the spent kernel, so a plan job costs no more than a detect
-#: job.  The default desk sweep with 10 seeds traces 76 B per sample at
-#: its peak (23.2 MiB, against 23.7 MiB predicted).  A plan holds 8 B
-#: per line, and building one passes through 48 B per line
-#: (wavelengths, group delays, offsets).
-_JOB_BYTES_PER_SAMPLE = 26
+#: window sample) and the float64 window (8 B), which holds the carrier
+#: and then its periodogram, 16 B in all; the model adds 1 B of
+#: headroom.  The workspaces on a grid share the spectral scale of their
+#: one noise profile (4 B per sample), computed a chunk of bins at a
+#: time before any workspace's buffers.
+#: Each job also holds about 0.17 MB that does not grow with the grid
+#: (the ramp, float32 and finiteness chunks; measured on grids of 32000
+#: to 640000 samples), which the fixed 0.5 MiB covers.  ``simulate`` and
+#: the comb-width sweep keep each carrier's periodogram past its job,
+#: float64 on the n/2 + 1 bins (4 B per sample each).  Their plan jobs
+#: run on the same workspaces as their carrier jobs: each computes its
+#: |H|^2 in place (kernel, then |H|^2, in the window buffer; H in the
+#: spectrum) and reads the kept periodograms through it into the spent
+#: spectrum, so a plan job costs no more than a detect job.  Traced
+#: peaks, each in a fresh process on the default desk grid of 320000
+#: samples: ``simulate --kind none`` 7.49 MiB (24.6 B per sample: 16 in
+#: the workspace, 4 + 4 in the kept periodogram and the scale, and the
+#: fixed term), against 8.13 MiB predicted; the default desk sweep with
+#: 10 seeds 18.6 MiB, against 19.7 MiB predicted.  A plan holds 8 B per
+#: line, and building one passes through 48 B per line (wavelengths,
+#: group delays, offsets).
+_JOB_BYTES_PER_SAMPLE = 17
 _JOB_FIXED_BYTES = 1 << 19
-_GRID_BYTES_PER_SAMPLE = 8
+_GRID_BYTES_PER_SAMPLE = 4
 _KEPT_BYTES_PER_SAMPLE = 4
 _PLAN_BYTES_PER_LINE = 56
 
@@ -373,11 +376,16 @@ def _pool(cfg: ExperimentConfig, grid: SimGrid, jobs: int):
     Each of the ``min(workers, jobs)`` concurrent jobs takes a workspace
     of its own, for the config's one noise profile; ``run`` may be
     called more than once, and every call shares the same workspaces
-    and threads.  They are dropped when the block exits.
+    and threads.  They are dropped when the block exits.  A noise
+    profile that is negative, or overflows, on ``grid``'s bins is refused
+    as a config error when the first workspace shapes it, before any job.
     """
     _pin_allocator()
     concurrent = min(cfg.workers, jobs)
-    first = Workspace(grid.n_samples, grid.sample_rate, cfg.resolved_noise())
+    try:
+        first = Workspace(grid.n_samples, grid.sample_rate, cfg.resolved_noise())
+    except ValueError as exc:  # the profile is negative or overflows on this grid
+        raise ConfigError(str(exc)) from None
     free = queue.SimpleQueue()
     free.put(first)
     for _ in range(concurrent - 1):
@@ -401,8 +409,9 @@ def _detect(grid: SimGrid, ws: Workspace, job):
     """Synthesize the carrier of a (noise, seed, read) job in ``ws``, take
     its periodogram and return ``read(freqs, psd)``.
 
-    ``freqs`` and ``psd`` are the workspace's buffers, valid only until
-    that call returns.
+    ``psd`` is in the workspace's ``wave`` buffer, over the carrier, and
+    ``freqs`` are its bin frequencies, computed when read; both are valid
+    only until that call returns.
     """
     noise, seed, read = job
     carrier = synth_carrier(SynthesisRequest(grid=grid, noise=noise, seed=seed), ws)
@@ -430,11 +439,11 @@ def _keep(out: np.ndarray, freqs, psd):
 def _read_plan(grid: SimGrid, offsets, kept: list, ws: Workspace, plan: DelayPlan) -> list:
     """L(f) of every kept periodogram seen through ``plan``, one per carrier.
 
-    |H|^2 fills ``ws`` in place, and each detected periodogram goes to
-    the spent kernel in ``ws.wave``.
+    |H|^2 fills ``ws.wave`` in place, and each detected periodogram goes
+    to the float64 view of the spent H in ``ws.spec``.
     """
     gain = power_transfer(plan, ws)
-    scratch = ws.wave[: len(gain)]
+    scratch = ws.spec.view(np.float64)[: len(gain)]
     return [
         phase_noise_from_psd(ws.freqs, np.multiply(psd, gain, out=scratch), grid.sample_rate, grid.f_r, offsets)
         for psd in kept

@@ -50,10 +50,10 @@ class CombSpec:
     width: float = 0.0
 
     def __post_init__(self):
-        if not self.f_r > 0:
-            raise ValueError(f"repetition rate must be positive, got {self.f_r}")
-        if not self.lambda0 > 0:
-            raise ValueError(f"center wavelength must be positive, got {self.lambda0}")
+        if not 0 < self.f_r < math.inf:  # also refuses NaN
+            raise ValueError(f"repetition rate must be positive and finite, got {self.f_r}")
+        if not 0 < self.lambda0 < math.inf:
+            raise ValueError(f"center wavelength must be positive and finite, got {self.lambda0}")
         if not 0 <= self.width < math.inf:  # also refuses NaN
             raise ValueError(f"comb width must be finite and non-negative, got {self.width}")
 
@@ -113,12 +113,14 @@ def build_grid(f_r: float, oversampling: int, t_sig: float) -> SimGrid:
     -------
     SimGrid
     """
-    if not f_r > 0:
-        raise ValueError(f"f_r must be positive, got {f_r}")
-    if not t_sig > 0:
-        raise ValueError(f"t_sig must be positive, got {t_sig}")
+    if not 0 < f_r < math.inf:  # also refuses NaN
+        raise ValueError(f"f_r must be positive and finite, got {f_r}")
+    if not 0 < t_sig < math.inf:
+        raise ValueError(f"t_sig must be positive and finite, got {t_sig}")
     oversampling = int(oversampling)
     sample_rate = oversampling * f_r
+    if not math.isfinite(sample_rate * t_sig):
+        raise ValueError(f"f_r * oversampling * t_sig = {sample_rate * t_sig} samples overflows")
     n_samples = int(round(sample_rate * t_sig))
     return SimGrid(
         oversampling=oversampling,
@@ -127,6 +129,10 @@ def build_grid(f_r: float, oversampling: int, t_sig: float) -> SimGrid:
         n_samples=n_samples,
         df=1.0 / t_sig,
     )
+
+
+#: Samples whose finiteness :class:`SampledSignal` checks at a time.
+_CHECK_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,8 +150,10 @@ class SampledSignal:
         arr = np.asarray(self.samples)
         if arr.ndim != 1:
             raise ValueError("samples must be one-dimensional")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("samples must be finite")
+        # In chunks, so the check makes no mask the size of the signal.
+        for start in range(0, len(arr), _CHECK_CHUNK):
+            if not np.all(np.isfinite(arr[start : start + _CHECK_CHUNK])):
+                raise ValueError("samples must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
 

@@ -21,6 +21,12 @@ of n/g bins holds all of it.  The Talbot delays are whole numbers of
 carrier periods T/m, so an ideal plan's H repeats every m * f_r.
 :func:`power_transfer` transforms that one period and tiles it; a plan
 with g = 1 gets the window's own transform.
+
+In a :class:`~talbotsim.synthesis.Workspace`, a plan job takes the two
+buffers a carrier job uses: the kernel and then |H|^2 go to the
+``wave`` buffer, H to ``spec``.  A carrier synthesized in that
+workspace does not survive it; the studies keep each carrier's
+periodogram and multiply it by |H|^2 in the spent ``spec``.
 """
 
 from __future__ import annotations
@@ -57,9 +63,10 @@ def power_transfer(plan: DelayPlan, workspace: Workspace | None = None) -> np.nd
     kernel at the offsets mod n.
 
     With a ``workspace`` for the plan's window the kernel goes to the
-    first L samples of its ``wave``, H to its ``spec`` and |H|^2 to its
-    ``half``, which is returned and is valid until the workspace's next
-    job; ``wave`` is then free for the caller.  Without one, the result
+    first L samples of its ``wave``, H to its ``spec``, and then |H|^2
+    to the first n/2 + 1 samples of ``wave``, over the spent kernel;
+    that view is returned and is valid until the workspace's next job,
+    and ``spec`` is then free for the caller.  Without one, the result
     is the caller's.  Either way the bits are the same.
     """
     grid = plan.grid
@@ -69,24 +76,25 @@ def power_transfer(plan: DelayPlan, workspace: Workspace | None = None) -> np.nd
     period = n // g
     bins = period // 2 + 1
     if workspace is None:
-        wave, spec, half = np.empty(period), np.empty(bins, dtype=np.complex128), np.empty(n // 2 + 1)
+        kernel, spec, power = np.empty(period), np.empty(bins, dtype=np.complex128), np.empty(n // 2 + 1)
     else:
         workspace.check(n, grid.sample_rate)
-        wave, spec, half = workspace.wave[:period], workspace.spec[:bins], workspace.half
-    h = np.fft.rfft(_kernel(lags // g, len(plan), wave), out=spec)
-    np.square(h.real, out=half[:bins])
-    half[:bins] += np.square(h.imag, out=h.imag)
+        kernel, spec, power = workspace.wave[:period], workspace.spec[:bins], workspace.wave[: n // 2 + 1]
+    h = np.fft.rfft(_kernel(lags // g, len(plan), kernel), out=spec)
+    # The kernel is spent: in a workspace, |H|^2 goes over it.
+    np.square(h.real, out=power[:bins])
+    power[:bins] += np.square(h.imag, out=h.imag)
     # Bins L/2+1 .. L-1 mirror bins (L-1)/2 .. 1.  For g = 1 the
     # window ends first and there is nothing to mirror.
-    mirror = half[bins:period]
-    mirror[:] = half[mirror.size : 0 : -1]
+    mirror = power[bins:period]
+    mirror[:] = power[mirror.size : 0 : -1]
     # Tile the period: the first ``done`` bins are whole periods.
     done = period
-    while done < half.size:
-        tile = half[done : 2 * done]
-        tile[:] = half[: tile.size]
+    while done < power.size:
+        tile = power[done : 2 * done]
+        tile[:] = power[: tile.size]
         done += tile.size
-    return half
+    return power
 
 
 def superpose(x: SampledSignal, plan: DelayPlan) -> SampledSignal:

@@ -6,19 +6,21 @@ frequency domain (exact PSD targeting at O(n log n)); the same request
 always produces bit-identical output.  The carrier covers exactly the
 analysis window: over a whole number of carrier periods it is periodic
 in the window, because the inverse-transformed phase track is periodic
-in its own length.  Samples are stored in single precision to halve
-memory; all intermediate math is double precision.
+in its own length.  Samples are rounded to single precision, as a
+float32 carrier would hold them; all intermediate math is double
+precision.
 
-A :class:`Workspace` holds the buffers that synthesizing a carrier and
-taking its periodogram fill in place, so jobs that run one after
+A :class:`Workspace` holds the two buffers that synthesizing a carrier
+and taking its periodogram fill in place, so jobs that run one after
 another on one window allocate nothing that grows with it.  A
 workspace holds one noise profile, shaped once when it is made, and
 serves that profile and the pure tone.  A caller that passes one owns
 it for as long as it keeps it (the studies keep one per concurrent job
 for one study call, or for one grid of the oversampling sweep) and gets
-back arrays that the workspace's next job overwrites.  Called without
-one, :func:`synth_carrier` builds a fresh workspace, so what it returns
-belongs to the caller.
+back arrays that the workspace's next step overwrites: a carrier's
+samples are valid only until its periodogram is taken.  Called without
+one, :func:`synth_carrier` builds a fresh workspace and returns a
+float32 copy of the samples, which belongs to the caller.
 """
 
 from __future__ import annotations
@@ -31,14 +33,15 @@ from .model import NoiseProfile, SampledSignal, SimGrid
 
 __all__ = [
     "SynthesisRequest",
+    "BinFrequencies",
     "Workspace",
     "synth_phase_track",
     "synth_carrier",
     "default_noise_profile",
 ]
 
-#: Samples of the carrier's phase ramp built at a time, so the ramp is
-#: never a window-sized array.
+#: Samples of the carrier, or bins of the noise shaping, computed at a
+#: time, so their temporaries are never window-sized.
 _RAMP_CHUNK = 1 << 13
 
 
@@ -51,23 +54,59 @@ class SynthesisRequest:
     seed: int = 0
 
 
+def _bin_spacing(length: int, sample_rate: float) -> float:
+    """Spacing of the rFFT bins of ``length`` samples at ``sample_rate``,
+    computed as ``np.fft.rfftfreq`` computes it."""
+    return 1.0 / (length * (1.0 / sample_rate))
+
+
+class BinFrequencies:
+    """The frequencies k * df of ``count`` rFFT bins, computed when read.
+
+    Bit-equal to ``np.fft.rfftfreq``'s, which multiplies the bin index by
+    the same spacing, with no array of their own: an integer index gives
+    one frequency, any other index or ``np.asarray`` the array.
+    """
+
+    def __init__(self, count: int, df: float):
+        self.count, self.df = count, df
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return np.float64(range(self.count)[key]) * self.df
+        return np.asarray(self)[key]
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(np.arange(self.count) * self.df, dtype=dtype)
+
+
 class Workspace:
     """Buffers for one carrier at a time on a window of ``length`` samples.
 
-    With m = length // 2 + 1 rFFT bins, each workspace holds
+    With m = length // 2 + 1 rFFT bins, each workspace holds two buffers,
+    16 bytes per window sample in all:
 
-    - ``spec``, complex128 on m bins: the normal draws, then the carrier's spectrum;
-    - ``wave``, float64 on the window: the phase, then the float64 copy of the carrier;
-    - ``half``, float64 on m bins: draw scratch, then the periodogram;
-    - ``samples``, float32 on the window: the carrier.
+    - ``spec``, complex128 on m bins: the shaped coefficients, then the
+      carrier's spectrum; a plan job's H, then its detected periodogram
+      in the float64 view;
+    - ``wave``, float64 on the window: draw scratch on its first m
+      samples, the phase, then the carrier, rounded to single precision;
+      its first m samples then hold the periodogram, or a plan job's
+      kernel and then its |H|^2.
 
-    Every job writes a buffer in full before it reads it.  The bin
-    frequencies ``freqs`` and the spectral ``scale`` of the workspace's
-    one ``noise`` profile (None for a pure tone only) depend only on the
-    window and the profile; they are read-only, and a workspace made
-    ``like`` another shares them and its profile.  The scale is computed
-    before the buffers are allocated, so its temporaries never sit on
-    top of the buffers.  One workspace serves one job at a time.
+    Every step writes what it reads first, and each one overwrites what
+    the step before left, so a carrier's samples are valid only until
+    its periodogram is taken.  The bin frequencies ``freqs`` are
+    computed when read (see :class:`BinFrequencies`).  The spectral
+    ``scale`` of the workspace's one ``noise`` profile (None for a pure
+    tone only) depends only on the window and the profile; it is
+    read-only, and a workspace made ``like`` another shares it and its
+    profile.  The scale is computed before the buffers are allocated, so
+    its temporaries never sit on top of the buffers.  One workspace
+    serves one job at a time.
     """
 
     def __init__(
@@ -79,17 +118,14 @@ class Workspace:
         self.sample_rate = sample_rate
         if like is None:
             self.noise = noise
-            self.freqs = np.fft.rfftfreq(length, 1.0 / sample_rate)
-            self.freqs.flags.writeable = False
-            self.scale = None if noise is None else _scale(noise, self.freqs, sample_rate, length)
+            self.scale = None if noise is None else _scale(noise, length, sample_rate)
         else:
             like.check(length, sample_rate, noise)
-            self.noise, self.freqs, self.scale = like.noise, like.freqs, like.scale
-        bins = len(self.freqs)
+            self.noise, self.scale = like.noise, like.scale
+        bins = length // 2 + 1
+        self.freqs = BinFrequencies(bins, _bin_spacing(length, sample_rate))
         self.spec = np.empty(bins, dtype=np.complex128)
         self.wave = np.empty(length, dtype=np.float64)
-        self.half = np.empty(bins, dtype=np.float64)
-        self.samples = np.empty(length, dtype=np.float32)
 
     def check(self, length: int, sample_rate: float, noise: NoiseProfile | None = None) -> None:
         """Raise ValueError unless this workspace is for ``length`` samples at
@@ -103,21 +139,37 @@ class Workspace:
             raise ValueError(f"workspace is for noise profile {self.noise}, not {noise}")
 
 
-def _scale(noise: NoiseProfile, freqs: np.ndarray, sample_rate: float, length: int) -> np.ndarray:
-    """Standard deviation of each part of a shaped coefficient: sqrt(S * Fs * n / 2) / sqrt(2)."""
-    target = noise.psd(freqs)
-    if np.any(target < 0):
-        raise ValueError("noise profile is negative inside the synthesis band")
-    # One-sided PSD S at bin j corresponds to E|X_j|^2 = S * Fs * n / 2
-    # for interior bins of an unnormalized length-n rFFT.
-    # In place, with the same operations in the same order as
-    # sqrt(target * Fs * n / 2.0) / sqrt(2.0).
-    scale = target
-    scale *= sample_rate
-    scale *= length
-    scale /= 2.0
-    np.sqrt(scale, out=scale)
-    scale /= np.sqrt(2.0)
+def _scale(noise: NoiseProfile, length: int, sample_rate: float) -> np.ndarray:
+    """Standard deviation of each part of a shaped coefficient on the rFFT
+    bins of ``length`` samples: sqrt(S * Fs * n / 2) / sqrt(2).
+
+    The density is evaluated ``_RAMP_CHUNK`` bins at a time, so the only
+    array the size of the bins is the result.  Raises ValueError when
+    the profile is negative on a bin, or when the scale overflows or is
+    not a number.
+    """
+    df = _bin_spacing(length, sample_rate)
+    scale = np.empty(length // 2 + 1)
+    # An overflow is reported below as an error, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(scale), _RAMP_CHUNK):
+            chunk = scale[start : start + _RAMP_CHUNK]
+            bins = np.arange(start, start + len(chunk), dtype=np.float64)
+            bins *= df
+            chunk[:] = noise.psd(bins)
+            if np.any(chunk < 0):
+                raise ValueError(f"noise profile is negative on the {length}-sample window at {sample_rate} Hz")
+            # One-sided PSD S at bin j corresponds to E|X_j|^2 = S * Fs * n / 2
+            # for interior bins of an unnormalized length-n rFFT.
+            # In place, with the same operations in the same order as
+            # sqrt(S * Fs * n / 2.0) / sqrt(2.0).
+            chunk *= sample_rate
+            chunk *= length
+            chunk /= 2.0
+            np.sqrt(chunk, out=chunk)
+            chunk /= np.sqrt(2.0)
+            if not np.all(np.isfinite(chunk)):
+                raise ValueError(f"noise profile overflows on the {length}-sample window at {sample_rate} Hz")
     scale.flags.writeable = False
     return scale
 
@@ -126,8 +178,9 @@ def _phase_track(ws: Workspace, seed: int) -> np.ndarray:
     """Draw the phase track of ``ws``'s profile and ``seed`` into ``ws.wave`` and return it."""
     rng = np.random.default_rng(seed)
     coeff = ws.spec
-    coeff.real = rng.standard_normal(out=ws.half)
-    coeff.imag = rng.standard_normal(out=ws.half)
+    draws = ws.wave[: len(coeff)]
+    coeff.real = rng.standard_normal(out=draws)
+    coeff.imag = rng.standard_normal(out=draws)
     coeff *= ws.scale
     coeff[0] = 0.0
     if ws.length % 2 == 0:
@@ -153,9 +206,10 @@ def synth_phase_track(
 def synth_carrier(request: SynthesisRequest, workspace: Workspace | None = None) -> SampledSignal:
     """Synthesize the (optionally phase-noise-impaired) carrier.
 
-    Returns ``sin(2*pi*f_r*n/Fs + phi[n])`` for the ``grid.n_samples``
-    samples of the analysis window.  With a ``workspace`` the samples
-    are its ``samples`` buffer, valid until its next job.
+    Returns ``sin(2*pi*f_r*n/Fs + phi[n])``, rounded to single precision,
+    for the ``grid.n_samples`` samples of the analysis window.  With a
+    ``workspace`` the samples are its ``wave`` buffer, in float64, valid
+    until its periodogram is taken; without one they are float32.
     """
     grid = request.grid
     length = grid.n_samples
@@ -164,23 +218,25 @@ def synth_carrier(request: SynthesisRequest, workspace: Workspace | None = None)
         ws = Workspace(length, grid.sample_rate, request.noise)
     else:
         ws.check(length, grid.sample_rate, request.noise)
-    if request.noise is None:
-        phase = ws.wave
-    else:
-        phase = _phase_track(ws, request.seed)
+    wave = ws.wave if request.noise is None else _phase_track(ws, request.seed)
     step = 2.0 * np.pi * grid.f_r / grid.sample_rate
+    rounded = np.empty(min(_RAMP_CHUNK, length), dtype=np.float32)
     for start in range(0, length, _RAMP_CHUNK):
-        stop = min(start + _RAMP_CHUNK, length)
-        ramp = np.arange(start, stop, dtype=np.float64)
+        chunk = wave[start : start + _RAMP_CHUNK]
+        ramp = np.arange(start, start + len(chunk), dtype=np.float64)
         ramp *= step
         if request.noise is None:
-            phase[start:stop] = ramp
+            chunk[:] = ramp
         else:
-            phase[start:stop] += ramp
-    np.sin(phase, out=phase)
-    np.copyto(ws.samples, phase, casting="same_kind")
-    # A view, so the workspace's own buffer stays writable for its next job.
-    return SampledSignal(samples=ws.samples[:], sample_rate=grid.sample_rate)
+            chunk += ramp
+        np.sin(chunk, out=chunk)
+        # Through float32 and back: the values a float32 carrier holds.
+        single = rounded[: len(chunk)]
+        np.copyto(single, chunk, casting="same_kind")
+        np.copyto(chunk, single)
+    # In a workspace, a view, so its own buffer stays writable for its next job.
+    samples = wave[:] if workspace is not None else wave.astype(np.float32)
+    return SampledSignal(samples=samples, sample_rate=grid.sample_rate)
 
 
 def default_noise_profile(f_low: float = 1.0) -> NoiseProfile:

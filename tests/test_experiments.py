@@ -21,7 +21,7 @@ from talbotsim.experiments import (
     sweep_oversampling,
     write_sweep_csv,
 )
-from talbotsim.model import CombSpec
+from talbotsim.model import CombSpec, NoiseProfile
 from talbotsim.superposition import power_transfer
 from talbotsim.synthesis import SynthesisRequest, synth_carrier
 
@@ -139,6 +139,13 @@ class TestSweepOversampling:
         cfg = small_config(memory_budget_bytes=1000)
         with pytest.raises(BudgetError, match="GiB"):
             sweep_oversampling(cfg)
+
+    def test_noise_refused_on_a_later_grid(self):
+        # S = 1e-11 - 2e-19 f turns negative at 50 MHz: inside the band of
+        # N = 16 (Fs/2 = 80 MHz) but not of N = 4 (20 MHz), which runs first.
+        noise = NoiseProfile(terms=((0.0, 1e-11), (1.0, -2e-19)), f_low=1.0)
+        with pytest.raises(ConfigError, match="negative on the 80000-sample window"):
+            sweep_oversampling(small_config(ratios=(4, 16), noise=noise))
 
     def test_rejects_unsorted_ratios(self):
         with pytest.raises(ConfigError, match="ascending"):

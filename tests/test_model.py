@@ -46,6 +46,16 @@ class TestBuildGrid:
         with pytest.raises(ValueError, match="samples"):
             build_grid(1e8, 2, 1e-12)
 
+    def test_rejects_non_finite_inputs(self):
+        inf = float("inf")
+        with pytest.raises(ValueError, match="f_r must be positive and finite"):
+            build_grid(inf, 16, 1e-3)
+        with pytest.raises(ValueError, match="t_sig must be positive and finite"):
+            build_grid(1e8, 16, inf)
+        # Finite inputs whose sample count overflows.
+        with pytest.raises(ValueError, match="overflows"):
+            build_grid(1e307, 64, 1.0)
+
     def test_df_times_t_sig_is_one(self):
         rng = np.random.default_rng(42)
         for _ in range(50):
@@ -97,6 +107,11 @@ class TestCombLines:
             CombSpec(f_r=0.0, lambda0=1550e-9)
         with pytest.raises(ValueError):
             CombSpec(f_r=1e8, lambda0=-1.0)
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="center wavelength"):
+                CombSpec(f_r=1e8, lambda0=bad)
+            with pytest.raises(ValueError, match="repetition rate"):
+                CombSpec(f_r=bad, lambda0=1550e-9)
         for width in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="comb width"):
                 CombSpec(f_r=1e8, lambda0=1550e-9, width=width)

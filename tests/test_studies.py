@@ -150,6 +150,15 @@ BAD_INPUT = {
     "ratios-fractional": (["sweep-oversampling", "--ratios", "4,8.7"], "sweep.ratios must be an integer"),
     "ratios-fractional-file": (["sweep-oversampling", "--config", "{ratios}"], "sweep.ratios must be an integer"),
     "t-sig-zero": (["simulate", "--t-sig", "0"], "t_sig must be positive"),
+    "t-sig-inf": (["simulate", "--t-sig", "inf"], "t_sig must be positive and finite"),
+    "f-r-inf": (["simulate", "--f-r", "inf"], "repetition rate must be positive and finite"),
+    "lambda0-inf": (["simulate", "--lambda0", "inf"], "center wavelength must be positive and finite"),
+    # A noise profile that is negative, or overflows, on the grid's bins is refused before any synthesis.
+    "noise-negative-simulate": (["simulate", "--config", "{noise_negative}"], "noise profile is negative"),
+    "noise-negative-sweep": (["sweep-comb-width", "--widths", "1e8", "--config", "{noise_negative}"], "negative"),
+    "noise-negative-oversampling": (["sweep-oversampling", "--ratios", "4", "--config", "{noise_negative}"], "negative"),
+    "noise-overflow-simulate": (["simulate", "--config", "{noise_overflow}"], "noise profile overflows"),
+    "noise-overflow-oversampling": (["sweep-oversampling", "--ratios", "4,8", "--config", "{noise_overflow}"], "overflows"),
     "oversampling-one": (["simulate", "--oversampling", "1"], "oversampling ratio must be >= 2"),
     "workers-zero": (["sweep-comb-width", "--config", "{workers}"], "run.workers must be at least 1"),
     "budget-negative": (["simulate", "--memory-budget", "-1"], "run.memory_budget_bytes must be at least 1"),
@@ -203,6 +212,8 @@ CONFIGS = {
     "workers": "run.workers = 0",
     "format": "run.format = svg",
     "widths": "sweep.widths = -1e9, 1e9",
+    "noise_negative": "noise.term = {alpha = 0, b = -1e-11}",
+    "noise_overflow": "noise.term = {alpha = 0, b = 1e308}",
 }
 
 

@@ -129,7 +129,7 @@ class TestSpectralEngine:
                 expected = h.real**2 + h.imag**2
                 assert np.array_equal(power_transfer(plan), expected)
                 got = power_transfer(plan, ws)
-                assert got is ws.half
+                assert got.base is ws.wave
                 assert np.array_equal(got, expected)
         with pytest.raises(ValueError, match="workspace"):
             power_transfer(plans[0], Workspace(1000, plans[0].grid.sample_rate))
@@ -154,7 +154,8 @@ class TestSpectralEngine:
         got = power_transfer(plan)
         np.testing.assert_allclose(got, unfolded_power_transfer(plan), rtol=0, atol=1e-12)
         ws = Workspace(n, plan.grid.sample_rate)
-        ws.half.fill(np.nan)
+        ws.wave.fill(np.nan)
+        ws.spec.fill(np.nan)
         assert np.array_equal(power_transfer(plan, ws), got)
 
     @pytest.mark.parametrize("n", [1000, 1001])
@@ -172,7 +173,8 @@ class TestSpectralEngine:
         plans = [make_plan([0, 16, 1632, 480], n), make_plan([0, 3, 1601, 16], n), make_plan([0, 32, 64, 3280], n)]
         assert [np.gcd.reduce(p.offsets % n, initial=n) for p in plans] == [16, 1, 16]
         ws = Workspace(n, plans[0].grid.sample_rate)
-        ws.half.fill(np.nan)
+        ws.wave.fill(np.nan)
+        ws.spec.fill(np.nan)
         for plan in plans:
             got = power_transfer(plan, ws)
             assert np.array_equal(got, power_transfer(plan))

@@ -49,6 +49,11 @@ class TestPhaseTrack:
         with pytest.raises(ValueError, match="negative"):
             synth_phase_track(profile, 4096, 1e6, seed=0)
 
+    def test_rejects_overflowing_profile(self):
+        profile = NoiseProfile(terms=((0.0, 1e308),), f_low=1.0)
+        with pytest.raises(ValueError, match="overflows"):
+            synth_phase_track(profile, 4096, 1e6, seed=0)
+
     def test_rejects_short_track(self):
         with pytest.raises(ValueError, match="2 samples"):
             synth_phase_track(default_noise_profile(), 1, 1e6, seed=0)
@@ -272,7 +277,7 @@ class TestWorkspace:
         noise = default_noise_profile(f_low=EVEN.df)
         first = Workspace(EVEN.n_samples, EVEN.sample_rate, noise)
         spaces = [first] + [Workspace(EVEN.n_samples, EVEN.sample_rate, like=first) for _ in range(workers - 1)]
-        assert all(ws.freqs is first.freqs and ws.scale is first.scale for ws in spaces)
+        assert all(ws.scale is first.scale for ws in spaces)
         results, errors = {}, []
 
         def work(i):
@@ -299,6 +304,41 @@ class TestWorkspace:
             fresh = synth_carrier(SynthesisRequest(grid=EVEN, noise=noise, seed=seed))
             assert np.array_equal(samples, fresh.samples)
             assert np.array_equal(psd, periodogram(fresh)[1])
+
+    @pytest.mark.parametrize("grid", [EVEN, ODD], ids=["even", "odd"])
+    def test_two_window_buffers(self, grid):
+        # spec (n//2 + 1 complex bins) and wave (n float64 samples) are the
+        # only window-sized arrays: 16 B per sample, plus one bin.  The
+        # shared scale of the noise profile is 8 B per bin on top.
+        n = grid.n_samples
+        noise = default_noise_profile(f_low=grid.df)
+        ws = Workspace(n, grid.sample_rate, noise)
+        arrays = {name: a for name, a in vars(ws).items() if isinstance(a, np.ndarray)}
+        assert set(arrays) == {"spec", "wave", "scale"}
+        assert arrays["scale"].nbytes == 8 * (n // 2 + 1)
+        assert ws.spec.nbytes + ws.wave.nbytes <= 16 * (n + 1)
+        # The carrier and its periodogram live in wave; freqs holds no array.
+        carrier = synth_carrier(SynthesisRequest(grid=grid, noise=noise, seed=2), ws)
+        assert np.shares_memory(carrier.samples, ws.wave)
+        freqs, psd = periodogram(carrier, ws)
+        assert psd.base is ws.wave and len(psd) == n // 2 + 1
+        reference = np.fft.rfftfreq(n, 1.0 / grid.sample_rate)
+        for k in (0, 1, 7, len(reference) - 1, -1):
+            assert freqs[k] == reference[k]
+        assert np.array_equal(freqs[2:9:3], reference[2:9:3])
+
+    def test_non_finite_carrier_is_refused(self):
+        noise = default_noise_profile(f_low=EVEN.df)
+        ws = Workspace(EVEN.n_samples, EVEN.sample_rate, noise)
+        # A scale that a new workspace would refuse: one infinite bin spreads
+        # over the whole phase track.
+        scale = ws.scale.copy()
+        scale[5] = np.inf
+        ws.scale = scale
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            synth_carrier(SynthesisRequest(grid=EVEN, noise=noise, seed=1), ws)
+        # The pure tone uses no scale; the workspace still serves it.
+        self.check(EVEN, None, 1, ws)
 
     def test_phase_track_matches_formula(self):
         noise = default_noise_profile(f_low=ODD.df)
