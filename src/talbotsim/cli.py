@@ -30,7 +30,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import BudgetError, ConfigError
-from .experiments import STUDIES, ExperimentConfig, run_study
+from .experiments import STUDIES, ExperimentConfig, dry_run, run_study
 from .model import NoiseProfile, estimate_memory
 from .synthesis import default_noise_profile
 
@@ -218,15 +218,21 @@ def _human_bytes(n: float) -> str:
     return f"{n:.0f} B"
 
 
-def _estimate_memory(cfg: ExperimentConfig, args) -> int:
-    representation = {"full": "full_band", "reduced": "reduced"}[args.representation]
-    n_bytes = estimate_memory(representation, cfg.comb, cfg.grid, args.bytes_per_sample)
-    print(f"{representation}: {n_bytes} bytes ({_human_bytes(n_bytes)})")
-    if n_bytes > cfg.memory_budget_bytes:
+def _estimate_memory(cfg: ExperimentConfig) -> int:
+    """Print the paper's storage figures for the grid, then the figure each
+    budgeted study's guard predicts, and refuse, naming every study whose
+    guard would refuse it."""
+    for representation in ("full_band", "reduced"):
+        n_bytes = estimate_memory(representation, cfg.comb, cfg.grid)
+        print(f"storage, {representation}: {n_bytes} bytes ({_human_bytes(n_bytes)})")
+    figures = dry_run(cfg)
+    for name, n_bytes in figures.items():
+        print(f"{name}: {n_bytes} bytes ({_human_bytes(n_bytes)})")
+    over = [name for name, n_bytes in figures.items() if n_bytes > cfg.memory_budget_bytes]
+    if over:
         raise BudgetError(
-            f"estimate {_human_bytes(n_bytes)} exceeds the budget of "
-            f"{_human_bytes(cfg.memory_budget_bytes)}",
-            estimate_bytes=n_bytes,
+            f"{', '.join(over)} would refuse, over the budget of {_human_bytes(cfg.memory_budget_bytes)}",
+            estimate_bytes=figures[over[0]],
         )
     return 0
 
@@ -310,10 +316,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, dest="dispersion.m", help="upconversion factor")
     p.add_argument("--table", **table)
 
-    p = sub.add_parser("estimate-memory", help="predict signal storage needs")
+    p = sub.add_parser("estimate-memory", help="the budget guard's figure per study, without running it")
     _add_common(p)
-    p.add_argument("--representation", default="reduced", choices=["full", "reduced"])
-    p.add_argument("--bytes-per-sample", type=float, default=8, dest="bytes_per_sample")
     return parser
 
 
@@ -332,7 +336,7 @@ def main(argv=None) -> int:
         values = parse_config(args.config, _overrides_from_args(args))
         cfg = experiment_config(values)
         if args.command == "estimate-memory":
-            return _estimate_memory(cfg, args)
+            return _estimate_memory(cfg)
         fmt = values.get("run.format", "csv")
         if fmt not in ("csv", "csv+svg"):
             raise ConfigError(f"run.format must be csv or csv+svg, got {fmt!r}")

@@ -68,6 +68,7 @@ __all__ = [
     "dispersion_eval",
     "run_study",
     "run_all",
+    "dry_run",
     "write_manifest",
     "write_sweep_csv",
     "write_offsets_csv",
@@ -148,6 +149,10 @@ class ExperimentConfig:
         # A repeated value would be measured again and written as a second row group.
         if any(b <= a for a, b in zip(self.ratios, self.ratios[1:])):
             raise ConfigError(f"sweep.ratios {list(self.ratios)} must be strictly ascending")
+        try:  # the largest ratio's grid; build_grid checks the sample count
+            build_grid(self.comb.f_r, self.ratios[-1], self.t_sig)
+        except ValueError as exc:
+            raise ConfigError(f"sweep.ratios: {exc}") from None
         if not all(0 <= w < math.inf for w in self.widths):  # also refuses NaN
             raise ConfigError(f"sweep.widths {list(self.widths)} must be finite and non-negative")
         if any(b <= a for a, b in zip(self.widths, self.widths[1:])):
@@ -291,15 +296,30 @@ def _predict_bytes(grid: SimGrid, lines: int = 0, jobs: int = 1, kept: int = 0) 
     return job * jobs + shared + _PLAN_BYTES_PER_LINE * lines
 
 
-def _check_budget(cfg: ExperimentConfig, grid: SimGrid, what: str, jobs: int = 1, lines: int = 0, kept: int = 0):
-    """Refuse when ``min(workers, jobs)`` concurrent jobs, with ``kept``
-    periodograms and plans of ``lines`` lines, overrun the budget."""
-    concurrent = min(cfg.workers, jobs)
-    predicted = _predict_bytes(grid, lines, concurrent, kept)
+@dataclass(frozen=True)
+class _Guard:
+    """What the budget guard checks for one run: ``jobs`` jobs on ``grid``,
+    ``kept`` periodograms and delay plans of ``lines`` lines in all;
+    ``what`` names the run in a refusal."""
+
+    grid: SimGrid
+    what: str
+    jobs: int = 1
+    lines: int = 0
+    kept: int = 0
+
+    def predicted(self, cfg: ExperimentConfig) -> int:
+        """Peak bytes with ``min(workers, jobs)`` of the jobs at once."""
+        return _predict_bytes(self.grid, self.lines, min(cfg.workers, self.jobs), self.kept)
+
+
+def _check_budget(cfg: ExperimentConfig, guard: _Guard):
+    """Refuse when ``guard``'s run would overrun the budget."""
+    predicted = guard.predicted(cfg)
     if predicted > cfg.memory_budget_bytes:
         raise BudgetError(
-            f"{what} needs about {predicted / 2**30:.2f} GiB for {concurrent} concurrent "
-            f"job(s), over the budget of {cfg.memory_budget_bytes / 2**30:.2f} GiB",
+            f"{guard.what} needs about {predicted / 2**30:.2f} GiB for {min(cfg.workers, guard.jobs)} "
+            f"concurrent job(s), over the budget of {cfg.memory_budget_bytes / 2**30:.2f} GiB",
             estimate_bytes=predicted,
         )
 
@@ -450,32 +470,66 @@ def _read_plan(grid: SimGrid, offsets, kept: list, ws: Workspace, plan: DelayPla
     ]
 
 
-def _through_plans(cfg: ExperimentConfig, grid: SimGrid, what: str, offsets, carriers, plans) -> list[list]:
-    """L(f) at ``offsets`` of each (noise, seed) carrier on ``grid`` seen
-    through each plan: one list per plan, of one spectrum per carrier.
+@dataclass(frozen=True, eq=False)
+class _Reads:
+    """(noise, seed) ``carriers`` on ``grid``, each to be seen through each
+    of ``plans`` by :func:`_through_plans`; ``what`` names the run in a
+    budget refusal.
+
+    Plans whose offsets mod n are the same multiset have bit-equal |H|^2.
+    ``keys`` holds each plan's key, the digest of its offsets mod n as a
+    sorted multiset, and ``distinct`` the first plan of each key.
+    """
+
+    grid: SimGrid
+    what: str
+    carriers: list
+    plans: list
+    keys: list = field(init=False)
+    distinct: dict = field(init=False)
+
+    def __post_init__(self):
+        n = self.grid.n_samples
+        keys = [hashlib.sha256(np.sort(p.offsets % n)).digest() for p in self.plans]
+        distinct = {}
+        for key, plan in zip(keys, self.plans):
+            distinct.setdefault(key, plan)
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "distinct", distinct)
+
+    @property
+    def guard(self) -> _Guard:
+        """The carriers and then the distinct plans run as jobs, and every
+        carrier's periodogram is kept."""
+        return _Guard(
+            self.grid,
+            self.what,
+            jobs=max(len(self.carriers), len(self.distinct)),
+            lines=sum(len(p) for p in self.plans),
+            kept=len(self.carriers),
+        )
+
+
+def _through_plans(cfg: ExperimentConfig, reads: _Reads, offsets) -> list[list]:
+    """L(f) at ``offsets`` of each of ``reads``' carriers seen through each
+    of its plans: one list per plan, of one spectrum per carrier.
 
     Each carrier is synthesized once and only its periodogram is kept;
     the detected periodogram is the carrier's times the plan's |H|^2, so
-    every plan sees the same noise.  Plans whose offsets mod n are the
-    same multiset have bit-equal |H|^2, so each distinct plan computes
-    and reads one.  The carriers and then the distinct plans run as jobs
-    on one pool of workspaces; ``what`` names the run in a budget refusal.
+    every plan sees the same noise.  Each distinct plan computes and reads
+    one |H|^2.  The carriers and then the distinct plans run as jobs on
+    one pool of workspaces.
     """
-    n = grid.n_samples
-    # A plan's key is the digest of its offsets mod n as a sorted multiset.
-    keys = [hashlib.sha256(np.sort(p.offsets % n)).digest() for p in plans]
-    distinct = {}
-    for key, plan in zip(keys, plans):
-        distinct.setdefault(key, plan)
-    jobs = max(len(carriers), len(distinct))
-    _check_budget(cfg, grid, what, jobs=jobs, lines=sum(len(p) for p in plans), kept=len(carriers))
+    grid, guard = reads.grid, reads.guard
+    _check_budget(cfg, guard)
     # Allocated here, not in the pool's threads, so that the kept
     # periodograms do not interleave with the transforms' scratch.
-    kept = [np.empty(n // 2 + 1) for _ in carriers]
-    with _pool(cfg, grid, jobs) as run:
-        run(partial(_detect, grid), [(noise, seed, partial(_keep, out)) for (noise, seed), out in zip(carriers, kept)])
-        per_plan = dict(zip(distinct, run(partial(_read_plan, grid, offsets, kept), distinct.values())))
-    return [per_plan[key] for key in keys]
+    kept = [np.empty(grid.n_samples // 2 + 1) for _ in reads.carriers]
+    with _pool(cfg, grid, guard.jobs) as run:
+        jobs = [(noise, seed, partial(_keep, out)) for (noise, seed), out in zip(reads.carriers, kept)]
+        run(partial(_detect, grid), jobs)
+        per_plan = dict(zip(reads.distinct, run(partial(_read_plan, grid, offsets, kept), reads.distinct.values())))
+    return [per_plan[key] for key in reads.keys]
 
 
 def _point_rows(cfg: ExperimentConfig, x_value: float, spectra: dict[str, list]) -> list[SweepRow]:
@@ -515,9 +569,23 @@ def simulate(cfg: ExperimentConfig, kind: str = "ideal", points: int = 120, jitt
                 f"jitter band [{f_min}, {f_max}] Hz must satisfy {offsets[0]} <= f_min < f_max <= "
                 f"{offsets[-1]}, within the measured offsets"
             )
-    plan = DelayPlan(np.zeros(1, np.int64), grid) if kind == "none" else _plans(cfg, (kind,), cfg.comb.width)[kind]
-    ((spectrum,),) = _through_plans(cfg, grid, "run", offsets, [(cfg.resolved_noise(), cfg.master_seed)], [plan])
+    ((spectrum,),) = _through_plans(cfg, _simulate_reads(cfg, kind), offsets)
     return spectrum, None if jitter_band is None else jitter(spectrum, *jitter_band)
+
+
+def _simulate_reads(cfg: ExperimentConfig, kind: str) -> _Reads:
+    """``simulate``'s one carrier and ``kind``'s plan; ``kind = "none"`` is
+    the one-line plan at zero delay."""
+    grid = cfg.grid
+    plan = DelayPlan(np.zeros(1, np.int64), grid) if kind == "none" else _plans(cfg, (kind,), cfg.comb.width)[kind]
+    return _Reads(grid, "run", [(cfg.resolved_noise(), cfg.master_seed)], [plan])
+
+
+def _oversampling_guards(cfg: ExperimentConfig) -> list[_Guard]:
+    """The oversampling sweep's guard of each ratio, in order: the pure
+    tone and ``n_seeds`` impaired carriers run as jobs on that ratio's grid."""
+    grids = [build_grid(cfg.comb.f_r, n, cfg.t_sig) for n in cfg.ratios]
+    return [_Guard(grid, f"oversampling point N={n}", jobs=cfg.n_seeds + 1) for n, grid in zip(cfg.ratios, grids)]
 
 
 def sweep_oversampling(cfg: ExperimentConfig) -> list[SweepRow]:
@@ -527,15 +595,16 @@ def sweep_oversampling(cfg: ExperimentConfig) -> list[SweepRow]:
     numerical floor of the simulation, the impaired carrier shows when
     the measured noise saturates.
     """
-    grids = [build_grid(cfg.comb.f_r, n, cfg.t_sig) for n in cfg.ratios]
-    for n, grid in zip(cfg.ratios, grids):
-        _check_offsets(cfg, grid, f"oversampling point N={n}")
-        _check_budget(cfg, grid, f"oversampling point N={n}", jobs=cfg.n_seeds + 1)
+    guards = _oversampling_guards(cfg)
+    for guard in guards:
+        _check_offsets(cfg, guard.grid, guard.what)
+        _check_budget(cfg, guard)
     noise = cfg.resolved_noise()
 
     # One grid at a time, so only one grid's workspaces are ever held.
     rows = []
-    for i, (n, grid) in enumerate(zip(cfg.ratios, grids)):
+    for i, (n, guard) in enumerate(zip(cfg.ratios, guards)):
+        grid = guard.grid
         read = partial(phase_noise_from_psd, sample_rate=grid.sample_rate, f_r=grid.f_r, offsets=cfg.offsets)
         seeds = [derive_seed(cfg.master_seed, "oversampling", i, s) for s in range(cfg.n_seeds)]
         pure, *impaired = _measure(cfg, grid, [(None, 0, read)] + [(noise, seed, read) for seed in seeds])
@@ -552,17 +621,21 @@ def sweep_comb_width(cfg: ExperimentConfig) -> list[SweepRow]:
     identical noise and rows are correlated across widths as well as
     kinds.
     """
-    grid = cfg.grid
-    _check_offsets(cfg, grid, "the comb-width sweep")
-    plans_by_width = [_plans(cfg, cfg.kinds, w) for w in cfg.widths]
+    _check_offsets(cfg, cfg.grid, "the comb-width sweep")
+    spectra = iter(_through_plans(cfg, _comb_width_reads(cfg), cfg.offsets))
+    rows = []
+    for w in cfg.widths:
+        rows += _point_rows(cfg, w, {kind: next(spectra) for kind in cfg.kinds})
+    return rows
+
+
+def _comb_width_reads(cfg: ExperimentConfig) -> _Reads:
+    """The comb-width sweep's ``n_seeds`` carriers, on the seeds of point
+    index 0, and every width's plans, one per kind, width by width."""
     noise = cfg.resolved_noise()
     carriers = [(noise, derive_seed(cfg.master_seed, "comb_width", 0, s)) for s in range(cfg.n_seeds)]
-    plans = [p for by_kind in plans_by_width for p in by_kind.values()]
-    spectra = iter(_through_plans(cfg, grid, "comb-width sweep", cfg.offsets, carriers, plans))
-    rows = []
-    for w, by_kind in zip(cfg.widths, plans_by_width):
-        rows += _point_rows(cfg, w, {kind: next(spectra) for kind in by_kind})
-    return rows
+    plans = [plan for w in cfg.widths for plan in _plans(cfg, cfg.kinds, w).values()]
+    return _Reads(cfg.grid, "comb-width sweep", carriers, plans)
 
 
 def offsets_experiment(cfg: ExperimentConfig) -> list[OffsetsTable]:
@@ -662,7 +735,9 @@ class Study:
     out_dir, render_svg)`` writes them and returns the paths written.
     ``args`` names the study's own arguments, which the manifest records
     next to the config; ``report`` turns a result into a line for the user.
-    ``plots`` is False for a study that draws no SVG.
+    ``plots`` is False for a study that draws no SVG.  ``guards(cfg)``
+    lists the budget checks the study makes, at its default arguments,
+    before it synthesizes anything; it is None for a study with none.
     """
 
     name: str
@@ -671,14 +746,31 @@ class Study:
     args: tuple[str, ...] = ()
     report: Callable | None = None
     plots: bool = True
+    guards: Callable | None = None
 
 
 STUDIES: dict[str, Study] = {
     s.name: s
     for s in (
-        Study("simulate", simulate, _write_simulate, args=("kind", "points", "jitter_band")),
-        Study("sweep-oversampling", sweep_oversampling, partial(_write_sweep, "sweep_oversampling.csv")),
-        Study("sweep-comb-width", sweep_comb_width, partial(_write_sweep, "sweep_comb_width.csv")),
+        Study(
+            "simulate",
+            simulate,
+            _write_simulate,
+            args=("kind", "points", "jitter_band"),
+            guards=lambda cfg: [_simulate_reads(cfg, "ideal").guard],
+        ),
+        Study(
+            "sweep-oversampling",
+            sweep_oversampling,
+            partial(_write_sweep, "sweep_oversampling.csv"),
+            guards=_oversampling_guards,
+        ),
+        Study(
+            "sweep-comb-width",
+            sweep_comb_width,
+            partial(_write_sweep, "sweep_comb_width.csv"),
+            guards=lambda cfg: [_comb_width_reads(cfg).guard],
+        ),
         Study("offsets-diff", offsets_experiment, _write_offsets),
         Study(
             "dispersion-eval",
@@ -723,7 +815,7 @@ def write_manifest(
         config=config,
         config_sha256=hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest(),
         master_seed=cfg.master_seed,
-        versions={"talbotsim": __version__},
+        versions={"talbotsim": __version__, "numpy": np.__version__},
         files=[
             {"name": p.name, "sha256": hashlib.sha256(p.read_bytes()).hexdigest()}
             for p in sorted(files, key=lambda p: p.name)
@@ -749,6 +841,19 @@ def run_study(name: str, cfg: ExperimentConfig, args: dict | None = None, render
     files = study.write(result, cfg.out_dir, render_svg)
     write_manifest(cfg, files, name, args)
     return result, files + [cfg.out_dir / "manifest.json"]
+
+
+def dry_run(cfg: ExperimentConfig) -> dict[str, int]:
+    """The budget guard of every study that has one, run without the study.
+
+    Maps each such study's name to the bytes its guard predicts under
+    ``cfg`` at the study's default arguments: the largest of its checks,
+    which for the oversampling sweep is its largest ratio's.  The guard
+    refuses the study exactly when that figure exceeds
+    ``cfg.memory_budget_bytes``.  The delay plans are built; nothing is
+    synthesized.
+    """
+    return {s.name: max(g.predicted(cfg) for g in s.guards(cfg)) for s in STUDIES.values() if s.guards}
 
 
 def run_all(cfg: ExperimentConfig, render_svg: bool = False) -> Manifest:

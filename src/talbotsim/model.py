@@ -1,4 +1,4 @@
-"""Core domain types, unit conversions and resource estimation.
+"""Core domain types, unit conversions and the paper's storage figures.
 
 Everything downstream (dispersion plans, signal synthesis, spectral
 analysis, experiment sweeps) consumes the types defined here.  All types
@@ -118,7 +118,10 @@ def build_grid(f_r: float, oversampling: int, t_sig: float) -> SimGrid:
     if not 0 < t_sig < math.inf:
         raise ValueError(f"t_sig must be positive and finite, got {t_sig}")
     oversampling = int(oversampling)
-    sample_rate = oversampling * f_r
+    try:
+        sample_rate = oversampling * f_r
+    except OverflowError:  # an int too large to convert to float
+        sample_rate = math.inf
     if not math.isfinite(sample_rate * t_sig):
         raise ValueError(f"f_r * oversampling * t_sig = {sample_rate * t_sig} samples overflows")
     n_samples = int(round(sample_rate * t_sig))

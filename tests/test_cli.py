@@ -1,6 +1,7 @@
 """Config resolution, subcommands, artifacts, and exit codes."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -74,43 +75,53 @@ class TestParseConfig:
             parse_config(tmp_path / "nope.cfg")
 
 
+def guard_figures(out: str) -> dict[str, int]:
+    """Study name to the bytes its guard predicts, from estimate-memory's output."""
+    return {m[1]: int(m[2]) for m in re.finditer(r"^([\w-]+): (\d+) bytes", out, re.M)}
+
+
 class TestEstimateMemorySubcommand:
+    # The paper's grid: 100 MHz repetition rate, 10 ms window.
+    PAPER = ["--t-sig", "1e-2", "--f-r", "1e8"]
+
     def test_full_band_figure_and_refusal(self, capsys):
-        code = main(
-            [
-                "estimate-memory",
-                "--representation",
-                "full",
-                "--width",
-                "3e12",
-                "--t-sig",
-                "1e-2",
-                "--f-r",
-                "1e8",
-            ]
-        )
+        code = main(["estimate-memory", "--width", "3e12"] + self.PAPER)
         out = capsys.readouterr()
+        # The paper's figure is information: the guard refuses the oversampling
+        # sweep, whose ratio 64 holds 64e6 samples, and no other study.
         assert "447.0 GiB" in out.out
         assert code == 3
-        assert "budget refusal" in out.err
+        assert "budget refusal: sweep-oversampling would refuse" in out.err
+        assert "simulate" not in out.err and "sweep-comb-width" not in out.err
+        figures = guard_figures(out.out)
+        assert sorted(figures) == ["simulate", "sweep-comb-width", "sweep-oversampling"]
+        assert figures["sweep-oversampling"] > 2**30 > max(figures["simulate"], figures["sweep-comb-width"])
 
     def test_reduced_within_budget(self, capsys):
-        code = main(
-            [
-                "estimate-memory",
-                "--representation",
-                "reduced",
-                "--oversampling",
-                "2",
-                "--t-sig",
-                "1e-2",
-                "--f-r",
-                "1e8",
-            ]
-        )
+        # Ratio 64's guard figure on this grid is 1.25 GiB, over the default budget.
+        code = main(["estimate-memory", "--oversampling", "2", "--memory-budget", str(2 * 2**30)] + self.PAPER)
         out = capsys.readouterr()
-        assert code == 0
+        assert code == 0, out.err
         assert "15.3 MiB" in out.out
+        assert out.err == ""
+        assert max(guard_figures(out.out).values()) <= 2 * 2**30
+
+    def test_writes_nothing(self, tmp_path, capsys):
+        assert main(["estimate-memory", "--t-sig", "2e-4", "--out", str(tmp_path / "out")]) == 0
+        assert not (tmp_path / "out").exists()
+
+    def test_seeds_add_the_kept_periodograms(self, capsys):
+        figures = []
+        for seeds in ("1", "4"):
+            assert main(["estimate-memory", "--t-sig", "2e-4", "--seeds", seeds]) == 0
+            figures.append(guard_figures(capsys.readouterr().out))
+        one, four = figures
+        # One float64 periodogram on the n/2 + 1 bins per seed: 4 B per sample.
+        n = 16 * 1e7 * 2e-4
+        assert four["sweep-comb-width"] - one["sweep-comb-width"] == 3 * 4 * n
+        # On one worker the jobs run one at a time, so more seeds cost the others nothing.
+        assert four["simulate"] == one["simulate"]
+        assert four["sweep-oversampling"] == one["sweep-oversampling"]
 
 
 class TestDispersionEvalSubcommand:

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import talbotsim
 import talbotsim.experiments as experiments
 from talbotsim.analysis import periodogram, phase_noise_from_psd
 from talbotsim.errors import BudgetError, ConfigError
@@ -19,6 +20,7 @@ from talbotsim.experiments import (
     simulate,
     sweep_comb_width,
     sweep_oversampling,
+    write_manifest,
     write_sweep_csv,
 )
 from talbotsim.model import CombSpec, NoiseProfile
@@ -364,6 +366,12 @@ class TestRunAll:
         for entry in data["files"]:
             digest = hashlib.sha256((tmp_path / entry["name"]).read_bytes()).hexdigest()
             assert digest == entry["sha256"]
+
+    def test_manifest_records_numpy_version(self, tmp_path):
+        # numpy's FFT and its random streams make the output bytes.
+        write_manifest(small_config(out_dir=tmp_path), [], "all", {})
+        versions = json.loads((tmp_path / "manifest.json").read_text())["versions"]
+        assert versions == {"talbotsim": talbotsim.__version__, "numpy": np.__version__}
 
     def test_budget_refusal_recorded(self, tmp_path):
         cfg = small_config(out_dir=tmp_path, memory_budget_bytes=1000)

@@ -5,6 +5,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import shutil
 import tracemalloc
 from dataclasses import replace
@@ -160,6 +161,9 @@ BAD_INPUT = {
     "noise-overflow-simulate": (["simulate", "--config", "{noise_overflow}"], "noise profile overflows"),
     "noise-overflow-oversampling": (["sweep-oversampling", "--ratios", "4,8", "--config", "{noise_overflow}"], "overflows"),
     "oversampling-one": (["simulate", "--oversampling", "1"], "oversampling ratio must be >= 2"),
+    # Too large for a float: the sample rate overflows.
+    "oversampling-huge": (["simulate", "--oversampling", "1" * 401], "overflows"),
+    "ratios-huge": (["sweep-oversampling", "--ratios", "4," + "1" * 401], "overflows"),
     "workers-zero": (["sweep-comb-width", "--config", "{workers}"], "run.workers must be at least 1"),
     "budget-negative": (["simulate", "--memory-budget", "-1"], "run.memory_budget_bytes must be at least 1"),
     "format-unknown": (["simulate", "--config", "{format}"], "run.format must be csv or csv+svg"),
@@ -328,6 +332,33 @@ class TestSweepsHonourConfig:
 
 
 class TestConcurrentBudget:
+    @pytest.mark.parametrize(
+        "name, config",
+        [
+            ("simulate", ""),
+            ("sweep-oversampling", ""),
+            ("sweep-comb-width", ""),
+            ("sweep-comb-width", "run.workers = 2\n"),
+        ],
+        ids=["simulate", "sweep-oversampling", "sweep-comb-width", "sweep-comb-width-2-workers"],
+    )
+    def test_estimate_memory_prints_the_guards_figure(self, tmp_path, capsys, name, config):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(config)
+        common = SMALL + ["--config", str(cfg_file)]
+        assert main(["estimate-memory"] + common) == 0
+        figure = int(dict(re.findall(r"^([\w-]+): (\d+) bytes", capsys.readouterr().out, re.M))[name])
+        # The study's own guard refuses one byte below the figure, on that figure ...
+        values = parse_config(cfg_file, {"grid.t_sig": 2e-4, "run.memory_budget_bytes": figure - 1})
+        with pytest.raises(BudgetError) as refusal:
+            STUDIES[name].run(experiment_config(values))
+        assert refusal.value.estimate_bytes == figure
+        # ... and so does the command line, which runs the study at the figure itself.
+        for budget, expected in ((figure - 1, 3), (figure, 0)):
+            out = tmp_path / f"budget-{budget}"
+            code = main([name] + common + ["--memory-budget", str(budget), "--out", str(out)])
+            assert code == expected, capsys.readouterr().err
+
     def test_budget_counts_workers(self, tmp_path, capsys):
         argv = ["sweep-comb-width", "--widths", "1e9", "--seeds", "2", "--kinds", "ideal"]
         grid = build_grid(1e7, 16, 2e-4)
