@@ -54,7 +54,7 @@ from .model import (
     convert_dispersion,
     estimate_memory,
 )
-from .superposition import power_transfer, superpose
+from .superposition import power_at_bins, superpose
 from .synthesis import SynthesisRequest, default_noise_profile, synth_carrier, synth_phase_track
 
 __all__ = [
@@ -81,7 +81,7 @@ __all__ = [
     "synth_phase_track",
     "synth_carrier",
     "default_noise_profile",
-    "power_transfer",
+    "power_at_bins",
     "superpose",
     "PhaseNoiseSpectrum",
     "JitterResult",

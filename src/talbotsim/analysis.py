@@ -28,6 +28,12 @@ the arrays returned are valid until its next job; without one,
 :func:`periodogram` builds a fresh workspace and returns arrays that
 belong to the caller.
 
+The reader looks at a few dozen bins: the carrier window, f_r +- 2
+bins, and 5 candidates around each sideband target.  :class:`BinReader`
+reads L off a PSD known on those bins alone, with the same peak and
+sideband code as :func:`phase_noise_from_psd`: the studies keep each
+carrier's periodogram on them and multiply by each plan's |H|^2 there.
+
 A demodulation-based estimator of the phase PSD is provided as an
 independent cross-check of the sideband estimator.
 """
@@ -42,7 +48,7 @@ import numpy as np
 
 from .errors import CarrierNotFoundError
 from .model import SampledSignal
-from .synthesis import Workspace
+from .synthesis import BinFrequencies, Workspace
 
 __all__ = [
     "PhaseNoiseSpectrum",
@@ -50,6 +56,7 @@ __all__ = [
     "periodogram",
     "phase_noise_spectrum",
     "phase_noise_from_psd",
+    "BinReader",
     "jitter",
     "classical_penalty",
     "demod_phase_psd",
@@ -132,15 +139,28 @@ def periodogram(y: SampledSignal, workspace: Workspace | None = None) -> tuple[n
     return _periodogram(y.samples, y.sample_rate, workspace)
 
 
-def _find_carrier(freqs: np.ndarray, psd: np.ndarray, f_r: float) -> int:
-    """Index of the carrier peak, searched within +-2 bins of f_r."""
-    df = freqs[1] - freqs[0]
+def _carrier_window(size: int, df: float, f_r: float) -> range:
+    """The bins within +-2 of f_r, where the carrier peak is searched."""
     center = int(round(f_r / df))
-    lo = max(center - 2, 0)
-    hi = min(center + 3, len(psd))
-    if lo >= hi:
+    window = range(max(center - 2, 0), min(center + 3, size))
+    if not window:
         raise CarrierNotFoundError(f"carrier frequency {f_r} Hz is outside the spectrum")
-    peak = lo + int(np.argmax(psd[lo:hi]))
+    return window
+
+
+def _peak(psd, window: range) -> int:
+    """The bin of ``window`` where ``psd`` is largest, the first of equals."""
+    return window.start + int(np.argmax([psd[j] for j in window]))
+
+
+def _find_carrier(freqs, psd: np.ndarray, f_r: float) -> int:
+    """Index of the carrier peak, searched within +-2 bins of f_r.
+
+    Refused unless the peak holds at least ``CARRIER_THRESHOLD`` of the
+    total power of ``psd``.
+    """
+    df = freqs[1] - freqs[0]
+    peak = _peak(psd, _carrier_window(len(psd), df, f_r))
     total = float(np.sum(psd)) * df
     if total <= 0 or psd[peak] * df < CARRIER_THRESHOLD * total:
         raise CarrierNotFoundError(
@@ -150,7 +170,7 @@ def _find_carrier(freqs: np.ndarray, psd: np.ndarray, f_r: float) -> int:
     return peak
 
 
-def _sideband_value(psd: np.ndarray, df: float, target: float, carrier_bin: int) -> float:
+def _sideband_value(psd, df: float, target: float, carrier_bin: int) -> float:
     """Median of the 3 valid bins nearest ``target``, excluding the carrier.
 
     At the ends of the spectrum fewer may be in reach: at Nyquist on an
@@ -179,8 +199,16 @@ def phase_noise_spectrum(y: SampledSignal, f_r: float, offsets) -> PhaseNoiseSpe
 def phase_noise_from_psd(freqs, psd, sample_rate: float, f_r: float, offsets) -> PhaseNoiseSpectrum:
     """L(f) read off a one-sided PSD on the bins ``freqs``, as
     :func:`phase_noise_spectrum` reads it off a signal's periodogram."""
+    return _read(freqs, psd, sample_rate, offsets, _find_carrier(freqs, psd, f_r))
+
+
+def _read(freqs, psd, sample_rate: float, offsets, carrier_bin: int) -> PhaseNoiseSpectrum:
+    """L(f) at ``offsets`` around the carrier on ``carrier_bin``.
+
+    ``psd`` is read by bin index alone, ``psd[j]``, and ``len(psd)`` is
+    the number of bins of the spectrum.
+    """
     df = freqs[1] - freqs[0]
-    carrier_bin = _find_carrier(freqs, psd, f_r)
     carrier_freq = freqs[carrier_bin]
     carrier_power = psd[carrier_bin] * df
     nyquist = sample_rate / 2.0
@@ -202,6 +230,78 @@ def phase_noise_from_psd(freqs, psd, sample_rate: float, f_r: float, offsets) ->
         l_dbc=l_dbc,
         df=df,
     )
+
+
+class _OnBins:
+    """A spectrum of ``size`` bins known on some of them: bin j's value
+    is ``values[index[j]]``."""
+
+    def __init__(self, size: int, index: dict, values: list):
+        self.size, self.index, self.values = size, index, values
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, j):
+        return self.values[self.index[j]]
+
+
+class BinReader:
+    """L(f) read as :func:`phase_noise_from_psd` reads it, off a PSD known
+    only on the bins that read can look at.
+
+    The PSD is the periodogram of ``n_samples`` samples at
+    ``sample_rate``, or that periodogram seen through a delay plan.
+    ``bins`` (sorted) holds the carrier window, the bins within +-2 of
+    f_r, and, for each bin of it where the peak may fall and each
+    offset, the 5 candidates around each sideband target.
+
+    :meth:`take` runs the 1e-6 dominance test on a bare periodogram and
+    keeps its values on ``bins``; :meth:`read` reads L off such values,
+    each times a plan's |H|^2 on ``bins``.  Since |H| <= 1 the detected
+    total is at most the bare one, so the dominance test is not rerun
+    per plan: a plan is refused only when its detected carrier holds no
+    power at all.
+    """
+
+    def __init__(self, n_samples: int, sample_rate: float, f_r: float, offsets):
+        self.freqs = BinFrequencies.of_window(n_samples, sample_rate)
+        size = len(self.freqs)
+        self.sample_rate, self.f_r = sample_rate, f_r
+        self.offsets = np.sort(np.asarray(offsets, dtype=np.float64))
+        df = self.freqs.df
+        self.window = _carrier_window(size, df, f_r)
+        # The targets of every carrier bin the window allows, rounded as
+        # _sideband_value rounds them; a superset of what any read picks.
+        carrier_freqs = np.arange(self.window.start, self.window.stop) * df
+        targets = np.concatenate(
+            (carrier_freqs[:, None] + self.offsets, np.abs(carrier_freqs[:, None] - self.offsets))
+        )
+        candidates = (np.rint(targets / df).astype(np.int64)[..., None] + np.arange(-2, 3)).ravel()
+        candidates = candidates[(candidates >= 0) & (candidates < size)]
+        # Sorted and unique, without np.unique: its first call imports numpy.ma.
+        bins = np.sort(np.concatenate((np.arange(self.window.start, self.window.stop), candidates)))
+        self.bins = bins[np.diff(bins, prepend=-1) != 0]
+        self.index = dict(zip(self.bins.tolist(), range(len(self.bins))))
+
+    def take(self, freqs, psd: np.ndarray) -> np.ndarray:
+        """``psd``'s values on ``bins``, once its carrier passes the
+        dominance test of :func:`phase_noise_from_psd`."""
+        _find_carrier(freqs, psd, self.f_r)
+        return psd[self.bins]
+
+    def read(self, values: np.ndarray) -> PhaseNoiseSpectrum:
+        """L(f) off ``values``, the PSD on ``bins``.
+
+        The carrier is the peak of the carrier window, as in
+        :func:`phase_noise_from_psd`; a peak with no power raises
+        CarrierNotFoundError.
+        """
+        psd = _OnBins(len(self.freqs), self.index, values.tolist())
+        carrier_bin = _peak(psd, self.window)
+        if not psd[carrier_bin] > 0:
+            raise CarrierNotFoundError(f"the carrier within 2 bins of {self.f_r} Hz holds no power")
+        return _read(self.freqs, psd, self.sample_rate, self.offsets, carrier_bin)
 
 
 def jitter(spectrum: PhaseNoiseSpectrum, f_min: float, f_max: float) -> JitterResult:

@@ -24,6 +24,7 @@ refusal, 1 runtime failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -221,7 +222,8 @@ def _human_bytes(n: float) -> str:
 def _estimate_memory(cfg: ExperimentConfig) -> int:
     """Print the paper's storage figures for the grid, then the figure each
     budgeted study's guard predicts, and refuse, naming every study whose
-    guard would refuse it."""
+    guard would refuse it.  Offsets a sweep would refuse are a config
+    error here too."""
     for representation in ("full_band", "reduced"):
         n_bytes = estimate_memory(representation, cfg.comb, cfg.grid)
         print(f"storage, {representation}: {n_bytes} bytes ({_human_bytes(n_bytes)})")
@@ -257,14 +259,17 @@ def _run_study(cfg: ExperimentConfig, render_svg: bool, args) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser):
+def _add_common(parser: argparse.ArgumentParser, outputs: bool = True):
+    """The flags every subcommand takes; with ``outputs``, also those that
+    choose what a study writes, which ``estimate-memory`` does not take."""
     # Each flag's dest is the config key it sets; --help shows it as the metavar.
     parser.add_argument("--config", help="config file (key = value lines)")
-    parser.add_argument("--out", dest="run.out_dir", help="output directory")
-    parser.add_argument("--seed", type=int, dest="seeds.master", help="master seed")
-    parser.add_argument(
-        "--format", choices=["csv", "csv+svg"], dest="run.format", help="artifact format (run.format)"
-    )
+    if outputs:
+        parser.add_argument("--out", dest="run.out_dir", help="output directory")
+        parser.add_argument("--seed", type=int, dest="seeds.master", help="master seed")
+        parser.add_argument(
+            "--format", choices=["csv", "csv+svg"], dest="run.format", help="artifact format (run.format)"
+        )
     parser.add_argument("--memory-budget", type=int, dest="run.memory_budget_bytes", help="bytes")
     parser.add_argument("--f-r", type=float, dest="comb.f_r", help="repetition rate, Hz")
     parser.add_argument("--lambda0", type=float, dest="comb.lambda0", help="center wavelength, m")
@@ -277,7 +282,10 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--seeds", type=int, dest="seeds.count", help="seeds per sweep point")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: each
+    ``parse_args`` call fills a namespace of its own."""
     parser = argparse.ArgumentParser(
         prog="talbotsim",
         description="Phase-noise simulator for comb upconversion through dispersive elements",
@@ -316,8 +324,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, dest="dispersion.m", help="upconversion factor")
     p.add_argument("--table", **table)
 
-    p = sub.add_parser("estimate-memory", help="the budget guard's figure per study, without running it")
-    _add_common(p)
+    # No abbreviations: the studies' --seed would otherwise read as --seeds.
+    p = sub.add_parser(
+        "estimate-memory", help="the budget guard's figure per study, without running it", allow_abbrev=False
+    )
+    _add_common(p, outputs=False)
     return parser
 
 

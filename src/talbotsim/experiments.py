@@ -17,6 +17,13 @@ width's and every kind's delay plan: kinds and widths are compared on
 identical noise (paired comparison), so its rows are correlated across
 widths as well as across kinds.  Seeds within one point stay
 independent of each other.
+
+Every study that synthesizes reads its carriers on one path,
+:func:`_through_plans`: carrier jobs keep each periodogram on the bins
+the reader picks from, and then one job per distinct delay plan sums
+its |H|^2 on those bins and reads every carrier through it.  ``simulate
+--kind none`` and the oversampling sweep read through the one-line plan
+at zero delay, whose |H|^2 is exactly 1.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .analysis import jitter, periodogram, phase_noise_from_psd, write_jitter_csv, write_spectrum_csv
+from .analysis import BinReader, jitter, periodogram, write_jitter_csv, write_spectrum_csv
 from .dispersion import (
     KINDS,
     DelayPlan,
@@ -49,7 +56,7 @@ from .dispersion import (
 )
 from .errors import BudgetError, ConfigError
 from .model import CombSpec, SimGrid, build_grid, comb_lines, NoiseProfile
-from .superposition import power_transfer
+from .superposition import power_at_bins
 from .svgplot import render_plots
 from .synthesis import SynthesisRequest, Workspace, default_noise_profile, synth_carrier
 
@@ -260,57 +267,51 @@ def derive_seed(master_seed: int, experiment: str, point_index: int, seed_index:
 #: time before any workspace's buffers.
 #: Each job also holds about 0.17 MB that does not grow with the grid
 #: (the ramp, float32 and finiteness chunks; measured on grids of 32000
-#: to 640000 samples), which the fixed 0.5 MiB covers.  ``simulate`` and
-#: the comb-width sweep keep each carrier's periodogram past its job,
-#: float64 on the n/2 + 1 bins (4 B per sample each).  Their plan jobs
-#: run on the same workspaces as their carrier jobs: each computes its
-#: |H|^2 in place (kernel, then |H|^2, in the window buffer; H in the
-#: spectrum) and reads the kept periodograms through it into the spent
-#: spectrum, so a plan job costs no more than a detect job.  Traced
-#: peaks, each in a fresh process on the default desk grid of 320000
-#: samples: ``simulate --kind none`` 7.49 MiB (24.6 B per sample: 16 in
-#: the workspace, 4 + 4 in the kept periodogram and the scale, and the
-#: fixed term), against 8.13 MiB predicted; the default desk sweep with
-#: 10 seeds 18.6 MiB, against 19.7 MiB predicted.  A plan holds 8 B per
-#: line, and building one passes through 48 B per line (wavelengths,
-#: group delays, offsets).
+#: to 640000 samples), which the fixed 0.5 MiB covers.  A carrier job
+#: keeps its periodogram on the few dozen bins the reader picks, and a
+#: plan job sums |H|^2 on those bins with its scratch in the spent
+#: workspace, so no periodogram outlives its job and a plan job costs
+#: no more than a detect job.  Traced peaks, each in a fresh process on
+#: the default desk grid of 320000 samples: ``simulate --kind none``
+#: 6.45 MiB (21 B per sample: 16 in the workspace, 4 in the scale, and
+#: the fixed term), against 6.91 MiB predicted; the default desk sweep
+#: with 10 seeds 6.51 MiB, against 7.53 MiB predicted.  A plan holds
+#: 8 B per line, and building one passes through 48 B per line
+#: (wavelengths, group delays, offsets).
 _JOB_BYTES_PER_SAMPLE = 17
 _JOB_FIXED_BYTES = 1 << 19
 _GRID_BYTES_PER_SAMPLE = 4
-_KEPT_BYTES_PER_SAMPLE = 4
 _PLAN_BYTES_PER_LINE = 56
 
 
-def _predict_bytes(grid: SimGrid, lines: int = 0, jobs: int = 1, kept: int = 0) -> int:
+def _predict_bytes(grid: SimGrid, lines: int = 0, jobs: int = 1) -> int:
     """Peak bytes of ``jobs`` concurrent detect jobs on ``grid``.
 
-    The jobs share the grid's constants and ``kept`` periodograms, and
-    ``lines`` counts the comb lines of every delay plan the study holds.
-    numpy's pocketfft allocates its scratch outside the Python
-    allocator, so tracemalloc does not see it and this figure leaves it
-    out; the resident set runs higher by that scratch.
+    The jobs share the grid's constants, and ``lines`` counts the comb
+    lines of every delay plan the study holds.  numpy's pocketfft
+    allocates its scratch outside the Python allocator, so tracemalloc
+    does not see it and this figure leaves it out; the resident set runs
+    higher by that scratch.
     """
     n = grid.n_samples
     job = _JOB_BYTES_PER_SAMPLE * n + _JOB_FIXED_BYTES
-    shared = (_GRID_BYTES_PER_SAMPLE + _KEPT_BYTES_PER_SAMPLE * kept) * n
-    return job * jobs + shared + _PLAN_BYTES_PER_LINE * lines
+    return job * jobs + _GRID_BYTES_PER_SAMPLE * n + _PLAN_BYTES_PER_LINE * lines
 
 
 @dataclass(frozen=True)
 class _Guard:
-    """What the budget guard checks for one run: ``jobs`` jobs on ``grid``,
-    ``kept`` periodograms and delay plans of ``lines`` lines in all;
-    ``what`` names the run in a refusal."""
+    """What the budget guard checks for one run: ``jobs`` jobs on ``grid``
+    and delay plans of ``lines`` lines in all; ``what`` names the run in
+    a refusal."""
 
     grid: SimGrid
     what: str
     jobs: int = 1
     lines: int = 0
-    kept: int = 0
 
     def predicted(self, cfg: ExperimentConfig) -> int:
         """Peak bytes with ``min(workers, jobs)`` of the jobs at once."""
-        return _predict_bytes(self.grid, self.lines, min(cfg.workers, self.jobs), self.kept)
+        return _predict_bytes(self.grid, self.lines, min(cfg.workers, self.jobs))
 
 
 def _check_budget(cfg: ExperimentConfig, guard: _Guard):
@@ -426,48 +427,23 @@ def _pool(cfg: ExperimentConfig, grid: SimGrid, jobs: int):
 
 
 def _detect(grid: SimGrid, ws: Workspace, job):
-    """Synthesize the carrier of a (noise, seed, read) job in ``ws``, take
-    its periodogram and return ``read(freqs, psd)``.
+    """Synthesize the carrier of a (noise, seed, keep) job in ``ws``, take
+    its periodogram and return ``keep(freqs, psd)``.
 
     ``psd`` is in the workspace's ``wave`` buffer, over the carrier, and
     ``freqs`` are its bin frequencies, computed when read; both are valid
     only until that call returns.
     """
-    noise, seed, read = job
+    noise, seed, keep = job
     carrier = synth_carrier(SynthesisRequest(grid=grid, noise=noise, seed=seed), ws)
-    return read(*periodogram(carrier, ws))
+    return keep(*periodogram(carrier, ws))
 
 
-def _measure(cfg: ExperimentConfig, grid: SimGrid, jobs: list) -> list:
-    """What each (noise, seed, read) job on ``grid`` keeps, in job order
-    (see :func:`_detect`), run on a pool made for this call.
-
-    The oversampling sweep reads each carrier inside its job, one call
-    per grid.  A pool opened in its ratio loop would keep the previous
-    grid's workspaces alive, through ``run``, while the next grid's are
-    made; :func:`_through_plans` would keep every seed's periodogram.
-    """
-    with _pool(cfg, grid, len(jobs)) as run:
-        return run(partial(_detect, grid), jobs)
-
-
-def _keep(out: np.ndarray, freqs, psd):
-    """Copy a periodogram that outlives its job into ``out``."""
-    np.copyto(out, psd)
-
-
-def _read_plan(grid: SimGrid, offsets, kept: list, ws: Workspace, plan: DelayPlan) -> list:
-    """L(f) of every kept periodogram seen through ``plan``, one per carrier.
-
-    |H|^2 fills ``ws.wave`` in place, and each detected periodogram goes
-    to the float64 view of the spent H in ``ws.spec``.
-    """
-    gain = power_transfer(plan, ws)
-    scratch = ws.spec.view(np.float64)[: len(gain)]
-    return [
-        phase_noise_from_psd(ws.freqs, np.multiply(psd, gain, out=scratch), grid.sample_rate, grid.f_r, offsets)
-        for psd in kept
-    ]
+def _read_plan(reader: BinReader, kept: list, ws: Workspace, plan: DelayPlan) -> list:
+    """L(f) of every kept carrier seen through ``plan``, one per carrier:
+    its values on ``reader``'s bins times the plan's |H|^2 on them."""
+    gain = power_at_bins(plan, reader.bins, ws)
+    return [reader.read(values * gain) for values in kept]
 
 
 @dataclass(frozen=True, eq=False)
@@ -499,14 +475,12 @@ class _Reads:
 
     @property
     def guard(self) -> _Guard:
-        """The carriers and then the distinct plans run as jobs, and every
-        carrier's periodogram is kept."""
+        """The carriers and then the distinct plans run as jobs."""
         return _Guard(
             self.grid,
             self.what,
             jobs=max(len(self.carriers), len(self.distinct)),
             lines=sum(len(p) for p in self.plans),
-            kept=len(self.carriers),
         )
 
 
@@ -514,21 +488,21 @@ def _through_plans(cfg: ExperimentConfig, reads: _Reads, offsets) -> list[list]:
     """L(f) at ``offsets`` of each of ``reads``' carriers seen through each
     of its plans: one list per plan, of one spectrum per carrier.
 
-    Each carrier is synthesized once and only its periodogram is kept;
-    the detected periodogram is the carrier's times the plan's |H|^2, so
-    every plan sees the same noise.  Each distinct plan computes and reads
-    one |H|^2.  The carriers and then the distinct plans run as jobs on
-    one pool of workspaces.
+    Each carrier is synthesized once, and its job keeps its periodogram
+    on the bins the reader picks from (see
+    :class:`~talbotsim.analysis.BinReader`), after the dominance test on
+    the bare periodogram.  The detected periodogram is the carrier's
+    times the plan's |H|^2, so every plan sees the same noise; each
+    distinct plan sums its |H|^2 on those bins once and reads every
+    carrier through it.  The carriers and then the distinct plans run as
+    jobs on one pool of workspaces.
     """
     grid, guard = reads.grid, reads.guard
     _check_budget(cfg, guard)
-    # Allocated here, not in the pool's threads, so that the kept
-    # periodograms do not interleave with the transforms' scratch.
-    kept = [np.empty(grid.n_samples // 2 + 1) for _ in reads.carriers]
+    reader = BinReader(grid.n_samples, grid.sample_rate, grid.f_r, offsets)
     with _pool(cfg, grid, guard.jobs) as run:
-        jobs = [(noise, seed, partial(_keep, out)) for (noise, seed), out in zip(reads.carriers, kept)]
-        run(partial(_detect, grid), jobs)
-        per_plan = dict(zip(reads.distinct, run(partial(_read_plan, grid, offsets, kept), reads.distinct.values())))
+        kept = run(partial(_detect, grid), [(noise, seed, reader.take) for noise, seed in reads.carriers])
+        per_plan = dict(zip(reads.distinct, run(partial(_read_plan, reader, kept), reads.distinct.values())))
     return [per_plan[key] for key in reads.keys]
 
 
@@ -548,8 +522,8 @@ def simulate(cfg: ExperimentConfig, kind: str = "ideal", points: int = 120, jitt
     """One run: L(f) after ``kind``'s plan at ``points`` log-spaced offsets.
 
     ``kind = "none"`` measures the bare carrier, through the one-line plan
-    at zero delay, whose |H|^2 is 1 on every bin.  Returns the spectrum
-    and, when ``jitter_band = (f_min, f_max)`` is given, its
+    at zero delay, whose |H|^2 is exactly 1 on every bin.  Returns the
+    spectrum and, when ``jitter_band = (f_min, f_max)`` is given, its
     band-integrated jitter.
     """
     if points < 2:
@@ -577,15 +551,29 @@ def _simulate_reads(cfg: ExperimentConfig, kind: str) -> _Reads:
     """``simulate``'s one carrier and ``kind``'s plan; ``kind = "none"`` is
     the one-line plan at zero delay."""
     grid = cfg.grid
-    plan = DelayPlan(np.zeros(1, np.int64), grid) if kind == "none" else _plans(cfg, (kind,), cfg.comb.width)[kind]
+    plan = _bare(grid) if kind == "none" else _plans(cfg, (kind,), cfg.comb.width)[kind]
     return _Reads(grid, "run", [(cfg.resolved_noise(), cfg.master_seed)], [plan])
 
 
-def _oversampling_guards(cfg: ExperimentConfig) -> list[_Guard]:
-    """The oversampling sweep's guard of each ratio, in order: the pure
-    tone and ``n_seeds`` impaired carriers run as jobs on that ratio's grid."""
-    grids = [build_grid(cfg.comb.f_r, n, cfg.t_sig) for n in cfg.ratios]
-    return [_Guard(grid, f"oversampling point N={n}", jobs=cfg.n_seeds + 1) for n, grid in zip(cfg.ratios, grids)]
+def _bare(grid: SimGrid) -> DelayPlan:
+    """The one-line plan at zero delay: the bare carrier."""
+    return DelayPlan(np.zeros(1, np.int64), grid)
+
+
+def _oversampling_reads(cfg: ExperimentConfig) -> list[_Reads]:
+    """The oversampling sweep's reads of each ratio, in order: the pure
+    tone and ``n_seeds`` impaired carriers, on seeds of that ratio's
+    point index, through the bare plan on that ratio's grid.  Offsets
+    outside a ratio's measurable range are refused here."""
+    noise = cfg.resolved_noise()
+    reads = []
+    for i, n in enumerate(cfg.ratios):
+        grid = build_grid(cfg.comb.f_r, n, cfg.t_sig)
+        what = f"oversampling point N={n}"
+        _check_offsets(cfg, grid, what)
+        seeds = [derive_seed(cfg.master_seed, "oversampling", i, s) for s in range(cfg.n_seeds)]
+        reads.append(_Reads(grid, what, [(None, 0)] + [(noise, seed) for seed in seeds], [_bare(grid)]))
+    return reads
 
 
 def sweep_oversampling(cfg: ExperimentConfig) -> list[SweepRow]:
@@ -593,21 +581,16 @@ def sweep_oversampling(cfg: ExperimentConfig) -> list[SweepRow]:
 
     No dispersion is applied (single line); the pure tone exposes the
     numerical floor of the simulation, the impaired carrier shows when
-    the measured noise saturates.
+    the measured noise saturates.  Every ratio's offsets and budget are
+    checked before any synthesis; then one grid at a time, so only one
+    grid's workspaces are ever held.
     """
-    guards = _oversampling_guards(cfg)
-    for guard in guards:
-        _check_offsets(cfg, guard.grid, guard.what)
-        _check_budget(cfg, guard)
-    noise = cfg.resolved_noise()
-
-    # One grid at a time, so only one grid's workspaces are ever held.
+    reads = _oversampling_reads(cfg)
+    for r in reads:
+        _check_budget(cfg, r.guard)
     rows = []
-    for i, (n, guard) in enumerate(zip(cfg.ratios, guards)):
-        grid = guard.grid
-        read = partial(phase_noise_from_psd, sample_rate=grid.sample_rate, f_r=grid.f_r, offsets=cfg.offsets)
-        seeds = [derive_seed(cfg.master_seed, "oversampling", i, s) for s in range(cfg.n_seeds)]
-        pure, *impaired = _measure(cfg, grid, [(None, 0, read)] + [(noise, seed, read) for seed in seeds])
+    for n, r in zip(cfg.ratios, reads):
+        ((pure, *impaired),) = _through_plans(cfg, r, cfg.offsets)
         rows += _point_rows(cfg, n, {"pure_tone": [pure], "impaired": impaired})
     return rows
 
@@ -621,7 +604,6 @@ def sweep_comb_width(cfg: ExperimentConfig) -> list[SweepRow]:
     identical noise and rows are correlated across widths as well as
     kinds.
     """
-    _check_offsets(cfg, cfg.grid, "the comb-width sweep")
     spectra = iter(_through_plans(cfg, _comb_width_reads(cfg), cfg.offsets))
     rows = []
     for w in cfg.widths:
@@ -631,7 +613,9 @@ def sweep_comb_width(cfg: ExperimentConfig) -> list[SweepRow]:
 
 def _comb_width_reads(cfg: ExperimentConfig) -> _Reads:
     """The comb-width sweep's ``n_seeds`` carriers, on the seeds of point
-    index 0, and every width's plans, one per kind, width by width."""
+    index 0, and every width's plans, one per kind, width by width.
+    Offsets outside the grid's measurable range are refused here."""
+    _check_offsets(cfg, cfg.grid, "the comb-width sweep")
     noise = cfg.resolved_noise()
     carriers = [(noise, derive_seed(cfg.master_seed, "comb_width", 0, s)) for s in range(cfg.n_seeds)]
     plans = [plan for w in cfg.widths for plan in _plans(cfg, cfg.kinds, w).values()]
@@ -737,7 +721,8 @@ class Study:
     next to the config; ``report`` turns a result into a line for the user.
     ``plots`` is False for a study that draws no SVG.  ``guards(cfg)``
     lists the budget checks the study makes, at its default arguments,
-    before it synthesizes anything; it is None for a study with none.
+    before it synthesizes anything, after the config checks the study
+    makes on the way; it is None for a study with none.
     """
 
     name: str
@@ -763,7 +748,7 @@ STUDIES: dict[str, Study] = {
             "sweep-oversampling",
             sweep_oversampling,
             partial(_write_sweep, "sweep_oversampling.csv"),
-            guards=_oversampling_guards,
+            guards=lambda cfg: [r.guard for r in _oversampling_reads(cfg)],
         ),
         Study(
             "sweep-comb-width",
@@ -850,8 +835,9 @@ def dry_run(cfg: ExperimentConfig) -> dict[str, int]:
     ``cfg`` at the study's default arguments: the largest of its checks,
     which for the oversampling sweep is its largest ratio's.  The guard
     refuses the study exactly when that figure exceeds
-    ``cfg.memory_budget_bytes``.  The delay plans are built; nothing is
-    synthesized.
+    ``cfg.memory_budget_bytes``.  The delay plans are built, and offsets
+    of interest that a sweep cannot measure on its grid are refused as
+    that sweep refuses them, with a ConfigError; nothing is synthesized.
     """
     return {s.name: max(g.predicted(cfg) for g in s.guards(cfg)) for s in STUDIES.values() if s.guards}
 

@@ -10,26 +10,24 @@ transfer function on the window's rFFT bins,
 
     H[j] = (1/K) * sum_k exp(-2 pi i j d_k / n),
 
-the rFFT of the 1/K impulse train placed at the offsets mod n.  On
-every analysis bin the detected spectrum is X*H exactly: no padding, no
-transform longer than the window, and the detected periodogram is the
-carrier's times |H|^2.
+and on every analysis bin the detected spectrum is X*H exactly: no
+padding, no transform longer than the window, and the detected
+periodogram is the carrier's times |H|^2.
 
-H is periodic in the bin index.  When every offset mod n is a multiple
-of g = gcd(n, offsets mod n) samples, H[j + n/g] = H[j], so one period
-of n/g bins holds all of it.  The Talbot delays are whole numbers of
-carrier periods T/m, so an ideal plan's H repeats every m * f_r.
-:func:`power_transfer` transforms that one period and tiles it; a plan
-with g = 1 gets the window's own transform.
-
-In a :class:`~talbotsim.synthesis.Workspace`, a plan job takes the two
-buffers a carrier job uses: the kernel and then |H|^2 go to the
-``wave`` buffer, H to ``spec``.  A carrier synthesized in that
-workspace does not survive it; the studies keep each carrier's
-periodogram and multiply it by |H|^2 in the spent ``spec``.
+L(f) is read on a few dozen bins, so :func:`power_at_bins` sums H on
+those bins alone, over the distinct offsets mod n weighted by their
+counts, and forms no window-sized array.  The phase index (j d) mod n
+is exact in integers.  Bins come in runs of consecutive bins: each run
+takes one twiddle per offset from two tables of about sqrt(n) entries
+and steps along the run by multiplying by exp(-2 pi i d / n), so no
+transcendental function is evaluated per bin.  Its scratch, at most
+``_TILE`` entries, fits in a carrier job's spent
+:class:`~talbotsim.synthesis.Workspace`.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -37,7 +35,14 @@ from .dispersion import DelayPlan
 from .model import SampledSignal
 from .synthesis import Workspace
 
-__all__ = ["power_transfer", "superpose"]
+__all__ = ["power_at_bins", "superpose"]
+
+#: Most bins stepped along from one exact twiddle.  A longer run starts
+#: afresh, so stepping adds at most this many roundings to any bin.
+_RUN = 16
+#: Entries of each scratch array of :func:`power_at_bins`: runs by
+#: distinct offsets, complex.
+_TILE = 1 << 16
 
 
 def _kernel(lags: np.ndarray, count: int, out: np.ndarray) -> np.ndarray:
@@ -49,52 +54,101 @@ def _kernel(lags: np.ndarray, count: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def power_transfer(plan: DelayPlan, workspace: Workspace | None = None) -> np.ndarray:
-    """|H|^2 of ``plan`` on the rFFT bins of its grid's window.
+def _scratch(n: int, workspace: Workspace | None):
+    """Two complex and one int64 array of the same length, for a window of
+    ``n`` samples: in ``workspace``'s buffers when it has room for them.
 
-    Multiplying a carrier's periodogram by it gives the periodogram of
+    The length depends on ``n`` alone, so the sums, and their bits, do
+    not depend on where the scratch lives.
+    """
+    size = max(2, min(_TILE, n // 3))
+    if workspace is None or 3 * size > n:
+        return np.empty(size, np.complex128), np.empty(size, np.complex128), np.empty(size, np.int64)
+    wave = workspace.wave
+    return workspace.spec[:size], wave[: 2 * size].view(np.complex128), wave[2 * size : 3 * size].view(np.int64)
+
+
+def power_at_bins(plan: DelayPlan, bins, workspace: Workspace | None = None) -> np.ndarray:
+    """|H|^2 of ``plan`` on the rFFT bins ``bins`` of its grid's window.
+
+    ``bins`` ascend strictly within 0 .. n/2.  Multiplying a carrier's
+    periodogram on those bins by the result gives the periodogram of
     the carrier after the plan; lines that share an offset mod n add up
-    in amplitude.  Every offset mod n is a multiple of g = gcd(n,
-    offsets mod n), so H repeats every L = n/g bins: the kernel is laid
-    out on one period of L samples, at the offsets mod n divided by g,
-    and its L-point rFFT gives bins 0..L/2.  |H|^2 is even, which fills
-    the rest of the period, and the period is tiled over the window's
-    n/2 + 1 bins.  With g = 1 that is the n-point transform of the
-    kernel at the offsets mod n.
+    in amplitude.  H is summed over the distinct offsets u mod n,
+    weighted by their counts c(u):
 
-    With a ``workspace`` for the plan's window the kernel goes to the
-    first L samples of its ``wave``, H to its ``spec``, and then |H|^2
-    to the first n/2 + 1 samples of ``wave``, over the spent kernel;
-    that view is returned and is valid until the workspace's next job,
-    and ``spec`` is then free for the caller.  Without one, the result
-    is the caller's.  Either way the bits are the same.
+        H[j] = (1/K) * sum_u c(u) * exp(-2 pi i ((j u) mod n) / n).
+
+    exp(-2 pi i p / n) is hi[p >> s] * lo[p & (2^s - 1)], from two tables
+    of about sqrt(n) entries.  Each run of consecutive bins, up to
+    ``_RUN`` long, takes that twiddle at its first bin and multiplies by
+    exp(-2 pi i u / n) for each next bin.  A plan whose offsets are all
+    0 mod n has |H|^2 exactly 1.
+
+    With a ``workspace`` for the plan's window the scratch goes to its
+    buffers (see :func:`_scratch`); the result is the caller's either way.
     """
     grid = plan.grid
     n = grid.n_samples
-    lags = plan.offsets % n
-    g = int(np.gcd.reduce(lags, initial=n))
-    period = n // g
-    bins = period // 2 + 1
-    if workspace is None:
-        kernel, spec, power = np.empty(period), np.empty(bins, dtype=np.complex128), np.empty(n // 2 + 1)
-    else:
+    if (n // 2) * (n - 1) >= 1 << 63:
+        raise ValueError(f"a window of {n} samples overflows the exact int64 phase index")
+    if workspace is not None:
         workspace.check(n, grid.sample_rate)
-        kernel, spec, power = workspace.wave[:period], workspace.spec[:bins], workspace.wave[: n // 2 + 1]
-    h = np.fft.rfft(_kernel(lags // g, len(plan), kernel), out=spec)
-    # The kernel is spent: in a workspace, |H|^2 goes over it.
-    np.square(h.real, out=power[:bins])
-    power[:bins] += np.square(h.imag, out=h.imag)
-    # Bins L/2+1 .. L-1 mirror bins (L-1)/2 .. 1.  For g = 1 the
-    # window ends first and there is nothing to mirror.
-    mirror = power[bins:period]
-    mirror[:] = power[mirror.size : 0 : -1]
-    # Tile the period: the first ``done`` bins are whole periods.
-    done = period
-    while done < power.size:
-        tile = power[done : 2 * done]
-        tile[:] = power[: tile.size]
-        done += tile.size
-    return power
+    bins = np.asarray(bins, dtype=np.int64)
+    if bins.ndim != 1 or np.any(np.diff(bins) <= 0) or (len(bins) and not 0 <= bins[0] <= bins[-1] <= n // 2):
+        raise ValueError(f"bins must ascend strictly within 0 .. {n // 2}")
+    lags = np.sort(plan.offsets % n)
+    distinct = np.flatnonzero(np.diff(lags, prepend=-1))
+    counts = np.diff(distinct, append=len(lags)).astype(np.float64)
+    lags = lags[distinct]
+
+    # Runs of consecutive bins, cut every _RUN bins, longest first: the
+    # runs still being stepped are then always a leading block.
+    index = np.arange(len(bins))
+    run_start = np.maximum.accumulate(np.where(np.diff(bins, prepend=-2) != 1, index, 0))
+    firsts = np.flatnonzero((index - run_start) % _RUN == 0)
+    lengths = np.diff(firsts, append=len(bins))
+    order = np.argsort(-lengths, kind="stable")
+    firsts, lengths = firsts[order], lengths[order]
+
+    shift = math.isqrt(n).bit_length()
+    lo = np.exp(-2j * np.pi / n * np.arange(1 << shift))
+    hi = np.exp(-2j * np.pi / n * (np.arange(((n - 1) >> shift) + 1) << shift))
+    cur_buf, tmp_buf, idx_buf = _scratch(n, workspace)
+    size = len(cur_buf)
+    group = max(1, min(len(firsts), size // 64))  # runs at a time, and one row of steps
+    chunk = size // (group + 1)  # distinct offsets at a time
+    total = np.empty(len(bins), np.complex128)
+    for g in range(0, len(firsts), group):
+        first, length = firsts[g : g + group], lengths[g : g + group]
+        rows, starts = len(first), bins[first][:, None]
+        # Runs still stepping at step k: those longer than k.
+        active = [int(np.count_nonzero(length > k)) for k in range(int(length[0]))]
+        sums = np.zeros((len(active), rows), np.complex128)  # step k of run r
+        for c in range(0, len(lags), chunk):
+            u = lags[c : c + chunk]
+            width = (rows + 1) * len(u)
+            idx = idx_buf[:width].reshape(rows + 1, len(u))
+            np.multiply(starts, u, out=idx[:rows])
+            np.remainder(idx[:rows], n, out=idx[:rows])
+            idx[rows] = u
+            cur = cur_buf[:width].reshape(rows + 1, len(u))
+            tmp = tmp_buf[:width].reshape(rows + 1, len(u))
+            low = cur_buf[:width].view(np.int64)[:width].reshape(rows + 1, len(u))  # spent by the second take
+            np.take(lo, np.bitwise_and(idx, (1 << shift) - 1, out=low), out=tmp, mode="clip")
+            np.take(hi, np.right_shift(idx, shift, out=idx), out=cur, mode="clip")
+            cur *= tmp
+            step = cur[rows]
+            cur[:rows] *= counts[c : c + chunk]
+            for k, live in enumerate(active):
+                sums[k, :live] += cur[:live].sum(axis=1)
+                if k + 1 < len(active):
+                    cur[: active[k + 1]] *= step
+        steps = np.arange(len(active))[:, None]
+        inside = steps < length
+        total[(first + steps)[inside]] = sums[inside]
+    h = np.divide(total, len(plan), out=total)
+    return np.square(h.real) + np.square(h.imag)
 
 
 def superpose(x: SampledSignal, plan: DelayPlan) -> SampledSignal:

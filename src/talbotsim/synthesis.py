@@ -71,6 +71,11 @@ class BinFrequencies:
     def __init__(self, count: int, df: float):
         self.count, self.df = count, df
 
+    @classmethod
+    def of_window(cls, length: int, sample_rate: float) -> BinFrequencies:
+        """The rFFT bins of a window of ``length`` samples at ``sample_rate``."""
+        return cls(length // 2 + 1, _bin_spacing(length, sample_rate))
+
     def __len__(self) -> int:
         return self.count
 
@@ -90,12 +95,13 @@ class Workspace:
     16 bytes per window sample in all:
 
     - ``spec``, complex128 on m bins: the shaped coefficients, then the
-      carrier's spectrum; a plan job's H, then its detected periodogram
-      in the float64 view;
+      carrier's spectrum;
     - ``wave``, float64 on the window: draw scratch on its first m
       samples, the phase, then the carrier, rounded to single precision;
-      its first m samples then hold the periodogram, or a plan job's
-      kernel and then its |H|^2.
+      its first m samples then hold the periodogram.
+
+    A plan job takes both as scratch for its |H|^2 sum (see
+    :func:`~talbotsim.superposition.power_at_bins`).
 
     Every step writes what it reads first, and each one overwrites what
     the step before left, so a carrier's samples are valid only until
@@ -122,9 +128,8 @@ class Workspace:
         else:
             like.check(length, sample_rate, noise)
             self.noise, self.scale = like.noise, like.scale
-        bins = length // 2 + 1
-        self.freqs = BinFrequencies(bins, _bin_spacing(length, sample_rate))
-        self.spec = np.empty(bins, dtype=np.complex128)
+        self.freqs = BinFrequencies.of_window(length, sample_rate)
+        self.spec = np.empty(len(self.freqs), dtype=np.complex128)
         self.wave = np.empty(length, dtype=np.float64)
 
     def check(self, length: int, sample_rate: float, noise: NoiseProfile | None = None) -> None:

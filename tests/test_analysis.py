@@ -5,6 +5,7 @@ import pytest
 from scipy.signal import periodogram as scipy_periodogram
 
 from talbotsim.analysis import (
+    BinReader,
     JitterResult,
     _sideband_value,
     PhaseNoiseSpectrum,
@@ -13,6 +14,7 @@ from talbotsim.analysis import (
     jitter,
     periodogram,
     phase_noise_spectrum,
+    phase_noise_from_psd,
     write_jitter_csv,
     write_spectrum_csv,
 )
@@ -157,6 +159,82 @@ class TestPhaseNoiseSpectrum:
             phase_noise_spectrum(signal, 1e6, [4e6])
         with pytest.raises(ValueError, match="measurable"):
             phase_noise_spectrum(signal, 1e6, [1.0])
+
+
+def assert_same_spectrum(got, expected):
+    assert (got.carrier_freq, got.carrier_power, got.df) == (expected.carrier_freq, expected.carrier_power, expected.df)
+    assert np.array_equal(got.offsets, expected.offsets)
+    assert np.array_equal(got.l_dbc, expected.l_dbc)
+
+
+class TestBinReader:
+    """L off the values on the reader's bins, against the dense reader."""
+
+    def spectra(self, rng, n, carrier_bin, level=1e6):
+        """Noise on every bin of an n-sample periodogram, and a random
+        ``level`` on the 5 bins around ``carrier_bin``, so the peak falls
+        anywhere in the carrier window."""
+        psd = rng.random(n // 2 + 1)
+        lo = max(carrier_bin - 2, 0)
+        psd[lo : carrier_bin + 3] += level * rng.random(len(psd[lo : carrier_bin + 3]))
+        return psd
+
+    def test_reads_what_phase_noise_from_psd_reads(self):
+        # Even and odd windows, the carrier at DC, next to it, mid-band and
+        # by Nyquist, so bins run off either end; offsets from one bin to
+        # the top of the measurable range, and random gains on the bins.
+        rng = np.random.default_rng(9)
+        read = 0
+        for n in (16, 17, 64, 65, 1000, 1001):
+            fs = float(n)
+            top = n // 2
+            for carrier_bin in sorted({0, 1, 2, 3, top // 2, top - 4}):
+                freqs = np.fft.rfftfreq(n, 1.0 / fs)
+                df = freqs[1]
+                f_r = carrier_bin * df
+                high = fs / 2 - (carrier_bin + 2) * df
+                if high < df:
+                    continue
+                offsets = np.unique(np.concatenate(([df, high], rng.uniform(df, high, 6))))
+                reader = BinReader(n, fs, f_r, offsets)
+                assert len(reader.bins) < len(freqs) or n < 100
+                for _ in range(4):
+                    psd = self.spectra(rng, n, carrier_bin)
+                    gain = rng.uniform(0.5, 1.0, len(psd))
+                    values = reader.take(freqs, psd) * gain[reader.bins]
+                    assert_same_spectrum(reader.read(values), phase_noise_from_psd(freqs, psd * gain, fs, f_r, offsets))
+                    read += 1
+        assert read > 100
+
+    def test_take_refuses_a_carrier_that_is_not_dominant(self):
+        n = 1000
+        freqs = np.fft.rfftfreq(n, 1.0 / n)
+        psd = np.ones(n // 2 + 1)
+        psd[98:103] = 1e-9
+        reader = BinReader(n, float(n), 100 * freqs[1], [10 * freqs[1]])
+        with pytest.raises(CarrierNotFoundError, match="no dominant carrier"):
+            reader.take(freqs, psd)
+
+    def test_read_refuses_only_a_carrier_with_no_power(self):
+        # The dense reader refuses a detected carrier under 1e-6 of the
+        # detected total; the bin reader, whose carriers passed that test
+        # bare, reads it, and refuses one with no power at all.
+        rng = np.random.default_rng(3)
+        n, carrier_bin = 1000, 100
+        freqs = np.fft.rfftfreq(n, 1.0 / n)
+        psd = self.spectra(rng, n, carrier_bin, level=1e4)
+        offsets = [20 * freqs[1], 60 * freqs[1]]
+        reader = BinReader(n, float(n), carrier_bin * freqs[1], offsets)
+        window = np.isin(np.arange(len(psd)), list(reader.window))
+        values = reader.take(freqs, psd)
+        faint = np.where(window, 1e-9, 1.0)
+        with pytest.raises(CarrierNotFoundError, match="no dominant carrier"):
+            phase_noise_from_psd(freqs, psd * faint, float(n), carrier_bin * freqs[1], offsets)
+        bare, detected = reader.read(values), reader.read(values * faint[reader.bins])
+        assert detected.carrier_power == pytest.approx(1e-9 * bare.carrier_power, rel=1e-12)
+        np.testing.assert_allclose(detected.l_dbc, bare.l_dbc + 90.0, rtol=0, atol=1e-9)
+        with pytest.raises(CarrierNotFoundError, match="no power"):
+            reader.read(values * np.where(window, 0.0, 1.0)[reader.bins])
 
 
 class TestJitter:

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from talbotsim.cli import experiment_config, main, parse_config
+from talbotsim.cli import _build_parser, experiment_config, main, parse_config
 from talbotsim.errors import ConfigError
 from talbotsim.experiments import ExperimentConfig
 from talbotsim.svgplot import render_plots
@@ -98,30 +98,60 @@ class TestEstimateMemorySubcommand:
         assert figures["sweep-oversampling"] > 2**30 > max(figures["simulate"], figures["sweep-comb-width"])
 
     def test_reduced_within_budget(self, capsys):
-        # Ratio 64's guard figure on this grid is 1.25 GiB, over the default budget.
-        code = main(["estimate-memory", "--oversampling", "2", "--memory-budget", str(2 * 2**30)] + self.PAPER)
+        # Half the paper's window at twice its oversampling: the same
+        # reduced signal of 2e6 samples, on a grid where the sweeps can
+        # measure the default offsets.  Ratio 64's guard figure is 0.63 GiB.
+        code = main(["estimate-memory", "--oversampling", "4", "--t-sig", "5e-3", "--f-r", "1e8"])
         out = capsys.readouterr()
         assert code == 0, out.err
         assert "15.3 MiB" in out.out
         assert out.err == ""
-        assert max(guard_figures(out.out).values()) <= 2 * 2**30
+        assert max(guard_figures(out.out).values()) <= 2**30
+
+    def test_no_measurable_offset_is_a_config_error(self, capsys):
+        # At the paper's 2 samples per period, Fs/2 - f_r = 0 leaves the
+        # sweeps nothing to measure; the storage figures come first.
+        code = main(["estimate-memory", "--oversampling", "2"] + self.PAPER)
+        out = capsys.readouterr()
+        assert code == 2
+        assert "15.3 MiB" in out.out
+        assert "config error: analysis.offsets" in out.err
 
     def test_writes_nothing(self, tmp_path, capsys):
-        assert main(["estimate-memory", "--t-sig", "2e-4", "--out", str(tmp_path / "out")]) == 0
+        # It takes no output flags: argparse refuses them with exit 2.
+        for flags in (["--out", str(tmp_path / "out")], ["--format", "csv+svg"], ["--seed", "3"]):
+            with pytest.raises(SystemExit) as refusal:
+                main(["estimate-memory", "--t-sig", "2e-4"] + flags)
+            assert refusal.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_seeds_add_the_kept_periodograms(self, capsys):
+    def test_seeds_add_nothing_on_one_worker(self, capsys):
         figures = []
         for seeds in ("1", "4"):
             assert main(["estimate-memory", "--t-sig", "2e-4", "--seeds", seeds]) == 0
             figures.append(guard_figures(capsys.readouterr().out))
         one, four = figures
-        # One float64 periodogram on the n/2 + 1 bins per seed: 4 B per sample.
-        n = 16 * 1e7 * 2e-4
-        assert four["sweep-comb-width"] - one["sweep-comb-width"] == 3 * 4 * n
-        # On one worker the jobs run one at a time, so more seeds cost the others nothing.
-        assert four["simulate"] == one["simulate"]
-        assert four["sweep-oversampling"] == one["sweep-oversampling"]
+        # No periodogram outlives its job, and on one worker the jobs run
+        # one at a time: more seeds cost no study anything.
+        assert sorted(one) == ["simulate", "sweep-comb-width", "sweep-oversampling"]
+        assert four == one
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert _build_parser() is _build_parser()
+
+    def test_calls_parse_independently(self, tmp_path, capsys):
+        # A flag given to one call does not carry into the next.
+        argv = ["simulate", "--kind", "none", "--t-sig", "2e-4", "--points", "5"]
+        assert main(argv + ["--pure-tone", "--seed", "3", "--out", str(tmp_path / "a")]) == 0
+        assert main(argv + ["--out", str(tmp_path / "b")]) == 0
+        a, b = (json.loads((tmp_path / d / "manifest.json").read_text())["config"] for d in "ab")
+        assert (a["noise"], a["master_seed"]) == (None, 3)
+        assert b["noise"] is not None and b["master_seed"] == ExperimentConfig.master_seed
+        assert main(["estimate-memory", "--t-sig", "2e-4", "--memory-budget", "1000000"]) == 3
+        assert main(["estimate-memory", "--t-sig", "2e-4"]) == 0
 
 
 class TestDispersionEvalSubcommand:

@@ -10,8 +10,8 @@ import pytest
 
 import talbotsim
 import talbotsim.experiments as experiments
-from talbotsim.analysis import periodogram, phase_noise_from_psd
-from talbotsim.errors import BudgetError, ConfigError
+from talbotsim.analysis import BinReader, periodogram, phase_noise_from_psd
+from talbotsim.errors import BudgetError, CarrierNotFoundError, ConfigError
 from talbotsim.experiments import (
     ExperimentConfig,
     derive_seed,
@@ -24,7 +24,7 @@ from talbotsim.experiments import (
     write_sweep_csv,
 )
 from talbotsim.model import CombSpec, NoiseProfile
-from talbotsim.superposition import power_transfer
+from talbotsim.superposition import power_at_bins
 from talbotsim.synthesis import SynthesisRequest, synth_carrier
 
 
@@ -77,6 +77,17 @@ class TestSeedDerivation:
         assert len(seeds) == 5
 
 
+def read_through(plan, freqs, psd, offsets):
+    """L at ``offsets`` of the bare periodogram ``psd`` seen through ``plan``,
+    read by ``phase_noise_from_psd``: the bins the reader picks from hold
+    ``psd`` times |H|^2, every other bin 0."""
+    grid = plan.grid
+    bins = BinReader(grid.n_samples, grid.sample_rate, grid.f_r, offsets).bins
+    detected = np.zeros_like(psd)
+    detected[bins] = psd[bins] * power_at_bins(plan, bins)
+    return phase_noise_from_psd(freqs, detected, grid.sample_rate, grid.f_r, offsets)
+
+
 def assert_same_spectrum(got, expected):
     assert (got.carrier_freq, got.carrier_power, got.df) == (expected.carrier_freq, expected.carrier_power, expected.df)
     assert np.array_equal(got.offsets, expected.offsets)
@@ -85,8 +96,8 @@ def assert_same_spectrum(got, expected):
 
 class TestSimulate:
     def test_reads_the_carrier_through_its_plan(self):
-        # At 5e10 Hz the constant plan has g = 1: its |H|^2 is the full
-        # n-point transform.  "none" reads the bare periodogram.
+        # At 5e10 Hz the constant plan has g = 1, so its |H|^2 repeats
+        # nowhere in the window.  "none" reads the bare periodogram.
         cfg = small_config(comb=CombSpec(f_r=1e7, lambda0=1550e-9, width=5e10))
         grid = cfg.grid
         freqs, psd = periodogram(synth_carrier(SynthesisRequest(grid, cfg.resolved_noise(), cfg.master_seed)))
@@ -95,8 +106,33 @@ class TestSimulate:
         plan = experiments._plans(cfg, ("constant",), cfg.comb.width)["constant"]
         assert np.gcd.reduce(plan.offsets % grid.n_samples, initial=grid.n_samples) == 1
         detected, _ = simulate(cfg, "constant", points=20)
-        expected = phase_noise_from_psd(freqs, psd * power_transfer(plan), grid.sample_rate, grid.f_r, detected.offsets)
-        assert_same_spectrum(detected, expected)
+        assert_same_spectrum(detected, read_through(plan, freqs, psd, detected.offsets))
+
+    def test_carrier_with_no_power_is_refused(self, monkeypatch):
+        # |H(f_c)|^2 = 0: the plan has cancelled the carrier.
+        monkeypatch.setattr(experiments, "power_at_bins", lambda plan, bins, workspace=None: np.zeros(len(bins)))
+        with pytest.raises(CarrierNotFoundError, match="no power"):
+            simulate(small_config(), "constant", points=20)
+
+    def test_faint_carrier_is_read(self, monkeypatch):
+        # The carrier keeps 1e-9 of its power and everything else passes:
+        # the bare periodogram passed the dominance test, so the plan is
+        # read, 90 dB up, though its detected carrier holds under 1e-6 of
+        # the detected total.
+        cfg = small_config()
+        window = BinReader(cfg.grid.n_samples, cfg.grid.sample_rate, cfg.grid.f_r, [1.0]).window
+
+        def faint(plan, bins, workspace=None):
+            return np.where(np.isin(bins, window), 1e-9, 1.0)
+
+        bare, _ = simulate(cfg, "none", points=20)
+        monkeypatch.setattr(experiments, "power_at_bins", faint)
+        detected, _ = simulate(cfg, "none", points=20)
+        assert detected.carrier_power == pytest.approx(1e-9 * bare.carrier_power, rel=1e-12)
+        # Sidebands whose bins lie outside the carrier window.
+        far = detected.offsets >= 5 * detected.df
+        assert far.sum() >= 15
+        np.testing.assert_allclose(detected.l_dbc[far], bare.l_dbc[far] + 90.0, rtol=0, atol=1e-9)
 
 
 class TestSweepOversampling:
@@ -167,8 +203,7 @@ class TestSweepCombWidth:
         per_seed = {}
         for w in cfg.widths:
             for kind, plan in experiments._plans(cfg, cfg.kinds, w).items():
-                gain = power_transfer(plan)
-                spectra = [phase_noise_from_psd(f, p * gain, grid.sample_rate, grid.f_r, cfg.offsets) for f, p in psds]
+                spectra = [read_through(plan, f, p, cfg.offsets) for f, p in psds]
                 for i, off in enumerate(cfg.offsets):
                     per_seed[(w, kind, off)] = tuple(float(s.l_dbc[i]) for s in spectra)
         return per_seed
@@ -233,6 +268,7 @@ class TestSweepCombWidth:
         assert all(rows[k] != v for k, v in second.items() if k[0] == cfg.widths[1])
 
     def test_power_transfer_once_per_distinct_plan(self, monkeypatch):
+        # |H|^2 is summed on the read bins once per distinct plan.
         cfg = small_config(widths=self.WIDTHS)
         n = cfg.grid.n_samples
         distinct = sum(
@@ -241,11 +277,11 @@ class TestSweepCombWidth:
         )
         calls = []
 
-        def counted(plan, workspace=None):
+        def counted(plan, bins, workspace=None):
             calls.append(plan)
-            return power_transfer(plan, workspace)
+            return power_at_bins(plan, bins, workspace)
 
-        monkeypatch.setattr(experiments, "power_transfer", counted)
+        monkeypatch.setattr(experiments, "power_at_bins", counted)
         sweep_comb_width(cfg)
         assert len(calls) == distinct < len(cfg.widths) * len(cfg.kinds)
 

@@ -174,7 +174,14 @@ BAD_INPUT = {
     ),
     "offsets-duplicate": (["sweep-oversampling", "--ratios", "4", "--offsets", "1e4,1e4"], "analysis.offsets"),
     "kinds-duplicate": (["sweep-comb-width", "--widths", "1e8", "--kinds", "ideal,ideal"], "dispersion.kinds"),
-    # Offsets outside [df, Fs/2 - f_r] of a sweep's grid, refused before any synthesis.
+    # Offsets outside [df, Fs/2 - f_r] of a sweep's grid, refused before any synthesis,
+    # and by the dry run of the sweeps' budget guards.
+    "estimate-memory-offset-above-band": (["estimate-memory", "--offsets", "1e9"], "analysis.offsets"),
+    "estimate-memory-offset-below-df": (["estimate-memory", "--offsets", "1,2"], "analysis.offsets"),
+    "estimate-memory-offset-above-one-ratio": (
+        ["estimate-memory", "--offsets", "1e4,1.5e7"],
+        "oversampling point N=4",
+    ),
     "offset-above-band": (["sweep-comb-width", "--widths", "1e8", "--offsets", "1e9"], "analysis.offsets"),
     "offset-below-df": (["sweep-comb-width", "--widths", "1e8", "--offsets", "1e3"], "analysis.offsets"),
     "offset-above-band-of-one-ratio": (
@@ -237,7 +244,9 @@ def test_bad_input_is_config_error(tmp_path, capsys, case):
         files[name].write_text(line + "\n")
     argv = [a.format(**files) for a in argv]
     # The case's own flags come last, so a case may override SMALL's window.
-    code = main(argv[:1] + SMALL + argv[1:] + ["--out", str(tmp_path / "out")])
+    # estimate-memory writes nothing and takes no --out.
+    out = [] if argv[0] == "estimate-memory" else ["--out", str(tmp_path / "out")]
+    code = main(argv[:1] + SMALL + argv[1:] + out)
     err = capsys.readouterr().err
     assert code == 2, err
     assert "config error" in err and message in err
@@ -364,7 +373,7 @@ class TestConcurrentBudget:
         grid = build_grid(1e7, 16, 2e-4)
         comb = CombSpec(f_r=1e7, lambda0=1550e-9, width=1e9)
         plan = delay_plan(DispersionSpec.ideal(1e7, 1550e-9), comb, grid)
-        budget = int(1.5 * _predict_bytes(grid, len(plan), kept=1))
+        budget = int(1.5 * _predict_bytes(grid, len(plan)))
         for workers, expected in ((1, 0), (2, 3)):
             cfg_file = tmp_path / f"w{workers}.cfg"
             cfg_file.write_text(f"run.workers = {workers}\nrun.memory_budget_bytes = {budget}\n")
@@ -380,7 +389,7 @@ class TestConcurrentBudget:
             ("simulate", {"t_sig": 1e-3}, {"kind": "ideal"}),
             ("sweep-comb-width", {"n_seeds": 2}, {}),
             ("sweep-comb-width", {"n_seeds": 2, "workers": 2}, {}),
-            # The sweep keeps one periodogram per seed; two seeds would hide them.
+            # Ten carriers' values on the read bins, kept until every plan has read them.
             ("sweep-comb-width", {"n_seeds": 10}, {}),
             ("sweep-oversampling", {"n_seeds": 2}, {}),
         ],

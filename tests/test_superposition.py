@@ -1,4 +1,4 @@
-"""Delay-and-sum on the periodic window: superpose and power_transfer."""
+"""Delay-and-sum on the periodic window: superpose and power_at_bins."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from talbotsim.analysis import periodogram
 from talbotsim.dispersion import DelayPlan, DispersionSpec, delay_plan
 from talbotsim.model import CombSpec, NoiseProfile, SampledSignal, build_grid
-from talbotsim.superposition import power_transfer, superpose
+from talbotsim.superposition import _RUN, power_at_bins, superpose
 from talbotsim.synthesis import SynthesisRequest, Workspace, synth_carrier
 
 
@@ -32,6 +32,19 @@ def unfolded_power_transfer(plan):
     n = plan.grid.n_samples
     h = np.fft.rfft(np.bincount(plan.offsets % n, minlength=n) / len(plan))
     return h.real**2 + h.imag**2
+
+
+def every_bin(plan):
+    return np.arange(plan.grid.n_samples // 2 + 1)
+
+
+def nan_workspace(plan):
+    """A workspace for ``plan``'s window whose buffers hold NaN, so a sum
+    that reads scratch it did not write shows."""
+    ws = Workspace(plan.grid.n_samples, plan.grid.sample_rate)
+    ws.wave.fill(np.nan)
+    ws.spec.fill(np.nan)
+    return ws
 
 
 class TestTimeEngine:
@@ -96,7 +109,7 @@ class TestSpectralEngine:
         plan = make_plan([0], 128)
         y = superpose(make_signal(x), plan)
         np.testing.assert_allclose(y.samples, x, atol=1e-12)
-        np.testing.assert_array_equal(power_transfer(plan), np.ones(65))
+        np.testing.assert_array_equal(power_at_bins(plan, np.arange(65)), np.ones(65))
 
     def test_half_period_cancellation(self):
         # Two copies half a carrier period apart interfere destructively.
@@ -115,24 +128,56 @@ class TestSpectralEngine:
         plan = make_plan(offsets, n)
         bins = np.arange(n // 2 + 1)
         direct = np.abs(np.exp(-2j * np.pi * np.outer(bins, offsets) / n).mean(axis=1)) ** 2
-        np.testing.assert_allclose(power_transfer(plan), direct, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(power_at_bins(plan, bins), direct, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1000, 1001, 4096, 4099])
+    def test_power_at_bins_matches_unfolded_transform(self, n):
+        # Even and odd windows; g = 1 and g > 1; offsets that repeat mod n
+        # and run past n; bins at DC and Nyquist, lone bins, short runs,
+        # and runs longer than one stepping run.
+        rng = np.random.default_rng(n)
+        top = n // 2
+        plans = [
+            make_plan([0, 3, n + 3, 7, 2 * n, 5 * n - 1, 7], n),
+            make_plan([0, 1, 2 * n + 2], n),
+            make_plan(np.concatenate(([0], rng.integers(0, 4 * n, size=300))), n),
+            make_plan(np.concatenate(([0], 8 * rng.integers(0, n, size=120), [8, 8, n + 8])), n),
+        ]
+        if n % 2 == 0:
+            plans.append(make_plan([0, n // 2, 3 * n // 2, n], n))
+        selections = [
+            every_bin(plans[0]),
+            np.array([0, top]),
+            np.array([0, 1, 2, 5, 6, 7, 8, 9, 10, 3 * _RUN, top - 1, top]),
+            np.unique(rng.integers(0, top + 1, size=40)),
+            np.arange(7, 7 + 3 * _RUN + 5),
+        ]
+        for plan in plans:
+            expected = unfolded_power_transfer(plan)
+            for bins in selections:
+                np.testing.assert_allclose(power_at_bins(plan, bins), expected[bins], rtol=0, atol=1e-12)
+
+    def test_power_at_bins_refuses_bins_outside_the_window(self):
+        plan = make_plan([0, 3], 16)
+        for bins in ([-1, 2], [3, 9], [4, 4], [5, 2], [[1, 2]]):
+            with pytest.raises(ValueError, match="bins"):
+                power_at_bins(plan, bins)
+        assert power_at_bins(plan, []).shape == (0,)
 
     def test_power_transfer_in_workspace_is_bit_equal(self):
         # Even and odd windows; offsets that repeat mod n and run past n.
-        # One workspace serves both plans of a window in turn, so a bin
-        # the first kernel set must not leak into the second.
+        # The scratch goes to the workspace's buffers, NaN here; the bits
+        # are those of a sum with scratch of its own.
         for n in (1000, 1001):
             plans = [make_plan([0, 3, n + 3, 7, 2 * n, 5 * n - 1, 7], n), make_plan([0, 1, 2 * n + 2], n)]
-            ws = Workspace(n, plans[0].grid.sample_rate)
+            ws = nan_workspace(plans[0])
             for plan in plans:
-                h = np.fft.rfft(np.bincount(plan.offsets % n, minlength=n) / len(plan))
-                expected = h.real**2 + h.imag**2
-                assert np.array_equal(power_transfer(plan), expected)
-                got = power_transfer(plan, ws)
-                assert got.base is ws.wave
-                assert np.array_equal(got, expected)
+                for bins in (every_bin(plan), np.array([0, 4, 5, 6, n // 2])):
+                    got = power_at_bins(plan, bins, ws)
+                    assert np.array_equal(got, power_at_bins(plan, bins))
+                    np.testing.assert_allclose(got, unfolded_power_transfer(plan)[bins], rtol=0, atol=1e-12)
         with pytest.raises(ValueError, match="workspace"):
-            power_transfer(plans[0], Workspace(1000, plans[0].grid.sample_rate))
+            power_at_bins(plans[0], [0], Workspace(1000, plans[0].grid.sample_rate))
 
     @pytest.mark.parametrize(
         "n, g, offsets",
@@ -148,37 +193,39 @@ class TestSpectralEngine:
     )
     def test_power_transfer_folds_to_one_period(self, n, g, offsets):
         # Every offset mod n is a multiple of g, so |H|^2 repeats every
-        # n/g bins; the folded transform matches the window's own.
+        # n/g bins, and is even within the period.
         plan = make_plan(offsets, n)
         assert np.gcd.reduce(plan.offsets % n, initial=n) == g
-        got = power_transfer(plan)
+        bins = every_bin(plan)
+        got = power_at_bins(plan, bins)
         np.testing.assert_allclose(got, unfolded_power_transfer(plan), rtol=0, atol=1e-12)
-        ws = Workspace(n, plan.grid.sample_rate)
-        ws.wave.fill(np.nan)
-        ws.spec.fill(np.nan)
-        assert np.array_equal(power_transfer(plan, ws), got)
+        period = n // g
+        np.testing.assert_allclose(got[period:], got[: len(got) - period], rtol=0, atol=1e-12)
+        mirror = got[1 : (period + 1) // 2]
+        np.testing.assert_allclose(mirror, got[period - 1 : period // 2 : -1][: len(mirror)], rtol=0, atol=1e-12)
+        assert np.array_equal(power_at_bins(plan, bins, nan_workspace(plan)), got)
 
     @pytest.mark.parametrize("n", [1000, 1001])
     def test_power_transfer_of_period_one_is_flat(self, n):
         # One line, or every offset 0 mod n: one copy of the carrier, H = 1.
         for offsets in ([0], [0, n, 3 * n]):
             plan = make_plan(offsets, n)
-            assert np.array_equal(power_transfer(plan), np.ones(n // 2 + 1))
-            assert np.array_equal(power_transfer(plan, Workspace(n, plan.grid.sample_rate)), np.ones(n // 2 + 1))
+            bins = every_bin(plan)
+            assert np.array_equal(power_at_bins(plan, bins), np.ones(n // 2 + 1))
+            assert np.array_equal(power_at_bins(plan, bins, nan_workspace(plan)), np.ones(n // 2 + 1))
 
     def test_power_transfer_workspace_leaves_no_stale_tiles(self):
-        # One workspace serves a folded, an unfolded, then another folded
-        # plan; each result must match that plan alone on every bin.
+        # One workspace serves three plans in turn, on different bins;
+        # each result must match that plan alone on every bin.
         n = 1600
         plans = [make_plan([0, 16, 1632, 480], n), make_plan([0, 3, 1601, 16], n), make_plan([0, 32, 64, 3280], n)]
-        assert [np.gcd.reduce(p.offsets % n, initial=n) for p in plans] == [16, 1, 16]
-        ws = Workspace(n, plans[0].grid.sample_rate)
-        ws.wave.fill(np.nan)
-        ws.spec.fill(np.nan)
+        selections = [every_bin(plans[0]), np.array([1, 2, 3, 700]), np.arange(100, 300)]
+        ws = nan_workspace(plans[0])
         for plan in plans:
-            got = power_transfer(plan, ws)
-            assert np.array_equal(got, power_transfer(plan))
-            np.testing.assert_allclose(got, unfolded_power_transfer(plan), rtol=0, atol=1e-12)
+            for bins in selections:
+                got = power_at_bins(plan, bins, ws)
+                assert np.array_equal(got, power_at_bins(plan, bins))
+                np.testing.assert_allclose(got, unfolded_power_transfer(plan)[bins], rtol=0, atol=1e-12)
 
     def test_periodogram_is_carrier_times_power_transfer(self):
         f_r, n_os, t_sig = 1e7, 16, 2e-4
@@ -190,7 +237,8 @@ class TestSpectralEngine:
         _, psd_x = periodogram(x)
         _, psd_y = periodogram(superpose(x, plan))
         scale = psd_x.max()
-        np.testing.assert_allclose(psd_y / scale, psd_x * power_transfer(plan) / scale, rtol=0, atol=1e-12)
+        gain = power_at_bins(plan, every_bin(plan))
+        np.testing.assert_allclose(psd_y / scale, psd_x * gain / scale, rtol=0, atol=1e-12)
 
 
 class TestLinearity:
