@@ -14,9 +14,11 @@ Config files are flat ``key = value`` text with dotted sections::
 
 Flags override file values.  A key that neither sets keeps the default
 of its :class:`~talbotsim.experiments.ExperimentConfig` field; ``_KEYS``
-names each key once, with that field and the type of its value.  Each
-flag sets the config key that ``--help`` shows as its metavar
-(``--f-r COMB.F_R``).
+names each key once, with that field, the type of its value and its
+flag.  A subcommand takes the flags of the keys its study reads
+(``Study.keys``), and each flag sets the config key that ``--help``
+shows as its metavar (``--f-r COMB.F_R``); a config file sets any key
+for any study.
 Exit codes: 0 success, 2 configuration error, 3 resource-budget
 refusal, 1 runtime failure.
 """
@@ -30,6 +32,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
+from .dispersion import KINDS
 from .errors import BudgetError, ConfigError
 from .experiments import STUDIES, ExperimentConfig, dry_run, run_study
 from .model import NoiseProfile, estimate_memory
@@ -39,29 +42,48 @@ __all__ = ["parse_config", "experiment_config", "main"]
 
 
 #: Every config key: the ExperimentConfig field it sets (``comb.*`` set
-#: the comb's) and the type of its value, ``[type]`` for a comma list.
-#: ``noise.term`` lines add up, one ``{alpha, b}`` term each.
-_KEYS: dict[str, tuple[str | None, object]] = {
-    "comb.f_r": ("f_r", float),
-    "comb.lambda0": ("lambda0", float),
-    "comb.width": ("width", float),
-    "grid.oversampling": ("oversampling", int),
-    "grid.t_sig": ("t_sig", float),
-    "dispersion.kinds": ("kinds", [str]),
-    "dispersion.m": ("m", int),
-    "dispersion.table": ("table", str),  # empty: no table
-    "noise.enabled": ("noise_enabled", bool),
-    "noise.term": ("noise", [dict]),
-    "noise.f_low": ("noise", float),  # 0 means "use the grid resolution df"
-    "analysis.offsets": ("offsets", [float]),
-    "sweep.ratios": ("ratios", [int]),
-    "sweep.widths": ("widths", [float]),
-    "seeds.count": ("n_seeds", int),
-    "seeds.master": ("master_seed", int),
-    "run.out_dir": ("out_dir", str),
-    "run.format": (None, str),  # csv or csv+svg; read by the CLI alone
-    "run.memory_budget_bytes": ("memory_budget_bytes", int),
-    "run.workers": ("workers", int),
+#: the comb's), the type of its value (``[type]`` for a comma list, a
+#: tuple for one of those strings), and its flag and the flag's help, or
+#: None for a key that only a config file sets.  ``noise.term`` lines add
+#: up, one ``{alpha, b}`` term each.
+_KEYS: dict[str, tuple[str | None, object, str | None, str | None]] = {
+    "comb.f_r": ("f_r", float, "--f-r", "repetition rate, Hz"),
+    "comb.lambda0": ("lambda0", float, "--lambda0", "center wavelength, m"),
+    "comb.width": ("width", float, "--width", "comb width, Hz"),
+    "grid.oversampling": ("oversampling", int, "--oversampling", "samples per carrier period"),
+    "grid.t_sig": ("t_sig", float, "--t-sig", "time window, s"),
+    "dispersion.kinds": ("kinds", [str], "--kinds", "comma list of kinds"),
+    "dispersion.m": ("m", int, "--m", "upconversion factor"),
+    "dispersion.table": ("table", str, "--table", "tabulated dispersion file"),  # empty: no table
+    "noise.enabled": ("noise_enabled", bool, "--pure-tone", "noise.enabled = false"),
+    "noise.term": ("noise", [dict], None, None),
+    "noise.f_low": ("noise", float, None, None),  # 0 means "use the grid resolution df"
+    "analysis.offsets": ("offsets", [float], "--offsets", "comma list, Hz"),
+    "sweep.ratios": ("ratios", [int], "--ratios", "comma list of ratios"),
+    "sweep.widths": ("widths", [float], "--widths", "comma list of comb widths, Hz"),
+    "seeds.count": ("n_seeds", int, "--seeds", "seeds per sweep point"),
+    "seeds.master": ("master_seed", int, "--seed", "master seed"),
+    "run.out_dir": ("out_dir", str, "--out", "output directory"),
+    "run.format": (None, ("csv", "csv+svg"), "--format", "artifact format (run.format)"),  # read here alone
+    "run.memory_budget_bytes": ("memory_budget_bytes", int, "--memory-budget", "bytes"),
+    "run.workers": ("workers", int, None, None),
+}
+
+#: The keys ``estimate-memory`` takes flags for: the budget, and the
+#: grids, combs, offsets and seeds of the budgeted studies.
+_ESTIMATE_KEYS = (
+    "run.memory_budget_bytes", "comb.f_r", "comb.lambda0", "comb.width",
+    "grid.oversampling", "grid.t_sig", "analysis.offsets", "seeds.count",
+)
+
+#: Each study's own arguments, which set no config key: name to argparse settings.
+_ARGS = {
+    "simulate": {
+        "kind": {"default": "ideal", "choices": [*KINDS, "none"]},
+        "points": {"type": int, "default": 120, "help": "spectrum points"},
+        "jitter_band": {"help": "f_min:f_max, Hz"},
+    },
+    "dispersion-eval": {"kind": {"default": "ideal", "choices": list(KINDS)}},
 }
 
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
@@ -140,6 +162,10 @@ def _is_number(value) -> bool:
 
 def _coerce_one(key: str, kind, value, where: str):
     """``value`` as one value of ``kind``; ConfigError if it is not one."""
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"{where}: {key} must be {' or '.join(kind)}, got {value!r}")
+        return value
     if kind is dict:
         if not isinstance(value, dict) or set(value) != {"alpha", "b"}:
             raise ConfigError(
@@ -259,85 +285,55 @@ def _run_study(cfg: ExperimentConfig, render_svg: bool, args) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, outputs: bool = True):
-    """The flags every subcommand takes; with ``outputs``, also those that
-    choose what a study writes, which ``estimate-memory`` does not take."""
-    # Each flag's dest is the config key it sets; --help shows it as the metavar.
+def _add_flags(parser: argparse.ArgumentParser, keys, args: dict):
+    """``--config``, the flag of each of ``keys`` that has one, and one
+    for each of ``args``, the study's own arguments."""
     parser.add_argument("--config", help="config file (key = value lines)")
-    if outputs:
-        parser.add_argument("--out", dest="run.out_dir", help="output directory")
-        parser.add_argument("--seed", type=int, dest="seeds.master", help="master seed")
-        parser.add_argument(
-            "--format", choices=["csv", "csv+svg"], dest="run.format", help="artifact format (run.format)"
-        )
-    parser.add_argument("--memory-budget", type=int, dest="run.memory_budget_bytes", help="bytes")
-    parser.add_argument("--f-r", type=float, dest="comb.f_r", help="repetition rate, Hz")
-    parser.add_argument("--lambda0", type=float, dest="comb.lambda0", help="center wavelength, m")
-    parser.add_argument("--width", type=float, dest="comb.width", help="comb width, Hz")
-    parser.add_argument(
-        "--oversampling", type=int, dest="grid.oversampling", help="samples per carrier period"
-    )
-    parser.add_argument("--t-sig", type=float, dest="grid.t_sig", help="time window, s")
-    parser.add_argument("--offsets", type=_parse_list, dest="analysis.offsets", help="comma list, Hz")
-    parser.add_argument("--seeds", type=int, dest="seeds.count", help="seeds per sweep point")
+    for key in keys:
+        _, kind, flag, help_text = _KEYS[key]
+        if flag is None:
+            continue
+        if kind is bool:  # --pure-tone, the one such flag, turns its key off
+            settings = {"action": "store_const", "const": False}
+        elif isinstance(kind, tuple):
+            settings = {"choices": kind}
+        else:
+            settings = {"type": _parse_list if isinstance(kind, list) else kind}
+        # The dest is the config key the flag sets; --help shows it as the metavar.
+        parser.add_argument(flag, dest=key, help=help_text, **settings)
+    for name, settings in args.items():
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, **settings)
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command line's parser, built once per process: each
-    ``parse_args`` call fills a namespace of its own."""
+    ``parse_args`` call fills a namespace of its own.
+
+    Each study in :data:`~talbotsim.experiments.STUDIES` is a subcommand
+    whose flags are those of the config keys it reads; no flag may be
+    abbreviated, so a flag one subcommand lacks is never read as a
+    longer one it has (``--width`` as ``--widths``).
+    """
     parser = argparse.ArgumentParser(
         prog="talbotsim",
         description="Phase-noise simulator for comb upconversion through dispersive elements",
     )
     parser.add_argument("--version", action="version", version=f"talbotsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    widths = {"type": _parse_list, "dest": "sweep.widths", "help": "comma list of comb widths, Hz"}
-    table = {"dest": "dispersion.table", "help": "tabulated dispersion file"}
-
-    p = sub.add_parser("simulate", help="single run: synth, plan, superpose, spectrum CSV")
-    _add_common(p)
-    p.add_argument("--kind", default="ideal", choices=["ideal", "linear", "constant", "tabulated", "none"])
-    p.add_argument(
-        "--pure-tone", action="store_const", const=False, dest="noise.enabled", help="noise.enabled = false"
-    )
-    p.add_argument("--points", type=int, default=120, help="spectrum points")
-    p.add_argument("--jitter-band", dest="jitter_band", help="f_min:f_max, Hz")
-    p.add_argument("--table", **table)
-
-    p = sub.add_parser("sweep-oversampling", help="L vs oversampling ratio")
-    _add_common(p)
-    p.add_argument("--ratios", type=_parse_list, dest="sweep.ratios", help="comma list of ratios")
-
-    p = sub.add_parser("sweep-comb-width", help="L vs comb width per dispersion kind")
-    _add_common(p)
-    p.add_argument("--widths", **widths)
-    p.add_argument("--kinds", type=_parse_list, dest="dispersion.kinds", help="comma list of kinds")
-
-    p = sub.add_parser("offsets-diff", help="per-line plan differences vs ideal")
-    _add_common(p)
-    p.add_argument("--widths", **widths)
-
-    p = sub.add_parser("dispersion-eval", help="tabulate a dispersion spec and its plan")
-    _add_common(p)
-    p.add_argument("--kind", default="ideal", choices=["ideal", "linear", "constant", "tabulated"])
-    p.add_argument("--m", type=int, dest="dispersion.m", help="upconversion factor")
-    p.add_argument("--table", **table)
-
-    # No abbreviations: the studies' --seed would otherwise read as --seeds.
+    for study in STUDIES.values():
+        p = sub.add_parser(study.name, help=study.help, allow_abbrev=False)
+        _add_flags(p, study.keys, {name: _ARGS[study.name][name] for name in study.args})
     p = sub.add_parser(
         "estimate-memory", help="the budget guard's figure per study, without running it", allow_abbrev=False
     )
-    _add_common(p, outputs=False)
+    _add_flags(p, _ESTIMATE_KEYS, {})
     return parser
 
 
 def _overrides_from_args(args) -> dict:
-    overrides = {key: value for key, value in vars(args).items() if key in _KEYS and value is not None}
-    if args.command == "offsets-diff" and "comb.width" in overrides and "sweep.widths" not in overrides:
-        # A single --width also narrows the sweep width list for offsets-diff.
-        overrides["sweep.widths"] = [overrides["comb.width"]]
-    return overrides
+    """The config keys the flags of ``args`` set."""
+    return {key: value for key, value in vars(args).items() if key in _KEYS and value is not None}
 
 
 def main(argv=None) -> int:
@@ -348,10 +344,7 @@ def main(argv=None) -> int:
         cfg = experiment_config(values)
         if args.command == "estimate-memory":
             return _estimate_memory(cfg)
-        fmt = values.get("run.format", "csv")
-        if fmt not in ("csv", "csv+svg"):
-            raise ConfigError(f"run.format must be csv or csv+svg, got {fmt!r}")
-        return _run_study(cfg, fmt == "csv+svg", args)
+        return _run_study(cfg, values.get("run.format") == "csv+svg", args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

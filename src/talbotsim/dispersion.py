@@ -191,7 +191,8 @@ def delay_plan(spec: DispersionSpec, comb: CombSpec, grid: SimGrid) -> DelayPlan
 
     Group delays are referenced to the first line of the grid, rounded
     half-to-even to whole samples, and normalized so the earliest line
-    has offset 0.
+    has offset 0.  Delays that are not finite, or of 2^62 samples or
+    more, raise ValueError.
     """
     if not np.isclose(spec.f_r, comb.f_r, rtol=1e-12) or not np.isclose(
         grid.f_r, comb.f_r, rtol=1e-12
@@ -200,8 +201,16 @@ def delay_plan(spec: DispersionSpec, comb: CombSpec, grid: SimGrid) -> DelayPlan
             f"inconsistent repetition rates: spec {spec.f_r}, comb {comb.f_r}, grid {grid.f_r}"
         )
     lines = comb_lines(comb)
-    tau = group_delay(spec, lines.lam[0], lines.lam)
-    raw = np.rint(np.asarray(tau) * grid.sample_rate).astype(np.int64)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # refused below instead
+        tau = group_delay(spec, lines.lam[0], lines.lam)
+        samples = np.asarray(tau) * grid.sample_rate
+    reach = np.max(np.abs(samples))
+    if not np.isfinite(reach):
+        raise ValueError(f"the {spec.kind} characteristic gives group delays that are not finite")
+    # Below 2^62 samples, the int64 offsets and their spread both fit.
+    if reach >= 2.0**62:
+        raise ValueError(f"group delays of up to {reach:.3g} samples are too long for int64 offsets")
+    raw = np.rint(samples).astype(np.int64)
     offsets = normalize_offsets(raw)
     return DelayPlan(offsets=offsets, grid=grid)
 

@@ -5,8 +5,9 @@ seed: a single ``simulate`` run, phase-noise accuracy vs oversampling
 ratio, phase noise vs comb width per dispersion characteristic,
 per-line delay-plan differences between characteristics, and a
 tabulation of one characteristic.  ``STUDIES`` registers each one with
-its runner and writer; the command line and :func:`run_all` dispatch
-from it.
+its runner, its writer and the config keys it reads; the command line
+builds its subcommands and their flags from it, and it and
+:func:`run_all` dispatch from it.
 
 Seeds derive from (master seed, experiment id, point index, seed
 index), so results do not depend on execution order or worker count.
@@ -271,47 +272,63 @@ def derive_seed(master_seed: int, experiment: str, point_index: int, seed_index:
 #: keeps its periodogram on the few dozen bins the reader picks, and a
 #: plan job sums |H|^2 on those bins with its scratch in the spent
 #: workspace, so no periodogram outlives its job and a plan job costs
-#: no more than a detect job.  Traced peaks, each in a fresh process on
-#: the default desk grid of 320000 samples: ``simulate --kind none``
-#: 6.45 MiB (21 B per sample: 16 in the workspace, 4 in the scale, and
-#: the fixed term), against 6.91 MiB predicted; the default desk sweep
-#: with 10 seeds 6.51 MiB, against 7.53 MiB predicted.  A plan holds
-#: 8 B per line, and building one passes through 48 B per line
-#: (wavelengths, group delays, offsets).
+#: no more than a detect job.  A plan holds 8 B per line, and building
+#: one passes through 48 B per line (wavelengths, group delays, offsets).
+#: What outlives the jobs grows with the seeds.  Each carrier holds its
+#: (noise, seed) pair and its job, about 190 B, and its kept values, 8 B
+#: per read bin and 120 B besides; each (distinct plan, carrier)
+#: spectrum 16 B per offset and 432 B besides; each sweep row keeps 32 B
+#: per seed and offset, and building it passes through 8 B more
+#: (measured with 2 and 8 offsets).  The model rounds these up to 320,
+#: 512 and 48 B and adds them all, though the workspaces and kept values
+#: are freed before the rows are built.  Traced peaks, each in a fresh
+#: process: on the default desk grid of 320000 samples, ``simulate
+#: --kind none`` 6.52 MiB, against 6.92 MiB predicted, and the default
+#: desk sweep with 10 seeds 6.50 MiB, against 7.61 MiB; at ``t_sig =
+#: 2e-4`` (32000 samples) the desk sweep with 300 seeds 2.10 MiB, against
+#: 3.99 MiB, and with 1500 seeds 8.19 MiB, against 12.88 MiB, and the
+#: oversampling sweep with 1500 seeds 4.24 MiB, against 5.34 MiB.
 _JOB_BYTES_PER_SAMPLE = 17
 _JOB_FIXED_BYTES = 1 << 19
 _GRID_BYTES_PER_SAMPLE = 4
 _PLAN_BYTES_PER_LINE = 56
+_CARRIER_FIXED_BYTES = 320
+_KEPT_BYTES_PER_BIN = 8
+_SPECTRUM_BYTES_PER_OFFSET = 16
+_SPECTRUM_FIXED_BYTES = 512
+_ROW_BYTES_PER_VALUE = 48
 
 
-def _predict_bytes(grid: SimGrid, lines: int = 0, jobs: int = 1) -> int:
+def _predict_bytes(grid: SimGrid, lines: int = 0, jobs: int = 1, held: int = 0) -> int:
     """Peak bytes of ``jobs`` concurrent detect jobs on ``grid``.
 
-    The jobs share the grid's constants, and ``lines`` counts the comb
-    lines of every delay plan the study holds.  numpy's pocketfft
-    allocates its scratch outside the Python allocator, so tracemalloc
-    does not see it and this figure leaves it out; the resident set runs
-    higher by that scratch.
+    The jobs share the grid's constants, ``lines`` counts the comb lines
+    of every delay plan the study holds, and ``held`` the bytes of the
+    values that outlive the jobs.  numpy's pocketfft allocates its
+    scratch outside the Python allocator, so tracemalloc does not see it
+    and this figure leaves it out; the resident set runs higher by that
+    scratch.
     """
     n = grid.n_samples
     job = _JOB_BYTES_PER_SAMPLE * n + _JOB_FIXED_BYTES
-    return job * jobs + _GRID_BYTES_PER_SAMPLE * n + _PLAN_BYTES_PER_LINE * lines
+    return job * jobs + _GRID_BYTES_PER_SAMPLE * n + _PLAN_BYTES_PER_LINE * lines + held
 
 
 @dataclass(frozen=True)
 class _Guard:
-    """What the budget guard checks for one run: ``jobs`` jobs on ``grid``
-    and delay plans of ``lines`` lines in all; ``what`` names the run in
-    a refusal."""
+    """What the budget guard checks for one run: ``jobs`` jobs on ``grid``,
+    delay plans of ``lines`` lines in all, and ``held`` bytes of values
+    that outlive the jobs; ``what`` names the run in a refusal."""
 
     grid: SimGrid
     what: str
     jobs: int = 1
     lines: int = 0
+    held: int = 0
 
     def predicted(self, cfg: ExperimentConfig) -> int:
         """Peak bytes with ``min(workers, jobs)`` of the jobs at once."""
-        return _predict_bytes(self.grid, self.lines, min(cfg.workers, self.jobs))
+        return _predict_bytes(self.grid, self.lines, min(cfg.workers, self.jobs), self.held)
 
 
 def _check_budget(cfg: ExperimentConfig, guard: _Guard):
@@ -325,6 +342,24 @@ def _check_budget(cfg: ExperimentConfig, guard: _Guard):
         )
 
 
+def _budgeted_plans(cfg: ExperimentConfig, what: str, kinds, widths) -> list[DelayPlan]:
+    """The plans of ``kinds`` at each of ``widths``, width by width.
+
+    Their lines are counted from the comb first, and when the plans'
+    own bytes already overrun the budget the guard refuses ``what``
+    before any plan is built.
+    """
+    lines = len(kinds) * sum(replace(cfg.comb, width=w).line_count for w in widths)
+    predicted = _PLAN_BYTES_PER_LINE * lines
+    if predicted > cfg.memory_budget_bytes:
+        raise BudgetError(
+            f"{what} needs about {predicted / 2**30:.2f} GiB for its delay plans of {lines} lines alone, "
+            f"over the budget of {cfg.memory_budget_bytes / 2**30:.2f} GiB",
+            estimate_bytes=predicted,
+        )
+    return [plan for w in widths for plan in _plans(cfg, kinds, w).values()]
+
+
 def _plans(cfg: ExperimentConfig, kinds, width: float) -> dict[str, DelayPlan]:
     """Delay plans of ``kinds`` for the config's comb at ``width``."""
     comb = replace(cfg.comb, width=width)
@@ -334,9 +369,8 @@ def _plans(cfg: ExperimentConfig, kinds, width: float) -> dict[str, DelayPlan]:
         try:
             plans[kind] = delay_plan(cfg.dispersion_spec(kind), comb, grid)
         except ValueError as exc:
-            if kind != "tabulated":
-                raise
-            raise ConfigError(f"dispersion table {cfg.table}: {exc}") from None
+            where = f"dispersion table {cfg.table}" if kind == "tabulated" else f"{kind} dispersion"
+            raise ConfigError(f"{where}: {exc}") from None
     return plans
 
 
@@ -449,44 +483,62 @@ def _read_plan(reader: BinReader, kept: list, ws: Workspace, plan: DelayPlan) ->
 @dataclass(frozen=True, eq=False)
 class _Reads:
     """(noise, seed) ``carriers`` on ``grid``, each to be seen through each
-    of ``plans`` by :func:`_through_plans`; ``what`` names the run in a
-    budget refusal.
+    of ``plans`` by :func:`_through_plans` and read at ``offsets``;
+    ``what`` names the run in a budget refusal.  ``held_points`` counts
+    the sweep points whose rows the study holds once these reads are
+    done, theirs included: 0 for a run that writes no rows.
 
-    Plans whose offsets mod n are the same multiset have bit-equal |H|^2.
-    ``keys`` holds each plan's key, the digest of its offsets mod n as a
-    sorted multiset, and ``distinct`` the first plan of each key.
+    ``reader`` reads L at ``offsets`` off the bins it picks.  Plans whose
+    offsets mod n are the same multiset have bit-equal |H|^2.  ``keys``
+    holds each plan's key, the digest of its offsets mod n as a sorted
+    multiset, and ``distinct`` the first plan of each key.
     """
 
     grid: SimGrid
     what: str
     carriers: list
     plans: list
+    offsets: np.ndarray | tuple
+    held_points: int = 1
+    reader: BinReader = field(init=False)
     keys: list = field(init=False)
     distinct: dict = field(init=False)
 
     def __post_init__(self):
-        n = self.grid.n_samples
+        grid = self.grid
+        n = grid.n_samples
         keys = [hashlib.sha256(np.sort(p.offsets % n)).digest() for p in self.plans]
         distinct = {}
         for key, plan in zip(keys, self.plans):
             distinct.setdefault(key, plan)
+        object.__setattr__(self, "reader", BinReader(n, grid.sample_rate, grid.f_r, self.offsets))
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "distinct", distinct)
 
     @property
     def guard(self) -> _Guard:
-        """The carriers and then the distinct plans run as jobs."""
+        """The carriers and then the distinct plans run as jobs.  Each
+        carrier's kept values, each (distinct plan, carrier) spectrum and
+        each (plan, carrier) row of each held point outlive them."""
+        carriers, per_read = len(self.carriers), len(self.offsets)
+        held = carriers * (
+            _CARRIER_FIXED_BYTES
+            + _KEPT_BYTES_PER_BIN * len(self.reader.bins)
+            + len(self.distinct) * (_SPECTRUM_FIXED_BYTES + _SPECTRUM_BYTES_PER_OFFSET * per_read)
+            + self.held_points * len(self.plans) * _ROW_BYTES_PER_VALUE * per_read
+        )
         return _Guard(
             self.grid,
             self.what,
-            jobs=max(len(self.carriers), len(self.distinct)),
+            jobs=max(carriers, len(self.distinct)),
             lines=sum(len(p) for p in self.plans),
+            held=held,
         )
 
 
-def _through_plans(cfg: ExperimentConfig, reads: _Reads, offsets) -> list[list]:
-    """L(f) at ``offsets`` of each of ``reads``' carriers seen through each
-    of its plans: one list per plan, of one spectrum per carrier.
+def _through_plans(cfg: ExperimentConfig, reads: _Reads) -> list[list]:
+    """L(f) of each of ``reads``' carriers seen through each of its plans:
+    one list per plan, of one spectrum per carrier.
 
     Each carrier is synthesized once, and its job keeps its periodogram
     on the bins the reader picks from (see
@@ -497,9 +549,8 @@ def _through_plans(cfg: ExperimentConfig, reads: _Reads, offsets) -> list[list]:
     carrier through it.  The carriers and then the distinct plans run as
     jobs on one pool of workspaces.
     """
-    grid, guard = reads.grid, reads.guard
+    grid, guard, reader = reads.grid, reads.guard, reads.reader
     _check_budget(cfg, guard)
-    reader = BinReader(grid.n_samples, grid.sample_rate, grid.f_r, offsets)
     with _pool(cfg, grid, guard.jobs) as run:
         kept = run(partial(_detect, grid), [(noise, seed, reader.take) for noise, seed in reads.carriers])
         per_plan = dict(zip(reads.distinct, run(partial(_read_plan, reader, kept), reads.distinct.values())))
@@ -526,6 +577,20 @@ def simulate(cfg: ExperimentConfig, kind: str = "ideal", points: int = 120, jitt
     spectrum and, when ``jitter_band = (f_min, f_max)`` is given, its
     band-integrated jitter.
     """
+    offsets = _simulate_offsets(cfg, points)
+    if jitter_band is not None:
+        f_min, f_max = jitter_band
+        if not offsets[0] <= f_min < f_max <= offsets[-1]:
+            raise ConfigError(
+                f"jitter band [{f_min}, {f_max}] Hz must satisfy {offsets[0]} <= f_min < f_max <= "
+                f"{offsets[-1]}, within the measured offsets"
+            )
+    ((spectrum,),) = _through_plans(cfg, _simulate_reads(cfg, kind, offsets))
+    return spectrum, None if jitter_band is None else jitter(spectrum, *jitter_band)
+
+
+def _simulate_offsets(cfg: ExperimentConfig, points: int = 120) -> np.ndarray:
+    """``simulate``'s ``points`` log-spaced offsets, from 3 df to 0.999 (Fs/2 - f_r)."""
     if points < 2:
         raise ConfigError(f"points must be at least 2, got {points}")
     grid = cfg.grid
@@ -535,24 +600,15 @@ def simulate(cfg: ExperimentConfig, kind: str = "ideal", points: int = 120, jitt
             f"grid.oversampling = {cfg.oversampling} with grid.t_sig = {cfg.t_sig} s leaves no offset "
             f"between 3 df = {3 * grid.df} Hz and 0.999 (Fs/2 - f_r) = {f_top} Hz to measure"
         )
-    offsets = np.geomspace(3 * grid.df, f_top, points)
-    if jitter_band is not None:
-        f_min, f_max = jitter_band
-        if not offsets[0] <= f_min < f_max <= offsets[-1]:
-            raise ConfigError(
-                f"jitter band [{f_min}, {f_max}] Hz must satisfy {offsets[0]} <= f_min < f_max <= "
-                f"{offsets[-1]}, within the measured offsets"
-            )
-    ((spectrum,),) = _through_plans(cfg, _simulate_reads(cfg, kind), offsets)
-    return spectrum, None if jitter_band is None else jitter(spectrum, *jitter_band)
+    return np.geomspace(3 * grid.df, f_top, points)
 
 
-def _simulate_reads(cfg: ExperimentConfig, kind: str) -> _Reads:
-    """``simulate``'s one carrier and ``kind``'s plan; ``kind = "none"`` is
-    the one-line plan at zero delay."""
+def _simulate_reads(cfg: ExperimentConfig, kind: str, offsets) -> _Reads:
+    """``simulate``'s one carrier and ``kind``'s plan, read at ``offsets``;
+    ``kind = "none"`` is the one-line plan at zero delay."""
     grid = cfg.grid
-    plan = _bare(grid) if kind == "none" else _plans(cfg, (kind,), cfg.comb.width)[kind]
-    return _Reads(grid, "run", [(cfg.resolved_noise(), cfg.master_seed)], [plan])
+    plans = [_bare(grid)] if kind == "none" else _budgeted_plans(cfg, "run", (kind,), (cfg.comb.width,))
+    return _Reads(grid, "run", [(cfg.resolved_noise(), cfg.master_seed)], plans, offsets, held_points=0)
 
 
 def _bare(grid: SimGrid) -> DelayPlan:
@@ -560,20 +616,20 @@ def _bare(grid: SimGrid) -> DelayPlan:
     return DelayPlan(np.zeros(1, np.int64), grid)
 
 
-def _oversampling_reads(cfg: ExperimentConfig) -> list[_Reads]:
-    """The oversampling sweep's reads of each ratio, in order: the pure
-    tone and ``n_seeds`` impaired carriers, on seeds of that ratio's
-    point index, through the bare plan on that ratio's grid.  Offsets
-    outside a ratio's measurable range are refused here."""
+def _oversampling_reads(cfg: ExperimentConfig, i: int) -> _Reads:
+    """The oversampling sweep's reads at its ``i``-th ratio: the pure
+    tone and ``n_seeds`` impaired carriers, on seeds of point index
+    ``i``, through the bare plan on that ratio's grid.  Offsets outside
+    the ratio's measurable range are refused here."""
+    n = cfg.ratios[i]
+    grid = build_grid(cfg.comb.f_r, n, cfg.t_sig)
+    what = f"oversampling point N={n}"
+    _check_offsets(cfg, grid, what)
     noise = cfg.resolved_noise()
-    reads = []
-    for i, n in enumerate(cfg.ratios):
-        grid = build_grid(cfg.comb.f_r, n, cfg.t_sig)
-        what = f"oversampling point N={n}"
-        _check_offsets(cfg, grid, what)
-        seeds = [derive_seed(cfg.master_seed, "oversampling", i, s) for s in range(cfg.n_seeds)]
-        reads.append(_Reads(grid, what, [(None, 0)] + [(noise, seed) for seed in seeds], [_bare(grid)]))
-    return reads
+    seeds = [derive_seed(cfg.master_seed, "oversampling", i, s) for s in range(cfg.n_seeds)]
+    carriers = [(None, 0)] + [(noise, seed) for seed in seeds]
+    # The rows of this ratio and of every ratio before it are held once its reads are done.
+    return _Reads(grid, what, carriers, [_bare(grid)], cfg.offsets, held_points=i + 1)
 
 
 def sweep_oversampling(cfg: ExperimentConfig) -> list[SweepRow]:
@@ -583,15 +639,16 @@ def sweep_oversampling(cfg: ExperimentConfig) -> list[SweepRow]:
     numerical floor of the simulation, the impaired carrier shows when
     the measured noise saturates.  Every ratio's offsets and budget are
     checked before any synthesis; then one grid at a time, so only one
-    grid's workspaces are ever held.
+    grid's reads and workspaces are ever held.
     """
-    reads = _oversampling_reads(cfg)
-    for r in reads:
-        _check_budget(cfg, r.guard)
+    points = range(len(cfg.ratios))
+    for i in points:
+        _check_budget(cfg, _oversampling_reads(cfg, i).guard)
     rows = []
-    for n, r in zip(cfg.ratios, reads):
-        ((pure, *impaired),) = _through_plans(cfg, r, cfg.offsets)
-        rows += _point_rows(cfg, n, {"pure_tone": [pure], "impaired": impaired})
+    for i in points:
+        ((pure, *impaired),) = _through_plans(cfg, _oversampling_reads(cfg, i))
+        rows += _point_rows(cfg, cfg.ratios[i], {"pure_tone": [pure], "impaired": impaired})
+        del pure, impaired  # so the next ratio's jobs do not run beside these spectra
     return rows
 
 
@@ -604,7 +661,7 @@ def sweep_comb_width(cfg: ExperimentConfig) -> list[SweepRow]:
     identical noise and rows are correlated across widths as well as
     kinds.
     """
-    spectra = iter(_through_plans(cfg, _comb_width_reads(cfg), cfg.offsets))
+    spectra = iter(_through_plans(cfg, _comb_width_reads(cfg)))
     rows = []
     for w in cfg.widths:
         rows += _point_rows(cfg, w, {kind: next(spectra) for kind in cfg.kinds})
@@ -618,8 +675,8 @@ def _comb_width_reads(cfg: ExperimentConfig) -> _Reads:
     _check_offsets(cfg, cfg.grid, "the comb-width sweep")
     noise = cfg.resolved_noise()
     carriers = [(noise, derive_seed(cfg.master_seed, "comb_width", 0, s)) for s in range(cfg.n_seeds)]
-    plans = [plan for w in cfg.widths for plan in _plans(cfg, cfg.kinds, w).values()]
-    return _Reads(cfg.grid, "comb-width sweep", carriers, plans)
+    what = "comb-width sweep"
+    return _Reads(cfg.grid, what, carriers, _budgeted_plans(cfg, what, cfg.kinds, cfg.widths), cfg.offsets)
 
 
 def offsets_experiment(cfg: ExperimentConfig) -> list[OffsetsTable]:
@@ -717,22 +774,32 @@ class Study:
 
     ``run(cfg, **args)`` computes its rows or tables; ``write(result,
     out_dir, render_svg)`` writes them and returns the paths written.
-    ``args`` names the study's own arguments, which the manifest records
-    next to the config; ``report`` turns a result into a line for the user.
-    ``plots`` is False for a study that draws no SVG.  ``guards(cfg)``
-    lists the budget checks the study makes, at its default arguments,
-    before it synthesizes anything, after the config checks the study
-    makes on the way; it is None for a study with none.
+    ``keys`` names the config keys its code reads, a read of ``cfg.grid``
+    included and a check that only validates them not; the command line
+    gives the study a flag for each of them that has one.  ``args`` names
+    the study's own arguments, which the manifest records next to the
+    config; ``help`` is its one-line summary, and ``report`` turns a
+    result into a line for the user.  ``no_svg(cfg)`` says why the study
+    cannot draw its SVG under ``cfg``, or is None when it can.
+    ``guards(cfg)`` lists the budget checks the study makes, at its
+    default arguments, before it synthesizes anything, after the config
+    checks the study makes on the way; it is None for a study with none.
     """
 
     name: str
     run: Callable
     write: Callable
+    keys: tuple[str, ...]
+    help: str
     args: tuple[str, ...] = ()
     report: Callable | None = None
-    plots: bool = True
+    no_svg: Callable = lambda cfg: None
     guards: Callable | None = None
 
+
+#: The keys of the noise profile, and of a budgeted run's output, budget and pool.
+_NOISE_KEYS = ("noise.enabled", "noise.term", "noise.f_low")
+_RUN_KEYS = ("run.out_dir", "run.format", "run.memory_budget_bytes", "run.workers")
 
 STUDIES: dict[str, Study] = {
     s.name: s
@@ -741,29 +808,60 @@ STUDIES: dict[str, Study] = {
             "simulate",
             simulate,
             _write_simulate,
+            keys=(
+                "comb.f_r", "comb.lambda0", "comb.width", "grid.oversampling", "grid.t_sig",
+                "dispersion.m", "dispersion.table", *_NOISE_KEYS, "seeds.master", *_RUN_KEYS,
+            ),
+            help="single run: synth, plan, superpose, spectrum CSV",
             args=("kind", "points", "jitter_band"),
-            guards=lambda cfg: [_simulate_reads(cfg, "ideal").guard],
+            guards=lambda cfg: [_simulate_reads(cfg, "ideal", _simulate_offsets(cfg)).guard],
         ),
         Study(
             "sweep-oversampling",
             sweep_oversampling,
             partial(_write_sweep, "sweep_oversampling.csv"),
-            guards=lambda cfg: [r.guard for r in _oversampling_reads(cfg)],
+            keys=(
+                "comb.f_r", "grid.t_sig", *_NOISE_KEYS, "analysis.offsets", "sweep.ratios",
+                "seeds.count", "seeds.master", *_RUN_KEYS,
+            ),
+            help="L vs oversampling ratio",
+            guards=lambda cfg: [_oversampling_reads(cfg, i).guard for i in range(len(cfg.ratios))],
         ),
         Study(
             "sweep-comb-width",
             sweep_comb_width,
             partial(_write_sweep, "sweep_comb_width.csv"),
+            keys=(
+                "comb.f_r", "comb.lambda0", "grid.oversampling", "grid.t_sig", "dispersion.kinds",
+                "dispersion.m", "dispersion.table", *_NOISE_KEYS, "analysis.offsets", "sweep.widths",
+                "seeds.count", "seeds.master", *_RUN_KEYS,
+            ),
+            help="L vs comb width per dispersion kind",
+            no_svg=lambda cfg: "plots sweep.widths on a log axis, which has no 0 Hz" if cfg.widths[0] <= 0 else None,
             guards=lambda cfg: [_comb_width_reads(cfg).guard],
         ),
-        Study("offsets-diff", offsets_experiment, _write_offsets),
+        Study(
+            "offsets-diff",
+            offsets_experiment,
+            _write_offsets,
+            keys=(
+                "comb.f_r", "comb.lambda0", "grid.oversampling", "grid.t_sig", "dispersion.m",
+                "sweep.widths", "run.out_dir", "run.format",
+            ),
+            help="per-line plan differences vs ideal",
+        ),
         Study(
             "dispersion-eval",
             dispersion_eval,
             _write_dispersion_eval,
+            keys=(
+                "comb.f_r", "comb.lambda0", "comb.width", "grid.oversampling", "grid.t_sig",
+                "dispersion.m", "dispersion.table", "run.out_dir",
+            ),
+            help="tabulate a dispersion spec and its plan",
             args=("kind",),
             report=lambda r: r[0],
-            plots=False,
+            no_svg=lambda cfg: "draws no SVG",
         ),
     )
 }
@@ -792,8 +890,9 @@ def write_manifest(
 
     ``config`` is :meth:`ExperimentConfig.to_dict` plus the study's name
     and arguments; ``config_sha256`` is the sha256 of that dict as
-    canonical JSON, so it changes exactly with the inputs that change
-    output bytes.
+    canonical JSON.  It changes with every input that can change output
+    bytes, and also with inputs outside the study's ``keys`` that change
+    none of its bytes: ``seeds.count`` for ``simulate``, for one.
     """
     config = {**cfg.to_dict(), "study": {"name": study, **args}}
     manifest = Manifest(
@@ -818,14 +917,20 @@ def run_study(name: str, cfg: ExperimentConfig, args: dict | None = None, render
     Returns the study's result and every path written, the manifest last.
     """
     study = STUDIES[name]
-    if render_svg and not study.plots:
-        raise ConfigError(f"{name} draws no SVG; --format csv+svg is not supported, use --format csv")
+    _check_svg(study, cfg, render_svg)
     args = dict(args or {})
     result = study.run(cfg, **args)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     files = study.write(result, cfg.out_dir, render_svg)
     write_manifest(cfg, files, name, args)
     return result, files + [cfg.out_dir / "manifest.json"]
+
+
+def _check_svg(study: Study, cfg: ExperimentConfig, render_svg: bool):
+    """Refuse ``render_svg``, before ``study`` runs, where it cannot draw its SVG under ``cfg``."""
+    why = study.no_svg(cfg) if render_svg else None
+    if why:
+        raise ConfigError(f"{study.name} {why}; --format csv+svg is not supported here, use --format csv")
 
 
 def dry_run(cfg: ExperimentConfig) -> dict[str, int]:
@@ -835,11 +940,21 @@ def dry_run(cfg: ExperimentConfig) -> dict[str, int]:
     ``cfg`` at the study's default arguments: the largest of its checks,
     which for the oversampling sweep is its largest ratio's.  The guard
     refuses the study exactly when that figure exceeds
-    ``cfg.memory_budget_bytes``.  The delay plans are built, and offsets
-    of interest that a sweep cannot measure on its grid are refused as
-    that sweep refuses them, with a ConfigError; nothing is synthesized.
+    ``cfg.memory_budget_bytes``.  The delay plans are built, unless
+    their own bytes already overrun the budget: then the figure is those
+    bytes alone, as the study's refusal gives it.  Offsets of interest
+    that a sweep cannot measure on its grid are refused as that sweep
+    refuses them, with a ConfigError; nothing is synthesized.
     """
-    return {s.name: max(g.predicted(cfg) for g in s.guards(cfg)) for s in STUDIES.values() if s.guards}
+    return {s.name: _guard_figure(cfg, s) for s in STUDIES.values() if s.guards}
+
+
+def _guard_figure(cfg: ExperimentConfig, study: Study) -> int:
+    """The largest of ``study``'s guard figures under ``cfg``."""
+    try:
+        return max(g.predicted(cfg) for g in study.guards(cfg))
+    except BudgetError as exc:  # the plans alone overrun the budget; none was built
+        return exc.estimate_bytes
 
 
 def run_all(cfg: ExperimentConfig, render_svg: bool = False) -> Manifest:
@@ -855,6 +970,7 @@ def run_all(cfg: ExperimentConfig, render_svg: bool = False) -> Manifest:
     for name in ("sweep-oversampling", "sweep-comb-width", "offsets-diff"):
         study = STUDIES[name]
         try:
+            _check_svg(study, cfg, render_svg)
             written += study.write(study.run(cfg), cfg.out_dir, render_svg)
         except BudgetError as exc:
             refusals.append(

@@ -1,14 +1,17 @@
 """Config resolution, subcommands, artifacts, and exit codes."""
 
+import argparse
 import json
 import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from talbotsim.cli import _build_parser, experiment_config, main, parse_config
+from talbotsim.cli import _KEYS, _build_parser, experiment_config, main, parse_config
 from talbotsim.errors import ConfigError
-from talbotsim.experiments import ExperimentConfig
+from talbotsim.experiments import STUDIES, ExperimentConfig
 from talbotsim.svgplot import render_plots
 from talbotsim.synthesis import default_noise_profile
 
@@ -110,12 +113,14 @@ class TestEstimateMemorySubcommand:
 
     def test_no_measurable_offset_is_a_config_error(self, capsys):
         # At the paper's 2 samples per period, Fs/2 - f_r = 0 leaves the
-        # sweeps nothing to measure; the storage figures come first.
+        # studies nothing to measure; the storage figures come first.  The
+        # dry run makes simulate's check of its own offsets first, as
+        # simulate's guard reads at them.
         code = main(["estimate-memory", "--oversampling", "2"] + self.PAPER)
         out = capsys.readouterr()
         assert code == 2
         assert "15.3 MiB" in out.out
-        assert "config error: analysis.offsets" in out.err
+        assert "config error: grid.oversampling = 2 with grid.t_sig = 0.01 s leaves no offset" in out.err
 
     def test_writes_nothing(self, tmp_path, capsys):
         # It takes no output flags: argparse refuses them with exit 2.
@@ -126,21 +131,87 @@ class TestEstimateMemorySubcommand:
             assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_seeds_add_nothing_on_one_worker(self, capsys):
+    def test_seeds_add_only_what_outlives_their_jobs(self, capsys):
         figures = []
-        for seeds in ("1", "4"):
+        for seeds in ("1", "4", "7"):
             assert main(["estimate-memory", "--t-sig", "2e-4", "--seeds", seeds]) == 0
             figures.append(guard_figures(capsys.readouterr().out))
-        one, four = figures
-        # No periodogram outlives its job, and on one worker the jobs run
-        # one at a time: more seeds cost no study anything.
+        one, four, seven = figures
         assert sorted(one) == ["simulate", "sweep-comb-width", "sweep-oversampling"]
-        assert four == one
+        # On one worker the jobs run one at a time, so more seeds add no
+        # workspace, only each carrier's kept values, spectra and rows: the
+        # same bytes for every seed, far below one job's 1.07 MB.
+        assert four["simulate"] == one["simulate"]
+        for name in ("sweep-comb-width", "sweep-oversampling"):
+            assert 0 < four[name] - one[name] == seven[name] - four[name] < 2**15, name
+
+
+def subcommand_options() -> dict[str, set[str]]:
+    """Each subcommand's option strings, --help aside."""
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"} for name, p in sub.choices.items()
+    }
+
+
+#: The flags each subcommand takes: those of the config keys its study reads.
+FLAGS = {
+    "simulate": "--f-r --lambda0 --width --oversampling --t-sig --m --table --pure-tone --seed --out --format "
+    "--memory-budget --kind --points --jitter-band",
+    "sweep-oversampling": "--f-r --t-sig --pure-tone --offsets --ratios --seeds --seed --out --format --memory-budget",
+    "sweep-comb-width": "--f-r --lambda0 --oversampling --t-sig --kinds --m --table --pure-tone --offsets --widths "
+    "--seeds --seed --out --format --memory-budget",
+    "offsets-diff": "--f-r --lambda0 --oversampling --t-sig --m --widths --out --format",
+    "dispersion-eval": "--f-r --lambda0 --width --oversampling --t-sig --m --table --out --kind",
+    "estimate-memory": "--memory-budget --f-r --lambda0 --width --oversampling --t-sig --offsets --seeds",
+}
 
 
 class TestParser:
     def test_built_once_per_process(self):
         assert _build_parser() is _build_parser()
+
+    def test_flags_follow_the_registry(self):
+        options = subcommand_options()
+        assert sorted(options) == sorted([*STUDIES, "estimate-memory"])
+        for study in STUDIES.values():
+            flags = {_KEYS[key][2] for key in study.keys} - {None}
+            own = {"--" + name.replace("_", "-") for name in study.args}
+            assert options[study.name] == {"--config"} | flags | own, study.name
+
+    def test_subcommand_flags(self):
+        options = subcommand_options()
+        assert options == {name: {"--config", *flags.split()} for name, flags in FLAGS.items()}
+        assert sum(map(len, options.values())) == 71
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--seeds", "3"],
+            ["simulate", "--offsets", "1e4"],
+            ["sweep-oversampling", "--oversampling", "8"],
+            ["sweep-comb-width", "--width", "1e9"],
+            ["offsets-diff", "--width", "1e9"],
+            ["offsets-diff", "--seed", "3"],
+            ["dispersion-eval", "--format", "csv"],
+            # No flag is abbreviated.
+            ["simulate", "--jitter", "1e4:1e6"],
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_flag_of_a_key_the_study_does_not_read_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as refusal:
+            main(argv)
+        assert refusal.value.code == 2
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+    def test_readme_command_lines_parse(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"## Command line\n.*?```\n(.*?)```", readme, re.S).group(1)
+        lines = [line for line in block.splitlines() if line.startswith("talbotsim ")]
+        assert len(lines) == 6
+        for line in lines:
+            _build_parser().parse_args(shlex.split(line)[1:])
 
     def test_calls_parse_independently(self, tmp_path, capsys):
         # A flag given to one call does not carry into the next.
@@ -192,7 +263,7 @@ class TestOffsetsDiffSubcommand:
                 "1e-5",
                 "--oversampling",
                 "64",
-                "--width",
+                "--widths",
                 "1e11",
                 "--out",
                 str(tmp_path),
@@ -445,6 +516,9 @@ class TestNoiseConfig:
         assert max(float(r.split(",")[1]) for r in rows) < -200.0
 
     def test_manifest_echoes_resolved_config(self, tmp_path):
+        # sweep-oversampling reads no grid.oversampling, so only a config file sets it.
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("grid.oversampling = 8\n")
         code = main(
             [
                 "sweep-oversampling",
@@ -454,14 +528,14 @@ class TestNoiseConfig:
                 "2e-4",
                 "--seeds",
                 "2",
-                "--oversampling",
-                "8",
+                "--config",
+                str(cfg_file),
                 "--out",
-                str(tmp_path),
+                str(tmp_path / "out"),
             ]
         )
         assert code == 0
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["config"]["ratios"] == [4, 8]
         assert manifest["config"]["n_seeds"] == 2
         assert manifest["config"]["oversampling"] == 8

@@ -174,6 +174,26 @@ class TestDelayPlan:
         with pytest.raises(ValueError, match="repetition"):
             delay_plan(DispersionSpec.ideal(2e8, LAM0), comb, make_grid())
 
+    def test_delays_that_are_not_finite_are_refused(self):
+        # At 1e-300 m the center frequency overflows to inf: the other lines'
+        # wavelengths are 0, and their ideal delays inf - inf.  Cast to int64,
+        # those NaNs would make an all-zero plan.
+        comb = CombSpec(f_r=F_R, lambda0=1e-300, width=2e8)
+        with pytest.raises(ValueError, match="not finite"):
+            delay_plan(DispersionSpec.ideal(F_R, 1e-300), comb, make_grid())
+
+    def test_delays_past_int64_are_refused(self):
+        # 1e20 times the ideal characteristic puts the outer line 1.3e22
+        # samples late, past what int64 offsets and their spread hold.
+        comb = CombSpec(f_r=F_R, lambda0=LAM0, width=2e8)
+        lam_grid = np.array([1500e-9, 1600e-9])
+        d = 1e20 * np.asarray(eval_dispersion(DispersionSpec.ideal(F_R, LAM0), lam_grid))
+        with pytest.raises(ValueError, match="int64"):
+            delay_plan(DispersionSpec.tabulated(F_R, LAM0, lam_grid, d), comb, make_grid())
+        # At 1e9 times it, 1.3e11 samples, the plan is built.
+        plan = delay_plan(DispersionSpec.tabulated(F_R, LAM0, lam_grid, d * 1e-11), comb, make_grid())
+        assert 1e11 < plan.max_offset < 2**62
+
     def test_normalization_shift_invariance(self):
         rng = np.random.default_rng(9)
         for _ in range(50):

@@ -426,6 +426,16 @@ class TestRunAll:
         svgs = [n for n in names if n.endswith(".svg")]
         assert len(svgs) >= 3
 
+    def test_study_that_cannot_plot_writes_nothing(self, tmp_path):
+        # A width of 0 has no place on the comb-width sweep's log axis: that
+        # study is refused before it runs, and the others still run.
+        cfg = small_config(out_dir=tmp_path, widths=(0.0, 1e8), n_seeds=1)
+        manifest = run_all(cfg, render_svg=True)
+        assert [e["experiment"] for e in manifest.errors] == ["sweep-comb-width"]
+        assert "log axis" in manifest.errors[0]["error"]
+        assert not list(tmp_path.glob("sweep_comb_width*"))
+        assert {p.name for p in tmp_path.iterdir()} == {f["name"] for f in manifest.files} | {"manifest.json"}
+
 
 class TestSweepCsv:
     def test_schema(self, tmp_path):

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from talbotsim.cli import _build_parser, _overrides_from_args, experiment_config, main, parse_config
+from talbotsim.cli import _KEYS, _build_parser, _overrides_from_args, experiment_config, main, parse_config
 from talbotsim.dispersion import DispersionSpec, delay_plan
 from talbotsim.errors import BudgetError
 from talbotsim.experiments import STUDIES, ExperimentConfig, _predict_bytes, run_study
@@ -147,13 +147,22 @@ BAD_INPUT = {
         ["dispersion-eval", "--kind", "tabulated", "--width", "1e10", "--table", "{narrow}"],
         "outside tabulated range",
     ),
-    "dispersion-eval-svg": (["dispersion-eval", "--format", "csv+svg"], "--format csv+svg"),
+    # dispersion-eval takes no --format; a config file still sets run.format.
+    "dispersion-eval-svg": (["dispersion-eval", "--config", "{svg}"], "--format csv+svg"),
+    # A log axis has no 0 Hz: refused before any synthesis, not after the CSV is written.
+    "widths-zero-svg": (["sweep-comb-width", "--widths", "0,1e8", "--format", "csv+svg"], "log axis"),
     "ratios-fractional": (["sweep-oversampling", "--ratios", "4,8.7"], "sweep.ratios must be an integer"),
     "ratios-fractional-file": (["sweep-oversampling", "--config", "{ratios}"], "sweep.ratios must be an integer"),
     "t-sig-zero": (["simulate", "--t-sig", "0"], "t_sig must be positive"),
     "t-sig-inf": (["simulate", "--t-sig", "inf"], "t_sig must be positive and finite"),
     "f-r-inf": (["simulate", "--f-r", "inf"], "repetition rate must be positive and finite"),
     "lambda0-inf": (["simulate", "--lambda0", "inf"], "center wavelength must be positive and finite"),
+    # At 1e-300 m the comb's optical frequencies overflow, and every kind's delays are NaN.
+    "lambda0-tiny-simulate": (["simulate", "--lambda0", "1e-300"], "not finite"),
+    "lambda0-tiny-sweep": (["sweep-comb-width", "--widths", "1e8", "--lambda0", "1e-300"], "not finite"),
+    "lambda0-tiny-dispersion-eval": (["dispersion-eval", "--lambda0", "1e-300"], "not finite"),
+    # 1e20 times the ideal characteristic: delays past what int64 sample offsets hold.
+    "table-huge": (["simulate", "--kind", "tabulated", "--table", "{huge}"], "int64"),
     # A noise profile that is negative, or overflows, on the grid's bins is refused before any synthesis.
     "noise-negative-simulate": (["simulate", "--config", "{noise_negative}"], "noise profile is negative"),
     "noise-negative-sweep": (["sweep-comb-width", "--widths", "1e8", "--config", "{noise_negative}"], "negative"),
@@ -222,6 +231,7 @@ CONFIGS = {
     "ratios": "sweep.ratios = 4.5, 8",
     "workers": "run.workers = 0",
     "format": "run.format = svg",
+    "svg": "run.format = csv+svg",
     "widths": "sweep.widths = -1e9, 1e9",
     "noise_negative": "noise.term = {alpha = 0, b = -1e-11}",
     "noise_overflow": "noise.term = {alpha = 0, b = 1e308}",
@@ -235,6 +245,7 @@ def test_bad_input_is_config_error(tmp_path, capsys, case):
         "missing": tmp_path / "missing.txt",
         "malformed": tmp_path / "malformed.txt",
         "narrow": write_table(tmp_path / "narrow.txt", half_span_nm=0.01),
+        "huge": write_table(tmp_path / "huge.txt", scale=1e20),
     }
     files["malformed"].write_text("1549.0 1.2e7 3\n1551.0 1.2e7 3\n")
     files["narrow_cfg"] = tmp_path / "narrow.cfg"
@@ -250,6 +261,7 @@ def test_bad_input_is_config_error(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert code == 2, err
     assert "config error" in err and message in err
+    assert not (tmp_path / "out").exists()
 
 
 # Runs that must reproduce from their manifest alone: argv and config file.
@@ -258,8 +270,10 @@ REPRODUCE = {
     "simulate-tabulated": (SIM + ["--kind", "tabulated", "--table", "{table}"], ""),
     "simulate-pure-tone": (SIM + ["--pure-tone"], ""),
     "sweep-oversampling": (["sweep-oversampling", "--ratios", "4,8", "--seeds", "2"], ""),
-    # sweep-comb-width has no --table flag; the table comes from the config file.
-    "sweep-comb-width": (["sweep-comb-width", "--widths", "1e8,1e9", "--seeds", "2", "--kinds", "ideal,tabulated"], TABLE),
+    "sweep-comb-width": (
+        ["sweep-comb-width", "--widths", "1e8,1e9", "--seeds", "2", "--kinds", "ideal,tabulated", "--table", "{table}"],
+        "",
+    ),
     "offsets-diff": (["offsets-diff", "--widths", "1e10"], ""),
     "dispersion-eval": (["dispersion-eval", "--width", "1e10", "--m", "2"], ""),
 }
@@ -392,6 +406,9 @@ class TestConcurrentBudget:
             # Ten carriers' values on the read bins, kept until every plan has read them.
             ("sweep-comb-width", {"n_seeds": 10}, {}),
             ("sweep-oversampling", {"n_seeds": 2}, {}),
+            # On a small grid many seeds' kept values, spectra and rows outweigh the jobs.
+            ("sweep-comb-width", {"t_sig": 2e-4, "n_seeds": 300}, {}),
+            ("sweep-oversampling", {"t_sig": 2e-4, "n_seeds": 300}, {}),
         ],
         ids=[
             "simulate",
@@ -400,10 +417,12 @@ class TestConcurrentBudget:
             "sweep-comb-width-2-workers",
             "sweep-comb-width-10-seeds",
             "sweep-oversampling",
+            "sweep-comb-width-300-seeds",
+            "sweep-oversampling-300-seeds",
         ],
     )
     def test_prediction_covers_traced_peak(self, name, settings, args):
-        # Desk scale: the default grid of 320000 samples, default widths and ratios.
+        # Desk scale: the default grid of 320000 samples unless t_sig is set, default widths and ratios.
         cfg = ExperimentConfig(**settings)
         run = STUDIES[name].run
         tracemalloc.start()
@@ -418,6 +437,31 @@ class TestConcurrentBudget:
             run(replace(cfg, memory_budget_bytes=peak - 1), **args)
 
 
+    @pytest.mark.parametrize("command", ["simulate", "estimate-memory"])
+    def test_plans_over_the_budget_are_refused_before_they_are_built(self, tmp_path, capsys, command):
+        # 2e6 + 1 lines: the plan alone needs 112 MB at 56 B per line, and
+        # building it would trace about 96 MB before the full guard could run.
+        budget = 4_000_000
+        argv = [command, "--width", "2e13", "--memory-budget", str(budget)] + SMALL
+        if command == "simulate":
+            argv += ["--kind", "constant", "--out", str(tmp_path / "out")]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = capsys.readouterr()
+        assert code == 3, out.err
+        assert peak < budget
+        if command == "simulate":
+            assert "delay plans of 2000001 lines" in out.err
+        else:  # the figure is the plan's bytes alone, and only simulate is over
+            assert "simulate: 112000056 bytes" in out.out
+            assert "budget refusal: simulate would refuse" in out.err
+        assert not (tmp_path / "out").exists()
+
+
 def test_cli_defaults_match_experiment_config():
     # A subcommand with no flags and no config file sets no key, so it runs
     # with ExperimentConfig's own defaults.
@@ -426,3 +470,50 @@ def test_cli_defaults_match_experiment_config():
         overrides = _overrides_from_args(args)
         assert overrides == {}, command
         assert experiment_config(parse_config(args.config, overrides)) == ExperimentConfig(), command
+
+
+#: A valid value, other than the default, for every config key: what a
+#: config file sets for the keys a study does not read.  run.format is left
+#: out: its one other value is refused by the one study that does not read it.
+NON_DEFAULT = {
+    "comb.f_r": "2e7",
+    "comb.lambda0": "1.56e-6",
+    "comb.width": "2e9",
+    "grid.oversampling": "8",
+    "grid.t_sig": "4e-4",
+    "dispersion.kinds": "linear",
+    "dispersion.m": "2",
+    "dispersion.table": "{table}",
+    "noise.enabled": "false",
+    "noise.term": "{{alpha = 0, b = 1e-9}}",
+    "noise.f_low": "1e3",
+    "analysis.offsets": "2e4, 2e6",
+    "sweep.ratios": "4, 8",
+    "sweep.widths": "1e8, 1e9",
+    "seeds.count": "3",
+    "seeds.master": "7",
+    "run.out_dir": "elsewhere",
+    "run.memory_budget_bytes": "1",
+    "run.workers": "2",
+}
+
+#: Each study at a small size, with flags of its own keys only.
+SMALL_RUNS = {
+    "simulate": ["simulate", "--points", "20"],
+    "sweep-oversampling": ["sweep-oversampling", "--ratios", "4,8", "--seeds", "1"],
+    "sweep-comb-width": ["sweep-comb-width", "--widths", "1e8,1e9", "--seeds", "1"],
+    "offsets-diff": ["offsets-diff", "--widths", "1e10"],
+    "dispersion-eval": ["dispersion-eval", "--width", "1e10"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(STUDIES))
+def test_keys_a_study_does_not_read_change_none_of_its_bytes(tmp_path, name):
+    table = write_table(tmp_path / "element.txt")
+    outside = sorted(set(NON_DEFAULT) - set(STUDIES[name].keys))
+    assert set(NON_DEFAULT) | {"run.format"} == set(_KEYS)
+    config = "".join(f"{key} = {NON_DEFAULT[key].format(table=table)}\n" for key in outside)
+    _, plain = run(tmp_path, "plain", SMALL_RUNS[name], "")
+    _, other = run(tmp_path, "other", SMALL_RUNS[name], config)
+    plain.pop("manifest.json"), other.pop("manifest.json")
+    assert plain == other, outside
