@@ -34,7 +34,7 @@ from pathlib import Path
 from . import __version__
 from .dispersion import KINDS
 from .errors import BudgetError, ConfigError
-from .experiments import STUDIES, ExperimentConfig, dry_run, run_study
+from .experiments import STUDIES, ExperimentConfig, _human_bytes, dry_run, run_study
 from .model import NoiseProfile, estimate_memory
 from .synthesis import default_noise_profile
 
@@ -235,14 +235,6 @@ def parse_config(path: str | Path | None = None, overrides: dict | None = None) 
             raise ConfigError(f"override: unknown key {key!r}")
         values[key] = _coerce(key, value, "override")
     return values
-
-
-def _human_bytes(n: float) -> str:
-    if n >= 2**30:
-        return f"{n / 2**30:.1f} GiB"
-    if n >= 2**20:
-        return f"{n / 2**20:.1f} MiB"
-    return f"{n:.0f} B"
 
 
 def _estimate_memory(cfg: ExperimentConfig) -> int:

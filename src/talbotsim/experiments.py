@@ -276,18 +276,29 @@ def derive_seed(master_seed: int, experiment: str, point_index: int, seed_index:
 #: one passes through 48 B per line (wavelengths, group delays, offsets).
 #: What outlives the jobs grows with the seeds.  Each carrier holds its
 #: (noise, seed) pair and its job, about 190 B, and its kept values, 8 B
-#: per read bin and 120 B besides; each (distinct plan, carrier)
-#: spectrum 16 B per offset and 432 B besides; each sweep row keeps 32 B
-#: per seed and offset, and building it passes through 8 B more
-#: (measured with 2 and 8 offsets).  The model rounds these up to 320,
-#: 512 and 48 B and adds them all, though the workspaces and kept values
-#: are freed before the rows are built.  Traced peaks, each in a fresh
-#: process: on the default desk grid of 320000 samples, ``simulate
-#: --kind none`` 6.52 MiB, against 6.92 MiB predicted, and the default
-#: desk sweep with 10 seeds 6.50 MiB, against 7.61 MiB; at ``t_sig =
-#: 2e-4`` (32000 samples) the desk sweep with 300 seeds 2.10 MiB, against
-#: 3.99 MiB, and with 1500 seeds 8.19 MiB, against 12.88 MiB, and the
-#: oversampling sweep with 1500 seeds 4.24 MiB, against 5.34 MiB.
+#: per read bin and 120 B besides; each (plan, carrier) spectrum 16 B
+#: per offset and 432 B besides; each sweep row keeps 32 B per seed and
+#: offset, and building it passes through 8 B more (measured with 2 and
+#: 8 offsets).  The model rounds these up to 320, 512 and 48 B and adds
+#: them all, though the workspaces and kept values are freed before the
+#: rows are built.  Traced peaks, each in a fresh process: on the default
+#: desk grid of 320000 samples, ``simulate --kind none`` 6.52 MiB,
+#: against 6.93 MiB predicted, and the default desk sweep with 10 seeds
+#: 6.50 MiB, against 7.68 MiB; at ``t_sig = 2e-4`` (32000 samples) the
+#: desk sweep with 300 seeds 2.10 MiB, against 6.32 MiB, and with 1500
+#: seeds 8.19 MiB, against 24.55 MiB, and the oversampling sweep with
+#: 1500 seeds 4.24 MiB, against 5.34 MiB.
+#: The guard is sized from the config alone, before any plan is built: a
+#: plan's lines are the comb's line count at its width (1 for the bare
+#: plan), and the plan count stands in for the distinct plans, which it
+#: bounds, in the jobs and the spectra held.  So the figure runs over a
+#: count of the distinct plans by at most (plans - distinct) x carriers x
+#: (512 + 16 x offsets) B: 81600 B for the default desk sweep.  A study
+#: that synthesizes nothing (``offsets-diff``, ``dispersion-eval``) runs
+#: no job; it holds its plans and writes a table of one row per comb line
+#: and width, as values and then as CSV text, which the model counts at
+#: 128 B per row (``dispersion-eval`` traces 110 B per row besides its
+#: plan at 200001 lines).
 _JOB_BYTES_PER_SAMPLE = 17
 _JOB_FIXED_BYTES = 1 << 19
 _GRID_BYTES_PER_SAMPLE = 4
@@ -297,6 +308,7 @@ _KEPT_BYTES_PER_BIN = 8
 _SPECTRUM_BYTES_PER_OFFSET = 16
 _SPECTRUM_FIXED_BYTES = 512
 _ROW_BYTES_PER_VALUE = 48
+_TABLE_BYTES_PER_ROW = 128
 
 
 def _predict_bytes(grid: SimGrid, lines: int = 0, jobs: int = 1, held: int = 0) -> int:
@@ -331,47 +343,44 @@ class _Guard:
         return _predict_bytes(self.grid, self.lines, min(cfg.workers, self.jobs), self.held)
 
 
+def _human_bytes(n: float) -> str:
+    """``n`` bytes in B, MiB or GiB."""
+    if n >= 2**30:
+        return f"{n / 2**30:.1f} GiB"
+    if n >= 2**20:
+        return f"{n / 2**20:.1f} MiB"
+    return f"{n:.0f} B"
+
+
 def _check_budget(cfg: ExperimentConfig, guard: _Guard):
     """Refuse when ``guard``'s run would overrun the budget."""
     predicted = guard.predicted(cfg)
     if predicted > cfg.memory_budget_bytes:
         raise BudgetError(
-            f"{guard.what} needs about {predicted / 2**30:.2f} GiB for {min(cfg.workers, guard.jobs)} "
-            f"concurrent job(s), over the budget of {cfg.memory_budget_bytes / 2**30:.2f} GiB",
+            f"{guard.what} needs about {_human_bytes(predicted)} for {min(cfg.workers, guard.jobs)} concurrent "
+            f"job(s) and delay plans of {guard.lines} lines, over the budget of "
+            f"{_human_bytes(cfg.memory_budget_bytes)}",
             estimate_bytes=predicted,
         )
 
 
-def _budgeted_plans(cfg: ExperimentConfig, what: str, kinds, widths) -> list[DelayPlan]:
-    """The plans of ``kinds`` at each of ``widths``, width by width.
-
-    Their lines are counted from the comb first, and when the plans'
-    own bytes already overrun the budget the guard refuses ``what``
-    before any plan is built.
-    """
-    lines = len(kinds) * sum(replace(cfg.comb, width=w).line_count for w in widths)
-    predicted = _PLAN_BYTES_PER_LINE * lines
-    if predicted > cfg.memory_budget_bytes:
-        raise BudgetError(
-            f"{what} needs about {predicted / 2**30:.2f} GiB for its delay plans of {lines} lines alone, "
-            f"over the budget of {cfg.memory_budget_bytes / 2**30:.2f} GiB",
-            estimate_bytes=predicted,
-        )
-    return [plan for w in widths for plan in _plans(cfg, kinds, w).values()]
+def _plan_lines(comb: CombSpec, plans) -> int:
+    """Lines of the (kind, width) ``plans`` for ``comb``, counted from the
+    comb without building any: 1 for the bare plan, of kind "none"."""
+    return sum(1 if kind == "none" else replace(comb, width=w).line_count for kind, w in plans)
 
 
-def _plans(cfg: ExperimentConfig, kinds, width: float) -> dict[str, DelayPlan]:
-    """Delay plans of ``kinds`` for the config's comb at ``width``."""
-    comb = replace(cfg.comb, width=width)
-    grid = cfg.grid
-    plans = {}
-    for kind in kinds:
-        try:
-            plans[kind] = delay_plan(cfg.dispersion_spec(kind), comb, grid)
-        except ValueError as exc:
-            where = f"dispersion table {cfg.table}" if kind == "tabulated" else f"{kind} dispersion"
-            raise ConfigError(f"{where}: {exc}") from None
-    return plans
+def _plan(cfg: ExperimentConfig, grid: SimGrid, kind: str, width: float) -> DelayPlan:
+    """The delay plan of ``kind`` for the config's comb at ``width`` on
+    ``grid``; ``kind = "none"`` is the one-line plan at zero delay, the
+    bare carrier."""
+    if kind == "none":
+        return DelayPlan(np.zeros(1, np.int64), grid)
+    try:
+        return delay_plan(cfg.dispersion_spec(kind), replace(cfg.comb, width=width), grid)
+    except ValueError as exc:
+        where = f"dispersion table {cfg.table}" if kind == "tabulated" else f"{kind} dispersion"
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _check_offsets(cfg: ExperimentConfig, grid: SimGrid, what: str):
@@ -484,14 +493,11 @@ def _read_plan(reader: BinReader, kept: list, ws: Workspace, plan: DelayPlan) ->
 class _Reads:
     """(noise, seed) ``carriers`` on ``grid``, each to be seen through each
     of ``plans`` by :func:`_through_plans` and read at ``offsets``;
-    ``what`` names the run in a budget refusal.  ``held_points`` counts
-    the sweep points whose rows the study holds once these reads are
-    done, theirs included: 0 for a run that writes no rows.
-
-    ``reader`` reads L at ``offsets`` off the bins it picks.  Plans whose
-    offsets mod n are the same multiset have bit-equal |H|^2.  ``keys``
-    holds each plan's key, the digest of its offsets mod n as a sorted
-    multiset, and ``distinct`` the first plan of each key.
+    ``what`` names the run in a budget refusal.  Each of ``plans`` is a
+    (kind, width) pair, built by :func:`_plan` only once the guard has
+    passed.  ``held_points`` counts the sweep points whose rows the study
+    holds once these reads are done, theirs included: 0 for a run that
+    writes no rows.
     """
 
     grid: SimGrid
@@ -500,61 +506,66 @@ class _Reads:
     plans: list
     offsets: np.ndarray | tuple
     held_points: int = 1
-    reader: BinReader = field(init=False)
-    keys: list = field(init=False)
-    distinct: dict = field(init=False)
 
-    def __post_init__(self):
+    def reader(self) -> BinReader:
+        """A reader of L at ``offsets`` off the bins it picks on ``grid``."""
         grid = self.grid
-        n = grid.n_samples
-        keys = [hashlib.sha256(np.sort(p.offsets % n)).digest() for p in self.plans]
-        distinct = {}
-        for key, plan in zip(keys, self.plans):
-            distinct.setdefault(key, plan)
-        object.__setattr__(self, "reader", BinReader(n, grid.sample_rate, grid.f_r, self.offsets))
-        object.__setattr__(self, "keys", keys)
-        object.__setattr__(self, "distinct", distinct)
+        return BinReader(grid.n_samples, grid.sample_rate, grid.f_r, self.offsets)
 
-    @property
-    def guard(self) -> _Guard:
-        """The carriers and then the distinct plans run as jobs.  Each
-        carrier's kept values, each (distinct plan, carrier) spectrum and
-        each (plan, carrier) row of each held point outlive them."""
-        carriers, per_read = len(self.carriers), len(self.offsets)
+    def guard(self, cfg: ExperimentConfig) -> _Guard:
+        """From the config alone: the carriers and then up to one job per
+        plan.  Each carrier's kept values, each (plan, carrier) spectrum
+        and each (plan, carrier) row of each held point outlive them."""
+        carriers, plans, per_read = len(self.carriers), len(self.plans), len(self.offsets)
         held = carriers * (
             _CARRIER_FIXED_BYTES
-            + _KEPT_BYTES_PER_BIN * len(self.reader.bins)
-            + len(self.distinct) * (_SPECTRUM_FIXED_BYTES + _SPECTRUM_BYTES_PER_OFFSET * per_read)
-            + self.held_points * len(self.plans) * _ROW_BYTES_PER_VALUE * per_read
+            + _KEPT_BYTES_PER_BIN * len(self.reader().bins)
+            + plans * (_SPECTRUM_FIXED_BYTES + _SPECTRUM_BYTES_PER_OFFSET * per_read)
+            + self.held_points * plans * _ROW_BYTES_PER_VALUE * per_read
         )
-        return _Guard(
-            self.grid,
-            self.what,
-            jobs=max(carriers, len(self.distinct)),
-            lines=sum(len(p) for p in self.plans),
-            held=held,
-        )
+        lines = _plan_lines(cfg.comb, self.plans)
+        return _Guard(self.grid, self.what, jobs=max(carriers, plans), lines=lines, held=held)
 
 
-def _through_plans(cfg: ExperimentConfig, reads: _Reads) -> list[list]:
-    """L(f) of each of ``reads``' carriers seen through each of its plans:
-    one list per plan, of one spectrum per carrier.
+def _through_plans(cfg: ExperimentConfig, *reads: _Reads):
+    """For each of ``reads`` in turn, L(f) of its carriers seen through
+    each of its plans: one list per plan, of one spectrum per carrier.
+
+    Every guard is checked first, from the config alone, so a run over
+    the budget is refused before any plan is built or any carrier
+    synthesized.  The reads then run one at a time, each as the returned
+    iterator reaches it (see :func:`_read_through`).
+    """
+    for r in reads:
+        _check_budget(cfg, r.guard(cfg))
+    return map(partial(_read_through, cfg), reads)
+
+
+def _read_through(cfg: ExperimentConfig, reads: _Reads) -> list[list]:
+    """L(f) of each of ``reads``' carriers seen through each of its plans.
 
     Each carrier is synthesized once, and its job keeps its periodogram
     on the bins the reader picks from (see
     :class:`~talbotsim.analysis.BinReader`), after the dominance test on
     the bare periodogram.  The detected periodogram is the carrier's
-    times the plan's |H|^2, so every plan sees the same noise; each
-    distinct plan sums its |H|^2 on those bins once and reads every
-    carrier through it.  The carriers and then the distinct plans run as
-    jobs on one pool of workspaces.
+    times the plan's |H|^2, so every plan sees the same noise.  Plans
+    whose offsets mod n are the same multiset have bit-equal |H|^2, so
+    each plan is keyed by the digest of that sorted multiset, and one
+    plan of each key sums its |H|^2 on those bins and reads every carrier
+    through it.  The carriers and then the distinct plans run as jobs on
+    one pool of workspaces.
     """
-    grid, guard, reader = reads.grid, reads.guard, reads.reader
-    _check_budget(cfg, guard)
-    with _pool(cfg, grid, guard.jobs) as run:
+    grid = reads.grid
+    plans = [_plan(cfg, grid, kind, width) for kind, width in reads.plans]
+    # Built after the plans: with the reader built first, the wide sweep's
+    # peak resident set ran 1.3 MiB higher (heap layout).
+    reader = reads.reader()
+    keys = [hashlib.sha256(np.sort(p.offsets % grid.n_samples)).digest() for p in plans]
+    distinct = dict(zip(keys, plans))
+    with _pool(cfg, grid, max(len(reads.carriers), len(distinct))) as run:
         kept = run(partial(_detect, grid), [(noise, seed, reader.take) for noise, seed in reads.carriers])
-        per_plan = dict(zip(reads.distinct, run(partial(_read_plan, reader, kept), reads.distinct.values())))
-    return [per_plan[key] for key in reads.keys]
+        per_plan = dict(zip(distinct, run(partial(_read_plan, reader, kept), distinct.values())))
+    return [per_plan[key] for key in keys]
 
 
 def _point_rows(cfg: ExperimentConfig, x_value: float, spectra: dict[str, list]) -> list[SweepRow]:
@@ -585,7 +596,7 @@ def simulate(cfg: ExperimentConfig, kind: str = "ideal", points: int = 120, jitt
                 f"jitter band [{f_min}, {f_max}] Hz must satisfy {offsets[0]} <= f_min < f_max <= "
                 f"{offsets[-1]}, within the measured offsets"
             )
-    ((spectrum,),) = _through_plans(cfg, _simulate_reads(cfg, kind, offsets))
+    ((spectrum,),) = next(_through_plans(cfg, _simulate_reads(cfg, kind, offsets)))
     return spectrum, None if jitter_band is None else jitter(spectrum, *jitter_band)
 
 
@@ -604,16 +615,10 @@ def _simulate_offsets(cfg: ExperimentConfig, points: int = 120) -> np.ndarray:
 
 
 def _simulate_reads(cfg: ExperimentConfig, kind: str, offsets) -> _Reads:
-    """``simulate``'s one carrier and ``kind``'s plan, read at ``offsets``;
-    ``kind = "none"`` is the one-line plan at zero delay."""
-    grid = cfg.grid
-    plans = [_bare(grid)] if kind == "none" else _budgeted_plans(cfg, "run", (kind,), (cfg.comb.width,))
-    return _Reads(grid, "run", [(cfg.resolved_noise(), cfg.master_seed)], plans, offsets, held_points=0)
-
-
-def _bare(grid: SimGrid) -> DelayPlan:
-    """The one-line plan at zero delay: the bare carrier."""
-    return DelayPlan(np.zeros(1, np.int64), grid)
+    """``simulate``'s one carrier and ``kind``'s plan at the comb's width,
+    read at ``offsets``."""
+    carriers = [(cfg.resolved_noise(), cfg.master_seed)]
+    return _Reads(cfg.grid, "simulate", carriers, [(kind, cfg.comb.width)], offsets, held_points=0)
 
 
 def _oversampling_reads(cfg: ExperimentConfig, i: int) -> _Reads:
@@ -629,7 +634,7 @@ def _oversampling_reads(cfg: ExperimentConfig, i: int) -> _Reads:
     seeds = [derive_seed(cfg.master_seed, "oversampling", i, s) for s in range(cfg.n_seeds)]
     carriers = [(None, 0)] + [(noise, seed) for seed in seeds]
     # The rows of this ratio and of every ratio before it are held once its reads are done.
-    return _Reads(grid, what, carriers, [_bare(grid)], cfg.offsets, held_points=i + 1)
+    return _Reads(grid, what, carriers, [("none", 0.0)], cfg.offsets, held_points=i + 1)
 
 
 def sweep_oversampling(cfg: ExperimentConfig) -> list[SweepRow]:
@@ -639,15 +644,12 @@ def sweep_oversampling(cfg: ExperimentConfig) -> list[SweepRow]:
     numerical floor of the simulation, the impaired carrier shows when
     the measured noise saturates.  Every ratio's offsets and budget are
     checked before any synthesis; then one grid at a time, so only one
-    grid's reads and workspaces are ever held.
+    grid's spectra and workspaces are ever held.
     """
-    points = range(len(cfg.ratios))
-    for i in points:
-        _check_budget(cfg, _oversampling_reads(cfg, i).guard)
+    reads = [_oversampling_reads(cfg, i) for i in range(len(cfg.ratios))]
     rows = []
-    for i in points:
-        ((pure, *impaired),) = _through_plans(cfg, _oversampling_reads(cfg, i))
-        rows += _point_rows(cfg, cfg.ratios[i], {"pure_tone": [pure], "impaired": impaired})
+    for n, ((pure, *impaired),) in zip(cfg.ratios, _through_plans(cfg, *reads)):
+        rows += _point_rows(cfg, n, {"pure_tone": [pure], "impaired": impaired})
         del pure, impaired  # so the next ratio's jobs do not run beside these spectra
     return rows
 
@@ -661,7 +663,7 @@ def sweep_comb_width(cfg: ExperimentConfig) -> list[SweepRow]:
     identical noise and rows are correlated across widths as well as
     kinds.
     """
-    spectra = iter(_through_plans(cfg, _comb_width_reads(cfg)))
+    spectra = iter(next(_through_plans(cfg, _comb_width_reads(cfg))))
     rows = []
     for w in cfg.widths:
         rows += _point_rows(cfg, w, {kind: next(spectra) for kind in cfg.kinds})
@@ -675,23 +677,33 @@ def _comb_width_reads(cfg: ExperimentConfig) -> _Reads:
     _check_offsets(cfg, cfg.grid, "the comb-width sweep")
     noise = cfg.resolved_noise()
     carriers = [(noise, derive_seed(cfg.master_seed, "comb_width", 0, s)) for s in range(cfg.n_seeds)]
-    what = "comb-width sweep"
-    return _Reads(cfg.grid, what, carriers, _budgeted_plans(cfg, what, cfg.kinds, cfg.widths), cfg.offsets)
+    plans = [(kind, w) for w in cfg.widths for kind in cfg.kinds]
+    return _Reads(cfg.grid, "comb-width sweep", carriers, plans, cfg.offsets)
+
+
+def _check_plans(cfg: ExperimentConfig, what: str, kinds, widths):
+    """Refuse ``what``, a study that synthesizes nothing, when the plans
+    of ``kinds`` at each of ``widths`` and its table, of one row per line
+    and width, would overrun the budget; before any plan is built."""
+    lines = _plan_lines(cfg.comb, [(kind, w) for w in widths for kind in kinds])
+    _check_budget(cfg, _Guard(cfg.grid, what, jobs=0, lines=lines, held=_TABLE_BYTES_PER_ROW * lines // len(kinds)))
 
 
 def offsets_experiment(cfg: ExperimentConfig) -> list[OffsetsTable]:
     """Per-line delay-plan differences (ideal minus linear / constant)."""
+    kinds = ("ideal", "linear", "constant")
+    _check_plans(cfg, "offsets-diff", kinds, cfg.widths)
     tables = []
     for w in cfg.widths:
         lines = comb_lines(replace(cfg.comb, width=w))
-        plans = _plans(cfg, ("ideal", "linear", "constant"), w)
+        ideal, linear, constant = (_plan(cfg, cfg.grid, kind, w) for kind in kinds)
         tables.append(
             OffsetsTable(
                 width=float(w),
                 line_index=lines.index,
                 lambda_nm=lines.lam * 1e9,
-                diff_linear=offset_difference(plans["ideal"], plans["linear"]),
-                diff_constant=offset_difference(plans["ideal"], plans["constant"]),
+                diff_linear=offset_difference(ideal, linear),
+                diff_constant=offset_difference(ideal, constant),
             )
         )
     return tables
@@ -703,7 +715,8 @@ def dispersion_eval(cfg: ExperimentConfig, kind: str = "ideal") -> tuple[str, li
     Returns a summary line (D at the center wavelength) and the CSV lines.
     """
     comb = cfg.comb
-    plan = _plans(cfg, (kind,), comb.width)[kind]
+    _check_plans(cfg, "dispersion-eval", (kind,), (comb.width,))
+    plan = _plan(cfg, cfg.grid, kind, comb.width)
     spec = cfg.dispersion_spec(kind)
     lines = comb_lines(comb)
     d_ps_nm = np.asarray(eval_dispersion(spec, lines.lam)) * 1e3
@@ -781,9 +794,10 @@ class Study:
     config; ``help`` is its one-line summary, and ``report`` turns a
     result into a line for the user.  ``no_svg(cfg)`` says why the study
     cannot draw its SVG under ``cfg``, or is None when it can.
-    ``guards(cfg)`` lists the budget checks the study makes, at its
-    default arguments, before it synthesizes anything, after the config
-    checks the study makes on the way; it is None for a study with none.
+    ``guards(cfg)`` lists the budget checks a study that synthesizes
+    makes, at its default arguments, from the config alone, after the
+    config checks the study makes on the way; it is None for a study
+    that synthesizes nothing, which checks only its plans' lines.
     """
 
     name: str
@@ -814,7 +828,7 @@ STUDIES: dict[str, Study] = {
             ),
             help="single run: synth, plan, superpose, spectrum CSV",
             args=("kind", "points", "jitter_band"),
-            guards=lambda cfg: [_simulate_reads(cfg, "ideal", _simulate_offsets(cfg)).guard],
+            guards=lambda cfg: [_simulate_reads(cfg, "ideal", _simulate_offsets(cfg)).guard(cfg)],
         ),
         Study(
             "sweep-oversampling",
@@ -825,7 +839,7 @@ STUDIES: dict[str, Study] = {
                 "seeds.count", "seeds.master", *_RUN_KEYS,
             ),
             help="L vs oversampling ratio",
-            guards=lambda cfg: [_oversampling_reads(cfg, i).guard for i in range(len(cfg.ratios))],
+            guards=lambda cfg: [_oversampling_reads(cfg, i).guard(cfg) for i in range(len(cfg.ratios))],
         ),
         Study(
             "sweep-comb-width",
@@ -838,7 +852,7 @@ STUDIES: dict[str, Study] = {
             ),
             help="L vs comb width per dispersion kind",
             no_svg=lambda cfg: "plots sweep.widths on a log axis, which has no 0 Hz" if cfg.widths[0] <= 0 else None,
-            guards=lambda cfg: [_comb_width_reads(cfg).guard],
+            guards=lambda cfg: [_comb_width_reads(cfg).guard(cfg)],
         ),
         Study(
             "offsets-diff",
@@ -846,7 +860,7 @@ STUDIES: dict[str, Study] = {
             _write_offsets,
             keys=(
                 "comb.f_r", "comb.lambda0", "grid.oversampling", "grid.t_sig", "dispersion.m",
-                "sweep.widths", "run.out_dir", "run.format",
+                "sweep.widths", "run.out_dir", "run.format", "run.memory_budget_bytes",
             ),
             help="per-line plan differences vs ideal",
         ),
@@ -856,7 +870,7 @@ STUDIES: dict[str, Study] = {
             _write_dispersion_eval,
             keys=(
                 "comb.f_r", "comb.lambda0", "comb.width", "grid.oversampling", "grid.t_sig",
-                "dispersion.m", "dispersion.table", "run.out_dir",
+                "dispersion.m", "dispersion.table", "run.out_dir", "run.memory_budget_bytes",
             ),
             help="tabulate a dispersion spec and its plan",
             args=("kind",),
@@ -940,21 +954,13 @@ def dry_run(cfg: ExperimentConfig) -> dict[str, int]:
     ``cfg`` at the study's default arguments: the largest of its checks,
     which for the oversampling sweep is its largest ratio's.  The guard
     refuses the study exactly when that figure exceeds
-    ``cfg.memory_budget_bytes``.  The delay plans are built, unless
-    their own bytes already overrun the budget: then the figure is those
-    bytes alone, as the study's refusal gives it.  Offsets of interest
-    that a sweep cannot measure on its grid are refused as that sweep
-    refuses them, with a ConfigError; nothing is synthesized.
+    ``cfg.memory_budget_bytes``.  The figures come from the config
+    alone: no delay plan is built and nothing is synthesized, so a
+    characteristic the study would refuse is refused only when it runs.
+    Offsets of interest that a sweep cannot measure on its grid are
+    refused as that sweep refuses them, with a ConfigError.
     """
-    return {s.name: _guard_figure(cfg, s) for s in STUDIES.values() if s.guards}
-
-
-def _guard_figure(cfg: ExperimentConfig, study: Study) -> int:
-    """The largest of ``study``'s guard figures under ``cfg``."""
-    try:
-        return max(g.predicted(cfg) for g in study.guards(cfg))
-    except BudgetError as exc:  # the plans alone overrun the budget; none was built
-        return exc.estimate_bytes
+    return {s.name: max(g.predicted(cfg) for g in s.guards(cfg)) for s in STUDIES.values() if s.guards}
 
 
 def run_all(cfg: ExperimentConfig, render_svg: bool = False) -> Manifest:

@@ -140,10 +140,11 @@ class TestEstimateMemorySubcommand:
         assert sorted(one) == ["simulate", "sweep-comb-width", "sweep-oversampling"]
         # On one worker the jobs run one at a time, so more seeds add no
         # workspace, only each carrier's kept values, spectra and rows: the
-        # same bytes for every seed, far below one job's 1.07 MB.
+        # same bytes for every seed, far below one job's 1.07 MB.  The comb-
+        # width sweep counts a spectrum per seed for each of its 24 plans.
         assert four["simulate"] == one["simulate"]
         for name in ("sweep-comb-width", "sweep-oversampling"):
-            assert 0 < four[name] - one[name] == seven[name] - four[name] < 2**15, name
+            assert 0 < four[name] - one[name] == seven[name] - four[name] < 2**16, name
 
 
 def subcommand_options() -> dict[str, set[str]]:
@@ -161,8 +162,8 @@ FLAGS = {
     "sweep-oversampling": "--f-r --t-sig --pure-tone --offsets --ratios --seeds --seed --out --format --memory-budget",
     "sweep-comb-width": "--f-r --lambda0 --oversampling --t-sig --kinds --m --table --pure-tone --offsets --widths "
     "--seeds --seed --out --format --memory-budget",
-    "offsets-diff": "--f-r --lambda0 --oversampling --t-sig --m --widths --out --format",
-    "dispersion-eval": "--f-r --lambda0 --width --oversampling --t-sig --m --table --out --kind",
+    "offsets-diff": "--f-r --lambda0 --oversampling --t-sig --m --widths --out --format --memory-budget",
+    "dispersion-eval": "--f-r --lambda0 --width --oversampling --t-sig --m --table --out --memory-budget --kind",
     "estimate-memory": "--memory-budget --f-r --lambda0 --width --oversampling --t-sig --offsets --seeds",
 }
 
@@ -182,7 +183,7 @@ class TestParser:
     def test_subcommand_flags(self):
         options = subcommand_options()
         assert options == {name: {"--config", *flags.split()} for name, flags in FLAGS.items()}
-        assert sum(map(len, options.values())) == 71
+        assert sum(map(len, options.values())) == 73
 
     @pytest.mark.parametrize(
         "argv",

@@ -103,7 +103,7 @@ class TestSimulate:
         freqs, psd = periodogram(synth_carrier(SynthesisRequest(grid, cfg.resolved_noise(), cfg.master_seed)))
         bare, _ = simulate(cfg, "none", points=20)
         assert_same_spectrum(bare, phase_noise_from_psd(freqs, psd, grid.sample_rate, grid.f_r, bare.offsets))
-        plan = experiments._plans(cfg, ("constant",), cfg.comb.width)["constant"]
+        plan = experiments._plan(cfg, grid, "constant", cfg.comb.width)
         assert np.gcd.reduce(plan.offsets % grid.n_samples, initial=grid.n_samples) == 1
         detected, _ = simulate(cfg, "constant", points=20)
         assert_same_spectrum(detected, read_through(plan, freqs, psd, detected.offsets))
@@ -175,7 +175,7 @@ class TestSweepOversampling:
 
     def test_budget_refusal_before_synthesis(self):
         cfg = small_config(memory_budget_bytes=1000)
-        with pytest.raises(BudgetError, match="GiB"):
+        with pytest.raises(BudgetError, match=r"needs about 949368 B .* over the budget of 1000 B$"):
             sweep_oversampling(cfg)
 
     def test_noise_refused_on_a_later_grid(self):
@@ -202,7 +202,8 @@ class TestSweepCombWidth:
         ]
         per_seed = {}
         for w in cfg.widths:
-            for kind, plan in experiments._plans(cfg, cfg.kinds, w).items():
+            for kind in cfg.kinds:
+                plan = experiments._plan(cfg, grid, kind, w)
                 spectra = [read_through(plan, f, p, cfg.offsets) for f, p in psds]
                 for i, off in enumerate(cfg.offsets):
                     per_seed[(w, kind, off)] = tuple(float(s.l_dbc[i]) for s in spectra)
@@ -246,7 +247,7 @@ class TestSweepCombWidth:
         n = cfg.grid.n_samples
         shared = differing = 0
         for w in cfg.widths:
-            keys = {k: np.sort(p.offsets % n).tobytes() for k, p in experiments._plans(cfg, cfg.kinds, w).items()}
+            keys = {k: np.sort(experiments._plan(cfg, cfg.grid, k, w).offsets % n).tobytes() for k in cfg.kinds}
             for a in cfg.kinds:
                 for b in cfg.kinds:
                     same = [rows[(w, a, off)] == rows[(w, b, off)] for off in cfg.offsets]
@@ -272,7 +273,7 @@ class TestSweepCombWidth:
         cfg = small_config(widths=self.WIDTHS)
         n = cfg.grid.n_samples
         distinct = sum(
-            len({np.sort(p.offsets % n).tobytes() for p in experiments._plans(cfg, cfg.kinds, w).values()})
+            len({np.sort(experiments._plan(cfg, cfg.grid, k, w).offsets % n).tobytes() for k in cfg.kinds})
             for w in cfg.widths
         )
         calls = []

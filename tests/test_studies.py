@@ -13,10 +13,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from talbotsim import experiments
 from talbotsim.cli import _KEYS, _build_parser, _overrides_from_args, experiment_config, main, parse_config
 from talbotsim.dispersion import DispersionSpec, delay_plan
 from talbotsim.errors import BudgetError
-from talbotsim.experiments import STUDIES, ExperimentConfig, _predict_bytes, run_study
+from talbotsim.experiments import STUDIES, ExperimentConfig, _predict_bytes, dry_run, run_study
 from talbotsim.model import SPEED_OF_LIGHT, CombSpec, NoiseProfile, build_grid
 
 SMALL = ["--t-sig", "2e-4"]
@@ -409,6 +410,9 @@ class TestConcurrentBudget:
             # On a small grid many seeds' kept values, spectra and rows outweigh the jobs.
             ("sweep-comb-width", {"t_sig": 2e-4, "n_seeds": 300}, {}),
             ("sweep-oversampling", {"t_sig": 2e-4, "n_seeds": 300}, {}),
+            # No job: 200001-line plans and a table row per line.
+            ("offsets-diff", {"t_sig": 2e-4, "widths": (2e12,)}, {}),
+            ("dispersion-eval", {"t_sig": 2e-4, "comb": CombSpec(f_r=1e7, lambda0=1550e-9, width=2e12)}, {}),
         ],
         ids=[
             "simulate",
@@ -419,6 +423,8 @@ class TestConcurrentBudget:
             "sweep-oversampling",
             "sweep-comb-width-300-seeds",
             "sweep-oversampling-300-seeds",
+            "offsets-diff-2e12",
+            "dispersion-eval-2e12",
         ],
     )
     def test_prediction_covers_traced_peak(self, name, settings, args):
@@ -440,7 +446,7 @@ class TestConcurrentBudget:
     @pytest.mark.parametrize("command", ["simulate", "estimate-memory"])
     def test_plans_over_the_budget_are_refused_before_they_are_built(self, tmp_path, capsys, command):
         # 2e6 + 1 lines: the plan alone needs 112 MB at 56 B per line, and
-        # building it would trace about 96 MB before the full guard could run.
+        # building it would trace about 96 MB; the guard runs first.
         budget = 4_000_000
         argv = [command, "--width", "2e13", "--memory-budget", str(budget)] + SMALL
         if command == "simulate":
@@ -455,11 +461,39 @@ class TestConcurrentBudget:
         assert code == 3, out.err
         assert peak < budget
         if command == "simulate":
-            assert "delay plans of 2000001 lines" in out.err
-        else:  # the figure is the plan's bytes alone, and only simulate is over
-            assert "simulate: 112000056 bytes" in out.out
+            assert "simulate needs about 108.0 MiB for 1 concurrent job(s) and delay plans of 2000001 lines" in out.err
+            assert "over the budget of 3.8 MiB" in out.err
+        else:  # the full figure, plans, job and held values, and only simulate is over
+            assert "simulate: 113210336 bytes" in out.out
             assert "budget refusal: simulate would refuse" in out.err
         assert not (tmp_path / "out").exists()
+
+    def test_nothing_is_built_when_the_guard_refuses(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return delay_plan(*args)
+
+        monkeypatch.setattr(experiments, "delay_plan", counted)
+        # At 2e13 Hz each plan has 2e6 + 1 lines, 112 MB at 56 B per line.
+        comb = CombSpec(f_r=1e7, lambda0=1550e-9, width=2e13)
+        cfg = ExperimentConfig(comb=comb, t_sig=2e-4, widths=(1e8, 2e13), memory_budget_bytes=4_000_000)
+        runs = {"simulate": {"kind": "constant"}, "sweep-comb-width": {}, "offsets-diff": {}, "dispersion-eval": {}}
+        for name, args in runs.items():
+            with pytest.raises(BudgetError):
+                STUDIES[name].run(cfg, **args)
+        assert calls == []
+        # The dry run builds nothing at any budget, and its figure is the study's own.
+        for budget in (1, 4_000_000, 1 << 40):
+            figures = dry_run(replace(cfg, memory_budget_bytes=budget))
+        assert main(["estimate-memory", "--width", "2e13", "--memory-budget", "4000000"] + SMALL) == 3
+        assert calls == []
+        assert figures["simulate"] > 4_000_000
+        with pytest.raises(BudgetError) as refusal:
+            STUDIES["simulate"].run(replace(cfg, memory_budget_bytes=figures["simulate"] - 1))
+        assert refusal.value.estimate_bytes == figures["simulate"]
+        assert calls == []
 
 
 def test_cli_defaults_match_experiment_config():
