@@ -239,7 +239,7 @@ def parse_config(path: str | Path | None = None, overrides: dict | None = None) 
 
 def _estimate_memory(cfg: ExperimentConfig) -> int:
     """Print the paper's storage figures for the grid, then the figure each
-    budgeted study's guard predicts, and refuse, naming every study whose
+    study's guard predicts, and refuse, naming every study whose
     guard would refuse it.  Offsets a sweep would refuse are a config
     error here too."""
     for representation in ("full_band", "reduced"):
@@ -251,7 +251,7 @@ def _estimate_memory(cfg: ExperimentConfig) -> int:
     over = [name for name, n_bytes in figures.items() if n_bytes > cfg.memory_budget_bytes]
     if over:
         raise BudgetError(
-            f"{', '.join(over)} would refuse, over the budget of {_human_bytes(cfg.memory_budget_bytes)}",
+            f"{', '.join(over)} would refuse, over the budget of {_human_bytes(cfg.memory_budget_bytes, True)}",
             estimate_bytes=figures[over[0]],
         )
     return 0

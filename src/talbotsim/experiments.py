@@ -88,6 +88,8 @@ __all__ = [
 DEFAULT_COMB = CombSpec(f_r=1e7, lambda0=1550e-9, width=1e9)
 DEFAULT_RATIOS = (4, 8, 16, 32, 64)
 DEFAULT_WIDTHS = (1e8, 2e8, 5e8, 1e9, 2e9, 5e9, 1e10, 2e10)
+#: The kinds whose plans ``offsets-diff`` compares, ideal first.
+_DIFF_KINDS = ("ideal", "linear", "constant")
 
 
 def _read_table(path: Path) -> tuple[np.ndarray, np.ndarray, str]:
@@ -290,15 +292,15 @@ def derive_seed(master_seed: int, experiment: str, point_index: int, seed_index:
 #: 1500 seeds 4.24 MiB, against 5.34 MiB.
 #: The guard is sized from the config alone, before any plan is built: a
 #: plan's lines are the comb's line count at its width (1 for the bare
-#: plan), and the plan count stands in for the distinct plans, which it
-#: bounds, in the jobs and the spectra held.  So the figure runs over a
-#: count of the distinct plans by at most (plans - distinct) x carriers x
-#: (512 + 16 x offsets) B: 81600 B for the default desk sweep.  A study
-#: that synthesizes nothing (``offsets-diff``, ``dispersion-eval``) runs
-#: no job; it holds its plans and writes a table of one row per comb line
-#: and width, as values and then as CSV text, which the model counts at
-#: 128 B per row (``dispersion-eval`` traces 110 B per row besides its
-#: plan at 200001 lines).
+#: plan).  The (kind, width) pairs of more than one line, plus one for
+#: all one-line plans (each is the bare plan), bound the distinct plans
+#: in the jobs and the spectra held, which can so run over by (bound -
+#: distinct) x carriers x (512 + 16 x offsets) B: 81600 B for the
+#: default desk sweep.  A study that synthesizes nothing (``offsets-diff``,
+#: ``dispersion-eval``) runs no job; it holds its plans and writes a
+#: table of one row per comb line and width, as values and then as CSV
+#: text, which the model counts at 128 B per row (``dispersion-eval``
+#: traces 110 B per row besides its plan at 200001 lines).
 _JOB_BYTES_PER_SAMPLE = 17
 _JOB_FIXED_BYTES = 1 << 19
 _GRID_BYTES_PER_SAMPLE = 4
@@ -343,23 +345,22 @@ class _Guard:
         return _predict_bytes(self.grid, self.lines, min(cfg.workers, self.jobs), self.held)
 
 
-def _human_bytes(n: float) -> str:
-    """``n`` bytes in B, MiB or GiB."""
-    if n >= 2**30:
-        return f"{n / 2**30:.1f} GiB"
-    if n >= 2**20:
-        return f"{n / 2**20:.1f} MiB"
-    return f"{n:.0f} B"
+def _human_bytes(n: float, exact: bool = False) -> str:
+    """``n`` bytes in B, MiB or GiB; ``exact`` adds the bytes to a rounded figure."""
+    if n < 2**20:
+        return f"{n:.0f} B"
+    rounded = f"{n / 2**30:.1f} GiB" if n >= 2**30 else f"{n / 2**20:.1f} MiB"
+    return f"{rounded} ({n} B)" if exact else rounded
 
 
 def _check_budget(cfg: ExperimentConfig, guard: _Guard):
-    """Refuse when ``guard``'s run would overrun the budget."""
+    """Refuse when ``guard``'s run would overrun the budget, in exact bytes too."""
     predicted = guard.predicted(cfg)
     if predicted > cfg.memory_budget_bytes:
         raise BudgetError(
-            f"{guard.what} needs about {_human_bytes(predicted)} for {min(cfg.workers, guard.jobs)} concurrent "
-            f"job(s) and delay plans of {guard.lines} lines, over the budget of "
-            f"{_human_bytes(cfg.memory_budget_bytes)}",
+            f"{guard.what} needs about {_human_bytes(predicted, True)} for {min(cfg.workers, guard.jobs)} "
+            f"concurrent job(s) and delay plans of {guard.lines} lines, over the budget of "
+            f"{_human_bytes(cfg.memory_budget_bytes, True)}",
             estimate_bytes=predicted,
         )
 
@@ -514,17 +515,19 @@ class _Reads:
 
     def guard(self, cfg: ExperimentConfig) -> _Guard:
         """From the config alone: the carriers and then up to one job per
-        plan.  Each carrier's kept values, each (plan, carrier) spectrum
-        and each (plan, carrier) row of each held point outlive them."""
+        distinct plan.  Each carrier's kept values, each (distinct plan,
+        carrier) spectrum and each (plan, carrier) row of each held point
+        outlive them.  Every one-line plan is the bare plan, offset 0."""
+        distinct = len({p if _plan_lines(cfg.comb, [p]) > 1 else "bare" for p in self.plans})
         carriers, plans, per_read = len(self.carriers), len(self.plans), len(self.offsets)
         held = carriers * (
             _CARRIER_FIXED_BYTES
             + _KEPT_BYTES_PER_BIN * len(self.reader().bins)
-            + plans * (_SPECTRUM_FIXED_BYTES + _SPECTRUM_BYTES_PER_OFFSET * per_read)
+            + distinct * (_SPECTRUM_FIXED_BYTES + _SPECTRUM_BYTES_PER_OFFSET * per_read)
             + self.held_points * plans * _ROW_BYTES_PER_VALUE * per_read
         )
         lines = _plan_lines(cfg.comb, self.plans)
-        return _Guard(self.grid, self.what, jobs=max(carriers, plans), lines=lines, held=held)
+        return _Guard(self.grid, self.what, jobs=max(carriers, distinct), lines=lines, held=held)
 
 
 def _through_plans(cfg: ExperimentConfig, *reads: _Reads):
@@ -681,22 +684,21 @@ def _comb_width_reads(cfg: ExperimentConfig) -> _Reads:
     return _Reads(cfg.grid, "comb-width sweep", carriers, plans, cfg.offsets)
 
 
-def _check_plans(cfg: ExperimentConfig, what: str, kinds, widths):
-    """Refuse ``what``, a study that synthesizes nothing, when the plans
-    of ``kinds`` at each of ``widths`` and its table, of one row per line
-    and width, would overrun the budget; before any plan is built."""
+def _table_guard(cfg: ExperimentConfig, what: str, kinds, widths) -> _Guard:
+    """The guard of ``what``, a study that synthesizes nothing: no job,
+    the plans of ``kinds`` at each of ``widths``, and its table, of one
+    row per line and width."""
     lines = _plan_lines(cfg.comb, [(kind, w) for w in widths for kind in kinds])
-    _check_budget(cfg, _Guard(cfg.grid, what, jobs=0, lines=lines, held=_TABLE_BYTES_PER_ROW * lines // len(kinds)))
+    return _Guard(cfg.grid, what, jobs=0, lines=lines, held=_TABLE_BYTES_PER_ROW * lines // len(kinds))
 
 
 def offsets_experiment(cfg: ExperimentConfig) -> list[OffsetsTable]:
     """Per-line delay-plan differences (ideal minus linear / constant)."""
-    kinds = ("ideal", "linear", "constant")
-    _check_plans(cfg, "offsets-diff", kinds, cfg.widths)
+    _check_budget(cfg, _table_guard(cfg, "offsets-diff", _DIFF_KINDS, cfg.widths))
     tables = []
     for w in cfg.widths:
         lines = comb_lines(replace(cfg.comb, width=w))
-        ideal, linear, constant = (_plan(cfg, cfg.grid, kind, w) for kind in kinds)
+        ideal, linear, constant = (_plan(cfg, cfg.grid, kind, w) for kind in _DIFF_KINDS)
         tables.append(
             OffsetsTable(
                 width=float(w),
@@ -715,7 +717,7 @@ def dispersion_eval(cfg: ExperimentConfig, kind: str = "ideal") -> tuple[str, li
     Returns a summary line (D at the center wavelength) and the CSV lines.
     """
     comb = cfg.comb
-    _check_plans(cfg, "dispersion-eval", (kind,), (comb.width,))
+    _check_budget(cfg, _table_guard(cfg, "dispersion-eval", (kind,), (comb.width,)))
     plan = _plan(cfg, cfg.grid, kind, comb.width)
     spec = cfg.dispersion_spec(kind)
     lines = comb_lines(comb)
@@ -794,10 +796,9 @@ class Study:
     config; ``help`` is its one-line summary, and ``report`` turns a
     result into a line for the user.  ``no_svg(cfg)`` says why the study
     cannot draw its SVG under ``cfg``, or is None when it can.
-    ``guards(cfg)`` lists the budget checks a study that synthesizes
-    makes, at its default arguments, from the config alone, after the
-    config checks the study makes on the way; it is None for a study
-    that synthesizes nothing, which checks only its plans' lines.
+    ``guards(cfg)`` lists the budget checks the study makes, at its
+    default arguments, from the config alone, after the config checks
+    the study makes on the way.
     """
 
     name: str
@@ -805,10 +806,10 @@ class Study:
     write: Callable
     keys: tuple[str, ...]
     help: str
+    guards: Callable
     args: tuple[str, ...] = ()
     report: Callable | None = None
     no_svg: Callable = lambda cfg: None
-    guards: Callable | None = None
 
 
 #: The keys of the noise profile, and of a budgeted run's output, budget and pool.
@@ -863,6 +864,7 @@ STUDIES: dict[str, Study] = {
                 "sweep.widths", "run.out_dir", "run.format", "run.memory_budget_bytes",
             ),
             help="per-line plan differences vs ideal",
+            guards=lambda cfg: [_table_guard(cfg, "offsets-diff", _DIFF_KINDS, cfg.widths)],
         ),
         Study(
             "dispersion-eval",
@@ -876,6 +878,7 @@ STUDIES: dict[str, Study] = {
             args=("kind",),
             report=lambda r: r[0],
             no_svg=lambda cfg: "draws no SVG",
+            guards=lambda cfg: [_table_guard(cfg, "dispersion-eval", ("ideal",), (cfg.comb.width,))],
         ),
     )
 }
@@ -948,19 +951,17 @@ def _check_svg(study: Study, cfg: ExperimentConfig, render_svg: bool):
 
 
 def dry_run(cfg: ExperimentConfig) -> dict[str, int]:
-    """The budget guard of every study that has one, run without the study.
+    """The budget guard of every study, run without the study.
 
-    Maps each such study's name to the bytes its guard predicts under
-    ``cfg`` at the study's default arguments: the largest of its checks,
-    which for the oversampling sweep is its largest ratio's.  The guard
-    refuses the study exactly when that figure exceeds
-    ``cfg.memory_budget_bytes``.  The figures come from the config
-    alone: no delay plan is built and nothing is synthesized, so a
-    characteristic the study would refuse is refused only when it runs.
-    Offsets of interest that a sweep cannot measure on its grid are
-    refused as that sweep refuses them, with a ConfigError.
+    Maps each study's name to the bytes its guard predicts under ``cfg``
+    at its default arguments, the largest of its checks (for the
+    oversampling sweep, its largest ratio's): the guard refuses the
+    study exactly when that figure exceeds ``cfg.memory_budget_bytes``.
+    No plan is built and nothing synthesized, so a characteristic the
+    study would refuse is refused only when it runs.  Offsets a sweep
+    cannot measure on its grid are refused as the sweep refuses them.
     """
-    return {s.name: max(g.predicted(cfg) for g in s.guards(cfg)) for s in STUDIES.values() if s.guards}
+    return {s.name: max(g.predicted(cfg) for g in s.guards(cfg)) for s in STUDIES.values()}
 
 
 def run_all(cfg: ExperimentConfig, render_svg: bool = False) -> Manifest:

@@ -9,9 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from talbotsim import experiments
+from talbotsim.analysis import BinReader
 from talbotsim.cli import _KEYS, _build_parser, experiment_config, main, parse_config
 from talbotsim.errors import ConfigError
 from talbotsim.experiments import STUDIES, ExperimentConfig
+from talbotsim.model import build_grid
 from talbotsim.svgplot import render_plots
 from talbotsim.synthesis import default_noise_profile
 
@@ -97,7 +100,7 @@ class TestEstimateMemorySubcommand:
         assert "budget refusal: sweep-oversampling would refuse" in out.err
         assert "simulate" not in out.err and "sweep-comb-width" not in out.err
         figures = guard_figures(out.out)
-        assert sorted(figures) == ["simulate", "sweep-comb-width", "sweep-oversampling"]
+        assert sorted(figures) == sorted(STUDIES)
         assert figures["sweep-oversampling"] > 2**30 > max(figures["simulate"], figures["sweep-comb-width"])
 
     def test_reduced_within_budget(self, capsys):
@@ -137,14 +140,27 @@ class TestEstimateMemorySubcommand:
             assert main(["estimate-memory", "--t-sig", "2e-4", "--seeds", seeds]) == 0
             figures.append(guard_figures(capsys.readouterr().out))
         one, four, seven = figures
-        assert sorted(one) == ["simulate", "sweep-comb-width", "sweep-oversampling"]
+        assert sorted(one) == sorted(STUDIES)
+        for name in ("simulate", "offsets-diff", "dispersion-eval"):
+            assert four[name] == one[name], name
         # On one worker the jobs run one at a time, so more seeds add no
-        # workspace, only each carrier's kept values, spectra and rows: the
-        # same bytes for every seed, far below one job's 1.07 MB.  The comb-
-        # width sweep counts a spectrum per seed for each of its 24 plans.
-        assert four["simulate"] == one["simulate"]
-        for name in ("sweep-comb-width", "sweep-oversampling"):
-            assert 0 < four[name] - one[name] == seven[name] - four[name] < 2**16, name
+        # workspace (one job's 1.07 MB), only each carrier's bytes and its
+        # values on the read bins, its spectrum through each distinct plan,
+        # and its value in each row held, per plan and offset: for the
+        # comb-width sweep, 24 plans, none of one line; for the oversampling
+        # sweep at its largest ratio, 64, the bare plan and 5 ratios' rows.
+        offsets = ExperimentConfig.offsets
+        for name, ratio, distinct, rows in (("sweep-comb-width", 16, 24, 24), ("sweep-oversampling", 64, 1, 5)):
+            grid = build_grid(1e7, ratio, 2e-4)
+            bins = len(BinReader(grid.n_samples, grid.sample_rate, grid.f_r, offsets).bins)
+            spectrum = experiments._SPECTRUM_FIXED_BYTES + experiments._SPECTRUM_BYTES_PER_OFFSET * len(offsets)
+            per_seed = (
+                experiments._CARRIER_FIXED_BYTES
+                + experiments._KEPT_BYTES_PER_BIN * bins
+                + distinct * spectrum
+                + rows * experiments._ROW_BYTES_PER_VALUE * len(offsets)
+            )
+            assert four[name] - one[name] == seven[name] - four[name] == 3 * per_seed, name
 
 
 def subcommand_options() -> dict[str, set[str]]:

@@ -363,8 +363,11 @@ class TestConcurrentBudget:
             ("sweep-oversampling", ""),
             ("sweep-comb-width", ""),
             ("sweep-comb-width", "run.workers = 2\n"),
+            ("offsets-diff", ""),
+            ("dispersion-eval", ""),
         ],
-        ids=["simulate", "sweep-oversampling", "sweep-comb-width", "sweep-comb-width-2-workers"],
+        ids=["simulate", "sweep-oversampling", "sweep-comb-width", "sweep-comb-width-2-workers", "offsets-diff",
+             "dispersion-eval"],
     )
     def test_estimate_memory_prints_the_guards_figure(self, tmp_path, capsys, name, config):
         cfg_file = tmp_path / "run.cfg"
@@ -397,22 +400,28 @@ class TestConcurrentBudget:
             assert code == expected, capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "name, settings, args",
+        "name, settings, args, ceiling",
         [
-            ("simulate", {}, {"kind": "ideal"}),
+            ("simulate", {}, {"kind": "ideal"}, 1.5),
             # A smaller grid, where the fixed costs of a first call weigh more.
-            ("simulate", {"t_sig": 1e-3}, {"kind": "ideal"}),
-            ("sweep-comb-width", {"n_seeds": 2}, {}),
-            ("sweep-comb-width", {"n_seeds": 2, "workers": 2}, {}),
+            ("simulate", {"t_sig": 1e-3}, {"kind": "ideal"}, 1.5),
+            ("sweep-comb-width", {"n_seeds": 2}, {}, 1.5),
+            ("sweep-comb-width", {"n_seeds": 2, "workers": 2}, {}, 1.5),
             # Ten carriers' values on the read bins, kept until every plan has read them.
-            ("sweep-comb-width", {"n_seeds": 10}, {}),
-            ("sweep-oversampling", {"n_seeds": 2}, {}),
-            # On a small grid many seeds' kept values, spectra and rows outweigh the jobs.
-            ("sweep-comb-width", {"t_sig": 2e-4, "n_seeds": 300}, {}),
-            ("sweep-oversampling", {"t_sig": 2e-4, "n_seeds": 300}, {}),
-            # No job: 200001-line plans and a table row per line.
-            ("offsets-diff", {"t_sig": 2e-4, "widths": (2e12,)}, {}),
-            ("dispersion-eval", {"t_sig": 2e-4, "comb": CombSpec(f_r=1e7, lambda0=1550e-9, width=2e12)}, {}),
+            ("sweep-comb-width", {"n_seeds": 10}, {}, 1.5),
+            ("sweep-oversampling", {"n_seeds": 2}, {}, 1.5),
+            # On a small grid many seeds' kept values, spectra and rows outweigh
+            # the jobs.  The guard adds the phases up and counts a spectrum per
+            # plan, 24 where 9 are distinct: about 3x the comb-width sweep's peak.
+            ("sweep-comb-width", {"t_sig": 2e-4, "n_seeds": 300}, {}, 3.5),
+            ("sweep-oversampling", {"t_sig": 2e-4, "n_seeds": 300}, {}, 1.5),
+            # Six one-line plans, counted as one.
+            ("sweep-comb-width", {"t_sig": 2e-4, "n_seeds": 300, "widths": (0.0, 1e7, 1e9)}, {}, 3.5),
+            # No job: 200001-line plans and a table row per line.  offsets-diff
+            # builds its three plans one after another, and the guard counts
+            # what building each passes through as if all three did at once.
+            ("offsets-diff", {"t_sig": 2e-4, "widths": (2e12,)}, {}, 3.5),
+            ("dispersion-eval", {"t_sig": 2e-4, "comb": CombSpec(f_r=1e7, lambda0=1550e-9, width=2e12)}, {}, 1.5),
         ],
         ids=[
             "simulate",
@@ -423,11 +432,12 @@ class TestConcurrentBudget:
             "sweep-oversampling",
             "sweep-comb-width-300-seeds",
             "sweep-oversampling-300-seeds",
+            "sweep-comb-width-one-line-plans",
             "offsets-diff-2e12",
             "dispersion-eval-2e12",
         ],
     )
-    def test_prediction_covers_traced_peak(self, name, settings, args):
+    def test_prediction_covers_traced_peak(self, name, settings, args, ceiling):
         # Desk scale: the default grid of 320000 samples unless t_sig is set, default widths and ratios.
         cfg = ExperimentConfig(**settings)
         run = STUDIES[name].run
@@ -438,9 +448,11 @@ class TestConcurrentBudget:
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        # The guard refuses a budget one byte below the peak: it predicts at least the peak.
-        with pytest.raises(BudgetError):
+        # The guard refuses a budget one byte below the peak: it predicts at
+        # least the peak, and at most ``ceiling`` times it.
+        with pytest.raises(BudgetError) as refusal:
             run(replace(cfg, memory_budget_bytes=peak - 1), **args)
+        assert refusal.value.estimate_bytes <= ceiling * peak
 
 
     @pytest.mark.parametrize("command", ["simulate", "estimate-memory"])
@@ -461,11 +473,11 @@ class TestConcurrentBudget:
         assert code == 3, out.err
         assert peak < budget
         if command == "simulate":
-            assert "simulate needs about 108.0 MiB for 1 concurrent job(s) and delay plans of 2000001 lines" in out.err
-            assert "over the budget of 3.8 MiB" in out.err
-        else:  # the full figure, plans, job and held values, and only simulate is over
+            assert "simulate needs about 108.0 MiB (113210336 B) for 1 concurrent job(s) and delay plans of " \
+                "2000001 lines, over the budget of 3.8 MiB (4000000 B)" in out.err
+        else:  # the full figure, plans, job and held values; dispersion-eval's one plan is at 2e13 Hz too
             assert "simulate: 113210336 bytes" in out.out
-            assert "budget refusal: simulate would refuse" in out.err
+            assert "budget refusal: simulate, dispersion-eval would refuse, over the budget of 3.8 MiB" in out.err
         assert not (tmp_path / "out").exists()
 
     def test_nothing_is_built_when_the_guard_refuses(self, monkeypatch):
@@ -494,6 +506,35 @@ class TestConcurrentBudget:
             STUDIES["simulate"].run(replace(cfg, memory_budget_bytes=figures["simulate"] - 1))
         assert refusal.value.estimate_bytes == figures["simulate"]
         assert calls == []
+
+    def test_refusal_tells_apart_figures_a_few_bytes_apart(self):
+        # Rounded to 0.1 MiB, a budget 4 B below the figure reads as the figure.
+        cfg = ExperimentConfig(t_sig=2e-4)
+        figure = dry_run(cfg)["sweep-oversampling"]
+        expected = rf"needs about 3\.1 MiB \({figure} B\) .* over the budget of 3\.1 MiB \({figure - 4} B\)$"
+        with pytest.raises(BudgetError, match=expected):
+            STUDIES["sweep-oversampling"].run(replace(cfg, memory_budget_bytes=figure - 4))
+
+    @pytest.mark.parametrize("name", ["simulate", "sweep-comb-width", "offsets-diff", "dispersion-eval"])
+    def test_budget_refusal_comes_before_plan_errors(self, tmp_path, capsys, name):
+        # At 1e-300 m every kind's delays are not finite, which only building
+        # a plan finds (exit 2, the lambda0-tiny bad-input cases); the budget
+        # is checked from the config before any plan is built.
+        out = tmp_path / "out"
+        code = main([name, "--lambda0", "1e-300", "--memory-budget", "1000", "--out", str(out)] + SMALL)
+        assert code == 3
+        assert "budget refusal" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_line_plans_count_once(self):
+        # Below 2 f_r a comb has one line, and every kind's plan is the bare
+        # plan: the six plans at 0 and 1e7 Hz are one distinct plan.
+        cfg = ExperimentConfig(t_sig=2e-4, widths=(0.0, 1e7, 1e9), n_seeds=1)
+        (guard,) = STUDIES["sweep-comb-width"].guards(cfg)
+        n = cfg.grid.n_samples
+        plans = [experiments._plan(cfg, cfg.grid, k, w) for w in cfg.widths for k in cfg.kinds]
+        distinct = {np.sort(p.offsets % n).tobytes() for p in plans}
+        assert guard.jobs == 1 + len(cfg.kinds) >= len(distinct)
 
 
 def test_cli_defaults_match_experiment_config():
