@@ -36,7 +36,6 @@ import math
 import queue
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -271,10 +270,12 @@ def derive_seed(master_seed: int, experiment: str, point_index: int, seed_index:
 #: Each job also holds about 0.17 MB that does not grow with the grid
 #: (the ramp, float32 and finiteness chunks; measured on grids of 32000
 #: to 640000 samples), which the fixed 0.5 MiB covers.  A carrier job
-#: keeps its periodogram on the few dozen bins the reader picks, and a
-#: plan job sums |H|^2 on those bins with its scratch in the spent
-#: workspace, so no periodogram outlives its job and a plan job costs
-#: no more than a detect job.  A plan holds 8 B per line, and building
+#: keeps its periodogram on the few dozen bins the reader picks, so no
+#: periodogram outlives its job.  A plan job sums |H|^2 on those bins in
+#: scratch of its own, at most 40 B x n/3 (about 13.4 B per window
+#: sample), below a detect job's figure; the plan jobs start only after
+#: the carriers' workspaces are freed, so they cost no more than the
+#: detect jobs the model counts.  A plan holds 8 B per line, and building
 #: one passes through 48 B per line (wavelengths, group delays, offsets).
 #: What outlives the jobs grows with the seeds.  Each carrier holds its
 #: (noise, seed) pair and its job, about 190 B, and its kept values, 8 B
@@ -433,41 +434,43 @@ def _pin_allocator() -> None:
         mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
-@contextmanager
-def _pool(cfg: ExperimentConfig, grid: SimGrid, jobs: int):
-    """A runner on ``grid`` for a study of ``jobs`` jobs: ``run(fn, items)``
-    returns ``[fn(workspace, item) for item in items]``, in item order.
+def _map(workers: int, fn, items) -> list:
+    """``[fn(item) for item in items]``, in item order, on up to ``workers`` threads."""
+    workers = min(workers, len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as executor:
+        return list(executor.map(fn, items))
+
+
+def _detect_all(cfg: ExperimentConfig, grid: SimGrid, jobs: list) -> list:
+    """:func:`_detect` each of the (noise, seed, keep) ``jobs`` on ``grid``;
+    their results, in job order.
 
     Each of the ``min(workers, jobs)`` concurrent jobs takes a workspace
-    of its own, for the config's one noise profile; ``run`` may be
-    called more than once, and every call shares the same workspaces
-    and threads.  They are dropped when the block exits.  A noise
-    profile that is negative, or overflows, on ``grid``'s bins is refused
-    as a config error when the first workspace shapes it, before any job.
+    of its own, for the config's one noise profile; the workspaces are
+    dropped when this returns.  A noise profile that is negative, or
+    overflows, on ``grid``'s bins is refused as a config error when the
+    first workspace shapes it, before any job.
     """
     _pin_allocator()
-    concurrent = min(cfg.workers, jobs)
     try:
         first = Workspace(grid.n_samples, grid.sample_rate, cfg.resolved_noise())
     except ValueError as exc:  # the profile is negative or overflows on this grid
         raise ConfigError(str(exc)) from None
     free = queue.SimpleQueue()
     free.put(first)
-    for _ in range(concurrent - 1):
+    for _ in range(min(cfg.workers, len(jobs)) - 1):
         free.put(Workspace(grid.n_samples, grid.sample_rate, like=first))
 
-    def job(fn, item):
+    def job(item):
         ws = free.get()
         try:
-            return fn(ws, item)
+            return _detect(grid, ws, item)
         finally:
             free.put(ws)
 
-    if concurrent == 1:
-        yield lambda fn, items: [job(fn, item) for item in items]
-        return
-    with ThreadPoolExecutor(max_workers=concurrent) as executor:
-        yield lambda fn, items: list(executor.map(partial(job, fn), items))
+    return _map(cfg.workers, job, jobs)
 
 
 def _detect(grid: SimGrid, ws: Workspace, job):
@@ -483,10 +486,10 @@ def _detect(grid: SimGrid, ws: Workspace, job):
     return keep(*periodogram(carrier, ws))
 
 
-def _read_plan(reader: BinReader, kept: list, ws: Workspace, plan: DelayPlan) -> list:
+def _read_plan(reader: BinReader, kept: list, plan: DelayPlan) -> list:
     """L(f) of every kept carrier seen through ``plan``, one per carrier:
     its values on ``reader``'s bins times the plan's |H|^2 on them."""
-    gain = power_at_bins(plan, reader.bins, ws)
+    gain = power_at_bins(plan, reader.bins)
     return [reader.read(values * gain) for values in kept]
 
 
@@ -555,8 +558,8 @@ def _read_through(cfg: ExperimentConfig, reads: _Reads) -> list[list]:
     whose offsets mod n are the same multiset have bit-equal |H|^2, so
     each plan is keyed by the digest of that sorted multiset, and one
     plan of each key sums its |H|^2 on those bins and reads every carrier
-    through it.  The carriers and then the distinct plans run as jobs on
-    one pool of workspaces.
+    through it.  The carriers run as jobs on workspaces of their own,
+    which are freed before the distinct plans run as jobs with none.
     """
     grid = reads.grid
     plans = [_plan(cfg, grid, kind, width) for kind, width in reads.plans]
@@ -565,9 +568,8 @@ def _read_through(cfg: ExperimentConfig, reads: _Reads) -> list[list]:
     reader = reads.reader()
     keys = [hashlib.sha256(np.sort(p.offsets % grid.n_samples)).digest() for p in plans]
     distinct = dict(zip(keys, plans))
-    with _pool(cfg, grid, max(len(reads.carriers), len(distinct))) as run:
-        kept = run(partial(_detect, grid), [(noise, seed, reader.take) for noise, seed in reads.carriers])
-        per_plan = dict(zip(distinct, run(partial(_read_plan, reader, kept), distinct.values())))
+    kept = _detect_all(cfg, grid, [(noise, seed, reader.take) for noise, seed in reads.carriers])
+    per_plan = dict(zip(distinct, _map(cfg.workers, partial(_read_plan, reader, kept), distinct.values())))
     return [per_plan[key] for key in keys]
 
 

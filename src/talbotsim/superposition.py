@@ -20,9 +20,10 @@ counts, and forms no window-sized array.  The phase index (j d) mod n
 is exact in integers.  Bins come in runs of consecutive bins: each run
 takes one twiddle per offset from two tables of about sqrt(n) entries
 and steps along the run by multiplying by exp(-2 pi i d / n), so no
-transcendental function is evaluated per bin.  Its scratch, at most
-``_TILE`` entries, fits in a carrier job's spent
-:class:`~talbotsim.synthesis.Workspace`.
+transcendental function is evaluated per bin.  Its scratch is its own:
+three arrays of at most ``_TILE`` entries, 40 bytes per entry in all,
+and on a window of 6 samples or more at most n/3 entries, so at most
+about 13.4 bytes per window sample.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import numpy as np
 
 from .dispersion import DelayPlan
 from .model import SampledSignal
-from .synthesis import Workspace
 
 __all__ = ["power_at_bins", "superpose"]
 
@@ -54,21 +54,7 @@ def _kernel(lags: np.ndarray, count: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scratch(n: int, workspace: Workspace | None):
-    """Two complex and one int64 array of the same length, for a window of
-    ``n`` samples: in ``workspace``'s buffers when it has room for them.
-
-    The length depends on ``n`` alone, so the sums, and their bits, do
-    not depend on where the scratch lives.
-    """
-    size = max(2, min(_TILE, n // 3))
-    if workspace is None or 3 * size > n:
-        return np.empty(size, np.complex128), np.empty(size, np.complex128), np.empty(size, np.int64)
-    wave = workspace.wave
-    return workspace.spec[:size], wave[: 2 * size].view(np.complex128), wave[2 * size : 3 * size].view(np.int64)
-
-
-def power_at_bins(plan: DelayPlan, bins, workspace: Workspace | None = None) -> np.ndarray:
+def power_at_bins(plan: DelayPlan, bins) -> np.ndarray:
     """|H|^2 of ``plan`` on the rFFT bins ``bins`` of its grid's window.
 
     ``bins`` ascend strictly within 0 .. n/2.  Multiplying a carrier's
@@ -85,15 +71,13 @@ def power_at_bins(plan: DelayPlan, bins, workspace: Workspace | None = None) -> 
     exp(-2 pi i u / n) for each next bin.  A plan whose offsets are all
     0 mod n has |H|^2 exactly 1.
 
-    With a ``workspace`` for the plan's window the scratch goes to its
-    buffers (see :func:`_scratch`); the result is the caller's either way.
+    The scratch is ``max(2, min(_TILE, n // 3))`` entries long: that
+    length fixes the chunks the sums run over, and so their bits.
     """
     grid = plan.grid
     n = grid.n_samples
     if (n // 2) * (n - 1) >= 1 << 63:
         raise ValueError(f"a window of {n} samples overflows the exact int64 phase index")
-    if workspace is not None:
-        workspace.check(n, grid.sample_rate)
     bins = np.asarray(bins, dtype=np.int64)
     if bins.ndim != 1 or np.any(np.diff(bins) <= 0) or (len(bins) and not 0 <= bins[0] <= bins[-1] <= n // 2):
         raise ValueError(f"bins must ascend strictly within 0 .. {n // 2}")
@@ -114,8 +98,8 @@ def power_at_bins(plan: DelayPlan, bins, workspace: Workspace | None = None) -> 
     shift = math.isqrt(n).bit_length()
     lo = np.exp(-2j * np.pi / n * np.arange(1 << shift))
     hi = np.exp(-2j * np.pi / n * (np.arange(((n - 1) >> shift) + 1) << shift))
-    cur_buf, tmp_buf, idx_buf = _scratch(n, workspace)
-    size = len(cur_buf)
+    size = max(2, min(_TILE, n // 3))
+    cur_buf, tmp_buf, idx_buf = np.empty(size, np.complex128), np.empty(size, np.complex128), np.empty(size, np.int64)
     group = max(1, min(len(firsts), size // 64))  # runs at a time, and one row of steps
     chunk = size // (group + 1)  # distinct offsets at a time
     total = np.empty(len(bins), np.complex128)

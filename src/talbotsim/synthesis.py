@@ -15,8 +15,8 @@ and taking its periodogram fill in place, so jobs that run one after
 another on one window allocate nothing that grows with it.  A
 workspace holds one noise profile, shaped once when it is made, and
 serves that profile and the pure tone.  A caller that passes one owns
-it for as long as it keeps it (the studies keep one per concurrent job
-for one study call, or for one grid of the oversampling sweep) and gets
+it for as long as it keeps it (the studies keep one per concurrent
+carrier job while they synthesize one grid's carriers) and gets
 back arrays that the workspace's next step overwrites: a carrier's
 samples are valid only until its periodogram is taken.  Called without
 one, :func:`synth_carrier` builds a fresh workspace and returns a
@@ -99,9 +99,6 @@ class Workspace:
     - ``wave``, float64 on the window: draw scratch on its first m
       samples, the phase, then the carrier, rounded to single precision;
       its first m samples then hold the periodogram.
-
-    A plan job takes both as scratch for its |H|^2 sum (see
-    :func:`~talbotsim.superposition.power_at_bins`).
 
     Every step writes what it reads first, and each one overwrites what
     the step before left, so a carrier's samples are valid only until

@@ -1,5 +1,6 @@
 """Sweep orchestration: determinism, budgets, trends, artifacts."""
 
+import gc
 import json
 import sys
 from dataclasses import replace
@@ -25,7 +26,7 @@ from talbotsim.experiments import (
 )
 from talbotsim.model import CombSpec, NoiseProfile
 from talbotsim.superposition import power_at_bins
-from talbotsim.synthesis import SynthesisRequest, synth_carrier
+from talbotsim.synthesis import SynthesisRequest, Workspace, synth_carrier
 
 
 def small_config(**kwargs):
@@ -278,13 +279,27 @@ class TestSweepCombWidth:
         )
         calls = []
 
-        def counted(plan, bins, workspace=None):
+        def counted(plan, bins):
             calls.append(plan)
-            return power_at_bins(plan, bins, workspace)
+            return power_at_bins(plan, bins)
 
         monkeypatch.setattr(experiments, "power_at_bins", counted)
         sweep_comb_width(cfg)
         assert len(calls) == distinct < len(cfg.widths) * len(cfg.kinds)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_carrier_workspace_is_alive_during_a_plan_job(self, monkeypatch, workers):
+        # The plan jobs run only once the carriers' workspaces are freed.
+        live = []
+
+        def counted(plan, bins):
+            live.append(sum(isinstance(o, Workspace) for o in gc.get_objects()))
+            return power_at_bins(plan, bins)
+
+        monkeypatch.setattr(experiments, "power_at_bins", counted)
+        gc.collect()
+        sweep_comb_width(small_config(t_sig=2e-4, n_seeds=2, widths=(1e8, 2e10), workers=workers))
+        assert live and live == [0] * len(live)
 
 
 class TestPinAllocator:

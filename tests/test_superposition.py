@@ -7,7 +7,7 @@ from talbotsim.analysis import periodogram
 from talbotsim.dispersion import DelayPlan, DispersionSpec, delay_plan
 from talbotsim.model import CombSpec, NoiseProfile, SampledSignal, build_grid
 from talbotsim.superposition import _RUN, power_at_bins, superpose
-from talbotsim.synthesis import SynthesisRequest, Workspace, synth_carrier
+from talbotsim.synthesis import SynthesisRequest, synth_carrier
 
 
 def make_plan(offsets, n_samples, oversampling=4, f_r=1e6):
@@ -36,15 +36,6 @@ def unfolded_power_transfer(plan):
 
 def every_bin(plan):
     return np.arange(plan.grid.n_samples // 2 + 1)
-
-
-def nan_workspace(plan):
-    """A workspace for ``plan``'s window whose buffers hold NaN, so a sum
-    that reads scratch it did not write shows."""
-    ws = Workspace(plan.grid.n_samples, plan.grid.sample_rate)
-    ws.wave.fill(np.nan)
-    ws.spec.fill(np.nan)
-    return ws
 
 
 class TestTimeEngine:
@@ -166,18 +157,15 @@ class TestSpectralEngine:
 
     def test_power_transfer_in_workspace_is_bit_equal(self):
         # Even and odd windows; offsets that repeat mod n and run past n.
-        # The scratch goes to the workspace's buffers, NaN here; the bits
-        # are those of a sum with scratch of its own.
+        # Each call takes scratch that the call before freed; the bits are
+        # the same every time.
         for n in (1000, 1001):
             plans = [make_plan([0, 3, n + 3, 7, 2 * n, 5 * n - 1, 7], n), make_plan([0, 1, 2 * n + 2], n)]
-            ws = nan_workspace(plans[0])
             for plan in plans:
                 for bins in (every_bin(plan), np.array([0, 4, 5, 6, n // 2])):
-                    got = power_at_bins(plan, bins, ws)
+                    got = power_at_bins(plan, bins)
                     assert np.array_equal(got, power_at_bins(plan, bins))
                     np.testing.assert_allclose(got, unfolded_power_transfer(plan)[bins], rtol=0, atol=1e-12)
-        with pytest.raises(ValueError, match="workspace"):
-            power_at_bins(plans[0], [0], Workspace(1000, plans[0].grid.sample_rate))
 
     @pytest.mark.parametrize(
         "n, g, offsets",
@@ -203,7 +191,7 @@ class TestSpectralEngine:
         np.testing.assert_allclose(got[period:], got[: len(got) - period], rtol=0, atol=1e-12)
         mirror = got[1 : (period + 1) // 2]
         np.testing.assert_allclose(mirror, got[period - 1 : period // 2 : -1][: len(mirror)], rtol=0, atol=1e-12)
-        assert np.array_equal(power_at_bins(plan, bins, nan_workspace(plan)), got)
+        assert np.array_equal(power_at_bins(plan, bins), got)
 
     @pytest.mark.parametrize("n", [1000, 1001])
     def test_power_transfer_of_period_one_is_flat(self, n):
@@ -212,18 +200,18 @@ class TestSpectralEngine:
             plan = make_plan(offsets, n)
             bins = every_bin(plan)
             assert np.array_equal(power_at_bins(plan, bins), np.ones(n // 2 + 1))
-            assert np.array_equal(power_at_bins(plan, bins, nan_workspace(plan)), np.ones(n // 2 + 1))
+            assert np.array_equal(power_at_bins(plan, bins), np.ones(n // 2 + 1))
 
     def test_power_transfer_workspace_leaves_no_stale_tiles(self):
-        # One workspace serves three plans in turn, on different bins;
-        # each result must match that plan alone on every bin.
+        # Three plans in turn, on different bins, each call on scratch the
+        # one before freed; each result must match that plan alone on
+        # every bin.
         n = 1600
         plans = [make_plan([0, 16, 1632, 480], n), make_plan([0, 3, 1601, 16], n), make_plan([0, 32, 64, 3280], n)]
         selections = [every_bin(plans[0]), np.array([1, 2, 3, 700]), np.arange(100, 300)]
-        ws = nan_workspace(plans[0])
         for plan in plans:
             for bins in selections:
-                got = power_at_bins(plan, bins, ws)
+                got = power_at_bins(plan, bins)
                 assert np.array_equal(got, power_at_bins(plan, bins))
                 np.testing.assert_allclose(got, unfolded_power_transfer(plan)[bins], rtol=0, atol=1e-12)
 
