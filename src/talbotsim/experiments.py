@@ -447,11 +447,11 @@ def _detect_all(cfg: ExperimentConfig, grid: SimGrid, jobs: list) -> list:
     """:func:`_detect` each of the (noise, seed, keep) ``jobs`` on ``grid``;
     their results, in job order.
 
-    Each of the ``min(workers, jobs)`` concurrent jobs takes a workspace
-    of its own, for the config's one noise profile; the workspaces are
-    dropped when this returns.  A noise profile that is negative, or
-    overflows, on ``grid``'s bins is refused as a config error when the
-    first workspace shapes it, before any job.
+    Each of the ``min(workers, len(jobs))`` concurrent jobs takes a
+    workspace of its own, for the config's one noise profile; the
+    workspaces are dropped when this returns.  A noise profile that is
+    negative, or overflows, on ``grid``'s bins is refused as a config
+    error when the first workspace shapes it, before any job.
     """
     _pin_allocator()
     try:
