@@ -199,8 +199,8 @@ class TestSpectralEngine:
         for offsets in ([0], [0, n, 3 * n]):
             plan = make_plan(offsets, n)
             bins = every_bin(plan)
-            assert np.array_equal(power_at_bins(plan, bins), np.ones(n // 2 + 1))
-            assert np.array_equal(power_at_bins(plan, bins), np.ones(n // 2 + 1))
+            for _ in range(2):  # the second call takes the scratch the first freed
+                assert np.array_equal(power_at_bins(plan, bins), np.ones(n // 2 + 1))
 
     def test_power_transfer_workspace_leaves_no_stale_tiles(self):
         # Three plans in turn, on different bins, each call on scratch the
