@@ -11,10 +11,14 @@ every noise component sits on a bin as well: the rectangular window
 leaks nothing, and a plan's comb-filter nulls are not filled in by the
 1/f^2 noise of neighbouring bins.
 
-The measured L is not S_phi(f)/2 alone: the phase noise is shaped up to
-Fs/2, past 2 f_r, so the real carrier's negative-frequency image adds
-S_phi(2 f_r ± f)/2 to each sideband (+1.9 dB at 1 MHz and +0.8 dB at
-100 kHz on the bare carrier of the default config).
+On the real carrier the measured L is not S_phi(f)/2 alone: the phase
+noise is shaped up to Fs/2, past 2 f_r, so the real carrier's
+negative-frequency image adds S_phi(2 f_r ± f)/2 to each sideband
+(+1.9 dB at 1 MHz and +0.8 dB at 100 kHz on the bare carrier of the
+default config), and the float32 samples add a floor.  ``simulate`` and
+the oversampling sweep read that carrier.  The comb-width sweep reads
+the carrier's complex envelope (:func:`envelope_periodogram`), which has
+neither: its L is S_phi(f)/2 with no image term and no float32 floor.
 
 The periodogram is taken in place in a
 :class:`~talbotsim.synthesis.Workspace`: the samples are copied to its
@@ -33,6 +37,9 @@ bins, and 5 candidates around each sideband target.  :class:`BinReader`
 reads L off a PSD known on those bins alone, with the same peak and
 sideband code as :func:`phase_noise_from_psd`: the studies keep each
 carrier's periodogram on them and multiply by each plan's |H|^2 there.
+An envelope reader keeps the envelope's periodogram on the same bins,
+and reads the lower sideband of an offset above f_r where it is, below
+0 Hz, where the real carrier's reader finds it reflected through DC.
 
 A demodulation-based estimator of the phase PSD is provided as an
 independent cross-check of the sideband estimator.
@@ -48,12 +55,13 @@ import numpy as np
 
 from .errors import CarrierNotFoundError
 from .model import SampledSignal
-from .synthesis import BinFrequencies, Workspace
+from .synthesis import BinFrequencies, Workspace, envelope_length
 
 __all__ = [
     "PhaseNoiseSpectrum",
     "JitterResult",
     "periodogram",
+    "envelope_periodogram",
     "phase_noise_spectrum",
     "phase_noise_from_psd",
     "BinReader",
@@ -139,6 +147,25 @@ def periodogram(y: SampledSignal, workspace: Workspace | None = None) -> tuple[n
     return _periodogram(y.samples, y.sample_rate, workspace)
 
 
+def envelope_periodogram(envelope: np.ndarray, workspace: Workspace) -> np.ndarray:
+    """The periodogram of the carrier whose complex envelope is ``envelope``.
+
+    ``envelope`` is the ``spec`` buffer of the envelope ``workspace``, as
+    :func:`~talbotsim.synthesis.synth_envelope` leaves it; it is
+    transformed in place, and the periodogram goes to the workspace's
+    ``wave`` buffer.  Two-sided, in FFT order: ``psd[k]`` (``psd[-k]``
+    for negative k) is the one-sided density, per Hz, of the passband bin
+    k away from the carrier, so a unit envelope's carrier holds 1/2, the
+    power of a unit sine.
+    """
+    n = workspace.length
+    spec = np.fft.fft(envelope, out=envelope)
+    psd = np.square(spec.real, out=workspace.wave)
+    psd += np.square(spec.imag, out=spec.imag)
+    psd *= 0.5 / (workspace.sample_rate * n)
+    return psd
+
+
 def _carrier_window(size: int, df: float, f_r: float) -> range:
     """The bins within +-2 of f_r, where the carrier peak is searched."""
     center = int(round(f_r / df))
@@ -160,7 +187,13 @@ def _find_carrier(freqs, psd: np.ndarray, f_r: float) -> int:
     total power of ``psd``.
     """
     df = freqs[1] - freqs[0]
-    peak = _peak(psd, _carrier_window(len(psd), df, f_r))
+    return _dominant(psd, _carrier_window(len(psd), df, f_r), df, f_r)
+
+
+def _dominant(psd, window: range, df: float, f_r: float) -> int:
+    """The peak of ``psd`` in ``window``, refused unless it holds at least
+    ``CARRIER_THRESHOLD`` of the total power of ``psd``."""
+    peak = _peak(psd, window)
     total = float(np.sum(psd)) * df
     if total <= 0 or psd[peak] * df < CARRIER_THRESHOLD * total:
         raise CarrierNotFoundError(
@@ -170,15 +203,17 @@ def _find_carrier(freqs, psd: np.ndarray, f_r: float) -> int:
     return peak
 
 
-def _sideband_value(psd, df: float, target: float, carrier_bin: int) -> float:
+def _sideband_value(psd, df: float, target: float, carrier_bin: int, two_sided: bool = False) -> float:
     """Median of the 3 valid bins nearest ``target``, excluding the carrier.
 
     At the ends of the spectrum fewer may be in reach: at Nyquist on an
     odd window, or at DC when the carrier sits within 2 bins of it.  The
-    median of 2 is their mean.
+    median of 2 is their mean.  A ``two_sided`` spectrum also has the
+    bins below 0 Hz, down to minus Nyquist.
     """
     center = int(round(target / df))
-    candidates = [j for j in range(center - 2, center + 3) if 0 <= j < len(psd) and j != carrier_bin]
+    low = 1 - len(psd) if two_sided else 0
+    candidates = [j for j in range(center - 2, center + 3) if low <= j < len(psd) and j != carrier_bin]
     candidates.sort(key=lambda j: (abs(j * df - target), j))
     values = sorted(float(psd[j]) for j in candidates[:3])
     if len(values) == 2:
@@ -202,11 +237,13 @@ def phase_noise_from_psd(freqs, psd, sample_rate: float, f_r: float, offsets) ->
     return _read(freqs, psd, sample_rate, offsets, _find_carrier(freqs, psd, f_r))
 
 
-def _read(freqs, psd, sample_rate: float, offsets, carrier_bin: int) -> PhaseNoiseSpectrum:
+def _read(freqs, psd, sample_rate: float, offsets, carrier_bin: int, two_sided: bool = False) -> PhaseNoiseSpectrum:
     """L(f) at ``offsets`` around the carrier on ``carrier_bin``.
 
     ``psd`` is read by bin index alone, ``psd[j]``, and ``len(psd)`` is
-    the number of bins of the spectrum.
+    the number of bins of the spectrum.  A one-sided spectrum reads the
+    lower sideband of an offset above the carrier reflected through DC;
+    a ``two_sided`` one reads it at its own, negative, bins.
     """
     df = freqs[1] - freqs[0]
     carrier_freq = freqs[carrier_bin]
@@ -220,7 +257,8 @@ def _read(freqs, psd, sample_rate: float, offsets, carrier_bin: int) -> PhaseNoi
                 f"offset {off} Hz outside the measurable range [{df}, {nyquist - carrier_freq}] Hz"
             )
         upper = _sideband_value(psd, df, carrier_freq + off, carrier_bin)
-        lower = _sideband_value(psd, df, abs(carrier_freq - off), carrier_bin)
+        lower_target = carrier_freq - off if two_sided else abs(carrier_freq - off)
+        lower = _sideband_value(psd, df, lower_target, carrier_bin, two_sided)
         ratio = (upper + lower) / (2.0 * carrier_power)
         l_dbc[i] = 10.0 * math.log10(ratio) if ratio > 0 else -math.inf
     return PhaseNoiseSpectrum(
@@ -252,46 +290,77 @@ class BinReader:
 
     The PSD is the periodogram of ``n_samples`` samples at
     ``sample_rate``, or that periodogram seen through a delay plan.
-    ``bins`` (sorted) holds the carrier window, the bins within +-2 of
+    ``reads`` (sorted) holds the carrier window, the bins within +-2 of
     f_r, and, for each bin of it where the peak may fall and each
     offset, the 5 candidates around each sideband target.
 
+    An ``envelope`` reader reads the periodogram of the carrier's complex
+    envelope (:func:`envelope_periodogram`), kept on the same bins, bin j
+    being envelope bin j - ``center``.  Its lower sidebands are
+    two-sided: an offset above f_r reads its bins below 0 Hz, which
+    ``reads`` then holds too.  The envelope's window, ``length`` samples
+    at ``rate``, holds every bin read with the margin of
+    :func:`~talbotsim.synthesis.envelope_length`; for a passband reader
+    they are the window's own ``n_samples`` and ``sample_rate``.
+
+    A plan's |H|^2 is summed on ``bins``, the distinct ``|reads|`` (it is
+    even in frequency), and indexing by ``fold`` takes it back to
+    ``reads``: for a passband reader ``bins`` are ``reads``, and ``fold``
+    takes them all.
+
     :meth:`take` runs the 1e-6 dominance test on a bare periodogram and
-    keeps its values on ``bins``; :meth:`read` reads L off such values,
-    each times a plan's |H|^2 on ``bins``.  Since |H| <= 1 the detected
+    keeps its values on ``reads``; :meth:`read` reads L off such values,
+    each times a plan's |H|^2 on them.  Since |H| <= 1 the detected
     total is at most the bare one, so the dominance test is not rerun
     per plan: a plan is refused only when its detected carrier holds no
     power at all.
     """
 
-    def __init__(self, n_samples: int, sample_rate: float, f_r: float, offsets):
+    def __init__(self, n_samples: int, sample_rate: float, f_r: float, offsets, envelope: bool = False):
         self.freqs = BinFrequencies.of_window(n_samples, sample_rate)
         size = len(self.freqs)
-        self.sample_rate, self.f_r = sample_rate, f_r
+        self.sample_rate, self.f_r, self.envelope = sample_rate, f_r, envelope
         self.offsets = np.sort(np.asarray(offsets, dtype=np.float64))
         df = self.freqs.df
         self.window = _carrier_window(size, df, f_r)
+        self.center = int(round(f_r / df))
         # The targets of every carrier bin the window allows, rounded as
         # _sideband_value rounds them; a superset of what any read picks.
         carrier_freqs = np.arange(self.window.start, self.window.stop) * df
-        targets = np.concatenate(
-            (carrier_freqs[:, None] + self.offsets, np.abs(carrier_freqs[:, None] - self.offsets))
-        )
+        lower = carrier_freqs[:, None] - self.offsets
+        targets = np.concatenate((carrier_freqs[:, None] + self.offsets, lower if envelope else np.abs(lower)))
         candidates = (np.rint(targets / df).astype(np.int64)[..., None] + np.arange(-2, 3)).ravel()
-        candidates = candidates[(candidates >= 0) & (candidates < size)]
+        candidates = candidates[(candidates >= (1 - size if envelope else 0)) & (candidates < size)]
         # Sorted and unique, without np.unique: its first call imports numpy.ma.
-        bins = np.sort(np.concatenate((np.arange(self.window.start, self.window.stop), candidates)))
-        self.bins = bins[np.diff(bins, prepend=-1) != 0]
-        self.index = dict(zip(self.bins.tolist(), range(len(self.bins))))
+        reads = np.sort(np.concatenate((np.arange(self.window.start, self.window.stop), candidates)))
+        self.reads = reads[np.diff(reads, prepend=reads[:1] - 1) != 0]
+        self.index = dict(zip(self.reads.tolist(), range(len(self.reads))))
+        if envelope:
+            mirrored = np.abs(self.reads)
+            bins = np.sort(mirrored)
+            self.bins = bins[np.diff(bins, prepend=-1) != 0]
+            self.fold = np.searchsorted(self.bins, mirrored)
+            self.length = envelope_length(int(np.max(np.abs(self.reads - self.center))))
+            self.rate = self.length * df
+        else:
+            self.bins, self.fold = self.reads, slice(None)
+            self.length, self.rate = n_samples, sample_rate
 
     def take(self, freqs, psd: np.ndarray) -> np.ndarray:
-        """``psd``'s values on ``bins``, once its carrier passes the
-        dominance test of :func:`phase_noise_from_psd`."""
-        _find_carrier(freqs, psd, self.f_r)
-        return psd[self.bins]
+        """``psd``'s values on ``reads``, once its carrier passes the
+        dominance test of :func:`phase_noise_from_psd`.
+
+        ``psd`` is a periodogram on the bins ``freqs``, or for an envelope
+        reader the envelope's, whose ``freqs`` are not read.
+        """
+        if not self.envelope:
+            _find_carrier(freqs, psd, self.f_r)
+            return psd[self.reads]
+        _dominant(psd, range(self.window.start - self.center, self.window.stop - self.center), self.freqs.df, self.f_r)
+        return psd[self.reads - self.center]
 
     def read(self, values: np.ndarray) -> PhaseNoiseSpectrum:
-        """L(f) off ``values``, the PSD on ``bins``.
+        """L(f) off ``values``, the PSD on ``reads``.
 
         The carrier is the peak of the carrier window, as in
         :func:`phase_noise_from_psd`; a peak with no power raises
@@ -301,7 +370,7 @@ class BinReader:
         carrier_bin = _peak(psd, self.window)
         if not psd[carrier_bin] > 0:
             raise CarrierNotFoundError(f"the carrier within 2 bins of {self.f_r} Hz holds no power")
-        return _read(self.freqs, psd, self.sample_rate, self.offsets, carrier_bin)
+        return _read(self.freqs, psd, self.sample_rate, self.offsets, carrier_bin, self.envelope)
 
 
 def jitter(spectrum: PhaseNoiseSpectrum, f_min: float, f_max: float) -> JitterResult:

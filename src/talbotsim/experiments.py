@@ -25,6 +25,16 @@ the reader picks from, and then one job per distinct delay plan sums
 its |H|^2 on those bins and reads every carrier through it.  ``simulate
 --kind none`` and the oversampling sweep read through the one-line plan
 at zero delay, whose |H|^2 is exactly 1.
+
+The comb-width sweep reads L only near f_r, so its carrier jobs
+synthesize each carrier as its complex envelope, on a window only as
+wide as its offsets need (see :class:`~talbotsim.analysis.BinReader`),
+and read it with no image term and no float32 floor.  ``simulate`` and
+the oversampling sweep synthesize the real carrier on the passband
+window: ``simulate`` reads up to Fs/2 - f_r, where an envelope would
+save nothing, and the oversampling sweep studies that sampling itself,
+float32 floor included.  A pure tone's envelope is exactly 1, with no
+sideband to read, so the comb-width sweep refuses it.
 """
 
 from __future__ import annotations
@@ -44,7 +54,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .analysis import BinReader, jitter, periodogram, write_jitter_csv, write_spectrum_csv
+from .analysis import BinReader, envelope_periodogram, jitter, periodogram, write_jitter_csv, write_spectrum_csv
 from .dispersion import (
     KINDS,
     DelayPlan,
@@ -56,9 +66,9 @@ from .dispersion import (
 )
 from .errors import BudgetError, ConfigError
 from .model import CombSpec, SimGrid, build_grid, comb_lines, NoiseProfile
-from .superposition import power_at_bins
+from .superposition import _scratch_length, power_at_bins
 from .svgplot import render_plots
-from .synthesis import SynthesisRequest, Workspace, default_noise_profile, synth_carrier
+from .synthesis import SynthesisRequest, Workspace, default_noise_profile, synth_carrier, synth_envelope
 
 __all__ = [
     "ExperimentConfig",
@@ -260,37 +270,40 @@ def derive_seed(master_seed: int, experiment: str, point_index: int, seed_index:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-#: Budget model, in bytes, from the tracemalloc peaks of each stage.  A
-#: detect job fills its workspace in place: the complex spectrum (8 B per
-#: window sample) and the float64 window (8 B), which holds the carrier
-#: and then its periodogram, 16 B in all; the model adds 1 B of
-#: headroom.  The workspaces on a grid share the spectral scale of their
-#: one noise profile (4 B per sample), computed a chunk of bins at a
-#: time before any workspace's buffers.
-#: Each job also holds about 0.17 MB that does not grow with the grid
+#: Budget model, in bytes, from the tracemalloc peaks of each stage.  The
+#: jobs of a read run in two phases, and the model takes the larger.
+#: First the carrier jobs, each filling its workspace in place.  On the
+#: passband window that is the complex spectrum (8 B per window sample)
+#: and the float64 window (8 B), which holds the carrier and then its
+#: periodogram; on an envelope window, the complex envelope and its
+#: spectrum (16 B) and the float64 phase and periodogram (8 B).  The
+#: model adds 1 B of headroom to each.  The workspaces on a window share
+#: the spectral scale of their one noise profile (4 B per sample),
+#: computed a chunk of bins at a time before any workspace's buffers.
+#: Each job also holds about 0.17 MB that does not grow with the window
 #: (the ramp, float32 and finiteness chunks; measured on grids of 32000
 #: to 640000 samples), which the fixed 0.5 MiB covers.  A carrier job
 #: keeps its periodogram on the few dozen bins the reader picks, so no
-#: periodogram outlives its job.  A plan job sums |H|^2 on those bins in
-#: scratch of its own, at most 40 B x n/3 (about 13.4 B per window
-#: sample), below a detect job's figure; the plan jobs start only after
-#: the carriers' workspaces are freed, so they cost no more than the
-#: detect jobs the model counts.  A plan holds 8 B per line, and building
-#: one passes through 48 B per line (wavelengths, group delays, offsets).
+#: periodogram outlives its job.  Then, once the workspaces are freed,
+#: the plan jobs: each sums |H|^2 on those bins in three scratch arrays
+#: of 40 B per entry, n/3 entries on a passband window of n samples up to
+#: 65536 (2.5 MiB), and its twiddle tables and sums besides, which the
+#: same fixed 0.5 MiB covers.
+#: A plan holds 8 B per line, and building one passes through 48 B per
+#: line (wavelengths, group delays, offsets).
 #: What outlives the jobs grows with the seeds.  Each carrier holds its
 #: (noise, seed) pair and its job, about 190 B, and its kept values, 8 B
 #: per read bin and 120 B besides; each (plan, carrier) spectrum 16 B
 #: per offset and 432 B besides; each sweep row keeps 32 B per seed and
 #: offset, and building it passes through 8 B more (measured with 2 and
 #: 8 offsets).  The model rounds these up to 320, 512 and 48 B and adds
-#: them all, though the workspaces and kept values are freed before the
-#: rows are built.  Traced peaks, each in a fresh process: on the default
-#: desk grid of 320000 samples, ``simulate --kind none`` 6.52 MiB,
-#: against 6.93 MiB predicted, and the default desk sweep with 10 seeds
-#: 6.50 MiB, against 7.68 MiB; at ``t_sig = 2e-4`` (32000 samples) the
-#: desk sweep with 300 seeds 2.10 MiB, against 6.32 MiB, and with 1500
-#: seeds 8.19 MiB, against 24.55 MiB, and the oversampling sweep with
-#: 1500 seeds 4.24 MiB, against 5.34 MiB.
+#: them all to the larger phase, though the kept values are freed before
+#: the rows are built.  Traced peaks, each in a fresh process: on the
+#: default desk grid of 320000 samples, ``simulate --kind none`` 6.52
+#: MiB, against 6.93 MiB predicted, and the default desk sweep with 10
+#: seeds 2.90 MiB, against 3.78 MiB; at ``t_sig = 2e-4`` (32000 samples)
+#: the desk sweep with 300 seeds 1.89 MiB, against 6.09 MiB, and the
+#: oversampling sweep with 1500 seeds 4.24 MiB, against 5.34 MiB.
 #: The guard is sized from the config alone, before any plan is built: a
 #: plan's lines are the comb's line count at its width (1 for the bare
 #: plan).  The (kind, width) pairs of more than one line, plus one for
@@ -303,8 +316,10 @@ def derive_seed(master_seed: int, experiment: str, point_index: int, seed_index:
 #: text, which the model counts at 128 B per row (``dispersion-eval``
 #: traces 110 B per row besides its plan at 200001 lines).
 _JOB_BYTES_PER_SAMPLE = 17
+_ENVELOPE_JOB_BYTES_PER_SAMPLE = 25
 _JOB_FIXED_BYTES = 1 << 19
 _GRID_BYTES_PER_SAMPLE = 4
+_PLAN_JOB_BYTES_PER_ENTRY = 40
 _PLAN_BYTES_PER_LINE = 56
 _CARRIER_FIXED_BYTES = 320
 _KEPT_BYTES_PER_BIN = 8
@@ -314,36 +329,57 @@ _ROW_BYTES_PER_VALUE = 48
 _TABLE_BYTES_PER_ROW = 128
 
 
-def _predict_bytes(grid: SimGrid, lines: int = 0, jobs: int = 1, held: int = 0) -> int:
-    """Peak bytes of ``jobs`` concurrent detect jobs on ``grid``.
+def _carrier_bytes(length: int, jobs: int, envelope: bool = False) -> int:
+    """Peak bytes of ``jobs`` concurrent carrier jobs on a window of
+    ``length`` samples, an ``envelope`` window or a passband one, and
+    the scale they share; nothing without a job."""
+    if not jobs:
+        return 0
+    per_sample = _ENVELOPE_JOB_BYTES_PER_SAMPLE if envelope else _JOB_BYTES_PER_SAMPLE
+    return jobs * (per_sample * length + _JOB_FIXED_BYTES) + _GRID_BYTES_PER_SAMPLE * length
 
-    The jobs share the grid's constants, ``lines`` counts the comb lines
-    of every delay plan the study holds, and ``held`` the bytes of the
-    values that outlive the jobs.  numpy's pocketfft allocates its
-    scratch outside the Python allocator, so tracemalloc does not see it
-    and this figure leaves it out; the resident set runs higher by that
-    scratch.
+
+def _predict_bytes(grid: SimGrid, lines: int = 0, jobs: int = 1, held: int = 0) -> int:
+    """Peak bytes of ``jobs`` concurrent carrier jobs on ``grid``'s
+    passband window, delay plans of ``lines`` lines in all, and ``held``
+    bytes of values that outlive the jobs.
+
+    numpy's pocketfft allocates its scratch outside the Python allocator,
+    so tracemalloc does not see it and this figure leaves it out; the
+    resident set runs higher by that scratch.
     """
-    n = grid.n_samples
-    job = _JOB_BYTES_PER_SAMPLE * n + _JOB_FIXED_BYTES
-    return job * jobs + _GRID_BYTES_PER_SAMPLE * n + _PLAN_BYTES_PER_LINE * lines + held
+    return _carrier_bytes(grid.n_samples, jobs) + _PLAN_BYTES_PER_LINE * lines + held
 
 
 @dataclass(frozen=True)
 class _Guard:
-    """What the budget guard checks for one run: ``jobs`` jobs on ``grid``,
-    delay plans of ``lines`` lines in all, and ``held`` bytes of values
-    that outlive the jobs; ``what`` names the run in a refusal."""
+    """What the budget guard checks for one run: ``carriers`` carrier jobs
+    on a window of ``length`` samples (an ``envelope`` window, or
+    ``grid``'s passband window), then ``plans`` plan jobs on ``grid``'s
+    window; delay plans of ``lines`` lines in all, and ``held`` bytes of
+    values that outlive the jobs.  ``what`` names the run in a refusal."""
 
     grid: SimGrid
     what: str
-    jobs: int = 1
+    carriers: int = 0
+    plans: int = 0
+    length: int = 0
+    envelope: bool = False
     lines: int = 0
     held: int = 0
 
+    @property
+    def jobs(self) -> int:
+        """The jobs of the phase with more of them."""
+        return max(self.carriers, self.plans)
+
     def predicted(self, cfg: ExperimentConfig) -> int:
-        """Peak bytes with ``min(workers, jobs)`` of the jobs at once."""
-        return _predict_bytes(self.grid, self.lines, min(cfg.workers, self.jobs), self.held)
+        """Peak bytes with ``min(workers, jobs)`` of each phase's jobs at
+        once: the larger phase, the plans and the held values."""
+        carriers = _carrier_bytes(self.length, min(cfg.workers, self.carriers), self.envelope)
+        plan_job = _PLAN_JOB_BYTES_PER_ENTRY * _scratch_length(self.grid.n_samples) + _JOB_FIXED_BYTES
+        plans = min(cfg.workers, self.plans) * plan_job
+        return max(carriers, plans) + _PLAN_BYTES_PER_LINE * self.lines + self.held
 
 
 def _human_bytes(n: float, exact: bool = False) -> str:
@@ -443,25 +479,27 @@ def _map(workers: int, fn, items) -> list:
         return list(executor.map(fn, items))
 
 
-def _detect_all(cfg: ExperimentConfig, grid: SimGrid, jobs: list) -> list:
+def _detect_all(cfg: ExperimentConfig, grid: SimGrid, reader: BinReader, jobs: list) -> list:
     """:func:`_detect` each of the (noise, seed, keep) ``jobs`` on ``grid``;
     their results, in job order.
 
     Each of the ``min(workers, len(jobs))`` concurrent jobs takes a
-    workspace of its own, for the config's one noise profile; the
+    workspace of its own, for the config's one noise profile, on
+    ``reader``'s carrier window: ``grid``'s, or the envelope's.  The
     workspaces are dropped when this returns.  A noise profile that is
-    negative, or overflows, on ``grid``'s bins is refused as a config
+    negative, or overflows, on that window's bins is refused as a config
     error when the first workspace shapes it, before any job.
     """
     _pin_allocator()
+    window = (reader.length, reader.rate)
     try:
-        first = Workspace(grid.n_samples, grid.sample_rate, cfg.resolved_noise())
+        first = Workspace(*window, cfg.resolved_noise(), envelope=reader.envelope)
     except ValueError as exc:  # the profile is negative or overflows on this grid
         raise ConfigError(str(exc)) from None
     free = queue.SimpleQueue()
     free.put(first)
     for _ in range(min(cfg.workers, len(jobs)) - 1):
-        free.put(Workspace(grid.n_samples, grid.sample_rate, like=first))
+        free.put(Workspace(*window, like=first, envelope=reader.envelope))
 
     def job(item):
         ws = free.get()
@@ -477,19 +515,23 @@ def _detect(grid: SimGrid, ws: Workspace, job):
     """Synthesize the carrier of a (noise, seed, keep) job in ``ws``, take
     its periodogram and return ``keep(freqs, psd)``.
 
+    In an envelope workspace the carrier is its complex envelope.
     ``psd`` is in the workspace's ``wave`` buffer, over the carrier, and
-    ``freqs`` are its bin frequencies, computed when read; both are valid
-    only until that call returns.
+    ``freqs`` are the workspace's bin frequencies, computed when read;
+    both are valid only until that call returns.
     """
     noise, seed, keep = job
-    carrier = synth_carrier(SynthesisRequest(grid=grid, noise=noise, seed=seed), ws)
-    return keep(*periodogram(carrier, ws))
+    if ws.envelope:
+        psd = envelope_periodogram(synth_envelope(noise, seed, ws), ws)
+    else:
+        psd = periodogram(synth_carrier(SynthesisRequest(grid=grid, noise=noise, seed=seed), ws), ws)[1]
+    return keep(ws.freqs, psd)
 
 
 def _read_plan(reader: BinReader, kept: list, plan: DelayPlan) -> list:
     """L(f) of every kept carrier seen through ``plan``, one per carrier:
     its values on ``reader``'s bins times the plan's |H|^2 on them."""
-    gain = power_at_bins(plan, reader.bins)
+    gain = power_at_bins(plan, reader.bins)[reader.fold]
     return [reader.read(values * gain) for values in kept]
 
 
@@ -501,7 +543,8 @@ class _Reads:
     (kind, width) pair, built by :func:`_plan` only once the guard has
     passed.  ``held_points`` counts the sweep points whose rows the study
     holds once these reads are done, theirs included: 0 for a run that
-    writes no rows.
+    writes no rows.  ``envelope`` reads synthesize each carrier as its
+    complex envelope (see :class:`~talbotsim.analysis.BinReader`).
     """
 
     grid: SimGrid
@@ -510,11 +553,12 @@ class _Reads:
     plans: list
     offsets: np.ndarray | tuple
     held_points: int = 1
+    envelope: bool = False
 
     def reader(self) -> BinReader:
         """A reader of L at ``offsets`` off the bins it picks on ``grid``."""
         grid = self.grid
-        return BinReader(grid.n_samples, grid.sample_rate, grid.f_r, self.offsets)
+        return BinReader(grid.n_samples, grid.sample_rate, grid.f_r, self.offsets, self.envelope)
 
     def guard(self, cfg: ExperimentConfig) -> _Guard:
         """From the config alone: the carriers and then up to one job per
@@ -523,14 +567,18 @@ class _Reads:
         outlive them.  Every one-line plan is the bare plan, offset 0."""
         distinct = len({p if _plan_lines(cfg.comb, [p]) > 1 else "bare" for p in self.plans})
         carriers, plans, per_read = len(self.carriers), len(self.plans), len(self.offsets)
+        reader = self.reader()
         held = carriers * (
             _CARRIER_FIXED_BYTES
-            + _KEPT_BYTES_PER_BIN * len(self.reader().bins)
+            + _KEPT_BYTES_PER_BIN * len(reader.reads)
             + distinct * (_SPECTRUM_FIXED_BYTES + _SPECTRUM_BYTES_PER_OFFSET * per_read)
             + self.held_points * plans * _ROW_BYTES_PER_VALUE * per_read
         )
         lines = _plan_lines(cfg.comb, self.plans)
-        return _Guard(self.grid, self.what, jobs=max(carriers, distinct), lines=lines, held=held)
+        return _Guard(
+            self.grid, self.what, carriers=carriers, plans=distinct, length=reader.length, envelope=self.envelope,
+            lines=lines, held=held,
+        )
 
 
 def _through_plans(cfg: ExperimentConfig, *reads: _Reads):
@@ -559,7 +607,9 @@ def _read_through(cfg: ExperimentConfig, reads: _Reads) -> list[list]:
     each plan is keyed by the digest of that sorted multiset, and one
     plan of each key sums its |H|^2 on those bins and reads every carrier
     through it.  The carriers run as jobs on workspaces of their own,
-    which are freed before the distinct plans run as jobs with none.
+    which are freed before the distinct plans run as jobs with none.  An
+    envelope read synthesizes each carrier as its complex envelope; the
+    plans, their |H|^2 and the reads are the same.
     """
     grid = reads.grid
     plans = [_plan(cfg, grid, kind, width) for kind, width in reads.plans]
@@ -568,7 +618,7 @@ def _read_through(cfg: ExperimentConfig, reads: _Reads) -> list[list]:
     reader = reads.reader()
     keys = [hashlib.sha256(np.sort(p.offsets % grid.n_samples)).digest() for p in plans]
     distinct = dict(zip(keys, plans))
-    kept = _detect_all(cfg, grid, [(noise, seed, reader.take) for noise, seed in reads.carriers])
+    kept = _detect_all(cfg, grid, reader, [(noise, seed, reader.take) for noise, seed in reads.carriers])
     per_plan = dict(zip(distinct, _map(cfg.workers, partial(_read_plan, reader, kept), distinct.values())))
     return [per_plan[key] for key in keys]
 
@@ -662,12 +712,19 @@ def sweep_oversampling(cfg: ExperimentConfig) -> list[SweepRow]:
 def sweep_comb_width(cfg: ExperimentConfig) -> list[SweepRow]:
     """Measure L vs comb width for every configured dispersion kind.
 
-    The ``n_seeds`` carriers are synthesized once, on the seeds of the
-    first width (point index 0), and every width's plans read them (see
-    :func:`_through_plans`), so kinds and widths are compared on
-    identical noise and rows are correlated across widths as well as
-    kinds.
+    The ``n_seeds`` carriers are synthesized once, as complex envelopes,
+    on the seeds of the first width (point index 0), and every width's
+    plans read them (see :func:`_through_plans`), so kinds and widths are
+    compared on identical noise and rows are correlated across widths as
+    well as kinds.  A pure tone is refused before any synthesis: its
+    envelope is exactly 1, and every sideband would read 0.
     """
+    if not cfg.noise_enabled:
+        raise ConfigError(
+            "the comb-width sweep measures the phase noise of the impaired carrier, and with "
+            "noise.enabled = false (--pure-tone) it has none: every sideband would read 0 (L = -inf). "
+            "For the estimator's floor, run sweep-oversampling, whose pure_tone rows measure it"
+        )
     spectra = iter(next(_through_plans(cfg, _comb_width_reads(cfg))))
     rows = []
     for w in cfg.widths:
@@ -676,14 +733,15 @@ def sweep_comb_width(cfg: ExperimentConfig) -> list[SweepRow]:
 
 
 def _comb_width_reads(cfg: ExperimentConfig) -> _Reads:
-    """The comb-width sweep's ``n_seeds`` carriers, on the seeds of point
-    index 0, and every width's plans, one per kind, width by width.
-    Offsets outside the grid's measurable range are refused here."""
+    """The comb-width sweep's ``n_seeds`` carriers, as complex envelopes on
+    the seeds of point index 0, and every width's plans, one per kind,
+    width by width.  Offsets outside the grid's measurable range are
+    refused here."""
     _check_offsets(cfg, cfg.grid, "the comb-width sweep")
     noise = cfg.resolved_noise()
     carriers = [(noise, derive_seed(cfg.master_seed, "comb_width", 0, s)) for s in range(cfg.n_seeds)]
     plans = [(kind, w) for w in cfg.widths for kind in cfg.kinds]
-    return _Reads(cfg.grid, "comb-width sweep", carriers, plans, cfg.offsets)
+    return _Reads(cfg.grid, "comb-width sweep", carriers, plans, cfg.offsets, envelope=True)
 
 
 def _table_guard(cfg: ExperimentConfig, what: str, kinds, widths) -> _Guard:
@@ -691,7 +749,7 @@ def _table_guard(cfg: ExperimentConfig, what: str, kinds, widths) -> _Guard:
     the plans of ``kinds`` at each of ``widths``, and its table, of one
     row per line and width."""
     lines = _plan_lines(cfg.comb, [(kind, w) for w in widths for kind in kinds])
-    return _Guard(cfg.grid, what, jobs=0, lines=lines, held=_TABLE_BYTES_PER_ROW * lines // len(kinds))
+    return _Guard(cfg.grid, what, lines=lines, held=_TABLE_BYTES_PER_ROW * lines // len(kinds))
 
 
 def offsets_experiment(cfg: ExperimentConfig) -> list[OffsetsTable]:

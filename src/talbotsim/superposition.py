@@ -54,6 +54,12 @@ def _kernel(lags: np.ndarray, count: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _scratch_length(n: int) -> int:
+    """Entries of each of :func:`power_at_bins`' three scratch arrays on a
+    window of ``n`` samples."""
+    return max(2, min(_TILE, n // 3))
+
+
 def power_at_bins(plan: DelayPlan, bins) -> np.ndarray:
     """|H|^2 of ``plan`` on the rFFT bins ``bins`` of its grid's window.
 
@@ -71,8 +77,8 @@ def power_at_bins(plan: DelayPlan, bins) -> np.ndarray:
     exp(-2 pi i u / n) for each next bin.  A plan whose offsets are all
     0 mod n has |H|^2 exactly 1.
 
-    The scratch is ``max(2, min(_TILE, n // 3))`` entries long: that
-    length fixes the chunks the sums run over, and so their bits.
+    The scratch is :func:`_scratch_length` entries long: that length fixes
+    the chunks the sums run over, and so their bits.
     """
     grid = plan.grid
     n = grid.n_samples
@@ -98,7 +104,7 @@ def power_at_bins(plan: DelayPlan, bins) -> np.ndarray:
     shift = math.isqrt(n).bit_length()
     lo = np.exp(-2j * np.pi / n * np.arange(1 << shift))
     hi = np.exp(-2j * np.pi / n * (np.arange(((n - 1) >> shift) + 1) << shift))
-    size = max(2, min(_TILE, n // 3))
+    size = _scratch_length(n)
     cur_buf, tmp_buf, idx_buf = np.empty(size, np.complex128), np.empty(size, np.complex128), np.empty(size, np.int64)
     group = max(1, min(len(firsts), size // 64))  # runs at a time, and one row of steps
     chunk = size // (group + 1)  # distinct offsets at a time

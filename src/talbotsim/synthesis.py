@@ -10,11 +10,21 @@ in its own length.  Samples are rounded to single precision, as a
 float32 carrier would hold them; all intermediate math is double
 precision.
 
-A :class:`Workspace` holds the two buffers that synthesizing a carrier
-and taking its periodogram fill in place, so jobs that run one after
-another on one window allocate nothing that grows with it.  A
-workspace holds one noise profile, shaped once when it is made, and
-serves that profile and the pure tone.  A caller that passes one owns
+:func:`synth_envelope` draws the same carrier as its complex envelope
+``exp(i phi[n])``, the lowpass-equivalent signal of communication-system
+simulation (Jeruchim, Balaban and Shanmugan, *Simulation of
+Communication Systems*, 2nd ed., 2000), on a window of its own: the
+same bin spacing, and only as many bins as the offsets read need
+(:func:`envelope_length`).  Envelope bin k stands for the passband bin
+k away from the carrier.  It has no negative-frequency image and is not
+rounded to single precision, so it carries neither the image term nor
+the float32 floor of the real carrier; the comb-width sweep reads it.
+
+A :class:`Workspace` holds the two buffers that synthesizing a carrier,
+or an envelope, and taking its periodogram fill in place, so jobs that
+run one after another on one window allocate nothing that grows with
+it.  A workspace holds one noise profile, shaped once when it is made,
+and serves that profile and, on the passband window, the pure tone.  A caller that passes one owns
 it for as long as it keeps it (the studies keep one per concurrent
 carrier job while they synthesize one grid's carriers) and gets
 back arrays that the workspace's next step overwrites: a carrier's
@@ -37,6 +47,8 @@ __all__ = [
     "Workspace",
     "synth_phase_track",
     "synth_carrier",
+    "envelope_length",
+    "synth_envelope",
     "default_noise_profile",
 ]
 
@@ -100,6 +112,12 @@ class Workspace:
       samples, the phase, then the carrier, rounded to single precision;
       its first m samples then hold the periodogram.
 
+    An ``envelope`` workspace serves :func:`synth_envelope` instead, 24
+    bytes per window sample: its ``spec`` covers the whole window, the
+    coefficients on its first m entries, then the complex envelope and
+    its spectrum; ``wave`` holds the draws, the phase and then the
+    periodogram on every bin.
+
     Every step writes what it reads first, and each one overwrites what
     the step before left, so a carrier's samples are valid only until
     its periodogram is taken.  The bin frequencies ``freqs`` are
@@ -113,7 +131,12 @@ class Workspace:
     """
 
     def __init__(
-        self, length: int, sample_rate: float, noise: NoiseProfile | None = None, like: Workspace | None = None
+        self,
+        length: int,
+        sample_rate: float,
+        noise: NoiseProfile | None = None,
+        like: Workspace | None = None,
+        envelope: bool = False,
     ):
         if length < 2:
             raise ValueError(f"a workspace needs at least 2 samples, got {length}")
@@ -125,8 +148,9 @@ class Workspace:
         else:
             like.check(length, sample_rate, noise)
             self.noise, self.scale = like.noise, like.scale
+        self.envelope = envelope
         self.freqs = BinFrequencies.of_window(length, sample_rate)
-        self.spec = np.empty(len(self.freqs), dtype=np.complex128)
+        self.spec = np.empty(length if envelope else len(self.freqs), dtype=np.complex128)
         self.wave = np.empty(length, dtype=np.float64)
 
     def check(self, length: int, sample_rate: float, noise: NoiseProfile | None = None) -> None:
@@ -179,7 +203,7 @@ def _scale(noise: NoiseProfile, length: int, sample_rate: float) -> np.ndarray:
 def _phase_track(ws: Workspace, seed: int) -> np.ndarray:
     """Draw the phase track of ``ws``'s profile and ``seed`` into ``ws.wave`` and return it."""
     rng = np.random.default_rng(seed)
-    coeff = ws.spec
+    coeff = ws.spec[: len(ws.freqs)]
     draws = ws.wave[: len(coeff)]
     coeff.real = rng.standard_normal(out=draws)
     coeff.imag = rng.standard_normal(out=draws)
@@ -239,6 +263,45 @@ def synth_carrier(request: SynthesisRequest, workspace: Workspace | None = None)
     # In a workspace, a view, so its own buffer stays writable for its next job.
     samples = wave[:] if workspace is not None else wave.astype(np.float32)
     return SampledSignal(samples=samples, sample_rate=grid.sample_rate)
+
+
+def envelope_length(span: int) -> int:
+    """Samples of an envelope window whose bins -``span`` .. ``span`` are read.
+
+    The smallest 5-smooth length of at least 4 ``span``: the read bins
+    stay in the lower half of the envelope's band, below its Nyquist bin
+    by a margin as wide as themselves, into which the envelope's spectrum
+    beyond the window folds.  On the default profile that fold is below
+    0.002 dB at every read bin, margin or none (the exact expected
+    periodogram on the window); the margin bounds it for stronger noise.
+    """
+    length = max(4 * span, 2)
+    while True:
+        rest = length
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return length
+        length += 1
+
+
+def synth_envelope(noise: NoiseProfile, seed: int, workspace: Workspace) -> np.ndarray:
+    """The complex envelope ``exp(i*phi[n])`` of the carrier, in ``workspace``.
+
+    ``phi`` is the phase track of ``noise`` and ``seed``, shaped on the
+    workspace's own window, which must be an ``envelope`` workspace for
+    that profile.  Returns its ``spec`` buffer, valid until its
+    periodogram is taken.
+    """
+    ws = workspace
+    if noise is None or not ws.envelope:
+        raise ValueError("an envelope is drawn for a noise profile, in an envelope workspace")
+    ws.check(ws.length, ws.sample_rate, noise)
+    phase = _phase_track(ws, seed)
+    np.cos(phase, out=ws.spec.real)
+    np.sin(phase, out=ws.spec.imag)
+    return ws.spec
 
 
 def default_noise_profile(f_low: float = 1.0) -> NoiseProfile:

@@ -405,6 +405,19 @@ class TestSweepSubcommands:
         lines = (tmp_path / "sweep_comb_width.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 * 3 * 2
 
+    def test_sweep_comb_width_on_the_papers_grid(self, tmp_path, capsys):
+        # Acceptance criteria 1 and 3 together: f_r = 100 MHz at N = 64 over
+        # 10 ms, 64M samples per real carrier.  Each envelope needs 40500,
+        # so the sweep fits the default 1 GiB budget.  At 3 THz the ideal
+        # plan's delays reach 300 us and suppress the 10 kHz offset; the
+        # constant plan's do not.
+        argv = ["sweep-comb-width", "--f-r", "1e8", "--oversampling", "64", "--t-sig", "1e-2"]
+        argv += ["--widths", "1e11,3e12", "--seeds", "2", "--out", str(tmp_path)]
+        assert main(argv) == 0, capsys.readouterr().err
+        rows = [line.split(",") for line in (tmp_path / "sweep_comb_width.csv").read_text().splitlines()[1:]]
+        at = {(float(w), kind, float(off)): float(mean) for w, kind, off, mean, *_ in rows}
+        assert at[(3e12, "ideal", 1e4)] <= at[(3e12, "constant", 1e4)] - 10.0, at
+
 
 class TestTabulatedDispersion:
     def table_file(self, tmp_path):

@@ -11,7 +11,7 @@ import pytest
 
 import talbotsim
 import talbotsim.experiments as experiments
-from talbotsim.analysis import BinReader, periodogram, phase_noise_from_psd
+from talbotsim.analysis import BinReader, envelope_periodogram, periodogram, phase_noise_from_psd
 from talbotsim.errors import BudgetError, CarrierNotFoundError, ConfigError
 from talbotsim.experiments import (
     ExperimentConfig,
@@ -26,7 +26,7 @@ from talbotsim.experiments import (
 )
 from talbotsim.model import CombSpec, NoiseProfile
 from talbotsim.superposition import power_at_bins
-from talbotsim.synthesis import SynthesisRequest, Workspace, synth_carrier
+from talbotsim.synthesis import SynthesisRequest, Workspace, synth_carrier, synth_envelope
 
 
 def small_config(**kwargs):
@@ -195,12 +195,23 @@ class TestSweepCombWidth:
     WIDTHS = (1e8, 5e8, 5e10)  # all kinds share one plan at 1e8; constant differs at 5e10
 
     def reference(self, cfg, point: int) -> dict:
-        """Per-seed L at each (width, kind), from carriers drawn on the seeds of sweep point ``point``."""
+        """Per-seed L at each (width, kind), from carriers drawn on the seeds of sweep point ``point``.
+
+        Each carrier is its complex envelope, on the envelope reader's
+        window; its periodogram is put on the passband bins it stands
+        for, every other bin 0, and read as a passband periodogram.
+        """
         grid = cfg.grid
-        psds = [
-            periodogram(synth_carrier(SynthesisRequest(grid, cfg.resolved_noise(), seed)))
-            for seed in (derive_seed(cfg.master_seed, "comb_width", point, s) for s in range(cfg.n_seeds))
-        ]
+        reader = BinReader(grid.n_samples, grid.sample_rate, grid.f_r, cfg.offsets, envelope=True)
+        freqs = np.asarray(reader.freqs)
+        psds = []
+        for seed in (derive_seed(cfg.master_seed, "comb_width", point, s) for s in range(cfg.n_seeds)):
+            ws = Workspace(reader.length, reader.rate, cfg.resolved_noise(), envelope=True)
+            psd = np.zeros(len(freqs))
+            psd[reader.reads] = envelope_periodogram(synth_envelope(cfg.resolved_noise(), seed, ws), ws)[
+                reader.reads - reader.center
+            ]
+            psds.append((freqs, psd))
         per_seed = {}
         for w in cfg.widths:
             for kind in cfg.kinds:
@@ -441,6 +452,16 @@ class TestRunAll:
         names = {f["name"] for f in manifest.files}
         svgs = [n for n in names if n.endswith(".svg")]
         assert len(svgs) >= 3
+
+    def test_pure_tone_comb_width_sweep_is_an_error(self, tmp_path):
+        # With no phase noise the comb-width sweep is refused before it
+        # synthesizes anything; the oversampling sweep's pure tone runs.
+        manifest = run_all(small_config(out_dir=tmp_path, widths=(1e8,), n_seeds=1, noise_enabled=False))
+        assert [e["experiment"] for e in manifest.errors] == ["sweep-comb-width"]
+        assert manifest.errors[0]["error"].startswith("ConfigError: the comb-width sweep")
+        assert "sweep-oversampling" in manifest.errors[0]["error"]
+        assert {f["name"] for f in manifest.files} >= {"sweep_oversampling.csv"}
+        assert not list(tmp_path.glob("sweep_comb_width*"))
 
     def test_study_that_cannot_plot_writes_nothing(self, tmp_path):
         # A width of 0 has no place on the comb-width sweep's log axis: that

@@ -9,8 +9,9 @@ noise is the carrier's scaled by the delay-line transfer (Rubiola,
 
 The oracle evaluates H as that sum, bin by bin, with no transform, on
 the 3 bins the sideband estimator reads on each side, and takes the
-median over them as the estimator does.  On each bin S_phi also carries
-the phase noise of the real carrier's negative-frequency image.
+median over them as the estimator does.  The sweep reads the carrier's
+complex envelope, which has no negative-frequency image: S_phi on each
+bin is the density at that bin's own offset from the carrier.
 """
 
 import math
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 
 from talbotsim.dispersion import delay_plan
-from talbotsim.experiments import ExperimentConfig, sweep_comb_width
+from talbotsim.experiments import ExperimentConfig, sweep_comb_width, sweep_oversampling
 from talbotsim.model import NoiseProfile
 
 WIDTHS = (1e9, 1e10, 3e10, 1e11, 4e11)
@@ -67,8 +68,12 @@ def picked_bins(target, df, carrier_bin):
     return np.array(sorted(cand[:3]))
 
 
-def oracle_db(offsets, grid, f_r, offset):
-    """Predicted L (dBc/Hz) at ``offset`` for a plan of integer ``offsets``."""
+def oracle_db(offsets, grid, f_r, offset, image=False):
+    """Predicted L (dBc/Hz) at ``offset`` for a plan of integer ``offsets``.
+
+    With ``image``, for the real carrier: its negative-frequency image,
+    phase modulated at offset nu + fc, lands on bin nu too.
+    """
     lags, counts = np.unique(offsets, return_counts=True)
     df = grid.df
     carrier_bin = int(round(f_r / df))
@@ -81,10 +86,7 @@ def oracle_db(offsets, grid, f_r, offset):
     sides = []
     for target in (fc + offset, fc - offset):
         nu = picked_bins(target, df, carrier_bin) * df
-        # The carrier is real: its negative-frequency image, phase
-        # modulated at offset nu + fc, lands on bin nu too.  That doubles
-        # the white term at 1 MHz.  (nu + fc stays below Fs/2 here.)
-        density = (s_phi(np.abs(nu - fc)) + s_phi(nu + fc)) / 2.0
+        density = (s_phi(np.abs(nu - fc)) + (s_phi(nu + fc) if image else 0.0)) / 2.0
         sides.append(np.median(density * gain(nu) / g0))
     return 10 * math.log10(0.5 * (sides[0] + sides[1]))
 
@@ -114,3 +116,64 @@ def test_sweep_reads_the_delay_line_oracle(m):
         if not lo <= measured - predicted <= hi:
             misses.append((row.x_value, row.kind, row.offset_hz, round(measured, 2), round(predicted, 2)))
     assert not misses, misses
+
+
+#: Seeds of the bare-carrier checks below, at t_sig = 2e-4: the most for
+#: which tolerance_db's numerical convolution holds the whole sum, and
+#: enough that its band, [-3.4, +1.4] dB, is narrower than the real
+#: carrier's image term at 1e6 Hz (+3 dB).
+BARE_SEEDS = 40
+
+
+def power_mean_db(per_seed):
+    return 10 * math.log10(np.mean(10 ** (np.asarray(per_seed) / 10)))
+
+
+def bare_config(**kwargs):
+    """The bare carrier at t_sig = 2e-4 (df = 5 kHz): one width of one
+    line, so every plan is the zero-delay plan."""
+    return ExperimentConfig(
+        noise=NoiseProfile(terms=TERMS, f_low=1 / 2e-4),
+        t_sig=2e-4,
+        kinds=("ideal",),
+        widths=(0.0,),
+        n_seeds=BARE_SEEDS,
+        **kwargs,
+    )
+
+
+def test_envelope_reads_the_real_carrier_less_its_image_term():
+    # The comb-width sweep reads the complex envelope; the oversampling
+    # sweep, at the same N = 16, the real carrier, whose sidebands also
+    # carry its negative-frequency image, S_phi(2 f_r + f)/2 above the
+    # carrier and S_phi(2 f_r - f)/2 below.  Each reads its own exact
+    # expectation, and the two expectations differ by that term alone.
+    cfg = bare_config(offsets=OFFSETS)
+    envelope = sweep_comb_width(cfg)
+    real = [r for r in sweep_oversampling(replace(cfg, ratios=(16,))) if r.kind == "impaired"]
+    assert [r.offset_hz for r in envelope] == [r.offset_hz for r in real] == list(OFFSETS)
+    lo, hi = tolerance_db(n_seeds=BARE_SEEDS)
+    bare = np.zeros(1, np.int64)
+    for env, passband in zip(envelope, real):
+        f = env.offset_hz
+        assert lo <= power_mean_db(env.per_seed) - oracle_db(bare, cfg.grid, cfg.comb.f_r, f) <= hi, f
+        with_image = oracle_db(bare, cfg.grid, cfg.comb.f_r, f, image=True)
+        assert lo <= power_mean_db(passband.per_seed) - with_image <= hi, f
+    # At 1e6 Hz the image term is wider than the band: the real carrier
+    # does not read S_phi/2 alone.
+    assert power_mean_db(real[-1].per_seed) - oracle_db(bare, cfg.grid, cfg.comb.f_r, OFFSETS[-1]) > hi
+
+
+def test_offset_above_the_carrier_reads_its_own_lower_sideband():
+    # At 2e7 Hz, twice f_r, the lower sideband lies at -1e7 Hz.  A reader
+    # of the real carrier's one-sided spectrum finds it reflected through
+    # DC, on the carrier's own bins; the envelope's reader reads it at
+    # -1e7 Hz, with |H|^2 at +1e7 Hz.
+    cfg = bare_config(offsets=(1e4, 2e7))
+    rows = sweep_comb_width(cfg)
+    assert sweep_comb_width(replace(cfg, workers=2)) == rows
+    lo, hi = tolerance_db(n_seeds=BARE_SEEDS)
+    bare = np.zeros(1, np.int64)
+    for row in rows:
+        predicted = oracle_db(bare, cfg.grid, cfg.comb.f_r, row.offset_hz)
+        assert lo <= power_mean_db(row.per_seed) - predicted <= hi, (row.offset_hz, predicted)

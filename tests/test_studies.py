@@ -15,10 +15,10 @@ import pytest
 
 from talbotsim import experiments
 from talbotsim.cli import _KEYS, _build_parser, _overrides_from_args, experiment_config, main, parse_config
-from talbotsim.dispersion import DispersionSpec, delay_plan
+from talbotsim.dispersion import delay_plan
 from talbotsim.errors import BudgetError
-from talbotsim.experiments import STUDIES, ExperimentConfig, _predict_bytes, dry_run, run_study
-from talbotsim.model import SPEED_OF_LIGHT, CombSpec, NoiseProfile, build_grid
+from talbotsim.experiments import STUDIES, ExperimentConfig, dry_run, run_study
+from talbotsim.model import SPEED_OF_LIGHT, CombSpec, NoiseProfile
 
 SMALL = ["--t-sig", "2e-4"]
 
@@ -332,13 +332,28 @@ class TestSweepsHonourConfig:
         "argv",
         [
             ["sweep-oversampling", "--ratios", "4,8", "--seeds", "2"],
-            ["sweep-comb-width", "--widths", "1e8,1e9", "--seeds", "2"],
         ],
         ids=lambda argv: argv[0],
     )
     def test_noise_disabled_measures_pure_tone(self, tmp_path, argv):
         rows = self.rows(tmp_path, "quiet", argv, "noise.enabled = false\n")
         assert max(float(r[3]) for r in rows) < -200.0
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_noise_disabled_comb_width_sweep_is_refused(self, tmp_path, capsys, how):
+        # A pure tone's envelope is exactly 1: every sideband would read 0,
+        # L = -inf with a NaN spread.  Refused before any synthesis, and
+        # pointed to the oversampling sweep's pure tone.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("noise.enabled = false\n" if how == "config" else "")
+        out = tmp_path / "quiet"
+        argv = ["sweep-comb-width", "--widths", "1e8,1e9", "--seeds", "2", "--format", "csv+svg"]
+        argv += ["--pure-tone"] if how == "flag" else []
+        code = main(argv + SMALL + ["--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: the comb-width sweep" in err and "run sweep-oversampling" in err
+        assert not out.exists()
 
     def test_upconversion_factor_reaches_ideal_plan(self, tmp_path):
         argv = ["sweep-comb-width", "--widths", "1e9", "--seeds", "2"]
@@ -387,11 +402,12 @@ class TestConcurrentBudget:
             assert code == expected, capsys.readouterr().err
 
     def test_budget_counts_workers(self, tmp_path, capsys):
+        # The budget is the guard's own figure on one worker: a second
+        # worker's concurrent job takes the run over it.
         argv = ["sweep-comb-width", "--widths", "1e9", "--seeds", "2", "--kinds", "ideal"]
-        grid = build_grid(1e7, 16, 2e-4)
-        comb = CombSpec(f_r=1e7, lambda0=1550e-9, width=1e9)
-        plan = delay_plan(DispersionSpec.ideal(1e7, 1550e-9), comb, grid)
-        budget = int(1.5 * _predict_bytes(grid, len(plan)))
+        cfg = ExperimentConfig(t_sig=2e-4, widths=(1e9,), n_seeds=2, kinds=("ideal",))
+        budget = dry_run(cfg)["sweep-comb-width"]
+        assert dry_run(replace(cfg, workers=2))["sweep-comb-width"] > budget
         for workers, expected in ((1, 0), (2, 3)):
             cfg_file = tmp_path / f"w{workers}.cfg"
             cfg_file.write_text(f"run.workers = {workers}\nrun.memory_budget_bytes = {budget}\n")
@@ -405,18 +421,21 @@ class TestConcurrentBudget:
             ("simulate", {}, {"kind": "ideal"}, 1.5),
             # A smaller grid, where the fixed costs of a first call weigh more.
             ("simulate", {"t_sig": 1e-3}, {"kind": "ideal"}, 1.5),
-            ("sweep-comb-width", {"n_seeds": 2}, {}, 1.5),
-            ("sweep-comb-width", {"n_seeds": 2, "workers": 2}, {}, 1.5),
+            # The comb-width sweep's carriers are envelopes of 8100 samples, so
+            # its plan jobs' scratch on the 320000-sample window is its larger phase.
+            ("sweep-comb-width", {"n_seeds": 2}, {}, 1.4),
+            ("sweep-comb-width", {"n_seeds": 2, "workers": 2}, {}, 1.4),
             # Ten carriers' values on the read bins, kept until every plan has read them.
-            ("sweep-comb-width", {"n_seeds": 10}, {}, 1.5),
+            ("sweep-comb-width", {"n_seeds": 10}, {}, 1.4),
             ("sweep-oversampling", {"n_seeds": 2}, {}, 1.5),
             # On a small grid many seeds' kept values, spectra and rows outweigh
-            # the jobs.  The guard adds the phases up and counts a spectrum per
-            # plan, 24 where 9 are distinct: about 3x the comb-width sweep's peak.
-            ("sweep-comb-width", {"t_sig": 2e-4, "n_seeds": 300}, {}, 3.5),
+            # the jobs.  The guard adds them to the larger phase and counts a
+            # spectrum per plan, 24 where 9 are distinct: over 3x the peak.
+            ("sweep-comb-width", {"t_sig": 2e-4, "n_seeds": 300}, {}, 3.4),
             ("sweep-oversampling", {"t_sig": 2e-4, "n_seeds": 300}, {}, 1.5),
-            # Six one-line plans, counted as one.
-            ("sweep-comb-width", {"t_sig": 2e-4, "n_seeds": 300, "widths": (0.0, 1e7, 1e9)}, {}, 3.5),
+            # Six one-line plans, counted as one; a plan job's fixed 0.5 MiB
+            # outweighs what it holds on this grid.
+            ("sweep-comb-width", {"t_sig": 2e-4, "n_seeds": 300, "widths": (0.0, 1e7, 1e9)}, {}, 3.0),
             # No job: 200001-line plans and a table row per line.  offsets-diff
             # builds its three plans one after another, and the guard counts
             # what building each passes through as if all three did at once.
