@@ -48,6 +48,8 @@ independent cross-check of the sideband estimator.
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -271,17 +273,63 @@ def _read(freqs, psd, sample_rate: float, offsets, carrier_bin: int, two_sided: 
 
 
 class _OnBins:
-    """A spectrum of ``size`` bins known on some of them: bin j's value
-    is ``values[index[j]]``."""
+    """A spectrum of ``size`` bins known on some of them: bin ``bins[i]``'s
+    value is ``values[i]``, for the ascending ``bins``."""
 
-    def __init__(self, size: int, index: dict, values: list):
-        self.size, self.index, self.values = size, index, values
+    def __init__(self, size: int, bins: list, values: list):
+        self.size, self.bins, self.values = size, bins, values
 
     def __len__(self) -> int:
         return self.size
 
     def __getitem__(self, j):
-        return self.values[self.index[j]]
+        i = bisect_left(self.bins, j)
+        if i == len(self.bins) or self.bins[i] != j:
+            raise KeyError(j)
+        return self.values[i]
+
+
+#: Offsets whose sideband candidates are computed at a time, so building
+#: a reader takes a bounded working set however many offsets it reads.
+_OFFSET_CHUNK = 1024
+#: Bytes a chunk's arrays take per offset at most: for each of the 5
+#: carrier bins and 2 sides a float64 target, in up to two arrays at
+#: once, and the 5 int64 candidates around it, in up to four.
+_CANDIDATE_BYTES_PER_OFFSET = (2 * 10 + 4 * 50) * np.dtype(np.int64).itemsize
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``values`` sorted, each once; without np.unique, whose first call imports numpy.ma."""
+    values = np.sort(values)
+    return values[np.diff(values, prepend=values[:1] - 1) != 0]
+
+
+def _layout(n_samples: int, sample_rate: float, f_r: float, offsets, envelope: bool) -> tuple:
+    """A :class:`BinReader`'s bin frequencies, carrier window, ``reads``
+    and carrier-window ``length`` (see there)."""
+    freqs = BinFrequencies.of_window(n_samples, sample_rate)
+    size, df = len(freqs), freqs.df
+    window = _carrier_window(size, df, f_r)
+    carrier = np.arange(window.start, window.stop)
+    carrier_freqs = (carrier * df)[:, None]
+    offsets = np.asarray(offsets, dtype=np.float64)
+    parts = [carrier]
+    for start in range(0, len(offsets), _OFFSET_CHUNK):
+        # The targets of every carrier bin the window allows, rounded as
+        # _sideband_value rounds them; a superset of what any read picks.
+        # Each array is dropped once spent, so no more are held than counted.
+        chunk = offsets[start : start + _OFFSET_CHUNK]
+        lower = carrier_freqs - chunk
+        targets = np.concatenate((carrier_freqs + chunk, lower if envelope else np.abs(lower)))
+        del lower
+        candidates = (np.rint(targets / df).astype(np.int64)[..., None] + np.arange(-2, 3)).ravel()
+        del targets
+        parts.append(_sorted_unique(candidates[(candidates >= (1 - size if envelope else 0)) & (candidates < size)]))
+    reads = _sorted_unique(np.concatenate(parts))
+    if envelope:
+        center = int(round(f_r / df))
+        return freqs, window, reads, envelope_length(int(np.max(np.abs(reads - center))))
+    return freqs, window, reads, n_samples
 
 
 class BinReader:
@@ -306,7 +354,11 @@ class BinReader:
     A plan's |H|^2 is summed on ``bins``, the distinct ``|reads|`` (it is
     even in frequency), and indexing by ``fold`` takes it back to
     ``reads``: for a passband reader ``bins`` are ``reads``, and ``fold``
-    takes them all.
+    takes them all.  :meth:`footprint` gives the size of ``reads``, the
+    carrier window's ``length`` and the reader's bytes without building
+    one; the offsets' candidates are found ``_OFFSET_CHUNK`` offsets at a
+    time, so building a reader for many offsets holds little more than
+    the reader.
 
     :meth:`take` runs the 1e-6 dominance test on a bare periodogram and
     keeps its values on ``reads``; :meth:`read` reads L off such values,
@@ -317,34 +369,33 @@ class BinReader:
     """
 
     def __init__(self, n_samples: int, sample_rate: float, f_r: float, offsets, envelope: bool = False):
-        self.freqs = BinFrequencies.of_window(n_samples, sample_rate)
-        size = len(self.freqs)
-        self.sample_rate, self.f_r, self.envelope = sample_rate, f_r, envelope
         self.offsets = np.sort(np.asarray(offsets, dtype=np.float64))
-        df = self.freqs.df
-        self.window = _carrier_window(size, df, f_r)
-        self.center = int(round(f_r / df))
-        # The targets of every carrier bin the window allows, rounded as
-        # _sideband_value rounds them; a superset of what any read picks.
-        carrier_freqs = np.arange(self.window.start, self.window.stop) * df
-        lower = carrier_freqs[:, None] - self.offsets
-        targets = np.concatenate((carrier_freqs[:, None] + self.offsets, lower if envelope else np.abs(lower)))
-        candidates = (np.rint(targets / df).astype(np.int64)[..., None] + np.arange(-2, 3)).ravel()
-        candidates = candidates[(candidates >= (1 - size if envelope else 0)) & (candidates < size)]
-        # Sorted and unique, without np.unique: its first call imports numpy.ma.
-        reads = np.sort(np.concatenate((np.arange(self.window.start, self.window.stop), candidates)))
-        self.reads = reads[np.diff(reads, prepend=reads[:1] - 1) != 0]
-        self.index = dict(zip(self.reads.tolist(), range(len(self.reads))))
+        self.freqs, self.window, self.reads, self.length = _layout(n_samples, sample_rate, f_r, self.offsets, envelope)
+        self.sample_rate, self.f_r, self.envelope = sample_rate, f_r, envelope
+        self.center = int(round(f_r / self.freqs.df))
+        self._read_list = self.reads.tolist()
         if envelope:
             mirrored = np.abs(self.reads)
-            bins = np.sort(mirrored)
-            self.bins = bins[np.diff(bins, prepend=-1) != 0]
+            self.bins = _sorted_unique(mirrored)
             self.fold = np.searchsorted(self.bins, mirrored)
-            self.length = envelope_length(int(np.max(np.abs(self.reads - self.center))))
-            self.rate = self.length * df
+            self.rate = self.length * self.freqs.df
         else:
             self.bins, self.fold = self.reads, slice(None)
-            self.length, self.rate = n_samples, sample_rate
+            self.rate = sample_rate
+
+    @staticmethod
+    def footprint(n_samples: int, sample_rate: float, f_r: float, offsets, envelope: bool = False) -> tuple:
+        """What a reader of these arguments takes, without building it: the
+        number of its ``reads``, the ``length`` of its carrier window, the
+        bytes that finding its reads passes through (one chunk's candidate
+        arrays, and the reads found, sorted and merged, 8 B each at most
+        three times), and the bytes the reader holds (each read as an
+        int64 and as a Python int in a list; an envelope reader's
+        ``bins`` and ``fold`` besides)."""
+        freqs, _, reads, length = _layout(n_samples, sample_rate, f_r, offsets, envelope)
+        finding = min(len(offsets), _OFFSET_CHUNK) * _CANDIDATE_BYTES_PER_OFFSET + 3 * reads.nbytes
+        per_read = (4 if envelope else 2) * reads.itemsize + sys.getsizeof(len(freqs))
+        return len(reads), length, finding, per_read * len(reads)
 
     def take(self, freqs, psd: np.ndarray) -> np.ndarray:
         """``psd``'s values on ``reads``, once its carrier passes the
@@ -366,7 +417,7 @@ class BinReader:
         :func:`phase_noise_from_psd`; a peak with no power raises
         CarrierNotFoundError.
         """
-        psd = _OnBins(len(self.freqs), self.index, values.tolist())
+        psd = _OnBins(len(self.freqs), self._read_list, values.tolist())
         carrier_bin = _peak(psd, self.window)
         if not psd[carrier_bin] > 0:
             raise CarrierNotFoundError(f"the carrier within 2 bins of {self.f_r} Hz holds no power")

@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 KINDS = ("ideal", "linear", "constant", "tabulated")
+#: Bytes a delay plan holds per comb line: its int64 offset.
+OFFSET_BYTES = np.dtype(np.int64).itemsize
 
 
 @dataclass(frozen=True, eq=False)

@@ -57,6 +57,7 @@ from . import __version__
 from .analysis import BinReader, envelope_periodogram, jitter, periodogram, write_jitter_csv, write_spectrum_csv
 from .dispersion import (
     KINDS,
+    OFFSET_BYTES,
     DelayPlan,
     DispersionSpec,
     delay_plan,
@@ -66,7 +67,7 @@ from .dispersion import (
 )
 from .errors import BudgetError, ConfigError
 from .model import CombSpec, SimGrid, build_grid, comb_lines, NoiseProfile
-from .superposition import _scratch_length, power_at_bins
+from .superposition import power_at_bins, scratch_bytes
 from .svgplot import render_plots
 from .synthesis import SynthesisRequest, Workspace, default_noise_profile, synth_carrier, synth_envelope
 
@@ -270,116 +271,94 @@ def derive_seed(master_seed: int, experiment: str, point_index: int, seed_index:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-#: Budget model, in bytes, from the tracemalloc peaks of each stage.  The
-#: jobs of a read run in two phases, and the model takes the larger.
-#: First the carrier jobs, each filling its workspace in place.  On the
-#: passband window that is the complex spectrum (8 B per window sample)
-#: and the float64 window (8 B), which holds the carrier and then its
-#: periodogram; on an envelope window, the complex envelope and its
-#: spectrum (16 B) and the float64 phase and periodogram (8 B).  The
-#: model adds 1 B of headroom to each.  The workspaces on a window share
-#: the spectral scale of their one noise profile (4 B per sample),
-#: computed a chunk of bins at a time before any workspace's buffers.
-#: Each job also holds about 0.17 MB that does not grow with the window
-#: (the ramp, float32 and finiteness chunks; measured on grids of 32000
-#: to 640000 samples), which the fixed 0.5 MiB covers.  A carrier job
-#: keeps its periodogram on the few dozen bins the reader picks, so no
-#: periodogram outlives its job.  Then, once the workspaces are freed,
-#: the plan jobs: each sums |H|^2 on those bins in three scratch arrays
-#: of 40 B per entry, n/3 entries on a passband window of n samples up to
-#: 65536 (2.5 MiB), and its twiddle tables and sums besides, which the
-#: same fixed 0.5 MiB covers.
-#: A plan holds 8 B per line, and building one passes through 48 B per
-#: line (wavelengths, group delays, offsets).
-#: What outlives the jobs grows with the seeds.  Each carrier holds its
-#: (noise, seed) pair and its job, about 190 B, and its kept values, 8 B
-#: per read bin and 120 B besides; each (plan, carrier) spectrum 16 B
-#: per offset and 432 B besides; each sweep row keeps 32 B per seed and
-#: offset, and building it passes through 8 B more (measured with 2 and
-#: 8 offsets).  The model rounds these up to 320, 512 and 48 B and adds
-#: them all to the larger phase, though the kept values are freed before
-#: the rows are built.  Traced peaks, each in a fresh process: on the
-#: default desk grid of 320000 samples, ``simulate --kind none`` 6.52
-#: MiB, against 6.93 MiB predicted, and the default desk sweep with 10
-#: seeds 2.90 MiB, against 3.78 MiB; at ``t_sig = 2e-4`` (32000 samples)
-#: the desk sweep with 300 seeds 1.89 MiB, against 6.09 MiB, and the
-#: oversampling sweep with 1500 seeds 4.24 MiB, against 5.34 MiB.
-#: The guard is sized from the config alone, before any plan is built: a
-#: plan's lines are the comb's line count at its width (1 for the bare
-#: plan).  The (kind, width) pairs of more than one line, plus one for
-#: all one-line plans (each is the bare plan), bound the distinct plans
-#: in the jobs and the spectra held, which can so run over by (bound -
-#: distinct) x carriers x (512 + 16 x offsets) B: 81600 B for the
-#: default desk sweep.  A study that synthesizes nothing (``offsets-diff``,
-#: ``dispersion-eval``) runs no job; it holds its plans and writes a
-#: table of one row per comb line and width, as values and then as CSV
-#: text, which the model counts at 128 B per row (``dispersion-eval``
-#: traces 110 B per row besides its plan at 200001 lines).
-_JOB_BYTES_PER_SAMPLE = 17
-_ENVELOPE_JOB_BYTES_PER_SAMPLE = 25
-_JOB_FIXED_BYTES = 1 << 19
-_GRID_BYTES_PER_SAMPLE = 4
-_PLAN_JOB_BYTES_PER_ENTRY = 40
-_PLAN_BYTES_PER_LINE = 56
-_CARRIER_FIXED_BYTES = 320
-_KEPT_BYTES_PER_BIN = 8
-_SPECTRUM_BYTES_PER_OFFSET = 16
-_SPECTRUM_FIXED_BYTES = 512
+#: Budget model.  Each layer states the bytes of its own arrays: a plan's
+#: int64 offsets (``OFFSET_BYTES``), the workspaces and their shared scale
+#: (``Workspace.nbytes``), a plan job's scratch (``scratch_bytes``), and
+#: the bins a reader keeps and finds (``BinReader.footprint``).  A read
+#: runs in phases, one after another, and the guard takes the largest:
+#: - build: the plans held, one plan being built, and the reader;
+#: - carriers: the plans, the reader, each carrier's kept values, and
+#:   ``min(workers, carriers)`` jobs, each in a workspace of its own;
+#: - plans: the plans, the reader, the kept values, ``min(workers,
+#:   distinct plans)`` jobs, each in its scratch, and the spectra;
+#: - rows: the spectra and the sweep rows.
+#: The rows of earlier reads (the oversampling sweep's ratios) are held
+#: through all four.  A table study builds its plans and its table, then
+#: writes the table.  What no layer fixes is measured with tracemalloc, in
+#: a fresh process per study, and rounded up:
+#: a job's transients that do not grow with its window: 0.16 MB in a
+#: carrier job (numpy's inverse-transform buffer, the ramp chunks), and in
+#: a plan job numpy's buffers, up to 0.21 MB with a plan's lines below;
+_JOB_BYTES = 256 << 10
+#: a plan's line while the plan is built (wavelengths, delays) or while a
+#: plan job sorts and counts its offsets (30 B per line for long plans);
+_LINE_BYTES = 48
+#: a bin a plan job reads: power_at_bins' arrays on it, then the read's
+#: (up to 117 B, on simulate's bins);
+_READ_BYTES = 128
+#: a carrier's job and kept array, or a spectrum, besides their values
+#: (432 B for a spectrum on Python 3.11; 3.10's instance dicts are larger);
+_RECORD_BYTES = 480
+#: a seed's value in a sweep row, as it is built (32 B held);
 _ROW_BYTES_PER_VALUE = 48
-_TABLE_BYTES_PER_ROW = 128
+#: a table row as values or as CSV text; a write holds both (167 B);
+_TABLE_BYTES_PER_ROW = 96
+#: what every run holds besides: its manifest, as it is written (16 KB).
+_RUN_BYTES = 16 << 10
 
 
-def _carrier_bytes(length: int, jobs: int, envelope: bool = False) -> int:
-    """Peak bytes of ``jobs`` concurrent carrier jobs on a window of
-    ``length`` samples, an ``envelope`` window or a passband one, and
-    the scale they share; nothing without a job."""
-    if not jobs:
-        return 0
-    per_sample = _ENVELOPE_JOB_BYTES_PER_SAMPLE if envelope else _JOB_BYTES_PER_SAMPLE
-    return jobs * (per_sample * length + _JOB_FIXED_BYTES) + _GRID_BYTES_PER_SAMPLE * length
+def _read_phases(
+    grid: SimGrid, workers: int, carriers: int, lines: list, distinct: int, offsets, envelope=False, rows=0, held=0
+) -> dict[str, int]:
+    """Peak bytes of each phase of a read: ``carriers`` carriers on
+    ``grid``'s window, or an ``envelope`` window, seen through plans of
+    ``lines`` lines each, ``distinct`` of them distinct, and read at
+    ``offsets`` on up to ``workers`` threads; ``rows`` values of sweep
+    rows held once its rows are built, and ``held`` bytes throughout."""
+    reads, length, finding, reader = BinReader.footprint(grid.n_samples, grid.sample_rate, grid.f_r, offsets, envelope)
+    plans, widest = OFFSET_BYTES * sum(lines), _LINE_BYTES * max(lines, default=0)
+    value = np.dtype(np.float64).itemsize
+    kept = carriers * (_RECORD_BYTES + value * reads)
+    spectra = distinct * carriers * (_RECORD_BYTES + 2 * value * len(offsets))  # its offsets and L
+    jobs, plan_jobs = min(workers, carriers), min(workers, distinct)
+    plan_job = scratch_bytes(grid.n_samples) + _JOB_BYTES + widest + _READ_BYTES * reads
+    phases = {
+        "build": plans + max(finding, widest + reader),
+        "carriers": plans + reader + kept + Workspace.nbytes(length, envelope, jobs) + jobs * _JOB_BYTES,
+        "plans": plans + reader + kept + plan_jobs * plan_job + spectra,
+        "rows": spectra + _ROW_BYTES_PER_VALUE * rows,
+    }
+    return {name: held + bytes_ for name, bytes_ in phases.items()}
 
 
 def _predict_bytes(grid: SimGrid, lines: int = 0, jobs: int = 1, held: int = 0) -> int:
-    """Peak bytes of ``jobs`` concurrent carrier jobs on ``grid``'s
-    passband window, delay plans of ``lines`` lines in all, and ``held``
-    bytes of values that outlive the jobs.
+    """The guard's figure for ``jobs`` carriers on ``grid``'s passband
+    window, as many at once, seen through one plan of ``lines`` lines and
+    read at no offset, with ``held`` bytes besides.
 
     numpy's pocketfft allocates its scratch outside the Python allocator,
     so tracemalloc does not see it and this figure leaves it out; the
     resident set runs higher by that scratch.
     """
-    return _carrier_bytes(grid.n_samples, jobs) + _PLAN_BYTES_PER_LINE * lines + held
+    return _Guard("", _read_phases(grid, jobs, jobs, [lines], 1, (), held=held)).predicted
 
 
 @dataclass(frozen=True)
 class _Guard:
-    """What the budget guard checks for one run: ``carriers`` carrier jobs
-    on a window of ``length`` samples (an ``envelope`` window, or
-    ``grid``'s passband window), then ``plans`` plan jobs on ``grid``'s
-    window; delay plans of ``lines`` lines in all, and ``held`` bytes of
-    values that outlive the jobs.  ``what`` names the run in a refusal."""
+    """What the budget guard checks for one run: the peak bytes of each of
+    its ``phases``; ``jobs`` is the most jobs a phase has to run, and
+    ``lines`` counts the lines of its delay plans.  ``what`` names the run
+    in a refusal."""
 
-    grid: SimGrid
     what: str
-    carriers: int = 0
-    plans: int = 0
-    length: int = 0
-    envelope: bool = False
+    phases: dict
+    jobs: int = 0
     lines: int = 0
-    held: int = 0
 
     @property
-    def jobs(self) -> int:
-        """The jobs of the phase with more of them."""
-        return max(self.carriers, self.plans)
-
-    def predicted(self, cfg: ExperimentConfig) -> int:
-        """Peak bytes with ``min(workers, jobs)`` of each phase's jobs at
-        once: the larger phase, the plans and the held values."""
-        carriers = _carrier_bytes(self.length, min(cfg.workers, self.carriers), self.envelope)
-        plan_job = _PLAN_JOB_BYTES_PER_ENTRY * _scratch_length(self.grid.n_samples) + _JOB_FIXED_BYTES
-        plans = min(cfg.workers, self.plans) * plan_job
-        return max(carriers, plans) + _PLAN_BYTES_PER_LINE * self.lines + self.held
+    def predicted(self) -> int:
+        """Peak bytes: the largest phase, and what every run holds besides."""
+        return max(self.phases.values()) + _RUN_BYTES
 
 
 def _human_bytes(n: float, exact: bool = False) -> str:
@@ -392,7 +371,7 @@ def _human_bytes(n: float, exact: bool = False) -> str:
 
 def _check_budget(cfg: ExperimentConfig, guard: _Guard):
     """Refuse when ``guard``'s run would overrun the budget, in exact bytes too."""
-    predicted = guard.predicted(cfg)
+    predicted = guard.predicted
     if predicted > cfg.memory_budget_bytes:
         raise BudgetError(
             f"{guard.what} needs about {_human_bytes(predicted, True)} for {min(cfg.workers, guard.jobs)} "
@@ -402,10 +381,10 @@ def _check_budget(cfg: ExperimentConfig, guard: _Guard):
         )
 
 
-def _plan_lines(comb: CombSpec, plans) -> int:
-    """Lines of the (kind, width) ``plans`` for ``comb``, counted from the
-    comb without building any: 1 for the bare plan, of kind "none"."""
-    return sum(1 if kind == "none" else replace(comb, width=w).line_count for kind, w in plans)
+def _plan_lines(comb: CombSpec, plans) -> list[int]:
+    """Lines of each of the (kind, width) ``plans`` for ``comb``, counted
+    from the comb without building any: 1 for the bare plan, of kind "none"."""
+    return [1 if kind == "none" else replace(comb, width=w).line_count for kind, w in plans]
 
 
 def _plan(cfg: ExperimentConfig, grid: SimGrid, kind: str, width: float) -> DelayPlan:
@@ -560,25 +539,21 @@ class _Reads:
         grid = self.grid
         return BinReader(grid.n_samples, grid.sample_rate, grid.f_r, self.offsets, self.envelope)
 
-    def guard(self, cfg: ExperimentConfig) -> _Guard:
+    def guard(self, cfg: ExperimentConfig, others: int = 0) -> _Guard:
         """From the config alone: the carriers and then up to one job per
-        distinct plan.  Each carrier's kept values, each (distinct plan,
-        carrier) spectrum and each (plan, carrier) row of each held point
-        outlive them.  Every one-line plan is the bare plan, offset 0."""
-        distinct = len({p if _plan_lines(cfg.comb, [p]) > 1 else "bare" for p in self.plans})
-        carriers, plans, per_read = len(self.carriers), len(self.plans), len(self.offsets)
-        reader = self.reader()
-        held = carriers * (
-            _CARRIER_FIXED_BYTES
-            + _KEPT_BYTES_PER_BIN * len(reader.reads)
-            + distinct * (_SPECTRUM_FIXED_BYTES + _SPECTRUM_BYTES_PER_OFFSET * per_read)
-            + self.held_points * plans * _ROW_BYTES_PER_VALUE * per_read
-        )
+        distinct plan, beside the ``others`` carriers of the study's other
+        reads.  Every one-line plan is the bare plan, offset 0, so the
+        (kind, width) pairs of more than one line, plus one for all
+        one-line plans, bound the distinct plans."""
         lines = _plan_lines(cfg.comb, self.plans)
-        return _Guard(
-            self.grid, self.what, carriers=carriers, plans=distinct, length=reader.length, envelope=self.envelope,
-            lines=lines, held=held,
+        distinct = len({p if n > 1 else "bare" for p, n in zip(self.plans, lines)})
+        point = len(self.plans) * len(self.carriers) * len(self.offsets)  # the values of one point's rows
+        phases = _read_phases(
+            self.grid, cfg.workers, len(self.carriers), lines, distinct, self.offsets, self.envelope,
+            rows=self.held_points * point,
+            held=_RECORD_BYTES * others + _ROW_BYTES_PER_VALUE * max(self.held_points - 1, 0) * point,
         )
+        return _Guard(self.what, phases, jobs=max(len(self.carriers), distinct), lines=sum(lines))
 
 
 def _through_plans(cfg: ExperimentConfig, *reads: _Reads):
@@ -590,9 +565,16 @@ def _through_plans(cfg: ExperimentConfig, *reads: _Reads):
     synthesized.  The reads then run one at a time, each as the returned
     iterator reaches it (see :func:`_read_through`).
     """
-    for r in reads:
-        _check_budget(cfg, r.guard(cfg))
+    for guard in _guards(cfg, *reads):
+        _check_budget(cfg, guard)
     return map(partial(_read_through, cfg), reads)
+
+
+def _guards(cfg: ExperimentConfig, *reads: _Reads) -> list[_Guard]:
+    """The guard of each of ``reads``, which a study makes at once: each
+    also counts the carriers of the others, held until their turn."""
+    carriers = sum(len(r.carriers) for r in reads)
+    return [r.guard(cfg, carriers - len(r.carriers)) for r in reads]
 
 
 def _read_through(cfg: ExperimentConfig, reads: _Reads) -> list[list]:
@@ -701,11 +683,14 @@ def sweep_oversampling(cfg: ExperimentConfig) -> list[SweepRow]:
     checked before any synthesis; then one grid at a time, so only one
     grid's spectra and workspaces are ever held.
     """
-    reads = [_oversampling_reads(cfg, i) for i in range(len(cfg.ratios))]
+    reads = _through_plans(cfg, *(_oversampling_reads(cfg, i) for i in range(len(cfg.ratios))))
     rows = []
-    for n, ((pure, *impaired),) in zip(cfg.ratios, _through_plans(cfg, *reads)):
+    for n in cfg.ratios:
+        # Unpacked from next(), not from a zip, whose reused result tuple would
+        # keep these spectra while the next ratio's jobs run.
+        ((pure, *impaired),) = next(reads)
         rows += _point_rows(cfg, n, {"pure_tone": [pure], "impaired": impaired})
-        del pure, impaired  # so the next ratio's jobs do not run beside these spectra
+        del pure, impaired
     return rows
 
 
@@ -749,7 +734,9 @@ def _table_guard(cfg: ExperimentConfig, what: str, kinds, widths) -> _Guard:
     the plans of ``kinds`` at each of ``widths``, and its table, of one
     row per line and width."""
     lines = _plan_lines(cfg.comb, [(kind, w) for w in widths for kind in kinds])
-    return _Guard(cfg.grid, what, lines=lines, held=_TABLE_BYTES_PER_ROW * lines // len(kinds))
+    table = _TABLE_BYTES_PER_ROW * sum(lines) // len(kinds)
+    plans = OFFSET_BYTES * sum(lines) + _LINE_BYTES * max(lines)
+    return _Guard(what, {"build": plans + table, "write": 2 * table}, lines=sum(lines))
 
 
 def offsets_experiment(cfg: ExperimentConfig) -> list[OffsetsTable]:
@@ -900,7 +887,7 @@ STUDIES: dict[str, Study] = {
                 "seeds.count", "seeds.master", *_RUN_KEYS,
             ),
             help="L vs oversampling ratio",
-            guards=lambda cfg: [_oversampling_reads(cfg, i).guard(cfg) for i in range(len(cfg.ratios))],
+            guards=lambda cfg: _guards(cfg, *(_oversampling_reads(cfg, i) for i in range(len(cfg.ratios)))),
         ),
         Study(
             "sweep-comb-width",
@@ -1021,7 +1008,7 @@ def dry_run(cfg: ExperimentConfig) -> dict[str, int]:
     study would refuse is refused only when it runs.  Offsets a sweep
     cannot measure on its grid are refused as the sweep refuses them.
     """
-    return {s.name: max(g.predicted(cfg) for g in s.guards(cfg)) for s in STUDIES.values()}
+    return {s.name: max(g.predicted for g in s.guards(cfg)) for s in STUDIES.values()}
 
 
 def run_all(cfg: ExperimentConfig, render_svg: bool = False) -> Manifest:

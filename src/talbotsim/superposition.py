@@ -23,7 +23,8 @@ and steps along the run by multiplying by exp(-2 pi i d / n), so no
 transcendental function is evaluated per bin.  Its scratch is its own:
 three arrays of at most ``_TILE`` entries, 40 bytes per entry in all,
 and on a window of 6 samples or more at most n/3 entries, so at most
-about 13.4 bytes per window sample.
+about 13.4 bytes per window sample; :func:`scratch_bytes` states it,
+with the twiddle tables, for the budget guard.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 from .dispersion import DelayPlan
 from .model import SampledSignal
 
-__all__ = ["power_at_bins", "superpose"]
+__all__ = ["power_at_bins", "scratch_bytes", "superpose"]
 
 #: Most bins stepped along from one exact twiddle.  A longer run starts
 #: afresh, so stepping adds at most this many roundings to any bin.
@@ -58,6 +59,22 @@ def _scratch_length(n: int) -> int:
     """Entries of each of :func:`power_at_bins`' three scratch arrays on a
     window of ``n`` samples."""
     return max(2, min(_TILE, n // 3))
+
+
+def _twiddle_split(n: int) -> tuple[int, int]:
+    """The bits of a phase index that :func:`power_at_bins`' low twiddle
+    table covers on a window of ``n`` samples, and its high table's length."""
+    shift = math.isqrt(n).bit_length()
+    return shift, ((n - 1) >> shift) + 1
+
+
+def scratch_bytes(n: int) -> int:
+    """Bytes :func:`power_at_bins` allocates on a window of ``n`` samples
+    whatever the plan and bins: its three scratch arrays, two complex and
+    one int64, and its two complex twiddle tables."""
+    shift, high = _twiddle_split(n)
+    complex_size, int_size = np.dtype(np.complex128).itemsize, np.dtype(np.int64).itemsize
+    return (2 * complex_size + int_size) * _scratch_length(n) + complex_size * ((1 << shift) + high)
 
 
 def power_at_bins(plan: DelayPlan, bins) -> np.ndarray:
@@ -101,9 +118,9 @@ def power_at_bins(plan: DelayPlan, bins) -> np.ndarray:
     order = np.argsort(-lengths, kind="stable")
     firsts, lengths = firsts[order], lengths[order]
 
-    shift = math.isqrt(n).bit_length()
+    shift, high = _twiddle_split(n)
     lo = np.exp(-2j * np.pi / n * np.arange(1 << shift))
-    hi = np.exp(-2j * np.pi / n * (np.arange(((n - 1) >> shift) + 1) << shift))
+    hi = np.exp(-2j * np.pi / n * (np.arange(high) << shift))
     size = _scratch_length(n)
     cur_buf, tmp_buf, idx_buf = np.empty(size, np.complex128), np.empty(size, np.complex128), np.empty(size, np.int64)
     group = max(1, min(len(firsts), size // 64))  # runs at a time, and one row of steps

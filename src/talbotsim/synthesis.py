@@ -153,6 +153,16 @@ class Workspace:
         self.spec = np.empty(length if envelope else len(self.freqs), dtype=np.complex128)
         self.wave = np.empty(length, dtype=np.float64)
 
+    @staticmethod
+    def nbytes(length: int, envelope: bool = False, count: int = 1) -> int:
+        """Bytes of ``count`` workspaces on a window of ``length`` samples,
+        ``envelope`` ones or not, and of the scale they share (none
+        without a workspace): the layouts above."""
+        bins = length // 2 + 1
+        spec = np.dtype(np.complex128).itemsize * (length if envelope else bins)
+        real = np.dtype(np.float64).itemsize
+        return count * (spec + real * length) + (real * bins if count else 0)
+
     def check(self, length: int, sample_rate: float, noise: NoiseProfile | None = None) -> None:
         """Raise ValueError unless this workspace is for ``length`` samples at
         ``sample_rate`` and ``noise`` is None or its own profile."""

@@ -144,22 +144,23 @@ class TestEstimateMemorySubcommand:
         for name in ("simulate", "offsets-diff", "dispersion-eval"):
             assert four[name] == one[name], name
         # On one worker the jobs run one at a time, so more seeds add no
-        # workspace (one job's 1.07 MB), only each carrier's bytes and its
-        # values on the read bins, its spectrum through each distinct plan,
-        # and its value in each row held, per plan and offset: for the
-        # comb-width sweep, 24 plans, none of one line; for the oversampling
-        # sweep at its largest ratio, 64, the bare plan and 5 ratios' rows.
+        # workspace and no plan job, only bytes to the largest phase: for the
+        # comb-width sweep, its plan phase, with each carrier's bytes and
+        # values on the read bins and its spectrum through each of 24 plans,
+        # none of one line; for the oversampling sweep at its largest ratio,
+        # 64, its carrier phase, with each carrier's bytes and values, the
+        # other 4 ratios' carriers, and its value in their rows, per offset.
         offsets = ExperimentConfig.offsets
-        for name, ratio, distinct, rows in (("sweep-comb-width", 16, 24, 24), ("sweep-oversampling", 64, 1, 5)):
+        value = 8  # float64
+        carrier = experiments._RECORD_BYTES
+        spectrum = experiments._RECORD_BYTES + 2 * value * len(offsets)
+        for name, ratio, envelope in (("sweep-comb-width", 16, True), ("sweep-oversampling", 64, False)):
             grid = build_grid(1e7, ratio, 2e-4)
-            bins = len(BinReader(grid.n_samples, grid.sample_rate, grid.f_r, offsets).bins)
-            spectrum = experiments._SPECTRUM_FIXED_BYTES + experiments._SPECTRUM_BYTES_PER_OFFSET * len(offsets)
-            per_seed = (
-                experiments._CARRIER_FIXED_BYTES
-                + experiments._KEPT_BYTES_PER_BIN * bins
-                + distinct * spectrum
-                + rows * experiments._ROW_BYTES_PER_VALUE * len(offsets)
-            )
+            reads = len(BinReader(grid.n_samples, grid.sample_rate, grid.f_r, offsets, envelope).reads)
+            if envelope:
+                per_seed = carrier + value * reads + 24 * spectrum
+            else:
+                per_seed = 5 * carrier + value * reads + 4 * experiments._ROW_BYTES_PER_VALUE * len(offsets)
             assert four[name] - one[name] == seven[name] - four[name] == 3 * per_seed, name
 
 

@@ -176,7 +176,7 @@ class TestSweepOversampling:
 
     def test_budget_refusal_before_synthesis(self):
         cfg = small_config(memory_budget_bytes=1000)
-        with pytest.raises(BudgetError, match=r"needs about 949368 B .* over the budget of 1000 B$"):
+        with pytest.raises(BudgetError, match=r"needs about 687132 B .* over the budget of 1000 B$"):
             sweep_oversampling(cfg)
 
     def test_noise_refused_on_a_later_grid(self):

@@ -40,7 +40,8 @@ def tolerance_db(p=FALSE_ALARM, n_seeds=N_SEEDS):
     chi-square(2) draw around its expectation, so per unit expectation it
     has the density 6 (1 - e^-x) e^-2x (mean 5/6).  A sweep row is the
     power mean of ``n_seeds`` such medians; its density is the
-    ``n_seeds``-fold convolution, taken numerically here.  For 8 seeds
+    ``n_seeds``-fold convolution, taken numerically here on the whole
+    range of the sum, ``n_seeds`` times that of one median.  For 8 seeds
     and p = 1e-6 the band is [-7.4, +3.6] dB.  The two sidebands share
     their main noise bins, so their average is counted as one draw.
     """
@@ -49,11 +50,24 @@ def tolerance_db(p=FALSE_ALARM, n_seeds=N_SEEDS):
     mid = x + dx / 2
     one = 6.0 * (1.0 - np.exp(-mid)) * np.exp(-2.0 * mid) * dx
     size = n_seeds * len(x)
-    density = np.fft.irfft(np.fft.rfft(one, size) ** n_seeds, size)[: len(x)]
+    density = np.fft.irfft(np.fft.rfft(one, size) ** n_seeds, size)
     cdf = np.cumsum(density) / np.sum(density)
-    lo = x[np.searchsorted(cdf, p)] / n_seeds
-    hi = x[np.searchsorted(cdf, 1.0 - p)] / n_seeds
+    total = np.arange(size) * dx
+    lo = total[np.searchsorted(cdf, p)] / n_seeds
+    hi = total[np.searchsorted(cdf, 1.0 - p)] / n_seeds
     return 10 * math.log10(lo), 10 * math.log10(hi)
+
+
+def test_tolerance_band_narrows_with_seeds():
+    # The power mean of more seeds lies closer to its expectation, so the
+    # band holds 0 dB and narrows.  A sum cut short at one median's range
+    # would put 48 seeds' upper end below 40 seeds', and 200 seeds' band
+    # below 0 dB.
+    bands = [tolerance_db(n_seeds=n) for n in (8, 40, 48, 200)]
+    assert all(lo < 0.0 < hi for lo, hi in bands), bands
+    for (lo, hi), (next_lo, next_hi) in zip(bands, bands[1:]):
+        assert lo < next_lo and next_hi < hi, bands
+    assert bands[0] == pytest.approx((-7.444, 3.581), abs=1e-3)
 
 
 def s_phi(f):
@@ -118,9 +132,8 @@ def test_sweep_reads_the_delay_line_oracle(m):
     assert not misses, misses
 
 
-#: Seeds of the bare-carrier checks below, at t_sig = 2e-4: the most for
-#: which tolerance_db's numerical convolution holds the whole sum, and
-#: enough that its band, [-3.4, +1.4] dB, is narrower than the real
+#: Seeds of the bare-carrier checks below, at t_sig = 2e-4: enough that
+#: tolerance_db's band, [-3.4, +1.4] dB, is narrower than the real
 #: carrier's image term at 1e6 Hz (+3 dB).
 BARE_SEEDS = 40
 

@@ -403,9 +403,9 @@ class TestConcurrentBudget:
 
     def test_budget_counts_workers(self, tmp_path, capsys):
         # The budget is the guard's own figure on one worker: a second
-        # worker's concurrent job takes the run over it.
-        argv = ["sweep-comb-width", "--widths", "1e9", "--seeds", "2", "--kinds", "ideal"]
-        cfg = ExperimentConfig(t_sig=2e-4, widths=(1e9,), n_seeds=2, kinds=("ideal",))
+        # worker's concurrent plan job takes the run over it.
+        argv = ["sweep-comb-width", "--widths", "1e9,2e9", "--seeds", "2", "--kinds", "ideal"]
+        cfg = ExperimentConfig(t_sig=2e-4, widths=(1e9, 2e9), n_seeds=2, kinds=("ideal",))
         budget = dry_run(cfg)["sweep-comb-width"]
         assert dry_run(replace(cfg, workers=2))["sweep-comb-width"] > budget
         for workers, expected in ((1, 0), (2, 3)):
@@ -418,33 +418,36 @@ class TestConcurrentBudget:
     @pytest.mark.parametrize(
         "name, settings, args, ceiling",
         [
-            ("simulate", {}, {"kind": "ideal"}, 1.5),
+            ("simulate", {}, {"kind": "ideal"}, 1.1),
             # A smaller grid, where the fixed costs of a first call weigh more.
-            ("simulate", {"t_sig": 1e-3}, {"kind": "ideal"}, 1.5),
+            ("simulate", {"t_sig": 1e-3}, {"kind": "ideal"}, 1.1),
+            # 2000 offsets: the reader's bins and candidates, not the window, are the most it holds.
+            ("simulate", {"t_sig": 2e-4}, {"kind": "none", "points": 2000}, 1.5),
             # The comb-width sweep's carriers are envelopes of 8100 samples, so
-            # its plan jobs' scratch on the 320000-sample window is its larger phase.
-            ("sweep-comb-width", {"n_seeds": 2}, {}, 1.4),
-            ("sweep-comb-width", {"n_seeds": 2, "workers": 2}, {}, 1.4),
+            # its plan jobs' scratch on the 320000-sample window is its largest phase.
+            ("sweep-comb-width", {"n_seeds": 2}, {}, 1.2),
+            ("sweep-comb-width", {"n_seeds": 2, "workers": 2}, {}, 1.2),
             # Ten carriers' values on the read bins, kept until every plan has read them.
-            ("sweep-comb-width", {"n_seeds": 10}, {}, 1.4),
-            ("sweep-oversampling", {"n_seeds": 2}, {}, 1.5),
-            # On a small grid many seeds' kept values, spectra and rows outweigh
-            # the jobs.  The guard adds them to the larger phase and counts a
-            # spectrum per plan, 24 where 9 are distinct: over 3x the peak.
-            ("sweep-comb-width", {"t_sig": 2e-4, "n_seeds": 300}, {}, 3.4),
-            ("sweep-oversampling", {"t_sig": 2e-4, "n_seeds": 300}, {}, 1.5),
-            # Six one-line plans, counted as one; a plan job's fixed 0.5 MiB
-            # outweighs what it holds on this grid.
-            ("sweep-comb-width", {"t_sig": 2e-4, "n_seeds": 300, "widths": (0.0, 1e7, 1e9)}, {}, 3.0),
-            # No job: 200001-line plans and a table row per line.  offsets-diff
-            # builds its three plans one after another, and the guard counts
-            # what building each passes through as if all three did at once.
-            ("offsets-diff", {"t_sig": 2e-4, "widths": (2e12,)}, {}, 3.5),
-            ("dispersion-eval", {"t_sig": 2e-4, "comb": CombSpec(f_r=1e7, lambda0=1550e-9, width=2e12)}, {}, 1.5),
+            ("sweep-comb-width", {"n_seeds": 10}, {}, 1.2),
+            ("sweep-oversampling", {"n_seeds": 2}, {}, 1.1),
+            # On a small grid many seeds' spectra outweigh the jobs.  The guard
+            # counts a spectrum per plan, 24 where 9 are distinct: over 2x the peak.
+            ("sweep-comb-width", {"t_sig": 2e-4, "n_seeds": 300}, {}, 2.5),
+            ("sweep-oversampling", {"t_sig": 2e-4, "n_seeds": 300}, {}, 1.3),
+            # Six one-line plans, counted as one, and three plans at 1e9 Hz
+            # counted apart, though they are one.
+            ("sweep-comb-width", {"t_sig": 2e-4, "n_seeds": 300, "widths": (0.0, 1e7, 1e9)}, {}, 2.1),
+            # No job: 200001-line plans and a table row per line, then the
+            # table written as CSV and read back for its hash.
+            ("offsets-diff", {"t_sig": 2e-4, "widths": (2e12,)}, {}, 1.3),
+            ("dispersion-eval", {"t_sig": 2e-4, "comb": CombSpec(f_r=1e7, lambda0=1550e-9, width=2e12)}, {}, 1.3),
+            # The desk default, 101 rows: the manifest weighs as much as the table.
+            ("dispersion-eval", {}, {}, 1.5),
         ],
         ids=[
             "simulate",
             "simulate-t-sig-1e-3",
+            "simulate-2000-points",
             "sweep-comb-width",
             "sweep-comb-width-2-workers",
             "sweep-comb-width-10-seeds",
@@ -454,30 +457,32 @@ class TestConcurrentBudget:
             "sweep-comb-width-one-line-plans",
             "offsets-diff-2e12",
             "dispersion-eval-2e12",
+            "dispersion-eval",
         ],
     )
-    def test_prediction_covers_traced_peak(self, name, settings, args, ceiling):
-        # Desk scale: the default grid of 320000 samples unless t_sig is set, default widths and ratios.
-        cfg = ExperimentConfig(**settings)
-        run = STUDIES[name].run
+    def test_prediction_covers_traced_peak(self, tmp_path, name, settings, args, ceiling):
+        # Desk scale: the default grid of 320000 samples unless t_sig is set,
+        # default widths and ratios.  What the command line runs: the study,
+        # then its files and manifest.
+        cfg = ExperimentConfig(out_dir=tmp_path / "out", **settings)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            run(cfg, **args)
+            run_study(name, cfg, args)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
         # The guard refuses a budget one byte below the peak: it predicts at
         # least the peak, and at most ``ceiling`` times it.
         with pytest.raises(BudgetError) as refusal:
-            run(replace(cfg, memory_budget_bytes=peak - 1), **args)
+            run_study(name, replace(cfg, out_dir=tmp_path / "refused", memory_budget_bytes=peak - 1), args)
         assert refusal.value.estimate_bytes <= ceiling * peak
-
+        assert not (tmp_path / "refused").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "estimate-memory"])
     def test_plans_over_the_budget_are_refused_before_they_are_built(self, tmp_path, capsys, command):
-        # 2e6 + 1 lines: the plan alone needs 112 MB at 56 B per line, and
-        # building it would trace about 96 MB; the guard runs first.
+        # 2e6 + 1 lines: the plan holds 16 MB at 8 B per line, and building
+        # it would pass through 96 MB more; the guard runs first.
         budget = 4_000_000
         argv = [command, "--width", "2e13", "--memory-budget", str(budget)] + SMALL
         if command == "simulate":
@@ -492,10 +497,10 @@ class TestConcurrentBudget:
         assert code == 3, out.err
         assert peak < budget
         if command == "simulate":
-            assert "simulate needs about 108.0 MiB (113210336 B) for 1 concurrent job(s) and delay plans of " \
+            assert "simulate needs about 107.7 MiB (112967100 B) for 1 concurrent job(s) and delay plans of " \
                 "2000001 lines, over the budget of 3.8 MiB (4000000 B)" in out.err
-        else:  # the full figure, plans, job and held values; dispersion-eval's one plan is at 2e13 Hz too
-            assert "simulate: 113210336 bytes" in out.out
+        else:  # the largest phase, building the plan; dispersion-eval's one plan is at 2e13 Hz too
+            assert "simulate: 112967100 bytes" in out.out
             assert "budget refusal: simulate, dispersion-eval would refuse, over the budget of 3.8 MiB" in out.err
         assert not (tmp_path / "out").exists()
 
@@ -507,7 +512,7 @@ class TestConcurrentBudget:
             return delay_plan(*args)
 
         monkeypatch.setattr(experiments, "delay_plan", counted)
-        # At 2e13 Hz each plan has 2e6 + 1 lines, 112 MB at 56 B per line.
+        # At 2e13 Hz each plan has 2e6 + 1 lines, and building one passes through 112 MB.
         comb = CombSpec(f_r=1e7, lambda0=1550e-9, width=2e13)
         cfg = ExperimentConfig(comb=comb, t_sig=2e-4, widths=(1e8, 2e13), memory_budget_bytes=4_000_000)
         runs = {"simulate": {"kind": "constant"}, "sweep-comb-width": {}, "offsets-diff": {}, "dispersion-eval": {}}
@@ -530,7 +535,7 @@ class TestConcurrentBudget:
         # Rounded to 0.1 MiB, a budget 4 B below the figure reads as the figure.
         cfg = ExperimentConfig(t_sig=2e-4)
         figure = dry_run(cfg)["sweep-oversampling"]
-        expected = rf"needs about 3\.1 MiB \({figure} B\) .* over the budget of 3\.1 MiB \({figure - 4} B\)$"
+        expected = rf"needs about 2\.7 MiB \({figure} B\) .* over the budget of 2\.7 MiB \({figure - 4} B\)$"
         with pytest.raises(BudgetError, match=expected):
             STUDIES["sweep-oversampling"].run(replace(cfg, memory_budget_bytes=figure - 4))
 
