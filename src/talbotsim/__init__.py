@@ -17,7 +17,6 @@ from .analysis import (
     JitterResult,
     PhaseNoiseSpectrum,
     classical_penalty,
-    demod_phase_psd,
     jitter,
     periodogram,
     phase_noise_from_psd,
@@ -55,7 +54,7 @@ from .model import (
     estimate_memory,
 )
 from .superposition import power_at_bins, superpose
-from .synthesis import SynthesisRequest, default_noise_profile, synth_carrier, synth_phase_track
+from .synthesis import SynthesisRequest, default_noise_profile, synth_carrier
 
 __all__ = [
     "__version__",
@@ -78,7 +77,6 @@ __all__ = [
     "offset_difference",
     "read_dispersion_table",
     "SynthesisRequest",
-    "synth_phase_track",
     "synth_carrier",
     "default_noise_profile",
     "power_at_bins",
@@ -90,7 +88,6 @@ __all__ = [
     "phase_noise_from_psd",
     "jitter",
     "classical_penalty",
-    "demod_phase_psd",
     "ExperimentConfig",
     "SweepRow",
     "sweep_oversampling",

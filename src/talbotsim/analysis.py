@@ -20,29 +20,28 @@ the oversampling sweep read that carrier.  The comb-width sweep reads
 the carrier's complex envelope (:func:`envelope_periodogram`), which has
 neither: its L is S_phi(f)/2 with no image term and no float32 floor.
 
-The periodogram is taken in place in a
+:func:`passband_periodogram` takes the periodogram in place in a
 :class:`~talbotsim.synthesis.Workspace`: the samples are copied to its
 ``wave`` buffer in float64 (nothing to copy when they are the carrier
 that :func:`~talbotsim.synthesis.synth_carrier` left there), their
-spectrum goes to ``spec``, and the periodogram to the first n/2 + 1
+spectrum goes to ``spec``, and the densities to the first n/2 + 1
 samples of ``wave``, over the samples: a carrier synthesized in the
-workspace is spent once its periodogram is taken.  The bin frequencies
-are the workspace's ``freqs``, computed when read.  With a workspace,
-the arrays returned are valid until its next job; without one,
-:func:`periodogram` builds a fresh workspace and returns arrays that
-belong to the caller.
+workspace is spent once its periodogram is taken, and the densities
+returned are valid until the workspace's next job.  Bin k lies at
+k * :func:`~talbotsim.model.bin_spacing`, which is how its readers
+place it.  :func:`periodogram` takes it in a fresh workspace and returns
+the bin frequencies too, from ``np.fft.rfftfreq``; both arrays belong to
+the caller.
 
 The reader looks at a few dozen bins: the carrier window, f_r +- 2
 bins, and 5 candidates around each sideband target.  :class:`BinReader`
 reads L off a PSD known on those bins alone, with the same peak and
-sideband code as :func:`phase_noise_from_psd`: the studies keep each
-carrier's periodogram on them and multiply by each plan's |H|^2 there.
-An envelope reader keeps the envelope's periodogram on the same bins,
-and reads the lower sideband of an offset above f_r where it is, below
-0 Hz, where the real carrier's reader finds it reflected through DC.
-
-A demodulation-based estimator of the phase PSD is provided as an
-independent cross-check of the sideband estimator.
+sideband code as :func:`phase_noise_from_psd`: the studies hand it each
+carrier's bare periodogram, keep the values on those bins, and multiply
+them by each plan's |H|^2 there.  An envelope reader keeps the
+envelope's periodogram on the same bins, and reads the lower sideband of
+an offset above f_r where it is, below 0 Hz, where the real carrier's
+reader finds it reflected through DC.
 """
 
 from __future__ import annotations
@@ -56,20 +55,20 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CarrierNotFoundError
-from .model import SampledSignal
-from .synthesis import BinFrequencies, Workspace, envelope_length
+from .model import SampledSignal, bin_spacing
+from .synthesis import Workspace, envelope_length
 
 __all__ = [
     "PhaseNoiseSpectrum",
     "JitterResult",
     "periodogram",
+    "passband_periodogram",
     "envelope_periodogram",
     "phase_noise_spectrum",
     "phase_noise_from_psd",
     "BinReader",
     "jitter",
     "classical_penalty",
-    "demod_phase_psd",
     "write_spectrum_csv",
     "write_jitter_csv",
 ]
@@ -115,38 +114,33 @@ class JitterResult:
     rms_time_jitter: float
 
 
-def _periodogram(
-    samples: np.ndarray, sample_rate: float, workspace: Workspace | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    n = len(samples)
-    if n < 2:
-        raise ValueError("periodogram needs at least 2 samples")
-    ws = workspace
-    if ws is None:
-        ws = Workspace(n, sample_rate)
-    else:
-        ws.check(n, sample_rate)
+def periodogram(y: SampledSignal) -> tuple[np.ndarray, np.ndarray]:
+    """One-sided power spectral density (per Hz) of ``y``, and its bin
+    frequencies.
+
+    Rectangular window; Parseval-consistent: sum(psd)*df equals the
+    mean square of the samples.
+    """
+    n = len(y.samples)
+    psd = passband_periodogram(y, Workspace(n, y.sample_rate))
+    return np.fft.rfftfreq(n, 1.0 / y.sample_rate), psd
+
+
+def passband_periodogram(y: SampledSignal, workspace: Workspace) -> np.ndarray:
+    """:func:`periodogram`'s densities of ``y``, taken in ``workspace``
+    and left in its ``wave`` buffer (see the module docstring)."""
+    n = len(y.samples)
+    workspace.check(n, y.sample_rate)
     # A no-op when the samples are the workspace's own carrier.
-    np.copyto(ws.wave, samples)
-    spec = np.fft.rfft(ws.wave, out=ws.spec)
-    psd = np.square(spec.real, out=ws.wave[: len(spec)])
+    np.copyto(workspace.wave, y.samples)
+    spec = np.fft.rfft(workspace.wave, out=workspace.spec)
+    psd = np.square(spec.real, out=workspace.wave[: len(spec)])
     psd += np.square(spec.imag, out=spec.imag)
-    psd *= 2.0 / (sample_rate * n)
+    psd *= 2.0 / (y.sample_rate * n)
     psd[0] *= 0.5
     if n % 2 == 0:
         psd[-1] *= 0.5
-    return (ws.freqs if workspace is not None else np.asarray(ws.freqs)), psd
-
-
-def periodogram(y: SampledSignal, workspace: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """One-sided power spectral density (per Hz) of ``y``.
-
-    Rectangular window; Parseval-consistent: sum(psd)*df equals the
-    mean square of the samples.  With a ``workspace`` the densities are
-    in its ``wave`` buffer and the frequencies are its ``freqs``, computed
-    when read (see the module docstring); without one both are arrays.
-    """
-    return _periodogram(y.samples, y.sample_rate, workspace)
+    return psd
 
 
 def envelope_periodogram(envelope: np.ndarray, workspace: Workspace) -> np.ndarray:
@@ -182,19 +176,10 @@ def _peak(psd, window: range) -> int:
     return window.start + int(np.argmax([psd[j] for j in window]))
 
 
-def _find_carrier(freqs, psd: np.ndarray, f_r: float) -> int:
-    """Index of the carrier peak, searched within +-2 bins of f_r.
-
-    Refused unless the peak holds at least ``CARRIER_THRESHOLD`` of the
-    total power of ``psd``.
-    """
-    df = freqs[1] - freqs[0]
-    return _dominant(psd, _carrier_window(len(psd), df, f_r), df, f_r)
-
-
 def _dominant(psd, window: range, df: float, f_r: float) -> int:
-    """The peak of ``psd`` in ``window``, refused unless it holds at least
-    ``CARRIER_THRESHOLD`` of the total power of ``psd``."""
+    """The peak of ``psd``, on bins ``df`` apart, in ``window``, refused
+    unless it holds at least ``CARRIER_THRESHOLD`` of the total power of
+    ``psd``."""
     peak = _peak(psd, window)
     total = float(np.sum(psd)) * df
     if total <= 0 or psd[peak] * df < CARRIER_THRESHOLD * total:
@@ -236,19 +221,20 @@ def phase_noise_spectrum(y: SampledSignal, f_r: float, offsets) -> PhaseNoiseSpe
 def phase_noise_from_psd(freqs, psd, sample_rate: float, f_r: float, offsets) -> PhaseNoiseSpectrum:
     """L(f) read off a one-sided PSD on the bins ``freqs``, as
     :func:`phase_noise_spectrum` reads it off a signal's periodogram."""
-    return _read(freqs, psd, sample_rate, offsets, _find_carrier(freqs, psd, f_r))
+    df = freqs[1] - freqs[0]
+    return _read(df, psd, sample_rate, offsets, _dominant(psd, _carrier_window(len(psd), df, f_r), df, f_r))
 
 
-def _read(freqs, psd, sample_rate: float, offsets, carrier_bin: int, two_sided: bool = False) -> PhaseNoiseSpectrum:
-    """L(f) at ``offsets`` around the carrier on ``carrier_bin``.
+def _read(df: float, psd, sample_rate: float, offsets, carrier_bin: int, two_sided: bool = False) -> PhaseNoiseSpectrum:
+    """L(f) at ``offsets`` around the carrier on ``carrier_bin``, of a PSD
+    on bins ``df`` apart.
 
     ``psd`` is read by bin index alone, ``psd[j]``, and ``len(psd)`` is
     the number of bins of the spectrum.  A one-sided spectrum reads the
     lower sideband of an offset above the carrier reflected through DC;
     a ``two_sided`` one reads it at its own, negative, bins.
     """
-    df = freqs[1] - freqs[0]
-    carrier_freq = freqs[carrier_bin]
+    carrier_freq = carrier_bin * df
     carrier_power = psd[carrier_bin] * df
     nyquist = sample_rate / 2.0
     offsets = np.sort(np.asarray(offsets, dtype=np.float64))
@@ -305,10 +291,9 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
 
 
 def _layout(n_samples: int, sample_rate: float, f_r: float, offsets, envelope: bool) -> tuple:
-    """A :class:`BinReader`'s bin frequencies, carrier window, ``reads``
-    and carrier-window ``length`` (see there)."""
-    freqs = BinFrequencies.of_window(n_samples, sample_rate)
-    size, df = len(freqs), freqs.df
+    """A :class:`BinReader`'s ``size`` and ``df``, carrier window,
+    ``reads`` and carrier-window ``length`` (see there)."""
+    size, df = n_samples // 2 + 1, bin_spacing(n_samples, sample_rate)
     window = _carrier_window(size, df, f_r)
     carrier = np.arange(window.start, window.stop)
     carrier_freqs = (carrier * df)[:, None]
@@ -328,8 +313,8 @@ def _layout(n_samples: int, sample_rate: float, f_r: float, offsets, envelope: b
     reads = _sorted_unique(np.concatenate(parts))
     if envelope:
         center = int(round(f_r / df))
-        return freqs, window, reads, envelope_length(int(np.max(np.abs(reads - center))))
-    return freqs, window, reads, n_samples
+        return size, df, window, reads, envelope_length(int(np.max(np.abs(reads - center))))
+    return size, df, window, reads, n_samples
 
 
 class BinReader:
@@ -337,16 +322,18 @@ class BinReader:
     only on the bins that read can look at.
 
     The PSD is the periodogram of ``n_samples`` samples at
-    ``sample_rate``, or that periodogram seen through a delay plan.
-    ``reads`` (sorted) holds the carrier window, the bins within +-2 of
-    f_r, and, for each bin of it where the peak may fall and each
-    offset, the 5 candidates around each sideband target.
+    ``sample_rate``, ``size`` bins ``df`` apart, or that periodogram seen
+    through a delay plan.  ``reads`` (sorted) holds the carrier window,
+    the bins within +-2 of f_r, and, for each bin of it where the peak
+    may fall and each offset, the 5 candidates around each sideband
+    target.
 
     An ``envelope`` reader reads the periodogram of the carrier's complex
     envelope (:func:`envelope_periodogram`), kept on the same bins, bin j
-    being envelope bin j - ``center``.  Its lower sidebands are
-    two-sided: an offset above f_r reads its bins below 0 Hz, which
-    ``reads`` then holds too.  The envelope's window, ``length`` samples
+    being envelope bin j - ``shift``, the carrier's bin (``shift`` is 0
+    for a passband reader).  Its lower sidebands are two-sided: an
+    offset above f_r reads its bins below 0 Hz, which ``reads`` then
+    holds too.  The envelope's window, ``length`` samples
     at ``rate``, holds every bin read with the margin of
     :func:`~talbotsim.synthesis.envelope_length`; for a passband reader
     they are the window's own ``n_samples`` and ``sample_rate``.
@@ -370,18 +357,19 @@ class BinReader:
 
     def __init__(self, n_samples: int, sample_rate: float, f_r: float, offsets, envelope: bool = False):
         self.offsets = np.sort(np.asarray(offsets, dtype=np.float64))
-        self.freqs, self.window, self.reads, self.length = _layout(n_samples, sample_rate, f_r, self.offsets, envelope)
+        self.size, self.df, self.window, self.reads, self.length = _layout(
+            n_samples, sample_rate, f_r, self.offsets, envelope
+        )
         self.sample_rate, self.f_r, self.envelope = sample_rate, f_r, envelope
-        self.center = int(round(f_r / self.freqs.df))
         self._read_list = self.reads.tolist()
         if envelope:
             mirrored = np.abs(self.reads)
             self.bins = _sorted_unique(mirrored)
             self.fold = np.searchsorted(self.bins, mirrored)
-            self.rate = self.length * self.freqs.df
+            self.rate, self.shift = self.length * self.df, int(round(f_r / self.df))
         else:
             self.bins, self.fold = self.reads, slice(None)
-            self.rate = sample_rate
+            self.rate, self.shift = sample_rate, 0
 
     @staticmethod
     def footprint(n_samples: int, sample_rate: float, f_r: float, offsets, envelope: bool = False) -> tuple:
@@ -392,23 +380,21 @@ class BinReader:
         three times), and the bytes the reader holds (each read as an
         int64 and as a Python int in a list; an envelope reader's
         ``bins`` and ``fold`` besides)."""
-        freqs, _, reads, length = _layout(n_samples, sample_rate, f_r, offsets, envelope)
+        size, _, _, reads, length = _layout(n_samples, sample_rate, f_r, offsets, envelope)
         finding = min(len(offsets), _OFFSET_CHUNK) * _CANDIDATE_BYTES_PER_OFFSET + 3 * reads.nbytes
-        per_read = (4 if envelope else 2) * reads.itemsize + sys.getsizeof(len(freqs))
+        per_read = (4 if envelope else 2) * reads.itemsize + sys.getsizeof(size)
         return len(reads), length, finding, per_read * len(reads)
 
-    def take(self, freqs, psd: np.ndarray) -> np.ndarray:
+    def take(self, psd: np.ndarray) -> np.ndarray:
         """``psd``'s values on ``reads``, once its carrier passes the
         dominance test of :func:`phase_noise_from_psd`.
 
-        ``psd`` is a periodogram on the bins ``freqs``, or for an envelope
-        reader the envelope's, whose ``freqs`` are not read.
+        ``psd`` is the bare periodogram of the reader's window, or for an
+        envelope reader the envelope's, whose bin j is ``reads``' bin
+        j + ``shift``.
         """
-        if not self.envelope:
-            _find_carrier(freqs, psd, self.f_r)
-            return psd[self.reads]
-        _dominant(psd, range(self.window.start - self.center, self.window.stop - self.center), self.freqs.df, self.f_r)
-        return psd[self.reads - self.center]
+        _dominant(psd, range(self.window.start - self.shift, self.window.stop - self.shift), self.df, self.f_r)
+        return psd[self.reads - self.shift]
 
     def read(self, values: np.ndarray) -> PhaseNoiseSpectrum:
         """L(f) off ``values``, the PSD on ``reads``.
@@ -417,11 +403,11 @@ class BinReader:
         :func:`phase_noise_from_psd`; a peak with no power raises
         CarrierNotFoundError.
         """
-        psd = _OnBins(len(self.freqs), self._read_list, values.tolist())
+        psd = _OnBins(self.size, self._read_list, values.tolist())
         carrier_bin = _peak(psd, self.window)
         if not psd[carrier_bin] > 0:
             raise CarrierNotFoundError(f"the carrier within 2 bins of {self.f_r} Hz holds no power")
-        return _read(self.freqs, psd, self.sample_rate, self.offsets, carrier_bin, self.envelope)
+        return _read(self.df, psd, self.sample_rate, self.offsets, carrier_bin, self.envelope)
 
 
 def jitter(spectrum: PhaseNoiseSpectrum, f_min: float, f_max: float) -> JitterResult:
@@ -457,35 +443,6 @@ def classical_penalty(l0_dbc: float, m: int) -> float:
     if m < 1:
         raise ValueError("upconversion factor must be >= 1")
     return l0_dbc + 20.0 * math.log10(m)
-
-
-def demod_phase_psd(y: SampledSignal, f_r: float) -> tuple[np.ndarray, np.ndarray]:
-    """Phase PSD via demodulation: an independent check of L = S_phi/2.
-
-    Builds the analytic signal, shifts the carrier to DC, unwraps the
-    instantaneous phase, removes a linear trend, and returns the
-    periodogram of the residual phase track.
-    """
-    freqs, psd = periodogram(y)
-    carrier_bin = _find_carrier(freqs, psd, f_r)
-    data = np.asarray(y.samples, dtype=np.float64)
-    n = len(data)
-    spec = np.fft.fft(data)
-    # Analytic signal: keep DC and Nyquist, double strictly positive bins.
-    weight = np.zeros(n)
-    weight[0] = 1.0
-    if n % 2 == 0:
-        weight[n // 2] = 1.0
-        weight[1 : n // 2] = 2.0
-    else:
-        weight[1 : (n + 1) // 2] = 2.0
-    analytic = np.fft.ifft(spec * weight)
-    t = np.arange(n)
-    analytic = analytic * np.exp(-2j * np.pi * freqs[carrier_bin] / y.sample_rate * t)
-    phase = np.unwrap(np.angle(analytic))
-    trend = np.polynomial.polynomial.polyfit(t, phase, 1)
-    phase = phase - np.polynomial.polynomial.polyval(t, trend)
-    return _periodogram(phase, y.sample_rate)
 
 
 def write_spectrum_csv(spectrum: PhaseNoiseSpectrum, path: str | Path) -> None:

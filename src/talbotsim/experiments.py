@@ -44,6 +44,7 @@ import hashlib
 import json
 import math
 import queue
+import sys
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -54,7 +55,14 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .analysis import BinReader, envelope_periodogram, jitter, periodogram, write_jitter_csv, write_spectrum_csv
+from .analysis import (
+    BinReader,
+    envelope_periodogram,
+    jitter,
+    passband_periodogram,
+    write_jitter_csv,
+    write_spectrum_csv,
+)
 from .dispersion import (
     KINDS,
     OFFSET_BYTES,
@@ -66,7 +74,7 @@ from .dispersion import (
     read_dispersion_table,
 )
 from .errors import BudgetError, ConfigError
-from .model import CombSpec, SimGrid, build_grid, comb_lines, NoiseProfile
+from .model import CombSpec, SimGrid, bin_spacing, build_grid, comb_lines, NoiseProfile
 from .superposition import power_at_bins, scratch_bytes
 from .svgplot import render_plots
 from .synthesis import SynthesisRequest, Workspace, default_noise_profile, synth_carrier, synth_envelope
@@ -296,7 +304,7 @@ _LINE_BYTES = 48
 #: a bin a plan job reads: power_at_bins' arrays on it, then the read's
 #: (up to 117 B, on simulate's bins);
 _READ_BYTES = 128
-#: a carrier's job and kept array, or a spectrum, besides their values
+#: a spectrum besides its values, or a carrier waiting for its read
 #: (432 B for a spectrum on Python 3.11; 3.10's instance dicts are larger);
 _RECORD_BYTES = 480
 #: a seed's value in a sweep row, as it is built (32 B held);
@@ -318,7 +326,7 @@ def _read_phases(
     reads, length, finding, reader = BinReader.footprint(grid.n_samples, grid.sample_rate, grid.f_r, offsets, envelope)
     plans, widest = OFFSET_BYTES * sum(lines), _LINE_BYTES * max(lines, default=0)
     value = np.dtype(np.float64).itemsize
-    kept = carriers * (_RECORD_BYTES + value * reads)
+    kept = carriers * sys.getsizeof(np.empty(reads))  # each carrier's values on the reads, as taken
     spectra = distinct * carriers * (_RECORD_BYTES + 2 * value * len(offsets))  # its offsets and L
     jobs, plan_jobs = min(workers, carriers), min(workers, distinct)
     plan_job = scratch_bytes(grid.n_samples) + _JOB_BYTES + widest + _READ_BYTES * reads
@@ -403,7 +411,7 @@ def _plan(cfg: ExperimentConfig, grid: SimGrid, kind: str, width: float) -> Dela
 def _check_offsets(cfg: ExperimentConfig, grid: SimGrid, what: str):
     """Refuse offsets of interest outside [df, Fs/2 - f_r], the range that
     :func:`phase_noise_from_psd` measures on ``grid``'s bins."""
-    df = 1.0 / (grid.n_samples * (1.0 / grid.sample_rate))  # bin k is at k * df, as np.fft.rfftfreq puts it
+    df = bin_spacing(grid.n_samples, grid.sample_rate)
     hi = grid.sample_rate / 2.0 - round(grid.f_r / grid.df) * df
     outside = [o for o in cfg.offsets if o < df * (1.0 - 1e-9) or o > hi]
     if outside:
@@ -459,8 +467,9 @@ def _map(workers: int, fn, items) -> list:
 
 
 def _detect_all(cfg: ExperimentConfig, grid: SimGrid, reader: BinReader, jobs: list) -> list:
-    """:func:`_detect` each of the (noise, seed, keep) ``jobs`` on ``grid``;
-    their results, in job order.
+    """:func:`_detect` each of the (noise, seed) ``jobs`` on ``grid``, and
+    keep its periodogram on ``reader``'s bins (:meth:`BinReader.take`);
+    those values, in job order.
 
     Each of the ``min(workers, len(jobs))`` concurrent jobs takes a
     workspace of its own, for the config's one noise profile, on
@@ -483,28 +492,22 @@ def _detect_all(cfg: ExperimentConfig, grid: SimGrid, reader: BinReader, jobs: l
     def job(item):
         ws = free.get()
         try:
-            return _detect(grid, ws, item)
+            return reader.take(_detect(grid, ws, item))
         finally:
             free.put(ws)
 
     return _map(cfg.workers, job, jobs)
 
 
-def _detect(grid: SimGrid, ws: Workspace, job):
-    """Synthesize the carrier of a (noise, seed, keep) job in ``ws``, take
-    its periodogram and return ``keep(freqs, psd)``.
-
-    In an envelope workspace the carrier is its complex envelope.
-    ``psd`` is in the workspace's ``wave`` buffer, over the carrier, and
-    ``freqs`` are the workspace's bin frequencies, computed when read;
-    both are valid only until that call returns.
-    """
-    noise, seed, keep = job
+def _detect(grid: SimGrid, ws: Workspace, job) -> np.ndarray:
+    """Synthesize the carrier of a (noise, seed) job in ``ws`` and return
+    its periodogram, in the workspace's ``wave`` buffer, over the carrier:
+    valid until the workspace's next job.  In an envelope workspace the
+    carrier is its complex envelope."""
+    noise, seed = job
     if ws.envelope:
-        psd = envelope_periodogram(synth_envelope(noise, seed, ws), ws)
-    else:
-        psd = periodogram(synth_carrier(SynthesisRequest(grid=grid, noise=noise, seed=seed), ws), ws)[1]
-    return keep(ws.freqs, psd)
+        return envelope_periodogram(synth_envelope(noise, seed, ws), ws)
+    return passband_periodogram(synth_carrier(SynthesisRequest(grid=grid, noise=noise, seed=seed), ws), ws)
 
 
 def _read_plan(reader: BinReader, kept: list, plan: DelayPlan) -> list:
@@ -600,7 +603,7 @@ def _read_through(cfg: ExperimentConfig, reads: _Reads) -> list[list]:
     reader = reads.reader()
     keys = [hashlib.sha256(np.sort(p.offsets % grid.n_samples)).digest() for p in plans]
     distinct = dict(zip(keys, plans))
-    kept = _detect_all(cfg, grid, reader, [(noise, seed, reader.take) for noise, seed in reads.carriers])
+    kept = _detect_all(cfg, grid, reader, reads.carriers)
     per_plan = dict(zip(distinct, _map(cfg.workers, partial(_read_plan, reader, kept), distinct.values())))
     return [per_plan[key] for key in keys]
 

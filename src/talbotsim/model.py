@@ -20,6 +20,7 @@ __all__ = [
     "NoiseProfile",
     "CombLines",
     "build_grid",
+    "bin_spacing",
     "comb_lines",
     "convert_dispersion",
     "estimate_memory",
@@ -132,6 +133,14 @@ def build_grid(f_r: float, oversampling: int, t_sig: float) -> SimGrid:
         n_samples=n_samples,
         df=1.0 / t_sig,
     )
+
+
+def bin_spacing(length: int, sample_rate: float) -> float:
+    """Spacing of the rFFT bins of ``length`` samples at ``sample_rate``,
+    computed as ``np.fft.rfftfreq`` computes it, so bin k's frequency
+    ``k * bin_spacing(...)`` is bit-equal to rfftfreq's.  ``SimGrid.df``,
+    1/t_sig, may differ from it in the last bit."""
+    return 1.0 / (length * (1.0 / sample_rate))
 
 
 #: Samples whose finiteness :class:`SampledSignal` checks at a time.

@@ -39,13 +39,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NoiseProfile, SampledSignal, SimGrid
+from .model import NoiseProfile, SampledSignal, SimGrid, bin_spacing
 
 __all__ = [
     "SynthesisRequest",
-    "BinFrequencies",
     "Workspace",
-    "synth_phase_track",
     "synth_carrier",
     "envelope_length",
     "synth_envelope",
@@ -64,40 +62,6 @@ class SynthesisRequest:
     grid: SimGrid
     noise: NoiseProfile | None = None
     seed: int = 0
-
-
-def _bin_spacing(length: int, sample_rate: float) -> float:
-    """Spacing of the rFFT bins of ``length`` samples at ``sample_rate``,
-    computed as ``np.fft.rfftfreq`` computes it."""
-    return 1.0 / (length * (1.0 / sample_rate))
-
-
-class BinFrequencies:
-    """The frequencies k * df of ``count`` rFFT bins, computed when read.
-
-    Bit-equal to ``np.fft.rfftfreq``'s, which multiplies the bin index by
-    the same spacing, with no array of their own: an integer index gives
-    one frequency, any other index or ``np.asarray`` the array.
-    """
-
-    def __init__(self, count: int, df: float):
-        self.count, self.df = count, df
-
-    @classmethod
-    def of_window(cls, length: int, sample_rate: float) -> BinFrequencies:
-        """The rFFT bins of a window of ``length`` samples at ``sample_rate``."""
-        return cls(length // 2 + 1, _bin_spacing(length, sample_rate))
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __getitem__(self, key):
-        if isinstance(key, (int, np.integer)):
-            return np.float64(range(self.count)[key]) * self.df
-        return np.asarray(self)[key]
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(np.arange(self.count) * self.df, dtype=dtype)
 
 
 class Workspace:
@@ -120,9 +84,7 @@ class Workspace:
 
     Every step writes what it reads first, and each one overwrites what
     the step before left, so a carrier's samples are valid only until
-    its periodogram is taken.  The bin frequencies ``freqs`` are
-    computed when read (see :class:`BinFrequencies`).  The spectral
-    ``scale`` of the workspace's one ``noise`` profile (None for a pure
+    its periodogram is taken.  The spectral ``scale`` of the workspace's one ``noise`` profile (None for a pure
     tone only) depends only on the window and the profile; it is
     read-only, and a workspace made ``like`` another shares it and its
     profile.  The scale is computed before the buffers are allocated, so
@@ -149,8 +111,7 @@ class Workspace:
             like.check(length, sample_rate, noise)
             self.noise, self.scale = like.noise, like.scale
         self.envelope = envelope
-        self.freqs = BinFrequencies.of_window(length, sample_rate)
-        self.spec = np.empty(length if envelope else len(self.freqs), dtype=np.complex128)
+        self.spec = np.empty(length if envelope else length // 2 + 1, dtype=np.complex128)
         self.wave = np.empty(length, dtype=np.float64)
 
     @staticmethod
@@ -184,7 +145,7 @@ def _scale(noise: NoiseProfile, length: int, sample_rate: float) -> np.ndarray:
     the profile is negative on a bin, or when the scale overflows or is
     not a number.
     """
-    df = _bin_spacing(length, sample_rate)
+    df = bin_spacing(length, sample_rate)
     scale = np.empty(length // 2 + 1)
     # An overflow is reported below as an error, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -213,7 +174,7 @@ def _scale(noise: NoiseProfile, length: int, sample_rate: float) -> np.ndarray:
 def _phase_track(ws: Workspace, seed: int) -> np.ndarray:
     """Draw the phase track of ``ws``'s profile and ``seed`` into ``ws.wave`` and return it."""
     rng = np.random.default_rng(seed)
-    coeff = ws.spec[: len(ws.freqs)]
+    coeff = ws.spec[: ws.length // 2 + 1]
     draws = ws.wave[: len(coeff)]
     coeff.real = rng.standard_normal(out=draws)
     coeff.imag = rng.standard_normal(out=draws)
@@ -223,20 +184,6 @@ def _phase_track(ws: Workspace, seed: int) -> np.ndarray:
         # The Nyquist bin of a real signal is real and counted once.
         coeff[-1] = np.sqrt(2.0) * coeff[-1].real
     return np.fft.irfft(coeff, n=ws.length, out=ws.wave)
-
-
-def synth_phase_track(
-    noise: NoiseProfile, length: int, sample_rate: float, seed: int
-) -> np.ndarray:
-    """Random phase samples (rad) with one-sided PSD matching ``noise``.
-
-    Seeded unit-variance Gaussian spectral coefficients are scaled to
-    the target density and inverse transformed; the DC bin is forced to
-    zero.  Identical arguments give bit-identical output.
-    """
-    if length < 2:
-        raise ValueError("phase track needs at least 2 samples")
-    return _phase_track(Workspace(length, sample_rate, noise), seed)
 
 
 def synth_carrier(request: SynthesisRequest, workspace: Workspace | None = None) -> SampledSignal:

@@ -10,7 +10,6 @@ from talbotsim.analysis import (
     _sideband_value,
     PhaseNoiseSpectrum,
     classical_penalty,
-    demod_phase_psd,
     jitter,
     periodogram,
     phase_noise_spectrum,
@@ -21,6 +20,36 @@ from talbotsim.analysis import (
 from talbotsim.errors import CarrierNotFoundError
 from talbotsim.model import NoiseProfile, SampledSignal, build_grid
 from talbotsim.synthesis import SynthesisRequest, synth_carrier
+
+
+def demod_phase_psd(y, f_r):
+    """Phase PSD via demodulation: an independent check of L = S_phi/2.
+
+    Builds the analytic signal, shifts the carrier that
+    :func:`phase_noise_from_psd` finds near ``f_r`` to DC, unwraps the
+    instantaneous phase, removes a linear trend, and returns the
+    periodogram of the residual phase track.
+    """
+    freqs, psd = periodogram(y)
+    carrier_freq = phase_noise_from_psd(freqs, psd, y.sample_rate, f_r, ()).carrier_freq
+    data = np.asarray(y.samples, dtype=np.float64)
+    n = len(data)
+    spec = np.fft.fft(data)
+    # Analytic signal: keep DC and Nyquist, double strictly positive bins.
+    weight = np.zeros(n)
+    weight[0] = 1.0
+    if n % 2 == 0:
+        weight[n // 2] = 1.0
+        weight[1 : n // 2] = 2.0
+    else:
+        weight[1 : (n + 1) // 2] = 2.0
+    analytic = np.fft.ifft(spec * weight)
+    t = np.arange(n)
+    analytic = analytic * np.exp(-2j * np.pi * carrier_freq / y.sample_rate * t)
+    phase = np.unwrap(np.angle(analytic))
+    trend = np.polynomial.polynomial.polyfit(t, phase, 1)
+    phase = phase - np.polynomial.polynomial.polyval(t, trend)
+    return periodogram(SampledSignal(samples=phase, sample_rate=y.sample_rate))
 
 
 def tone(f, fs, n, amp=1.0, phase=0.0):
@@ -201,19 +230,25 @@ class TestBinReader:
                 for _ in range(4):
                     psd = self.spectra(rng, n, carrier_bin)
                     gain = rng.uniform(0.5, 1.0, len(psd))
-                    values = reader.take(freqs, psd) * gain[reader.bins]
+                    values = reader.take(psd) * gain[reader.bins]
                     assert_same_spectrum(reader.read(values), phase_noise_from_psd(freqs, psd * gain, fs, f_r, offsets))
                     read += 1
         assert read > 100
 
     def test_take_refuses_a_carrier_that_is_not_dominant(self):
+        # Bins 1 Hz apart, the carrier on bin 100.  The envelope's
+        # periodogram holds the carrier on its bin 0, and its carrier
+        # window on bins -2 .. 2.
         n = 1000
-        freqs = np.fft.rfftfreq(n, 1.0 / n)
-        psd = np.ones(n // 2 + 1)
-        psd[98:103] = 1e-9
-        reader = BinReader(n, float(n), 100 * freqs[1], [10 * freqs[1]])
-        with pytest.raises(CarrierNotFoundError, match="no dominant carrier"):
-            reader.take(freqs, psd)
+        for envelope in (False, True):
+            reader = BinReader(n, float(n), 100.0, [10.0], envelope=envelope)
+            psd = np.ones(reader.length if envelope else n // 2 + 1)
+            carrier = np.arange(-2, 3) + (0 if envelope else 100)
+            psd[carrier] = 1e-9
+            with pytest.raises(CarrierNotFoundError, match="no dominant carrier"):
+                reader.take(psd)
+            psd[carrier[2]] = 1e9
+            assert np.array_equal(reader.take(psd), psd[reader.reads - reader.shift])
 
     def test_read_refuses_only_a_carrier_with_no_power(self):
         # The dense reader refuses a detected carrier under 1e-6 of the
@@ -226,7 +261,7 @@ class TestBinReader:
         offsets = [20 * freqs[1], 60 * freqs[1]]
         reader = BinReader(n, float(n), carrier_bin * freqs[1], offsets)
         window = np.isin(np.arange(len(psd)), list(reader.window))
-        values = reader.take(freqs, psd)
+        values = reader.take(psd)
         faint = np.where(window, 1e-9, 1.0)
         with pytest.raises(CarrierNotFoundError, match="no dominant carrier"):
             phase_noise_from_psd(freqs, psd * faint, float(n), carrier_bin * freqs[1], offsets)

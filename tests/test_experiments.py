@@ -176,7 +176,7 @@ class TestSweepOversampling:
 
     def test_budget_refusal_before_synthesis(self):
         cfg = small_config(memory_budget_bytes=1000)
-        with pytest.raises(BudgetError, match=r"needs about 687132 B .* over the budget of 1000 B$"):
+        with pytest.raises(BudgetError, match=r"needs about 685660 B .* over the budget of 1000 B$"):
             sweep_oversampling(cfg)
 
     def test_noise_refused_on_a_later_grid(self):
@@ -203,13 +203,13 @@ class TestSweepCombWidth:
         """
         grid = cfg.grid
         reader = BinReader(grid.n_samples, grid.sample_rate, grid.f_r, cfg.offsets, envelope=True)
-        freqs = np.asarray(reader.freqs)
+        freqs = np.arange(reader.size) * reader.df
         psds = []
         for seed in (derive_seed(cfg.master_seed, "comb_width", point, s) for s in range(cfg.n_seeds)):
             ws = Workspace(reader.length, reader.rate, cfg.resolved_noise(), envelope=True)
             psd = np.zeros(len(freqs))
             psd[reader.reads] = envelope_periodogram(synth_envelope(cfg.resolved_noise(), seed, ws), ws)[
-                reader.reads - reader.center
+                reader.reads - reader.shift
             ]
             psds.append((freqs, psd))
         per_seed = {}

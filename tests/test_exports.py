@@ -1,0 +1,18 @@
+"""Every name the package and its modules export resolves."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import talbotsim
+
+MODULES = ["talbotsim"] + [f"talbotsim.{m.name}" for m in pkgutil.iter_modules(talbotsim.__path__)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", [])
+    assert len(set(exported)) == len(exported), "a name is exported twice"
+    assert [n for n in exported if not hasattr(module, n)] == []

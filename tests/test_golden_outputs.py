@@ -43,6 +43,7 @@ CASES = {
     "simulate-tabulated": (["simulate", "--kind", "tabulated", "--table", "{table}", *SVG], 1),
     "simulate-none": (["simulate", "--kind", "none", *SVG], 1),
     "simulate-pure-tone": (["simulate", "--pure-tone", *SVG], 1),
+    "simulate-jitter": (["simulate", "--kind", "ideal", "--jitter-band", "2e4:1e6", *SVG], 1),
     "sweep-comb-width-1": (["sweep-comb-width", *SEEDS, *SVG], 1),
     "sweep-comb-width-2": (["sweep-comb-width", *SEEDS, *SVG], 2),
     "sweep-oversampling-1": (["sweep-oversampling", *SEEDS, *SVG], 1),

@@ -5,14 +5,20 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import pickle
 import re
 import shutil
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import talbotsim
 from talbotsim import experiments
 from talbotsim.cli import _KEYS, _build_parser, _overrides_from_args, experiment_config, main, parse_config
 from talbotsim.dispersion import delay_plan
@@ -21,6 +27,32 @@ from talbotsim.experiments import STUDIES, ExperimentConfig, dry_run, run_study
 from talbotsim.model import SPEED_OF_LIGHT, CombSpec, NoiseProfile
 
 SMALL = ["--t-sig", "2e-4"]
+
+#: Run in a fresh interpreter: ``run_study`` on the (name, config, args)
+#: pickled on stdin, printing the peak bytes tracemalloc sees it take.
+TRACE_STUDY = """
+import pickle, sys, tracemalloc
+from talbotsim.experiments import run_study
+name, cfg, args = pickle.load(sys.stdin.buffer)
+tracemalloc.start()
+start = tracemalloc.get_traced_memory()[0]
+run_study(name, cfg, args)
+print(tracemalloc.get_traced_memory()[1] - start)
+"""
+
+
+def traced_peak(name, cfg, args) -> int:
+    """The peak bytes of ``run_study(name, cfg, args)`` as the first study
+    of a fresh interpreter, as a command-line run takes it, whatever this
+    process has run before."""
+    package_root = str(Path(talbotsim.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run(
+        [sys.executable, "-c", TRACE_STUDY], input=pickle.dumps((name, cfg, args)), env=env, capture_output=True,
+        timeout=300,
+    )
+    assert child.returncode == 0, child.stderr.decode()
+    return int(child.stdout)
 
 
 def write_table(path, scale=1.0, half_span_nm=0.5):
@@ -463,15 +495,10 @@ class TestConcurrentBudget:
     def test_prediction_covers_traced_peak(self, tmp_path, name, settings, args, ceiling):
         # Desk scale: the default grid of 320000 samples unless t_sig is set,
         # default widths and ratios.  What the command line runs: the study,
-        # then its files and manifest.
+        # then its files and manifest, traced in a fresh interpreter, so the
+        # peak does not depend on what this process ran before.
         cfg = ExperimentConfig(out_dir=tmp_path / "out", **settings)
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            run_study(name, cfg, args)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(name, cfg, args)
         # The guard refuses a budget one byte below the peak: it predicts at
         # least the peak, and at most ``ceiling`` times it.
         with pytest.raises(BudgetError) as refusal:
@@ -497,10 +524,10 @@ class TestConcurrentBudget:
         assert code == 3, out.err
         assert peak < budget
         if command == "simulate":
-            assert "simulate needs about 107.7 MiB (112967100 B) for 1 concurrent job(s) and delay plans of " \
+            assert "simulate needs about 107.7 MiB (112966732 B) for 1 concurrent job(s) and delay plans of " \
                 "2000001 lines, over the budget of 3.8 MiB (4000000 B)" in out.err
         else:  # the largest phase, building the plan; dispersion-eval's one plan is at 2e13 Hz too
-            assert "simulate: 112967100 bytes" in out.out
+            assert "simulate: 112966732 bytes" in out.out
             assert "budget refusal: simulate, dispersion-eval would refuse, over the budget of 3.8 MiB" in out.err
         assert not (tmp_path / "out").exists()
 

@@ -6,15 +6,23 @@ import threading
 import numpy as np
 import pytest
 
-from talbotsim.analysis import periodogram, phase_noise_spectrum
-from talbotsim.model import NoiseProfile, build_grid
+from talbotsim.analysis import passband_periodogram, periodogram, phase_noise_spectrum
+from talbotsim.model import NoiseProfile, bin_spacing, build_grid
 from talbotsim.synthesis import (
     SynthesisRequest,
     Workspace,
+    _phase_track,
     default_noise_profile,
     synth_carrier,
-    synth_phase_track,
 )
+
+
+def synth_phase_track(noise, length, sample_rate, seed):
+    """The phase track (rad) that modulates the carrier of ``noise`` and
+    ``seed`` on ``length`` samples at ``sample_rate``: seeded Gaussian
+    spectral coefficients scaled to the one-sided density ``noise``, DC
+    forced to zero, inverse transformed."""
+    return _phase_track(Workspace(length, sample_rate, noise), seed)
 
 
 class TestPhaseTrack:
@@ -225,10 +233,10 @@ class TestWorkspace:
         expected = formula_carrier(grid, noise, seed)
         assert np.array_equal(carrier.samples, fresh.samples)
         assert np.array_equal(carrier.samples, expected)
-        freqs, psd = periodogram(carrier, ws)
+        psd = passband_periodogram(carrier, ws)
         fresh_freqs, fresh_psd = periodogram(fresh)
         ref_freqs, ref_psd = formula_periodogram(expected, grid.sample_rate)
-        assert np.array_equal(freqs, fresh_freqs) and np.array_equal(freqs, ref_freqs)
+        assert np.array_equal(fresh_freqs, ref_freqs)
         assert np.array_equal(psd, fresh_psd) and np.array_equal(psd, ref_psd)
         return carrier.samples.copy(), psd.copy()
 
@@ -254,7 +262,7 @@ class TestWorkspace:
         with pytest.raises(ValueError, match="workspace is for"):
             synth_carrier(SynthesisRequest(grid=ODD, noise=noise, seed=5), ws)
         with pytest.raises(ValueError, match="workspace is for"):
-            periodogram(synth_carrier(SynthesisRequest(grid=ODD)), ws)
+            passband_periodogram(synth_carrier(SynthesisRequest(grid=ODD)), ws)
 
     def test_refuses_another_profile(self):
         noise = default_noise_profile(f_low=EVEN.df)
@@ -284,7 +292,7 @@ class TestWorkspace:
             try:
                 for seed in range(i, 2 * workers, workers):
                     carrier = synth_carrier(SynthesisRequest(grid=EVEN, noise=noise, seed=seed), spaces[i])
-                    results[seed] = (carrier.samples.copy(), periodogram(carrier, spaces[i])[1].copy())
+                    results[seed] = (carrier.samples.copy(), passband_periodogram(carrier, spaces[i]).copy())
             except Exception as exc:  # reported below
                 errors.append(exc)
 
@@ -317,15 +325,17 @@ class TestWorkspace:
         assert set(arrays) == {"spec", "wave", "scale"}
         assert arrays["scale"].nbytes == 8 * (n // 2 + 1)
         assert ws.spec.nbytes + ws.wave.nbytes <= 16 * (n + 1)
-        # The carrier and its periodogram live in wave; freqs holds no array.
+        # The carrier and its periodogram live in wave.
         carrier = synth_carrier(SynthesisRequest(grid=grid, noise=noise, seed=2), ws)
         assert np.shares_memory(carrier.samples, ws.wave)
-        freqs, psd = periodogram(carrier, ws)
+        psd = passband_periodogram(carrier, ws)
         assert psd.base is ws.wave and len(psd) == n // 2 + 1
+        # A fresh periodogram's bins are rfftfreq's, bit for bit, and so are
+        # the bins k * bin_spacing at which the readers place them.
+        freqs, _ = periodogram(synth_carrier(SynthesisRequest(grid=grid)))
         reference = np.fft.rfftfreq(n, 1.0 / grid.sample_rate)
-        for k in (0, 1, 7, len(reference) - 1, -1):
-            assert freqs[k] == reference[k]
-        assert np.array_equal(freqs[2:9:3], reference[2:9:3])
+        assert freqs.tobytes() == reference.tobytes()
+        assert (np.arange(len(freqs)) * bin_spacing(n, grid.sample_rate)).tobytes() == reference.tobytes()
 
     def test_non_finite_carrier_is_refused(self):
         noise = default_noise_profile(f_low=EVEN.df)
