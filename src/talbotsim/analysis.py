@@ -35,20 +35,24 @@ the caller.
 
 The reader looks at a few dozen bins: the carrier window, f_r +- 2
 bins, and 5 candidates around each sideband target.  :class:`BinReader`
-reads L off a PSD known on those bins alone, with the same peak and
-sideband code as :func:`phase_noise_from_psd`: the studies hand it each
-carrier's bare periodogram, keep the values on those bins, and multiply
-them by each plan's |H|^2 there.  An envelope reader keeps the
-envelope's periodogram on the same bins, and reads the lower sideband of
-an offset above f_r where it is, below 0 Hz, where the real carrier's
-reader finds it reflected through DC.
+reads L off a PSD known on those bins alone, many carriers at once: the
+studies hand it each carrier's bare periodogram, keep the values on
+those bins as one row of a carriers x bins array, and multiply it by
+each plan's |H|^2 there.  A pick table, built once per reader with array
+operations, holds for each bin of the carrier window and each offset
+the 3 bins each sideband's median takes, so a read is array operations
+on the values: each row's peak, its picks gathered, their median from
+minima and maxima, and L.  :func:`phase_noise_from_psd` is the same
+read of a dense PSD, with one row and a table for the one carrier bin
+it finds.  An envelope reader keeps the envelope's periodogram on the
+same bins, and reads the lower sideband of an offset above f_r where it
+is, below 0 Hz, where the real carrier's reader finds it reflected
+through DC.
 """
 
 from __future__ import annotations
 
 import math
-import sys
-from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -171,16 +175,12 @@ def _carrier_window(size: int, df: float, f_r: float) -> range:
     return window
 
 
-def _peak(psd, window: range) -> int:
-    """The bin of ``window`` where ``psd`` is largest, the first of equals."""
-    return window.start + int(np.argmax([psd[j] for j in window]))
-
-
-def _dominant(psd, window: range, df: float, f_r: float) -> int:
-    """The peak of ``psd``, on bins ``df`` apart, in ``window``, refused
-    unless it holds at least ``CARRIER_THRESHOLD`` of the total power of
-    ``psd``."""
-    peak = _peak(psd, window)
+def _dominant(psd: np.ndarray, window: range, df: float, f_r: float) -> int:
+    """The peak of ``psd``, on bins ``df`` apart, in ``window`` (the first
+    of equals; a bin below 0, of an envelope's window, counts from the
+    end), refused unless it holds at least ``CARRIER_THRESHOLD`` of the
+    total power of ``psd``."""
+    peak = window.start + int(np.argmax(np.take(psd, window)))
     total = float(np.sum(psd)) * df
     if total <= 0 or psd[peak] * df < CARRIER_THRESHOLD * total:
         raise CarrierNotFoundError(
@@ -188,24 +188,6 @@ def _dominant(psd, window: range, df: float, f_r: float) -> int:
             f"(peak holds {psd[peak] * df / total if total else 0:.2e} of total power)"
         )
     return peak
-
-
-def _sideband_value(psd, df: float, target: float, carrier_bin: int, two_sided: bool = False) -> float:
-    """Median of the 3 valid bins nearest ``target``, excluding the carrier.
-
-    At the ends of the spectrum fewer may be in reach: at Nyquist on an
-    odd window, or at DC when the carrier sits within 2 bins of it.  The
-    median of 2 is their mean.  A ``two_sided`` spectrum also has the
-    bins below 0 Hz, down to minus Nyquist.
-    """
-    center = int(round(target / df))
-    low = 1 - len(psd) if two_sided else 0
-    candidates = [j for j in range(center - 2, center + 3) if low <= j < len(psd) and j != carrier_bin]
-    candidates.sort(key=lambda j: (abs(j * df - target), j))
-    values = sorted(float(psd[j]) for j in candidates[:3])
-    if len(values) == 2:
-        return (values[0] + values[1]) / 2.0
-    return values[len(values) // 2]
 
 
 def phase_noise_spectrum(y: SampledSignal, f_r: float, offsets) -> PhaseNoiseSpectrum:
@@ -220,68 +202,147 @@ def phase_noise_spectrum(y: SampledSignal, f_r: float, offsets) -> PhaseNoiseSpe
 
 def phase_noise_from_psd(freqs, psd, sample_rate: float, f_r: float, offsets) -> PhaseNoiseSpectrum:
     """L(f) read off a one-sided PSD on the bins ``freqs``, as
-    :func:`phase_noise_spectrum` reads it off a signal's periodogram."""
+    :func:`phase_noise_spectrum` reads it off a signal's periodogram: a
+    :class:`BinReader`'s read of one row, every bin known, with a pick
+    table for the carrier bin that passes the dominance test."""
     df = freqs[1] - freqs[0]
-    return _read(df, psd, sample_rate, offsets, _dominant(psd, _carrier_window(len(psd), df, f_r), df, f_r))
-
-
-def _read(df: float, psd, sample_rate: float, offsets, carrier_bin: int, two_sided: bool = False) -> PhaseNoiseSpectrum:
-    """L(f) at ``offsets`` around the carrier on ``carrier_bin``, of a PSD
-    on bins ``df`` apart.
-
-    ``psd`` is read by bin index alone, ``psd[j]``, and ``len(psd)`` is
-    the number of bins of the spectrum.  A one-sided spectrum reads the
-    lower sideband of an offset above the carrier reflected through DC;
-    a ``two_sided`` one reads it at its own, negative, bins.
-    """
-    carrier_freq = carrier_bin * df
-    carrier_power = psd[carrier_bin] * df
-    nyquist = sample_rate / 2.0
+    psd = np.asarray(psd, dtype=np.float64)
+    carrier = _dominant(psd, _carrier_window(len(psd), df, f_r), df, f_r)
     offsets = np.sort(np.asarray(offsets, dtype=np.float64))
-    l_dbc = np.empty_like(offsets)
-    for i, off in enumerate(offsets):
-        if off < df * (1.0 - 1e-9) or off > nyquist - carrier_freq:
-            raise ValueError(
-                f"offset {off} Hz outside the measurable range [{df}, {nyquist - carrier_freq}] Hz"
-            )
-        upper = _sideband_value(psd, df, carrier_freq + off, carrier_bin)
-        lower_target = carrier_freq - off if two_sided else abs(carrier_freq - off)
-        lower = _sideband_value(psd, df, lower_target, carrier_bin, two_sided)
-        ratio = (upper + lower) / (2.0 * carrier_power)
-        l_dbc[i] = 10.0 * math.log10(ratio) if ratio > 0 else -math.inf
-    return PhaseNoiseSpectrum(
-        carrier_freq=carrier_freq,
-        carrier_power=carrier_power,
-        offsets=offsets,
-        l_dbc=l_dbc,
-        df=df,
-    )
+    picks = _Picks(range(carrier, carrier + 1), offsets, df, len(psd), sample_rate)
+    (l_dbc,), _, (power,) = picks.read(psd[None, :], [carrier], f_r)
+    return PhaseNoiseSpectrum(carrier_freq=carrier * df, carrier_power=power, offsets=offsets, l_dbc=l_dbc, df=df)
 
 
-class _OnBins:
-    """A spectrum of ``size`` bins known on some of them: bin ``bins[i]``'s
-    value is ``values[i]``, for the ascending ``bins``."""
-
-    def __init__(self, size: int, bins: list, values: list):
-        self.size, self.bins, self.values = size, bins, values
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __getitem__(self, j):
-        i = bisect_left(self.bins, j)
-        if i == len(self.bins) or self.bins[i] != j:
-            raise KeyError(j)
-        return self.values[i]
-
-
-#: Offsets whose sideband candidates are computed at a time, so building
-#: a reader takes a bounded working set however many offsets it reads.
+#: Offsets whose sideband picks are computed at a time, so building a
+#: reader takes a bounded working set however many offsets it reads.
 _OFFSET_CHUNK = 1024
-#: Bytes a chunk's arrays take per offset at most: for each of the 5
-#: carrier bins and 2 sides a float64 target, in up to two arrays at
-#: once, and the 5 int64 candidates around it, in up to four.
-_CANDIDATE_BYTES_PER_OFFSET = (2 * 10 + 4 * 50) * np.dtype(np.int64).itemsize
+#: The 5 candidates around a sideband target, in bins.
+_AROUND = np.arange(-2, 3)
+#: Bytes a chunk's arrays take at most per carrier bin and offset, while
+#: the reads are found or the picks chosen: for each of 2 sides a float64
+#: target, in up to two arrays at once, and the 5 int64 candidates around
+#: it, in up to four (the candidates, their distances, their order).
+_CANDIDATE_BYTES = (2 * 2 + 4 * 2 * 5) * np.dtype(np.int64).itemsize
+#: Bytes a read passes through per carrier and offset at most: for each
+#: of 2 sides, the 3 picks' float64 values and one pick's index, as the
+#: table holds it (int32), cast to int64 and into the flattened values
+#: (int64), and which of median and mean the side takes.
+_READ_BYTES_PER_OFFSET = 2 * (3 * 8 + 4 + 8 + 8 + 1)
+
+
+def _candidates(carriers: np.ndarray, offsets: np.ndarray, df: float, two_sided: bool) -> tuple:
+    """For carriers on bins ``carriers`` and each of ``offsets``: each
+    sideband's target frequency, upper then lower, as (carriers, offsets,
+    2), and the 5 bins around it, as (carriers, offsets, 2, 5).  A
+    one-sided spectrum finds the lower sideband of an offset above the
+    carrier reflected through DC; a ``two_sided`` one, below 0 Hz."""
+    freqs = (carriers * df)[:, None]
+    lower = freqs - offsets
+    targets = np.stack((freqs + offsets, lower if two_sided else np.abs(lower)), axis=-1)
+    return targets, np.rint(targets / df).astype(np.int64)[..., None] + _AROUND
+
+
+class _Picks:
+    """The pick table: for a carrier on each bin of ``carriers`` and each
+    offset, the 3 valid bins nearest each sideband's target (the lower of
+    equals first), whose median is the sideband's value.  A valid bin is
+    one of the spectrum's ``size`` bins (``two_sided``: down to minus
+    Nyquist) other than the carrier's.
+
+    ``index`` holds the picks as indices into ``reads``, or into the
+    bins themselves.  At DC, or at Nyquist on an odd window, fewer are in
+    reach: the nearest fills the empty slots, and ``two`` marks where 2
+    are, whose median is their mean.  ``fits`` says whether every offset
+    lies in [df, Nyquist - carrier] for a carrier on that bin.
+    """
+
+    def __init__(
+        self, carriers: range, offsets: np.ndarray, df: float, size: int, sample_rate: float,
+        two_sided: bool = False, reads: np.ndarray | None = None,
+    ):
+        self.carriers, self.offsets, self.df, self.sample_rate = carriers, offsets, df, sample_rate
+        bins = np.arange(carriers.start, carriers.stop)
+        self.index = np.empty((len(bins), len(offsets), 2, 3), _index_dtype(size if reads is None else len(reads)))
+        self.two = np.empty((len(bins), len(offsets), 2), bool)
+        low = 1 - size if two_sided else 0
+        for start in range(0, len(offsets), _OFFSET_CHUNK):
+            chunk = slice(start, start + _OFFSET_CHUNK)
+            targets, candidates = _candidates(bins, offsets[chunk], df, two_sided)
+            distance = candidates * df
+            distance -= targets[..., None]
+            del targets
+            np.abs(distance, out=distance)
+            distance[(candidates < low) | (candidates >= size) | (candidates == bins[:, None, None, None])] = np.inf
+            # Stable, so the lower of equally near bins comes first; as
+            # indices into the flattened candidates.
+            nearest = np.argsort(distance, axis=-1, kind="stable")[..., :3]
+            nearest += np.arange(0, nearest.size // 3 * 5, 5).reshape(nearest.shape[:-1] + (1,))
+            reach = distance.take(nearest) < np.inf
+            del distance
+            picked = candidates.take(nearest)
+            del candidates, nearest
+            picked = np.where(reach, picked, picked[..., :1])
+            self.index[:, chunk] = picked if reads is None else np.searchsorted(reads, picked)
+            self.two[:, chunk] = reach[..., 1] & ~reach[..., 2]
+            del picked, reach  # before the next chunk's arrays
+        self.fits = np.ones(len(bins), bool)
+        if len(offsets):
+            self.fits &= offsets[-1] <= sample_rate / 2.0 - bins * df
+            self.fits &= offsets[0] >= df * (1.0 - 1e-9)
+
+    def read(self, values: np.ndarray, columns, f_r: float) -> tuple:
+        """L of each row of ``values`` (carriers x values), and its carrier's
+        bin and power: the peak of the columns ``columns``, one per bin of
+        ``carriers``, the first of equals.  A carrier with no power raises
+        CarrierNotFoundError, and one whose bin ``fits`` not ValueError,
+        the first of either in row order."""
+        window = values[:, columns]
+        peak = np.argmax(window, axis=1)
+        power = window[np.arange(len(values)), peak]
+        refused = ~(power > 0) | ~self.fits[peak]
+        if refused.any():
+            self._refuse(int(np.argmax(refused)), power, peak, f_r)
+        power *= self.df
+        # Each pick slot's values, by its indices into the flattened values.
+        # The median of 3 (or the mean of the least and greatest) needs no sort.
+        rows = (np.arange(len(values)) * values.shape[1]).reshape(-1, 1, 1)
+        a, b, c = (values.take(self.index[peak, ..., i] + rows) for i in range(3))
+        high = np.maximum(a, b)
+        low = np.minimum(a, b, out=a)
+        median = np.maximum(low, np.minimum(high, c, out=b), out=b)
+        mean = np.minimum(low, c, out=a)
+        mean += np.maximum(high, c, out=high)
+        mean /= 2.0
+        del low, high, c
+        median = np.where(self.two[peak], mean, median)
+        del mean
+        ratio = median[..., 0] + median[..., 1]
+        del median
+        ratio /= (2.0 * power)[:, None]
+        ratios = ratio.ravel().tolist()
+        l_dbc = np.fromiter((10.0 * math.log10(r) if r > 0 else -math.inf for r in ratios), np.float64, len(ratios))
+        return l_dbc.reshape(ratio.shape), self.carriers.start + peak, power
+
+    def _refuse(self, row: int, power: np.ndarray, peak: np.ndarray, f_r: float):
+        """Raise the refusal of ``row``, whose carrier has no power or does not fit."""
+        if not power[row] > 0:
+            raise CarrierNotFoundError(f"the carrier within 2 bins of {f_r} Hz holds no power")
+        df, top = self.df, self.sample_rate / 2.0 - (self.carriers.start + int(peak[row])) * self.df
+        off = next(o for o in self.offsets if o < df * (1.0 - 1e-9) or o > top)
+        raise ValueError(f"offset {off} Hz outside the measurable range [{df}, {top}] Hz")
+
+    @staticmethod
+    def nbytes(carriers: int, offsets: int, size: int) -> int:
+        """Bytes of the table of ``carriers`` carrier bins and ``offsets``
+        offsets, indexing ``size`` values."""
+        per_offset = 6 * np.dtype(_index_dtype(size)).itemsize + 2 * np.dtype(bool).itemsize
+        return carriers * (offsets * per_offset + np.dtype(bool).itemsize)
+
+
+def _index_dtype(size: int):
+    """The smallest of int32 and int64 that indexes ``size`` values."""
+    return np.int32 if size <= np.iinfo(np.int32).max else np.int64
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -296,19 +357,13 @@ def _layout(n_samples: int, sample_rate: float, f_r: float, offsets, envelope: b
     size, df = n_samples // 2 + 1, bin_spacing(n_samples, sample_rate)
     window = _carrier_window(size, df, f_r)
     carrier = np.arange(window.start, window.stop)
-    carrier_freqs = (carrier * df)[:, None]
     offsets = np.asarray(offsets, dtype=np.float64)
     parts = [carrier]
     for start in range(0, len(offsets), _OFFSET_CHUNK):
-        # The targets of every carrier bin the window allows, rounded as
-        # _sideband_value rounds them; a superset of what any read picks.
-        # Each array is dropped once spent, so no more are held than counted.
-        chunk = offsets[start : start + _OFFSET_CHUNK]
-        lower = carrier_freqs - chunk
-        targets = np.concatenate((carrier_freqs + chunk, lower if envelope else np.abs(lower)))
-        del lower
-        candidates = (np.rint(targets / df).astype(np.int64)[..., None] + np.arange(-2, 3)).ravel()
-        del targets
+        # The candidates of every carrier bin the window allows: a superset
+        # of what any read picks.
+        _, candidates = _candidates(carrier, offsets[start : start + _OFFSET_CHUNK], df, envelope)
+        candidates = candidates.ravel()
         parts.append(_sorted_unique(candidates[(candidates >= (1 - size if envelope else 0)) & (candidates < size)]))
     reads = _sorted_unique(np.concatenate(parts))
     if envelope:
@@ -319,14 +374,15 @@ def _layout(n_samples: int, sample_rate: float, f_r: float, offsets, envelope: b
 
 class BinReader:
     """L(f) read as :func:`phase_noise_from_psd` reads it, off a PSD known
-    only on the bins that read can look at.
+    only on the bins that read can look at, for many carriers at once.
 
     The PSD is the periodogram of ``n_samples`` samples at
     ``sample_rate``, ``size`` bins ``df`` apart, or that periodogram seen
     through a delay plan.  ``reads`` (sorted) holds the carrier window,
     the bins within +-2 of f_r, and, for each bin of it where the peak
     may fall and each offset, the 5 candidates around each sideband
-    target.
+    target; its pick table (:class:`_Picks`) says which 3 of them each
+    sideband's median takes.
 
     An ``envelope`` reader reads the periodogram of the carrier's complex
     envelope (:func:`envelope_periodogram`), kept on the same bins, bin j
@@ -348,11 +404,11 @@ class BinReader:
     the reader.
 
     :meth:`take` runs the 1e-6 dominance test on a bare periodogram and
-    keeps its values on ``reads``; :meth:`read` reads L off such values,
-    each times a plan's |H|^2 on them.  Since |H| <= 1 the detected
-    total is at most the bare one, so the dominance test is not rerun
-    per plan: a plan is refused only when its detected carrier holds no
-    power at all.
+    keeps its values on ``reads``; :meth:`read` reads L off a carriers x
+    ``reads`` array of such values, each times a plan's |H|^2 on them.
+    Since |H| <= 1 the detected total is at most the bare one, so the
+    dominance test is not rerun per plan: a plan is refused only when its
+    detected carrier holds no power at all.
     """
 
     def __init__(self, n_samples: int, sample_rate: float, f_r: float, offsets, envelope: bool = False):
@@ -361,7 +417,8 @@ class BinReader:
             n_samples, sample_rate, f_r, self.offsets, envelope
         )
         self.sample_rate, self.f_r, self.envelope = sample_rate, f_r, envelope
-        self._read_list = self.reads.tolist()
+        self._picks = _Picks(self.window, self.offsets, self.df, self.size, sample_rate, envelope, self.reads)
+        self._columns = np.searchsorted(self.reads, np.arange(self.window.start, self.window.stop))
         if envelope:
             mirrored = np.abs(self.reads)
             self.bins = _sorted_unique(mirrored)
@@ -374,40 +431,45 @@ class BinReader:
     @staticmethod
     def footprint(n_samples: int, sample_rate: float, f_r: float, offsets, envelope: bool = False) -> tuple:
         """What a reader of these arguments takes, without building it: the
-        number of its ``reads``, the ``length`` of its carrier window, the
-        bytes that finding its reads passes through (one chunk's candidate
-        arrays, and the reads found, sorted and merged, 8 B each at most
-        three times), and the bytes the reader holds (each read as an
-        int64 and as a Python int in a list; an envelope reader's
-        ``bins`` and ``fold`` besides)."""
-        size, _, _, reads, length = _layout(n_samples, sample_rate, f_r, offsets, envelope)
-        finding = min(len(offsets), _OFFSET_CHUNK) * _CANDIDATE_BYTES_PER_OFFSET + 3 * reads.nbytes
-        per_read = (4 if envelope else 2) * reads.itemsize + sys.getsizeof(size)
-        return len(reads), length, finding, per_read * len(reads)
+        number of its ``reads``; the ``length`` of its carrier window; the
+        bytes building it passes through (what it holds, one chunk's
+        candidates, and the reads found, sorted and merged); the bytes it
+        holds (its offsets, its reads, an envelope reader's ``bins`` and
+        ``fold``, and its pick table); and the bytes a :meth:`read` passes
+        through per carrier (its values on the reads and on the carrier
+        window, its bin, peak and power, and ``_READ_BYTES_PER_OFFSET``
+        an offset)."""
+        _, _, window, reads, length = _layout(n_samples, sample_rate, f_r, offsets, envelope)
+        value = np.dtype(np.float64).itemsize
+        held = value * len(offsets) + (3 if envelope else 1) * reads.nbytes + _Picks.nbytes(
+            len(window), len(offsets), len(reads)
+        )
+        finding = held + min(len(offsets), _OFFSET_CHUNK) * len(window) * _CANDIDATE_BYTES + 3 * reads.nbytes
+        reading = value * (len(reads) + len(window) + 3) + _READ_BYTES_PER_OFFSET * len(offsets)
+        return len(reads), length, finding, held, reading
 
-    def take(self, psd: np.ndarray) -> np.ndarray:
-        """``psd``'s values on ``reads``, once its carrier passes the
-        dominance test of :func:`phase_noise_from_psd`.
+    def take(self, psd: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``psd``'s values on ``reads``, into ``out`` if given, once its
+        carrier passes the dominance test of :func:`phase_noise_from_psd`.
 
         ``psd`` is the bare periodogram of the reader's window, or for an
         envelope reader the envelope's, whose bin j is ``reads``' bin
         j + ``shift``.
         """
         _dominant(psd, range(self.window.start - self.shift, self.window.stop - self.shift), self.df, self.f_r)
-        return psd[self.reads - self.shift]
+        return np.take(psd, self.reads - self.shift, out=out)
 
-    def read(self, values: np.ndarray) -> PhaseNoiseSpectrum:
-        """L(f) off ``values``, the PSD on ``reads``.
+    def read(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """L(f) off ``values``, carriers x ``reads``: each row the PSD of one
+        carrier on ``reads``.
 
-        The carrier is the peak of the carrier window, as in
+        Returns L in dBc/Hz, carriers x ``offsets``, and each carrier's bin
+        and power.  The carrier is the peak of the carrier window, as in
         :func:`phase_noise_from_psd`; a peak with no power raises
-        CarrierNotFoundError.
+        CarrierNotFoundError, and an offset outside [df, Fs/2 - carrier]
+        ValueError, for the first carrier refused.
         """
-        psd = _OnBins(self.size, self._read_list, values.tolist())
-        carrier_bin = _peak(psd, self.window)
-        if not psd[carrier_bin] > 0:
-            raise CarrierNotFoundError(f"the carrier within 2 bins of {self.f_r} Hz holds no power")
-        return _read(self.df, psd, self.sample_rate, self.offsets, carrier_bin, self.envelope)
+        return self._picks.read(values, self._columns, self.f_r)
 
 
 def jitter(spectrum: PhaseNoiseSpectrum, f_min: float, f_max: float) -> JitterResult:

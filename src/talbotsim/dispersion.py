@@ -188,6 +188,11 @@ def normalize_offsets(raw: np.ndarray) -> np.ndarray:
     return raw - raw.min()
 
 
+def _close(a: float, b: float) -> bool:
+    """``np.isclose(a, b, rtol=1e-12)`` on two floats: |a - b| <= 1e-8 + 1e-12 |b|."""
+    return a == b or abs(a - b) <= 1e-8 + 1e-12 * abs(b)
+
+
 def delay_plan(spec: DispersionSpec, comb: CombSpec, grid: SimGrid) -> DelayPlan:
     """Integer-sample delay plan of ``spec`` for every line of ``comb``.
 
@@ -196,9 +201,7 @@ def delay_plan(spec: DispersionSpec, comb: CombSpec, grid: SimGrid) -> DelayPlan
     has offset 0.  Delays that are not finite, or of 2^62 samples or
     more, raise ValueError.
     """
-    if not np.isclose(spec.f_r, comb.f_r, rtol=1e-12) or not np.isclose(
-        grid.f_r, comb.f_r, rtol=1e-12
-    ):
+    if not _close(spec.f_r, comb.f_r) or not _close(grid.f_r, comb.f_r):
         raise ValueError(
             f"inconsistent repetition rates: spec {spec.f_r}, comb {comb.f_r}, grid {grid.f_r}"
         )

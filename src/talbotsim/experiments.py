@@ -57,6 +57,7 @@ import numpy as np
 from . import __version__
 from .analysis import (
     BinReader,
+    PhaseNoiseSpectrum,
     envelope_periodogram,
     jitter,
     passband_periodogram,
@@ -75,7 +76,7 @@ from .dispersion import (
 )
 from .errors import BudgetError, ConfigError
 from .model import CombSpec, SimGrid, bin_spacing, build_grid, comb_lines, NoiseProfile
-from .superposition import power_at_bins, scratch_bytes
+from .superposition import Scratch, power_at_bins, scratch, scratch_bytes
 from .svgplot import render_plots
 from .synthesis import SynthesisRequest, Workspace, default_noise_profile, synth_carrier, synth_envelope
 
@@ -281,15 +282,19 @@ def derive_seed(master_seed: int, experiment: str, point_index: int, seed_index:
 
 #: Budget model.  Each layer states the bytes of its own arrays: a plan's
 #: int64 offsets (``OFFSET_BYTES``), the workspaces and their shared scale
-#: (``Workspace.nbytes``), a plan job's scratch (``scratch_bytes``), and
-#: the bins a reader keeps and finds (``BinReader.footprint``).  A read
-#: runs in phases, one after another, and the guard takes the largest:
+#: (``Workspace.nbytes``), a plan job's scratch and the shared twiddle
+#: tables (``scratch_bytes``), and a reader's bins, pick table and reads
+#: (``BinReader.footprint``); the kept values and the plans' reads are
+#: arrays, counted as ``sys.getsizeof`` counts them.  A read runs in
+#: phases, one after another, and the guard takes the largest:
 #: - build: the plans held, one plan being built, and the reader;
-#: - carriers: the plans, the reader, each carrier's kept values, and
+#: - carriers: the plans, the reader, the carriers' kept values, and
 #:   ``min(workers, carriers)`` jobs, each in a workspace of its own;
-#: - plans: the plans, the reader, the kept values, ``min(workers,
-#:   distinct plans)`` jobs, each in its scratch, and the spectra;
-#: - rows: the spectra and the sweep rows.
+#: - plans: the plans, the reader, the kept values, the twiddle tables,
+#:   ``min(workers, distinct plans)`` jobs, each in a scratch of its own,
+#:   made before the first, summing |H|^2 and then reading every carrier
+#:   at once, and their reads;
+#: - rows: the plans' reads and the sweep rows.
 #: The rows of earlier reads (the oversampling sweep's ratios) are held
 #: through all four.  A table study builds its plans and its table, then
 #: writes the table.  What no layer fixes is measured with tracemalloc, in
@@ -301,18 +306,22 @@ _JOB_BYTES = 256 << 10
 #: a plan's line while the plan is built (wavelengths, delays) or while a
 #: plan job sorts and counts its offsets (30 B per line for long plans);
 _LINE_BYTES = 48
-#: a bin a plan job reads: power_at_bins' arrays on it, then the read's
-#: (up to 117 B, on simulate's bins);
+#: a bin a plan job reads: power_at_bins' arrays on it, and its |H|^2;
 _READ_BYTES = 128
-#: a spectrum besides its values, or a carrier waiting for its read
-#: (432 B for a spectrum on Python 3.11; 3.10's instance dicts are larger);
-_RECORD_BYTES = 480
 #: a seed's value in a sweep row, as it is built (32 B held);
 _ROW_BYTES_PER_VALUE = 48
 #: a table row as values or as CSV text; a write holds both (167 B);
 _TABLE_BYTES_PER_ROW = 96
 #: what every run holds besides: its manifest, as it is written (16 KB).
 _RUN_BYTES = 16 << 10
+#: A carrier waiting for its read: its (noise, seed) tuple and a seed of up
+#: to 64 bits; the noise profile is shared.
+_CARRIER_BYTES = sys.getsizeof((None, 0)) + sys.getsizeof((1 << 64) - 1)
+
+
+def _array_bytes(shape: tuple, dtype=np.float64) -> int:
+    """``sys.getsizeof`` of an array of ``shape`` that owns its data, without making one."""
+    return sys.getsizeof(np.empty((0,) * len(shape), dtype)) + np.dtype(dtype).itemsize * math.prod(shape)
 
 
 def _read_phases(
@@ -323,18 +332,24 @@ def _read_phases(
     ``lines`` lines each, ``distinct`` of them distinct, and read at
     ``offsets`` on up to ``workers`` threads; ``rows`` values of sweep
     rows held once its rows are built, and ``held`` bytes throughout."""
-    reads, length, finding, reader = BinReader.footprint(grid.n_samples, grid.sample_rate, grid.f_r, offsets, envelope)
+    reads, length, finding, reader, reading = BinReader.footprint(
+        grid.n_samples, grid.sample_rate, grid.f_r, offsets, envelope
+    )
     plans, widest = OFFSET_BYTES * sum(lines), _LINE_BYTES * max(lines, default=0)
-    value = np.dtype(np.float64).itemsize
-    kept = carriers * sys.getsizeof(np.empty(reads))  # each carrier's values on the reads, as taken
-    spectra = distinct * carriers * (_RECORD_BYTES + 2 * value * len(offsets))  # its offsets and L
+    kept = _array_bytes((carriers, reads))  # the carriers' values on the reads, as taken
+    # Each distinct plan's read: L, and the carriers' bins and powers, in a tuple.
+    read = _array_bytes((carriers, len(offsets))) + _array_bytes((carriers,), np.int64) + _array_bytes((carriers,))
+    results = distinct * (read + sys.getsizeof((None,) * 3))
     jobs, plan_jobs = min(workers, carriers), min(workers, distinct)
-    plan_job = scratch_bytes(grid.n_samples) + _JOB_BYTES + widest + _READ_BYTES * reads
+    own, tables = scratch_bytes(grid.n_samples)
+    # A plan job sums |H|^2 in its scratch, then reads every carrier through it.
+    value = np.dtype(np.float64).itemsize
+    plan_job = _JOB_BYTES + own + max(widest + _READ_BYTES * reads, value * reads + carriers * reading)
     phases = {
         "build": plans + max(finding, widest + reader),
         "carriers": plans + reader + kept + Workspace.nbytes(length, envelope, jobs) + jobs * _JOB_BYTES,
-        "plans": plans + reader + kept + plan_jobs * plan_job + spectra,
-        "rows": spectra + _ROW_BYTES_PER_VALUE * rows,
+        "plans": plans + reader + kept + tables + plan_jobs * plan_job + results,
+        "rows": results + _ROW_BYTES_PER_VALUE * rows,
     }
     return {name: held + bytes_ for name, bytes_ in phases.items()}
 
@@ -466,10 +481,30 @@ def _map(workers: int, fn, items) -> list:
         return list(executor.map(fn, items))
 
 
-def _detect_all(cfg: ExperimentConfig, grid: SimGrid, reader: BinReader, jobs: list) -> list:
+def _map_on(workers: int, first, more: Callable, fn, items) -> list:
+    """``[fn(work, item) for item in items]``, in item order, on up to
+    ``workers`` threads, each call in one of ``min(workers, len(items))``
+    working sets, all made before any call: ``first``, and ``more(first)``
+    for each other.  They are dropped when this returns."""
+    free = queue.SimpleQueue()
+    free.put(first)
+    for _ in range(min(workers, len(items)) - 1):
+        free.put(more(first))
+
+    def job(item):
+        work = free.get()
+        try:
+            return fn(work, item)
+        finally:
+            free.put(work)
+
+    return _map(workers, job, items)
+
+
+def _detect_all(cfg: ExperimentConfig, grid: SimGrid, reader: BinReader, jobs: list) -> np.ndarray:
     """:func:`_detect` each of the (noise, seed) ``jobs`` on ``grid``, and
     keep its periodogram on ``reader``'s bins (:meth:`BinReader.take`);
-    those values, in job order.
+    those values, one row per job, in job order.
 
     Each of the ``min(workers, len(jobs))`` concurrent jobs takes a
     workspace of its own, for the config's one noise profile, on
@@ -484,19 +519,14 @@ def _detect_all(cfg: ExperimentConfig, grid: SimGrid, reader: BinReader, jobs: l
         first = Workspace(*window, cfg.resolved_noise(), envelope=reader.envelope)
     except ValueError as exc:  # the profile is negative or overflows on this grid
         raise ConfigError(str(exc)) from None
-    free = queue.SimpleQueue()
-    free.put(first)
-    for _ in range(min(cfg.workers, len(jobs)) - 1):
-        free.put(Workspace(*window, like=first, envelope=reader.envelope))
+    kept = np.empty((len(jobs), len(reader.reads)))
 
-    def job(item):
-        ws = free.get()
-        try:
-            return reader.take(_detect(grid, ws, item))
-        finally:
-            free.put(ws)
+    def job(ws: Workspace, i: int):
+        reader.take(_detect(grid, ws, jobs[i]), out=kept[i])
 
-    return _map(cfg.workers, job, jobs)
+    more = partial(Workspace, *window, envelope=reader.envelope)
+    _map_on(cfg.workers, first, lambda like: more(like=like), job, range(len(jobs)))
+    return kept
 
 
 def _detect(grid: SimGrid, ws: Workspace, job) -> np.ndarray:
@@ -510,11 +540,11 @@ def _detect(grid: SimGrid, ws: Workspace, job) -> np.ndarray:
     return passband_periodogram(synth_carrier(SynthesisRequest(grid=grid, noise=noise, seed=seed), ws), ws)
 
 
-def _read_plan(reader: BinReader, kept: list, plan: DelayPlan) -> list:
-    """L(f) of every kept carrier seen through ``plan``, one per carrier:
-    its values on ``reader``'s bins times the plan's |H|^2 on them."""
-    gain = power_at_bins(plan, reader.bins)[reader.fold]
-    return [reader.read(values * gain) for values in kept]
+def _read_plan(reader: BinReader, kept: np.ndarray, work: Scratch, plan: DelayPlan) -> tuple:
+    """L(f) of every kept carrier seen through ``plan``, in one read
+    (:meth:`BinReader.read`): their values on ``reader``'s bins times the
+    plan's |H|^2 on them, summed in ``work``."""
+    return reader.read(kept * power_at_bins(plan, reader.bins, work)[reader.fold])
 
 
 @dataclass(frozen=True, eq=False)
@@ -554,14 +584,15 @@ class _Reads:
         phases = _read_phases(
             self.grid, cfg.workers, len(self.carriers), lines, distinct, self.offsets, self.envelope,
             rows=self.held_points * point,
-            held=_RECORD_BYTES * others + _ROW_BYTES_PER_VALUE * max(self.held_points - 1, 0) * point,
+            held=_CARRIER_BYTES * others + _ROW_BYTES_PER_VALUE * max(self.held_points - 1, 0) * point,
         )
         return _Guard(self.what, phases, jobs=max(len(self.carriers), distinct), lines=sum(lines))
 
 
 def _through_plans(cfg: ExperimentConfig, *reads: _Reads):
     """For each of ``reads`` in turn, L(f) of its carriers seen through
-    each of its plans: one list per plan, of one spectrum per carrier.
+    each of its plans: one read per plan (:meth:`BinReader.read`), its L
+    carriers x offsets.
 
     Every guard is checked first, from the config alone, so a run over
     the budget is refused before any plan is built or any carrier
@@ -580,7 +611,7 @@ def _guards(cfg: ExperimentConfig, *reads: _Reads) -> list[_Guard]:
     return [r.guard(cfg, carriers - len(r.carriers)) for r in reads]
 
 
-def _read_through(cfg: ExperimentConfig, reads: _Reads) -> list[list]:
+def _read_through(cfg: ExperimentConfig, reads: _Reads) -> list[tuple]:
     """L(f) of each of ``reads``' carriers seen through each of its plans.
 
     Each carrier is synthesized once, and its job keeps its periodogram
@@ -591,8 +622,10 @@ def _read_through(cfg: ExperimentConfig, reads: _Reads) -> list[list]:
     whose offsets mod n are the same multiset have bit-equal |H|^2, so
     each plan is keyed by the digest of that sorted multiset, and one
     plan of each key sums its |H|^2 on those bins and reads every carrier
-    through it.  The carriers run as jobs on workspaces of their own,
-    which are freed before the distinct plans run as jobs with none.  An
+    through it at once.  The carriers run as jobs on workspaces of their
+    own, which are freed before the distinct plans run as jobs, each in a
+    scratch of its own (the twiddle tables shared), all made before the
+    first plan job.  An
     envelope read synthesizes each carrier as its complex envelope; the
     plans, their |H|^2 and the reads are the same.
     """
@@ -604,19 +637,23 @@ def _read_through(cfg: ExperimentConfig, reads: _Reads) -> list[list]:
     keys = [hashlib.sha256(np.sort(p.offsets % grid.n_samples)).digest() for p in plans]
     distinct = dict(zip(keys, plans))
     kept = _detect_all(cfg, grid, reader, reads.carriers)
-    per_plan = dict(zip(distinct, _map(cfg.workers, partial(_read_plan, reader, kept), distinct.values())))
+    n, read_plan = grid.n_samples, partial(_read_plan, reader, kept)
+    per_plan = dict(zip(distinct, _map_on(cfg.workers, scratch(n), partial(scratch, n), read_plan, distinct.values())))
     return [per_plan[key] for key in keys]
 
 
-def _point_rows(cfg: ExperimentConfig, x_value: float, spectra: dict[str, list]) -> list[SweepRow]:
-    """Rows of one sweep point at ``x_value``: for each key of ``spectra``,
-    in order, the mean and spread of L at each offset of interest over
-    that key's spectra."""
+def _point_rows(cfg: ExperimentConfig, x_value: float, l_dbc: dict[str, np.ndarray]) -> list[SweepRow]:
+    """Rows of one sweep point at ``x_value``: for each key of ``l_dbc``,
+    in order, the mean and spread over seeds of L at each offset of
+    interest, from that key's seeds x offsets array."""
     rows = []
-    for key, per_seed in spectra.items():
-        for off, column in zip(cfg.offsets, np.asarray([s.l_dbc for s in per_seed]).T):  # (seeds, offsets)
-            mean, std = float(np.mean(column)), float(np.std(column))
-            rows.append(SweepRow(float(x_value), key, float(off), mean, std, len(column), tuple(map(float, column))))
+    for key, per_seed in l_dbc.items():
+        # Each offset's seeds contiguous: a reduction along them has the
+        # bits of the same reduction of each offset's column on its own.
+        columns = np.ascontiguousarray(per_seed.T)
+        stats = zip(columns.mean(axis=1).tolist(), columns.std(axis=1).tolist(), columns.tolist())
+        for off, (mean, std, column) in zip(cfg.offsets, stats):
+            rows.append(SweepRow(float(x_value), key, float(off), mean, std, len(column), tuple(column)))
     return rows
 
 
@@ -636,7 +673,9 @@ def simulate(cfg: ExperimentConfig, kind: str = "ideal", points: int = 120, jitt
                 f"jitter band [{f_min}, {f_max}] Hz must satisfy {offsets[0]} <= f_min < f_max <= "
                 f"{offsets[-1]}, within the measured offsets"
             )
-    ((spectrum,),) = next(_through_plans(cfg, _simulate_reads(cfg, kind, offsets)))
+    (((l_dbc,), (carrier,), (power,)),) = next(_through_plans(cfg, _simulate_reads(cfg, kind, offsets)))
+    df = bin_spacing(cfg.grid.n_samples, cfg.grid.sample_rate)
+    spectrum = PhaseNoiseSpectrum(int(carrier) * df, float(power), offsets, l_dbc, df)
     return spectrum, None if jitter_band is None else jitter(spectrum, *jitter_band)
 
 
@@ -684,16 +723,16 @@ def sweep_oversampling(cfg: ExperimentConfig) -> list[SweepRow]:
     numerical floor of the simulation, the impaired carrier shows when
     the measured noise saturates.  Every ratio's offsets and budget are
     checked before any synthesis; then one grid at a time, so only one
-    grid's spectra and workspaces are ever held.
+    grid's reads and workspaces are ever held.
     """
     reads = _through_plans(cfg, *(_oversampling_reads(cfg, i) for i in range(len(cfg.ratios))))
     rows = []
     for n in cfg.ratios:
         # Unpacked from next(), not from a zip, whose reused result tuple would
-        # keep these spectra while the next ratio's jobs run.
-        ((pure, *impaired),) = next(reads)
-        rows += _point_rows(cfg, n, {"pure_tone": [pure], "impaired": impaired})
-        del pure, impaired
+        # keep this L while the next ratio's jobs run.
+        ((l_dbc, _, _),) = next(reads)
+        rows += _point_rows(cfg, n, {"pure_tone": l_dbc[:1], "impaired": l_dbc[1:]})
+        del l_dbc
     return rows
 
 
@@ -713,10 +752,10 @@ def sweep_comb_width(cfg: ExperimentConfig) -> list[SweepRow]:
             "noise.enabled = false (--pure-tone) it has none: every sideband would read 0 (L = -inf). "
             "For the estimator's floor, run sweep-oversampling, whose pure_tone rows measure it"
         )
-    spectra = iter(next(_through_plans(cfg, _comb_width_reads(cfg))))
+    plans = iter(next(_through_plans(cfg, _comb_width_reads(cfg))))
     rows = []
     for w in cfg.widths:
-        rows += _point_rows(cfg, w, {kind: next(spectra) for kind in cfg.kinds})
+        rows += _point_rows(cfg, w, {kind: next(plans)[0] for kind in cfg.kinds})
     return rows
 
 

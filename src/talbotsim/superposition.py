@@ -20,23 +20,26 @@ counts, and forms no window-sized array.  The phase index (j d) mod n
 is exact in integers.  Bins come in runs of consecutive bins: each run
 takes one twiddle per offset from two tables of about sqrt(n) entries
 and steps along the run by multiplying by exp(-2 pi i d / n), so no
-transcendental function is evaluated per bin.  Its scratch is its own:
-three arrays of at most ``_TILE`` entries, 40 bytes per entry in all,
-and on a window of 6 samples or more at most n/3 entries, so at most
-about 13.4 bytes per window sample; :func:`scratch_bytes` states it,
-with the twiddle tables, for the budget guard.
+transcendental function is evaluated per bin.  It works in a
+:class:`Scratch`: the two tables, and three arrays of at most ``_TILE``
+entries, 40 bytes per entry in all, and on a window of 6 samples or more
+at most n/3 entries, so at most about 13.4 bytes per window sample;
+:func:`scratch_bytes` states both for the budget guard.  A caller that
+sums many plans on one window hands each job a scratch of its own,
+made once, and the tables, which depend on n alone, are shared.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .dispersion import DelayPlan
 from .model import SampledSignal
 
-__all__ = ["power_at_bins", "scratch_bytes", "superpose"]
+__all__ = ["Scratch", "power_at_bins", "scratch", "scratch_bytes", "superpose"]
 
 #: Most bins stepped along from one exact twiddle.  A longer run starts
 #: afresh, so stepping adds at most this many roundings to any bin.
@@ -68,16 +71,45 @@ def _twiddle_split(n: int) -> tuple[int, int]:
     return shift, ((n - 1) >> shift) + 1
 
 
-def scratch_bytes(n: int) -> int:
-    """Bytes :func:`power_at_bins` allocates on a window of ``n`` samples
-    whatever the plan and bins: its three scratch arrays, two complex and
-    one int64, and its two complex twiddle tables."""
+def scratch_bytes(n: int) -> tuple[int, int]:
+    """Bytes of a :class:`Scratch` on a window of ``n`` samples: its
+    three scratch arrays, two complex and one int64, and its two complex
+    twiddle tables, which the scratches of one window share."""
     shift, high = _twiddle_split(n)
     complex_size, int_size = np.dtype(np.complex128).itemsize, np.dtype(np.int64).itemsize
-    return (2 * complex_size + int_size) * _scratch_length(n) + complex_size * ((1 << shift) + high)
+    return (2 * complex_size + int_size) * _scratch_length(n), complex_size * ((1 << shift) + high)
 
 
-def power_at_bins(plan: DelayPlan, bins) -> np.ndarray:
+class Scratch(NamedTuple):
+    """What :func:`power_at_bins` works in on a window of ``n`` samples:
+    the twiddle tables ``lo`` and ``hi``, with exp(-2 pi i p / n) =
+    hi[p >> s] * lo[p & (2^s - 1)], and three scratch arrays."""
+
+    n: int
+    lo: np.ndarray
+    hi: np.ndarray
+    cur: np.ndarray
+    tmp: np.ndarray
+    idx: np.ndarray
+
+
+def scratch(n: int, like: Scratch | None = None) -> Scratch:
+    """A :class:`Scratch` on a window of ``n`` samples, with scratch
+    arrays of its own and the twiddle tables of ``like``, which depend on
+    n alone, or new ones."""
+    if like is None:
+        shift, high = _twiddle_split(n)
+        lo = np.exp(-2j * np.pi / n * np.arange(1 << shift))
+        hi = np.exp(-2j * np.pi / n * (np.arange(high) << shift))
+    elif like.n != n:
+        raise ValueError(f"twiddle tables of a {like.n}-sample window for a window of {n}")
+    else:
+        lo, hi = like.lo, like.hi
+    size = _scratch_length(n)
+    return Scratch(n, lo, hi, np.empty(size, np.complex128), np.empty(size, np.complex128), np.empty(size, np.int64))
+
+
+def power_at_bins(plan: DelayPlan, bins, work: Scratch | None = None) -> np.ndarray:
     """|H|^2 of ``plan`` on the rFFT bins ``bins`` of its grid's window.
 
     ``bins`` ascend strictly within 0 .. n/2.  Multiplying a carrier's
@@ -94,8 +126,10 @@ def power_at_bins(plan: DelayPlan, bins) -> np.ndarray:
     exp(-2 pi i u / n) for each next bin.  A plan whose offsets are all
     0 mod n has |H|^2 exactly 1.
 
-    The scratch is :func:`_scratch_length` entries long: that length fixes
-    the chunks the sums run over, and so their bits.
+    The sums run in ``work``, a :class:`Scratch` on the plan's window,
+    or in one made here.  Its arrays are :func:`_scratch_length` entries
+    long: that length fixes the chunks the sums run over, and so their
+    bits.
     """
     grid = plan.grid
     n = grid.n_samples
@@ -118,11 +152,11 @@ def power_at_bins(plan: DelayPlan, bins) -> np.ndarray:
     order = np.argsort(-lengths, kind="stable")
     firsts, lengths = firsts[order], lengths[order]
 
-    shift, high = _twiddle_split(n)
-    lo = np.exp(-2j * np.pi / n * np.arange(1 << shift))
-    hi = np.exp(-2j * np.pi / n * (np.arange(high) << shift))
-    size = _scratch_length(n)
-    cur_buf, tmp_buf, idx_buf = np.empty(size, np.complex128), np.empty(size, np.complex128), np.empty(size, np.int64)
+    work = scratch(n) if work is None else work
+    if work.n != n:
+        raise ValueError(f"scratch of a {work.n}-sample window for a window of {n}")
+    _, lo, hi, cur_buf, tmp_buf, idx_buf = work
+    shift, size = _twiddle_split(n)[0], len(cur_buf)
     group = max(1, min(len(firsts), size // 64))  # runs at a time, and one row of steps
     chunk = size // (group + 1)  # distinct offsets at a time
     total = np.empty(len(bins), np.complex128)

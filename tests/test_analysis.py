@@ -1,5 +1,7 @@
 """Periodogram, phase-noise extraction, jitter, and cross-checks."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.signal import periodogram as scipy_periodogram
@@ -7,8 +9,8 @@ from scipy.signal import periodogram as scipy_periodogram
 from talbotsim.analysis import (
     BinReader,
     JitterResult,
-    _sideband_value,
     PhaseNoiseSpectrum,
+    _Picks,
     classical_penalty,
     jitter,
     periodogram,
@@ -165,20 +167,40 @@ class TestPhaseNoiseSpectrum:
             phase_noise_spectrum(y, 1e5, [1e4])
 
     def test_sideband_value_is_median_of_picked_bins(self):
-        # Every target on even and odd windows, carrier at and away from
-        # DC, so the ends leave 2 bins in reach as well as 3.
+        # The pick table against a brute-force picker, for every target on
+        # even and odd windows, one- and two-sided, the carrier at and away
+        # from DC and at Nyquist, so the ends leave 2 bins in reach as well
+        # as 3; and L read off the table against L from the picker's bins.
         rng = np.random.default_rng(5)
         sizes = set()
         for n in (8, 9, 64, 65):
             bins = n // 2 + 1
-            for carrier in (0, 1, 2, bins // 2, bins - 1):
-                psd = rng.random(bins)
-                for target in np.linspace(0.0, bins - 0.5, 8 * bins):
-                    center = int(round(target))
-                    near = [j for j in range(center - 2, center + 3) if 0 <= j < bins and j != carrier]
-                    picked = sorted(sorted(near, key=lambda j: (abs(j - target), j))[:3])
-                    sizes.add(len(picked))
-                    assert _sideband_value(psd, 1.0, target, carrier) == float(np.median(psd[picked]))
+            offsets = np.linspace(0.0, 2 * bins, 16 * bins)[1:]
+            for two_sided in (False, True):
+                low = 1 - bins if two_sided else 0
+                psd = rng.random(2 * bins - 1)  # bin j at psd[j], j < 0 from the end
+                for carrier in (0, 1, 2, bins // 2, bins - 1):
+                    picks = _Picks(range(carrier, carrier + 1), offsets, 1.0, bins, float(n), two_sided)
+                    values = {}
+                    for i, off in enumerate(offsets):
+                        lower = carrier - off if two_sided else abs(carrier - off)
+                        for side, target in enumerate((carrier + off, lower)):
+                            if not low - 0.5 < target < bins - 0.5:
+                                continue
+                            center = int(round(target))
+                            near = [j for j in range(center - 2, center + 3) if low <= j < bins and j != carrier]
+                            picked = sorted(sorted(near, key=lambda j: (abs(j - target), j))[:3])
+                            sizes.add(len(picked))
+                            assert sorted(set(picks.index[0, i, side])) == picked
+                            assert picks.two[0, i, side] == (len(picked) == 2)
+                            values[i, side] = float(np.median(psd[picked]))
+                    fits = (offsets >= 1.0) & (offsets <= n / 2 - carrier)
+                    assert picks.fits[0] == fits.all()
+                    if fits.any():  # L from the table's picks and from the picker's
+                        inside = _Picks(range(carrier, carrier + 1), offsets[fits], 1.0, bins, float(n), two_sided)
+                        (l_dbc,), _, _ = inside.read(psd[None, :], [carrier], carrier)
+                        ratios = [(values[i, 0] + values[i, 1]) / (2.0 * psd[carrier]) for i in np.flatnonzero(fits)]
+                        assert l_dbc.tolist() == [10.0 * math.log10(r) for r in ratios]
         assert sizes == {2, 3}
 
     def test_offset_out_of_range_rejected(self):
@@ -194,6 +216,13 @@ def assert_same_spectrum(got, expected):
     assert (got.carrier_freq, got.carrier_power, got.df) == (expected.carrier_freq, expected.carrier_power, expected.df)
     assert np.array_equal(got.offsets, expected.offsets)
     assert np.array_equal(got.l_dbc, expected.l_dbc)
+
+
+def assert_reads_spectrum(reader, read, expected):
+    """The one-row ``read`` of ``reader`` is the spectrum ``expected``."""
+    (l_dbc,), (carrier,), (power,) = read
+    got = PhaseNoiseSpectrum(int(carrier) * reader.df, power, reader.offsets, l_dbc, reader.df)
+    assert_same_spectrum(got, expected)
 
 
 class TestBinReader:
@@ -231,9 +260,57 @@ class TestBinReader:
                     psd = self.spectra(rng, n, carrier_bin)
                     gain = rng.uniform(0.5, 1.0, len(psd))
                     values = reader.take(psd) * gain[reader.bins]
-                    assert_same_spectrum(reader.read(values), phase_noise_from_psd(freqs, psd * gain, fs, f_r, offsets))
+                    expected = phase_noise_from_psd(freqs, psd * gain, fs, f_r, offsets)
+                    assert_reads_spectrum(reader, reader.read(values[None, :]), expected)
                     read += 1
         assert read > 100
+
+    def test_batch_reads_as_its_rows_one_at_a_time(self):
+        # One batch, each carrier's peak on a bin of the window of its own,
+        # passband and envelope, against each row read alone: bit for bit.
+        rng = np.random.default_rng(11)
+        n, carrier_bin = 1000, 100
+        offsets = [1.0, 2.5, 3.0, 7.0, 40.0, 150.0, 390.0]
+        for envelope in (False, True):
+            reader = BinReader(n, float(n), float(carrier_bin), offsets, envelope=envelope)
+            values = rng.random((20, len(reader.reads)))
+            window = np.searchsorted(reader.reads, list(reader.window))
+            peaks = np.arange(20) % len(window)
+            values[np.arange(20), window[peaks]] += 1e6
+            l_dbc, bins, power = reader.read(values)
+            assert l_dbc.shape == (20, len(offsets))
+            assert np.array_equal(bins, np.asarray(reader.window)[peaks])
+            assert len(set(bins.tolist())) == len(reader.window) == 5
+            for row, (one_l, one_bin, one_power) in enumerate(zip(l_dbc, bins, power)):
+                (alone_l,), (alone_bin,), (alone_power,) = reader.read(values[row : row + 1])
+                assert np.array_equal(one_l, alone_l)
+                assert (one_bin, one_power) == (alone_bin, alone_power)
+
+    def test_batch_refuses_its_first_refused_carrier(self):
+        # Bins 1 Hz apart, Nyquist at 500 Hz, the carrier window on bins
+        # 98 .. 102.  An offset of 400 Hz fits a carrier on bin 100 and
+        # below; the first row whose carrier sits higher, or holds no
+        # power, is refused with the message of a read of that row alone.
+        rng = np.random.default_rng(13)
+        n = 1000
+        reader = BinReader(n, float(n), 100.0, [10.0, 400.0])
+        window = np.searchsorted(reader.reads, list(reader.window))
+        values = rng.random((4, len(reader.reads)))
+        values[:, window[2]] += 1e6  # every peak on bin 100
+        assert reader.read(values)[1].tolist() == [100] * 4
+        high, dark = values.copy(), values.copy()
+        high[2, window[3]] += 1e7  # row 2's peak on bin 101
+        dark[1, window] = 0.0  # row 1's carrier holds no power
+        message = r"^offset 400\.0 Hz outside the measurable range \[1\.0, 399\.0\] Hz$"
+        with pytest.raises(ValueError, match=message):
+            reader.read(high)
+        with pytest.raises(ValueError, match=message):
+            reader.read(high[2:3])
+        for batch in (dark, dark[1:2], np.concatenate((dark, high))):
+            with pytest.raises(CarrierNotFoundError, match=r"^the carrier within 2 bins of 100\.0 Hz holds no power$"):
+                reader.read(batch)
+        with pytest.raises(ValueError, match=message):
+            reader.read(np.concatenate((high, dark)))
 
     def test_take_refuses_a_carrier_that_is_not_dominant(self):
         # Bins 1 Hz apart, the carrier on bin 100.  The envelope's
@@ -265,11 +342,11 @@ class TestBinReader:
         faint = np.where(window, 1e-9, 1.0)
         with pytest.raises(CarrierNotFoundError, match="no dominant carrier"):
             phase_noise_from_psd(freqs, psd * faint, float(n), carrier_bin * freqs[1], offsets)
-        bare, detected = reader.read(values), reader.read(values * faint[reader.bins])
-        assert detected.carrier_power == pytest.approx(1e-9 * bare.carrier_power, rel=1e-12)
-        np.testing.assert_allclose(detected.l_dbc, bare.l_dbc + 90.0, rtol=0, atol=1e-9)
+        (bare, detected), _, (bare_power, detected_power) = reader.read(np.stack((values, values * faint[reader.bins])))
+        assert detected_power == pytest.approx(1e-9 * bare_power, rel=1e-12)
+        np.testing.assert_allclose(detected, bare + 90.0, rtol=0, atol=1e-9)
         with pytest.raises(CarrierNotFoundError, match="no power"):
-            reader.read(values * np.where(window, 0.0, 1.0)[reader.bins])
+            reader.read((values * np.where(window, 0.0, 1.0)[reader.bins])[None, :])
 
 
 class TestJitter:

@@ -4,7 +4,6 @@ import argparse
 import json
 import re
 import shlex
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -147,22 +146,21 @@ class TestEstimateMemorySubcommand:
         # On one worker the jobs run one at a time, so more seeds add no
         # workspace and no plan job, only bytes to the largest phase: for the
         # comb-width sweep, its plan phase, with each carrier's values on the
-        # read bins, as an array, and its spectrum through each of 24 plans,
-        # none of one line; for the oversampling sweep at its largest ratio,
-        # 64, its carrier phase, with each carrier's values, the other 4
-        # ratios' carriers, and its value in their rows, per offset.
+        # read bins, a row of one array, and its L, bin and power through
+        # each of 24 plans, none of one line; for the oversampling sweep at
+        # its largest ratio, 64, its carrier phase, with each carrier's
+        # values, the other 4 ratios' carriers, and its value in their rows,
+        # per offset.
         offsets = ExperimentConfig.offsets
-        value = 8  # float64
-        carrier = experiments._RECORD_BYTES
-        spectrum = experiments._RECORD_BYTES + 2 * value * len(offsets)
+        value = 8  # float64, or an int64 bin
         for name, ratio, envelope in (("sweep-comb-width", 16, True), ("sweep-oversampling", 64, False)):
             grid = build_grid(1e7, ratio, 2e-4)
             reads = len(BinReader(grid.n_samples, grid.sample_rate, grid.f_r, offsets, envelope).reads)
-            kept = sys.getsizeof(np.empty(reads))
             if envelope:
-                per_seed = kept + 24 * spectrum
+                per_seed = value * reads + 24 * value * (len(offsets) + 2)
             else:
-                per_seed = kept + 4 * carrier + 4 * experiments._ROW_BYTES_PER_VALUE * len(offsets)
+                per_seed = value * reads + 4 * experiments._CARRIER_BYTES
+                per_seed += 4 * experiments._ROW_BYTES_PER_VALUE * len(offsets)
             assert four[name] - one[name] == seven[name] - four[name] == 3 * per_seed, name
 
 

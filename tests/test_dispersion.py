@@ -174,6 +174,31 @@ class TestDelayPlan:
         with pytest.raises(ValueError, match="repetition"):
             delay_plan(DispersionSpec.ideal(2e8, LAM0), comb, make_grid())
 
+    def test_repetition_rates_agree_as_np_isclose_has_them(self):
+        # The comb's f_r is the reference: a spec's or a grid's f_r is
+        # refused one step beyond 1e-8 + 1e-12 f_r of it, and taken one step
+        # inside, above it and below it, exactly as np.isclose decides.
+        comb = CombSpec(f_r=F_R, lambda0=LAM0, width=2e8)
+        tolerance = 1e-8 + 1e-12 * F_R
+        for direction in (np.inf, -np.inf):
+            outside = F_R + np.copysign(tolerance, direction)
+            while abs(outside - F_R) <= tolerance:
+                outside = np.nextafter(outside, direction)
+            while abs(np.nextafter(outside, -direction) - F_R) > tolerance:
+                outside = np.nextafter(outside, -direction)
+            inside = np.nextafter(outside, -direction)
+            assert not np.isclose(outside, F_R, rtol=1e-12) and np.isclose(inside, F_R, rtol=1e-12)
+            for f_r, accepted in ((float(outside), False), (float(inside), True)):
+                for spec, grid in (
+                    (DispersionSpec.ideal(f_r, LAM0), make_grid()),
+                    (DispersionSpec.ideal(F_R, LAM0), make_grid(f_r=f_r)),
+                ):
+                    if accepted:
+                        assert len(delay_plan(spec, comb, grid)) == comb.line_count
+                    else:
+                        with pytest.raises(ValueError, match="inconsistent repetition rates"):
+                            delay_plan(spec, comb, grid)
+
     def test_delays_that_are_not_finite_are_refused(self):
         # At 1e-300 m the center frequency overflows to inf: the other lines'
         # wavelengths are 0, and their ideal delays inf - inf.  Cast to int64,

@@ -111,7 +111,7 @@ class TestSimulate:
 
     def test_carrier_with_no_power_is_refused(self, monkeypatch):
         # |H(f_c)|^2 = 0: the plan has cancelled the carrier.
-        monkeypatch.setattr(experiments, "power_at_bins", lambda plan, bins, workspace=None: np.zeros(len(bins)))
+        monkeypatch.setattr(experiments, "power_at_bins", lambda plan, bins, work=None: np.zeros(len(bins)))
         with pytest.raises(CarrierNotFoundError, match="no power"):
             simulate(small_config(), "constant", points=20)
 
@@ -123,7 +123,7 @@ class TestSimulate:
         cfg = small_config()
         window = BinReader(cfg.grid.n_samples, cfg.grid.sample_rate, cfg.grid.f_r, [1.0]).window
 
-        def faint(plan, bins, workspace=None):
+        def faint(plan, bins, work=None):
             return np.where(np.isin(bins, window), 1e-9, 1.0)
 
         bare, _ = simulate(cfg, "none", points=20)
@@ -176,7 +176,7 @@ class TestSweepOversampling:
 
     def test_budget_refusal_before_synthesis(self):
         cfg = small_config(memory_budget_bytes=1000)
-        with pytest.raises(BudgetError, match=r"needs about 685660 B .* over the budget of 1000 B$"):
+        with pytest.raises(BudgetError, match=r"needs about 681185 B .* over the budget of 1000 B$"):
             sweep_oversampling(cfg)
 
     def test_noise_refused_on_a_later_grid(self):
@@ -290,9 +290,9 @@ class TestSweepCombWidth:
         )
         calls = []
 
-        def counted(plan, bins):
+        def counted(plan, bins, work=None):
             calls.append(plan)
-            return power_at_bins(plan, bins)
+            return power_at_bins(plan, bins, work)
 
         monkeypatch.setattr(experiments, "power_at_bins", counted)
         sweep_comb_width(cfg)
@@ -303,9 +303,9 @@ class TestSweepCombWidth:
         # The plan jobs run only once the carriers' workspaces are freed.
         live = []
 
-        def counted(plan, bins):
+        def counted(plan, bins, work=None):
             live.append(sum(isinstance(o, Workspace) for o in gc.get_objects()))
-            return power_at_bins(plan, bins)
+            return power_at_bins(plan, bins, work)
 
         monkeypatch.setattr(experiments, "power_at_bins", counted)
         gc.collect()

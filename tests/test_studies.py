@@ -462,13 +462,13 @@ class TestConcurrentBudget:
             # Ten carriers' values on the read bins, kept until every plan has read them.
             ("sweep-comb-width", {"n_seeds": 10}, {}, 1.2),
             ("sweep-oversampling", {"n_seeds": 2}, {}, 1.1),
-            # On a small grid many seeds' spectra outweigh the jobs.  The guard
-            # counts a spectrum per plan, 24 where 9 are distinct: over 2x the peak.
-            ("sweep-comb-width", {"t_sig": 2e-4, "n_seeds": 300}, {}, 2.5),
+            # On a small grid, 300 seeds: the guard counts each plan's L of
+            # them, 24 plans where 9 are distinct, and a plan job's 256 KiB.
+            ("sweep-comb-width", {"t_sig": 2e-4, "n_seeds": 300}, {}, 1.5),
             ("sweep-oversampling", {"t_sig": 2e-4, "n_seeds": 300}, {}, 1.3),
             # Six one-line plans, counted as one, and three plans at 1e9 Hz
             # counted apart, though they are one.
-            ("sweep-comb-width", {"t_sig": 2e-4, "n_seeds": 300, "widths": (0.0, 1e7, 1e9)}, {}, 2.1),
+            ("sweep-comb-width", {"t_sig": 2e-4, "n_seeds": 300, "widths": (0.0, 1e7, 1e9)}, {}, 1.6),
             # No job: 200001-line plans and a table row per line, then the
             # table written as CSV and read back for its hash.
             ("offsets-diff", {"t_sig": 2e-4, "widths": (2e12,)}, {}, 1.3),
@@ -524,10 +524,10 @@ class TestConcurrentBudget:
         assert code == 3, out.err
         assert peak < budget
         if command == "simulate":
-            assert "simulate needs about 107.7 MiB (112966732 B) for 1 concurrent job(s) and delay plans of " \
+            assert "simulate needs about 107.7 MiB (112931725 B) for 1 concurrent job(s) and delay plans of " \
                 "2000001 lines, over the budget of 3.8 MiB (4000000 B)" in out.err
         else:  # the largest phase, building the plan; dispersion-eval's one plan is at 2e13 Hz too
-            assert "simulate: 112966732 bytes" in out.out
+            assert "simulate: 112931725 bytes" in out.out
             assert "budget refusal: simulate, dispersion-eval would refuse, over the budget of 3.8 MiB" in out.err
         assert not (tmp_path / "out").exists()
 

@@ -6,7 +6,7 @@ import pytest
 from talbotsim.analysis import periodogram
 from talbotsim.dispersion import DelayPlan, DispersionSpec, delay_plan
 from talbotsim.model import CombSpec, NoiseProfile, SampledSignal, build_grid
-from talbotsim.superposition import _RUN, power_at_bins, superpose
+from talbotsim.superposition import _RUN, power_at_bins, scratch, superpose
 from talbotsim.synthesis import SynthesisRequest, synth_carrier
 
 
@@ -157,15 +157,23 @@ class TestSpectralEngine:
 
     def test_power_transfer_in_workspace_is_bit_equal(self):
         # Even and odd windows; offsets that repeat mod n and run past n.
-        # Each call takes scratch that the call before freed; the bits are
-        # the same every time.
+        # Each call takes scratch that the call before freed, or a scratch
+        # used before, or one sharing its tables; the bits are the same
+        # every time.  A scratch of another window is refused.
         for n in (1000, 1001):
             plans = [make_plan([0, 3, n + 3, 7, 2 * n, 5 * n - 1, 7], n), make_plan([0, 1, 2 * n + 2], n)]
+            first = scratch(n)
             for plan in plans:
                 for bins in (every_bin(plan), np.array([0, 4, 5, 6, n // 2])):
                     got = power_at_bins(plan, bins)
                     assert np.array_equal(got, power_at_bins(plan, bins))
+                    assert np.array_equal(got, power_at_bins(plan, bins, first))
+                    assert np.array_equal(got, power_at_bins(plan, bins, scratch(n, first)))
                     np.testing.assert_allclose(got, unfolded_power_transfer(plan)[bins], rtol=0, atol=1e-12)
+                with pytest.raises(ValueError, match="scratch of a 2002-sample window"):
+                    power_at_bins(plan, bins, scratch(2002))
+            with pytest.raises(ValueError, match="twiddle tables of a 2002-sample window"):
+                scratch(n, scratch(2002))
 
     @pytest.mark.parametrize(
         "n, g, offsets",
