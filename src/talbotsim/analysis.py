@@ -38,13 +38,13 @@ bins, and 5 candidates around each sideband target.  :class:`BinReader`
 reads L off a PSD known on those bins alone, many carriers at once: the
 studies hand it each carrier's bare periodogram, keep the values on
 those bins as one row of a carriers x bins array, and multiply it by
-each plan's |H|^2 there.  A pick table, built once per reader with array
-operations, holds for each bin of the carrier window and each offset
-the 3 bins each sideband's median takes, so a read is array operations
-on the values: each row's peak, its picks gathered, their median from
-minima and maxima, and L.  :func:`phase_noise_from_psd` is the same
-read of a dense PSD, with one row and a table for the one carrier bin
-it finds.  An envelope reader keeps the envelope's periodogram on the
+each plan's |H|^2 there.  A pick table holds, for a bin of the carrier
+window and each offset, the 3 bins each sideband's median takes; a
+bin's row is built with array operations the first time a carrier's
+peak falls on it, so a read is array operations on the values: each
+row's peak, its picks gathered, their median from minima and maxima,
+and L.  :func:`phase_noise_from_psd` is the same read of a dense PSD,
+with one row and a table for the one carrier bin it finds.  An envelope reader keeps the envelope's periodogram on the
 same bins, and reads the lower sideband of an offset above f_r where it
 is, below 0 Hz, where the real carrier's reader finds it reflected
 through DC.
@@ -214,9 +214,10 @@ def phase_noise_from_psd(freqs, psd, sample_rate: float, f_r: float, offsets) ->
     return PhaseNoiseSpectrum(carrier_freq=carrier * df, carrier_power=power, offsets=offsets, l_dbc=l_dbc, df=df)
 
 
-#: Offsets whose sideband picks are computed at a time, so building a
-#: reader takes a bounded working set however many offsets it reads.
-_OFFSET_CHUNK = 1024
+#: Offsets whose sideband picks are computed, or read, at a time, so a
+#: reader's build and reads take a bounded working set however many
+#: offsets it reads.
+_OFFSET_CHUNK = 256
 #: The 5 candidates around a sideband target, in bins.
 _AROUND = np.arange(-2, 3)
 #: Bytes a chunk's arrays take at most per carrier bin and offset, while
@@ -224,10 +225,10 @@ _AROUND = np.arange(-2, 3)
 #: target, in up to two arrays at once, and the 5 int64 candidates around
 #: it, in up to four (the candidates, their distances, their order).
 _CANDIDATE_BYTES = (2 * 2 + 4 * 2 * 5) * np.dtype(np.int64).itemsize
-#: Bytes a read passes through per carrier and offset at most: for each
-#: of 2 sides, the 3 picks' float64 values and one pick's index, as the
-#: table holds it (int32), cast to int64 and into the flattened values
-#: (int64), and which of median and mean the side takes.
+#: Bytes a read passes through per carrier and offset of a chunk at most:
+#: for each of 2 sides, the 3 picks' float64 values and one pick's index,
+#: as the table holds it (int32), cast to int64 and into the flattened
+#: values (int64), and which of median and mean the side takes.
 _READ_BYTES_PER_OFFSET = 2 * (3 * 8 + 4 + 8 + 8 + 1)
 
 
@@ -244,36 +245,51 @@ def _candidates(carriers: np.ndarray, offsets: np.ndarray, df: float, two_sided:
 
 
 class _Picks:
-    """The pick table: for a carrier on each bin of ``carriers`` and each
+    """The pick table: for a carrier on a bin of ``carriers`` and each
     offset, the 3 valid bins nearest each sideband's target (the lower of
     equals first), whose median is the sideband's value.  A valid bin is
     one of the spectrum's ``size`` bins (``two_sided``: down to minus
     Nyquist) other than the carrier's.
 
-    ``index`` holds the picks as indices into ``reads``, or into the
-    bins themselves.  At DC, or at Nyquist on an odd window, fewer are in
-    reach: the nearest fills the empty slots, and ``two`` marks where 2
-    are, whose median is their mean.  ``fits`` says whether every offset
-    lies in [df, Nyquist - carrier] for a carrier on that bin.
+    A bin's row (:meth:`row`) is built the first time a read finds a
+    carrier's peak on it, and kept: a run's carriers peak on one or two
+    bins of the window.  Its ``index`` holds the picks as indices into
+    ``reads``, or into the bins themselves.  At DC, or at Nyquist on an
+    odd window, fewer are in reach: the nearest fills the empty slots,
+    and its ``two`` marks where 2 are, whose median is their mean.
+    ``fits`` says, for each bin of ``carriers``, whether every offset lies
+    in [df, Nyquist - carrier] for a carrier on that bin.
     """
 
     def __init__(
         self, carriers: range, offsets: np.ndarray, df: float, size: int, sample_rate: float,
         two_sided: bool = False, reads: np.ndarray | None = None,
     ):
-        self.carriers, self.offsets, self.df, self.sample_rate = carriers, offsets, df, sample_rate
-        bins = np.arange(carriers.start, carriers.stop)
-        self.index = np.empty((len(bins), len(offsets), 2, 3), _index_dtype(size if reads is None else len(reads)))
-        self.two = np.empty((len(bins), len(offsets), 2), bool)
-        low = 1 - size if two_sided else 0
+        self.carriers, self.offsets, self.df, self.size, self.sample_rate = carriers, offsets, df, size, sample_rate
+        self.two_sided, self.reads, self.rows = two_sided, reads, {}
+        self.fits = np.ones(len(carriers), bool)
+        if len(offsets):
+            self.fits &= offsets[-1] <= sample_rate / 2.0 - np.arange(carriers.start, carriers.stop) * df
+            self.fits &= offsets[0] >= df * (1.0 - 1e-9)
+
+    def row(self, carrier: int) -> tuple[np.ndarray, np.ndarray]:
+        """The ``index`` (offsets x 2 sides x 3 picks) and ``two`` (offsets
+        x 2 sides) of a carrier on bin ``carrier``, built on first use,
+        ``_OFFSET_CHUNK`` offsets at a time."""
+        if carrier in self.rows:
+            return self.rows[carrier]
+        offsets, df, size, reads = self.offsets, self.df, self.size, self.reads
+        index = np.empty((len(offsets), 2, 3), _index_dtype(size if reads is None else len(reads)))
+        two = np.empty((len(offsets), 2), bool)
+        low = 1 - size if self.two_sided else 0
         for start in range(0, len(offsets), _OFFSET_CHUNK):
             chunk = slice(start, start + _OFFSET_CHUNK)
-            targets, candidates = _candidates(bins, offsets[chunk], df, two_sided)
+            (targets,), (candidates,) = _candidates(np.array([carrier]), offsets[chunk], df, self.two_sided)
             distance = candidates * df
             distance -= targets[..., None]
             del targets
             np.abs(distance, out=distance)
-            distance[(candidates < low) | (candidates >= size) | (candidates == bins[:, None, None, None])] = np.inf
+            distance[(candidates < low) | (candidates >= size) | (candidates == carrier)] = np.inf
             # Stable, so the lower of equally near bins comes first; as
             # indices into the flattened candidates.
             nearest = np.argsort(distance, axis=-1, kind="stable")[..., :3]
@@ -283,20 +299,19 @@ class _Picks:
             picked = candidates.take(nearest)
             del candidates, nearest
             picked = np.where(reach, picked, picked[..., :1])
-            self.index[:, chunk] = picked if reads is None else np.searchsorted(reads, picked)
-            self.two[:, chunk] = reach[..., 1] & ~reach[..., 2]
+            index[chunk] = picked if reads is None else np.searchsorted(reads, picked)
+            two[chunk] = reach[..., 1] & ~reach[..., 2]
             del picked, reach  # before the next chunk's arrays
-        self.fits = np.ones(len(bins), bool)
-        if len(offsets):
-            self.fits &= offsets[-1] <= sample_rate / 2.0 - bins * df
-            self.fits &= offsets[0] >= df * (1.0 - 1e-9)
+        self.rows[carrier] = index, two
+        return index, two
 
     def read(self, values: np.ndarray, columns, f_r: float) -> tuple:
         """L of each row of ``values`` (carriers x values), and its carrier's
         bin and power: the peak of the columns ``columns``, one per bin of
         ``carriers``, the first of equals.  A carrier with no power raises
         CarrierNotFoundError, and one whose bin ``fits`` not ValueError,
-        the first of either in row order."""
+        the first of either in row order.  The carriers that peak on a bin
+        are read together, ``_OFFSET_CHUNK`` offsets at a time."""
         window = values[:, columns]
         peak = np.argmax(window, axis=1)
         power = window[np.arange(len(values)), peak]
@@ -304,25 +319,16 @@ class _Picks:
         if refused.any():
             self._refuse(int(np.argmax(refused)), power, peak, f_r)
         power *= self.df
-        # Each pick slot's values, by its indices into the flattened values.
-        # The median of 3 (or the mean of the least and greatest) needs no sort.
-        rows = (np.arange(len(values)) * values.shape[1]).reshape(-1, 1, 1)
-        a, b, c = (values.take(self.index[peak, ..., i] + rows) for i in range(3))
-        high = np.maximum(a, b)
-        low = np.minimum(a, b, out=a)
-        median = np.maximum(low, np.minimum(high, c, out=b), out=b)
-        mean = np.minimum(low, c, out=a)
-        mean += np.maximum(high, c, out=high)
-        mean /= 2.0
-        del low, high, c
-        median = np.where(self.two[peak], mean, median)
-        del mean
-        ratio = median[..., 0] + median[..., 1]
-        del median
-        ratio /= (2.0 * power)[:, None]
-        ratios = ratio.ravel().tolist()
-        l_dbc = np.fromiter((10.0 * math.log10(r) if r > 0 else -math.inf for r in ratios), np.float64, len(ratios))
-        return l_dbc.reshape(ratio.shape), self.carriers.start + peak, power
+        l_dbc = np.empty((len(values), len(self.offsets)))
+        for at in set(peak.tolist()):
+            rows = np.flatnonzero(peak == at)
+            index, two = self.row(self.carriers.start + at)
+            # Each row's offset into the flattened values, and its scale.
+            flat, scale = (rows * values.shape[1]).reshape(-1, 1, 1), (2.0 * power[rows])[:, None]
+            for start in range(0, len(self.offsets), _OFFSET_CHUNK):
+                chunk = slice(start, start + _OFFSET_CHUNK)
+                l_dbc[rows, chunk] = _sidebands(values, index[chunk], flat, two[chunk], scale)
+        return l_dbc, self.carriers.start + peak, power
 
     def _refuse(self, row: int, power: np.ndarray, peak: np.ndarray, f_r: float):
         """Raise the refusal of ``row``, whose carrier has no power or does not fit."""
@@ -333,11 +339,35 @@ class _Picks:
         raise ValueError(f"offset {off} Hz outside the measurable range [{df}, {top}] Hz")
 
     @staticmethod
-    def nbytes(carriers: int, offsets: int, size: int) -> int:
-        """Bytes of the table of ``carriers`` carrier bins and ``offsets``
-        offsets, indexing ``size`` values."""
-        per_offset = 6 * np.dtype(_index_dtype(size)).itemsize + 2 * np.dtype(bool).itemsize
-        return carriers * (offsets * per_offset + np.dtype(bool).itemsize)
+    def nbytes(rows: int, offsets: int, size: int) -> int:
+        """Bytes of ``rows`` rows of ``offsets`` offsets, indexing ``size`` values."""
+        return rows * offsets * (6 * np.dtype(_index_dtype(size)).itemsize + 2 * np.dtype(bool).itemsize)
+
+
+def _sidebands(values: np.ndarray, index: np.ndarray, flat: np.ndarray, two: np.ndarray, scale: np.ndarray):
+    """L in dBc/Hz, rows x offsets, from a row's ``index`` and ``two`` on
+    those offsets: each row's picks are its ``flat`` offset into the
+    flattened ``values`` plus ``index``, each side's value is the median
+    of 3, or where ``two`` marks it the mean of 2, and L is their sum over
+    ``scale`` (each row's twice carrier power), ``10 * math.log10`` of each."""
+    # The median of 3 (or the mean of the least and greatest, the empty
+    # slot repeating the nearest) needs no sort.
+    a, b, c = (values.take(index[..., i] + flat) for i in range(3))
+    high = np.maximum(a, b)
+    low = np.minimum(a, b, out=a)
+    median = np.maximum(low, np.minimum(high, c, out=b), out=b)
+    mean = np.minimum(low, c, out=a)
+    mean += np.maximum(high, c, out=high)
+    mean /= 2.0
+    del low, high, c
+    median = np.where(two, mean, median)
+    del mean
+    ratio = median[..., 0] + median[..., 1]
+    del median
+    ratio /= scale
+    ratios = ratio.ravel().tolist()
+    l_dbc = np.fromiter((10.0 * math.log10(r) if r > 0 else -math.inf for r in ratios), np.float64, len(ratios))
+    return l_dbc.reshape(ratio.shape)
 
 
 def _index_dtype(size: int):
@@ -399,9 +429,10 @@ class BinReader:
     ``reads``: for a passband reader ``bins`` are ``reads``, and ``fold``
     takes them all.  :meth:`footprint` gives the size of ``reads``, the
     carrier window's ``length`` and the reader's bytes without building
-    one; the offsets' candidates are found ``_OFFSET_CHUNK`` offsets at a
-    time, so building a reader for many offsets holds little more than
-    the reader.
+    one; the offsets' candidates are found, and read, ``_OFFSET_CHUNK``
+    offsets at a time, and a pick-table row is built only for a bin
+    some carrier's peak falls on, so a reader for many offsets holds
+    little more than its reads and a row or two.
 
     :meth:`take` runs the 1e-6 dominance test on a bare periodogram and
     keeps its values on ``reads``; :meth:`read` reads L off a carriers x
@@ -429,24 +460,30 @@ class BinReader:
             self.rate, self.shift = sample_rate, 0
 
     @staticmethod
-    def footprint(n_samples: int, sample_rate: float, f_r: float, offsets, envelope: bool = False) -> tuple:
-        """What a reader of these arguments takes, without building it: the
+    def footprint(
+        n_samples: int, sample_rate: float, f_r: float, offsets, envelope: bool = False, carriers: int = 1,
+        plans: int = 1,
+    ) -> tuple:
+        """What a reader of these arguments takes, without building it, when
+        it reads ``carriers`` carriers through each of ``plans`` plans: the
         number of its ``reads``; the ``length`` of its carrier window; the
-        bytes building it passes through (what it holds, one chunk's
-        candidates, and the reads found, sorted and merged); the bytes it
-        holds (its offsets, its reads, an envelope reader's ``bins`` and
-        ``fold``, and its pick table); and the bytes a :meth:`read` passes
-        through per carrier (its values on the reads and on the carrier
-        window, its bin, peak and power, and ``_READ_BYTES_PER_OFFSET``
-        an offset)."""
+        bytes building it passes through (its offsets and reads, one
+        chunk's candidates on every bin of the window, and the reads found,
+        sorted and merged); the bytes it holds once read (its offsets, its
+        reads, an envelope reader's ``bins`` and ``fold``, and a pick-table
+        row for each bin the peaks can fall on, at most one per carrier
+        and plan); and the bytes one :meth:`read` passes through (a row's
+        picks chosen one chunk at a time, and for each carrier its values
+        on the reads and on the carrier window, its bin, peak and power,
+        its row index, offset and scale, and ``_READ_BYTES_PER_OFFSET``
+        an offset of a chunk)."""
         _, _, window, reads, length = _layout(n_samples, sample_rate, f_r, offsets, envelope)
-        value = np.dtype(np.float64).itemsize
-        held = value * len(offsets) + (3 if envelope else 1) * reads.nbytes + _Picks.nbytes(
-            len(window), len(offsets), len(reads)
-        )
-        finding = held + min(len(offsets), _OFFSET_CHUNK) * len(window) * _CANDIDATE_BYTES + 3 * reads.nbytes
-        reading = value * (len(reads) + len(window) + 3) + _READ_BYTES_PER_OFFSET * len(offsets)
-        return len(reads), length, finding, held, reading
+        value, chunk = np.dtype(np.float64).itemsize, min(len(offsets), _OFFSET_CHUNK)
+        own = value * len(offsets) + (3 if envelope else 1) * reads.nbytes
+        finding = own + chunk * len(window) * _CANDIDATE_BYTES + 3 * reads.nbytes
+        held = own + _Picks.nbytes(min(len(window), carriers * plans), len(offsets), len(reads))
+        per_carrier = value * (len(reads) + len(window) + 6) + _READ_BYTES_PER_OFFSET * chunk
+        return len(reads), length, finding, held, chunk * _CANDIDATE_BYTES + carriers * per_carrier
 
     def take(self, psd: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``psd``'s values on ``reads``, into ``out`` if given, once its

@@ -283,9 +283,10 @@ def derive_seed(master_seed: int, experiment: str, point_index: int, seed_index:
 #: Budget model.  Each layer states the bytes of its own arrays: a plan's
 #: int64 offsets (``OFFSET_BYTES``), the workspaces and their shared scale
 #: (``Workspace.nbytes``), a plan job's scratch and the shared twiddle
-#: tables (``scratch_bytes``), and a reader's bins, pick table and reads
-#: (``BinReader.footprint``); the kept values and the plans' reads are
-#: arrays, counted as ``sys.getsizeof`` counts them.  A read runs in
+#: tables (``scratch_bytes``), and a reader's bins, the pick-table rows
+#: its reads can build, and its reads (``BinReader.footprint``); the kept
+#: values and the plans' reads are arrays, counted as ``sys.getsizeof``
+#: counts them.  A read runs in
 #: phases, one after another, and the guard takes the largest:
 #: - build: the plans held, one plan being built, and the reader;
 #: - carriers: the plans, the reader, the carriers' kept values, and
@@ -306,8 +307,10 @@ _JOB_BYTES = 256 << 10
 #: a plan's line while the plan is built (wavelengths, delays) or while a
 #: plan job sorts and counts its offsets (30 B per line for long plans);
 _LINE_BYTES = 48
-#: a bin a plan job reads: power_at_bins' arrays on it, and its |H|^2;
-_READ_BYTES = 128
+#: a bin a plan job reads: power_at_bins' arrays on it, and its |H|^2
+#: (51-84 B a bin on 16001 bins or more; on fewer, its fixed arrays,
+#: within _JOB_BYTES, weigh more);
+_READ_BYTES = 80
 #: a seed's value in a sweep row, as it is built (32 B held);
 _ROW_BYTES_PER_VALUE = 48
 #: a table row as values or as CSV text; a write holds both (167 B);
@@ -333,7 +336,7 @@ def _read_phases(
     ``offsets`` on up to ``workers`` threads; ``rows`` values of sweep
     rows held once its rows are built, and ``held`` bytes throughout."""
     reads, length, finding, reader, reading = BinReader.footprint(
-        grid.n_samples, grid.sample_rate, grid.f_r, offsets, envelope
+        grid.n_samples, grid.sample_rate, grid.f_r, offsets, envelope, carriers, distinct
     )
     plans, widest = OFFSET_BYTES * sum(lines), _LINE_BYTES * max(lines, default=0)
     kept = _array_bytes((carriers, reads))  # the carriers' values on the reads, as taken
@@ -344,7 +347,7 @@ def _read_phases(
     own, tables = scratch_bytes(grid.n_samples)
     # A plan job sums |H|^2 in its scratch, then reads every carrier through it.
     value = np.dtype(np.float64).itemsize
-    plan_job = _JOB_BYTES + own + max(widest + _READ_BYTES * reads, value * reads + carriers * reading)
+    plan_job = _JOB_BYTES + own + max(widest + _READ_BYTES * reads, value * reads + reading)
     phases = {
         "build": plans + max(finding, widest + reader),
         "carriers": plans + reader + kept + Workspace.nbytes(length, envelope, jobs) + jobs * _JOB_BYTES,

@@ -171,28 +171,34 @@ class TestPhaseNoiseSpectrum:
         # even and odd windows, one- and two-sided, the carrier at and away
         # from DC and at Nyquist, so the ends leave 2 bins in reach as well
         # as 3; and L read off the table against L from the picker's bins.
+        # Half-bin offsets put targets midway between bins, where the third
+        # pick is one of two equally near bins and the lower comes first.
         rng = np.random.default_rng(5)
-        sizes = set()
+        sizes, ties = set(), set()
         for n in (8, 9, 64, 65):
             bins = n // 2 + 1
-            offsets = np.linspace(0.0, 2 * bins, 16 * bins)[1:]
+            offsets = np.union1d(np.linspace(0.0, 2 * bins, 16 * bins)[1:], np.arange(2 * bins) + 0.5)
             for two_sided in (False, True):
                 low = 1 - bins if two_sided else 0
                 psd = rng.random(2 * bins - 1)  # bin j at psd[j], j < 0 from the end
                 for carrier in (0, 1, 2, bins // 2, bins - 1):
                     picks = _Picks(range(carrier, carrier + 1), offsets, 1.0, bins, float(n), two_sided)
+                    index, two = picks.row(carrier)
                     values = {}
                     for i, off in enumerate(offsets):
                         lower = carrier - off if two_sided else abs(carrier - off)
                         for side, target in enumerate((carrier + off, lower)):
-                            if not low - 0.5 < target < bins - 0.5:
+                            if not low - 0.5 <= target <= bins - 0.5:
                                 continue
                             center = int(round(target))
                             near = [j for j in range(center - 2, center + 3) if low <= j < bins and j != carrier]
-                            picked = sorted(sorted(near, key=lambda j: (abs(j - target), j))[:3])
+                            near.sort(key=lambda j: (abs(j - target), j))
+                            picked = sorted(near[:3])
                             sizes.add(len(picked))
-                            assert sorted(set(picks.index[0, i, side])) == picked
-                            assert picks.two[0, i, side] == (len(picked) == 2)
+                            if len(near) > 3 and abs(near[2] - target) == abs(near[3] - target):
+                                ties.add((two_sided, len(picked)))
+                            assert sorted(set(index[i, side])) == picked
+                            assert two[i, side] == (len(picked) == 2)
                             values[i, side] = float(np.median(psd[picked]))
                     fits = (offsets >= 1.0) & (offsets <= n / 2 - carrier)
                     assert picks.fits[0] == fits.all()
@@ -202,6 +208,7 @@ class TestPhaseNoiseSpectrum:
                         ratios = [(values[i, 0] + values[i, 1]) / (2.0 * psd[carrier]) for i in np.flatnonzero(fits)]
                         assert l_dbc.tolist() == [10.0 * math.log10(r) for r in ratios]
         assert sizes == {2, 3}
+        assert ties == {(False, 3), (True, 3)}
 
     def test_offset_out_of_range_rejected(self):
         grid = build_grid(1e6, 8, 1e-3)
@@ -285,6 +292,21 @@ class TestBinReader:
                 (alone_l,), (alone_bin,), (alone_power,) = reader.read(values[row : row + 1])
                 assert np.array_equal(one_l, alone_l)
                 assert (one_bin, one_power) == (alone_bin, alone_power)
+
+    def test_builds_table_rows_only_for_the_bins_peaks_fall_on(self):
+        # Bins 1 Hz apart, the carrier window on bins 98 .. 102: a row of
+        # the pick table is built the first time a carrier peaks on its
+        # bin, and kept for later reads.
+        rng = np.random.default_rng(17)
+        reader = BinReader(1000, 1000.0, 100.0, [10.0, 40.0, 150.0])
+        window = np.searchsorted(reader.reads, list(reader.window))
+        values = rng.random((3, len(reader.reads)))
+        values[:, window[2]] += 1e6
+        reader.read(values)
+        assert sorted(reader._picks.rows) == [100]
+        values[1, window[3]] += 1e7
+        reader.read(values)
+        assert sorted(reader._picks.rows) == [100, 101]
 
     def test_batch_refuses_its_first_refused_carrier(self):
         # Bins 1 Hz apart, Nyquist at 500 Hz, the carrier window on bins

@@ -150,7 +150,11 @@ class TestEstimateMemorySubcommand:
         # each of 24 plans, none of one line; for the oversampling sweep at
         # its largest ratio, 64, its carrier phase, with each carrier's
         # values, the other 4 ratios' carriers, and its value in their rows,
-        # per offset.
+        # per offset.  Both count a pick-table row (6 int32 picks and 2 flags
+        # an offset) for each bin of the 5-bin carrier window that a
+        # carrier's peak can fall on through a plan: all 5 for the comb-width
+        # sweep, and for the oversampling sweep one for each of its carriers,
+        # the pure tone and the seeds, up to 5.
         offsets = ExperimentConfig.offsets
         value = 8  # float64, or an int64 bin
         for name, ratio, envelope in (("sweep-comb-width", 16, True), ("sweep-oversampling", 64, False)):
@@ -158,10 +162,14 @@ class TestEstimateMemorySubcommand:
             reads = len(BinReader(grid.n_samples, grid.sample_rate, grid.f_r, offsets, envelope).reads)
             if envelope:
                 per_seed = value * reads + 24 * value * (len(offsets) + 2)
+                rows = {seeds: 5 for seeds in (1, 4, 7)}
             else:
                 per_seed = value * reads + 4 * experiments._CARRIER_BYTES
                 per_seed += 4 * experiments._ROW_BYTES_PER_VALUE * len(offsets)
-            assert four[name] - one[name] == seven[name] - four[name] == 3 * per_seed, name
+                rows = {seeds: min(5, 1 + seeds) for seeds in (1, 4, 7)}
+            row = (6 * 4 + 2) * len(offsets)
+            assert four[name] - one[name] == 3 * per_seed + (rows[4] - rows[1]) * row, name
+            assert seven[name] - four[name] == 3 * per_seed + (rows[7] - rows[4]) * row, name
 
 
 def subcommand_options() -> dict[str, set[str]]:

@@ -455,6 +455,9 @@ class TestConcurrentBudget:
             ("simulate", {"t_sig": 1e-3}, {"kind": "ideal"}, 1.1),
             # 2000 offsets: the reader's bins and candidates, not the window, are the most it holds.
             ("simulate", {"t_sig": 2e-4}, {"kind": "none", "points": 2000}, 1.5),
+            # 20000 offsets: one pick-table row, for the one bin the carrier
+            # peaks on, then the spectrum written, the most the run holds.
+            ("simulate", {"t_sig": 2e-4}, {"kind": "none", "points": 20000}, 1.1),
             # The comb-width sweep's carriers are envelopes of 8100 samples, so
             # its plan jobs' scratch on the 320000-sample window is its largest phase.
             ("sweep-comb-width", {"n_seeds": 2}, {}, 1.2),
@@ -480,6 +483,7 @@ class TestConcurrentBudget:
             "simulate",
             "simulate-t-sig-1e-3",
             "simulate-2000-points",
+            "simulate-20000-points",
             "sweep-comb-width",
             "sweep-comb-width-2-workers",
             "sweep-comb-width-10-seeds",
@@ -524,10 +528,10 @@ class TestConcurrentBudget:
         assert code == 3, out.err
         assert peak < budget
         if command == "simulate":
-            assert "simulate needs about 107.7 MiB (112931725 B) for 1 concurrent job(s) and delay plans of " \
+            assert "simulate needs about 107.6 MiB (112851800 B) for 1 concurrent job(s) and delay plans of " \
                 "2000001 lines, over the budget of 3.8 MiB (4000000 B)" in out.err
         else:  # the largest phase, building the plan; dispersion-eval's one plan is at 2e13 Hz too
-            assert "simulate: 112931725 bytes" in out.out
+            assert "simulate: 112851800 bytes" in out.out
             assert "budget refusal: simulate, dispersion-eval would refuse, over the budget of 3.8 MiB" in out.err
         assert not (tmp_path / "out").exists()
 
