@@ -43,11 +43,14 @@ window and each offset, the 3 bins each sideband's median takes; a
 bin's row is built with array operations the first time a carrier's
 peak falls on it, so a read is array operations on the values: each
 row's peak, its picks gathered, their median from minima and maxima,
-and L.  :func:`phase_noise_from_psd` is the same read of a dense PSD,
-with one row and a table for the one carrier bin it finds.  An envelope reader keeps the envelope's periodogram on the
-same bins, and reads the lower sideband of an offset above f_r where it
-is, below 0 Hz, where the real carrier's reader finds it reflected
-through DC.
+and L.  A read looks at no other bin, and the reader states which bins
+a read of given peaks takes (:meth:`BinReader.wanted`), so a plan's
+|H|^2 need be summed on those alone.  :func:`phase_noise_from_psd` is
+the same read of a dense PSD, with one row and a table for the one
+carrier bin it finds.  An envelope reader keeps the envelope's
+periodogram on the same bins, and reads the lower sideband of an offset
+above f_r where it is, below 0 Hz, where the real carrier's reader
+finds it reflected through DC.
 """
 
 from __future__ import annotations
@@ -381,27 +384,6 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     return values[np.diff(values, prepend=values[:1] - 1) != 0]
 
 
-def _layout(n_samples: int, sample_rate: float, f_r: float, offsets, envelope: bool) -> tuple:
-    """A :class:`BinReader`'s ``size`` and ``df``, carrier window,
-    ``reads`` and carrier-window ``length`` (see there)."""
-    size, df = n_samples // 2 + 1, bin_spacing(n_samples, sample_rate)
-    window = _carrier_window(size, df, f_r)
-    carrier = np.arange(window.start, window.stop)
-    offsets = np.asarray(offsets, dtype=np.float64)
-    parts = [carrier]
-    for start in range(0, len(offsets), _OFFSET_CHUNK):
-        # The candidates of every carrier bin the window allows: a superset
-        # of what any read picks.
-        _, candidates = _candidates(carrier, offsets[start : start + _OFFSET_CHUNK], df, envelope)
-        candidates = candidates.ravel()
-        parts.append(_sorted_unique(candidates[(candidates >= (1 - size if envelope else 0)) & (candidates < size)]))
-    reads = _sorted_unique(np.concatenate(parts))
-    if envelope:
-        center = int(round(f_r / df))
-        return size, df, window, reads, envelope_length(int(np.max(np.abs(reads - center))))
-    return size, df, window, reads, n_samples
-
-
 class BinReader:
     """L(f) read as :func:`phase_noise_from_psd` reads it, off a PSD known
     only on the bins that read can look at, for many carriers at once.
@@ -424,15 +406,18 @@ class BinReader:
     :func:`~talbotsim.synthesis.envelope_length`; for a passband reader
     they are the window's own ``n_samples`` and ``sample_rate``.
 
-    A plan's |H|^2 is summed on ``bins``, the distinct ``|reads|`` (it is
+    A plan's |H|^2 is known on ``bins``, the distinct ``|reads|`` (it is
     even in frequency), and indexing by ``fold`` takes it back to
     ``reads``: for a passband reader ``bins`` are ``reads``, and ``fold``
-    takes them all.  :meth:`footprint` gives the size of ``reads``, the
-    carrier window's ``length`` and the reader's bytes without building
-    one; the offsets' candidates are found, and read, ``_OFFSET_CHUNK``
-    offsets at a time, and a pick-table row is built only for a bin
-    some carrier's peak falls on, so a reader for many offsets holds
-    little more than its reads and a row or two.
+    takes them all.  A read looks only at the carrier window and the
+    picks of the bins its carriers peak on: :meth:`wanted` names those
+    bins for given peaks, so a plan job sums |H|^2 on them alone, and
+    every other value may hold anything.  The offsets' candidates are
+    found, and read, ``_OFFSET_CHUNK`` offsets at a time, and a
+    pick-table row is built only for a bin some carrier's peak falls
+    on, so a reader for many offsets holds little more than its reads
+    and a row or two.  :meth:`footprint` states its bytes, for the budget
+    guard, from the one pass that found its ``reads``.
 
     :meth:`take` runs the 1e-6 dominance test on a bare periodogram and
     keeps its values on ``reads``; :meth:`read` reads L off a carriers x
@@ -443,47 +428,55 @@ class BinReader:
     """
 
     def __init__(self, n_samples: int, sample_rate: float, f_r: float, offsets, envelope: bool = False):
-        self.offsets = np.sort(np.asarray(offsets, dtype=np.float64))
-        self.size, self.df, self.window, self.reads, self.length = _layout(
-            n_samples, sample_rate, f_r, self.offsets, envelope
-        )
+        self.offsets = offsets = np.sort(np.asarray(offsets, dtype=np.float64))
+        self.size, self.df = size, df = n_samples // 2 + 1, bin_spacing(n_samples, sample_rate)
+        self.window = window = _carrier_window(size, df, f_r)
         self.sample_rate, self.f_r, self.envelope = sample_rate, f_r, envelope
-        self._picks = _Picks(self.window, self.offsets, self.df, self.size, sample_rate, envelope, self.reads)
-        self._columns = np.searchsorted(self.reads, np.arange(self.window.start, self.window.stop))
+        carrier = np.arange(window.start, window.stop)
+        parts = [carrier]
+        for start in range(0, len(offsets), _OFFSET_CHUNK):
+            # The candidates of every carrier bin the window allows: a
+            # superset of what any read picks.
+            _, candidates = _candidates(carrier, offsets[start : start + _OFFSET_CHUNK], df, envelope)
+            candidates = candidates.ravel()
+            inside = (candidates >= (1 - size if envelope else 0)) & (candidates < size)
+            parts.append(_sorted_unique(candidates[inside]))
+        self.reads = _sorted_unique(np.concatenate(parts))
+        del parts
+        self._picks = _Picks(window, offsets, df, size, sample_rate, envelope, self.reads)
+        self._columns = np.searchsorted(self.reads, carrier)
         if envelope:
+            center = int(round(f_r / df))
+            self.length = envelope_length(int(np.max(np.abs(self.reads - center))))
             mirrored = np.abs(self.reads)
             self.bins = _sorted_unique(mirrored)
             self.fold = np.searchsorted(self.bins, mirrored)
-            self.rate, self.shift = self.length * self.df, int(round(f_r / self.df))
+            self.rate, self.shift = self.length * df, center
         else:
             self.bins, self.fold = self.reads, slice(None)
-            self.rate, self.shift = sample_rate, 0
+            self.length, self.rate, self.shift = n_samples, sample_rate, 0
 
-    @staticmethod
-    def footprint(
-        n_samples: int, sample_rate: float, f_r: float, offsets, envelope: bool = False, carriers: int = 1,
-        plans: int = 1,
-    ) -> tuple:
-        """What a reader of these arguments takes, without building it, when
-        it reads ``carriers`` carriers through each of ``plans`` plans: the
-        number of its ``reads``; the ``length`` of its carrier window; the
-        bytes building it passes through (its offsets and reads, one
-        chunk's candidates on every bin of the window, and the reads found,
-        sorted and merged); the bytes it holds once read (its offsets, its
-        reads, an envelope reader's ``bins`` and ``fold``, and a pick-table
-        row for each bin the peaks can fall on, at most one per carrier
-        and plan); and the bytes one :meth:`read` passes through (a row's
-        picks chosen one chunk at a time, and for each carrier its values
-        on the reads and on the carrier window, its bin, peak and power,
-        its row index, offset and scale, and ``_READ_BYTES_PER_OFFSET``
-        an offset of a chunk)."""
-        _, _, window, reads, length = _layout(n_samples, sample_rate, f_r, offsets, envelope)
-        value, chunk = np.dtype(np.float64).itemsize, min(len(offsets), _OFFSET_CHUNK)
-        own = value * len(offsets) + (3 if envelope else 1) * reads.nbytes
+    def footprint(self, carriers: int = 1, plans: int = 0) -> tuple[int, int, int]:
+        """What this reader takes when it reads ``carriers`` carriers
+        through plans of which ``plans`` may move a carrier's peak: the
+        bytes building it passed through (its own arrays: its offsets,
+        reads, and an envelope reader's ``bins`` and ``fold``; one chunk's
+        candidates on every bin of the window; and the reads found, sorted
+        and merged); the bytes it holds once read (its own arrays, and a
+        pick-table row for each bin the peaks can fall on, one per carrier
+        for its bare peak and one more per carrier and plan); and the
+        bytes one :meth:`read` passes through (a row's picks chosen one
+        chunk at a time, and for each carrier its values on the reads and
+        on the carrier window, its bin, peak and power, its row index,
+        offset and scale, and ``_READ_BYTES_PER_OFFSET`` an offset of a
+        chunk)."""
+        reads, window, offsets = self.reads, self.window, len(self.offsets)
+        value, chunk = np.dtype(np.float64).itemsize, min(offsets, _OFFSET_CHUNK)
+        own = self.offsets.nbytes + (3 if self.envelope else 1) * reads.nbytes
         finding = own + chunk * len(window) * _CANDIDATE_BYTES + 3 * reads.nbytes
-        held = own + _Picks.nbytes(min(len(window), carriers * plans), len(offsets), len(reads))
+        held = own + _Picks.nbytes(min(len(window), carriers * (1 + plans)), offsets, len(reads))
         per_carrier = value * (len(reads) + len(window) + 6) + _READ_BYTES_PER_OFFSET * chunk
-        return len(reads), length, finding, held, chunk * _CANDIDATE_BYTES + carriers * per_carrier
+        return finding, held, chunk * _CANDIDATE_BYTES + carriers * per_carrier
 
     def take(self, psd: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``psd``'s values on ``reads``, into ``out`` if given, once its
@@ -507,6 +500,36 @@ class BinReader:
         ValueError, for the first carrier refused.
         """
         return self._picks.read(values, self._columns, self.f_r)
+
+    def peaks(self, values: np.ndarray, gain: np.ndarray | None = None) -> np.ndarray:
+        """The bin each row of ``values`` (carriers x ``reads``) peaks on
+        in the carrier window, as :meth:`read` finds it, or each row seen
+        through ``gain``, a plan's |H|^2 on ``bins``."""
+        window = values[:, self._columns]
+        if gain is not None:
+            window = window * gain[self.fold][self._columns]
+        return self.window.start + np.argmax(window, axis=1)
+
+    def wanted(self, peaks) -> np.ndarray:
+        """A mask on ``bins`` of every bin a :meth:`read` looks at when each
+        carrier peaks on one of the carrier-window bins ``peaks``: the
+        carrier window, and the picks of each of those bins where the
+        offsets fit, whose pick-table rows this builds (a read refuses a
+        carrier on any other).  A read of such carriers is the same
+        whatever the values on the other bins."""
+        start, picks = self.window.start, self._picks
+        mask = np.zeros(len(self.reads), bool)
+        mask[self._columns] = True
+        for peak in peaks:
+            if picks.fits[peak - start]:
+                index = picks.row(peak)[0]
+                for chunk in range(0, len(index), _OFFSET_CHUNK):
+                    mask[index[chunk : chunk + _OFFSET_CHUNK]] = True
+        if not self.envelope:
+            return mask
+        folded = np.zeros(len(self.bins), bool)
+        folded[self.fold[mask]] = True
+        return folded
 
 
 def jitter(spectrum: PhaseNoiseSpectrum, f_min: float, f_max: float) -> JitterResult:

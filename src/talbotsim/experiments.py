@@ -22,9 +22,9 @@ independent of each other.
 Every study that synthesizes reads its carriers on one path,
 :func:`_through_plans`: carrier jobs keep each periodogram on the bins
 the reader picks from, and then one job per distinct delay plan sums
-its |H|^2 on those bins and reads every carrier through it.  ``simulate
---kind none`` and the oversampling sweep read through the one-line plan
-at zero delay, whose |H|^2 is exactly 1.
+its |H|^2 on those its read takes and reads every carrier through it.
+``simulate --kind none`` and the oversampling sweep read through the
+one-line plan at zero delay, whose |H|^2 is exactly 1.
 
 The comb-width sweep reads L only near f_r, so its carrier jobs
 synthesize each carrier as its complex envelope, on a window only as
@@ -48,7 +48,7 @@ import sys
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable
 
@@ -76,7 +76,7 @@ from .dispersion import (
 )
 from .errors import BudgetError, ConfigError
 from .model import CombSpec, SimGrid, bin_spacing, build_grid, comb_lines, NoiseProfile
-from .superposition import Scratch, power_at_bins, scratch, scratch_bytes
+from .superposition import Lags, Scratch, lag_histogram, power_at_bins, scratch, scratch_bytes
 from .svgplot import render_plots
 from .synthesis import SynthesisRequest, Workspace, default_noise_profile, synth_carrier, synth_envelope
 
@@ -281,20 +281,22 @@ def derive_seed(master_seed: int, experiment: str, point_index: int, seed_index:
 
 
 #: Budget model.  Each layer states the bytes of its own arrays: a plan's
-#: int64 offsets (``OFFSET_BYTES``), the workspaces and their shared scale
-#: (``Workspace.nbytes``), a plan job's scratch and the shared twiddle
-#: tables (``scratch_bytes``), and a reader's bins, the pick-table rows
-#: its reads can build, and its reads (``BinReader.footprint``); the kept
-#: values and the plans' reads are arrays, counted as ``sys.getsizeof``
-#: counts them.  A read runs in
-#: phases, one after another, and the guard takes the largest:
-#: - build: the plans held, one plan being built, and the reader;
-#: - carriers: the plans, the reader, the carriers' kept values, and
+#: int64 offsets (``OFFSET_BYTES``), which bound its lag histogram too,
+#: the workspaces and their shared scale (``Workspace.nbytes``), a plan
+#: job's scratch and the shared twiddle tables (``scratch_bytes``), and a
+#: reader's bins, the pick-table rows its reads can build, and its reads
+#: (``BinReader.footprint``, of the reader the run uses); the kept values
+#: and the plans' reads are arrays, counted as ``sys.getsizeof`` counts
+#: them.  A read runs in phases, one after another, and the guard takes
+#: the largest:
+#: - build: the reader, the histograms held, and one plan being built and
+#:   histogrammed;
+#: - carriers: the histograms, the reader, the carriers' kept values, and
 #:   ``min(workers, carriers)`` jobs, each in a workspace of its own;
-#: - plans: the plans, the reader, the kept values, the twiddle tables,
-#:   ``min(workers, distinct plans)`` jobs, each in a scratch of its own,
-#:   made before the first, summing |H|^2 and then reading every carrier
-#:   at once, and their reads;
+#: - plans: the histograms, the reader, the kept values, the twiddle
+#:   tables, ``min(workers, distinct plans)`` jobs, each in a scratch of
+#:   its own, made before the first, summing |H|^2 and then reading every
+#:   carrier at once, and their reads;
 #: - rows: the plans' reads and the sweep rows.
 #: The rows of earlier reads (the oversampling sweep's ratios) are held
 #: through all four.  A table study builds its plans and its table, then
@@ -304,13 +306,15 @@ def derive_seed(master_seed: int, experiment: str, point_index: int, seed_index:
 #: carrier job (numpy's inverse-transform buffer, the ramp chunks), and in
 #: a plan job numpy's buffers, up to 0.21 MB with a plan's lines below;
 _JOB_BYTES = 256 << 10
-#: a plan's line while the plan is built (wavelengths, delays) or while a
-#: plan job sorts and counts its offsets (30 B per line for long plans);
+#: a plan's line while the plan is built (wavelengths, delays) or while
+#: its offsets are sorted and counted (about 30 B per line);
 _LINE_BYTES = 48
-#: a bin a plan job reads: power_at_bins' arrays on it, and its |H|^2
-#: (51-84 B a bin on 16001 bins or more; on fewer, its fixed arrays,
-#: within _JOB_BYTES, weigh more);
-_READ_BYTES = 80
+#: a read bin a plan job may sum |H|^2 on: the masks of the bins summed
+#: (1 B each, up to 5 at once), its bin, and power_at_bins' arrays on it
+#: and its |H|^2 (44 B a bin on 16001 bins of a reader or more, 57 B on
+#: 60000 bins drawn at random, which form more runs; on fewer, its fixed
+#: arrays, within _JOB_BYTES, weigh more);
+_READ_BYTES = 72
 #: a seed's value in a sweep row, as it is built (32 B held);
 _ROW_BYTES_PER_VALUE = 48
 #: a table row as values or as CSV text; a write holds both (167 B);
@@ -328,30 +332,31 @@ def _array_bytes(shape: tuple, dtype=np.float64) -> int:
 
 
 def _read_phases(
-    grid: SimGrid, workers: int, carriers: int, lines: list, distinct: int, offsets, envelope=False, rows=0, held=0
+    reader: BinReader, grid: SimGrid, workers: int, carriers: int, lines: list, distinct: int, rows=0, held=0
 ) -> dict[str, int]:
     """Peak bytes of each phase of a read: ``carriers`` carriers on
-    ``grid``'s window, or an ``envelope`` window, seen through plans of
-    ``lines`` lines each, ``distinct`` of them distinct, and read at
-    ``offsets`` on up to ``workers`` threads; ``rows`` values of sweep
-    rows held once its rows are built, and ``held`` bytes throughout."""
-    reads, length, finding, reader, reading = BinReader.footprint(
-        grid.n_samples, grid.sample_rate, grid.f_r, offsets, envelope, carriers, distinct
-    )
+    ``grid``'s window, or ``reader``'s envelope window, seen through plans
+    of ``lines`` lines each, ``distinct`` of them distinct, and read by
+    ``reader`` on up to ``workers`` threads; ``rows`` values of sweep rows
+    held once its rows are built, and ``held`` bytes throughout."""
+    reads, offsets = len(reader.reads), len(reader.offsets)
+    moving = distinct if max(lines, default=0) > 1 else 0  # a one-line plan moves no peak
+    finding, holding, reading = reader.footprint(carriers, moving)
     plans, widest = OFFSET_BYTES * sum(lines), _LINE_BYTES * max(lines, default=0)
     kept = _array_bytes((carriers, reads))  # the carriers' values on the reads, as taken
     # Each distinct plan's read: L, and the carriers' bins and powers, in a tuple.
-    read = _array_bytes((carriers, len(offsets))) + _array_bytes((carriers,), np.int64) + _array_bytes((carriers,))
+    read = _array_bytes((carriers, offsets)) + _array_bytes((carriers,), np.int64) + _array_bytes((carriers,))
     results = distinct * (read + sys.getsizeof((None,) * 3))
     jobs, plan_jobs = min(workers, carriers), min(workers, distinct)
     own, tables = scratch_bytes(grid.n_samples)
-    # A plan job sums |H|^2 in its scratch, then reads every carrier through it.
+    # A plan job sums |H|^2 in its scratch, into an array on every read bin,
+    # and then, that array and the sums' buffers freed, reads every carrier.
     value = np.dtype(np.float64).itemsize
-    plan_job = _JOB_BYTES + own + max(widest + _READ_BYTES * reads, value * reads + reading)
+    plan_job = own + max(_JOB_BYTES + (value + _READ_BYTES) * reads, reading)
     phases = {
-        "build": plans + max(finding, widest + reader),
-        "carriers": plans + reader + kept + Workspace.nbytes(length, envelope, jobs) + jobs * _JOB_BYTES,
-        "plans": plans + reader + kept + tables + plan_jobs * plan_job + results,
+        "build": plans + max(finding, widest + holding),
+        "carriers": plans + holding + kept + Workspace.nbytes(reader.length, reader.envelope, jobs) + jobs * _JOB_BYTES,
+        "plans": plans + holding + kept + tables + plan_jobs * plan_job + results,
         "rows": results + _ROW_BYTES_PER_VALUE * rows,
     }
     return {name: held + bytes_ for name, bytes_ in phases.items()}
@@ -366,7 +371,8 @@ def _predict_bytes(grid: SimGrid, lines: int = 0, jobs: int = 1, held: int = 0) 
     so tracemalloc does not see it and this figure leaves it out; the
     resident set runs higher by that scratch.
     """
-    return _Guard("", _read_phases(grid, jobs, jobs, [lines], 1, (), held=held)).predicted
+    reader = BinReader(grid.n_samples, grid.sample_rate, grid.f_r, ())
+    return _Guard("", _read_phases(reader, grid, jobs, jobs, [lines], 1, held=held)).predicted
 
 
 @dataclass(frozen=True)
@@ -543,11 +549,28 @@ def _detect(grid: SimGrid, ws: Workspace, job) -> np.ndarray:
     return passband_periodogram(synth_carrier(SynthesisRequest(grid=grid, noise=noise, seed=seed), ws), ws)
 
 
-def _read_plan(reader: BinReader, kept: np.ndarray, work: Scratch, plan: DelayPlan) -> tuple:
-    """L(f) of every kept carrier seen through ``plan``, in one read
-    (:meth:`BinReader.read`): their values on ``reader``'s bins times the
-    plan's |H|^2 on them, summed in ``work``."""
-    return reader.read(kept * power_at_bins(plan, reader.bins, work)[reader.fold])
+def _read_plan(reader: BinReader, kept: np.ndarray, work: Scratch, lags: Lags) -> tuple:
+    """L(f) of every kept carrier seen through the plan of ``lags``, in one
+    read (:meth:`BinReader.read`): their values on ``reader``'s bins times
+    the plan's |H|^2, summed in ``work`` where the read looks and 0
+    elsewhere (:func:`_gain`)."""
+    return reader.read(kept * _gain(reader, kept, lags, work, np.zeros(len(reader.bins)))[reader.fold])
+
+
+def _gain(reader: BinReader, kept: np.ndarray, lags: Lags, work: Scratch, gain: np.ndarray) -> np.ndarray:
+    """``gain``, on ``reader.bins``, with the |H|^2 of ``lags`` written on
+    the bins a read of ``kept`` through it looks at (:meth:`BinReader.wanted`)
+    and nowhere else.  The carriers' peaks are guessed from ``kept``; the
+    picks of any bin the plan moves a peak to are summed in a second call,
+    which leaves the window, and so the peaks, as the first found them."""
+    guessed = set(reader.peaks(kept).tolist())
+    summed = reader.wanted(guessed)
+    gain[summed] = power_at_bins(lags, reader.bins[summed], work)
+    moved = set(reader.peaks(kept, gain).tolist()) - guessed
+    if moved:
+        more = reader.wanted(moved) & ~summed
+        gain[more] = power_at_bins(lags, reader.bins[more], work)
+    return gain
 
 
 @dataclass(frozen=True, eq=False)
@@ -570,8 +593,10 @@ class _Reads:
     held_points: int = 1
     envelope: bool = False
 
+    @cached_property
     def reader(self) -> BinReader:
-        """A reader of L at ``offsets`` off the bins it picks on ``grid``."""
+        """The reader of L at ``offsets`` off the bins it picks on ``grid``,
+        built once: the guard sizes it, and the reads then use it."""
         grid = self.grid
         return BinReader(grid.n_samples, grid.sample_rate, grid.f_r, self.offsets, self.envelope)
 
@@ -585,7 +610,7 @@ class _Reads:
         distinct = len({p if n > 1 else "bare" for p, n in zip(self.plans, lines)})
         point = len(self.plans) * len(self.carriers) * len(self.offsets)  # the values of one point's rows
         phases = _read_phases(
-            self.grid, cfg.workers, len(self.carriers), lines, distinct, self.offsets, self.envelope,
+            self.reader, self.grid, cfg.workers, len(self.carriers), lines, distinct,
             rows=self.held_points * point,
             held=_CARRIER_BYTES * others + _ROW_BYTES_PER_VALUE * max(self.held_points - 1, 0) * point,
         )
@@ -623,26 +648,38 @@ def _read_through(cfg: ExperimentConfig, reads: _Reads) -> list[tuple]:
     the bare periodogram.  The detected periodogram is the carrier's
     times the plan's |H|^2, so every plan sees the same noise.  Plans
     whose offsets mod n are the same multiset have bit-equal |H|^2, so
-    each plan is keyed by the digest of that sorted multiset, and one
-    plan of each key sums its |H|^2 on those bins and reads every carrier
-    through it at once.  The carriers run as jobs on workspaces of their
-    own, which are freed before the distinct plans run as jobs, each in a
-    scratch of its own (the twiddle tables shared), all made before the
-    first plan job.  An
+    each plan is compared by its lag histogram, its offsets mod n sorted
+    once (:func:`~talbotsim.superposition.lag_histogram`), and one plan
+    of each sums its |H|^2 on the bins its read looks at and reads every
+    carrier through it at once.  The reader is the one the guard sized.
+    The carriers run as jobs on workspaces of their own, which are freed
+    before the distinct plans run as jobs, each in a scratch of its own
+    (the twiddle tables shared), all made before the first plan job.  An
     envelope read synthesizes each carrier as its complex envelope; the
     plans, their |H|^2 and the reads are the same.
     """
     grid = reads.grid
-    plans = [_plan(cfg, grid, kind, width) for kind, width in reads.plans]
-    # Built after the plans: with the reader built first, the wide sweep's
-    # peak resident set ran 1.3 MiB higher (heap layout).
-    reader = reads.reader()
-    keys = [hashlib.sha256(np.sort(p.offsets % grid.n_samples)).digest() for p in plans]
-    distinct = dict(zip(keys, plans))
+    keys, distinct = _distinct_lags(cfg, reads)
+    reader = reads.reader
     kept = _detect_all(cfg, grid, reader, reads.carriers)
     n, read_plan = grid.n_samples, partial(_read_plan, reader, kept)
-    per_plan = dict(zip(distinct, _map_on(cfg.workers, scratch(n), partial(scratch, n), read_plan, distinct.values())))
+    per_plan = _map_on(cfg.workers, scratch(n), partial(scratch, n), read_plan, distinct)
     return [per_plan[key] for key in keys]
+
+
+def _distinct_lags(cfg: ExperimentConfig, reads: _Reads) -> tuple[list[int], list[Lags]]:
+    """For each of ``reads``' plans, in order, an index into the lag
+    histograms of its distinct plans (:meth:`Lags.same`), and those
+    histograms.  Each plan is built and histogrammed in turn, and only
+    the histograms of distinct plans are kept."""
+    keys, distinct = [], []
+    for kind, width in reads.plans:
+        lags = lag_histogram(_plan(cfg, reads.grid, kind, width))
+        key = next((i for i, other in enumerate(distinct) if lags.same(other)), len(distinct))
+        if key == len(distinct):
+            distinct.append(lags)
+        keys.append(key)
+    return keys, distinct
 
 
 def _point_rows(cfg: ExperimentConfig, x_value: float, l_dbc: dict[str, np.ndarray]) -> list[SweepRow]:

@@ -16,11 +16,17 @@ periodogram is the carrier's times |H|^2.
 
 L(f) is read on a few dozen bins, so :func:`power_at_bins` sums H on
 those bins alone, over the distinct offsets mod n weighted by their
-counts, and forms no window-sized array.  The phase index (j d) mod n
-is exact in integers.  Bins come in runs of consecutive bins: each run
-takes one twiddle per offset from two tables of about sqrt(n) entries
-and steps along the run by multiplying by exp(-2 pi i d / n), so no
-transcendental function is evaluated per bin.  It works in a
+counts, and forms no window-sized array.  It takes that histogram,
+:class:`Lags`, from :func:`lag_histogram`, which sorts the plan's
+offsets mod n once; a caller that reads many plans compares them by it
+and sums each distinct one once.  Only the offsets that hold more than
+one line are weighted, since a weight of 1 multiplies exactly.  The
+phase index (j d) mod n is exact in integers: j d - (j d // n) n, where
+dividing by the one scalar n is cheaper than a remainder.  Bins come in
+runs of consecutive bins: each
+run takes one twiddle per offset from two tables of about sqrt(n)
+entries and steps along the run by multiplying by exp(-2 pi i d / n),
+so no transcendental function is evaluated per bin.  It works in a
 :class:`Scratch`: the two tables, and three arrays of at most ``_TILE``
 entries, 40 bytes per entry in all, and on a window of 6 samples or more
 at most n/3 entries, so at most about 13.4 bytes per window sample;
@@ -39,7 +45,7 @@ import numpy as np
 from .dispersion import DelayPlan
 from .model import SampledSignal
 
-__all__ = ["Scratch", "power_at_bins", "scratch", "scratch_bytes", "superpose"]
+__all__ = ["Lags", "Scratch", "lag_histogram", "power_at_bins", "scratch", "scratch_bytes", "superpose"]
 
 #: Most bins stepped along from one exact twiddle.  A longer run starts
 #: afresh, so stepping adds at most this many roundings to any bin.
@@ -109,10 +115,63 @@ def scratch(n: int, like: Scratch | None = None) -> Scratch:
     return Scratch(n, lo, hi, np.empty(size, np.complex128), np.empty(size, np.complex128), np.empty(size, np.int64))
 
 
-def power_at_bins(plan: DelayPlan, bins, work: Scratch | None = None) -> np.ndarray:
+class Lags(NamedTuple):
+    """A delay plan's offsets mod ``n`` as a histogram, what
+    :func:`power_at_bins` sums over: the plan's ``lines`` K, its distinct
+    offsets mod n, ``values``, ascending, and the few that hold more than
+    one line: ``repeats``, their indices into ``values``, ascending, and
+    ``counts``, their lines.  Both are int32 up to 2^31 values, so a
+    histogram holds at most 8 bytes per line, as its plan does."""
+
+    n: int
+    lines: int
+    values: np.ndarray
+    repeats: np.ndarray
+    counts: np.ndarray
+
+    def same(self, other: Lags) -> bool:
+        """Whether ``other`` is this histogram: two plans on one window
+        have the same |H|^2 when their offsets mod n are one multiset."""
+        return (self.n, self.lines) == (other.n, other.lines) and all(
+            np.array_equal(a, b) for a, b in zip(self[2:], other[2:])
+        )
+
+
+def lag_histogram(plan: DelayPlan) -> Lags:
+    """The :class:`Lags` of ``plan``, from one sort of its offsets mod n.
+
+    The sort is stable: a plan's offsets run monotone along its lines,
+    and a stable sort merges such runs in near-linear time.
+    """
+    n, lines = plan.grid.n_samples, len(plan)
+    values = _wrap(plan.offsets.copy(), n, np.empty(lines, np.int64))
+    values.sort(kind="stable")
+    first = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    index = np.int32 if len(first) <= np.iinfo(np.int32).max else np.int64
+    if len(first) == lines:
+        return Lags(n, lines, values, np.empty(0, index), np.empty(0, index))
+    counts = np.diff(first, append=lines)
+    repeats = np.flatnonzero(counts > 1)
+    return Lags(n, lines, values[first], repeats.astype(index), counts[repeats].astype(index))
+
+
+def _wrap(index: np.ndarray, n: int, quotient: np.ndarray) -> np.ndarray:
+    """``index`` mod ``n`` in place, for 0 <= index < 2^63: index - (index
+    // n) n, exact in int64, the quotient formed in ``quotient`` (int64, of
+    index's shape).  numpy divides by one scalar with a multiply and a
+    shift, cheaper than its remainder."""
+    np.floor_divide(index, n, out=quotient)
+    quotient *= n
+    index -= quotient
+    return index
+
+
+def power_at_bins(plan: DelayPlan | Lags, bins, work: Scratch | None = None) -> np.ndarray:
     """|H|^2 of ``plan`` on the rFFT bins ``bins`` of its grid's window.
 
-    ``bins`` ascend strictly within 0 .. n/2.  Multiplying a carrier's
+    ``plan`` is a delay plan or its :class:`Lags`, which a caller that
+    holds it hands in so the offsets are not sorted again.  ``bins``
+    ascend strictly within 0 .. n/2.  Multiplying a carrier's
     periodogram on those bins by the result gives the periodogram of
     the carrier after the plan; lines that share an offset mod n add up
     in amplitude.  H is summed over the distinct offsets u mod n,
@@ -121,27 +180,25 @@ def power_at_bins(plan: DelayPlan, bins, work: Scratch | None = None) -> np.ndar
         H[j] = (1/K) * sum_u c(u) * exp(-2 pi i ((j u) mod n) / n).
 
     exp(-2 pi i p / n) is hi[p >> s] * lo[p & (2^s - 1)], from two tables
-    of about sqrt(n) entries.  Each run of consecutive bins, up to
-    ``_RUN`` long, takes that twiddle at its first bin and multiplies by
-    exp(-2 pi i u / n) for each next bin.  A plan whose offsets are all
-    0 mod n has |H|^2 exactly 1.
+    of about sqrt(n) entries.  Each run of consecutive bins of ``bins``,
+    up to ``_RUN`` long, takes that twiddle at its first bin and
+    multiplies by exp(-2 pi i u / n) for each next bin, so a bin's bits
+    depend on where its run starts in ``bins``.  A plan whose offsets are
+    all 0 mod n has |H|^2 exactly 1.
 
     The sums run in ``work``, a :class:`Scratch` on the plan's window,
     or in one made here.  Its arrays are :func:`_scratch_length` entries
     long: that length fixes the chunks the sums run over, and so their
     bits.
     """
-    grid = plan.grid
-    n = grid.n_samples
+    lags = plan if isinstance(plan, Lags) else lag_histogram(plan)
+    n = lags.n
     if (n // 2) * (n - 1) >= 1 << 63:
         raise ValueError(f"a window of {n} samples overflows the exact int64 phase index")
     bins = np.asarray(bins, dtype=np.int64)
     if bins.ndim != 1 or np.any(np.diff(bins) <= 0) or (len(bins) and not 0 <= bins[0] <= bins[-1] <= n // 2):
         raise ValueError(f"bins must ascend strictly within 0 .. {n // 2}")
-    lags = np.sort(plan.offsets % n)
-    distinct = np.flatnonzero(np.diff(lags, prepend=-1))
-    counts = np.diff(distinct, append=len(lags)).astype(np.float64)
-    lags = lags[distinct]
+    values, repeats, counts = lags.values, lags.repeats, lags.counts
 
     # Runs of consecutive bins, cut every _RUN bins, longest first: the
     # runs still being stepped are then always a leading block.
@@ -166,21 +223,29 @@ def power_at_bins(plan: DelayPlan, bins, work: Scratch | None = None) -> np.ndar
         # Runs still stepping at step k: those longer than k.
         active = [int(np.count_nonzero(length > k)) for k in range(int(length[0]))]
         sums = np.zeros((len(active), rows), np.complex128)  # step k of run r
-        for c in range(0, len(lags), chunk):
-            u = lags[c : c + chunk]
+        for c in range(0, len(values), chunk):
+            u = values[c : c + chunk]
             width = (rows + 1) * len(u)
             idx = idx_buf[:width].reshape(rows + 1, len(u))
+            # int64 views of cur, each spent before cur is written.
+            low = cur_buf[:width].view(np.int64)[:width].reshape(rows + 1, len(u))
             np.multiply(starts, u, out=idx[:rows])
-            np.remainder(idx[:rows], n, out=idx[:rows])
+            _wrap(idx[:rows], n, low[:rows])
             idx[rows] = u
             cur = cur_buf[:width].reshape(rows + 1, len(u))
             tmp = tmp_buf[:width].reshape(rows + 1, len(u))
-            low = cur_buf[:width].view(np.int64)[:width].reshape(rows + 1, len(u))  # spent by the second take
             np.take(lo, np.bitwise_and(idx, (1 << shift) - 1, out=low), out=tmp, mode="clip")
             np.take(hi, np.right_shift(idx, shift, out=idx), out=cur, mode="clip")
             cur *= tmp
             step = cur[rows]
-            cur[:rows] *= counts[c : c + chunk]
+            # Weight the offsets of more than one line; each other weight
+            # is 1, exact.  tmp, spent, holds their columns meanwhile.
+            a, b = np.searchsorted(repeats, (c, c + chunk))
+            if b > a:
+                at, held = repeats[a:b] - c, tmp_buf[: rows * (b - a)].reshape(rows, b - a)
+                np.take(cur[:rows], at, axis=1, out=held, mode="clip")
+                held *= counts[a:b]
+                cur[:rows, at] = held
             for k, live in enumerate(active):
                 sums[k, :live] += cur[:live].sum(axis=1)
                 if k + 1 < len(active):
@@ -188,8 +253,10 @@ def power_at_bins(plan: DelayPlan, bins, work: Scratch | None = None) -> np.ndar
         steps = np.arange(len(active))[:, None]
         inside = steps < length
         total[(first + steps)[inside]] = sums[inside]
-    h = np.divide(total, len(plan), out=total)
-    return np.square(h.real) + np.square(h.imag)
+    h = np.divide(total, lags.lines, out=total)
+    power = np.square(h.real)
+    power += np.square(h.imag, out=h.imag)
+    return power
 
 
 def superpose(x: SampledSignal, plan: DelayPlan) -> SampledSignal:

@@ -308,6 +308,44 @@ class TestBinReader:
         reader.read(values)
         assert sorted(reader._picks.rows) == [100, 101]
 
+    def test_a_read_looks_only_at_the_bins_it_wants(self):
+        # Passband and envelope readers, carriers peaking on every bin of
+        # the window, and offsets of 150 and 390 Hz above a 100 Hz carrier,
+        # whose lower sidebands the envelope reads below 0 Hz: a read is
+        # the same, bit for bit, whatever the bins it does not want hold.
+        rng = np.random.default_rng(19)
+        n, carriers = 1000, 10
+        offsets = [1.0, 3.0, 40.0, 150.0, 390.0]
+        for envelope in (False, True):
+            reader = BinReader(n, float(n), 100.0, offsets, envelope=envelope)
+            assert (reader.reads < 0).any() == envelope
+            values = rng.random((carriers, len(reader.reads)))
+            window = np.searchsorted(reader.reads, list(reader.window))
+            on = np.arange(carriers) % len(window)
+            values[np.arange(carriers), window[on]] += 1e6
+            peaks = reader.peaks(values)
+            assert np.array_equal(peaks, np.asarray(reader.window)[on])
+            wanted = reader.wanted(set(peaks.tolist()))
+            assert wanted.shape == reader.bins.shape and 0 < wanted.sum() < len(reader.bins)
+            unwanted = np.where(wanted, 1.0, np.nan)
+            expected = reader.read(values)
+            for got, want in zip(reader.read(values * unwanted[reader.fold]), expected):
+                assert np.array_equal(got, want)
+            # Fewer peaks want fewer bins, the carrier window always.
+            one = reader.wanted({100})
+            assert not (one & ~wanted).any() and one.sum() < wanted.sum()
+            assert one[np.isin(reader.bins, list(reader.window))].sum() == len(reader.window)
+
+    def test_wants_no_picks_of_a_bin_a_read_refuses(self):
+        # An offset of 400 Hz fits a carrier on bin 100 and below (Nyquist
+        # at 500 Hz): a carrier on bin 101 is refused, so its picks are
+        # not wanted and its pick-table row is not built.
+        reader = BinReader(1000, 1000.0, 100.0, [10.0, 400.0])
+        window = reader.wanted(set())
+        assert np.array_equal(reader.bins[window], np.arange(98, 103))
+        assert np.array_equal(reader.wanted({101, 102}), window) and not reader._picks.rows
+        assert reader.wanted({100}).sum() > window.sum() and sorted(reader._picks.rows) == [100]
+
     def test_batch_refuses_its_first_refused_carrier(self):
         # Bins 1 Hz apart, Nyquist at 500 Hz, the carrier window on bins
         # 98 .. 102.  An offset of 400 Hz fits a carrier on bin 100 and

@@ -24,8 +24,9 @@ from talbotsim.experiments import (
     write_manifest,
     write_sweep_csv,
 )
-from talbotsim.model import CombSpec, NoiseProfile
-from talbotsim.superposition import power_at_bins
+from talbotsim.dispersion import DelayPlan
+from talbotsim.model import CombSpec, NoiseProfile, build_grid
+from talbotsim.superposition import lag_histogram, power_at_bins, scratch
 from talbotsim.synthesis import SynthesisRequest, Workspace, synth_carrier, synth_envelope
 
 
@@ -78,15 +79,23 @@ class TestSeedDerivation:
         assert len(seeds) == 5
 
 
-def read_through(plan, freqs, psd, offsets):
-    """L at ``offsets`` of the bare periodogram ``psd`` seen through ``plan``,
-    read by ``phase_noise_from_psd``: the bins the reader picks from hold
-    ``psd`` times |H|^2, every other bin 0."""
+def read_through(plan, freqs, psds, offsets) -> list:
+    """L at ``offsets`` of each bare periodogram of ``psds`` seen through
+    ``plan``, read by ``phase_noise_from_psd``: the bins a read of them
+    all looks at, for the bins their bare periodograms peak on
+    (``BinReader.wanted``), hold ``psd`` times |H|^2 summed on those bins
+    alone, every other bin 0."""
     grid = plan.grid
-    bins = BinReader(grid.n_samples, grid.sample_rate, grid.f_r, offsets).bins
-    detected = np.zeros_like(psd)
-    detected[bins] = psd[bins] * power_at_bins(plan, bins)
-    return phase_noise_from_psd(freqs, detected, grid.sample_rate, grid.f_r, offsets)
+    reader = BinReader(grid.n_samples, grid.sample_rate, grid.f_r, offsets)
+    peaks = reader.peaks(np.array([psd[reader.reads] for psd in psds]))
+    bins = reader.bins[reader.wanted(set(peaks.tolist()))]
+    gain = power_at_bins(plan, bins)
+    spectra = []
+    for psd in psds:
+        detected = np.zeros_like(psd)
+        detected[bins] = psd[bins] * gain
+        spectra.append(phase_noise_from_psd(freqs, detected, grid.sample_rate, grid.f_r, offsets))
+    return spectra
 
 
 def assert_same_spectrum(got, expected):
@@ -107,7 +116,8 @@ class TestSimulate:
         plan = experiments._plan(cfg, grid, "constant", cfg.comb.width)
         assert np.gcd.reduce(plan.offsets % grid.n_samples, initial=grid.n_samples) == 1
         detected, _ = simulate(cfg, "constant", points=20)
-        assert_same_spectrum(detected, read_through(plan, freqs, psd, detected.offsets))
+        (expected,) = read_through(plan, freqs, [psd], detected.offsets)
+        assert_same_spectrum(detected, expected)
 
     def test_carrier_with_no_power_is_refused(self, monkeypatch):
         # |H(f_c)|^2 = 0: the plan has cancelled the carrier.
@@ -211,12 +221,12 @@ class TestSweepCombWidth:
             psd[reader.reads] = envelope_periodogram(synth_envelope(cfg.resolved_noise(), seed, ws), ws)[
                 reader.reads - reader.shift
             ]
-            psds.append((freqs, psd))
+            psds.append(psd)
         per_seed = {}
         for w in cfg.widths:
             for kind in cfg.kinds:
                 plan = experiments._plan(cfg, grid, kind, w)
-                spectra = [read_through(plan, f, p, cfg.offsets) for f, p in psds]
+                spectra = read_through(plan, freqs, psds, cfg.offsets)
                 for i, off in enumerate(cfg.offsets):
                     per_seed[(w, kind, off)] = tuple(float(s.l_dbc[i]) for s in spectra)
         return per_seed
@@ -311,6 +321,90 @@ class TestSweepCombWidth:
         gc.collect()
         sweep_comb_width(small_config(t_sig=2e-4, n_seeds=2, widths=(1e8, 2e10), workers=workers))
         assert live and live == [0] * len(live)
+
+
+class TestReadPlan:
+    """A plan job sums |H|^2 only on the bins its read looks at."""
+
+    N = 1000  # samples at 1000 Hz: bins 1 Hz apart, the carrier on bin 100
+
+    def kept(self, rng, reader, carriers=4):
+        """Noise on every read, and each carrier on bin 100 with its
+        neighbours in the window 1e3-1e4 times lower."""
+        kept = rng.random((carriers, len(reader.reads)))
+        window = np.searchsorted(reader.reads, list(reader.window))
+        kept[:, window] += rng.uniform(100.0, 1000.0, (carriers, len(window)))
+        kept[:, window[2]] += 1e6
+        return kept
+
+    @pytest.mark.parametrize("envelope", [False, True], ids=["passband", "envelope"])
+    @pytest.mark.parametrize(
+        "offsets, moves",
+        [
+            ([0, 1, 2, 1003, 2 * 1000 + 7], False),
+            # |H|^2 = cos^2(pi j 5 / n) is 0 on bin 100: every peak moves
+            # off it, and the second call sums the picks of where it went.
+            ([0, 5], True),
+        ],
+        ids=["stays", "moves"],
+    )
+    def test_reads_no_bin_it_does_not_sum(self, monkeypatch, envelope, offsets, moves):
+        # Offsets of 150 and 390 Hz lie above f_r, so the envelope reader
+        # reads their lower sidebands below 0 Hz.  A read with NaN on
+        # every bin the job does not sum is the job's read, bit for bit,
+        # and what it sums is |H|^2 summed on every bin.
+        rng = np.random.default_rng(23)
+        grid = build_grid(250.0, 4, self.N / 1000.0)
+        reader = BinReader(self.N, 1000.0, 100.0, [1.0, 3.0, 40.0, 150.0, 390.0], envelope=envelope)
+        kept = self.kept(rng, reader)
+        lags = lag_histogram(DelayPlan(np.array(offsets), grid))
+        calls = []
+
+        def counted(lags, bins, work=None):
+            calls.append(len(bins))
+            return power_at_bins(lags, bins, work)
+
+        monkeypatch.setattr(experiments, "power_at_bins", counted)
+        work = scratch(self.N)
+        unsummed = experiments._gain(reader, kept, lags, work, np.full(len(reader.bins), np.nan))
+        assert len(calls) == (2 if moves else 1)
+        summed = ~np.isnan(unsummed)
+        assert sum(calls) == summed.sum() < len(reader.bins)
+        read = experiments._read_plan(reader, kept, work, lags)
+        assert np.isfinite(read[0]).all()
+        for got, expected in zip(reader.read(kept * unsummed[reader.fold]), read):
+            assert np.array_equal(got, expected)
+        assert bool(set(read[1].tolist()) - {100}) == moves
+        # Within 1e-12 of |H|^2 summed on every bin; the null on bin 100
+        # is near 0, where only the absolute difference means anything.
+        every = power_at_bins(lags, reader.bins)
+        np.testing.assert_allclose(unsummed[summed], every[summed], rtol=1e-12, atol=1e-15)
+
+    def test_plans_share_a_histogram_when_their_offsets_mod_n_are_one_multiset(self):
+        # On the desk grid, ideal and linear share one plan at 2e11 Hz and
+        # constant does not; at 4e11 Hz the three differ.
+        cfg = ExperimentConfig(widths=(2e11, 4e11))
+        reads = experiments._comb_width_reads(cfg)
+        keys, distinct = experiments._distinct_lags(cfg, reads)
+        assert keys == [0, 0, 1, 2, 3, 4] and len(distinct) == 5
+        n = cfg.grid.n_samples
+        sorted_lags = [np.sort(experiments._plan(cfg, cfg.grid, k, w).offsets % n) for k, w in reads.plans]
+        for a in range(len(keys)):
+            for b in range(len(keys)):
+                assert (keys[a] == keys[b]) == np.array_equal(sorted_lags[a], sorted_lags[b]), (a, b)
+
+    def test_builds_one_reader_for_the_guard_and_the_read(self, monkeypatch):
+        # The guard sizes the reader the read then uses: one candidate pass.
+        built = []
+
+        class Counted(BinReader):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "BinReader", Counted)
+        simulate(small_config(), "constant", points=20)
+        assert len(built) == 1
 
 
 class TestPinAllocator:

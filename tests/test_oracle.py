@@ -22,7 +22,7 @@ import pytest
 
 from talbotsim.dispersion import delay_plan
 from talbotsim.experiments import ExperimentConfig, sweep_comb_width, sweep_oversampling
-from talbotsim.model import NoiseProfile
+from talbotsim.model import CombSpec, NoiseProfile
 
 WIDTHS = (1e9, 1e10, 3e10, 1e11, 4e11)
 KINDS = ("ideal", "linear", "constant")
@@ -190,3 +190,33 @@ def test_offset_above_the_carrier_reads_its_own_lower_sideband():
     for row in rows:
         predicted = oracle_db(bare, cfg.grid, cfg.comb.f_r, row.offset_hz)
         assert lo <= power_mean_db(row.per_seed) - predicted <= hi, (row.offset_hz, predicted)
+
+
+def test_paper_grid_reads_the_delay_line_oracle():
+    # The paper's grid: f_r = 100 MHz, N = 64, t_sig = 10 ms, a window of
+    # 64M samples (df = 100 Hz).  At 3e12 Hz the plans hold 30001 lines.
+    cfg = ExperimentConfig(
+        comb=CombSpec(f_r=1e8, lambda0=1550e-9, width=1e11),
+        oversampling=64,
+        t_sig=1e-2,
+        kinds=KINDS,
+        noise=NoiseProfile(terms=TERMS, f_low=1 / 1e-2),
+        offsets=(1e4, 1e6),
+        widths=(1e11, 3e12),
+        n_seeds=N_SEEDS,
+        master_seed=12345,
+    )
+    grid = cfg.grid
+    assert grid.n_samples == 64_000_000
+    lo, hi = tolerance_db()
+    rows = sweep_comb_width(cfg)
+    assert len(rows) == 12
+    misses = []
+    for row in rows:
+        plan = delay_plan(cfg.dispersion_spec(row.kind), replace(cfg.comb, width=row.x_value), grid)
+        predicted = oracle_db(plan.offsets, grid, cfg.comb.f_r, row.offset_hz)
+        measured = power_mean_db(row.per_seed)
+        if not lo <= measured - predicted <= hi:
+            misses.append((row.x_value, row.kind, row.offset_hz, round(measured, 2), round(predicted, 2)))
+    assert max(len(delay_plan(cfg.dispersion_spec(k), replace(cfg.comb, width=3e12), grid)) for k in KINDS) == 30001
+    assert not misses, misses

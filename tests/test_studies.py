@@ -528,10 +528,10 @@ class TestConcurrentBudget:
         assert code == 3, out.err
         assert peak < budget
         if command == "simulate":
-            assert "simulate needs about 107.6 MiB (112851800 B) for 1 concurrent job(s) and delay plans of " \
+            assert "simulate needs about 106.8 MiB (112034880 B) for 1 concurrent job(s) and delay plans of " \
                 "2000001 lines, over the budget of 3.8 MiB (4000000 B)" in out.err
         else:  # the largest phase, building the plan; dispersion-eval's one plan is at 2e13 Hz too
-            assert "simulate: 112851800 bytes" in out.out
+            assert "simulate: 112034880 bytes" in out.out
             assert "budget refusal: simulate, dispersion-eval would refuse, over the budget of 3.8 MiB" in out.err
         assert not (tmp_path / "out").exists()
 

@@ -1,12 +1,14 @@
 """Delay-and-sum on the periodic window: superpose and power_at_bins."""
 
+import math
+
 import numpy as np
 import pytest
 
 from talbotsim.analysis import periodogram
 from talbotsim.dispersion import DelayPlan, DispersionSpec, delay_plan
 from talbotsim.model import CombSpec, NoiseProfile, SampledSignal, build_grid
-from talbotsim.superposition import _RUN, power_at_bins, scratch, superpose
+from talbotsim.superposition import _RUN, _wrap, lag_histogram, power_at_bins, scratch, superpose
 from talbotsim.synthesis import SynthesisRequest, synth_carrier
 
 
@@ -15,6 +17,13 @@ def make_plan(offsets, n_samples, oversampling=4, f_r=1e6):
     grid = build_grid(f_r, oversampling, n_samples / (oversampling * f_r))
     assert grid.n_samples == n_samples
     return DelayPlan(offsets=offsets, grid=grid)
+
+
+def make_plan_on(n_samples, offsets):
+    """A plan of ``offsets`` on a window of ``n_samples`` samples at 4 Hz."""
+    grid = build_grid(1.0, 4, n_samples / 4.0)
+    assert grid.n_samples == n_samples
+    return DelayPlan(offsets=np.asarray(offsets, dtype=np.int64), grid=grid)
 
 
 def make_signal(samples, fs=4e6):
@@ -235,6 +244,62 @@ class TestSpectralEngine:
         scale = psd_x.max()
         gain = power_at_bins(plan, every_bin(plan))
         np.testing.assert_allclose(psd_y / scale, psd_x * gain / scale, rtol=0, atol=1e-12)
+
+
+class TestLagHistogram:
+    """The plan as a histogram of its offsets mod n, and the exact
+    arithmetic ``power_at_bins`` does on it."""
+
+    def test_holds_each_offset_mod_n_with_its_lines(self):
+        n = 1000
+        plan = make_plan([7, n + 3, 3, 0, 2 * n, 5 * n - 1, 7, 3 + 4 * n], n)
+        lags = lag_histogram(plan)
+        assert (lags.n, lags.lines) == (n, 8)
+        assert lags.values.tolist() == [0, 3, 7, n - 1]
+        assert lags.repeats.tolist() == [0, 1, 2] and lags.counts.tolist() == [2, 3, 2]
+        assert lags.repeats.dtype == lags.counts.dtype == np.int32
+        # At most 8 bytes a line, as its plan holds.
+        assert lags.values.nbytes + lags.repeats.nbytes + lags.counts.nbytes <= plan.offsets.nbytes
+        distinct = lag_histogram(make_plan([5, 0, n + 2], n))
+        assert distinct.values.tolist() == [0, 2, 5] and len(distinct.repeats) == len(distinct.counts) == 0
+
+    def test_floor_division_index_equals_remainder(self):
+        # The largest window whose phase index (n/2)(n - 1) the int64
+        # guard admits; j <= n/2 and u < n, drawn at random and at the ends.
+        n = math.isqrt(1 << 64)
+        while (n // 2) * (n - 1) >= 1 << 63:
+            n -= 1
+        with pytest.raises(ValueError, match="overflows"):
+            power_at_bins(make_plan_on(n + 1, [0, 1]), [0])
+        rng = np.random.default_rng(5)
+        j = np.concatenate((rng.integers(0, n // 2 + 1, 100000), [0, 1, n // 2, n // 2]))
+        u = np.concatenate((rng.integers(0, n, 100000), [n - 1, 0, n - 1, 1]))
+        index = j * u
+        assert np.array_equal(_wrap(index.copy(), n, np.empty_like(index)), np.remainder(index, n))
+
+    @pytest.mark.parametrize("n", [1000, 320000])
+    def test_weights_of_one_line_are_skipped_exactly(self, n):
+        # power_at_bins weights only the offsets that hold more than one
+        # line; weighting every offset, by 1 where it holds one, gives the
+        # same bits.  A plan with no repeat, and one with a few.
+        rng = np.random.default_rng(6)
+        bins = np.unique(rng.integers(0, n // 2 + 1, 300))
+        for offsets in (np.arange(4001) * 37 % n, np.concatenate((np.arange(3000) * 41, rng.integers(0, 5 * n, 40)))):
+            lags = lag_histogram(make_plan_on(n, offsets))
+            counts = np.ones(len(lags.values), np.int32)
+            counts[lags.repeats] = lags.counts
+            every = lags._replace(repeats=np.arange(len(lags.values), dtype=np.int32), counts=counts)
+            assert np.array_equal(power_at_bins(lags, bins), power_at_bins(every, bins))
+            assert np.array_equal(power_at_bins(lags, bins), power_at_bins(make_plan_on(n, offsets), bins))
+
+    def test_plans_are_the_same_when_their_offsets_mod_n_are(self):
+        n = 1000
+        base = lag_histogram(make_plan([0, 3, 3, 7, 999], n))
+        assert base.same(lag_histogram(make_plan([n + 3, 999, 7, 3 + 2 * n, 0], n)))
+        for other in ([0, 3, 7, 7, 999], [0, 3, 7, 999], [0, 3, 3, 7, 999, 999], [0, 3, 3, 8, 999]):
+            assert not base.same(lag_histogram(make_plan(other, n))), other
+        # One multiset on another window is another plan.
+        assert not base.same(lag_histogram(make_plan([0, 3, 3, 7, 999], 1001)))
 
 
 class TestLinearity:
