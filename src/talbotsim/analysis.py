@@ -33,21 +33,20 @@ place it.  :func:`periodogram` takes it in a fresh workspace and returns
 the bin frequencies too, from ``np.fft.rfftfreq``; both arrays belong to
 the caller.
 
-The reader looks at a few dozen bins: the carrier window, f_r +- 2
-bins, and 5 candidates around each sideband target.  :class:`BinReader`
-reads L off a PSD known on those bins alone, many carriers at once: the
-studies hand it each carrier's bare periodogram, keep the values on
-those bins as one row of a carriers x bins array, and multiply it by
-each plan's |H|^2 there.  A pick table holds, for a bin of the carrier
-window and each offset, the 3 bins each sideband's median takes; a
-bin's row is built with array operations the first time a carrier's
-peak falls on it, so a read is array operations on the values: each
-row's peak, its picks gathered, their median from minima and maxima,
-and L.  A read looks at no other bin, and the reader states which bins
-a read of given peaks takes (:meth:`BinReader.wanted`), so a plan's
-|H|^2 need be summed on those alone.  :func:`phase_noise_from_psd` is
-the same read of a dense PSD, with one row and a table for the one
-carrier bin it finds.  An envelope reader keeps the envelope's
+There is one L reader, :class:`BinReader`.  It looks at a few dozen
+bins: the carrier window, f_r +- 2 bins, and 5 candidates around each
+sideband target, and reads L off a PSD known on those bins alone, many
+carriers at once: the studies hand it each carrier's bare periodogram
+and keep the values on those bins as one row of a carriers x bins
+array.  A pick table holds, for a bin of the carrier window and each
+offset, the 3 bins each sideband's median takes; a bin's row is built
+with array operations the first time a carrier's peak falls on it, so a
+read is array operations on the values: each row's peak, its picks
+gathered, their median from minima and maxima, and L.
+``read(values, power)`` reads them seen through a plan whose |H|^2 is
+``power(bins)``: the reader asks for it only on the bins it looks at.
+:func:`phase_noise_from_psd` is a reader's read of one row, every bin
+of a dense PSD known.  An envelope reader keeps the envelope's
 periodogram on the same bins, and reads the lower sideband of an offset
 above f_r where it is, below 0 Hz, where the real carrier's reader
 finds it reflected through DC.
@@ -58,6 +57,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -95,14 +95,13 @@ class PhaseNoiseSpectrum:
     df: float
 
     def __post_init__(self):
-        off = np.asarray(self.offsets, dtype=np.float64)
-        l = np.asarray(self.l_dbc, dtype=np.float64)
+        # Copies, frozen below, so the caller's arrays stay writable.
+        off = np.array(self.offsets, dtype=np.float64)
+        l = np.array(self.l_dbc, dtype=np.float64)
         if off.shape != l.shape:
             raise ValueError("offsets and l_dbc must have the same shape")
         if len(off) and (np.any(off <= 0) or np.any(np.diff(off) <= 0)):
             raise ValueError("offsets must be positive and strictly ascending")
-        order = np.argsort(off)
-        off, l = off[order], l[order]
         off.flags.writeable = False
         l.flags.writeable = False
         object.__setattr__(self, "offsets", off)
@@ -169,15 +168,6 @@ def envelope_periodogram(envelope: np.ndarray, workspace: Workspace) -> np.ndarr
     return psd
 
 
-def _carrier_window(size: int, df: float, f_r: float) -> range:
-    """The bins within +-2 of f_r, where the carrier peak is searched."""
-    center = int(round(f_r / df))
-    window = range(max(center - 2, 0), min(center + 3, size))
-    if not window:
-        raise CarrierNotFoundError(f"carrier frequency {f_r} Hz is outside the spectrum")
-    return window
-
-
 def _dominant(psd: np.ndarray, window: range, df: float, f_r: float) -> int:
     """The peak of ``psd``, on bins ``df`` apart, in ``window`` (the first
     of equals; a bin below 0, of an envelope's window, counts from the
@@ -205,16 +195,24 @@ def phase_noise_spectrum(y: SampledSignal, f_r: float, offsets) -> PhaseNoiseSpe
 
 def phase_noise_from_psd(freqs, psd, sample_rate: float, f_r: float, offsets) -> PhaseNoiseSpectrum:
     """L(f) read off a one-sided PSD on the bins ``freqs``, as
-    :func:`phase_noise_spectrum` reads it off a signal's periodogram: a
-    :class:`BinReader`'s read of one row, every bin known, with a pick
-    table for the carrier bin that passes the dominance test."""
-    df = freqs[1] - freqs[0]
-    psd = np.asarray(psd, dtype=np.float64)
-    carrier = _dominant(psd, _carrier_window(len(psd), df, f_r), df, f_r)
-    offsets = np.sort(np.asarray(offsets, dtype=np.float64))
-    picks = _Picks(range(carrier, carrier + 1), offsets, df, len(psd), sample_rate)
-    (l_dbc,), _, (power,) = picks.read(psd[None, :], [carrier], f_r)
-    return PhaseNoiseSpectrum(carrier_freq=carrier * df, carrier_power=power, offsets=offsets, l_dbc=l_dbc, df=df)
+    :func:`phase_noise_spectrum` reads it off a signal's periodogram: one
+    row of a :class:`BinReader` on the window that the bins' spacing and
+    ``sample_rate`` imply, after its dominance test.
+
+    Raises ValueError when ``freqs`` has fewer than 2 bins, or when
+    ``psd`` does not hold the n/2 + 1 bins of that window of n samples.
+    """
+    if len(freqs) < 2:
+        raise ValueError(f"a PSD needs at least 2 bins, got {len(freqs)}")
+    n = int(round(sample_rate / (freqs[1] - freqs[0])))
+    if len(psd) != n // 2 + 1:
+        raise ValueError(
+            f"a PSD of {len(psd)} bins does not fit the {n}-sample window that its bin spacing "
+            f"and {sample_rate} Hz imply, of {n // 2 + 1} bins"
+        )
+    reader = BinReader(n, sample_rate, f_r, offsets)
+    (l_dbc,), (carrier,), (power,) = reader.read(reader.take(np.asarray(psd, dtype=np.float64))[None, :])
+    return PhaseNoiseSpectrum(int(carrier) * reader.df, power, reader.offsets, l_dbc, reader.df)
 
 
 #: Offsets whose sideband picks are computed, or read, at a time, so a
@@ -245,106 +243,6 @@ def _candidates(carriers: np.ndarray, offsets: np.ndarray, df: float, two_sided:
     lower = freqs - offsets
     targets = np.stack((freqs + offsets, lower if two_sided else np.abs(lower)), axis=-1)
     return targets, np.rint(targets / df).astype(np.int64)[..., None] + _AROUND
-
-
-class _Picks:
-    """The pick table: for a carrier on a bin of ``carriers`` and each
-    offset, the 3 valid bins nearest each sideband's target (the lower of
-    equals first), whose median is the sideband's value.  A valid bin is
-    one of the spectrum's ``size`` bins (``two_sided``: down to minus
-    Nyquist) other than the carrier's.
-
-    A bin's row (:meth:`row`) is built the first time a read finds a
-    carrier's peak on it, and kept: a run's carriers peak on one or two
-    bins of the window.  Its ``index`` holds the picks as indices into
-    ``reads``, or into the bins themselves.  At DC, or at Nyquist on an
-    odd window, fewer are in reach: the nearest fills the empty slots,
-    and its ``two`` marks where 2 are, whose median is their mean.
-    ``fits`` says, for each bin of ``carriers``, whether every offset lies
-    in [df, Nyquist - carrier] for a carrier on that bin.
-    """
-
-    def __init__(
-        self, carriers: range, offsets: np.ndarray, df: float, size: int, sample_rate: float,
-        two_sided: bool = False, reads: np.ndarray | None = None,
-    ):
-        self.carriers, self.offsets, self.df, self.size, self.sample_rate = carriers, offsets, df, size, sample_rate
-        self.two_sided, self.reads, self.rows = two_sided, reads, {}
-        self.fits = np.ones(len(carriers), bool)
-        if len(offsets):
-            self.fits &= offsets[-1] <= sample_rate / 2.0 - np.arange(carriers.start, carriers.stop) * df
-            self.fits &= offsets[0] >= df * (1.0 - 1e-9)
-
-    def row(self, carrier: int) -> tuple[np.ndarray, np.ndarray]:
-        """The ``index`` (offsets x 2 sides x 3 picks) and ``two`` (offsets
-        x 2 sides) of a carrier on bin ``carrier``, built on first use,
-        ``_OFFSET_CHUNK`` offsets at a time."""
-        if carrier in self.rows:
-            return self.rows[carrier]
-        offsets, df, size, reads = self.offsets, self.df, self.size, self.reads
-        index = np.empty((len(offsets), 2, 3), _index_dtype(size if reads is None else len(reads)))
-        two = np.empty((len(offsets), 2), bool)
-        low = 1 - size if self.two_sided else 0
-        for start in range(0, len(offsets), _OFFSET_CHUNK):
-            chunk = slice(start, start + _OFFSET_CHUNK)
-            (targets,), (candidates,) = _candidates(np.array([carrier]), offsets[chunk], df, self.two_sided)
-            distance = candidates * df
-            distance -= targets[..., None]
-            del targets
-            np.abs(distance, out=distance)
-            distance[(candidates < low) | (candidates >= size) | (candidates == carrier)] = np.inf
-            # Stable, so the lower of equally near bins comes first; as
-            # indices into the flattened candidates.
-            nearest = np.argsort(distance, axis=-1, kind="stable")[..., :3]
-            nearest += np.arange(0, nearest.size // 3 * 5, 5).reshape(nearest.shape[:-1] + (1,))
-            reach = distance.take(nearest) < np.inf
-            del distance
-            picked = candidates.take(nearest)
-            del candidates, nearest
-            picked = np.where(reach, picked, picked[..., :1])
-            index[chunk] = picked if reads is None else np.searchsorted(reads, picked)
-            two[chunk] = reach[..., 1] & ~reach[..., 2]
-            del picked, reach  # before the next chunk's arrays
-        self.rows[carrier] = index, two
-        return index, two
-
-    def read(self, values: np.ndarray, columns, f_r: float) -> tuple:
-        """L of each row of ``values`` (carriers x values), and its carrier's
-        bin and power: the peak of the columns ``columns``, one per bin of
-        ``carriers``, the first of equals.  A carrier with no power raises
-        CarrierNotFoundError, and one whose bin ``fits`` not ValueError,
-        the first of either in row order.  The carriers that peak on a bin
-        are read together, ``_OFFSET_CHUNK`` offsets at a time."""
-        window = values[:, columns]
-        peak = np.argmax(window, axis=1)
-        power = window[np.arange(len(values)), peak]
-        refused = ~(power > 0) | ~self.fits[peak]
-        if refused.any():
-            self._refuse(int(np.argmax(refused)), power, peak, f_r)
-        power *= self.df
-        l_dbc = np.empty((len(values), len(self.offsets)))
-        for at in set(peak.tolist()):
-            rows = np.flatnonzero(peak == at)
-            index, two = self.row(self.carriers.start + at)
-            # Each row's offset into the flattened values, and its scale.
-            flat, scale = (rows * values.shape[1]).reshape(-1, 1, 1), (2.0 * power[rows])[:, None]
-            for start in range(0, len(self.offsets), _OFFSET_CHUNK):
-                chunk = slice(start, start + _OFFSET_CHUNK)
-                l_dbc[rows, chunk] = _sidebands(values, index[chunk], flat, two[chunk], scale)
-        return l_dbc, self.carriers.start + peak, power
-
-    def _refuse(self, row: int, power: np.ndarray, peak: np.ndarray, f_r: float):
-        """Raise the refusal of ``row``, whose carrier has no power or does not fit."""
-        if not power[row] > 0:
-            raise CarrierNotFoundError(f"the carrier within 2 bins of {f_r} Hz holds no power")
-        df, top = self.df, self.sample_rate / 2.0 - (self.carriers.start + int(peak[row])) * self.df
-        off = next(o for o in self.offsets if o < df * (1.0 - 1e-9) or o > top)
-        raise ValueError(f"offset {off} Hz outside the measurable range [{df}, {top}] Hz")
-
-    @staticmethod
-    def nbytes(rows: int, offsets: int, size: int) -> int:
-        """Bytes of ``rows`` rows of ``offsets`` offsets, indexing ``size`` values."""
-        return rows * offsets * (6 * np.dtype(_index_dtype(size)).itemsize + 2 * np.dtype(bool).itemsize)
 
 
 def _sidebands(values: np.ndarray, index: np.ndarray, flat: np.ndarray, two: np.ndarray, scale: np.ndarray):
@@ -385,16 +283,24 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
 
 
 class BinReader:
-    """L(f) read as :func:`phase_noise_from_psd` reads it, off a PSD known
-    only on the bins that read can look at, for many carriers at once.
+    """The L(f) reader: L read off a PSD known only on the bins a read can
+    look at, for many carriers at once.
 
     The PSD is the periodogram of ``n_samples`` samples at
     ``sample_rate``, ``size`` bins ``df`` apart, or that periodogram seen
     through a delay plan.  ``reads`` (sorted) holds the carrier window,
     the bins within +-2 of f_r, and, for each bin of it where the peak
     may fall and each offset, the 5 candidates around each sideband
-    target; its pick table (:class:`_Picks`) says which 3 of them each
-    sideband's median takes.
+    target.  A pick table says which of them each sideband's median
+    takes: for a carrier on a bin of the window and each offset, the 3
+    valid bins nearest each sideband's target (the lower of equals
+    first), as indices into ``reads``.  A valid bin is one of the
+    spectrum's bins (an envelope reader's: down to minus Nyquist) other
+    than the carrier's.  At DC, or at Nyquist on an odd window, fewer are
+    in reach: the nearest fills the empty slots, and the row marks where
+    2 are, whose median is their mean.  A bin's row is built the first
+    time a read finds a carrier's peak on it, and kept: a run's carriers
+    peak on one or two bins of the window.
 
     An ``envelope`` reader reads the periodogram of the carrier's complex
     envelope (:func:`envelope_periodogram`), kept on the same bins, bin j
@@ -406,31 +312,28 @@ class BinReader:
     :func:`~talbotsim.synthesis.envelope_length`; for a passband reader
     they are the window's own ``n_samples`` and ``sample_rate``.
 
-    A plan's |H|^2 is known on ``bins``, the distinct ``|reads|`` (it is
-    even in frequency), and indexing by ``fold`` takes it back to
-    ``reads``: for a passband reader ``bins`` are ``reads``, and ``fold``
-    takes them all.  A read looks only at the carrier window and the
-    picks of the bins its carriers peak on: :meth:`wanted` names those
-    bins for given peaks, so a plan job sums |H|^2 on them alone, and
-    every other value may hold anything.  The offsets' candidates are
-    found, and read, ``_OFFSET_CHUNK`` offsets at a time, and a
-    pick-table row is built only for a bin some carrier's peak falls
-    on, so a reader for many offsets holds little more than its reads
-    and a row or two.  :meth:`footprint` states its bytes, for the budget
-    guard, from the one pass that found its ``reads``.
-
     :meth:`take` runs the 1e-6 dominance test on a bare periodogram and
     keeps its values on ``reads``; :meth:`read` reads L off a carriers x
-    ``reads`` array of such values, each times a plan's |H|^2 on them.
-    Since |H| <= 1 the detected total is at most the bare one, so the
-    dominance test is not rerun per plan: a plan is refused only when its
-    detected carrier holds no power at all.
+    ``reads`` array of such values, each seen through a plan's |H|^2 when
+    it is given one.  Since |H| <= 1 the detected total is at most the
+    bare one, so the dominance test is not rerun per plan: a plan is
+    refused only when its detected carrier holds no power at all.  A read
+    asks for |H|^2, which is even in frequency, on the distinct
+    ``|reads|`` it looks at alone: the carrier window, and the picks of
+    the bins its carriers peak on.  The offsets' candidates are found,
+    and read, ``_OFFSET_CHUNK`` offsets at a time, so a reader for many
+    offsets holds little more than its reads and a row or two.
+    :meth:`footprint` states its bytes, for the budget guard, from the one
+    pass that found its ``reads``.
     """
 
     def __init__(self, n_samples: int, sample_rate: float, f_r: float, offsets, envelope: bool = False):
         self.offsets = offsets = np.sort(np.asarray(offsets, dtype=np.float64))
         self.size, self.df = size, df = n_samples // 2 + 1, bin_spacing(n_samples, sample_rate)
-        self.window = window = _carrier_window(size, df, f_r)
+        self._center = center = int(round(f_r / df))
+        self.window = window = range(max(center - 2, 0), min(center + 3, size))
+        if not window:
+            raise CarrierNotFoundError(f"carrier frequency {f_r} Hz is outside the spectrum")
         self.sample_rate, self.f_r, self.envelope = sample_rate, f_r, envelope
         carrier = np.arange(window.start, window.stop)
         parts = [carrier]
@@ -443,44 +346,56 @@ class BinReader:
             parts.append(_sorted_unique(candidates[inside]))
         self.reads = _sorted_unique(np.concatenate(parts))
         del parts
-        self._picks = _Picks(window, offsets, df, size, sample_rate, envelope, self.reads)
         self._columns = np.searchsorted(self.reads, carrier)
+        # Whether every offset lies in the measurable range of a carrier on each bin of the window.
+        self._fits = np.array([not len(self.outside(k)[0]) for k in window])
+        self._rows = {}
         if envelope:
-            center = int(round(f_r / df))
             self.length = envelope_length(int(np.max(np.abs(self.reads - center))))
+            # The distinct |reads|, where a read asks for |H|^2, and each read's place among them.
             mirrored = np.abs(self.reads)
-            self.bins = _sorted_unique(mirrored)
-            self.fold = np.searchsorted(self.bins, mirrored)
+            self._bins = _sorted_unique(mirrored)
+            self._fold = np.searchsorted(self._bins, mirrored)
             self.rate, self.shift = self.length * df, center
         else:
-            self.bins, self.fold = self.reads, slice(None)
+            self._bins, self._fold = self.reads, slice(None)
             self.length, self.rate, self.shift = n_samples, sample_rate, 0
+
+    def outside(self, carrier: int | None = None) -> tuple[np.ndarray, float, float]:
+        """The offsets outside the measurable range of a carrier on bin
+        ``carrier``, by default the bin nearest f_r, and that range's ends:
+        [df, Fs/2 - carrier], the lower end with a part in 1e9 to spare."""
+        df, offsets = self.df, self.offsets
+        top = self.sample_rate / 2.0 - (self._center if carrier is None else carrier) * df
+        return offsets[(offsets < df * (1.0 - 1e-9)) | (offsets > top)], df, top
 
     def footprint(self, carriers: int = 1, plans: int = 0) -> tuple[int, int, int]:
         """What this reader takes when it reads ``carriers`` carriers
         through plans of which ``plans`` may move a carrier's peak: the
         bytes building it passed through (its own arrays: its offsets,
-        reads, and an envelope reader's ``bins`` and ``fold``; one chunk's
-        candidates on every bin of the window; and the reads found, sorted
-        and merged); the bytes it holds once read (its own arrays, and a
-        pick-table row for each bin the peaks can fall on, one per carrier
-        for its bare peak and one more per carrier and plan); and the
-        bytes one :meth:`read` passes through (a row's picks chosen one
-        chunk at a time, and for each carrier its values on the reads and
-        on the carrier window, its bin, peak and power, its row index,
-        offset and scale, and ``_READ_BYTES_PER_OFFSET`` an offset of a
-        chunk)."""
+        reads, and an envelope reader's distinct ``|reads|`` and their
+        places; one chunk's candidates on every bin of the window; and the
+        reads found, sorted and merged); the bytes it holds once read (its
+        own arrays, and a pick-table row for each bin the peaks can fall
+        on, one per carrier for its bare peak and one more per carrier and
+        plan: 6 indices and 2 marks an offset); and the bytes one
+        :meth:`read` passes through (a row's picks chosen one chunk at a
+        time, and for each carrier its values on the reads and on the
+        carrier window, its bin, peak and power, its row index, offset and
+        scale, and ``_READ_BYTES_PER_OFFSET`` an offset of a chunk)."""
         reads, window, offsets = self.reads, self.window, len(self.offsets)
         value, chunk = np.dtype(np.float64).itemsize, min(offsets, _OFFSET_CHUNK)
         own = self.offsets.nbytes + (3 if self.envelope else 1) * reads.nbytes
         finding = own + chunk * len(window) * _CANDIDATE_BYTES + 3 * reads.nbytes
-        held = own + _Picks.nbytes(min(len(window), carriers * (1 + plans)), offsets, len(reads))
+        rows = min(len(window), carriers * (1 + plans))
+        table = rows * offsets * (6 * np.dtype(_index_dtype(len(reads))).itemsize + 2 * np.dtype(bool).itemsize)
         per_carrier = value * (len(reads) + len(window) + 6) + _READ_BYTES_PER_OFFSET * chunk
-        return finding, held, chunk * _CANDIDATE_BYTES + carriers * per_carrier
+        return finding, own + table, chunk * _CANDIDATE_BYTES + carriers * per_carrier
 
     def take(self, psd: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``psd``'s values on ``reads``, into ``out`` if given, once its
-        carrier passes the dominance test of :func:`phase_noise_from_psd`.
+        carrier passes the dominance test: the peak of the carrier window
+        holds at least ``CARRIER_THRESHOLD`` of the total power.
 
         ``psd`` is the bare periodogram of the reader's window, or for an
         envelope reader the envelope's, whose bin j is ``reads``' bin
@@ -489,47 +404,115 @@ class BinReader:
         _dominant(psd, range(self.window.start - self.shift, self.window.stop - self.shift), self.df, self.f_r)
         return np.take(psd, self.reads - self.shift, out=out)
 
-    def read(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def read(self, values: np.ndarray, power: Callable | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """L(f) off ``values``, carriers x ``reads``: each row the PSD of one
-        carrier on ``reads``.
+        carrier on ``reads``, seen through a plan if ``power`` is given.
+
+        ``power(bins)`` is the plan's |H|^2 on ``bins``, ascending and
+        non-negative.  The read asks it for the bins it looks at alone,
+        and holds 0 on every other: it guesses the carriers' peaks from
+        ``values``, and asks a second time for the picks of any bin the
+        plan moves a peak to, which leaves the window, and so the peaks,
+        as the first call found them.  The values on the bins it does not
+        ask for may hold anything.
 
         Returns L in dBc/Hz, carriers x ``offsets``, and each carrier's bin
-        and power.  The carrier is the peak of the carrier window, as in
-        :func:`phase_noise_from_psd`; a peak with no power raises
-        CarrierNotFoundError, and an offset outside [df, Fs/2 - carrier]
-        ValueError, for the first carrier refused.
+        and power.  The carrier is the peak of the carrier window, the
+        first of equals; a peak with no power raises
+        CarrierNotFoundError, and an offset outside its
+        measurable range (:meth:`outside`) ValueError, for the first
+        carrier refused.  The carriers that peak on a bin are read
+        together, ``_OFFSET_CHUNK`` offsets at a time.
         """
-        return self._picks.read(values, self._columns, self.f_r)
-
-    def peaks(self, values: np.ndarray, gain: np.ndarray | None = None) -> np.ndarray:
-        """The bin each row of ``values`` (carriers x ``reads``) peaks on
-        in the carrier window, as :meth:`read` finds it, or each row seen
-        through ``gain``, a plan's |H|^2 on ``bins``."""
+        if power is not None:
+            values = values * self._gain(values, power)[self._fold]
         window = values[:, self._columns]
-        if gain is not None:
-            window = window * gain[self.fold][self._columns]
-        return self.window.start + np.argmax(window, axis=1)
+        peak = np.argmax(window, axis=1)
+        peak_power = window[np.arange(len(values)), peak]
+        refused = ~(peak_power > 0) | ~self._fits[peak]
+        if refused.any():
+            row = int(np.argmax(refused))
+            if not peak_power[row] > 0:
+                raise CarrierNotFoundError(f"the carrier within 2 bins of {self.f_r} Hz holds no power")
+            outside, df, top = self.outside(self.window.start + int(peak[row]))
+            raise ValueError(f"offset {outside[0]} Hz outside the measurable range [{df}, {top}] Hz")
+        peak_power *= self.df
+        l_dbc = np.empty((len(values), len(self.offsets)))
+        for at in set(peak.tolist()):
+            rows = np.flatnonzero(peak == at)
+            index, two = self._row(self.window.start + at)
+            # Each row's offset into the flattened values, and its scale.
+            flat, scale = (rows * values.shape[1]).reshape(-1, 1, 1), (2.0 * peak_power[rows])[:, None]
+            for start in range(0, len(self.offsets), _OFFSET_CHUNK):
+                chunk = slice(start, start + _OFFSET_CHUNK)
+                l_dbc[rows, chunk] = _sidebands(values, index[chunk], flat, two[chunk], scale)
+        return l_dbc, self.window.start + peak, peak_power
 
-    def wanted(self, peaks) -> np.ndarray:
-        """A mask on ``bins`` of every bin a :meth:`read` looks at when each
-        carrier peaks on one of the carrier-window bins ``peaks``: the
-        carrier window, and the picks of each of those bins where the
-        offsets fit, whose pick-table rows this builds (a read refuses a
-        carrier on any other).  A read of such carriers is the same
-        whatever the values on the other bins."""
-        start, picks = self.window.start, self._picks
+    def _gain(self, values: np.ndarray, power: Callable) -> np.ndarray:
+        """|H|^2 from ``power`` on the distinct ``|reads|`` a read of
+        ``values`` through it looks at, and 0 on the others (see :meth:`read`)."""
+        gain, columns = np.zeros(len(self._bins)), self._columns
+        guessed = set(np.argmax(values[:, columns], axis=1).tolist())
+        asked = self._wanted(guessed)
+        gain[asked] = power(self._bins[asked])
+        moved = set(np.argmax(values[:, columns] * gain[self._fold][columns], axis=1).tolist()) - guessed
+        if moved:
+            more = self._wanted(moved) & ~asked
+            gain[more] = power(self._bins[more])
+        return gain
+
+    def _wanted(self, peaks) -> np.ndarray:
+        """A mask on the distinct ``|reads|`` of every bin a read looks at
+        when each carrier peaks on one of the places ``peaks`` in the
+        carrier window: the window, and the picks of each of those bins
+        where the offsets fit, whose rows this builds (a read refuses a
+        carrier on any other)."""
         mask = np.zeros(len(self.reads), bool)
         mask[self._columns] = True
-        for peak in peaks:
-            if picks.fits[peak - start]:
-                index = picks.row(peak)[0]
+        for at in peaks:
+            if self._fits[at]:
+                index = self._row(self.window.start + at)[0]
                 for chunk in range(0, len(index), _OFFSET_CHUNK):
                     mask[index[chunk : chunk + _OFFSET_CHUNK]] = True
         if not self.envelope:
             return mask
-        folded = np.zeros(len(self.bins), bool)
-        folded[self.fold[mask]] = True
+        folded = np.zeros(len(self._bins), bool)
+        folded[self._fold[mask]] = True
         return folded
+
+    def _row(self, carrier: int) -> tuple[np.ndarray, np.ndarray]:
+        """The pick-table row of a carrier on bin ``carrier``: its picks'
+        indices into ``reads`` (offsets x 2 sides x 3 picks), and the
+        offsets x 2 sides where 2 are in reach; built on first use,
+        ``_OFFSET_CHUNK`` offsets at a time."""
+        if carrier in self._rows:
+            return self._rows[carrier]
+        offsets, df, size, reads = self.offsets, self.df, self.size, self.reads
+        index = np.empty((len(offsets), 2, 3), _index_dtype(len(reads)))
+        two = np.empty((len(offsets), 2), bool)
+        low = 1 - size if self.envelope else 0
+        for start in range(0, len(offsets), _OFFSET_CHUNK):
+            chunk = slice(start, start + _OFFSET_CHUNK)
+            (targets,), (candidates,) = _candidates(np.array([carrier]), offsets[chunk], df, self.envelope)
+            distance = candidates * df
+            distance -= targets[..., None]
+            del targets
+            np.abs(distance, out=distance)
+            distance[(candidates < low) | (candidates >= size) | (candidates == carrier)] = np.inf
+            # Stable, so the lower of equally near bins comes first; as
+            # indices into the flattened candidates.
+            nearest = np.argsort(distance, axis=-1, kind="stable")[..., :3]
+            nearest += np.arange(0, nearest.size // 3 * 5, 5).reshape(nearest.shape[:-1] + (1,))
+            reach = distance.take(nearest) < np.inf
+            del distance
+            picked = candidates.take(nearest)
+            del candidates, nearest
+            picked = np.where(reach, picked, picked[..., :1])
+            index[chunk] = np.searchsorted(reads, picked)
+            two[chunk] = reach[..., 1] & ~reach[..., 2]
+            del picked, reach  # before the next chunk's arrays
+        self._rows[carrier] = index, two
+        return index, two
 
 
 def jitter(spectrum: PhaseNoiseSpectrum, f_min: float, f_max: float) -> JitterResult:

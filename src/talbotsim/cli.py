@@ -206,7 +206,6 @@ def _read_config_file(path: Path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, rhs = line.split("=", 1)
-        # Inline tables contain '=' too; re-join if the key has a brace.
         key = key.strip()
         where = f"{path}:{lineno}"
         if "{" in rhs and "}" not in rhs:

@@ -432,14 +432,13 @@ def _plan(cfg: ExperimentConfig, grid: SimGrid, kind: str, width: float) -> Dela
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def _check_offsets(cfg: ExperimentConfig, grid: SimGrid, what: str):
+def _check_offsets(reader: BinReader, what: str):
     """Refuse offsets of interest outside [df, Fs/2 - f_r], the range that
-    :func:`phase_noise_from_psd` measures on ``grid``'s bins."""
-    df = bin_spacing(grid.n_samples, grid.sample_rate)
-    hi = grid.sample_rate / 2.0 - round(grid.f_r / grid.df) * df
-    outside = [o for o in cfg.offsets if o < df * (1.0 - 1e-9) or o > hi]
-    if outside:
-        raise ConfigError(f"analysis.offsets {outside} Hz lie outside [{df}, {hi}] Hz, the range of {what}")
+    ``reader`` measures (:meth:`BinReader.outside`); ``what`` names the
+    run in the refusal."""
+    outside, df, hi = reader.outside()
+    if len(outside):
+        raise ConfigError(f"analysis.offsets {outside.tolist()} Hz lie outside [{df}, {hi}] Hz, the range of {what}")
 
 
 #: glibc's mallopt parameters and the values the study runner pins.  An
@@ -549,30 +548,6 @@ def _detect(grid: SimGrid, ws: Workspace, job) -> np.ndarray:
     return passband_periodogram(synth_carrier(SynthesisRequest(grid=grid, noise=noise, seed=seed), ws), ws)
 
 
-def _read_plan(reader: BinReader, kept: np.ndarray, work: Scratch, lags: Lags) -> tuple:
-    """L(f) of every kept carrier seen through the plan of ``lags``, in one
-    read (:meth:`BinReader.read`): their values on ``reader``'s bins times
-    the plan's |H|^2, summed in ``work`` where the read looks and 0
-    elsewhere (:func:`_gain`)."""
-    return reader.read(kept * _gain(reader, kept, lags, work, np.zeros(len(reader.bins)))[reader.fold])
-
-
-def _gain(reader: BinReader, kept: np.ndarray, lags: Lags, work: Scratch, gain: np.ndarray) -> np.ndarray:
-    """``gain``, on ``reader.bins``, with the |H|^2 of ``lags`` written on
-    the bins a read of ``kept`` through it looks at (:meth:`BinReader.wanted`)
-    and nowhere else.  The carriers' peaks are guessed from ``kept``; the
-    picks of any bin the plan moves a peak to are summed in a second call,
-    which leaves the window, and so the peaks, as the first found them."""
-    guessed = set(reader.peaks(kept).tolist())
-    summed = reader.wanted(guessed)
-    gain[summed] = power_at_bins(lags, reader.bins[summed], work)
-    moved = set(reader.peaks(kept, gain).tolist()) - guessed
-    if moved:
-        more = reader.wanted(moved) & ~summed
-        gain[more] = power_at_bins(lags, reader.bins[more], work)
-    return gain
-
-
 @dataclass(frozen=True, eq=False)
 class _Reads:
     """(noise, seed) ``carriers`` on ``grid``, each to be seen through each
@@ -596,7 +571,8 @@ class _Reads:
     @cached_property
     def reader(self) -> BinReader:
         """The reader of L at ``offsets`` off the bins it picks on ``grid``,
-        built once: the guard sizes it, and the reads then use it."""
+        built once: a sweep's offsets check asks it for the measurable
+        range, the guard sizes it, and the reads then use it."""
         grid = self.grid
         return BinReader(grid.n_samples, grid.sample_rate, grid.f_r, self.offsets, self.envelope)
 
@@ -650,8 +626,9 @@ def _read_through(cfg: ExperimentConfig, reads: _Reads) -> list[tuple]:
     whose offsets mod n are the same multiset have bit-equal |H|^2, so
     each plan is compared by its lag histogram, its offsets mod n sorted
     once (:func:`~talbotsim.superposition.lag_histogram`), and one plan
-    of each sums its |H|^2 on the bins its read looks at and reads every
-    carrier through it at once.  The reader is the one the guard sized.
+    of each reads every carrier through it at once, summing its |H|^2
+    on the bins the reader asks for (:meth:`BinReader.read`).  The
+    reader is the one the guard sized.
     The carriers run as jobs on workspaces of their own, which are freed
     before the distinct plans run as jobs, each in a scratch of its own
     (the twiddle tables shared), all made before the first plan job.  An
@@ -662,7 +639,12 @@ def _read_through(cfg: ExperimentConfig, reads: _Reads) -> list[tuple]:
     keys, distinct = _distinct_lags(cfg, reads)
     reader = reads.reader
     kept = _detect_all(cfg, grid, reader, reads.carriers)
-    n, read_plan = grid.n_samples, partial(_read_plan, reader, kept)
+
+    def read_plan(work: Scratch, lags: Lags) -> tuple:
+        # The plan's |H|^2 summed in the job's scratch, on the bins the read asks for.
+        return reader.read(kept, partial(power_at_bins, lags, work=work))
+
+    n = grid.n_samples
     per_plan = _map_on(cfg.workers, scratch(n), partial(scratch, n), read_plan, distinct)
     return [per_plan[key] for key in keys]
 
@@ -747,13 +729,14 @@ def _oversampling_reads(cfg: ExperimentConfig, i: int) -> _Reads:
     the ratio's measurable range are refused here."""
     n = cfg.ratios[i]
     grid = build_grid(cfg.comb.f_r, n, cfg.t_sig)
-    what = f"oversampling point N={n}"
-    _check_offsets(cfg, grid, what)
     noise = cfg.resolved_noise()
     seeds = [derive_seed(cfg.master_seed, "oversampling", i, s) for s in range(cfg.n_seeds)]
     carriers = [(None, 0)] + [(noise, seed) for seed in seeds]
+    what = f"oversampling point N={n}"
     # The rows of this ratio and of every ratio before it are held once its reads are done.
-    return _Reads(grid, what, carriers, [("none", 0.0)], cfg.offsets, held_points=i + 1)
+    reads = _Reads(grid, what, carriers, [("none", 0.0)], cfg.offsets, held_points=i + 1)
+    _check_offsets(reads.reader, what)
+    return reads
 
 
 def sweep_oversampling(cfg: ExperimentConfig) -> list[SweepRow]:
@@ -804,11 +787,12 @@ def _comb_width_reads(cfg: ExperimentConfig) -> _Reads:
     the seeds of point index 0, and every width's plans, one per kind,
     width by width.  Offsets outside the grid's measurable range are
     refused here."""
-    _check_offsets(cfg, cfg.grid, "the comb-width sweep")
     noise = cfg.resolved_noise()
     carriers = [(noise, derive_seed(cfg.master_seed, "comb_width", 0, s)) for s in range(cfg.n_seeds)]
     plans = [(kind, w) for w in cfg.widths for kind in cfg.kinds]
-    return _Reads(cfg.grid, "comb-width sweep", carriers, plans, cfg.offsets, envelope=True)
+    reads = _Reads(cfg.grid, "comb-width sweep", carriers, plans, cfg.offsets, envelope=True)
+    _check_offsets(reads.reader, "the comb-width sweep")
+    return reads
 
 
 def _table_guard(cfg: ExperimentConfig, what: str, kinds, widths) -> _Guard:

@@ -10,7 +10,6 @@ from talbotsim.analysis import (
     BinReader,
     JitterResult,
     PhaseNoiseSpectrum,
-    _Picks,
     classical_penalty,
     jitter,
     periodogram,
@@ -57,6 +56,34 @@ def demod_phase_psd(y, f_r):
 def tone(f, fs, n, amp=1.0, phase=0.0):
     t = np.arange(n)
     return SampledSignal(samples=amp * np.sin(2 * np.pi * f / fs * t + phase), sample_rate=fs)
+
+
+def brute_force_picks(carrier, target, df, bins, two_sided=False):
+    """The valid bins of the 5 around a sideband target at ``target`` Hz,
+    nearest first, the lower of equals first: the first 3 are the bins
+    whose median is the sideband's value.  A valid bin is one of ``bins``
+    bins ``df`` apart (``two_sided``: down to minus Nyquist) other than
+    the carrier's, ``carrier``."""
+    low = 1 - bins if two_sided else 0
+    center = int(round(target / df))
+    near = [j for j in range(center - 2, center + 3) if low <= j < bins and j != carrier]
+    near.sort(key=lambda j: (abs(j * df - target), j))
+    return near
+
+
+def brute_force_l(psd, carrier, offsets, df, bins, two_sided=False) -> list:
+    """L in dBc/Hz at each of ``offsets`` of a carrier on bin ``carrier``
+    of ``psd`` (bin j at ``psd[j]``, j < 0 from the end): the median of
+    each sideband's brute-force picks, their sum over twice the carrier's
+    power.  A one-sided spectrum finds the lower sideband of an offset
+    above the carrier reflected through DC."""
+    l_dbc = []
+    for off in offsets:
+        lower = carrier * df - off
+        targets = (carrier * df + off, lower if two_sided else abs(lower))
+        sides = [float(np.median(psd[brute_force_picks(carrier, t, df, bins, two_sided)[:3]])) for t in targets]
+        l_dbc.append(10.0 * math.log10((sides[0] + sides[1]) / (2.0 * (psd[carrier] * df))))
+    return l_dbc
 
 
 class TestPeriodogram:
@@ -167,12 +194,13 @@ class TestPhaseNoiseSpectrum:
             phase_noise_spectrum(y, 1e5, [1e4])
 
     def test_sideband_value_is_median_of_picked_bins(self):
-        # The pick table against a brute-force picker, for every target on
-        # even and odd windows, one- and two-sided, the carrier at and away
-        # from DC and at Nyquist, so the ends leave 2 bins in reach as well
-        # as 3; and L read off the table against L from the picker's bins.
-        # Half-bin offsets put targets midway between bins, where the third
-        # pick is one of two equally near bins and the lower comes first.
+        # The pick table against the brute-force picker, for every target
+        # on even and odd windows, one- and two-sided (an envelope reader),
+        # the carrier at and away from DC and at Nyquist, so the ends leave
+        # 2 bins in reach as well as 3; and L read off the table against L
+        # from the picker's bins.  Half-bin offsets put targets midway
+        # between bins, where the third pick is one of two equally near
+        # bins and the lower comes first.
         rng = np.random.default_rng(5)
         sizes, ties = set(), set()
         for n in (8, 9, 64, 65):
@@ -182,33 +210,56 @@ class TestPhaseNoiseSpectrum:
                 low = 1 - bins if two_sided else 0
                 psd = rng.random(2 * bins - 1)  # bin j at psd[j], j < 0 from the end
                 for carrier in (0, 1, 2, bins // 2, bins - 1):
-                    picks = _Picks(range(carrier, carrier + 1), offsets, 1.0, bins, float(n), two_sided)
-                    index, two = picks.row(carrier)
-                    values = {}
+                    reader = BinReader(n, float(n), float(carrier), offsets, envelope=two_sided)
+                    assert reader.df == 1.0
+                    index, two = reader._row(carrier)
                     for i, off in enumerate(offsets):
                         lower = carrier - off if two_sided else abs(carrier - off)
                         for side, target in enumerate((carrier + off, lower)):
                             if not low - 0.5 <= target <= bins - 0.5:
                                 continue
-                            center = int(round(target))
-                            near = [j for j in range(center - 2, center + 3) if low <= j < bins and j != carrier]
-                            near.sort(key=lambda j: (abs(j - target), j))
+                            near = brute_force_picks(carrier, target, 1.0, bins, two_sided)
                             picked = sorted(near[:3])
                             sizes.add(len(picked))
                             if len(near) > 3 and abs(near[2] - target) == abs(near[3] - target):
                                 ties.add((two_sided, len(picked)))
-                            assert sorted(set(index[i, side])) == picked
+                            assert sorted(set(reader.reads[index[i, side]].tolist())) == picked
                             assert two[i, side] == (len(picked) == 2)
-                            values[i, side] = float(np.median(psd[picked]))
                     fits = (offsets >= 1.0) & (offsets <= n / 2 - carrier)
-                    assert picks.fits[0] == fits.all()
+                    assert np.array_equal(reader.outside(carrier)[0], offsets[~fits])
                     if fits.any():  # L from the table's picks and from the picker's
-                        inside = _Picks(range(carrier, carrier + 1), offsets[fits], 1.0, bins, float(n), two_sided)
-                        (l_dbc,), _, _ = inside.read(psd[None, :], [carrier], carrier)
-                        ratios = [(values[i, 0] + values[i, 1]) / (2.0 * psd[carrier]) for i in np.flatnonzero(fits)]
-                        assert l_dbc.tolist() == [10.0 * math.log10(r) for r in ratios]
+                        inside = BinReader(n, float(n), float(carrier), offsets[fits], envelope=two_sided)
+                        peaked = psd.copy()
+                        peaked[carrier] += 1.0  # the peak of the carrier window
+                        (l_dbc,), _, _ = inside.read(peaked[inside.reads][None, :])
+                        assert l_dbc.tolist() == brute_force_l(peaked, carrier, offsets[fits], 1.0, bins, two_sided)
         assert sizes == {2, 3}
         assert ties == {(False, 3), (True, 3)}
+
+    def test_refuses_a_psd_that_does_not_fit_its_bins(self):
+        # The bins' spacing and the sample rate imply the window: 64
+        # samples at 64 Hz, whose periodogram has 33 bins.
+        freqs = np.fft.rfftfreq(64, 1.0 / 64.0)
+        psd = np.ones(len(freqs))
+        psd[10] = 1e6
+        assert phase_noise_from_psd(freqs, psd, 64.0, 10.0, [2.0]).carrier_freq == 10.0
+        for wrong in (psd[:-1], np.append(psd, 1.0)):
+            with pytest.raises(ValueError, match="does not fit the 64-sample window"):
+                phase_noise_from_psd(freqs, wrong, 64.0, 10.0, [2.0])
+        with pytest.raises(ValueError, match="does not fit the 128-sample window"):
+            phase_noise_from_psd(freqs, psd, 128.0, 10.0, [2.0])
+        with pytest.raises(ValueError, match="at least 2 bins"):
+            phase_noise_from_psd(freqs[:1], psd[:1], 64.0, 0.0, [])
+
+    def test_keeps_frozen_copies_of_the_callers_arrays(self):
+        offsets, l_dbc = np.array([1e3, 1e4]), np.array([-100.0, -120.0])
+        spectrum = PhaseNoiseSpectrum(1e7, 0.5, offsets, l_dbc, 1e3)
+        assert offsets.flags.writeable and l_dbc.flags.writeable
+        assert not spectrum.offsets.flags.writeable and not spectrum.l_dbc.flags.writeable
+        offsets[0] = l_dbc[0] = 5.0
+        assert spectrum.offsets.tolist() == [1e3, 1e4] and spectrum.l_dbc.tolist() == [-100.0, -120.0]
+        with pytest.raises(ValueError, match="strictly ascending"):
+            PhaseNoiseSpectrum(1e7, 0.5, [1e4, 1e3], [-100.0, -120.0], 1e3)
 
     def test_offset_out_of_range_rejected(self):
         grid = build_grid(1e6, 8, 1e-3)
@@ -247,7 +298,9 @@ class TestBinReader:
     def test_reads_what_phase_noise_from_psd_reads(self):
         # Even and odd windows, the carrier at DC, next to it, mid-band and
         # by Nyquist, so bins run off either end; offsets from one bin to
-        # the top of the measurable range, and random gains on the bins.
+        # the top of the measurable range, and random gains on the bins,
+        # given as a plan's |H|^2.  The read, and phase_noise_from_psd's of
+        # the PSD times the gains, against L from the brute-force picks.
         rng = np.random.default_rng(9)
         read = 0
         for n in (16, 17, 64, 65, 1000, 1001):
@@ -262,13 +315,17 @@ class TestBinReader:
                     continue
                 offsets = np.unique(np.concatenate(([df, high], rng.uniform(df, high, 6))))
                 reader = BinReader(n, fs, f_r, offsets)
-                assert len(reader.bins) < len(freqs) or n < 100
+                assert len(reader.reads) < len(freqs) or n < 100
                 for _ in range(4):
                     psd = self.spectra(rng, n, carrier_bin)
                     gain = rng.uniform(0.5, 1.0, len(psd))
-                    values = reader.take(psd) * gain[reader.bins]
-                    expected = phase_noise_from_psd(freqs, psd * gain, fs, f_r, offsets)
-                    assert_reads_spectrum(reader, reader.read(values[None, :]), expected)
+                    detected = psd * gain
+                    peak = reader.window[int(np.argmax(detected[list(reader.window)]))]
+                    l_dbc = brute_force_l(detected, peak, offsets, df, len(psd))
+                    expected = PhaseNoiseSpectrum(peak * df, detected[peak] * df, offsets, l_dbc, df)
+                    through = reader.read(reader.take(psd)[None, :], lambda bins: gain[bins])
+                    assert_reads_spectrum(reader, through, expected)
+                    assert_same_spectrum(phase_noise_from_psd(freqs, detected, fs, f_r, offsets), expected)
                     read += 1
         assert read > 100
 
@@ -303,16 +360,18 @@ class TestBinReader:
         values = rng.random((3, len(reader.reads)))
         values[:, window[2]] += 1e6
         reader.read(values)
-        assert sorted(reader._picks.rows) == [100]
+        assert sorted(reader._rows) == [100]
         values[1, window[3]] += 1e7
         reader.read(values)
-        assert sorted(reader._picks.rows) == [100, 101]
+        assert sorted(reader._rows) == [100, 101]
 
     def test_a_read_looks_only_at_the_bins_it_wants(self):
         # Passband and envelope readers, carriers peaking on every bin of
         # the window, and offsets of 150 and 390 Hz above a 100 Hz carrier,
-        # whose lower sidebands the envelope reads below 0 Hz: a read is
-        # the same, bit for bit, whatever the bins it does not want hold.
+        # whose lower sidebands the envelope reads below 0 Hz: a read
+        # through a plan asks for |H|^2 once, on distinct non-negative bins
+        # in ascending order, fewer than it holds, and is the same, bit for
+        # bit, whatever the bins it does not ask for hold.
         rng = np.random.default_rng(19)
         n, carriers = 1000, 10
         offsets = [1.0, 3.0, 40.0, 150.0, 390.0]
@@ -323,28 +382,50 @@ class TestBinReader:
             window = np.searchsorted(reader.reads, list(reader.window))
             on = np.arange(carriers) % len(window)
             values[np.arange(carriers), window[on]] += 1e6
-            peaks = reader.peaks(values)
-            assert np.array_equal(peaks, np.asarray(reader.window)[on])
-            wanted = reader.wanted(set(peaks.tolist()))
-            assert wanted.shape == reader.bins.shape and 0 < wanted.sum() < len(reader.bins)
-            unwanted = np.where(wanted, 1.0, np.nan)
+            asked = []
+
+            def flat(bins):
+                asked.append(bins)
+                return np.ones(len(bins))
+
             expected = reader.read(values)
-            for got, want in zip(reader.read(values * unwanted[reader.fold]), expected):
+            for got, want in zip(reader.read(values, flat), expected):
+                assert np.array_equal(got, want)
+            (wanted,) = asked
+            every = np.unique(np.abs(reader.reads))
+            assert np.array_equal(wanted, np.unique(wanted)) and 0 < len(wanted) < len(every) and wanted[0] >= 0
+            unwanted = np.where(np.isin(np.abs(reader.reads), wanted), values, np.nan)
+            for got, want in zip(reader.read(unwanted, flat), expected):
                 assert np.array_equal(got, want)
             # Fewer peaks want fewer bins, the carrier window always.
-            one = reader.wanted({100})
-            assert not (one & ~wanted).any() and one.sum() < wanted.sum()
-            assert one[np.isin(reader.bins, list(reader.window))].sum() == len(reader.window)
+            asked.clear()
+            reader.read(values[on == 2], flat)
+            (one,) = asked
+            assert set(one.tolist()) < set(wanted.tolist()) and set(reader.window) <= set(one.tolist())
 
     def test_wants_no_picks_of_a_bin_a_read_refuses(self):
         # An offset of 400 Hz fits a carrier on bin 100 and below (Nyquist
-        # at 500 Hz): a carrier on bin 101 is refused, so its picks are
-        # not wanted and its pick-table row is not built.
+        # at 500 Hz): a carrier on bin 101 or 102 is refused, so a read of
+        # it asks for |H|^2 on the carrier window alone, and builds no
+        # pick-table row.
         reader = BinReader(1000, 1000.0, 100.0, [10.0, 400.0])
-        window = reader.wanted(set())
-        assert np.array_equal(reader.bins[window], np.arange(98, 103))
-        assert np.array_equal(reader.wanted({101, 102}), window) and not reader._picks.rows
-        assert reader.wanted({100}).sum() > window.sum() and sorted(reader._picks.rows) == [100]
+        window = np.searchsorted(reader.reads, list(reader.window))
+        values = np.ones((2, len(reader.reads)))
+        values[0, window[3]] = values[1, window[4]] = 1e6
+        asked = []
+
+        def flat(bins):
+            asked.append(bins)
+            return np.ones(len(bins))
+
+        with pytest.raises(ValueError, match="measurable"):
+            reader.read(values, flat)
+        assert [bins.tolist() for bins in asked] == [list(range(98, 103))] and not reader._rows
+        values[1, window[2]] = 1e7  # row 1's peak on bin 100; row 0 is still refused
+        asked.clear()
+        with pytest.raises(ValueError, match="measurable"):
+            reader.read(values, flat)
+        assert len(asked) == 1 and len(asked[0]) > 5 and sorted(reader._rows) == [100]
 
     def test_batch_refuses_its_first_refused_carrier(self):
         # Bins 1 Hz apart, Nyquist at 500 Hz, the carrier window on bins
@@ -402,11 +483,12 @@ class TestBinReader:
         faint = np.where(window, 1e-9, 1.0)
         with pytest.raises(CarrierNotFoundError, match="no dominant carrier"):
             phase_noise_from_psd(freqs, psd * faint, float(n), carrier_bin * freqs[1], offsets)
-        (bare, detected), _, (bare_power, detected_power) = reader.read(np.stack((values, values * faint[reader.bins])))
+        read = reader.read(np.stack((values, values * faint[reader.reads])))
+        (bare, detected), _, (bare_power, detected_power) = read
         assert detected_power == pytest.approx(1e-9 * bare_power, rel=1e-12)
         np.testing.assert_allclose(detected, bare + 90.0, rtol=0, atol=1e-9)
         with pytest.raises(CarrierNotFoundError, match="no power"):
-            reader.read((values * np.where(window, 0.0, 1.0)[reader.bins])[None, :])
+            reader.read((values * np.where(window, 0.0, 1.0)[reader.reads])[None, :])
 
 
 class TestJitter:

@@ -79,21 +79,31 @@ class TestSeedDerivation:
         assert len(seeds) == 5
 
 
+def asking(power):
+    """``power``, recording each call's bins and the |H|^2 it returned in ``asked``."""
+    asked = []
+
+    def recorded(bins):
+        asked.append((bins, power(bins)))
+        return asked[-1][1]
+
+    return recorded, asked
+
+
 def read_through(plan, freqs, psds, offsets) -> list:
     """L at ``offsets`` of each bare periodogram of ``psds`` seen through
     ``plan``, read by ``phase_noise_from_psd``: the bins a read of them
-    all looks at, for the bins their bare periodograms peak on
-    (``BinReader.wanted``), hold ``psd`` times |H|^2 summed on those bins
-    alone, every other bin 0."""
+    all through ``plan`` asks for (``BinReader.read``) hold ``psd`` times
+    the |H|^2 it was given there, every other bin 0."""
     grid = plan.grid
     reader = BinReader(grid.n_samples, grid.sample_rate, grid.f_r, offsets)
-    peaks = reader.peaks(np.array([psd[reader.reads] for psd in psds]))
-    bins = reader.bins[reader.wanted(set(peaks.tolist()))]
-    gain = power_at_bins(plan, bins)
+    power, asked = asking(lambda bins: power_at_bins(plan, bins))
+    reader.read(np.array([psd[reader.reads] for psd in psds]), power)
     spectra = []
     for psd in psds:
         detected = np.zeros_like(psd)
-        detected[bins] = psd[bins] * gain
+        for bins, gain in asked:
+            detected[bins] = psd[bins] * gain
         spectra.append(phase_noise_from_psd(freqs, detected, grid.sample_rate, grid.f_r, offsets))
     return spectra
 
@@ -196,6 +206,16 @@ class TestSweepOversampling:
         with pytest.raises(ConfigError, match="negative on the 80000-sample window"):
             sweep_oversampling(small_config(ratios=(4, 16), noise=noise))
 
+    def test_refuses_offsets_outside_a_ratios_range(self):
+        # Bins 2 kHz apart; at N = 4, Fs/2 - f_r = 10 MHz.  Every offset
+        # outside the range is named, before any synthesis.
+        with pytest.raises(ConfigError) as refusal:
+            sweep_oversampling(small_config(offsets=(1.0, 1e4, 1.5e7, 3e7)))
+        assert str(refusal.value) == (
+            "analysis.offsets [1.0, 15000000.0, 30000000.0] Hz lie outside [2000.0, 10000000.0] Hz, "
+            "the range of oversampling point N=4"
+        )
+
     def test_rejects_unsorted_ratios(self):
         with pytest.raises(ConfigError, match="ascending"):
             small_config(ratios=(8, 4))
@@ -230,6 +250,13 @@ class TestSweepCombWidth:
                 for i, off in enumerate(cfg.offsets):
                     per_seed[(w, kind, off)] = tuple(float(s.l_dbc[i]) for s in spectra)
         return per_seed
+
+    def test_refuses_offsets_outside_the_grids_range(self):
+        with pytest.raises(ConfigError) as refusal:
+            sweep_comb_width(small_config(offsets=(1.0, 1e4)))
+        assert str(refusal.value) == (
+            "analysis.offsets [1.0] Hz lie outside [2000.0, 30000000.0] Hz, the range of the comb-width sweep"
+        )
 
     def test_rows_cover_kinds_and_widths(self):
         cfg = small_config()
@@ -348,37 +375,35 @@ class TestReadPlan:
         ],
         ids=["stays", "moves"],
     )
-    def test_reads_no_bin_it_does_not_sum(self, monkeypatch, envelope, offsets, moves):
+    def test_reads_no_bin_it_does_not_sum(self, envelope, offsets, moves):
         # Offsets of 150 and 390 Hz lie above f_r, so the envelope reader
         # reads their lower sidebands below 0 Hz.  A read with NaN on
-        # every bin the job does not sum is the job's read, bit for bit,
-        # and what it sums is |H|^2 summed on every bin.
+        # every bin it does not ask |H|^2 for is the same read, bit for
+        # bit, and what it is given is |H|^2 summed on every bin.
         rng = np.random.default_rng(23)
         grid = build_grid(250.0, 4, self.N / 1000.0)
         reader = BinReader(self.N, 1000.0, 100.0, [1.0, 3.0, 40.0, 150.0, 390.0], envelope=envelope)
         kept = self.kept(rng, reader)
         lags = lag_histogram(DelayPlan(np.array(offsets), grid))
-        calls = []
-
-        def counted(lags, bins, work=None):
-            calls.append(len(bins))
-            return power_at_bins(lags, bins, work)
-
-        monkeypatch.setattr(experiments, "power_at_bins", counted)
         work = scratch(self.N)
-        unsummed = experiments._gain(reader, kept, lags, work, np.full(len(reader.bins), np.nan))
-        assert len(calls) == (2 if moves else 1)
-        summed = ~np.isnan(unsummed)
-        assert sum(calls) == summed.sum() < len(reader.bins)
-        read = experiments._read_plan(reader, kept, work, lags)
+        power, asked = asking(lambda bins: power_at_bins(lags, bins, work))
+        read = reader.read(kept, power)
+        assert len(asked) == (2 if moves else 1)
+        bins = np.concatenate([b for b, _ in asked])
+        every_bin = np.unique(np.abs(reader.reads))
+        assert np.array_equal(np.sort(bins), np.unique(bins)) and len(bins) < len(every_bin)
+        assert all(np.array_equal(b, np.sort(b)) and (b >= 0).all() for b, _ in asked)
         assert np.isfinite(read[0]).all()
-        for got, expected in zip(reader.read(kept * unsummed[reader.fold]), read):
+        unasked = np.where(np.isin(np.abs(reader.reads), bins), kept, np.nan)
+        again, _ = asking(lambda bins: power_at_bins(lags, bins, work))
+        for got, expected in zip(reader.read(unasked, again), read):
             assert np.array_equal(got, expected)
         assert bool(set(read[1].tolist()) - {100}) == moves
         # Within 1e-12 of |H|^2 summed on every bin; the null on bin 100
         # is near 0, where only the absolute difference means anything.
-        every = power_at_bins(lags, reader.bins)
-        np.testing.assert_allclose(unsummed[summed], every[summed], rtol=1e-12, atol=1e-15)
+        every = power_at_bins(lags, every_bin)
+        for b, gain in asked:
+            np.testing.assert_allclose(gain, every[np.searchsorted(every_bin, b)], rtol=1e-12, atol=1e-15)
 
     def test_plans_share_a_histogram_when_their_offsets_mod_n_are_one_multiset(self):
         # On the desk grid, ideal and linear share one plan at 2e11 Hz and
