@@ -43,8 +43,9 @@ offset, the 3 bins each sideband's median takes; a bin's row is built
 with array operations the first time a carrier's peak falls on it, so a
 read is array operations on the values: each row's peak, its picks
 gathered, their median from minima and maxima, and L.
-``read(values, power)`` reads them seen through a plan whose |H|^2 is
-``power(bins)``: the reader asks for it only on the bins it looks at.
+``read(values, power, plans)`` reads them seen through each of
+``plans`` plans at once, whose |H|^2 is ``power(bins, which)``: the
+reader asks for it only on the bins it looks at.
 :func:`phase_noise_from_psd` is a reader's read of one row, every bin
 of a dense PSD known.  An envelope reader keeps the envelope's
 periodogram on the same bins, and reads the lower sideband of an offset
@@ -219,6 +220,10 @@ def phase_noise_from_psd(freqs, psd, sample_rate: float, f_r: float, offsets) ->
 #: reader's build and reads take a bounded working set however many
 #: offsets it reads.
 _OFFSET_CHUNK = 256
+#: Values a read through many plans forms at a time, (plans x carriers) x
+#: reads, in blocks of whole plans, so it takes a bounded working set
+#: however many plans and carriers it reads.
+_BLOCK_VALUES = 1 << 14
 #: The 5 candidates around a sideband target, in bins.
 _AROUND = np.arange(-2, 3)
 #: Bytes a chunk's arrays take at most per carrier bin and offset, while
@@ -314,15 +319,16 @@ class BinReader:
 
     :meth:`take` runs the 1e-6 dominance test on a bare periodogram and
     keeps its values on ``reads``; :meth:`read` reads L off a carriers x
-    ``reads`` array of such values, each seen through a plan's |H|^2 when
-    it is given one.  Since |H| <= 1 the detected total is at most the
-    bare one, so the dominance test is not rerun per plan: a plan is
-    refused only when its detected carrier holds no power at all.  A read
-    asks for |H|^2, which is even in frequency, on the distinct
+    ``reads`` array of such values, each seen through each of many plans'
+    |H|^2 when it is given them.  Since |H| <= 1 the detected total is
+    at most the bare one, so the dominance test is not rerun per plan: a
+    plan is refused only when its detected carrier holds no power at all.
+    A read asks for |H|^2, which is even in frequency, on the distinct
     ``|reads|`` it looks at alone: the carrier window, and the picks of
     the bins its carriers peak on.  The offsets' candidates are found,
-    and read, ``_OFFSET_CHUNK`` offsets at a time, so a reader for many
-    offsets holds little more than its reads and a row or two.
+    and read, ``_OFFSET_CHUNK`` offsets at a time, and the plans read in
+    blocks of ``_BLOCK_VALUES`` values, so a reader for many offsets,
+    plans and carriers holds little more than its reads and a row or two.
     :meth:`footprint` states its bytes, for the budget guard, from the one
     pass that found its ``reads``.
     """
@@ -369,28 +375,30 @@ class BinReader:
         top = self.sample_rate / 2.0 - (self._center if carrier is None else carrier) * df
         return offsets[(offsets < df * (1.0 - 1e-9)) | (offsets > top)], df, top
 
-    def footprint(self, carriers: int = 1, plans: int = 0) -> tuple[int, int, int]:
+    def footprint(self, carriers: int = 1, plans: int = 1, moving: bool = False) -> tuple[int, int, int]:
         """What this reader takes when it reads ``carriers`` carriers
-        through plans of which ``plans`` may move a carrier's peak: the
-        bytes building it passed through (its own arrays: its offsets,
-        reads, and an envelope reader's distinct ``|reads|`` and their
-        places; one chunk's candidates on every bin of the window; and the
-        reads found, sorted and merged); the bytes it holds once read (its
-        own arrays, and a pick-table row for each bin the peaks can fall
-        on, one per carrier for its bare peak and one more per carrier and
-        plan: 6 indices and 2 marks an offset); and the bytes one
-        :meth:`read` passes through (a row's picks chosen one chunk at a
-        time, and for each carrier its values on the reads and on the
-        carrier window, its bin, peak and power, its row index, offset and
-        scale, and ``_READ_BYTES_PER_OFFSET`` an offset of a chunk)."""
+        through ``plans`` plans at once, which may move a carrier's peak
+        when ``moving``: the bytes building it passed through (its own
+        arrays: its offsets, reads, and an envelope reader's distinct
+        ``|reads|`` and their places; one chunk's candidates on every bin
+        of the window; and the reads found, sorted and merged); the bytes
+        it holds once read (its own arrays, and a pick-table row for each
+        bin the peaks can fall on, one per carrier for its bare peak and,
+        when ``moving``, one more per carrier and plan: 6 indices and 2
+        marks an offset); and the bytes one :meth:`read` passes through (a
+        row's picks chosen one chunk at a time, and for each carrier and
+        plan its values on the reads and on the carrier window, its bin,
+        peak and power, its row index, offset and scale, and
+        ``_READ_BYTES_PER_OFFSET`` an offset of a chunk)."""
         reads, window, offsets = self.reads, self.window, len(self.offsets)
         value, chunk = np.dtype(np.float64).itemsize, min(offsets, _OFFSET_CHUNK)
         own = self.offsets.nbytes + (3 if self.envelope else 1) * reads.nbytes
         finding = own + chunk * len(window) * _CANDIDATE_BYTES + 3 * reads.nbytes
-        rows = min(len(window), carriers * (1 + plans))
+        rows = min(len(window), carriers * (1 + plans if moving else 1))
         table = rows * offsets * (6 * np.dtype(_index_dtype(len(reads))).itemsize + 2 * np.dtype(bool).itemsize)
-        per_carrier = value * (len(reads) + len(window) + 6) + _READ_BYTES_PER_OFFSET * chunk
-        return finding, own + table, chunk * _CANDIDATE_BYTES + carriers * per_carrier
+        per_row = value * (len(reads) + len(window) + 6) + _READ_BYTES_PER_OFFSET * chunk
+        block = self._plans_at_once(carriers, plans) * carriers
+        return finding, own + table, chunk * _CANDIDATE_BYTES + block * per_row
 
     def take(self, psd: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``psd``'s values on ``reads``, into ``out`` if given, once its
@@ -404,28 +412,68 @@ class BinReader:
         _dominant(psd, range(self.window.start - self.shift, self.window.stop - self.shift), self.df, self.f_r)
         return np.take(psd, self.reads - self.shift, out=out)
 
-    def read(self, values: np.ndarray, power: Callable | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def read(
+        self, values: np.ndarray, power: Callable | None = None, plans: int = 1
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """L(f) off ``values``, carriers x ``reads``: each row the PSD of one
-        carrier on ``reads``, seen through a plan if ``power`` is given.
+        carrier on ``reads``, seen through each of ``plans`` plans if
+        ``power`` is given.
 
-        ``power(bins)`` is the plan's |H|^2 on ``bins``, ascending and
-        non-negative.  The read asks it for the bins it looks at alone,
-        and holds 0 on every other: it guesses the carriers' peaks from
-        ``values``, and asks a second time for the picks of any bin the
-        plan moves a peak to, which leaves the window, and so the peaks,
-        as the first call found them.  The values on the bins it does not
-        ask for may hold anything.
+        ``power(bins, which)`` is the |H|^2 of each plan of ``which``, a
+        list of plan indices, on ``bins``, ascending and non-negative, as
+        ``len(which)`` x bins.  The read asks it for the bins it looks at
+        alone, and holds 0 on every other: it guesses the carriers' peaks
+        from ``values`` and asks once, for every plan, for the carrier
+        window and those peaks' picks; then it asks again, one plan at a
+        time, for the picks of any bin that plan moves a peak to, which
+        leaves the window, and so the peaks, as the first call found them.
+        The values on the bins it does not ask for may hold anything.
 
-        Returns L in dBc/Hz, carriers x ``offsets``, and each carrier's bin
-        and power.  The carrier is the peak of the carrier window, the
-        first of equals; a peak with no power raises
-        CarrierNotFoundError, and an offset outside its
-        measurable range (:meth:`outside`) ValueError, for the first
-        carrier refused.  The carriers that peak on a bin are read
-        together, ``_OFFSET_CHUNK`` offsets at a time.
+        Returns L in dBc/Hz, (plans x carriers) x ``offsets``, row
+        p * carriers + c for carrier c through plan p (carriers x
+        ``offsets`` with no ``power``), and each row's carrier bin and
+        power.  The carrier is the peak of the carrier
+        window, the first of equals; a peak with no power raises
+        CarrierNotFoundError, and an offset outside its measurable range
+        (:meth:`outside`) ValueError, for the first row refused.  The
+        plans are read in blocks of ``_BLOCK_VALUES`` values at most, or
+        one plan, and a block's rows that peak on a bin together,
+        ``_OFFSET_CHUNK`` offsets at a time.
         """
-        if power is not None:
-            values = values * self._gain(values, power)[self._fold]
+        carriers, width = values.shape
+        rows = carriers * (1 if power is None else plans)
+        results = (np.empty((rows, len(self.offsets))), np.empty(rows, np.int64), np.empty(rows))
+        if power is None:
+            self._read(values, *results)
+            return results
+        window, fold = values[:, self._columns], self._fold
+        guessed = set(np.argmax(window, axis=1).tolist())
+        asked = self._wanted(guessed)
+        gain = np.zeros((plans, len(self._bins)))
+        gain[:, asked] = power(self._bins[asked], list(range(plans)))
+        at_once = self._plans_at_once(carriers, plans)
+        for first in range(0, plans, at_once):
+            block = gain[first : first + at_once]
+            peaks = np.argmax(window * block[:, fold][:, None, self._columns], axis=2)
+            for p, peak in enumerate(peaks.tolist(), first):
+                moved = set(peak) - guessed
+                if moved:
+                    more = self._wanted(moved) & ~asked
+                    gain[p, more] = power(self._bins[more], [p])[0]
+            span = slice(first * carriers, (first + len(block)) * carriers)
+            seen = (values * block[:, fold][:, None, :]).reshape(-1, width)
+            self._read(seen, *(out[span] for out in results))
+            del seen  # before the next block's
+        return results
+
+    def _plans_at_once(self, carriers: int, plans: int) -> int:
+        """Plans of a block of :meth:`read`: as many as ``_BLOCK_VALUES``
+        values hold for ``carriers`` carriers, at least one, at most ``plans``."""
+        return max(1, min(plans, _BLOCK_VALUES // max(carriers * len(self.reads), 1)))
+
+    def _read(self, values: np.ndarray, l_dbc: np.ndarray, carrier: np.ndarray, carrier_power: np.ndarray):
+        """:meth:`read`'s L, bins and powers of the rows ``values``, into
+        ``l_dbc``, ``carrier`` and ``carrier_power``."""
         window = values[:, self._columns]
         peak = np.argmax(window, axis=1)
         peak_power = window[np.arange(len(values)), peak]
@@ -436,30 +484,16 @@ class BinReader:
                 raise CarrierNotFoundError(f"the carrier within 2 bins of {self.f_r} Hz holds no power")
             outside, df, top = self.outside(self.window.start + int(peak[row]))
             raise ValueError(f"offset {outside[0]} Hz outside the measurable range [{df}, {top}] Hz")
-        peak_power *= self.df
-        l_dbc = np.empty((len(values), len(self.offsets)))
+        np.multiply(peak_power, self.df, out=carrier_power)
+        np.add(peak, self.window.start, out=carrier)
         for at in set(peak.tolist()):
             rows = np.flatnonzero(peak == at)
             index, two = self._row(self.window.start + at)
             # Each row's offset into the flattened values, and its scale.
-            flat, scale = (rows * values.shape[1]).reshape(-1, 1, 1), (2.0 * peak_power[rows])[:, None]
+            flat, scale = (rows * values.shape[1]).reshape(-1, 1, 1), (2.0 * carrier_power[rows])[:, None]
             for start in range(0, len(self.offsets), _OFFSET_CHUNK):
                 chunk = slice(start, start + _OFFSET_CHUNK)
                 l_dbc[rows, chunk] = _sidebands(values, index[chunk], flat, two[chunk], scale)
-        return l_dbc, self.window.start + peak, peak_power
-
-    def _gain(self, values: np.ndarray, power: Callable) -> np.ndarray:
-        """|H|^2 from ``power`` on the distinct ``|reads|`` a read of
-        ``values`` through it looks at, and 0 on the others (see :meth:`read`)."""
-        gain, columns = np.zeros(len(self._bins)), self._columns
-        guessed = set(np.argmax(values[:, columns], axis=1).tolist())
-        asked = self._wanted(guessed)
-        gain[asked] = power(self._bins[asked])
-        moved = set(np.argmax(values[:, columns] * gain[self._fold][columns], axis=1).tolist()) - guessed
-        if moved:
-            more = self._wanted(moved) & ~asked
-            gain[more] = power(self._bins[more])
-        return gain
 
     def _wanted(self, peaks) -> np.ndarray:
         """A mask on the distinct ``|reads|`` of every bin a read looks at

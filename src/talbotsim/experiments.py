@@ -21,8 +21,9 @@ independent of each other.
 
 Every study that synthesizes reads its carriers on one path,
 :func:`_through_plans`: carrier jobs keep each periodogram on the bins
-the reader picks from, and then one job per distinct delay plan sums
-its |H|^2 on those its read takes and reads every carrier through it.
+the reader picks from, and then one read takes every carrier through
+every distinct delay plan, summing their |H|^2 in one pass on the bins
+it looks at.
 ``simulate --kind none`` and the oversampling sweep read through the
 one-line plan at zero delay, whose |H|^2 is exactly 1.
 
@@ -76,7 +77,7 @@ from .dispersion import (
 )
 from .errors import BudgetError, ConfigError
 from .model import CombSpec, SimGrid, bin_spacing, build_grid, comb_lines, NoiseProfile
-from .superposition import Lags, Scratch, lag_histogram, power_at_bins, scratch, scratch_bytes
+from .superposition import Lags, lag_histogram, power_at_bins, scratch, scratch_bytes
 from .svgplot import render_plots
 from .synthesis import SynthesisRequest, Workspace, default_noise_profile, synth_carrier, synth_envelope
 
@@ -153,8 +154,10 @@ class ExperimentConfig:
             self.grid  # build_grid checks f_r, oversampling and t_sig
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        # Within 1e-6 periods, or 8 roundings of the product on a window of
+        # more than 1e9; never half a period below 5e14.
         periods = self.t_sig * self.comb.f_r
-        if abs(periods - round(periods)) > 1e-6 * max(periods, 1.0):
+        if abs(periods - round(periods)) > max(1e-6, 8 * math.ulp(periods)):
             raise ConfigError(
                 f"t_sig = {self.t_sig} s is not an integer number of carrier periods; "
                 f"snap it to a multiple of 1/f_r = {1.0 / self.comb.f_r:.6e} s so the "
@@ -282,38 +285,42 @@ def derive_seed(master_seed: int, experiment: str, point_index: int, seed_index:
 
 #: Budget model.  Each layer states the bytes of its own arrays: a plan's
 #: int64 offsets (``OFFSET_BYTES``), which bound its lag histogram too,
-#: the workspaces and their shared scale (``Workspace.nbytes``), a plan
-#: job's scratch and the shared twiddle tables (``scratch_bytes``), and a
-#: reader's bins, the pick-table rows its reads can build, and its reads
+#: the workspaces and their shared scale (``Workspace.nbytes``), the
+#: scratch of the |H|^2 pass (``scratch_bytes``), and a reader's bins, the
+#: pick-table rows its reads can build, and its reads
 #: (``BinReader.footprint``, of the reader the run uses); the kept values
-#: and the plans' reads are arrays, counted as ``sys.getsizeof`` counts
+#: and the read's results are arrays, counted as ``sys.getsizeof`` counts
 #: them.  A read runs in phases, one after another, and the guard takes
 #: the largest:
 #: - build: the reader, the histograms held, and one plan being built and
 #:   histogrammed;
 #: - carriers: the histograms, the reader, the carriers' kept values, and
 #:   ``min(workers, carriers)`` jobs, each in a workspace of its own;
-#: - plans: the histograms, the reader, the kept values, the twiddle
-#:   tables, ``min(workers, distinct plans)`` jobs, each in a scratch of
-#:   its own, made before the first, summing |H|^2 and then reading every
-#:   carrier at once, and their reads;
-#: - rows: the plans' reads and the sweep rows.
+#: - plans: the histograms, the reader, the kept values, one scratch, the
+#:   larger of the one pass that sums every distinct plan's |H|^2 and the
+#:   read of every carrier through every distinct plan, and its results;
+#: - rows: the results, each plan's L gathered, and the sweep rows.
 #: The rows of earlier reads (the oversampling sweep's ratios) are held
 #: through all four.  A table study builds its plans and its table, then
 #: writes the table.  What no layer fixes is measured with tracemalloc, in
 #: a fresh process per study, and rounded up:
-#: a job's transients that do not grow with its window: 0.16 MB in a
-#: carrier job (numpy's inverse-transform buffer, the ramp chunks), and in
-#: a plan job numpy's buffers, up to 0.21 MB with a plan's lines below;
+#: the transients of a job, or of the |H|^2 pass, that do not grow with
+#: its window: 0.16 MB in a carrier job (numpy's inverse-transform buffer,
+#: the ramp chunks), and in the |H|^2 pass numpy's buffers and a tile's
+#: bookkeeping, about those of its longest plan summed alone: 0.14 MB for
+#: the desk sweep's 9 distinct plans on their 17 bins (0.13 MB for its
+#: 2001-line plan alone), 0.27 MB for the wide sweep's 11 of up to 40001
+#: lines (0.27 MB for that plan alone), with a plan's lines below;
 _JOB_BYTES = 256 << 10
 #: a plan's line while the plan is built (wavelengths, delays) or while
 #: its offsets are sorted and counted (about 30 B per line);
 _LINE_BYTES = 48
-#: a read bin a plan job may sum |H|^2 on: the masks of the bins summed
-#: (1 B each, up to 5 at once), its bin, and power_at_bins' arrays on it
-#: and its |H|^2 (44 B a bin on 16001 bins of a reader or more, 57 B on
-#: 60000 bins drawn at random, which form more runs; on fewer, its fixed
-#: arrays, within _JOB_BYTES, weigh more);
+#: a read bin and distinct plan the |H|^2 pass may sum on: the masks of
+#: the bins summed (1 B each, up to 5 at once), the bin, and
+#: power_at_bins' arrays on it and its |H|^2 (on the desk grid, per plan
+#: and bin: one plan 52 B on 16001 bins in runs of 3, 57 B on 50009 drawn
+#: at random, and 84 B on 16001 consecutive bins, its run bookkeeping
+#: within _JOB_BYTES; the desk sweep's 9 distinct plans 27-52 B);
 _READ_BYTES = 72
 #: a seed's value in a sweep row, as it is built (32 B held);
 _ROW_BYTES_PER_VALUE = 48
@@ -335,29 +342,31 @@ def _read_phases(
     reader: BinReader, grid: SimGrid, workers: int, carriers: int, lines: list, distinct: int, rows=0, held=0
 ) -> dict[str, int]:
     """Peak bytes of each phase of a read: ``carriers`` carriers on
-    ``grid``'s window, or ``reader``'s envelope window, seen through plans
-    of ``lines`` lines each, ``distinct`` of them distinct, and read by
-    ``reader`` on up to ``workers`` threads; ``rows`` values of sweep rows
-    held once its rows are built, and ``held`` bytes throughout."""
+    ``grid``'s window, or ``reader``'s envelope window, synthesized on up
+    to ``workers`` threads, seen through plans of ``lines`` lines each,
+    ``distinct`` of them distinct, and read by ``reader``; ``rows`` values
+    of sweep rows held once its rows are built, and ``held`` bytes
+    throughout."""
     reads, offsets = len(reader.reads), len(reader.offsets)
-    moving = distinct if max(lines, default=0) > 1 else 0  # a one-line plan moves no peak
-    finding, holding, reading = reader.footprint(carriers, moving)
+    # A one-line plan moves no peak.
+    finding, holding, reading = reader.footprint(carriers, distinct, moving=max(lines, default=0) > 1)
     plans, widest = OFFSET_BYTES * sum(lines), _LINE_BYTES * max(lines, default=0)
     kept = _array_bytes((carriers, reads))  # the carriers' values on the reads, as taken
-    # Each distinct plan's read: L, and the carriers' bins and powers, in a tuple.
-    read = _array_bytes((carriers, offsets)) + _array_bytes((carriers,), np.int64) + _array_bytes((carriers,))
-    results = distinct * (read + sys.getsizeof((None,) * 3))
-    jobs, plan_jobs = min(workers, carriers), min(workers, distinct)
-    own, tables = scratch_bytes(grid.n_samples)
-    # A plan job sums |H|^2 in its scratch, into an array on every read bin,
-    # and then, that array and the sums' buffers freed, reads every carrier.
+    # The read of every carrier through every distinct plan: L, and each one's bin and power.
+    read = distinct * carriers
+    results = _array_bytes((read, offsets)) + _array_bytes((read,), np.int64) + _array_bytes((read,))
+    jobs = min(workers, carriers)
+    # The plans' |H|^2 summed in one scratch, into an array on every read
+    # bin per plan, and then, those arrays and the sums' buffers freed, the read.
     value = np.dtype(np.float64).itemsize
-    plan_job = own + max(_JOB_BYTES + (value + _READ_BYTES) * reads, reading)
+    summed = _JOB_BYTES + distinct * (value + _READ_BYTES) * reads
+    # Each plan's L, offsets x seeds, gathered in plan order for its rows, and a reduction's copy of it.
+    gathered = 2 * _array_bytes((len(lines), offsets, carriers))
     phases = {
         "build": plans + max(finding, widest + holding),
         "carriers": plans + holding + kept + Workspace.nbytes(reader.length, reader.envelope, jobs) + jobs * _JOB_BYTES,
-        "plans": plans + holding + kept + tables + plan_jobs * plan_job + results,
-        "rows": results + _ROW_BYTES_PER_VALUE * rows,
+        "plans": plans + holding + kept + scratch_bytes(grid.n_samples) + max(summed, reading) + results,
+        "rows": results + gathered + _ROW_BYTES_PER_VALUE * rows,
     }
     return {name: held + bytes_ for name, bytes_ in phases.items()}
 
@@ -577,11 +586,11 @@ class _Reads:
         return BinReader(grid.n_samples, grid.sample_rate, grid.f_r, self.offsets, self.envelope)
 
     def guard(self, cfg: ExperimentConfig, others: int = 0) -> _Guard:
-        """From the config alone: the carriers and then up to one job per
-        distinct plan, beside the ``others`` carriers of the study's other
-        reads.  Every one-line plan is the bare plan, offset 0, so the
-        (kind, width) pairs of more than one line, plus one for all
-        one-line plans, bound the distinct plans."""
+        """From the config alone: the carriers' jobs and then one read
+        through the distinct plans, beside the ``others`` carriers of the
+        study's other reads.  Every one-line plan is the bare plan, offset
+        0, so the (kind, width) pairs of more than one line, plus one for
+        all one-line plans, bound the distinct plans."""
         lines = _plan_lines(cfg.comb, self.plans)
         distinct = len({p if n > 1 else "bare" for p, n in zip(self.plans, lines)})
         point = len(self.plans) * len(self.carriers) * len(self.offsets)  # the values of one point's rows
@@ -590,7 +599,7 @@ class _Reads:
             rows=self.held_points * point,
             held=_CARRIER_BYTES * others + _ROW_BYTES_PER_VALUE * max(self.held_points - 1, 0) * point,
         )
-        return _Guard(self.what, phases, jobs=max(len(self.carriers), distinct), lines=sum(lines))
+        return _Guard(self.what, phases, jobs=len(self.carriers), lines=sum(lines))
 
 
 def _through_plans(cfg: ExperimentConfig, *reads: _Reads):
@@ -615,8 +624,11 @@ def _guards(cfg: ExperimentConfig, *reads: _Reads) -> list[_Guard]:
     return [r.guard(cfg, carriers - len(r.carriers)) for r in reads]
 
 
-def _read_through(cfg: ExperimentConfig, reads: _Reads) -> list[tuple]:
-    """L(f) of each of ``reads``' carriers seen through each of its plans.
+def _read_through(cfg: ExperimentConfig, reads: _Reads) -> tuple:
+    """L(f) of each of ``reads``' carriers seen through each of its plans:
+    for each plan, in order, an index into its distinct plans, and L,
+    distinct plans x carriers x offsets, with each carrier's bin and
+    power, distinct plans x carriers.
 
     Each carrier is synthesized once, and its job keeps its periodogram
     on the bins the reader picks from (see
@@ -625,28 +637,29 @@ def _read_through(cfg: ExperimentConfig, reads: _Reads) -> list[tuple]:
     times the plan's |H|^2, so every plan sees the same noise.  Plans
     whose offsets mod n are the same multiset have bit-equal |H|^2, so
     each plan is compared by its lag histogram, its offsets mod n sorted
-    once (:func:`~talbotsim.superposition.lag_histogram`), and one plan
-    of each reads every carrier through it at once, summing its |H|^2
-    on the bins the reader asks for (:meth:`BinReader.read`).  The
-    reader is the one the guard sized.
+    once (:func:`~talbotsim.superposition.lag_histogram`), and the
+    distinct ones are read at once: one read of every carrier through
+    every distinct plan (:meth:`BinReader.read`), which sums their |H|^2
+    in one pass on the bins the reader asks for.  The reader is the one
+    the guard sized.
     The carriers run as jobs on workspaces of their own, which are freed
-    before the distinct plans run as jobs, each in a scratch of its own
-    (the twiddle tables shared), all made before the first plan job.  An
-    envelope read synthesizes each carrier as its complex envelope; the
-    plans, their |H|^2 and the reads are the same.
+    before the plans are read, on this thread, in one scratch: summing
+    |H|^2 gains nothing from a second thread.  An envelope read
+    synthesizes each carrier as its complex envelope; the plans, their
+    |H|^2 and the read are the same.
     """
     grid = reads.grid
     keys, distinct = _distinct_lags(cfg, reads)
     reader = reads.reader
     kept = _detect_all(cfg, grid, reader, reads.carriers)
+    work = scratch(grid.n_samples)
 
-    def read_plan(work: Scratch, lags: Lags) -> tuple:
-        # The plan's |H|^2 summed in the job's scratch, on the bins the read asks for.
-        return reader.read(kept, partial(power_at_bins, lags, work=work))
+    def power(bins, which: list) -> np.ndarray:
+        return power_at_bins([distinct[p] for p in which], bins, work)
 
-    n = grid.n_samples
-    per_plan = _map_on(cfg.workers, scratch(n), partial(scratch, n), read_plan, distinct)
-    return [per_plan[key] for key in keys]
+    l_dbc, carrier, carrier_power = reader.read(kept, power, len(distinct))
+    shape = (len(distinct), len(reads.carriers))
+    return keys, l_dbc.reshape(*shape, -1), carrier.reshape(shape), carrier_power.reshape(shape)
 
 
 def _distinct_lags(cfg: ExperimentConfig, reads: _Reads) -> tuple[list[int], list[Lags]]:
@@ -664,18 +677,18 @@ def _distinct_lags(cfg: ExperimentConfig, reads: _Reads) -> tuple[list[int], lis
     return keys, distinct
 
 
-def _point_rows(cfg: ExperimentConfig, x_value: float, l_dbc: dict[str, np.ndarray]) -> list[SweepRow]:
-    """Rows of one sweep point at ``x_value``: for each key of ``l_dbc``,
-    in order, the mean and spread over seeds of L at each offset of
-    interest, from that key's seeds x offsets array."""
+def _point_rows(cfg: ExperimentConfig, points: list, per_seed: np.ndarray) -> list[SweepRow]:
+    """Rows of sweep points: for each (x_value, key) of ``points``, in
+    order, the mean and spread over seeds of L at each offset of
+    interest, from ``per_seed``, points x offsets x seeds."""
+    # Each offset's seeds contiguous: a reduction along them has the
+    # bits of the same reduction of each offset's column on its own.
+    columns = np.ascontiguousarray(per_seed)
+    means, stds = columns.mean(axis=2).tolist(), columns.std(axis=2).tolist()
     rows = []
-    for key, per_seed in l_dbc.items():
-        # Each offset's seeds contiguous: a reduction along them has the
-        # bits of the same reduction of each offset's column on its own.
-        columns = np.ascontiguousarray(per_seed.T)
-        stats = zip(columns.mean(axis=1).tolist(), columns.std(axis=1).tolist(), columns.tolist())
-        for off, (mean, std, column) in zip(cfg.offsets, stats):
-            rows.append(SweepRow(float(x_value), key, float(off), mean, std, len(column), tuple(column)))
+    for (x_value, key), mean, std, point in zip(points, means, stds, columns):
+        for off, m, s, column in zip(cfg.offsets, mean, std, point.tolist()):
+            rows.append(SweepRow(float(x_value), key, float(off), m, s, len(column), tuple(column)))
     return rows
 
 
@@ -695,7 +708,7 @@ def simulate(cfg: ExperimentConfig, kind: str = "ideal", points: int = 120, jitt
                 f"jitter band [{f_min}, {f_max}] Hz must satisfy {offsets[0]} <= f_min < f_max <= "
                 f"{offsets[-1]}, within the measured offsets"
             )
-    (((l_dbc,), (carrier,), (power,)),) = next(_through_plans(cfg, _simulate_reads(cfg, kind, offsets)))
+    _, ((l_dbc,),), ((carrier,),), ((power,),) = next(_through_plans(cfg, _simulate_reads(cfg, kind, offsets)))
     df = bin_spacing(cfg.grid.n_samples, cfg.grid.sample_rate)
     spectrum = PhaseNoiseSpectrum(int(carrier) * df, float(power), offsets, l_dbc, df)
     return spectrum, None if jitter_band is None else jitter(spectrum, *jitter_band)
@@ -753,9 +766,11 @@ def sweep_oversampling(cfg: ExperimentConfig) -> list[SweepRow]:
     for n in cfg.ratios:
         # Unpacked from next(), not from a zip, whose reused result tuple would
         # keep this L while the next ratio's jobs run.
-        ((l_dbc, _, _),) = next(reads)
-        rows += _point_rows(cfg, n, {"pure_tone": l_dbc[:1], "impaired": l_dbc[1:]})
-        del l_dbc
+        _, (l_dbc,), _, _ = next(reads)
+        per_seed = l_dbc.T[None]  # offsets x carriers
+        rows += _point_rows(cfg, [(n, "pure_tone")], per_seed[..., :1])
+        rows += _point_rows(cfg, [(n, "impaired")], per_seed[..., 1:])
+        del l_dbc, per_seed
     return rows
 
 
@@ -775,11 +790,12 @@ def sweep_comb_width(cfg: ExperimentConfig) -> list[SweepRow]:
             "noise.enabled = false (--pure-tone) it has none: every sideband would read 0 (L = -inf). "
             "For the estimator's floor, run sweep-oversampling, whose pure_tone rows measure it"
         )
-    plans = iter(next(_through_plans(cfg, _comb_width_reads(cfg))))
-    rows = []
-    for w in cfg.widths:
-        rows += _point_rows(cfg, w, {kind: next(plans)[0] for kind in cfg.kinds})
-    return rows
+    reads = _comb_width_reads(cfg)
+    keys, l_dbc, _, _ = next(_through_plans(cfg, reads))
+    # Each plan's L, offsets x seeds, in the order of the (kind, width) plans.
+    per_seed = np.take(l_dbc.transpose(0, 2, 1), keys, axis=0)
+    del l_dbc
+    return _point_rows(cfg, [(w, kind) for kind, w in reads.plans], per_seed)
 
 
 def _comb_width_reads(cfg: ExperimentConfig) -> _Reads:

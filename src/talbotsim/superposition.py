@@ -19,20 +19,22 @@ those bins alone, over the distinct offsets mod n weighted by their
 counts, and forms no window-sized array.  It takes that histogram,
 :class:`Lags`, from :func:`lag_histogram`, which sorts the plan's
 offsets mod n once; a caller that reads many plans compares them by it
-and sums each distinct one once.  Only the offsets that hold more than
-one line are weighted, since a weight of 1 multiplies exactly.  The
+and sums each distinct one once.  It sums many histograms in one pass:
+each plan's offsets are cut into the chunks it is summed in alone, and
+the chunks of all the plans are packed into tiles, so each tile's
+twiddles, steps and weights are formed once, and each plan's |H|^2 has
+the bits of that plan summed alone.  Only the offsets that hold more
+than one line are weighted, since a weight of 1 multiplies exactly.  The
 phase index (j d) mod n is exact in integers: j d - (j d // n) n, where
 dividing by the one scalar n is cheaper than a remainder.  Bins come in
-runs of consecutive bins: each
-run takes one twiddle per offset from two tables of about sqrt(n)
-entries and steps along the run by multiplying by exp(-2 pi i d / n),
-so no transcendental function is evaluated per bin.  It works in a
-:class:`Scratch`: the two tables, and three arrays of at most ``_TILE``
-entries, 40 bytes per entry in all, and on a window of 6 samples or more
-at most n/3 entries, so at most about 13.4 bytes per window sample;
-:func:`scratch_bytes` states both for the budget guard.  A caller that
-sums many plans on one window hands each job a scratch of its own,
-made once, and the tables, which depend on n alone, are shared.
+runs of consecutive bins: each run takes one twiddle per offset from two
+tables of about sqrt(n) entries and steps along the run by multiplying
+by exp(-2 pi i d / n), so no transcendental function is evaluated per
+bin.  The pass works in one :class:`Scratch`: the two tables, and three
+arrays of at most ``_TILE`` entries, 40 bytes per entry in all, and on a
+window of 6 samples or more at most n/3 entries, so at most about 13.4
+bytes per window sample; :func:`scratch_bytes` states it for the budget
+guard.
 """
 
 from __future__ import annotations
@@ -77,13 +79,13 @@ def _twiddle_split(n: int) -> tuple[int, int]:
     return shift, ((n - 1) >> shift) + 1
 
 
-def scratch_bytes(n: int) -> tuple[int, int]:
+def scratch_bytes(n: int) -> int:
     """Bytes of a :class:`Scratch` on a window of ``n`` samples: its
     three scratch arrays, two complex and one int64, and its two complex
-    twiddle tables, which the scratches of one window share."""
+    twiddle tables."""
     shift, high = _twiddle_split(n)
     complex_size, int_size = np.dtype(np.complex128).itemsize, np.dtype(np.int64).itemsize
-    return (2 * complex_size + int_size) * _scratch_length(n), complex_size * ((1 << shift) + high)
+    return (2 * complex_size + int_size) * _scratch_length(n) + complex_size * ((1 << shift) + high)
 
 
 class Scratch(NamedTuple):
@@ -99,18 +101,11 @@ class Scratch(NamedTuple):
     idx: np.ndarray
 
 
-def scratch(n: int, like: Scratch | None = None) -> Scratch:
-    """A :class:`Scratch` on a window of ``n`` samples, with scratch
-    arrays of its own and the twiddle tables of ``like``, which depend on
-    n alone, or new ones."""
-    if like is None:
-        shift, high = _twiddle_split(n)
-        lo = np.exp(-2j * np.pi / n * np.arange(1 << shift))
-        hi = np.exp(-2j * np.pi / n * (np.arange(high) << shift))
-    elif like.n != n:
-        raise ValueError(f"twiddle tables of a {like.n}-sample window for a window of {n}")
-    else:
-        lo, hi = like.lo, like.hi
+def scratch(n: int) -> Scratch:
+    """A :class:`Scratch` on a window of ``n`` samples."""
+    shift, high = _twiddle_split(n)
+    lo = np.exp(-2j * np.pi / n * np.arange(1 << shift))
+    hi = np.exp(-2j * np.pi / n * (np.arange(high) << shift))
     size = _scratch_length(n)
     return Scratch(n, lo, hi, np.empty(size, np.complex128), np.empty(size, np.complex128), np.empty(size, np.int64))
 
@@ -166,16 +161,17 @@ def _wrap(index: np.ndarray, n: int, quotient: np.ndarray) -> np.ndarray:
     return index
 
 
-def power_at_bins(plan: DelayPlan | Lags, bins, work: Scratch | None = None) -> np.ndarray:
-    """|H|^2 of ``plan`` on the rFFT bins ``bins`` of its grid's window.
+def power_at_bins(plans, bins, work: Scratch | None = None) -> np.ndarray:
+    """|H|^2 of each of ``plans`` on the rFFT bins ``bins`` of their window,
+    plans x bins; of a single plan, its row alone.
 
-    ``plan`` is a delay plan or its :class:`Lags`, which a caller that
-    holds it hands in so the offsets are not sorted again.  ``bins``
-    ascend strictly within 0 .. n/2.  Multiplying a carrier's
-    periodogram on those bins by the result gives the periodogram of
-    the carrier after the plan; lines that share an offset mod n add up
-    in amplitude.  H is summed over the distinct offsets u mod n,
-    weighted by their counts c(u):
+    Each plan is a delay plan or its :class:`Lags`, which a caller that
+    holds it hands in so the offsets are not sorted again; all are on
+    one window.  ``bins`` ascend strictly within 0 .. n/2.  Multiplying
+    a carrier's periodogram on those bins by a plan's row gives the
+    periodogram of the carrier after the plan; lines that share an
+    offset mod n add up in amplitude.  H is summed over the distinct
+    offsets u mod n, weighted by their counts c(u):
 
         H[j] = (1/K) * sum_u c(u) * exp(-2 pi i ((j u) mod n) / n).
 
@@ -186,19 +182,26 @@ def power_at_bins(plan: DelayPlan | Lags, bins, work: Scratch | None = None) -> 
     depend on where its run starts in ``bins``.  A plan whose offsets are
     all 0 mod n has |H|^2 exactly 1.
 
-    The sums run in ``work``, a :class:`Scratch` on the plan's window,
+    The sums run in ``work``, a :class:`Scratch` on the plans' window,
     or in one made here.  Its arrays are :func:`_scratch_length` entries
-    long: that length fixes the chunks the sums run over, and so their
-    bits.
+    long: that length fixes the chunks each plan's offsets are summed
+    in, and so their bits.  The chunks of all the plans are packed, in
+    order, into tiles no longer than the longest chunk (:func:`_tiles`),
+    and the twiddles, steps and weights of a tile are formed at once: a
+    plan's row is the same whatever plans it is summed with.
     """
-    lags = plan if isinstance(plan, Lags) else lag_histogram(plan)
-    n = lags.n
+    one = isinstance(plans, (DelayPlan, Lags))
+    lags = [p if isinstance(p, Lags) else lag_histogram(p) for p in ([plans] if one else plans)]
+    if not lags:
+        raise ValueError("power_at_bins needs at least one plan")
+    n = lags[0].n
+    if any(other.n != n for other in lags):
+        raise ValueError(f"plans on windows of {sorted({other.n for other in lags})} samples")
     if (n // 2) * (n - 1) >= 1 << 63:
         raise ValueError(f"a window of {n} samples overflows the exact int64 phase index")
     bins = np.asarray(bins, dtype=np.int64)
     if bins.ndim != 1 or np.any(np.diff(bins) <= 0) or (len(bins) and not 0 <= bins[0] <= bins[-1] <= n // 2):
         raise ValueError(f"bins must ascend strictly within 0 .. {n // 2}")
-    values, repeats, counts = lags.values, lags.repeats, lags.counts
 
     # Runs of consecutive bins, cut every _RUN bins, longest first: the
     # runs still being stepped are then always a leading block.
@@ -215,48 +218,74 @@ def power_at_bins(plan: DelayPlan | Lags, bins, work: Scratch | None = None) -> 
     _, lo, hi, cur_buf, tmp_buf, idx_buf = work
     shift, size = _twiddle_split(n)[0], len(cur_buf)
     group = max(1, min(len(firsts), size // 64))  # runs at a time, and one row of steps
-    chunk = size // (group + 1)  # distinct offsets at a time
-    total = np.empty(len(bins), np.complex128)
+    chunk = size // (group + 1)  # distinct offsets of a plan at a time
+    total = np.empty((len(lags), len(bins)), np.complex128)
     for g in range(0, len(firsts), group):
         first, length = firsts[g : g + group], lengths[g : g + group]
         rows, starts = len(first), bins[first][:, None]
         # Runs still stepping at step k: those longer than k.
         active = [int(np.count_nonzero(length > k)) for k in range(int(length[0]))]
-        sums = np.zeros((len(active), rows), np.complex128)  # step k of run r
-        for c in range(0, len(values), chunk):
-            u = values[c : c + chunk]
-            width = (rows + 1) * len(u)
-            idx = idx_buf[:width].reshape(rows + 1, len(u))
+        sums = np.zeros((len(lags), len(active), rows), np.complex128)  # plan p, step k of run r
+        for segments, at, weights in _tiles(lags, chunk):
+            width = (rows + 1) * segments[-1][3]
+            idx = idx_buf[:width].reshape(rows + 1, -1)
+            u = idx[rows]
+            for p, c, s, e in segments:
+                u[s:e] = lags[p].values[c : c + e - s]
             # int64 views of cur, each spent before cur is written.
-            low = cur_buf[:width].view(np.int64)[:width].reshape(rows + 1, len(u))
+            low = cur_buf[:width].view(np.int64)[:width].reshape(rows + 1, -1)
             np.multiply(starts, u, out=idx[:rows])
             _wrap(idx[:rows], n, low[:rows])
-            idx[rows] = u
-            cur = cur_buf[:width].reshape(rows + 1, len(u))
-            tmp = tmp_buf[:width].reshape(rows + 1, len(u))
+            cur = cur_buf[:width].reshape(rows + 1, -1)
+            tmp = tmp_buf[:width].reshape(rows + 1, -1)
             np.take(lo, np.bitwise_and(idx, (1 << shift) - 1, out=low), out=tmp, mode="clip")
             np.take(hi, np.right_shift(idx, shift, out=idx), out=cur, mode="clip")
             cur *= tmp
             step = cur[rows]
             # Weight the offsets of more than one line; each other weight
             # is 1, exact.  tmp, spent, holds their columns meanwhile.
-            a, b = np.searchsorted(repeats, (c, c + chunk))
-            if b > a:
-                at, held = repeats[a:b] - c, tmp_buf[: rows * (b - a)].reshape(rows, b - a)
+            if len(at):
+                held = tmp_buf[: rows * len(at)].reshape(rows, len(at))
                 np.take(cur[:rows], at, axis=1, out=held, mode="clip")
-                held *= counts[a:b]
+                held *= weights
                 cur[:rows, at] = held
             for k, live in enumerate(active):
-                sums[k, :live] += cur[:live].sum(axis=1)
+                for p, _, s, e in segments:
+                    sums[p, k, :live] += cur[:live, s:e].sum(axis=1)
                 if k + 1 < len(active):
                     cur[: active[k + 1]] *= step
         steps = np.arange(len(active))[:, None]
         inside = steps < length
-        total[(first + steps)[inside]] = sums[inside]
-    h = np.divide(total, lags.lines, out=total)
-    power = np.square(h.real)
-    power += np.square(h.imag, out=h.imag)
-    return power
+        total[:, (first + steps)[inside]] = sums[:, inside]
+    for h, plan in zip(total, lags):
+        np.divide(h, plan.lines, out=h)
+    power = np.square(total.real)
+    power += np.square(total.imag, out=total.imag)
+    return power[0] if one else power
+
+
+def _tiles(lags: list[Lags], chunk: int):
+    """The passes of :func:`power_at_bins` over ``lags``' distinct
+    offsets, one at a time: each plan's cut every ``chunk`` values, as a
+    plan's sums run on its own, and the pieces packed in order into tiles
+    no longer than the longest piece, so a tile takes no more scratch than
+    that piece summed alone.  Each tile is its pieces, (plan, first value,
+    start, end in the tile), and the places in the tile of the offsets of
+    more than one line, with their counts."""
+    longest = min(chunk, max(len(plan.values) for plan in lags))
+    segments, at, weights, filled = [], [], [], 0
+    for p, plan in enumerate(lags):
+        for c in range(0, len(plan.values), chunk):
+            piece = min(chunk, len(plan.values) - c)
+            if filled + piece > longest:
+                yield segments, np.concatenate(at), np.concatenate(weights)
+                segments, at, weights, filled = [], [], [], 0
+            segments.append((p, c, filled, filled + piece))
+            a, b = np.searchsorted(plan.repeats, (c, c + piece))
+            at.append(plan.repeats[a:b] - c + filled)
+            weights.append(plan.counts[a:b])
+            filled += piece
+    yield segments, np.concatenate(at), np.concatenate(weights)
 
 
 def superpose(x: SampledSignal, plan: DelayPlan) -> SampledSignal:

@@ -323,7 +323,7 @@ class TestBinReader:
                     peak = reader.window[int(np.argmax(detected[list(reader.window)]))]
                     l_dbc = brute_force_l(detected, peak, offsets, df, len(psd))
                     expected = PhaseNoiseSpectrum(peak * df, detected[peak] * df, offsets, l_dbc, df)
-                    through = reader.read(reader.take(psd)[None, :], lambda bins: gain[bins])
+                    through = reader.read(reader.take(psd)[None, :], lambda bins, which: gain[bins][None])
                     assert_reads_spectrum(reader, through, expected)
                     assert_same_spectrum(phase_noise_from_psd(freqs, detected, fs, f_r, offsets), expected)
                     read += 1
@@ -384,9 +384,9 @@ class TestBinReader:
             values[np.arange(carriers), window[on]] += 1e6
             asked = []
 
-            def flat(bins):
+            def flat(bins, which):
                 asked.append(bins)
-                return np.ones(len(bins))
+                return np.ones((len(which), len(bins)))
 
             expected = reader.read(values)
             for got, want in zip(reader.read(values, flat), expected):
@@ -414,9 +414,9 @@ class TestBinReader:
         values[0, window[3]] = values[1, window[4]] = 1e6
         asked = []
 
-        def flat(bins):
+        def flat(bins, which):
             asked.append(bins)
-            return np.ones(len(bins))
+            return np.ones((len(which), len(bins)))
 
         with pytest.raises(ValueError, match="measurable"):
             reader.read(values, flat)

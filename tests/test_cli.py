@@ -76,6 +76,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="integer number of carrier periods"):
             experiment_config(values)
 
+    def test_half_period_window_exits_2(self, tmp_path, capsys):
+        # 1e6 + 0.5 periods of 100 MHz: refused before anything is written.
+        out = tmp_path / "out"
+        argv = ["simulate", "--f-r", "1e8", "--oversampling", "4", "--t-sig", repr((1e6 + 0.5) / 1e8), "--out", str(out)]
+        assert main(argv) == 2
+        assert "integer number of carrier periods" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="does not exist"):
             parse_config(tmp_path / "nope.cfg")
@@ -102,6 +110,21 @@ class TestEstimateMemorySubcommand:
         figures = guard_figures(out.out)
         assert sorted(figures) == sorted(STUDIES)
         assert figures["sweep-oversampling"] > 2**30 > max(figures["simulate"], figures["sweep-comb-width"])
+
+    def test_paper_grid_config(self, capsys):
+        # The committed paper-grid config: 64M samples, widths to 3 THz.
+        # Under the default budget the comb-width sweep runs, and simulate
+        # and the oversampling sweep, which hold the real carrier, exit 3
+        # at about 1.2 GiB.
+        path = Path(__file__).resolve().parents[1] / "configs" / "paper-grid.cfg"
+        cfg = experiment_config(parse_config(path))
+        assert (cfg.comb.f_r, cfg.grid.n_samples, cfg.widths) == (1e8, 64_000_000, (1e11, 3e12))
+        assert main(["estimate-memory", "--config", str(path)]) == 3
+        out = capsys.readouterr()
+        assert "budget refusal: simulate, sweep-oversampling would refuse" in out.err
+        figures = guard_figures(out.out)
+        assert figures["sweep-comb-width"] < 2**30 < min(figures["simulate"], figures["sweep-oversampling"])
+        assert max(figures["simulate"], figures["sweep-oversampling"]) < 1.25 * 2**30
 
     def test_reduced_within_budget(self, capsys):
         # Half the paper's window at twice its oversampling: the same

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import talbotsim
+import talbotsim.analysis as analysis
 import talbotsim.experiments as experiments
 from talbotsim.analysis import BinReader, envelope_periodogram, periodogram, phase_noise_from_psd
 from talbotsim.errors import BudgetError, CarrierNotFoundError, ConfigError
@@ -50,6 +51,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match="integer number of carrier periods"):
             small_config(t_sig=1.5e-7)
 
+    def test_rejects_half_a_period_on_a_long_window(self):
+        # 1e6 + 0.5 periods of 100 MHz: half a period is refused however
+        # many whole periods the window holds.
+        comb = CombSpec(f_r=1e8, lambda0=1550e-9, width=1e9)
+        with pytest.raises(ConfigError, match="integer number of carrier periods"):
+            ExperimentConfig(comb=comb, oversampling=4, t_sig=(1e6 + 0.5) / 1e8)
+
+    def test_accepts_whole_periods(self):
+        # The desk default (2e4 periods) and the paper's grid (1e6 periods).
+        assert ExperimentConfig().grid.n_samples == 320000
+        paper = ExperimentConfig(comb=CombSpec(f_r=1e8, lambda0=1550e-9, width=1e11), oversampling=64, t_sig=1e-2)
+        assert paper.grid.n_samples == 64_000_000
+
     def test_rejects_bad_seeds(self):
         with pytest.raises(ConfigError, match="n_seeds"):
             small_config(n_seeds=0)
@@ -80,12 +94,12 @@ class TestSeedDerivation:
 
 
 def asking(power):
-    """``power``, recording each call's bins and the |H|^2 it returned in ``asked``."""
+    """``power``, recording each call's bins, plans and the |H|^2 it returned in ``asked``."""
     asked = []
 
-    def recorded(bins):
-        asked.append((bins, power(bins)))
-        return asked[-1][1]
+    def recorded(bins, which):
+        asked.append((bins, which, power(bins, which)))
+        return asked[-1][2]
 
     return recorded, asked
 
@@ -97,12 +111,12 @@ def read_through(plan, freqs, psds, offsets) -> list:
     the |H|^2 it was given there, every other bin 0."""
     grid = plan.grid
     reader = BinReader(grid.n_samples, grid.sample_rate, grid.f_r, offsets)
-    power, asked = asking(lambda bins: power_at_bins(plan, bins))
+    power, asked = asking(lambda bins, which: power_at_bins([plan], bins))
     reader.read(np.array([psd[reader.reads] for psd in psds]), power)
     spectra = []
     for psd in psds:
         detected = np.zeros_like(psd)
-        for bins, gain in asked:
+        for bins, _, (gain,) in asked:
             detected[bins] = psd[bins] * gain
         spectra.append(phase_noise_from_psd(freqs, detected, grid.sample_rate, grid.f_r, offsets))
     return spectra
@@ -131,7 +145,7 @@ class TestSimulate:
 
     def test_carrier_with_no_power_is_refused(self, monkeypatch):
         # |H(f_c)|^2 = 0: the plan has cancelled the carrier.
-        monkeypatch.setattr(experiments, "power_at_bins", lambda plan, bins, work=None: np.zeros(len(bins)))
+        monkeypatch.setattr(experiments, "power_at_bins", lambda plans, bins, work=None: np.zeros((len(plans), len(bins))))
         with pytest.raises(CarrierNotFoundError, match="no power"):
             simulate(small_config(), "constant", points=20)
 
@@ -143,8 +157,8 @@ class TestSimulate:
         cfg = small_config()
         window = BinReader(cfg.grid.n_samples, cfg.grid.sample_rate, cfg.grid.f_r, [1.0]).window
 
-        def faint(plan, bins, work=None):
-            return np.where(np.isin(bins, window), 1e-9, 1.0)
+        def faint(plans, bins, work=None):
+            return np.tile(np.where(np.isin(bins, window), 1e-9, 1.0), (len(plans), 1))
 
         bare, _ = simulate(cfg, "none", points=20)
         monkeypatch.setattr(experiments, "power_at_bins", faint)
@@ -265,8 +279,8 @@ class TestSweepCombWidth:
         assert {r.kind for r in rows} == set(cfg.kinds)
 
     def test_worker_count_does_not_change_rows(self):
-        # The 3 seeds and then the 4 distinct plans run on the pool, so 2
-        # and 3 workers each share out both phases unevenly.  A short
+        # The 3 seeds run on the pool, so 2 and 3 workers each share them
+        # out unevenly, and the 4 distinct plans are read after.  A short
         # switch interval interleaves the threads' Python code finely, so
         # two jobs handed one workspace would show in the rows.
         rows_serial = sweep_comb_width(small_config(widths=self.WIDTHS, workers=1))
@@ -318,7 +332,8 @@ class TestSweepCombWidth:
         assert all(rows[k] != v for k, v in second.items() if k[0] == cfg.widths[1])
 
     def test_power_transfer_once_per_distinct_plan(self, monkeypatch):
-        # |H|^2 is summed on the read bins once per distinct plan.
+        # |H|^2 is summed on the read bins once per distinct plan, every
+        # distinct plan in one call.
         cfg = small_config(widths=self.WIDTHS)
         n = cfg.grid.n_samples
         distinct = sum(
@@ -327,22 +342,43 @@ class TestSweepCombWidth:
         )
         calls = []
 
-        def counted(plan, bins, work=None):
-            calls.append(plan)
-            return power_at_bins(plan, bins, work)
+        def counted(plans, bins, work=None):
+            calls.append(len(plans))
+            return power_at_bins(plans, bins, work)
 
         monkeypatch.setattr(experiments, "power_at_bins", counted)
         sweep_comb_width(cfg)
-        assert len(calls) == distinct < len(cfg.widths) * len(cfg.kinds)
+        assert calls == [distinct] and distinct < len(cfg.widths) * len(cfg.kinds)
+
+    def test_studies_sum_each_plan_as_it_sums_alone(self, monkeypatch):
+        # The bins of the desk sweep's one call for its distinct plans (17)
+        # and of simulate's (about 620), on one window: every row of the
+        # sweep's plans summed together is that plan summed alone.
+        calls = []
+
+        def recorded(plans, bins, work=None):
+            calls.append((plans, bins))
+            return power_at_bins(plans, bins, work)
+
+        monkeypatch.setattr(experiments, "power_at_bins", recorded)
+        cfg = ExperimentConfig(n_seeds=1)
+        sweep_comb_width(cfg)
+        (plans, sweep_bins), count = calls[0], len(calls)
+        simulate(cfg, "ideal")
+        simulate_bins = calls[count][1]
+        assert len(plans) == 9 and len(sweep_bins) == 17 and 500 < len(simulate_bins) < 700
+        for bins in (sweep_bins, simulate_bins):
+            for row, plan in zip(power_at_bins(plans, bins), plans):
+                assert np.array_equal(row, power_at_bins(plan, bins))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_no_carrier_workspace_is_alive_during_a_plan_job(self, monkeypatch, workers):
         # The plan jobs run only once the carriers' workspaces are freed.
         live = []
 
-        def counted(plan, bins, work=None):
+        def counted(plans, bins, work=None):
             live.append(sum(isinstance(o, Workspace) for o in gc.get_objects()))
-            return power_at_bins(plan, bins, work)
+            return power_at_bins(plans, bins, work)
 
         monkeypatch.setattr(experiments, "power_at_bins", counted)
         gc.collect()
@@ -386,24 +422,103 @@ class TestReadPlan:
         kept = self.kept(rng, reader)
         lags = lag_histogram(DelayPlan(np.array(offsets), grid))
         work = scratch(self.N)
-        power, asked = asking(lambda bins: power_at_bins(lags, bins, work))
+        power, asked = asking(lambda bins, which: power_at_bins([lags], bins, work))
         read = reader.read(kept, power)
         assert len(asked) == (2 if moves else 1)
-        bins = np.concatenate([b for b, _ in asked])
+        bins = np.concatenate([b for b, _, _ in asked])
         every_bin = np.unique(np.abs(reader.reads))
         assert np.array_equal(np.sort(bins), np.unique(bins)) and len(bins) < len(every_bin)
-        assert all(np.array_equal(b, np.sort(b)) and (b >= 0).all() for b, _ in asked)
+        assert all(np.array_equal(b, np.sort(b)) and (b >= 0).all() for b, _, _ in asked)
         assert np.isfinite(read[0]).all()
         unasked = np.where(np.isin(np.abs(reader.reads), bins), kept, np.nan)
-        again, _ = asking(lambda bins: power_at_bins(lags, bins, work))
+        again, _ = asking(lambda bins, which: power_at_bins([lags], bins, work))
         for got, expected in zip(reader.read(unasked, again), read):
             assert np.array_equal(got, expected)
         assert bool(set(read[1].tolist()) - {100}) == moves
         # Within 1e-12 of |H|^2 summed on every bin; the null on bin 100
         # is near 0, where only the absolute difference means anything.
         every = power_at_bins(lags, every_bin)
-        for b, gain in asked:
+        for b, _, (gain,) in asked:
             np.testing.assert_allclose(gain, every[np.searchsorted(every_bin, b)], rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("envelope", [False, True], ids=["passband", "envelope"])
+    def test_a_plan_that_moves_a_peak_is_asked_for_its_own_missing_picks(self, envelope):
+        # Three plans read at once; only [0, 5] moves the peaks off bin
+        # 100.  One call sums every plan where the bare peaks want, and a
+        # second, of that plan alone, the picks it misses: the bins a read
+        # of it alone asks for second.  Each plan's rows are its read alone.
+        rng = np.random.default_rng(29)
+        grid = build_grid(250.0, 4, self.N / 1000.0)
+        reader = BinReader(self.N, 1000.0, 100.0, [1.0, 3.0, 40.0, 150.0, 390.0], envelope=envelope)
+        kept = self.kept(rng, reader)
+        lags = [lag_histogram(DelayPlan(np.array(o), grid)) for o in ([0, 1, 2, 1003, 2007], [0, 5], [0, 1])]
+        work = scratch(self.N)
+        power, asked = asking(lambda bins, which: power_at_bins([lags[p] for p in which], bins, work))
+        read = reader.read(kept, power, len(lags))
+        assert [which for _, which, _ in asked] == [[0, 1, 2], [1]]
+        alone_power, alone = asking(lambda bins, which: power_at_bins([lags[1]], bins, work))
+        reader.read(kept, alone_power)
+        assert len(alone) == 2 and all(np.array_equal(a[0], b[0]) for a, b in zip(asked, alone))
+        assert not set(asked[1][0].tolist()) & set(asked[0][0].tolist())
+        carriers = len(kept)
+        for p, plan in enumerate(lags):
+            one, _ = asking(lambda bins, which: power_at_bins([plan], bins, work))
+            for got, expected in zip(read, reader.read(kept, one)):
+                assert np.array_equal(got[p * carriers : (p + 1) * carriers], expected)
+        assert set(read[1][carriers : 2 * carriers].tolist()) != {100}
+
+    def test_blocks_of_plans_read_as_one(self, monkeypatch):
+        # A read too large for one block reads its plans a block at a
+        # time: the same calls for |H|^2, and the same rows, bit for bit.
+        rng = np.random.default_rng(31)
+        grid = build_grid(250.0, 4, self.N / 1000.0)
+        reader = BinReader(self.N, 1000.0, 100.0, [1.0, 3.0, 40.0, 150.0, 390.0], envelope=True)
+        kept = self.kept(rng, reader)
+        offsets = ([0, 1, 2, 1003, 2007], [0, 5], [0, 1], [0, 3, 3, 8])
+        lags = [lag_histogram(DelayPlan(np.array(o), grid)) for o in offsets]
+        work = scratch(self.N)
+        reads = []
+        for block_values in (analysis._BLOCK_VALUES, 2 * len(kept) * len(reader.reads), 1):
+            monkeypatch.setattr(analysis, "_BLOCK_VALUES", block_values)
+            power, asked = asking(lambda bins, which: power_at_bins([lags[p] for p in which], bins, work))
+            reads.append((reader.read(kept, power, len(lags)), asked))
+        (one, one_asked), *blocks = reads
+        assert reader._plans_at_once(len(kept), len(lags)) == 1
+        for read, asked in blocks:
+            assert [(b.tolist(), w) for b, w, _ in asked] == [(b.tolist(), w) for b, w, _ in one_asked]
+            for got, expected in zip(read, one):
+                assert np.array_equal(got, expected)
+
+    def test_a_refusal_names_the_first_plans_first_refused_carrier(self):
+        # Bins 1 Hz apart, Nyquist at 500 Hz: an offset of 400 Hz fits a
+        # carrier on bin 100 and below.  Every carrier peaks on bin 100;
+        # carrier 1 holds 0.7 of that on bin 101, carrier 2 0.8 on bin
+        # 102.  Plan "half" halves bin 100 and blanks bin 101: carrier 2
+        # moves to bin 102 and is refused.  Plan "dark" blanks bin 100:
+        # carriers 1 and 2 move, and carrier 1, on bin 101, is refused first.
+        reader = BinReader(1000, 1000.0, 100.0, [10.0, 400.0])
+        window = np.searchsorted(reader.reads, list(reader.window))
+        kept = np.ones((3, len(reader.reads)))
+        kept[:, window[2]] = 1e6
+        kept[1, window[3]], kept[2, window[4]] = 0.7e6, 0.8e6
+        gains = {name: np.ones(501) for name in ("flat", "half", "dark")}
+        gains["half"][100], gains["half"][101] = 0.5, 0.0
+        gains["dark"][100] = 0.0
+
+        def read(*names):
+            return reader.read(kept, lambda bins, which: np.array([gains[names[p]][bins] for p in which]), len(names))
+
+        assert read("flat")[1].tolist() == [100] * 3
+        message = r"^offset 400\.0 Hz outside the measurable range \[1\.0, {}\] Hz$"
+        on_101, on_102 = message.format(r"399\.0"), message.format(r"398\.0")
+        for names, refusal in (
+            (("flat", "half", "dark"), on_102),
+            (("flat", "dark", "half"), on_101),
+            (("half",), on_102),
+            (("dark",), on_101),
+        ):
+            with pytest.raises(ValueError, match=refusal):
+                read(*names)
 
     def test_plans_share_a_histogram_when_their_offsets_mod_n_are_one_multiset(self):
         # On the desk grid, ideal and linear share one plan at 2e11 Hz and

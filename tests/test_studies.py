@@ -435,11 +435,12 @@ class TestConcurrentBudget:
 
     def test_budget_counts_workers(self, tmp_path, capsys):
         # The budget is the guard's own figure on one worker: a second
-        # worker's concurrent plan job takes the run over it.
-        argv = ["sweep-comb-width", "--widths", "1e9,2e9", "--seeds", "2", "--kinds", "ideal"]
-        cfg = ExperimentConfig(t_sig=2e-4, widths=(1e9, 2e9), n_seeds=2, kinds=("ideal",))
-        budget = dry_run(cfg)["sweep-comb-width"]
-        assert dry_run(replace(cfg, workers=2))["sweep-comb-width"] > budget
+        # worker's concurrent carrier job, in a workspace of its own, takes
+        # the run over it.
+        argv = ["sweep-oversampling", "--ratios", "4,8", "--seeds", "2"]
+        cfg = ExperimentConfig(t_sig=2e-4, ratios=(4, 8), n_seeds=2)
+        budget = dry_run(cfg)["sweep-oversampling"]
+        assert dry_run(replace(cfg, workers=2))["sweep-oversampling"] > budget
         for workers, expected in ((1, 0), (2, 3)):
             cfg_file = tmp_path / f"w{workers}.cfg"
             cfg_file.write_text(f"run.workers = {workers}\nrun.memory_budget_bytes = {budget}\n")
@@ -581,15 +582,21 @@ class TestConcurrentBudget:
         assert "budget refusal" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_one_line_plans_count_once(self):
+    def test_one_line_plans_count_once(self, monkeypatch):
         # Below 2 f_r a comb has one line, and every kind's plan is the bare
         # plan: the six plans at 0 and 1e7 Hz are one distinct plan.
         cfg = ExperimentConfig(t_sig=2e-4, widths=(0.0, 1e7, 1e9), n_seeds=1)
-        (guard,) = STUDIES["sweep-comb-width"].guards(cfg)
+        counted = []
+        read_phases = experiments._read_phases
+        # The distinct plans the guard counts: _read_phases' sixth argument.
+        monkeypatch.setattr(
+            experiments, "_read_phases", lambda *args, **kw: counted.append(args[5]) or read_phases(*args, **kw)
+        )
+        STUDIES["sweep-comb-width"].guards(cfg)
         n = cfg.grid.n_samples
         plans = [experiments._plan(cfg, cfg.grid, k, w) for w in cfg.widths for k in cfg.kinds]
         distinct = {np.sort(p.offsets % n).tobytes() for p in plans}
-        assert guard.jobs == 1 + len(cfg.kinds) >= len(distinct)
+        assert counted == [1 + len(cfg.kinds)] and 1 + len(cfg.kinds) >= len(distinct)
 
 
 def test_cli_defaults_match_experiment_config():

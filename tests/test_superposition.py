@@ -167,8 +167,8 @@ class TestSpectralEngine:
     def test_power_transfer_in_workspace_is_bit_equal(self):
         # Even and odd windows; offsets that repeat mod n and run past n.
         # Each call takes scratch that the call before freed, or a scratch
-        # used before, or one sharing its tables; the bits are the same
-        # every time.  A scratch of another window is refused.
+        # used before, or a new one; the bits are the same every time.  A
+        # scratch of another window is refused.
         for n in (1000, 1001):
             plans = [make_plan([0, 3, n + 3, 7, 2 * n, 5 * n - 1, 7], n), make_plan([0, 1, 2 * n + 2], n)]
             first = scratch(n)
@@ -177,12 +177,10 @@ class TestSpectralEngine:
                     got = power_at_bins(plan, bins)
                     assert np.array_equal(got, power_at_bins(plan, bins))
                     assert np.array_equal(got, power_at_bins(plan, bins, first))
-                    assert np.array_equal(got, power_at_bins(plan, bins, scratch(n, first)))
+                    assert np.array_equal(got, power_at_bins(plan, bins, scratch(n)))
                     np.testing.assert_allclose(got, unfolded_power_transfer(plan)[bins], rtol=0, atol=1e-12)
                 with pytest.raises(ValueError, match="scratch of a 2002-sample window"):
                     power_at_bins(plan, bins, scratch(2002))
-            with pytest.raises(ValueError, match="twiddle tables of a 2002-sample window"):
-                scratch(n, scratch(2002))
 
     @pytest.mark.parametrize(
         "n, g, offsets",
@@ -300,6 +298,53 @@ class TestLagHistogram:
             assert not base.same(lag_histogram(make_plan(other, n))), other
         # One multiset on another window is another plan.
         assert not base.same(lag_histogram(make_plan([0, 3, 3, 7, 999], 1001)))
+
+
+class TestManyPlans:
+    """``power_at_bins`` of a list of plans: each row is its plan's |H|^2
+    summed alone, bit for bit, however the plans pack into tiles."""
+
+    def assert_rows_alone(self, plans, bins):
+        got = power_at_bins([lag_histogram(plan) for plan in plans], bins)
+        assert got.shape == (len(plans), len(bins))
+        for row, plan in zip(got, plans):
+            assert np.array_equal(row, power_at_bins(plan, bins))
+        return got
+
+    @pytest.mark.parametrize("n", [1000, 1001])
+    def test_one_line_bare_plans(self, n):
+        plans = [make_plan([0], n), make_plan([0, n, 3 * n], n), make_plan([0], n)]
+        got = self.assert_rows_alone(plans, every_bin(plans[0]))
+        assert np.array_equal(got, np.ones((3, n // 2 + 1)))
+
+    def test_plans_with_repeats(self):
+        n = 1600
+        plans = [make_plan([0, 16, 1616, 16, 480, 3200], n), make_plan([0, 3, 1603, 3, 3, 7], n), make_plan([0, 5], n)]
+        for bins in (every_bin(plans[0]), np.array([1, 2, 3, 700, 701, 800])):
+            self.assert_rows_alone(plans, bins)
+
+    @pytest.mark.parametrize("n", [1000, 1001])
+    def test_mixed_lengths_pack_across_tiles(self, n):
+        # A third of the window is the scratch's length, which bounds a
+        # chunk: 400 distinct offsets are more than one chunk, and the
+        # shorter plans share tiles with each other and with its pieces.
+        rng = np.random.default_rng(7)
+        lengths = (1, 3, 50, 400, 7, 120, 2, 333, 90)
+        plans = [make_plan(np.concatenate(([0], rng.permutation(3 * n)[: k - 1])), n) for k in lengths]
+        assert max(len(lag_histogram(plan).values) for plan in plans) > n // 3
+        for bins in (every_bin(plans[0]), np.unique(rng.integers(0, n // 2 + 1, 40)), np.array([5])):
+            self.assert_rows_alone(plans, bins)
+            self.assert_rows_alone(plans[::-1], bins)
+
+    def test_empty_bins(self):
+        plans = [make_plan([0, 3], 16), make_plan([0], 16)]
+        assert power_at_bins(plans, []).shape == (2, 0)
+
+    def test_refuses_no_plan_and_plans_on_two_windows(self):
+        with pytest.raises(ValueError, match="at least one plan"):
+            power_at_bins([], [0])
+        with pytest.raises(ValueError, match="windows of"):
+            power_at_bins([make_plan([0, 3], 16), make_plan([0, 3], 32)], [0])
 
 
 class TestLinearity:
