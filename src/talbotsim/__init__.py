@@ -26,6 +26,7 @@ from .dispersion import (
     DelayPlan,
     DispersionSpec,
     delay_plan,
+    delay_plans,
     eval_dispersion,
     group_delay,
     min_effective_dispersion,
@@ -72,6 +73,7 @@ __all__ = [
     "eval_dispersion",
     "group_delay",
     "delay_plan",
+    "delay_plans",
     "one_sample_dispersion",
     "min_effective_dispersion",
     "offset_difference",

@@ -4,7 +4,10 @@ A dispersive element is modeled by its dispersion-vs-wavelength
 characteristic D(lambda) in s/m.  Integrating D over wavelength gives
 the relative group delay of each comb line; rounding those delays to
 integer sample counts yields the delay plan used by the delay-and-sum
-photodetection model.
+photodetection model.  :func:`delay_plans` builds one characteristic's
+plans at many comb widths from the widest comb's line grid, whose
+centre slices hold every narrower comb's lines bit for bit;
+:func:`delay_plan` is its one-width case.
 
 Supported characteristics:
 
@@ -22,12 +25,12 @@ Supported characteristics:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .model import SPEED_OF_LIGHT, CombSpec, SimGrid, comb_lines, convert_dispersion
+from .model import SPEED_OF_LIGHT, CombLines, CombSpec, SimGrid, comb_lines
 
 __all__ = [
     "DispersionSpec",
@@ -35,6 +38,7 @@ __all__ = [
     "eval_dispersion",
     "group_delay",
     "delay_plan",
+    "delay_plans",
     "normalize_offsets",
     "one_sample_dispersion",
     "min_effective_dispersion",
@@ -45,6 +49,10 @@ __all__ = [
 KINDS = ("ideal", "linear", "constant", "tabulated")
 #: Bytes a delay plan holds per comb line: its int64 offset.
 OFFSET_BYTES = np.dtype(np.int64).itemsize
+#: The speed of light as a float64: a coefficient over a denominator that
+#: underflows to 0 (lambda0 = 1e-300 m cubed) is then inf, and the delays
+#: are refused as not finite, where Python floats raise ZeroDivisionError.
+_C = np.float64(SPEED_OF_LIGHT)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,7 +140,7 @@ def _check_in_table(spec: DispersionSpec, lam: np.ndarray):
 def eval_dispersion(spec: DispersionSpec, lam) -> np.ndarray | float:
     """Dispersion D(lambda) in s/m at wavelength(s) ``lam`` (m)."""
     lam_arr = np.asarray(lam, dtype=np.float64)
-    c, f_r, lam0 = SPEED_OF_LIGHT, spec.f_r, spec.lambda0
+    c, f_r, lam0 = _C, spec.f_r, spec.lambda0
     if spec.kind == "ideal":
         out = c / (lam_arr**2 * f_r**2 * spec.m)
     elif spec.kind == "linear":
@@ -157,28 +165,46 @@ def _tabulated_delay_integral(spec: DispersionSpec, lam_to: np.ndarray) -> np.nd
     return cum[idx] + partial
 
 
-def group_delay(spec: DispersionSpec, lambda_ref: float, lam) -> np.ndarray | float:
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The value of each run of equal entries of ``values``, and its length."""
+    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    return values[starts], np.diff(starts, append=len(values))
+
+
+def group_delay(spec: DispersionSpec, lambda_ref, lam) -> np.ndarray | float:
     """Group delay (s) accumulated from ``lambda_ref`` to ``lam``.
 
     The integral of D over wavelength, in closed form for the analytic
     kinds and by the trapezoid rule on the native knots for tabulated
     data.  Antisymmetric under swapping the two wavelengths.
+    ``lambda_ref`` is one wavelength, or one for each of ``lam``; a
+    reference gives the same bits either way, since what depends on it
+    alone (its square, its tabulated integral) is formed once for each
+    run of equal references.
     """
     lam_arr = np.asarray(lam, dtype=np.float64)
-    c, f_r, lam0 = SPEED_OF_LIGHT, spec.f_r, spec.lambda0
+    per_line = np.ndim(lambda_ref) > 0
+    if per_line:
+        lambda_ref = np.asarray(lambda_ref, dtype=np.float64)
+    c, f_r, lam0 = _C, spec.f_r, spec.lambda0
     if spec.kind == "ideal":
         out = (c / (f_r**2 * spec.m)) * (1.0 / lambda_ref - 1.0 / lam_arr)
     elif spec.kind == "linear":
         a = -2.0 * c / (lam0**3 * f_r**2)
         b = 3.0 * c / (lam0**2 * f_r**2)
-        out = 0.5 * a * (lam_arr**2 - lambda_ref**2) + b * (lam_arr - lambda_ref)
+        if per_line:  # each run's square as a scalar's, which an array's square can miss by an ulp
+            refs, lengths = _runs(lambda_ref)
+            ref_squared = np.repeat([r**2 for r in refs], lengths)
+        else:
+            ref_squared = lambda_ref**2
+        out = 0.5 * a * (lam_arr**2 - ref_squared) + b * (lam_arr - lambda_ref)
     elif spec.kind == "constant":
         out = (c / (lam0**2 * f_r**2)) * (lam_arr - lambda_ref)
     else:
-        _check_in_table(spec, np.append(lam_arr, lambda_ref))
-        out = _tabulated_delay_integral(spec, lam_arr) - _tabulated_delay_integral(
-            spec, np.asarray([lambda_ref])
-        )[0]
+        refs, lengths = _runs(lambda_ref) if per_line else (np.asarray([lambda_ref]), None)
+        _check_in_table(spec, np.append(lam_arr, refs))
+        at_refs = _tabulated_delay_integral(spec, refs)
+        out = _tabulated_delay_integral(spec, lam_arr) - (np.repeat(at_refs, lengths) if per_line else at_refs[0])
     return out if isinstance(lam, np.ndarray) else float(out)
 
 
@@ -199,25 +225,79 @@ def delay_plan(spec: DispersionSpec, comb: CombSpec, grid: SimGrid) -> DelayPlan
     Group delays are referenced to the first line of the grid, rounded
     half-to-even to whole samples, and normalized so the earliest line
     has offset 0.  Delays that are not finite, or of 2^62 samples or
-    more, raise ValueError.
+    more, raise ValueError.  The one-width case of :func:`delay_plans`.
+    """
+    return delay_plans(spec, comb, grid, [comb.width])[0]
+
+
+def delay_plans(
+    spec: DispersionSpec, comb: CombSpec, grid: SimGrid, widths, lines: CombLines | None = None
+) -> list[DelayPlan]:
+    """The :func:`delay_plan` of ``spec`` for ``comb`` at each of ``widths``, in order.
+
+    Every width's lines are the centre slice of the widest comb's line
+    grid, ``lines`` when the caller holds it (:func:`comb_lines` of
+    ``comb`` at the largest of ``widths``), which holds the same bits as
+    that width's own grid.  The widths are evaluated in order, packed
+    into groups of whole widths of at most the widest plan's lines, each
+    line referenced to its own plan's first line, so no group's delays
+    are longer than the widest plan's.  Each plan has the bits
+    :func:`delay_plan` gives it; a refusal is that of the first width,
+    in order, whose delays :func:`delay_plan` refuses.
     """
     if not _close(spec.f_r, comb.f_r) or not _close(grid.f_r, comb.f_r):
         raise ValueError(
             f"inconsistent repetition rates: spec {spec.f_r}, comb {comb.f_r}, grid {grid.f_r}"
         )
-    lines = comb_lines(comb)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # refused below instead
-        tau = group_delay(spec, lines.lam[0], lines.lam)
-        samples = np.asarray(tau) * grid.sample_rate
-    reach = np.max(np.abs(samples))
-    if not np.isfinite(reach):
-        raise ValueError(f"the {spec.kind} characteristic gives group delays that are not finite")
+    if not widths:
+        return []
+    counts = [replace(comb, width=w).line_count for w in widths]
+    widest = max(counts)
+    lam = (comb_lines(replace(comb, width=max(widths))) if lines is None else lines).lam
+    if len(lam) != widest:
+        raise ValueError(f"lines hold {len(lam)} lines, where the widest comb has {widest}")
+    plans, group = [], []
+    for count in counts:
+        if sum(group) + count > widest:
+            plans += _group_plans(spec, grid, lam, group)
+            group = []
+        group.append(count)
+    return plans + _group_plans(spec, grid, lam, group)
+
+
+def _group_plans(spec: DispersionSpec, grid: SimGrid, lam: np.ndarray, counts: list) -> list[DelayPlan]:
+    """The plans of ``counts`` lines each, the centre slices of the line
+    wavelengths ``lam``, their delays evaluated at once."""
+    middle = (len(lam) - 1) // 2
+    slices = [lam[middle - (k - 1) // 2 : middle + (k - 1) // 2 + 1] for k in counts]
+    if len(slices) == 1:
+        lines, ref = slices[0], slices[0][0]
+    else:
+        lines, ref = np.concatenate(slices), np.repeat([s[0] for s in slices], counts)
+    starts = np.cumsum([0] + counts[:-1])
+    try:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # refused below instead
+            samples = group_delay(spec, ref, lines)
+            samples *= grid.sample_rate
+            reaches = np.maximum.reduceat(np.abs(samples), starts)
+    except ValueError:
+        if len(counts) == 1:
+            raise
+        for count in counts:  # the first width refused, alone, as delay_plan refuses it
+            _group_plans(spec, grid, lam, [count])
+        raise
+    del lines, ref
     # Below 2^62 samples, the int64 offsets and their spread both fit.
-    if reach >= 2.0**62:
+    refused = np.flatnonzero(~(reaches < 2.0**62))
+    if len(refused):
+        reach = reaches[refused[0]]
+        if not np.isfinite(reach):
+            raise ValueError(f"the {spec.kind} characteristic gives group delays that are not finite")
         raise ValueError(f"group delays of up to {reach:.3g} samples are too long for int64 offsets")
-    raw = np.rint(samples).astype(np.int64)
-    offsets = normalize_offsets(raw)
-    return DelayPlan(offsets=offsets, grid=grid)
+    raw = np.rint(samples, out=samples).astype(np.int64)
+    # Each plan's normalize_offsets, into an array of its own.
+    lowest = np.minimum.reduceat(raw, starts)
+    return [DelayPlan(offsets=raw[s : s + k] - low, grid=grid) for s, k, low in zip(starts, counts, lowest)]
 
 
 def one_sample_dispersion(oversampling: int, f_r: float, lambda0: float) -> float:
@@ -281,7 +361,7 @@ def read_dispersion_table(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     if len(lam_nm) < 2:
         raise ValueError(f"{path}: need at least 2 data rows")
     lam = np.asarray(lam_nm) * 1e-9
-    d = np.asarray([convert_dispersion(v, "ps/nm", "s/m") for v in d_ps_nm])
+    d = np.asarray(d_ps_nm) / 1e3  # ps/nm to s/m
     if not np.all(np.diff(lam) > 0):
         raise ValueError(f"{path}: wavelengths must be strictly increasing")
     return lam, d

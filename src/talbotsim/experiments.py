@@ -27,6 +27,14 @@ it looks at.
 ``simulate --kind none`` and the oversampling sweep read through the
 one-line plan at zero delay, whose |H|^2 is exactly 1.
 
+Every study builds its delay plans one call per kind, at all of its
+widths on the widest comb's line grid
+(:func:`~talbotsim.dispersion.delay_plans`, through
+:func:`_plans_by_kind`); a plan that a characteristic refuses is named
+as building the plans one at a time in the study's order would name it.
+A read compares plans cheaply first: by their offsets against the other
+kinds' at the same width, then by the shape of their lag histograms.
+
 The comb-width sweep reads L only near f_r, so its carrier jobs
 synthesize each carrier as its complex envelope, on a window only as
 wide as its offsets need (see :class:`~talbotsim.analysis.BinReader`),
@@ -50,6 +58,8 @@ import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property, partial
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable
 
@@ -70,13 +80,13 @@ from .dispersion import (
     OFFSET_BYTES,
     DelayPlan,
     DispersionSpec,
-    delay_plan,
+    delay_plans,
     eval_dispersion,
     offset_difference,
     read_dispersion_table,
 )
 from .errors import BudgetError, ConfigError
-from .model import CombSpec, SimGrid, bin_spacing, build_grid, comb_lines, NoiseProfile
+from .model import CombLines, CombSpec, SimGrid, bin_spacing, build_grid, comb_lines, NoiseProfile
 from .superposition import Lags, lag_histogram, power_at_bins, scratch, scratch_bytes
 from .svgplot import render_plots
 from .synthesis import SynthesisRequest, Workspace, default_noise_profile, synth_carrier, synth_envelope
@@ -292,8 +302,10 @@ def derive_seed(master_seed: int, experiment: str, point_index: int, seed_index:
 #: and the read's results are arrays, counted as ``sys.getsizeof`` counts
 #: them.  A read runs in phases, one after another, and the guard takes
 #: the largest:
-#: - build: the reader, the histograms held, and one plan being built and
-#:   histogrammed;
+#: - build: the reader, and every plan, built one kind at a time, each
+#:   kind's widths in groups no longer than its widest plan, then
+#:   histogrammed one at a time, each plan dropped once it has its index
+#:   and only the histograms of distinct plans held;
 #: - carriers: the histograms, the reader, the carriers' kept values, and
 #:   ``min(workers, carriers)`` jobs, each in a workspace of its own;
 #: - plans: the histograms, the reader, the kept values, one scratch, the
@@ -312,8 +324,10 @@ def derive_seed(master_seed: int, experiment: str, point_index: int, seed_index:
 #: 2001-line plan alone), 0.27 MB for the wide sweep's 11 of up to 40001
 #: lines (0.27 MB for that plan alone), with a plan's lines below;
 _JOB_BYTES = 256 << 10
-#: a plan's line while the plan is built (wavelengths, delays) or while
-#: its offsets are sorted and counted (about 30 B per line);
+#: a line of the widest plan while a kind's plans are built (the widest
+#: comb's wavelengths and one group's delays: 24-40 B per line on the desk
+#: and wide sweeps' widths), or of a plan while its offsets are sorted and
+#: counted (about 30 B per line);
 _LINE_BYTES = 48
 #: a read bin and distinct plan the |H|^2 pass may sum on: the masks of
 #: the bins summed (1 B each, up to 5 at once), the bin, and
@@ -428,17 +442,41 @@ def _plan_lines(comb: CombSpec, plans) -> list[int]:
     return [1 if kind == "none" else replace(comb, width=w).line_count for kind, w in plans]
 
 
-def _plan(cfg: ExperimentConfig, grid: SimGrid, kind: str, width: float) -> DelayPlan:
-    """The delay plan of ``kind`` for the config's comb at ``width`` on
-    ``grid``; ``kind = "none"`` is the one-line plan at zero delay, the
-    bare carrier."""
+def _plans(cfg: ExperimentConfig, grid: SimGrid, kind: str, widths, lines: CombLines | None = None) -> list[DelayPlan]:
+    """The delay plans of ``kind`` for the config's comb at each of
+    ``widths`` on ``grid``, in one call, from one line grid
+    (:func:`~talbotsim.dispersion.delay_plans`; ``lines``, that of the
+    widest comb, when the caller holds it).  ``kind = "none"`` is the
+    one-line plan at zero delay, the bare carrier, at every width."""
     if kind == "none":
-        return DelayPlan(np.zeros(1, np.int64), grid)
+        return [DelayPlan(np.zeros(1, np.int64), grid) for _ in widths]
     try:
-        return delay_plan(cfg.dispersion_spec(kind), replace(cfg.comb, width=width), grid)
+        return delay_plans(cfg.dispersion_spec(kind), cfg.comb, grid, widths, lines)
     except ValueError as exc:
         where = f"dispersion table {cfg.table}" if kind == "tabulated" else f"{kind} dispersion"
         raise ConfigError(f"{where}: {exc}") from None
+
+
+def _plan(cfg: ExperimentConfig, grid: SimGrid, kind: str, width: float) -> DelayPlan:
+    """The one plan of ``kind`` at ``width``: :func:`_plans` of one width."""
+    return _plans(cfg, grid, kind, [width])[0]
+
+
+def _plans_by_kind(cfg: ExperimentConfig, grid: SimGrid, plans: list, lines: CombLines | None = None) -> dict:
+    """The delay plans of the (kind, width) ``plans`` on ``grid``, one
+    :func:`_plans` call per kind: for each kind, its plans in the order
+    of ``plans``.  ``lines``, if given, is the line grid of the widest
+    comb of every kind.  A refusal names the first of ``plans`` refused,
+    as building them one at a time in that order would."""
+    widths = {}
+    for kind, width in plans:
+        widths.setdefault(kind, []).append(width)
+    try:
+        return {kind: _plans(cfg, grid, kind, ws, lines) for kind, ws in widths.items()}
+    except ConfigError:
+        for kind, width in plans:
+            _plan(cfg, grid, kind, width)
+        raise
 
 
 def _check_offsets(reader: BinReader, what: str):
@@ -665,15 +703,35 @@ def _read_through(cfg: ExperimentConfig, reads: _Reads) -> tuple:
 def _distinct_lags(cfg: ExperimentConfig, reads: _Reads) -> tuple[list[int], list[Lags]]:
     """For each of ``reads``' plans, in order, an index into the lag
     histograms of its distinct plans (:meth:`Lags.same`), and those
-    histograms.  Each plan is built and histogrammed in turn, and only
-    the histograms of distinct plans are kept."""
-    keys, distinct = [], []
-    for kind, width in reads.plans:
-        lags = lag_histogram(_plan(cfg, reads.grid, kind, width))
-        key = next((i for i, other in enumerate(distinct) if lags.same(other)), len(distinct))
-        if key == len(distinct):
-            distinct.append(lags)
-        keys.append(key)
+    histograms.  Each kind's plans are built in one call
+    (:func:`_plans_by_kind`).  A plan whose offsets equal an earlier
+    kind's at the same width takes that plan's index with no histogram;
+    every other plan is histogrammed, and compared only with the kept
+    histograms of as many lines, distinct offsets and repeats.  Each plan
+    is dropped once it has its index, and only the histograms of
+    distinct plans are kept."""
+    built = _plans_by_kind(cfg, reads.grid, reads.plans)
+    keys, distinct, alike = [], [], {}
+    for _, at_width in groupby(reads.plans, key=itemgetter(1)):
+        plans = [built[kind].pop(0) for kind, _ in at_width]
+        # Each plan's first equal at this width, found while they are all held.
+        firsts = []
+        for i, plan in enumerate(plans):
+            equal = (j for j in range(i) if firsts[j] == j and np.array_equal(plans[j].offsets, plan.offsets))
+            firsts.append(next(equal, i))
+        base = len(keys)
+        for i, first in enumerate(firsts):
+            if first < i:
+                keys.append(keys[base + first])
+                continue
+            lags = lag_histogram(plans[i])
+            plans[i] = None
+            shaped = alike.setdefault((lags.lines, len(lags.values), len(lags.repeats)), [])
+            key = next((k for k in shaped if lags.same(distinct[k])), len(distinct))
+            if key == len(distinct):
+                shaped.append(key)
+                distinct.append(lags)
+            keys.append(key)
     return keys, distinct
 
 
@@ -822,17 +880,25 @@ def _table_guard(cfg: ExperimentConfig, what: str, kinds, widths) -> _Guard:
 
 
 def offsets_experiment(cfg: ExperimentConfig) -> list[OffsetsTable]:
-    """Per-line delay-plan differences (ideal minus linear / constant)."""
+    """Per-line delay-plan differences (ideal minus linear / constant).
+
+    Each kind's plans are built in one call, on the widest comb's line
+    grid, whose centre slices give each width's line indices and
+    wavelengths."""
     _check_budget(cfg, _table_guard(cfg, "offsets-diff", _DIFF_KINDS, cfg.widths))
+    lines = comb_lines(replace(cfg.comb, width=cfg.widths[-1]))
+    built = _plans_by_kind(cfg, cfg.grid, [(kind, w) for w in cfg.widths for kind in _DIFF_KINDS], lines)
+    middle = (len(lines) - 1) // 2
     tables = []
     for w in cfg.widths:
-        lines = comb_lines(replace(cfg.comb, width=w))
-        ideal, linear, constant = (_plan(cfg, cfg.grid, kind, w) for kind in _DIFF_KINDS)
+        ideal, linear, constant = (built[kind].pop(0) for kind in _DIFF_KINDS)
+        half = (len(ideal) - 1) // 2
+        centre = slice(middle - half, middle + half + 1)
         tables.append(
             OffsetsTable(
                 width=float(w),
-                line_index=lines.index,
-                lambda_nm=lines.lam * 1e9,
+                line_index=lines.index[centre],
+                lambda_nm=lines.lam[centre] * 1e9,
                 diff_linear=offset_difference(ideal, linear),
                 diff_constant=offset_difference(ideal, constant),
             )
@@ -847,9 +913,9 @@ def dispersion_eval(cfg: ExperimentConfig, kind: str = "ideal") -> tuple[str, li
     """
     comb = cfg.comb
     _check_budget(cfg, _table_guard(cfg, "dispersion-eval", (kind,), (comb.width,)))
-    plan = _plan(cfg, cfg.grid, kind, comb.width)
-    spec = cfg.dispersion_spec(kind)
     lines = comb_lines(comb)
+    (plan,) = _plans(cfg, cfg.grid, kind, [comb.width], lines)
+    spec = cfg.dispersion_spec(kind)
     d_ps_nm = np.asarray(eval_dispersion(spec, lines.lam)) * 1e3
     rows = ["line_index,lambda_nm,d_ps_per_nm,offset_samples"]
     for k, lam, d, off in zip(lines.index, lines.lam * 1e9, d_ps_nm, plan.offsets):

@@ -1,12 +1,16 @@
 """Dispersion characteristics, group delays, and delay plans."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from talbotsim import dispersion
 from talbotsim.model import SPEED_OF_LIGHT, CombSpec, build_grid, comb_lines, convert_dispersion
 from talbotsim.dispersion import (
     DispersionSpec,
     delay_plan,
+    delay_plans,
     eval_dispersion,
     group_delay,
     min_effective_dispersion,
@@ -137,6 +141,26 @@ class TestGroupDelay:
             assert group_delay(tab, 1500e-9, lam) == pytest.approx(expected, rel=1e-8)
 
 
+class TestReferencePerLine:
+    @pytest.mark.parametrize("kind", ["ideal", "linear", "constant", "tabulated"])
+    def test_a_reference_per_line_gives_the_bits_of_one(self, kind):
+        # A square of an array can differ in the last bit from a scalar's
+        # square, which group_delay of one reference takes.
+        rng = np.random.default_rng(30)
+        knots = np.linspace(1500e-9, 1600e-9, 101)
+        spec = (
+            DispersionSpec.tabulated(F_R, LAM0, knots, eval_dispersion(DispersionSpec.ideal(F_R, LAM0), knots))
+            if kind == "tabulated"
+            else DispersionSpec(kind, F_R, LAM0, m=2)
+        )
+        refs = rng.uniform(1520e-9, 1580e-9, 5000)
+        lam = rng.uniform(1520e-9, 1580e-9, (5000, 3))
+        per_line = group_delay(spec, np.repeat(refs, 3), lam.ravel())
+        one_each = np.concatenate([group_delay(spec, ref, row) for ref, row in zip(refs, lam)])
+        assert np.array_equal(per_line, one_each)
+        assert isinstance(group_delay(spec, refs[0], float(lam[0, 0])), float)
+
+
 class TestDelayPlan:
     def test_ideal_offsets_exact(self):
         for width, n in ((4e10, 64), (1e11, 16), (3e11, 8)):
@@ -237,6 +261,90 @@ class TestDelayPlan:
         plan_ideal = delay_plan(ideal, comb, grid)
         plan_tab = delay_plan(tab, comb, grid)
         assert np.abs(offset_difference(plan_ideal, plan_tab)).max() <= 1
+
+
+#: (f_r, oversampling, t_sig, widths) of the plans the builder is checked on:
+#: one-line widths, the desk and wide sweeps' widths, the paper grid's, and
+#: widths of 3, 5 and 7 lines, a group that exactly fills the 15-line plan.
+PLAN_SETS = {
+    "one-line": (1e7, 16, 2e-3, (0.0, 1e6, 1.9e7)),
+    "one-line-and-more": (1e7, 16, 2e-3, (0.0, 1e7, 2e7, 4e7)),
+    "desk": (1e7, 16, 2e-3, (1e8, 2e8, 5e8, 1e9, 2e9, 5e9, 1e10, 2e10)),
+    "wide": (1e7, 16, 2e-3, (3e10, 6e10, 1e11, 2e11, 4e11)),
+    "paper-grid": (1e8, 64, 1e-2, (1e11, 3e12)),
+    "exact-fill": (1e7, 16, 2e-3, (2e7, 4e7, 6e7, 1.4e8)),
+}
+
+
+def builder_specs(f_r):
+    """One characteristic of each kind for a comb at ``f_r``, with m = 2."""
+    lam = np.linspace(1400e-9, 1700e-9, 2001)
+    ideal = DispersionSpec("ideal", f_r, LAM0, m=2)
+    return [
+        ideal,
+        DispersionSpec("linear", f_r, LAM0, m=2),
+        DispersionSpec("constant", f_r, LAM0, m=2),
+        DispersionSpec.tabulated(f_r, LAM0, lam, 1.01 * eval_dispersion(ideal, lam)),
+    ]
+
+
+class TestDelayPlans:
+    @pytest.mark.parametrize("name", sorted(PLAN_SETS))
+    def test_each_plan_has_the_bits_of_its_width_alone(self, name):
+        f_r, oversampling, t_sig, widths = PLAN_SETS[name]
+        grid = build_grid(f_r, oversampling, t_sig)
+        comb = CombSpec(f_r=f_r, lambda0=LAM0)
+        for spec in builder_specs(f_r):
+            plans = delay_plans(spec, comb, grid, widths)
+            assert len(plans) == len(widths)
+            for plan, width in zip(plans, widths):
+                alone = delay_plan(spec, replace(comb, width=width), grid)
+                assert plan.grid is grid and plan.offsets.dtype == alone.offsets.dtype
+                assert np.array_equal(plan.offsets, alone.offsets), (spec.kind, width)
+
+    def test_the_widest_comb_lines_are_the_callers(self):
+        f_r, oversampling, t_sig, widths = PLAN_SETS["desk"]
+        grid, comb = build_grid(f_r, oversampling, t_sig), CombSpec(f_r=f_r, lambda0=LAM0)
+        lines = comb_lines(replace(comb, width=widths[-1]))
+        for spec in builder_specs(f_r):
+            given = delay_plans(spec, comb, grid, widths, lines)
+            made = delay_plans(spec, comb, grid, widths)
+            assert all(np.array_equal(a.offsets, b.offsets) for a, b in zip(given, made))
+        with pytest.raises(ValueError, match="lines hold 2001 lines, where the widest comb has 1001"):
+            delay_plans(builder_specs(f_r)[0], comb, grid, widths[:-1], lines)
+        assert delay_plans(builder_specs(f_r)[0], comb, grid, ()) == []
+
+    @pytest.mark.parametrize(
+        "name, groups",
+        [("exact-fill", [15, 15]), ("desk", [11 + 21 + 51 + 101 + 201 + 501 + 1001, 2001]), ("one-line", [1, 1, 1])],
+    )
+    def test_widths_are_packed_into_groups_no_longer_than_the_widest_plan(self, monkeypatch, name, groups):
+        f_r, oversampling, t_sig, widths = PLAN_SETS[name]
+        lengths = []
+
+        def counted(spec, lambda_ref, lam):
+            lengths.append(len(lam))
+            return group_delay(spec, lambda_ref, lam)
+
+        monkeypatch.setattr(dispersion, "group_delay", counted)
+        delay_plans(DispersionSpec.ideal(f_r, LAM0), CombSpec(f_r=f_r, lambda0=LAM0), build_grid(f_r, oversampling, t_sig), widths)
+        assert lengths == groups
+
+    def test_a_refusal_is_that_of_the_first_refused_width(self):
+        comb, grid = CombSpec(f_r=F_R, lambda0=LAM0), make_grid()
+        widths = (2e8, 4e8, 1e9)  # 3, 5 and 11 lines: the first two evaluated as one group
+        lam = np.array([1500e-9, 1600e-9])
+        huge = DispersionSpec.tabulated(F_R, LAM0, lam, 1e20 * eval_dispersion(DispersionSpec.ideal(F_R, LAM0), lam))
+        # A table that covers the 3-line comb, not the 5-line one, whose
+        # delays overflow: the first width's refusal is "not finite", though
+        # its group's wavelengths leave the table.
+        narrow = DispersionSpec.tabulated(F_R, LAM0, [LAM0 - 1e-12, LAM0 + 1e-12], [1e308, 1e308])
+        for spec, message in ((huge, "int64"), (narrow, "not finite")):
+            with pytest.raises(ValueError, match=message) as alone:
+                delay_plan(spec, replace(comb, width=widths[0]), grid)
+            with pytest.raises(ValueError) as together:
+                delay_plans(spec, comb, grid, widths)
+            assert str(together.value) == str(alone.value)
 
 
 class TestOneSampleDispersion:
@@ -349,6 +457,14 @@ class TestDispersionTableFile:
         lam, d = read_dispersion_table(path)
         np.testing.assert_allclose(lam, [1500e-9, 1550e-9, 1600e-9])
         np.testing.assert_allclose(d, [0.1, 0.195, 0.31])
+
+    def test_dispersion_has_the_bits_of_convert_dispersion(self, tmp_path):
+        rng = np.random.default_rng(4)
+        d_ps_nm = rng.uniform(-2e7, 2e7, 200).tolist()
+        path = tmp_path / "table.txt"
+        path.write_text("".join(f"{1500 + i} {v!r}\n" for i, v in enumerate(d_ps_nm)))
+        _, d = read_dispersion_table(path)
+        assert np.array_equal(d, [convert_dispersion(v, "ps/nm", "s/m") for v in d_ps_nm])
 
     def test_rejects_unsorted(self, tmp_path):
         path = tmp_path / "bad.txt"

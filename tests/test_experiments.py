@@ -25,8 +25,8 @@ from talbotsim.experiments import (
     write_manifest,
     write_sweep_csv,
 )
-from talbotsim.dispersion import DelayPlan
-from talbotsim.model import CombSpec, NoiseProfile, build_grid
+from talbotsim.dispersion import DelayPlan, delay_plan
+from talbotsim.model import CombSpec, NoiseProfile, build_grid, comb_lines
 from talbotsim.superposition import lag_histogram, power_at_bins, scratch
 from talbotsim.synthesis import SynthesisRequest, Workspace, synth_carrier, synth_envelope
 
@@ -533,6 +533,32 @@ class TestReadPlan:
             for b in range(len(keys)):
                 assert (keys[a] == keys[b]) == np.array_equal(sorted_lags[a], sorted_lags[b]), (a, b)
 
+    def test_plans_of_one_shape_and_other_values_get_their_own_keys(self, monkeypatch):
+        # Per kind, the offsets of its plan at each of two widths.  At the
+        # first, all three have 3 lines and 3 distinct offsets: linear's
+        # values differ, constant's are ideal's in another order.  At the
+        # second, all have 3 lines, 2 distinct offsets and 1 repeat: linear
+        # equals ideal, constant repeats another offset.
+        offsets = {
+            "ideal": ([0, 1, 2], [0, 0, 1]),
+            "linear": ([0, 1, 3], [0, 0, 1]),
+            "constant": ([2, 1, 0], [0, 1, 1]),
+        }
+        monkeypatch.setattr(
+            experiments,
+            "delay_plans",
+            lambda spec, comb, grid, widths, lines=None: [DelayPlan(np.array(o), grid) for o in offsets[spec.kind]],
+        )
+        histogrammed = []
+        monkeypatch.setattr(experiments, "lag_histogram", lambda plan: histogrammed.append(plan) or lag_histogram(plan))
+        cfg = ExperimentConfig(widths=(1e8, 2e8))
+        keys, distinct = experiments._distinct_lags(cfg, experiments._comb_width_reads(cfg))
+        assert keys == [0, 1, 0, 2, 2, 3]
+        # Linear's plan at the second width equals ideal's, and is not histogrammed.
+        assert len(histogrammed) == 5
+        assert [d.values.tolist() for d in distinct] == [[0, 1, 2], [0, 1, 3], [0, 1], [0, 1]]
+        assert [d.repeats.tolist() for d in distinct] == [[], [], [0], [1]]
+
     def test_builds_one_reader_for_the_guard_and_the_read(self, monkeypatch):
         # The guard sizes the reader the read then uses: one candidate pass.
         built = []
@@ -594,6 +620,20 @@ class TestOffsetsExperiment:
         assert table.diff_constant[0] == 0
         assert table.diff_constant[-1] == 0
         assert np.abs(table.diff_constant - table.diff_constant[::-1]).max() <= 1
+
+    def test_each_width_has_its_own_lines_and_plans(self):
+        # Every width's rows are a centre slice of the widest comb's lines.
+        cfg = small_config(widths=(0.0, 1e8, 5e8, 2e9))
+        tables = offsets_experiment(cfg)
+        for table, width in zip(tables, cfg.widths):
+            comb = replace(cfg.comb, width=width)
+            lines = comb_lines(comb)
+            assert table.width == width
+            assert np.array_equal(table.line_index, lines.index)
+            assert np.array_equal(table.lambda_nm, lines.lam * 1e9)
+            ideal, linear, constant = (delay_plan(cfg.dispersion_spec(k), comb, cfg.grid) for k in ("ideal", "linear", "constant"))
+            assert np.array_equal(table.diff_linear, ideal.offsets - linear.offsets)
+            assert np.array_equal(table.diff_constant, ideal.offsets - constant.offsets)
 
     def test_lambda_column_in_nm(self):
         cfg = small_config(widths=(5e8,))

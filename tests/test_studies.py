@@ -19,9 +19,9 @@ import numpy as np
 import pytest
 
 import talbotsim
-from talbotsim import experiments
+from talbotsim import dispersion, experiments
 from talbotsim.cli import _KEYS, _build_parser, _overrides_from_args, experiment_config, main, parse_config
-from talbotsim.dispersion import delay_plan
+from talbotsim.dispersion import delay_plans
 from talbotsim.errors import BudgetError
 from talbotsim.experiments import STUDIES, ExperimentConfig, dry_run, run_study
 from talbotsim.model import SPEED_OF_LIGHT, CombSpec, NoiseProfile
@@ -194,6 +194,15 @@ BAD_INPUT = {
     "lambda0-tiny-simulate": (["simulate", "--lambda0", "1e-300"], "not finite"),
     "lambda0-tiny-sweep": (["sweep-comb-width", "--widths", "1e8", "--lambda0", "1e-300"], "not finite"),
     "lambda0-tiny-dispersion-eval": (["dispersion-eval", "--lambda0", "1e-300"], "not finite"),
+    # There lambda0^2 and lambda0^3 underflow to 0: the linear and constant
+    # coefficients are inf, and their delays not finite at any width.  The
+    # read takes ideal at 1e6 Hz, one line, and refuses linear there.
+    "lambda0-tiny-simulate-constant": (["simulate", "--kind", "constant", "--lambda0", "1e-300"], "not finite"),
+    "lambda0-tiny-dispersion-eval-linear": (["dispersion-eval", "--kind", "linear", "--lambda0", "1e-300"], "not finite"),
+    "lambda0-tiny-offsets-diff": (
+        ["offsets-diff", "--widths", "1e6,1e8", "--lambda0", "1e-300"],
+        "linear dispersion: the linear characteristic gives group delays that are not finite",
+    ),
     # 1e20 times the ideal characteristic: delays past what int64 sample offsets hold.
     "table-huge": (["simulate", "--kind", "tabulated", "--table", "{huge}"], "int64"),
     # A noise profile that is negative, or overflows, on the grid's bins is refused before any synthesis.
@@ -541,9 +550,11 @@ class TestConcurrentBudget:
 
         def counted(*args):
             calls.append(args)
-            return delay_plan(*args)
+            return delay_plans(*args)
 
-        monkeypatch.setattr(experiments, "delay_plan", counted)
+        # Every plan is built by delay_plans, which delay_plan calls too.
+        monkeypatch.setattr(experiments, "delay_plans", counted)
+        monkeypatch.setattr(dispersion, "delay_plans", counted)
         # At 2e13 Hz each plan has 2e6 + 1 lines, and building one passes through 112 MB.
         comb = CombSpec(f_r=1e7, lambda0=1550e-9, width=2e13)
         cfg = ExperimentConfig(comb=comb, t_sig=2e-4, widths=(1e8, 2e13), memory_budget_bytes=4_000_000)
@@ -580,6 +591,34 @@ class TestConcurrentBudget:
         code = main([name, "--lambda0", "1e-300", "--memory-budget", "1000", "--out", str(out)] + SMALL)
         assert code == 3
         assert "budget refusal" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, table_nm, refused",
+        [
+            # At 1e-300 m every line but the centre one sits at 0 m, so only
+            # one-line plans are finite.  This table covers the narrow width's
+            # one line, 1e-300 m, and not the 11 lines at 1e8 Hz.
+            (["sweep-comb-width", "--kinds", "tabulated,ideal"], (1e-292, 1.0), "dispersion table {table}: wavelength outside"),
+            (["sweep-comb-width", "--kinds", "ideal,tabulated"], (1e-292, 1.0), "ideal dispersion: the ideal characteristic"),
+            # This one covers 0 m and not the centre line: the tabulated plan
+            # at 1e6 Hz is refused before the ideal one at 1e8 Hz.
+            (["sweep-comb-width", "--kinds", "ideal,tabulated"], (-1.0, 0.0), "dispersion table {table}: wavelength outside"),
+        ],
+        ids=["tabulated-at-the-wide-width", "ideal-at-the-wide-width", "tabulated-at-the-narrow-width"],
+    )
+    def test_plan_refusal_names_the_first_plan_in_the_reads_order(self, tmp_path, capsys, argv, table_nm, refused):
+        # The plans are read width by width, each width's kinds in order; the
+        # first refused there is named, whichever kind's plans are built first.
+        table = tmp_path / "table.txt"
+        table.write_text("".join(f"{lam!r} 1.0\n" for lam in table_nm))
+        config = tmp_path / "table.cfg"
+        config.write_text(f"dispersion.table = {table}\n")
+        out = tmp_path / "out"
+        argv = argv + ["--widths", "1e6,1e8", "--lambda0", "1e-300", "--config", str(config), "--out", str(out)]
+        assert main(argv[:1] + SMALL + argv[1:]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and refused.format(table=table) in err, err
         assert not out.exists()
 
     def test_one_line_plans_count_once(self, monkeypatch):
