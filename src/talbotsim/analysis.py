@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -77,8 +76,6 @@ __all__ = [
     "BinReader",
     "jitter",
     "classical_penalty",
-    "write_spectrum_csv",
-    "write_jitter_csv",
 ]
 
 #: Minimum carrier-to-total power ratio for peak detection.
@@ -574,7 +571,7 @@ def jitter(spectrum: PhaseNoiseSpectrum, f_min: float, f_max: float) -> JitterRe
     )
     integrated = float(np.trapezoid(l_grid, f_grid))
     rms = float(math.sqrt(2.0 * max(integrated, 0.0)) / (2.0 * math.pi * spectrum.carrier_freq))
-    return JitterResult(integrated_l=integrated, band=(f_min, f_max), rms_time_jitter=rms)
+    return JitterResult(integrated_l=integrated, band=(float(f_min), float(f_max)), rms_time_jitter=rms)
 
 
 def classical_penalty(l0_dbc: float, m: int) -> float:
@@ -583,20 +580,3 @@ def classical_penalty(l0_dbc: float, m: int) -> float:
         raise ValueError("upconversion factor must be >= 1")
     return l0_dbc + 20.0 * math.log10(m)
 
-
-def write_spectrum_csv(spectrum: PhaseNoiseSpectrum, path: str | Path) -> None:
-    """Write ``offset_hz,L_dbc_hz`` rows for every measured offset."""
-    lines = ["offset_hz,L_dbc_hz"]
-    for off, l in zip(spectrum.offsets, spectrum.l_dbc):
-        lines.append(f"{off:.10g},{l:.10g}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_jitter_csv(result: JitterResult, path: str | Path) -> None:
-    """Write the single-row band-integration summary."""
-    lines = [
-        "f_min_hz,f_max_hz,integrated_L,rms_jitter_s",
-        f"{result.band[0]:.10g},{result.band[1]:.10g},"
-        f"{result.integrated_l:.10g},{result.rms_time_jitter:.10g}",
-    ]
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -12,6 +12,8 @@ Config files are flat ``key = value`` text with dotted sections::
     noise.term = {alpha = 0, b = 1e-11}
     noise.term = {alpha = -2, b = 1e-1}
 
+``#`` starts a comment and ``,`` separates list items, except inside
+double quotes: ``dispersion.table = "a,b#c.txt"`` is one file name.
 Flags override file values.  A key that neither sets keeps the default
 of its :class:`~talbotsim.experiments.ExperimentConfig` field; ``_KEYS``
 names each key once, with that field, the type of its value and its
@@ -133,8 +135,20 @@ def _parse_scalar(token: str):
     return token
 
 
+def _split(text: str, sep: str, maxsplit: int = -1) -> list[str]:
+    """``text`` split at each ``sep`` outside double quotes, at most ``maxsplit`` times."""
+    parts, start, quoted = [], 0, False
+    for i, char in enumerate(text):
+        if char == '"':
+            quoted = not quoted
+        elif char == sep and not quoted and len(parts) != maxsplit:
+            parts.append(text[start:i])
+            start = i + 1
+    return parts + [text[start:]]
+
+
 def _parse_list(text: str) -> list:
-    return [_parse_scalar(part) for part in text.split(",") if part.strip()]
+    return [_parse_scalar(part) for part in _split(text, ",") if part.strip()]
 
 
 def _parse_value(token: str, where: str):
@@ -145,13 +159,13 @@ def _parse_value(token: str, where: str):
         table = {}
         body = token[1:-1].strip()
         if body:
-            for item in body.split(","):
+            for item in _split(body, ","):
                 if "=" not in item:
                     raise ConfigError(f"{where}: expected 'name = value' inside {{...}}, got {item!r}")
                 name, raw = item.split("=", 1)
                 table[name.strip()] = _parse_scalar(raw)
         return table
-    if "," in token:
+    if len(_split(token, ",")) > 1:
         return _parse_list(token)
     return _parse_scalar(token)
 
@@ -200,7 +214,7 @@ def _read_config_file(path: Path) -> dict:
         raise ConfigError(f"config file {path} does not exist")
     out: dict[str, object] = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _split(raw, "#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -208,8 +222,6 @@ def _read_config_file(path: Path) -> dict:
         key, rhs = line.split("=", 1)
         key = key.strip()
         where = f"{path}:{lineno}"
-        if "{" in rhs and "}" not in rhs:
-            raise ConfigError(f"{where}: unterminated inline table")
         if key not in _KEYS:
             raise ConfigError(f"{where}: unknown key {key!r}")
         value = _coerce(key, _parse_value(rhs, where), where)

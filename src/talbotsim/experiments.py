@@ -7,7 +7,9 @@ per-line delay-plan differences between characteristics, and a
 tabulation of one characteristic.  ``STUDIES`` registers each one with
 its runner, its writer and the config keys it reads; the command line
 builds its subcommands and their flags from it, and it and
-:func:`run_all` dispatch from it.
+:func:`run_all` dispatch from it.  A study's writer writes every CSV
+through :func:`_write_csv` and draws its charts from the same values
+(:mod:`~talbotsim.svgplot`), never from the CSV it wrote.
 
 Seeds derive from (master seed, experiment id, point index, seed
 index), so results do not depend on execution order or worker count.
@@ -72,8 +74,6 @@ from .analysis import (
     envelope_periodogram,
     jitter,
     passband_periodogram,
-    write_jitter_csv,
-    write_spectrum_csv,
 )
 from .dispersion import (
     KINDS,
@@ -88,7 +88,7 @@ from .dispersion import (
 from .errors import BudgetError, ConfigError
 from .model import CombLines, CombSpec, SimGrid, bin_spacing, build_grid, comb_lines, NoiseProfile
 from .superposition import Lags, lag_histogram, power_at_bins, scratch, scratch_bytes
-from .svgplot import render_plots
+from .svgplot import offsets_chart, spectrum_chart, sweep_charts
 from .synthesis import SynthesisRequest, Workspace, default_noise_profile, synth_carrier, synth_envelope
 
 __all__ = [
@@ -108,8 +108,6 @@ __all__ = [
     "run_all",
     "dry_run",
     "write_manifest",
-    "write_sweep_csv",
-    "write_offsets_csv",
 ]
 
 #: Desk-scale defaults: every dimensionless ratio the physics depends on
@@ -338,8 +336,10 @@ _LINE_BYTES = 48
 _READ_BYTES = 72
 #: a seed's value in a sweep row, as it is built (32 B held);
 _ROW_BYTES_PER_VALUE = 48
-#: a table row as values or as CSV text; a write holds both (167 B);
-_TABLE_BYTES_PER_ROW = 96
+#: a table row as values or as CSV text; a write holds the values, the
+#: lines, their text and its encoding (199 B a dispersion-eval row, 167 B
+#: an offsets-diff row);
+_TABLE_BYTES_PER_ROW = 104
 #: what every run holds besides: its manifest, as it is written (16 KB).
 _RUN_BYTES = 16 << 10
 #: A carrier waiting for its read: its (noise, seed) tuple and a seed of up
@@ -906,10 +906,11 @@ def offsets_experiment(cfg: ExperimentConfig) -> list[OffsetsTable]:
     return tables
 
 
-def dispersion_eval(cfg: ExperimentConfig, kind: str = "ideal") -> tuple[str, list[str]]:
+def dispersion_eval(cfg: ExperimentConfig, kind: str = "ideal") -> tuple[str, tuple]:
     """Tabulate ``kind``'s dispersion and delay-plan offset per comb line.
 
-    Returns a summary line (D at the center wavelength) and the CSV lines.
+    Returns a summary line (D at the center wavelength) and the table's
+    columns: line index, wavelength (nm), D (ps/nm) and offset (samples).
     """
     comb = cfg.comb
     _check_budget(cfg, _table_guard(cfg, "dispersion-eval", (kind,), (comb.width,)))
@@ -917,65 +918,52 @@ def dispersion_eval(cfg: ExperimentConfig, kind: str = "ideal") -> tuple[str, li
     (plan,) = _plans(cfg, cfg.grid, kind, [comb.width], lines)
     spec = cfg.dispersion_spec(kind)
     d_ps_nm = np.asarray(eval_dispersion(spec, lines.lam)) * 1e3
-    rows = ["line_index,lambda_nm,d_ps_per_nm,offset_samples"]
-    for k, lam, d, off in zip(lines.index, lines.lam * 1e9, d_ps_nm, plan.offsets):
-        rows.append(f"{k},{lam:.10g},{d:.10g},{off}")
     d0_ps_nm = eval_dispersion(spec, comb.lambda0) * 1e3
-    return f"D({comb.lambda0 * 1e9:.6g} nm) = {d0_ps_nm:.4g} ps/nm", rows
+    summary = f"D({comb.lambda0 * 1e9:.6g} nm) = {d0_ps_nm:.4g} ps/nm"
+    return summary, (lines.index, lines.lam * 1e9, d_ps_nm, plan.offsets)
 
 
-def write_sweep_csv(rows: list[SweepRow], path: str | Path) -> None:
-    lines = ["x_value,dispersion_kind,offset_hz,mean_L_dbc_hz,std_L_db,n_seeds"]
-    for r in rows:
-        lines.append(
-            f"{r.x_value:.10g},{r.kind},{r.offset_hz:.10g},"
-            f"{r.mean_l_dbc:.10g},{r.std_l_db:.10g},{r.n_seeds}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_offsets_csv(table: OffsetsTable, path: str | Path) -> None:
-    lines = ["line_index,lambda_nm,diff_linear_samples,diff_constant_samples"]
-    for k, lam, dl, dc in zip(
-        table.line_index, table.lambda_nm, table.diff_linear, table.diff_constant
-    ):
-        lines.append(f"{k},{lam:.10g},{dl},{dc}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _with_plots(paths: list[Path], out: Path, render_svg: bool) -> list[Path]:
-    return paths + (render_plots(paths, out) if render_svg else [])
+def _write_csv(path: Path, header: str, rows) -> Path:
+    """Write ``header`` and one line per row of values to ``path``: a
+    float as ``.10g``, any other value with ``str``."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(f"{v:.10g}" if isinstance(v, float) else str(v) for v in row))
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 def _write_simulate(result, out: Path, render_svg: bool) -> list[Path]:
     spectrum, jitter_result = result
-    path = out / "spectrum.csv"
-    write_spectrum_csv(spectrum, path)
-    files = _with_plots([path], out, render_svg)
+    files = [_write_csv(out / "spectrum.csv", "offset_hz,L_dbc_hz", zip(spectrum.offsets, spectrum.l_dbc))]
+    if render_svg:
+        files.append(spectrum_chart(spectrum, "spectrum", out))
     if jitter_result is not None:
-        files.append(out / "jitter.csv")
-        write_jitter_csv(jitter_result, files[-1])
+        row = (*jitter_result.band, jitter_result.integrated_l, jitter_result.rms_time_jitter)
+        files.append(_write_csv(out / "jitter.csv", "f_min_hz,f_max_hz,integrated_L,rms_jitter_s", [row]))
     return files
 
 
-def _write_sweep(name: str, rows: list[SweepRow], out: Path, render_svg: bool) -> list[Path]:
-    path = out / name
-    write_sweep_csv(rows, path)
-    return _with_plots([path], out, render_svg)
+def _write_sweep(stem: str, rows: list[SweepRow], out: Path, render_svg: bool) -> list[Path]:
+    header = "x_value,dispersion_kind,offset_hz,mean_L_dbc_hz,std_L_db,n_seeds"
+    values = ((r.x_value, r.kind, r.offset_hz, r.mean_l_dbc, r.std_l_db, r.n_seeds) for r in rows)
+    files = [_write_csv(out / f"{stem}.csv", header, values)]
+    return files + (sweep_charts(rows, stem, out) if render_svg else [])
 
 
 def _write_offsets(tables: list[OffsetsTable], out: Path, render_svg: bool) -> list[Path]:
-    paths = []
-    for table in tables:
-        paths.append(out / f"offsets_diff_{table.width:.10g}.csv")
-        write_offsets_csv(table, paths[-1])
-    return _with_plots(paths, out, render_svg)
+    header = "line_index,lambda_nm,diff_linear_samples,diff_constant_samples"
+    named = [(f"offsets_diff_{t.width:.10g}", t) for t in tables]
+    files = [
+        _write_csv(out / f"{stem}.csv", header, zip(t.line_index, t.lambda_nm, t.diff_linear, t.diff_constant))
+        for stem, t in named
+    ]
+    return files + ([offsets_chart(t, stem, out) for stem, t in named] if render_svg else [])
 
 
 def _write_dispersion_eval(result, out: Path, render_svg: bool) -> list[Path]:
-    path = out / "dispersion_eval.csv"
-    path.write_text("\n".join(result[1]) + "\n")
-    return [path]
+    header = "line_index,lambda_nm,d_ps_per_nm,offset_samples"
+    return [_write_csv(out / "dispersion_eval.csv", header, zip(*result[1]))]
 
 
 @dataclass(frozen=True)
@@ -1029,7 +1017,7 @@ STUDIES: dict[str, Study] = {
         Study(
             "sweep-oversampling",
             sweep_oversampling,
-            partial(_write_sweep, "sweep_oversampling.csv"),
+            partial(_write_sweep, "sweep_oversampling"),
             keys=(
                 "comb.f_r", "grid.t_sig", *_NOISE_KEYS, "analysis.offsets", "sweep.ratios",
                 "seeds.count", "seeds.master", *_RUN_KEYS,
@@ -1040,7 +1028,7 @@ STUDIES: dict[str, Study] = {
         Study(
             "sweep-comb-width",
             sweep_comb_width,
-            partial(_write_sweep, "sweep_comb_width.csv"),
+            partial(_write_sweep, "sweep_comb_width"),
             keys=(
                 "comb.f_r", "comb.lambda0", "grid.oversampling", "grid.t_sig", "dispersion.kinds",
                 "dispersion.m", "dispersion.table", *_NOISE_KEYS, "analysis.offsets", "sweep.widths",

@@ -1,8 +1,11 @@
-"""Minimal static SVG line charts for the emitted CSV files.
+"""Minimal static SVG line charts of a study's values.
 
-Deliberately dependency-free: the plots are verification aids, not
-publication graphics.  Output is deterministic (no timestamps), so
-identical CSV input yields byte-identical SVG.
+Each chart function takes the values a study computed (its sweep rows,
+its offsets tables or its spectrum), draws them with :func:`line_chart`
+and writes the SVG into an output directory.  Deliberately
+dependency-free: the plots are verification aids, not publication
+graphics.  Output is deterministic (no timestamps), so identical values
+yield byte-identical SVG.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-__all__ = ["render_plots", "line_chart"]
+__all__ = ["line_chart", "sweep_charts", "offsets_chart", "spectrum_chart"]
 
 # Curve colors follow the established convention of this problem area:
 # constant blue, linear green, ideal red; pure tone black.
@@ -132,95 +135,53 @@ def line_chart(
     return "\n".join(parts) + "\n"
 
 
-def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
-    text = path.read_text().strip()
-    if not text:
-        raise ValueError(f"{path}: empty CSV")
-    lines = text.splitlines()
-    header = lines[0].split(",")
-    rows = [line.split(",") for line in lines[1:] if line.strip()]
-    if not rows:
-        raise ValueError(f"{path}: CSV has a header but no data rows")
-    for i, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise ValueError(f"{path}:{i}: expected {len(header)} columns, got {len(row)}")
-    return header, rows
+def _write(path: Path, svg: str) -> Path:
+    path.write_text(svg)
+    return path
 
 
-def _render_sweep(path: Path, out_dir: Path) -> list[Path]:
-    _, rows = _read_csv(path)
-    offsets = sorted({float(r[2]) for r in rows})
-    kinds = list(dict.fromkeys(r[1] for r in rows))
+def sweep_charts(rows, stem: str, out_dir: Path) -> list[Path]:
+    """Chart mean L against the sweep variable of sweep ``rows``, a curve
+    per kind, one chart per offset, into ``out_dir/{stem}_offset_{offset}.svg``."""
+    kinds = list(dict.fromkeys(r.kind for r in rows))
     written = []
-    for off in offsets:
+    for off in sorted({r.offset_hz for r in rows}):
         series = []
         for kind in kinds:
-            pts = [(float(r[0]), float(r[3])) for r in rows if r[1] == kind and float(r[2]) == off]
-            pts.sort()
-            series.append((kind, [p[0] for p in pts], [p[1] for p in pts]))
+            pts = sorted((r.x_value, r.mean_l_dbc) for r in rows if r.kind == kind and r.offset_hz == off)
+            series.append((kind, [x for x, _ in pts], [y for _, y in pts]))
         svg = line_chart(
             series,
-            title=f"{path.stem} at {off:.4g} Hz offset",
+            title=f"{stem} at {off:.4g} Hz offset",
             xlabel="sweep variable",
             ylabel="L (dBc/Hz)",
             logx=True,
         )
-        target = out_dir / f"{path.stem}_offset_{off:.10g}.svg"
-        target.write_text(svg)
-        written.append(target)
+        written.append(_write(out_dir / f"{stem}_offset_{off:.10g}.svg", svg))
     return written
 
 
-def _render_offsets(path: Path, out_dir: Path) -> list[Path]:
-    _, rows = _read_csv(path)
-    idx = [float(r[0]) for r in rows]
-    series = [
-        ("linear", idx, [float(r[2]) for r in rows]),
-        ("constant", idx, [float(r[3]) for r in rows]),
-    ]
+def offsets_chart(table, stem: str, out_dir: Path) -> Path:
+    """Chart an offsets table's per-line differences against the line
+    index, linear and constant, into ``out_dir/{stem}.svg``."""
+    idx = table.line_index.tolist()
+    series = [("linear", idx, table.diff_linear.tolist()), ("constant", idx, table.diff_constant.tolist())]
     svg = line_chart(
         series,
-        title=f"{path.stem}: sample-offset difference vs ideal",
+        title=f"{stem}: sample-offset difference vs ideal",
         xlabel="comb line index",
         ylabel="difference (samples)",
     )
-    target = out_dir / f"{path.stem}.svg"
-    target.write_text(svg)
-    return [target]
+    return _write(out_dir / f"{stem}.svg", svg)
 
 
-def _render_spectrum(path: Path, out_dir: Path) -> list[Path]:
-    _, rows = _read_csv(path)
-    xs = [float(r[0]) for r in rows]
-    ys = [float(r[1]) for r in rows]
+def spectrum_chart(spectrum, stem: str, out_dir: Path) -> Path:
+    """Chart a spectrum's L against its offsets into ``out_dir/{stem}.svg``."""
     svg = line_chart(
-        [("L", xs, ys)],
-        title=path.stem,
+        [("L", spectrum.offsets.tolist(), spectrum.l_dbc.tolist())],
+        title=stem,
         xlabel="offset from carrier (Hz)",
         ylabel="L (dBc/Hz)",
         logx=True,
     )
-    target = out_dir / f"{path.stem}.svg"
-    target.write_text(svg)
-    return [target]
-
-
-def render_plots(csv_paths, out_dir: str | Path) -> list[Path]:
-    """Render every recognized CSV into one or more SVG charts."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for path in map(Path, csv_paths):
-        text = path.read_text()
-        if not text.strip():
-            raise ValueError(f"{path}: empty CSV")
-        header = text.splitlines()[0]
-        if header.startswith("x_value,"):
-            written.extend(_render_sweep(path, out_dir))
-        elif header.startswith("line_index,"):
-            written.extend(_render_offsets(path, out_dir))
-        elif header.startswith("offset_hz,"):
-            written.extend(_render_spectrum(path, out_dir))
-        else:
-            raise ValueError(f"{path}: unrecognized CSV header {header!r}")
-    return written
+    return _write(out_dir / f"{stem}.svg", svg)

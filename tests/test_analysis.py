@@ -8,15 +8,12 @@ from scipy.signal import periodogram as scipy_periodogram
 
 from talbotsim.analysis import (
     BinReader,
-    JitterResult,
     PhaseNoiseSpectrum,
     classical_penalty,
     jitter,
     periodogram,
     phase_noise_spectrum,
     phase_noise_from_psd,
-    write_jitter_csv,
-    write_spectrum_csv,
 )
 from talbotsim.errors import CarrierNotFoundError
 from talbotsim.model import NoiseProfile, SampledSignal, build_grid
@@ -634,27 +631,3 @@ class TestDemodPhasePsd:
         with pytest.raises(CarrierNotFoundError):
             demod_phase_psd(y, 1e5)
 
-
-class TestCsvWriters:
-    def test_spectrum_csv(self, tmp_path):
-        spec = PhaseNoiseSpectrum(
-            carrier_freq=1e7,
-            carrier_power=0.5,
-            offsets=np.array([1e4, 1e6]),
-            l_dbc=np.array([-93.25, -113.5]),
-            df=500.0,
-        )
-        path = tmp_path / "spectrum.csv"
-        write_spectrum_csv(spec, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "offset_hz,L_dbc_hz"
-        assert lines[1] == "10000,-93.25"
-        assert lines[2] == "1000000,-113.5"
-
-    def test_jitter_csv(self, tmp_path):
-        result = JitterResult(integrated_l=1e-6, band=(1e4, 1e6), rms_time_jitter=2.25e-11)
-        path = tmp_path / "jitter.csv"
-        write_jitter_csv(result, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "f_min_hz,f_max_hz,integrated_L,rms_jitter_s"
-        assert lines[1] == "10000,1000000,1e-06,2.25e-11"

@@ -15,7 +15,7 @@ from talbotsim.cli import _KEYS, _build_parser, experiment_config, main, parse_c
 from talbotsim.errors import ConfigError
 from talbotsim.experiments import STUDIES, ExperimentConfig
 from talbotsim.model import build_grid
-from talbotsim.svgplot import render_plots
+from talbotsim.svgplot import offsets_chart
 from talbotsim.synthesis import default_noise_profile
 
 
@@ -52,6 +52,16 @@ class TestParseConfig:
         path.write_text("comb.frequency = 1e7\n")
         with pytest.raises(ConfigError, match="unknown key 'comb.frequency'"):
             parse_config(path)
+
+    def test_unknown_override_rejected(self):
+        with pytest.raises(ConfigError, match="override: unknown key 'comb.frequency'"):
+            parse_config(None, {"comb.frequency": 1e7})
+
+    def test_quoted_value_is_kept_whole(self, tmp_path):
+        # Inside double quotes "," separates no list items and "#" starts no comment.
+        path = tmp_path / "run.cfg"
+        path.write_text('dispersion.table = "a,b#c.txt"  # a "quoted" comment\nanalysis.offsets = 1e4, 1e6 # two\n')
+        assert parse_config(path) == {"dispersion.table": "a,b#c.txt", "analysis.offsets": [1e4, 1e6]}
 
     def test_error_names_location(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -605,40 +615,26 @@ class TestNoiseConfig:
 
 class TestRenderPlots:
     def test_sweep_csv_three_curves(self, tmp_path):
-        csv = tmp_path / "sweep_comb_width.csv"
-        rows = ["x_value,dispersion_kind,offset_hz,mean_L_dbc_hz,std_L_db,n_seeds"]
-        for kind in ("ideal", "linear", "constant"):
-            for off in (1e4, 1e6):
-                for x in (1e8, 1e9, 1e10):
-                    rows.append(f"{x},{kind},{off},-100,-0.5,2")
-        csv.write_text("\n".join(rows) + "\n")
-        written = render_plots([csv], tmp_path)
-        assert len(written) == 2
+        rows = [
+            experiments.SweepRow(x, kind, off, -100.0, -0.5, 2)
+            for kind in ("ideal", "linear", "constant")
+            for off in (1e4, 1e6)
+            for x in (1e8, 1e9, 1e10)
+        ]
+        csv, *written = experiments._write_sweep("sweep_comb_width", rows, tmp_path, True)
+        assert csv.name == "sweep_comb_width.csv"
+        assert [p.name for p in written] == ["sweep_comb_width_offset_10000.svg", "sweep_comb_width_offset_1000000.svg"]
         for path in written:
             svg = path.read_text()
             assert svg.count("<polyline") == 3
             for kind in ("ideal", "linear", "constant"):
                 assert kind in svg
 
-    def test_empty_csv_rejected(self, tmp_path):
-        csv = tmp_path / "sweep_x.csv"
-        csv.write_text("x_value,dispersion_kind,offset_hz,mean_L_dbc_hz,std_L_db,n_seeds\n")
-        with pytest.raises(ValueError, match="no data rows"):
-            render_plots([csv], tmp_path)
-        assert not list(tmp_path.glob("*.svg"))
-
     def test_deterministic_svg(self, tmp_path):
-        csv = tmp_path / "offsets_diff_1e+11.csv"
-        body = ["line_index,lambda_nm,diff_linear_samples,diff_constant_samples"]
-        for i in range(-5, 6):
-            body.append(f"{i},{1550 + 0.01 * i:.4f},0,{abs(i)}")
-        csv.write_text("\n".join(body) + "\n")
-        (a,) = render_plots([csv], tmp_path / "a")
-        (b,) = render_plots([csv], tmp_path / "b")
+        index = np.arange(-5, 6)
+        table = experiments.OffsetsTable(1e11, index, 1550 + 0.01 * index, 0 * index, abs(index))
+        a = offsets_chart(table, "offsets_diff_1e+11", tmp_path)
+        assert a == tmp_path / "offsets_diff_1e+11.svg"
+        (tmp_path / "b").mkdir()
+        b = offsets_chart(table, "offsets_diff_1e+11", tmp_path / "b")
         assert a.read_bytes() == b.read_bytes()
-
-    def test_unrecognized_header(self, tmp_path):
-        csv = tmp_path / "weird.csv"
-        csv.write_text("a,b\n1,2\n")
-        with pytest.raises(ValueError, match="unrecognized"):
-            render_plots([csv], tmp_path)

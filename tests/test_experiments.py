@@ -12,7 +12,14 @@ import pytest
 import talbotsim
 import talbotsim.analysis as analysis
 import talbotsim.experiments as experiments
-from talbotsim.analysis import BinReader, envelope_periodogram, periodogram, phase_noise_from_psd
+from talbotsim.analysis import (
+    BinReader,
+    JitterResult,
+    PhaseNoiseSpectrum,
+    envelope_periodogram,
+    periodogram,
+    phase_noise_from_psd,
+)
 from talbotsim.errors import BudgetError, CarrierNotFoundError, ConfigError
 from talbotsim.experiments import (
     ExperimentConfig,
@@ -23,7 +30,6 @@ from talbotsim.experiments import (
     sweep_comb_width,
     sweep_oversampling,
     write_manifest,
-    write_sweep_csv,
 )
 from talbotsim.dispersion import DelayPlan, delay_plan
 from talbotsim.model import CombSpec, NoiseProfile, build_grid, comb_lines
@@ -752,11 +758,40 @@ class TestSweepCsv:
     def test_schema(self, tmp_path):
         cfg = small_config(widths=(1e8,), n_seeds=2)
         rows = sweep_comb_width(cfg)
-        path = tmp_path / "rows.csv"
-        write_sweep_csv(rows, path)
+        (path,) = experiments._write_sweep("rows", rows, tmp_path, False)
+        assert path == tmp_path / "rows.csv"
         lines = path.read_text().splitlines()
         assert lines[0] == "x_value,dispersion_kind,offset_hz,mean_L_dbc_hz,std_L_db,n_seeds"
         assert len(lines) == 1 + len(rows)
         first = lines[1].split(",")
         assert first[1] in cfg.kinds
         assert int(first[5]) == 2
+
+
+class TestCsvWriters:
+    def test_spectrum_csv(self, tmp_path):
+        spec = PhaseNoiseSpectrum(
+            carrier_freq=1e7,
+            carrier_power=0.5,
+            offsets=np.array([1e4, 1e6]),
+            l_dbc=np.array([-93.25, -113.5]),
+            df=500.0,
+        )
+        # No jitter band: the spectrum alone, and no SVG unless asked for.
+        assert experiments._write_simulate((spec, None), tmp_path, False) == [tmp_path / "spectrum.csv"]
+        lines = (tmp_path / "spectrum.csv").read_text().splitlines()
+        assert lines == ["offset_hz,L_dbc_hz", "10000,-93.25", "1000000,-113.5"]
+
+    def test_jitter_csv(self, tmp_path):
+        spec = PhaseNoiseSpectrum(1e7, 0.5, np.array([1e4, 1e6]), np.array([-93.25, -113.5]), 500.0)
+        result = JitterResult(integrated_l=1e-6, band=(1e4, 1e6), rms_time_jitter=2.25e-11)
+        files = experiments._write_simulate((spec, result), tmp_path, True)
+        assert [p.name for p in files] == ["spectrum.csv", "spectrum.svg", "jitter.csv"]
+        lines = (tmp_path / "jitter.csv").read_text().splitlines()
+        assert lines[0] == "f_min_hz,f_max_hz,integrated_L,rms_jitter_s"
+        assert lines[1] == "10000,1000000,1e-06,2.25e-11"
+
+    def test_floats_in_ten_digits_and_other_values_as_str(self, tmp_path):
+        rows = [(1.0, "ideal", np.float64(1 / 3), np.int64(-7), 12345678901, 2.5e-300, float("-inf"))]
+        path = experiments._write_csv(tmp_path / "t.csv", "a,b,c,d,e,f,g", rows)
+        assert path.read_text() == "a,b,c,d,e,f,g\n1,ideal,0.3333333333,-7,12345678901,2.5e-300,-inf\n"

@@ -158,6 +158,16 @@ class TestManifestHash:
         assert manifest["config"]["study"]["name"] == argv[0]
 
 
+def test_quoted_config_value_keeps_its_commas_and_hashes(tmp_path):
+    # A table path with "," and "#" names the same file in a config file,
+    # quoted and followed by a comment, as it does on the command line.
+    table = write_table(tmp_path / "a,b#c.txt")
+    argv = SIM + ["--kind", "tabulated"]
+    _, by_flag = run(tmp_path, "flag", argv + ["--table", str(table)])
+    _, by_file = run(tmp_path, "file", argv, f'dispersion.table = "{table}"  # "a,b#c"\n')
+    assert by_file == by_flag
+
+
 BAD_INPUT = {
     "band-one-value": (["simulate", "--jitter-band", "1e4"], "f_min:f_max"),
     "band-not-numbers": (["simulate", "--jitter-band", "a:b"], "f_min:f_max"),
@@ -168,6 +178,13 @@ BAD_INPUT = {
     "kinds-tabulated-no-table": (["sweep-comb-width", "--kinds", "tabulated"], "dispersion.table"),
     "table-missing": (["simulate", "--kind", "tabulated", "--table", "{missing}"], "missing.txt"),
     "table-malformed": (["simulate", "--kind", "tabulated", "--table", "{malformed}"], "two columns"),
+    "table-cell-not-a-number": (["simulate", "--kind", "tabulated", "--table", "{not_a_number}"], ":2: could not convert"),
+    # Config-file lines the parser refuses, each named by its file and line.
+    "config-no-equals": (["simulate", "--config", "{no_equals}"], "no_equals.cfg:1: expected 'key = value'"),
+    "config-text-after-table": (["simulate", "--config", "{after_table}"], "unterminated inline table"),
+    "config-table-item-no-equals": (["simulate", "--config", "{item_no_equals}"], "expected 'name = value' inside {...}"),
+    "config-term-one-field": (["simulate", "--config", "{one_field}"], "noise.term takes an inline table"),
+    "config-term-not-a-number": (["simulate", "--config", "{field_text}"], "noise.term fields must be numbers"),
     "table-short-simulate": (
         ["simulate", "--kind", "tabulated", "--width", "1e10", "--table", "{narrow}"],
         "outside tabulated range",
@@ -277,6 +294,11 @@ CONFIGS = {
     "widths": "sweep.widths = -1e9, 1e9",
     "noise_negative": "noise.term = {alpha = 0, b = -1e-11}",
     "noise_overflow": "noise.term = {alpha = 0, b = 1e308}",
+    "no_equals": "comb.f_r 1e7",
+    "after_table": "noise.term = {alpha = 0, b = 1} x",
+    "item_no_equals": "noise.term = {alpha 0, b = 1}",
+    "one_field": "noise.term = {alpha = 0}",
+    "field_text": "noise.term = {alpha = x, b = 1}",
 }
 
 
@@ -290,6 +312,8 @@ def test_bad_input_is_config_error(tmp_path, capsys, case):
         "huge": write_table(tmp_path / "huge.txt", scale=1e20),
     }
     files["malformed"].write_text("1549.0 1.2e7 3\n1551.0 1.2e7 3\n")
+    files["not_a_number"] = tmp_path / "not_a_number.txt"
+    files["not_a_number"].write_text("1549.0 1.2e7\n1551.0 abc\n")
     files["narrow_cfg"] = tmp_path / "narrow.cfg"
     files["narrow_cfg"].write_text(f"dispersion.table = {files['narrow']}\n")
     for name, line in CONFIGS.items():

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from talbotsim.analysis import periodogram
+from talbotsim.analysis import BinReader, periodogram
 from talbotsim.dispersion import DelayPlan, DispersionSpec, delay_plan
+from talbotsim.experiments import ExperimentConfig
 from talbotsim.model import CombSpec, NoiseProfile, SampledSignal, build_grid
 from talbotsim.superposition import _RUN, _wrap, lag_histogram, power_at_bins, scratch, superpose
 from talbotsim.synthesis import SynthesisRequest, synth_carrier
@@ -156,6 +157,27 @@ class TestSpectralEngine:
             expected = unfolded_power_transfer(plan)
             for bins in selections:
                 np.testing.assert_allclose(power_at_bins(plan, bins), expected[bins], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("lines", [101, 1001, 2001])
+    def test_ideal_plan_power_is_the_dirichlet_kernel(self, lines):
+        # The ideal plan's offsets are (K - 1 - k) N, so its |H|^2 on bin j
+        # is sin^2(pi K j N / n) / (K^2 sin^2(pi j N / n)), or 1 where j N / n
+        # is an integer; the phases are reduced mod n in integers first.
+        cfg = ExperimentConfig()
+        grid, f_r = cfg.grid, cfg.comb.f_r
+        comb = CombSpec(f_r=f_r, lambda0=cfg.comb.lambda0, width=(lines - 1) * f_r)
+        plan = delay_plan(DispersionSpec.ideal(f_r, comb.lambda0), comb, grid)
+        n, step = grid.n_samples, grid.oversampling
+        assert np.array_equal(plan.offsets, (lines - 1 - np.arange(lines)) * step)
+        read = BinReader(n, grid.sample_rate, f_r, cfg.offsets).reads
+        drawn = np.random.default_rng(lines).integers(0, n // 2 + 1, size=2000)
+        bins = np.unique(np.concatenate((read, drawn, [0, n // 2])))
+        phase = bins * step % n
+        on_lattice = phase == 0
+        inner = np.sin(np.pi * phase / n)
+        outer = np.sin(np.pi * (lines * phase % n) / n)
+        kernel = np.divide(outer**2, (lines * inner) ** 2, out=np.ones(len(bins)), where=~on_lattice)
+        np.testing.assert_allclose(power_at_bins(plan, bins), kernel, rtol=0, atol=1e-11)
 
     def test_power_at_bins_refuses_bins_outside_the_window(self):
         plan = make_plan([0, 3], 16)
