@@ -45,7 +45,8 @@ read is array operations on the values: each row's peak, its picks
 gathered, their median from minima and maxima, and L.
 ``read(values, power, plans)`` reads them seen through each of
 ``plans`` plans at once, whose |H|^2 is ``power(bins, which)``: the
-reader asks for it only on the bins it looks at.
+reader asks for it only on the bins it looks at.  With no ``power`` it
+reads through the flat plan, whose |H|^2 is 1, on the same path.
 :func:`phase_noise_from_psd` is a reader's read of one row, every bin
 of a dense PSD known.  An envelope reader keeps the envelope's
 periodogram on the same bins, and reads the lower sideband of an offset
@@ -273,6 +274,11 @@ def _sidebands(values: np.ndarray, index: np.ndarray, flat: np.ndarray, two: np.
     return l_dbc.reshape(ratio.shape)
 
 
+def _flat(bins: np.ndarray, which: list) -> np.ndarray:
+    """|H|^2 of the flat plan, the bare carrier's: 1 on every bin, for each plan of ``which``."""
+    return np.ones((len(which), len(bins)))
+
+
 def _index_dtype(size: int):
     """The smallest of int32 and int64 that indexes ``size`` values."""
     return np.int32 if size <= np.iinfo(np.int32).max else np.int64
@@ -317,7 +323,7 @@ class BinReader:
     :meth:`take` runs the 1e-6 dominance test on a bare periodogram and
     keeps its values on ``reads``; :meth:`read` reads L off a carriers x
     ``reads`` array of such values, each seen through each of many plans'
-    |H|^2 when it is given them.  Since |H| <= 1 the detected total is
+    |H|^2, by default the flat plan's.  Since |H| <= 1 the detected total is
     at most the bare one, so the dominance test is not rerun per plan: a
     plan is refused only when its detected carrier holds no power at all.
     A read asks for |H|^2, which is even in frequency, on the distinct
@@ -360,8 +366,9 @@ class BinReader:
             self._bins = _sorted_unique(mirrored)
             self._fold = np.searchsorted(self._bins, mirrored)
             self.rate, self.shift = self.length * df, center
+            self._taken = self.reads - center  # each read's bin of the envelope's periodogram
         else:
-            self._bins, self._fold = self.reads, slice(None)
+            self._bins, self._fold, self._taken = self.reads, slice(None), self.reads
             self.length, self.rate, self.shift = n_samples, sample_rate, 0
 
     def outside(self, carrier: int | None = None) -> tuple[np.ndarray, float, float]:
@@ -377,19 +384,19 @@ class BinReader:
         through ``plans`` plans at once, which may move a carrier's peak
         when ``moving``: the bytes building it passed through (its own
         arrays: its offsets, reads, and an envelope reader's distinct
-        ``|reads|`` and their places; one chunk's candidates on every bin
-        of the window; and the reads found, sorted and merged); the bytes
-        it holds once read (its own arrays, and a pick-table row for each
-        bin the peaks can fall on, one per carrier for its bare peak and,
-        when ``moving``, one more per carrier and plan: 6 indices and 2
-        marks an offset); and the bytes one :meth:`read` passes through (a
-        row's picks chosen one chunk at a time, and for each carrier and
-        plan its values on the reads and on the carrier window, its bin,
-        peak and power, its row index, offset and scale, and
-        ``_READ_BYTES_PER_OFFSET`` an offset of a chunk)."""
+        ``|reads|``, their places and the envelope's bins of its reads; one
+        chunk's candidates on every bin of the window; and the reads found,
+        sorted and merged); the bytes it holds once read (its own arrays,
+        and a pick-table row for each bin the peaks can fall on, one per
+        carrier for its bare peak and, when ``moving``, one more per carrier
+        and plan: 6 indices and 2 marks an offset); and the bytes one
+        :meth:`read` passes through (a row's picks chosen one chunk at a
+        time, and for each carrier and plan its values on the reads and on
+        the carrier window, its bin, peak and power, its row index, offset
+        and scale, and ``_READ_BYTES_PER_OFFSET`` an offset of a chunk)."""
         reads, window, offsets = self.reads, self.window, len(self.offsets)
         value, chunk = np.dtype(np.float64).itemsize, min(offsets, _OFFSET_CHUNK)
-        own = self.offsets.nbytes + (3 if self.envelope else 1) * reads.nbytes
+        own = self.offsets.nbytes + (4 if self.envelope else 1) * reads.nbytes
         finding = own + chunk * len(window) * _CANDIDATE_BYTES + 3 * reads.nbytes
         rows = min(len(window), carriers * (1 + plans if moving else 1))
         table = rows * offsets * (6 * np.dtype(_index_dtype(len(reads))).itemsize + 2 * np.dtype(bool).itemsize)
@@ -407,18 +414,19 @@ class BinReader:
         j + ``shift``.
         """
         _dominant(psd, range(self.window.start - self.shift, self.window.stop - self.shift), self.df, self.f_r)
-        return np.take(psd, self.reads - self.shift, out=out)
+        return np.take(psd, self._taken, out=out)
 
     def read(
-        self, values: np.ndarray, power: Callable | None = None, plans: int = 1
+        self, values: np.ndarray, power: Callable = _flat, plans: int = 1
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """L(f) off ``values``, carriers x ``reads``: each row the PSD of one
-        carrier on ``reads``, seen through each of ``plans`` plans if
-        ``power`` is given.
+        carrier on ``reads``, seen through each of ``plans`` plans.
 
         ``power(bins, which)`` is the |H|^2 of each plan of ``which``, a
         list of plan indices, on ``bins``, ascending and non-negative, as
-        ``len(which)`` x bins.  The read asks it for the bins it looks at
+        ``len(which)`` x bins; by default that of the flat plan, 1 on every
+        bin, which reads ``values`` as they are, bit for bit, since
+        multiplying by 1 is exact.  The read asks it for the bins it looks at
         alone, and holds 0 on every other: it guesses the carriers' peaks
         from ``values`` and asks once, for every plan, for the carrier
         window and those peaks' picks; then it asks again, one plan at a
@@ -427,9 +435,8 @@ class BinReader:
         The values on the bins it does not ask for may hold anything.
 
         Returns L in dBc/Hz, (plans x carriers) x ``offsets``, row
-        p * carriers + c for carrier c through plan p (carriers x
-        ``offsets`` with no ``power``), and each row's carrier bin and
-        power.  The carrier is the peak of the carrier
+        p * carriers + c for carrier c through plan p, and each row's
+        carrier bin and power.  The carrier is the peak of the carrier
         window, the first of equals; a peak with no power raises
         CarrierNotFoundError, and an offset outside its measurable range
         (:meth:`outside`) ValueError, for the first row refused.  The
@@ -438,11 +445,8 @@ class BinReader:
         ``_OFFSET_CHUNK`` offsets at a time.
         """
         carriers, width = values.shape
-        rows = carriers * (1 if power is None else plans)
+        rows = carriers * plans
         results = (np.empty((rows, len(self.offsets))), np.empty(rows, np.int64), np.empty(rows))
-        if power is None:
-            self._read(values, *results)
-            return results
         window, fold = values[:, self._columns], self._fold
         guessed = set(np.argmax(window, axis=1).tolist())
         asked = self._wanted(guessed)

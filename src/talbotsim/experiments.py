@@ -34,8 +34,8 @@ widths on the widest comb's line grid
 (:func:`~talbotsim.dispersion.delay_plans`, through
 :func:`_plans_by_kind`); a plan that a characteristic refuses is named
 as building the plans one at a time in the study's order would name it.
-A read compares plans cheaply first: by their offsets against the other
-kinds' at the same width, then by the shape of their lag histograms.
+A read keys its plans by one rule: equal offsets at a width share a
+key, as do all one-line plans; every other plan has a key of its own.
 
 The comb-width sweep reads L only near f_r, so its carrier jobs
 synthesize each carrier as its complex envelope, on a window only as
@@ -123,7 +123,7 @@ _DIFF_KINDS = ("ideal", "linear", "constant")
 def _read_table(path: Path) -> tuple[np.ndarray, np.ndarray, str]:
     """Wavelengths, dispersion and sha256 of a table file; any fault is a ConfigError."""
     try:
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        digest = _sha256(path)
         lam, d = read_dispersion_table(path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"dispersion table {path}: {exc}") from None
@@ -301,9 +301,9 @@ def derive_seed(master_seed: int, experiment: str, point_index: int, seed_index:
 #: them.  A read runs in phases, one after another, and the guard takes
 #: the largest:
 #: - build: the reader, and every plan, built one kind at a time, each
-#:   kind's widths in groups no longer than its widest plan, then
-#:   histogrammed one at a time, each plan dropped once it has its index
-#:   and only the histograms of distinct plans held;
+#:   kind's widths in groups no longer than its widest plan, then each
+#:   width's new plans histogrammed one at a time, each plan dropped once
+#:   it has its key and any histogram, and only the histograms held;
 #: - carriers: the histograms, the reader, the carriers' kept values, and
 #:   ``min(workers, carriers)`` jobs, each in a workspace of its own;
 #: - plans: the histograms, the reader, the kept values, one scratch, the
@@ -311,9 +311,9 @@ def derive_seed(master_seed: int, experiment: str, point_index: int, seed_index:
 #:   read of every carrier through every distinct plan, and its results;
 #: - rows: the results, each plan's L gathered, and the sweep rows.
 #: The rows of earlier reads (the oversampling sweep's ratios) are held
-#: through all four.  A table study builds its plans and its table, then
-#: writes the table.  What no layer fixes is measured with tracemalloc, in
-#: a fresh process per study, and rounded up:
+#: through all four.  A table study builds its plans, then its table, and
+#: writes and hashes it.  What no layer fixes is measured with tracemalloc,
+#: in a fresh process per study, and rounded up:
 #: the transients of a job, or of the |H|^2 pass, that do not grow with
 #: its window: 0.16 MB in a carrier job (numpy's inverse-transform buffer,
 #: the ramp chunks), and in the |H|^2 pass numpy's buffers and a tile's
@@ -329,19 +329,21 @@ _JOB_BYTES = 256 << 10
 _LINE_BYTES = 48
 #: a read bin and distinct plan the |H|^2 pass may sum on: the masks of
 #: the bins summed (1 B each, up to 5 at once), the bin, and
-#: power_at_bins' arrays on it and its |H|^2 (on the desk grid, per plan
-#: and bin: one plan 52 B on 16001 bins in runs of 3, 57 B on 50009 drawn
-#: at random, and 84 B on 16001 consecutive bins, its run bookkeeping
-#: within _JOB_BYTES; the desk sweep's 9 distinct plans 27-52 B);
-_READ_BYTES = 72
+#: power_at_bins' arrays on it and its |H|^2 (on the desk grid, one
+#: 2001-line plan: 33 B a bin on 16001 bins in runs of 3, 35 B on 50009
+#: drawn at random, and 42 B on 16001 consecutive bins, its group of runs'
+#: sums within _JOB_BYTES; the bare plan 40 B on 40000 bins 2 apart);
+_READ_BYTES = 40
 #: a seed's value in a sweep row, as it is built (32 B held);
 _ROW_BYTES_PER_VALUE = 48
-#: a table row as values or as CSV text; a write holds the values, the
-#: lines, their text and its encoding (199 B a dispersion-eval row, 167 B
-#: an offsets-diff row);
-_TABLE_BYTES_PER_ROW = 104
+#: a table row as values (4 columns, 32 B) or as CSV text (26-37 B);
+_TABLE_BYTES_PER_ROW = 40
+#: a table's objects besides its rows (2.7 KB for 11 dispersion-eval rows);
+_TABLE_BYTES = 4 << 10
 #: what every run holds besides: its manifest, as it is written (16 KB).
 _RUN_BYTES = 16 << 10
+#: Most bytes of a file read at once to hash it.
+_HASH_BLOCK = 1 << 20
 #: A carrier waiting for its read: its (noise, seed) tuple and a seed of up
 #: to 64 bits; the noise profile is shared.
 _CARRIER_BYTES = sys.getsizeof((None, 0)) + sys.getsizeof((1 << 64) - 1)
@@ -527,23 +529,17 @@ def _pin_allocator() -> None:
         mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
-def _map(workers: int, fn, items) -> list:
-    """``[fn(item) for item in items]``, in item order, on up to ``workers`` threads."""
-    workers = min(workers, len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as executor:
-        return list(executor.map(fn, items))
-
-
 def _map_on(workers: int, first, more: Callable, fn, items) -> list:
     """``[fn(work, item) for item in items]``, in item order, on up to
     ``workers`` threads, each call in one of ``min(workers, len(items))``
     working sets, all made before any call: ``first``, and ``more(first)``
     for each other.  They are dropped when this returns."""
+    workers = min(workers, len(items))
+    if workers <= 1:
+        return [fn(first, item) for item in items]
     free = queue.SimpleQueue()
     free.put(first)
-    for _ in range(min(workers, len(items)) - 1):
+    for _ in range(workers - 1):
         free.put(more(first))
 
     def job(item):
@@ -553,7 +549,8 @@ def _map_on(workers: int, first, more: Callable, fn, items) -> list:
         finally:
             free.put(work)
 
-    return _map(workers, job, items)
+    with ThreadPoolExecutor(max_workers=workers) as executor:
+        return list(executor.map(job, items))
 
 
 def _detect_all(cfg: ExperimentConfig, grid: SimGrid, reader: BinReader, jobs: list) -> np.ndarray:
@@ -672,14 +669,12 @@ def _read_through(cfg: ExperimentConfig, reads: _Reads) -> tuple:
     on the bins the reader picks from (see
     :class:`~talbotsim.analysis.BinReader`), after the dominance test on
     the bare periodogram.  The detected periodogram is the carrier's
-    times the plan's |H|^2, so every plan sees the same noise.  Plans
-    whose offsets mod n are the same multiset have bit-equal |H|^2, so
-    each plan is compared by its lag histogram, its offsets mod n sorted
-    once (:func:`~talbotsim.superposition.lag_histogram`), and the
-    distinct ones are read at once: one read of every carrier through
-    every distinct plan (:meth:`BinReader.read`), which sums their |H|^2
-    in one pass on the bins the reader asks for.  The reader is the one
-    the guard sized.
+    times the plan's |H|^2, so every plan sees the same noise.  The plans
+    are keyed by :func:`_distinct_lags`, each distinct one sorted once
+    into its lag histogram, and read at once: one read of every carrier
+    through every distinct plan (:meth:`BinReader.read`), which sums their
+    |H|^2 in one pass on the bins the reader asks for.  The reader is the
+    one the guard sized.
     The carriers run as jobs on workspaces of their own, which are freed
     before the plans are read, on this thread, in one scratch: summing
     |H|^2 gains nothing from a second thread.  An envelope read
@@ -702,36 +697,27 @@ def _read_through(cfg: ExperimentConfig, reads: _Reads) -> tuple:
 
 def _distinct_lags(cfg: ExperimentConfig, reads: _Reads) -> tuple[list[int], list[Lags]]:
     """For each of ``reads``' plans, in order, an index into the lag
-    histograms of its distinct plans (:meth:`Lags.same`), and those
-    histograms.  Each kind's plans are built in one call
-    (:func:`_plans_by_kind`).  A plan whose offsets equal an earlier
-    kind's at the same width takes that plan's index with no histogram;
-    every other plan is histogrammed, and compared only with the kept
-    histograms of as many lines, distinct offsets and repeats.  Each plan
-    is dropped once it has its index, and only the histograms of
-    distinct plans are kept."""
+    histograms of its distinct plans, and those histograms.  Each kind's
+    plans are built in one call (:func:`_plans_by_kind`).  A plan whose
+    offsets equal an earlier kind's at the same width takes that plan's
+    index, every one-line plan (offset 0) the first one's, and every
+    other plan a new index and its histogram, taken once its width's
+    plans all have their indices."""
     built = _plans_by_kind(cfg, reads.grid, reads.plans)
-    keys, distinct, alike = [], [], {}
+    keys, distinct, bare = [], [], None
     for _, at_width in groupby(reads.plans, key=itemgetter(1)):
-        plans = [built[kind].pop(0) for kind, _ in at_width]
-        # Each plan's first equal at this width, found while they are all held.
-        firsts = []
-        for i, plan in enumerate(plans):
-            equal = (j for j in range(i) if firsts[j] == j and np.array_equal(plans[j].offsets, plan.offsets))
-            firsts.append(next(equal, i))
-        base = len(keys)
-        for i, first in enumerate(firsts):
-            if first < i:
-                keys.append(keys[base + first])
+        held = []  # the plans at this width with new indices, in order
+        for kind, _ in at_width:
+            plan = built[kind].pop(0)
+            if len(plan) == 1 and bare is not None:
+                keys.append(bare)
                 continue
-            lags = lag_histogram(plans[i])
-            plans[i] = None
-            shaped = alike.setdefault((lags.lines, len(lags.values), len(lags.repeats)), [])
-            key = next((k for k in shaped if lags.same(distinct[k])), len(distinct))
-            if key == len(distinct):
-                shaped.append(key)
-                distinct.append(lags)
-            keys.append(key)
+            i = next((i for i, other in enumerate(held) if np.array_equal(other.offsets, plan.offsets)), len(held))
+            if i == len(held):
+                held.append(plan)
+                bare = len(distinct) + i if len(plan) == 1 else bare
+            keys.append(len(distinct) + i)
+        distinct += (lag_histogram(held.pop(0)) for _ in range(len(held)))
     return keys, distinct
 
 
@@ -871,12 +857,12 @@ def _comb_width_reads(cfg: ExperimentConfig) -> _Reads:
 
 def _table_guard(cfg: ExperimentConfig, what: str, kinds, widths) -> _Guard:
     """The guard of ``what``, a study that synthesizes nothing: no job,
-    the plans of ``kinds`` at each of ``widths``, and its table, of one
-    row per line and width."""
+    the plans of ``kinds`` at each of ``widths``, then its table, of one
+    row per line and width, hashed in blocks no larger than its text."""
     lines = _plan_lines(cfg.comb, [(kind, w) for w in widths for kind in kinds])
     table = _TABLE_BYTES_PER_ROW * sum(lines) // len(kinds)
-    plans = OFFSET_BYTES * sum(lines) + _LINE_BYTES * max(lines)
-    return _Guard(what, {"build": plans + table, "write": 2 * table}, lines=sum(lines))
+    build = OFFSET_BYTES * sum(lines) + max(_LINE_BYTES * max(lines), table)
+    return _Guard(what, {"build": build, "write": _TABLE_BYTES + table + min(_HASH_BLOCK, table)}, lines=sum(lines))
 
 
 def offsets_experiment(cfg: ExperimentConfig) -> list[OffsetsTable]:
@@ -924,12 +910,11 @@ def dispersion_eval(cfg: ExperimentConfig, kind: str = "ideal") -> tuple[str, tu
 
 
 def _write_csv(path: Path, header: str, rows) -> Path:
-    """Write ``header`` and one line per row of values to ``path``: a
-    float as ``.10g``, any other value with ``str``."""
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(f"{v:.10g}" if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    """Write ``header`` and one line per row of values to ``path``, each as
+    it is formatted: a float as ``.10g``, any other value with ``str``."""
+    with path.open("w") as f:
+        f.write(header + "\n")
+        f.writelines(",".join(f"{v:.10g}" if isinstance(v, float) else str(v) for v in row) + "\n" for row in rows)
     return path
 
 
@@ -1101,14 +1086,22 @@ def write_manifest(
         master_seed=cfg.master_seed,
         versions={"talbotsim": __version__, "numpy": np.__version__},
         files=[
-            {"name": p.name, "sha256": hashlib.sha256(p.read_bytes()).hexdigest()}
-            for p in sorted(files, key=lambda p: p.name)
+            {"name": p.name, "sha256": _sha256(p)} for p in sorted(files, key=lambda p: p.name)
         ],
         refusals=list(refusals),
         errors=list(errors),
     )
     (cfg.out_dir / "manifest.json").write_text(manifest.to_json())
     return manifest
+
+
+def _sha256(path: Path) -> str:
+    """The sha256 of the file at ``path``, read into a buffer of at most ``_HASH_BLOCK`` bytes."""
+    digest, block = hashlib.sha256(), memoryview(bytearray(min(_HASH_BLOCK, path.stat().st_size)))
+    with path.open("rb") as f:
+        while size := f.readinto(block):
+            digest.update(block[:size])
+    return digest.hexdigest()
 
 
 def run_study(name: str, cfg: ExperimentConfig, args: dict | None = None, render_svg: bool = False):

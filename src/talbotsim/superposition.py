@@ -18,10 +18,11 @@ L(f) is read on a few dozen bins, so :func:`power_at_bins` sums H on
 those bins alone, over the distinct offsets mod n weighted by their
 counts, and forms no window-sized array.  It takes that histogram,
 :class:`Lags`, from :func:`lag_histogram`, which sorts the plan's
-offsets mod n once; a caller that reads many plans compares them by it
-and sums each distinct one once.  It sums many histograms in one pass:
-each plan's offsets are cut into the chunks it is summed in alone, and
-the chunks of all the plans are packed into tiles, so each tile's
+offsets mod n once; a caller that reads many plans histograms each
+distinct one once.  Two plans whose offsets mod n are one multiset have
+one histogram, and so bit-equal |H|^2.  It sums many histograms in one
+pass: each plan's offsets are cut into the chunks it is summed in alone,
+and the chunks of all the plans are packed into tiles, so each tile's
 twiddles, steps and weights are formed once, and each plan's |H|^2 has
 the bits of that plan summed alone.  Only the offsets that hold more
 than one line are weighted, since a weight of 1 multiplies exactly.  The
@@ -40,6 +41,7 @@ guard.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -124,13 +126,6 @@ class Lags(NamedTuple):
     repeats: np.ndarray
     counts: np.ndarray
 
-    def same(self, other: Lags) -> bool:
-        """Whether ``other`` is this histogram: two plans on one window
-        have the same |H|^2 when their offsets mod n are one multiset."""
-        return (self.n, self.lines) == (other.n, other.lines) and all(
-            np.array_equal(a, b) for a, b in zip(self[2:], other[2:])
-        )
-
 
 def lag_histogram(plan: DelayPlan) -> Lags:
     """The :class:`Lags` of ``plan``, from one sort of its offsets mod n.
@@ -204,13 +199,16 @@ def power_at_bins(plans, bins, work: Scratch | None = None) -> np.ndarray:
         raise ValueError(f"bins must ascend strictly within 0 .. {n // 2}")
 
     # Runs of consecutive bins, cut every _RUN bins, longest first: the
-    # runs still being stepped are then always a leading block.
+    # runs still being stepped are then always a leading block.  What is
+    # spent is freed at once: the budget guard counts the pass per bin.
     index = np.arange(len(bins))
     run_start = np.maximum.accumulate(np.where(np.diff(bins, prepend=-2) != 1, index, 0))
     firsts = np.flatnonzero((index - run_start) % _RUN == 0)
+    del index, run_start
     lengths = np.diff(firsts, append=len(bins))
     order = np.argsort(-lengths, kind="stable")
     firsts, lengths = firsts[order], lengths[order]
+    del order
 
     work = scratch(n) if work is None else work
     if work.n != n:
@@ -223,9 +221,11 @@ def power_at_bins(plans, bins, work: Scratch | None = None) -> np.ndarray:
     for g in range(0, len(firsts), group):
         first, length = firsts[g : g + group], lengths[g : g + group]
         rows, starts = len(first), bins[first][:, None]
-        # Runs still stepping at step k: those longer than k.
+        # Runs still stepping at step k: those longer than k, whose sums
+        # are held from stepped[k], one per bin of the group.
         active = [int(np.count_nonzero(length > k)) for k in range(int(length[0]))]
-        sums = np.zeros((len(lags), len(active), rows), np.complex128)  # plan p, step k of run r
+        stepped = list(accumulate(active, initial=0))
+        sums = np.zeros((len(lags), stepped[-1]), np.complex128)  # plan p, step k of run r at stepped[k] + r
         for segments, at, weights in _tiles(lags, chunk):
             width = (rows + 1) * segments[-1][3]
             idx = idx_buf[:width].reshape(rows + 1, -1)
@@ -251,12 +251,12 @@ def power_at_bins(plans, bins, work: Scratch | None = None) -> np.ndarray:
                 cur[:rows, at] = held
             for k, live in enumerate(active):
                 for p, _, s, e in segments:
-                    sums[p, k, :live] += cur[:live, s:e].sum(axis=1)
+                    sums[p, stepped[k] : stepped[k] + live] += cur[:live, s:e].sum(axis=1)
                 if k + 1 < len(active):
                     cur[: active[k + 1]] *= step
-        steps = np.arange(len(active))[:, None]
-        inside = steps < length
-        total[:, (first + steps)[inside]] = sums[:, inside]
+        for k, live in enumerate(active):
+            total[:, first[:live] + k] = sums[:, stepped[k] : stepped[k] + live]
+    del firsts, lengths
     for h, plan in zip(total, lags):
         np.divide(h, plan.lines, out=h)
     power = np.square(total.real)

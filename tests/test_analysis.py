@@ -135,6 +135,10 @@ class TestPeriodogram:
 
 
 class TestPhaseNoiseSpectrum:
+    def test_refuses_offsets_and_l_of_other_shapes(self):
+        with pytest.raises(ValueError, match=r"offsets and l_dbc must have the same shape"):
+            PhaseNoiseSpectrum(1e7, 0.5, np.array([1e4, 1e5]), np.array([-100.0]), 1e3)
+
     def test_pure_tone_floor_far_below_injected_levels(self):
         grid = build_grid(1e7, 16, 2e-3)
         signal = synth_carrier(SynthesisRequest(grid=grid))
@@ -282,6 +286,11 @@ def assert_reads_spectrum(reader, read, expected):
 
 class TestBinReader:
     """L off the values on the reader's bins, against the dense reader."""
+
+    def test_refuses_a_carrier_above_nyquist(self):
+        # 1000 samples at 1000 Hz: bins up to 500 Hz, and 600 Hz is 100 bins past them.
+        with pytest.raises(CarrierNotFoundError, match=r"carrier frequency 600\.0 Hz is outside the spectrum"):
+            BinReader(1000, 1000.0, 600.0, [10.0])
 
     def spectra(self, rng, n, carrier_bin, level=1e6):
         """Noise on every bin of an n-sample periodogram, and a random
@@ -497,6 +506,11 @@ class TestJitter:
             l_dbc=np.asarray(l_dbc, dtype=float),
             df=offsets[0],
         )
+
+    def test_refuses_one_point(self):
+        spec = self.make_spectrum([1e4], [-120.0])
+        with pytest.raises(ValueError, match=r"jitter integration needs at least 2 spectrum points"):
+            jitter(spec, 1e4, 1e4)
 
     def test_flat_spectrum_rectangle(self):
         offsets = np.linspace(1e3, 2e6, 50)

@@ -15,7 +15,7 @@ from talbotsim.cli import _KEYS, _build_parser, experiment_config, main, parse_c
 from talbotsim.errors import ConfigError
 from talbotsim.experiments import STUDIES, ExperimentConfig
 from talbotsim.model import build_grid
-from talbotsim.svgplot import offsets_chart
+from talbotsim.svgplot import line_chart, offsets_chart
 from talbotsim.synthesis import default_noise_profile
 
 
@@ -614,6 +614,20 @@ class TestNoiseConfig:
 
 
 class TestRenderPlots:
+    @pytest.mark.parametrize(
+        "series, logx, message",
+        [
+            ([], False, r"nothing to plot"),
+            ([("a", [], [])], False, r"nothing to plot"),
+            ([("a", [1.0, 2.0], [float("nan"), float("-inf")])], False, r"no finite y values to plot"),
+            ([("a", [0.0, 1.0], [1.0, 2.0])], True, r"log x axis needs positive x values"),
+        ],
+        ids=["no-series", "no-points", "no-finite-y", "log-x-at-zero"],
+    )
+    def test_line_chart_refuses(self, series, logx, message):
+        with pytest.raises(ValueError, match=message):
+            line_chart(series, logx=logx)
+
     def test_sweep_csv_three_curves(self, tmp_path):
         rows = [
             experiments.SweepRow(x, kind, off, -100.0, -0.5, 2)

@@ -8,6 +8,7 @@ import pytest
 from talbotsim import dispersion
 from talbotsim.model import SPEED_OF_LIGHT, CombSpec, build_grid, comb_lines, convert_dispersion
 from talbotsim.dispersion import (
+    DelayPlan,
     DispersionSpec,
     delay_plan,
     delay_plans,
@@ -27,6 +28,31 @@ LAM0 = 1550e-9
 
 def make_grid(n=64, t_sig=1e-4, f_r=F_R):
     return build_grid(f_r, n, t_sig)
+
+
+class TestDispersionSpecRefusals:
+    @pytest.mark.parametrize(
+        "args, kwargs, message",
+        [
+            (("quadratic", F_R, LAM0), {}, r"unknown dispersion kind 'quadratic'"),
+            (("ideal", 0.0, LAM0), {}, r"f_r and lambda0 must be positive"),
+            (("ideal", -F_R, LAM0), {}, r"f_r and lambda0 must be positive"),
+            (("ideal", F_R, LAM0), {"m": 0}, r"upconversion factor must be a positive integer, got 0"),
+            (("ideal", F_R, LAM0), {"m": 1.5}, r"upconversion factor must be a positive integer, got 1\.5"),
+            (("tabulated", F_R, LAM0), {}, r"tabulated kind requires a table"),
+            (
+                ("tabulated", F_R, LAM0),
+                {"table": (np.array([1.5e-6, 1.6e-6, 1.7e-6]), np.array([1.0, 2.0]))},
+                r"table must be two equal-length 1-d arrays with >= 2 points",
+            ),
+            (("linear", F_R, LAM0), {"table": (np.array([1.5e-6, 1.6e-6]), np.ones(2))}, r"linear kind takes no table"),
+        ],
+        ids=["unknown-kind", "f_r-zero", "f_r-negative", "m-zero", "m-fraction", "no-table", "unequal-table",
+             "analytic-with-table"],
+    )
+    def test_refuses(self, args, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            DispersionSpec(*args, **kwargs)
 
 
 class TestEvalDispersion:
@@ -170,6 +196,15 @@ class TestDelayPlan:
             k = len(plan)
             expected = (k - 1 - np.arange(k)) * n
             assert np.array_equal(plan.offsets, expected)
+
+    @pytest.mark.parametrize(
+        "offsets, message",
+        [([], r"a delay plan needs at least one line"), ([1, 2, 3], r"offsets must be normalized to min = 0")],
+        ids=["no-lines", "min-not-zero"],
+    )
+    def test_refuses(self, offsets, message):
+        with pytest.raises(ValueError, match=message):
+            DelayPlan(np.array(offsets, dtype=np.int64), make_grid())
 
     def test_single_line(self):
         comb = CombSpec(f_r=F_R, lambda0=LAM0, width=0.0)
@@ -357,6 +392,10 @@ class TestOneSampleDispersion:
             one_sample_dispersion(64, F_R, LAM0) / 2, rel=1e-14
         )
 
+    def test_refuses_no_oversampling(self):
+        with pytest.raises(ValueError, match=r"oversampling must be >= 1"):
+            one_sample_dispersion(0, F_R, LAM0)
+
     def test_one_sample_per_period_is_ideal(self):
         d = one_sample_dispersion(1, F_R, LAM0)
         ideal = eval_dispersion(DispersionSpec.ideal(F_R, LAM0), LAM0)
@@ -410,6 +449,12 @@ class TestOffsetDifference:
             kind: delay_plan(DispersionSpec(kind, F_R, LAM0), comb, grid)
             for kind in ("ideal", "linear", "constant")
         }
+
+    def test_refuses_plans_on_other_grids(self):
+        a, b = self.make_plans(1e10, n=64)["ideal"], self.make_plans(1e10, n=32)["ideal"]
+        assert len(a) == len(b)
+        with pytest.raises(ValueError, match=r"plans were built on different grids"):
+            offset_difference(a, b)
 
     def test_identical_plans(self):
         plans = self.make_plans(1e10)

@@ -542,7 +542,8 @@ class TestReadPlan:
     def test_plans_of_one_shape_and_other_values_get_their_own_keys(self, monkeypatch):
         # Per kind, the offsets of its plan at each of two widths.  At the
         # first, all three have 3 lines and 3 distinct offsets: linear's
-        # values differ, constant's are ideal's in another order.  At the
+        # values differ, constant's are ideal's in another order, which
+        # gets a key of its own, though its |H|^2 is ideal's.  At the
         # second, all have 3 lines, 2 distinct offsets and 1 repeat: linear
         # equals ideal, constant repeats another offset.
         offsets = {
@@ -557,13 +558,34 @@ class TestReadPlan:
         )
         histogrammed = []
         monkeypatch.setattr(experiments, "lag_histogram", lambda plan: histogrammed.append(plan) or lag_histogram(plan))
-        cfg = ExperimentConfig(widths=(1e8, 2e8))
+        cfg = ExperimentConfig(widths=(1e8, 2e8), t_sig=2e-4, n_seeds=2)
         keys, distinct = experiments._distinct_lags(cfg, experiments._comb_width_reads(cfg))
-        assert keys == [0, 1, 0, 2, 2, 3]
+        assert keys == [0, 1, 2, 3, 3, 4]
         # Linear's plan at the second width equals ideal's, and is not histogrammed.
         assert len(histogrammed) == 5
-        assert [d.values.tolist() for d in distinct] == [[0, 1, 2], [0, 1, 3], [0, 1], [0, 1]]
-        assert [d.repeats.tolist() for d in distinct] == [[], [], [0], [1]]
+        assert [d.values.tolist() for d in distinct] == [[0, 1, 2], [0, 1, 3], [0, 1, 2], [0, 1], [0, 1]]
+        assert [d.repeats.tolist() for d in distinct] == [[], [], [], [0], [1]]
+        rows = {(r.x_value, r.kind, r.offset_hz): r.per_seed for r in sweep_comb_width(cfg)}
+        for off in cfg.offsets:
+            assert rows[(1e8, "constant", off)] == rows[(1e8, "ideal", off)] != rows[(1e8, "linear", off)]
+
+    def test_one_line_plans_share_the_bare_key(self, monkeypatch):
+        # Below 2 f_r every kind's plan is one line, offset 0: widths 0 and
+        # 1e7 Hz read the bare plan, summed once, and 1e9 Hz its own plans.
+        calls = []
+
+        def counted(plans, bins, work=None):
+            calls.append([p.lines for p in plans])
+            return power_at_bins(plans, bins, work)
+
+        monkeypatch.setattr(experiments, "power_at_bins", counted)
+        cfg = ExperimentConfig(widths=(0.0, 1e7, 1e9), t_sig=2e-4, n_seeds=2)
+        keys, distinct = experiments._distinct_lags(cfg, experiments._comb_width_reads(cfg))
+        assert keys[:6] == [0] * 6 and 0 not in keys[6:] and distinct[0].lines == 1
+        rows = sweep_comb_width(cfg)
+        assert len(calls) == 1 and calls[0].count(1) == 1 and len(calls[0]) == len(distinct)
+        bare = {r.offset_hz: r.per_seed for r in rows if r.x_value == 0.0 and r.kind == "ideal"}
+        assert all(r.per_seed == bare[r.offset_hz] for r in rows if r.x_value < 1e9)
 
     def test_builds_one_reader_for_the_guard_and_the_read(self, monkeypatch):
         # The guard sizes the reader the read then uses: one candidate pass.

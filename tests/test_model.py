@@ -188,6 +188,10 @@ class TestEstimateMemory:
 
 
 class TestSampledSignal:
+    def test_rejects_two_dimensional_samples(self):
+        with pytest.raises(ValueError, match=r"samples must be one-dimensional"):
+            SampledSignal(samples=np.zeros((2, 4)), sample_rate=1.0)
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             SampledSignal(samples=np.array([0.0, np.nan]), sample_rate=1.0)

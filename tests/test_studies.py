@@ -490,7 +490,7 @@ class TestConcurrentBudget:
             # 2000 offsets: the reader's bins and candidates, not the window, are the most it holds.
             ("simulate", {"t_sig": 2e-4}, {"kind": "none", "points": 2000}, 1.5),
             # 20000 offsets: one pick-table row, for the one bin the carrier
-            # peaks on, then the spectrum written, the most the run holds.
+            # peaks on, and |H|^2 summed on nearly every bin of the window.
             ("simulate", {"t_sig": 2e-4}, {"kind": "none", "points": 20000}, 1.1),
             # The comb-width sweep's carriers are envelopes of 8100 samples, so
             # its plan jobs' scratch on the 320000-sample window is its largest phase.
@@ -507,7 +507,7 @@ class TestConcurrentBudget:
             # counted apart, though they are one.
             ("sweep-comb-width", {"t_sig": 2e-4, "n_seeds": 300, "widths": (0.0, 1e7, 1e9)}, {}, 1.6),
             # No job: 200001-line plans and a table row per line, then the
-            # table written as CSV and read back for its hash.
+            # table written as CSV a line at a time and hashed in 1 MiB blocks.
             ("offsets-diff", {"t_sig": 2e-4, "widths": (2e12,)}, {}, 1.3),
             ("dispersion-eval", {"t_sig": 2e-4, "comb": CombSpec(f_r=1e7, lambda0=1550e-9, width=2e12)}, {}, 1.3),
             # The desk default, 101 rows: the manifest weighs as much as the table.

@@ -312,15 +312,6 @@ class TestLagHistogram:
             assert np.array_equal(power_at_bins(lags, bins), power_at_bins(every, bins))
             assert np.array_equal(power_at_bins(lags, bins), power_at_bins(make_plan_on(n, offsets), bins))
 
-    def test_plans_are_the_same_when_their_offsets_mod_n_are(self):
-        n = 1000
-        base = lag_histogram(make_plan([0, 3, 3, 7, 999], n))
-        assert base.same(lag_histogram(make_plan([n + 3, 999, 7, 3 + 2 * n, 0], n)))
-        for other in ([0, 3, 7, 7, 999], [0, 3, 7, 999], [0, 3, 3, 7, 999, 999], [0, 3, 3, 8, 999]):
-            assert not base.same(lag_histogram(make_plan(other, n))), other
-        # One multiset on another window is another plan.
-        assert not base.same(lag_histogram(make_plan([0, 3, 3, 7, 999], 1001)))
-
 
 class TestManyPlans:
     """``power_at_bins`` of a list of plans: each row is its plan's |H|^2

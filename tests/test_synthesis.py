@@ -14,6 +14,7 @@ from talbotsim.synthesis import (
     _phase_track,
     default_noise_profile,
     synth_carrier,
+    synth_envelope,
 )
 
 
@@ -277,6 +278,16 @@ class TestWorkspace:
         # An equal profile and the pure tone are served.
         self.check(EVEN, default_noise_profile(f_low=EVEN.df), 1, ws)
         self.check(EVEN, None, 1, ws)
+
+    def test_envelope_is_drawn_only_in_an_envelope_workspace(self):
+        noise = default_noise_profile(f_low=EVEN.df)
+        passband = Workspace(EVEN.n_samples, EVEN.sample_rate, noise)
+        envelope = Workspace(EVEN.n_samples, EVEN.sample_rate, noise, envelope=True)
+        message = r"an envelope is drawn for a noise profile, in an envelope workspace"
+        with pytest.raises(ValueError, match=message):
+            synth_envelope(noise, 1, passband)
+        with pytest.raises(ValueError, match=message):
+            synth_envelope(None, 1, envelope)
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_worker_threads(self, workers):
